@@ -12,6 +12,10 @@
 //!   reserved `CfarScratch` — the take() handoff is the one permitted
 //!   send-boundary allocation)
 //! - redistribution packing + recycling through the shared buffer pool
+//! - the serve path's slot round: ingest copy, slot assembly, the
+//!   one-pass Doppler corner turn (`process_tiles_with` +
+//!   `BinBlock::scatter` into length-preserving pool blocks) and the
+//!   beamformer's in-place slab fill
 //! - easy beamforming of one Doppler bin (`hermitian_matmul_into`)
 //! - hard weight computation for one azimuth (`process_into`: snapshot
 //!   gather, recursive planar QR update, constrained solve)
@@ -22,11 +26,11 @@
 //! allocations would show up in our deltas.
 
 use stap::core::beamform::{hard_beamform_into_with, HardBeamformScratch};
-use stap::core::doppler::DopplerProcessor;
+use stap::core::doppler::{DopplerProcessor, DopplerScratch};
 use stap::core::pulse::{PulseCompressor, PulseScratch};
 use stap::core::weights::{HardWeightComputer, HardWeightScratch, HardWeights};
 use stap::core::StapParams;
-use stap::cube::{AxisPartition, CCube, RCube, RedistPlan, SharedBufferPool};
+use stap::cube::{AxisPartition, BinBlock, CCube, RCube, RedistPlan, SharedBufferPool};
 use stap::math::fft::FftScratch;
 use stap::math::{CMat, Cx};
 use stap_bench::alloc_count::{self, CountingAllocator};
@@ -219,31 +223,50 @@ fn steady_state_cpi_kernels_do_not_allocate() {
     }
 
     // --- Multi-stream slot round: ingest-copy, cross-stream slot -------
-    // assembly and the grouped Doppler pass, all through a pool warmed
-    // by `reserve` the way `ResidentStap::reserve` pre-warms the serve
-    // pools. This is the serve front end's per-slot hot path: B
-    // submitted CPIs (different streams) coalesce into one stacked slab
-    // and one batched FFT call.
+    // assembly, the one-pass Doppler corner turn and the beamformer's
+    // in-place block consumption, all through a pool warmed by `reserve`
+    // the way `ResidentStap::reserve` pre-warms the serve pools. This is
+    // the serve path's per-slot hot path: B submitted CPIs (different
+    // streams) coalesce into one stacked slab; every cache-resident FFT
+    // tile is scattered straight into the pooled wire blocks; the
+    // beamformer transposes each bin's plane out of the received block
+    // into its GEMM slab.
     {
         let b = 4usize; // group size: CPIs per slot
         let klen = 64usize; // one node's k-rows per sub-CPI
+        let jj = 2 * p.j_channels;
         let sub_shape = [p.k_range, p.j_channels, p.n_pulses];
         let sub_len = sub_shape.iter().product::<usize>();
         let row = p.j_channels * p.n_pulses;
         let proc = DopplerProcessor::new(&p);
-        let mut stag = CCube::zeros([b * klen, 2 * p.j_channels, p.n_pulses]);
-        let mut fft_ws = FftScratch::new();
+        let mut dws = DopplerScratch::new();
+        // One weight-style block (training rows only) and one
+        // beamform-style block (every row), eight hard bins each.
+        let bins: Vec<usize> = p.hard_bins()[..8].to_vec();
+        let all_rows: Vec<usize> = (0..klen).collect();
+        let train_rows: Vec<usize> = (0..klen).step_by(3).collect();
+        let layouts = [
+            BinBlock::new(&bins, &train_rows, klen, jj),
+            BinBlock::new(&bins, &all_rows, klen, jj),
+        ];
+        let w = CMat::from_fn(jj, p.m_beams, |i, j| det_cx(i, j, 5));
+        let mut gemm_slab = CMat::zeros(jj, klen);
+        let mut y = CMat::zeros(p.m_beams, klen);
         let pool: SharedBufferPool<Cx> = SharedBufferPool::new();
-        // Demand-driven pre-warm: B producer-held cubes plus the group
-        // slab, exactly what one in-flight slot needs.
+        // Demand-driven pre-warm: B producer-held cubes, the group slab
+        // and the out-blocks, exactly what one in-flight slot needs.
         pool.reserve(sub_len, b);
         pool.reserve(b * klen * row, 1);
+        for layout in &layouts {
+            pool.reserve(layout.shape(b).iter().product(), 1);
+        }
         let sources: Vec<CCube> = (0..b)
             .map(|s| CCube::from_fn(sub_shape, |i, j, k| det_cx(i + s, j, k)))
             .collect();
         // Reused across rounds so the round itself allocates nothing.
         let mut held: Vec<CCube> = Vec::with_capacity(b);
-        let mut slot = |pool: &SharedBufferPool<Cx>, held: &mut Vec<CCube>| {
+        let mut blocks: Vec<CCube> = Vec::with_capacity(layouts.len());
+        let mut slot = |pool: &SharedBufferPool<Cx>| {
             // Producers: one memcpy ingest per stream (take_cube_from).
             for c in &sources {
                 held.push(pool.take_cube_from(c));
@@ -258,16 +281,37 @@ fn steady_state_cpi_kernels_do_not_allocate() {
             for cube in held.drain(..) {
                 pool.recycle(cube);
             }
-            // Doppler node: the whole group through one batched pass.
-            proc.process_groups_with(&slab, 0, b, &mut stag, &mut fft_ws);
+            // Doppler node: taper, FFT and corner turn, tile by tile.
+            for layout in &layouts {
+                blocks.push(pool.take_cube_for_overwrite(layout.shape(b)));
+            }
+            let mut covered = 0;
+            proc.process_tiles_with(&slab, 0, b, &mut dws, |row0, tile| {
+                for (layout, block) in layouts.iter().zip(&mut blocks) {
+                    covered += layout.scatter(tile, jj, p.n_pulses, row0, block.as_mut_slice());
+                }
+            });
+            assert_eq!(covered, blocks.iter().map(CCube::len).sum::<usize>());
             pool.recycle(slab);
-            black_box(stag[(0, 0, 0)]);
+            // Beamformer: each (sub, bin) plane of the received block
+            // goes straight into the GEMM slab.
+            let bf = &blocks[1];
+            let plane = klen * jj;
+            for planes in bf.as_slice().chunks_exact(plane) {
+                gemm_slab.fill_cols_transposed(0, planes);
+                w.hermitian_matmul_into(&gemm_slab, &mut y);
+            }
+            black_box(y[(0, 0)]);
+            for block in blocks.drain(..) {
+                pool.recycle(block);
+            }
         };
-        slot(&pool, &mut held); // warmup: FFT scratch sizing, flop thread-locals
+        slot(&pool); // warmup: FFT scratch sizing, flop thread-locals
         let before = pool.stats();
-        assert_zero_alloc("multi-stream slot assembly + grouped doppler", || {
-            slot(&pool, &mut held)
-        });
+        assert_zero_alloc(
+            "multi-stream slot: assembly, corner turn, in-place beamform",
+            || slot(&pool),
+        );
         let after = pool.stats();
         assert_eq!(
             after.misses, before.misses,
@@ -277,6 +321,11 @@ fn steady_state_cpi_kernels_do_not_allocate() {
         assert_eq!(
             after.misses, 0,
             "reserve must cover the first slot: {after:?}"
+        );
+        assert_eq!(
+            (after.hits - before.hits) as usize,
+            ROUNDS * (b + 1 + layouts.len()),
+            "every buffer of a slot goes through the pool: {after:?}"
         );
     }
 

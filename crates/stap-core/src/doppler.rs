@@ -17,6 +17,11 @@ use stap_cube::CCube;
 use stap_math::fft::{Fft, FftScratch};
 use stap_math::{flops, simd, Cx};
 
+/// Cache budget of one `[rows, 2J, N]` tile of the kernel loop: a tile
+/// is tapered, transformed and handed on while it still sits in L2
+/// (4 range rows at the paper geometry, 32 at the reduced one).
+const TILE_L2_BYTES: usize = 256 * 1024;
+
 /// Reusable Doppler-filtering state (FFT plan and taper samples).
 pub struct DopplerProcessor {
     n: usize,
@@ -25,6 +30,22 @@ pub struct DopplerProcessor {
     correction: Vec<f64>,
     fft: Fft,
     j_channels: usize,
+}
+
+/// Workspace of [`DopplerProcessor::process_tiles_with`]: the one
+/// cache-resident tile every finished tile is staged in, and the FFT
+/// scratch. Grow-only, so the steady state allocates nothing.
+#[derive(Default)]
+pub struct DopplerScratch {
+    tile: Vec<Cx>,
+    fft: FftScratch,
+}
+
+impl DopplerScratch {
+    /// An empty workspace; it is sized on first use.
+    pub fn new() -> Self {
+        DopplerScratch::default()
+    }
 }
 
 impl DopplerProcessor {
@@ -51,8 +72,6 @@ impl DopplerProcessor {
     /// Processes a full raw CPI into the staggered Doppler cube.
     pub fn process(&self, cpi: &CCube) -> CCube {
         let [k_range, j_ch, n] = cpi.shape();
-        assert_eq!(j_ch, self.j_channels, "channel count mismatch");
-        assert_eq!(n, self.n, "pulse count mismatch");
         let mut out = CCube::zeros([k_range, 2 * j_ch, n]);
         self.process_rows(cpi, 0, &mut out);
         out
@@ -73,12 +92,10 @@ impl DopplerProcessor {
         self.process_rows_with(slab, k_offset, out, &mut scratch);
     }
 
-    /// The zero-allocation steady-state kernel: tapers both staggered
-    /// windows directly into the output cube's lanes, then runs the
-    /// whole cube through one batched [`Fft::forward_lanes`] call (the
-    /// output layout is `(k_local, 2J, N)` row-major, so every lane is
-    /// unit-stride — `2J * k_local` transforms through one plan
-    /// dispatch).
+    /// The zero-allocation steady-state kernel: every tile of range rows
+    /// is tapered straight into its rows of `out` and transformed there
+    /// while it is cache-hot (the output layout is `(k_local, 2J, N)`
+    /// row-major, so every lane is unit-stride).
     pub fn process_rows_with(
         &self,
         slab: &CCube,
@@ -86,43 +103,12 @@ impl DopplerProcessor {
         out: &mut CCube,
         scratch: &mut FftScratch,
     ) {
-        let [k_local, j_ch, n] = slab.shape();
-        assert_eq!(out.shape(), [k_local, 2 * j_ch, n], "output shape mismatch");
-        let s = self.stagger;
-        let wlen = n - s;
-        for k in 0..k_local {
-            let corr = self.correction[k_offset + k];
-            for j in 0..j_ch {
-                let lane = slab.lane(k, j);
-                // Window 0: pulses 0..N-s, zero-padded at the tail.
-                // The taper product runs through the dispatched SIMD
-                // kernel (bit-identical to the scalar loop).
-                let w0 = out.lane_mut(k, j);
-                simd::taper_into(w0, lane, &self.window, corr);
-                w0[wlen..n].fill(Cx::default());
-                // Window 1: pulses s..N re-indexed from zero, so a tone
-                // at bin d shows the PRI-stagger phase e^{2 pi i d s / N}
-                // relative to window 0 — the phase the hard-weight
-                // constraint aligns.
-                let w1 = out.lane_mut(k, j_ch + j);
-                simd::taper_into(w1, &lane[s..], &self.window, corr);
-                w1[wlen..n].fill(Cx::default());
-            }
-        }
-        // Taper+correction cost: 2 windows x wlen x (2 mul + 1
-        // correction mul) real ops per (cell, channel); FFT costs are
-        // counted by the batched transform.
-        flops::add(3 * 2 * wlen as u64 * (k_local * j_ch) as u64);
-        self.fft.forward_lanes(out.as_mut_slice(), scratch);
+        self.process_groups_with(slab, k_offset, 1, out, scratch);
     }
 
     /// Multi-CPI variant of [`DopplerProcessor::process_rows_with`]:
     /// `slab` stacks `groups` same-shaped range slabs (each covering
-    /// global cells `k_offset..k_offset + k_local/groups`) along axis 0,
-    /// and every lane of every group goes through **one** batched
-    /// [`Fft::forward_lanes`] dispatch. This is how the multi-stream
-    /// ingestion runtime keeps FFT lane occupancy full: slabs from
-    /// different streams coalesce into a single transform call.
+    /// global cells `k_offset..k_offset + k_local/groups`) along axis 0.
     /// Bit-identical per group to processing each slab alone.
     pub fn process_groups_with(
         &self,
@@ -133,28 +119,123 @@ impl DopplerProcessor {
         scratch: &mut FftScratch,
     ) {
         let [rows, j_ch, n] = slab.shape();
+        assert_eq!(out.shape(), [rows, 2 * j_ch, n], "output shape mismatch");
+        // Staged in place: tile `row0..` is rows `row0..` of `out`.
+        self.tiles_with(
+            slab,
+            k_offset,
+            groups,
+            self.tile_rows(),
+            out.as_mut_slice(),
+            2 * j_ch * n,
+            scratch,
+            |_, _| {},
+        );
+    }
+
+    /// The serve path's one-pass form: instead of materialising the
+    /// staggered cube, every finished tile is handed to `sink(row0,
+    /// tile)` while it is cache-resident — `tile` is the `[rows, 2J, N]`
+    /// staggered output of slab rows `row0..row0 + rows`, all inside one
+    /// of the `groups` stacked sub-CPIs — so the caller can corner-turn
+    /// it straight into its out-blocks. The tiles are, bit for bit, the
+    /// rows [`DopplerProcessor::process_groups_with`] would write.
+    pub fn process_tiles_with(
+        &self,
+        slab: &CCube,
+        k_offset: usize,
+        groups: usize,
+        ws: &mut DopplerScratch,
+        sink: impl FnMut(usize, &[Cx]),
+    ) {
+        let rows_per_tile = self.tile_rows();
+        ws.tile
+            .resize(rows_per_tile * 2 * self.j_channels * self.n, Cx::default());
+        // Staged in the one reused tile (stage row stride 0).
+        self.tiles_with(
+            slab,
+            k_offset,
+            groups,
+            rows_per_tile,
+            &mut ws.tile,
+            0,
+            &mut ws.fft,
+            sink,
+        );
+    }
+
+    /// Range rows per tile under [`TILE_L2_BYTES`].
+    fn tile_rows(&self) -> usize {
+        let row_bytes = 2 * self.j_channels * self.n * std::mem::size_of::<Cx>();
+        (TILE_L2_BYTES / row_bytes).max(1)
+    }
+
+    /// The Doppler kernel loop. For each tile of at most `rows_per_tile`
+    /// range rows (never straddling two sub-CPIs of the group): taper
+    /// both stagger windows of every channel into the tile, transform
+    /// its `2J * rows` lanes through one [`Fft::forward_lanes`] call,
+    /// and pass `(row0, tile)` to `sink`. The tile of slab rows `row0..`
+    /// is staged at `stage[row0 * stage_row..]`: `stage_row = 2J * N`
+    /// makes `stage` the output cube itself, `stage_row = 0` reuses one
+    /// cache-resident tile.
+    #[allow(clippy::too_many_arguments)]
+    fn tiles_with(
+        &self,
+        slab: &CCube,
+        k_offset: usize,
+        groups: usize,
+        rows_per_tile: usize,
+        stage: &mut [Cx],
+        stage_row: usize,
+        fft_ws: &mut FftScratch,
+        mut sink: impl FnMut(usize, &[Cx]),
+    ) {
+        let [rows, j_ch, n] = slab.shape();
+        assert_eq!(j_ch, self.j_channels, "channel count mismatch");
+        assert_eq!(n, self.n, "pulse count mismatch");
         assert!(
             groups > 0 && rows % groups == 0,
             "rows {rows} / groups {groups}"
         );
-        assert_eq!(out.shape(), [rows, 2 * j_ch, n], "output shape mismatch");
+        assert!(rows_per_tile > 0, "empty tile");
         let k_local = rows / groups;
+        let row_len = 2 * j_ch * n;
         let s = self.stagger;
         let wlen = n - s;
-        for row in 0..rows {
-            let corr = self.correction[k_offset + row % k_local];
-            for j in 0..j_ch {
-                let lane = slab.lane(row, j);
-                let w0 = out.lane_mut(row, j);
-                simd::taper_into(w0, lane, &self.window, corr);
-                w0[wlen..n].fill(Cx::default());
-                let w1 = out.lane_mut(row, j_ch + j);
-                simd::taper_into(w1, &lane[s..], &self.window, corr);
-                w1[wlen..n].fill(Cx::default());
+        for group_row0 in (0..rows).step_by(k_local.max(1)) {
+            for r0 in (0..k_local).step_by(rows_per_tile) {
+                let tile_rows = rows_per_tile.min(k_local - r0);
+                let row0 = group_row0 + r0;
+                let tile = &mut stage[row0 * stage_row..][..tile_rows * row_len];
+                for (t, row) in tile.chunks_exact_mut(row_len).enumerate() {
+                    let corr = self.correction[k_offset + r0 + t];
+                    let (win0, win1) = row.split_at_mut(j_ch * n);
+                    for j in 0..j_ch {
+                        let lane = slab.lane(row0 + t, j);
+                        // Window 0: pulses 0..N-s, zero-padded at the
+                        // tail. The taper product runs through the
+                        // dispatched SIMD kernel (bit-identical to the
+                        // scalar loop).
+                        let w0 = &mut win0[j * n..(j + 1) * n];
+                        simd::taper_into(w0, lane, &self.window, corr);
+                        w0[wlen..].fill(Cx::default());
+                        // Window 1: pulses s..N re-indexed from zero, so
+                        // a tone at bin d shows the PRI-stagger phase
+                        // e^{2 pi i d s / N} relative to window 0 — the
+                        // phase the hard-weight constraint aligns.
+                        let w1 = &mut win1[j * n..(j + 1) * n];
+                        simd::taper_into(w1, &lane[s..], &self.window, corr);
+                        w1[wlen..].fill(Cx::default());
+                    }
+                }
+                self.fft.forward_lanes(tile, fft_ws);
+                sink(row0, tile);
             }
         }
+        // Taper+correction cost: 2 windows x wlen x (2 mul + 1
+        // correction mul) real ops per (cell, channel); FFT costs are
+        // counted by the batched transforms.
         flops::add(3 * 2 * wlen as u64 * (rows * j_ch) as u64);
-        self.fft.forward_lanes(out.as_mut_slice(), scratch);
     }
 }
 
@@ -282,6 +363,149 @@ mod tests {
             let part = got.extract(g * klen..(g + 1) * klen, 0..2 * p.j_channels, 0..p.n_pulses);
             assert_eq!(part, want, "group {g} must be bit-identical");
         }
+    }
+
+    /// The serve path's pre-tiling gather, kept as the oracle: one walk
+    /// over the whole staggered cube per bin, output order
+    /// `(sub, bin, row, channel)`.
+    fn gather_bins_block(
+        stag: &CCube,
+        b: usize,
+        klen: usize,
+        bins: &[usize],
+        rows: &[usize],
+        channels: usize,
+    ) -> Vec<Cx> {
+        let mut out = Vec::new();
+        for u in 0..b {
+            for &bin in bins {
+                for &row in rows {
+                    for ch in 0..channels {
+                        out.push(stag[(u * klen + row, ch, bin)]);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Tile by tile into corner-turn blocks — any tile size, any group
+    /// size, any k-partition, any bin/row selection — must reproduce,
+    /// `to_bits` for `to_bits`, the whole staggered cube gathered in
+    /// the wire's element order.
+    #[test]
+    fn tiled_corner_turn_matches_whole_cube_gather() {
+        use stap_cube::BinBlock;
+        use stap_util::check::{check, Gen};
+
+        /// A random ascending selection of `0..len`, with skips and
+        /// (when `repeats`) duplicates.
+        fn pick(g: &mut Gen, len: usize, repeats: bool) -> Vec<usize> {
+            let mut out = Vec::new();
+            for i in 0..len {
+                let copies: &[usize] = if repeats { &[0, 1, 1, 2] } else { &[0, 1] };
+                out.extend(std::iter::repeat_n(i, g.choose(copies)));
+            }
+            out
+        }
+
+        check("tiled doppler corner turn", 120, |g| {
+            let mut p = test_params();
+            // Power-of-two and Bluestein pulse counts.
+            p.n_pulses = g.choose(&[4usize, 8, 16, 32, 5, 6, 12, 20]);
+            p.stagger = g.int(0, 4);
+            p.j_channels = g.int(1, 5);
+            p.k_range = g.int(1, 40);
+            p.range_correction_exponent = g.choose(&[0.0, 1.0]);
+            let (j, n, jj) = (p.j_channels, p.n_pulses, 2 * p.j_channels);
+            let proc = DopplerProcessor::new(&p);
+            // One Doppler node's k-partition and a slot group on it.
+            let k0 = g.int(0, p.k_range);
+            let klen = g.int(1, p.k_range - k0 + 1);
+            let b = g.int(1, 5);
+            let slab = CCube::from_fn([b * klen, j, n], |_, _, _| {
+                Cx::new(g.float(-1.0, 1.0), g.float(-1.0, 1.0))
+            });
+            let mut stag = CCube::zeros([b * klen, jj, n]);
+            proc.process_groups_with(&slab, k0, b, &mut stag, &mut FftScratch::new());
+
+            // The four out-blocks of one destination node each: weight
+            // blocks take training rows, beamform blocks every row.
+            let all_rows: Vec<usize> = (0..klen).collect();
+            let layouts: Vec<(Vec<usize>, Vec<usize>, usize)> = vec![
+                (pick(g, n, false), pick(g, klen, true), j),
+                (pick(g, n, false), pick(g, klen, true), jj),
+                (pick(g, n, false), all_rows.clone(), j),
+                (pick(g, n, false), all_rows, jj),
+            ];
+            let blocks: Vec<BinBlock> = layouts
+                .iter()
+                .map(|(bins, rows, ch)| BinBlock::new(bins, rows, klen, *ch))
+                .collect();
+            let poison = Cx::new(f64::NAN, f64::NAN);
+            let mut got: Vec<Vec<Cx>> = blocks
+                .iter()
+                .map(|bl| vec![poison; bl.shape(b).iter().product()])
+                .collect();
+
+            let rows_per_tile = g.choose(&[1, 2, 3, 5, klen, klen + 3]);
+            let mut stage = vec![Cx::default(); rows_per_tile * jj * n];
+            let mut covered = vec![0usize; blocks.len()];
+            proc.tiles_with(
+                &slab,
+                k0,
+                b,
+                rows_per_tile,
+                &mut stage,
+                0,
+                &mut FftScratch::new(),
+                |row0, tile| {
+                    assert!(tile.len() <= rows_per_tile * jj * n);
+                    assert_eq!(
+                        row0 / klen,
+                        (row0 + tile.len() / (jj * n) - 1) / klen,
+                        "tile straddles two sub-CPIs"
+                    );
+                    for (i, bl) in blocks.iter().enumerate() {
+                        covered[i] += bl.scatter(tile, jj, n, row0, &mut got[i]);
+                    }
+                },
+            );
+
+            for (i, (bins, rows, ch)) in layouts.iter().enumerate() {
+                let want = gather_bins_block(&stag, b, klen, bins, rows, *ch);
+                assert_eq!(covered[i], want.len(), "block {i} coverage");
+                let bits = |v: &[Cx]| -> Vec<(u64, u64)> {
+                    v.iter().map(|x| (x.re.to_bits(), x.im.to_bits())).collect()
+                };
+                assert_eq!(bits(&got[i]), bits(&want), "block {i}");
+            }
+        });
+    }
+
+    /// The public tiled entry derives its tile size and hands out
+    /// exactly the rows `process_groups_with` writes.
+    #[test]
+    fn process_tiles_with_reassembles_the_full_cube() {
+        let p = test_params();
+        let proc = DopplerProcessor::new(&p);
+        let (b, klen) = (2, p.k_range);
+        let slab = CCube::from_fn([b * klen, p.j_channels, p.n_pulses], |k, j, n| {
+            Cx::new(
+                ((k * 31 + j * 7 + n) % 17) as f64 - 8.0,
+                ((k + j + n * 3) % 13) as f64 - 6.0,
+            )
+        });
+        let shape = [b * klen, 2 * p.j_channels, p.n_pulses];
+        let mut want = CCube::zeros(shape);
+        proc.process_groups_with(&slab, 0, b, &mut want, &mut FftScratch::new());
+        let row_len = shape[1] * shape[2];
+        let mut got = CCube::zeros(shape);
+        let mut ws = DopplerScratch::new();
+        proc.process_tiles_with(&slab, 0, b, &mut ws, |row0, tile| {
+            got.as_mut_slice()[row0 * row_len..][..tile.len()].copy_from_slice(tile);
+        });
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -192,9 +192,14 @@ impl<T: Copy + Default> Cube<T> {
     /// reorganization" copy of Fig. 8. Ranges are in *source* coordinates;
     /// the output shape is the permuted block shape.
     ///
-    /// This is deliberately a strided copy: on the Paragon this is where
-    /// the cache-miss cost the paper discusses is paid, and the machine
-    /// model charges for it per element.
+    /// On the Paragon this strided copy is where the cache-miss cost the
+    /// paper discusses is paid, and the machine model charges for it per
+    /// element. Here the copy is run-fused or transpose-blocked (see
+    /// [`Cube::extract_permuted_into`]); it serves [`crate::RedistPlan`],
+    /// which reorganizes a cube that already exists. The serve path's
+    /// Doppler task never builds that cube: it corner-turns each
+    /// cache-resident FFT tile straight into the wire blocks through
+    /// [`crate::BinBlock`].
     pub fn extract_permuted(
         &self,
         r0: Range<usize>,

@@ -17,12 +17,14 @@
 //! [`Cube::extract_permuted`] performs the strided "data reorganization"
 //! copy.
 
+pub mod corner;
 pub mod cube;
 pub mod partition;
 pub mod pool;
 pub mod redist;
 pub mod view;
 
+pub use corner::BinBlock;
 pub use cube::{CCube, Cube, RCube};
 pub use partition::{block_ranges, AxisPartition};
 pub use pool::{BufferPool, PoolStats, SharedBufferPool};

@@ -67,14 +67,21 @@ impl<T> BufferPool<T> {
     /// An empty buffer with capacity at least `capacity`, recycled from
     /// the freelist when the matching size class has one.
     pub fn get(&mut self, capacity: usize) -> Vec<T> {
+        let mut buf = self.pop_or_alloc(capacity);
+        buf.clear();
+        buf
+    }
+
+    /// A buffer with capacity at least `capacity` and whatever length
+    /// its last user left: recycled on a hit, fresh (and empty) on a miss.
+    fn pop_or_alloc(&mut self, capacity: usize) -> Vec<T> {
         if capacity == 0 {
             return Vec::new();
         }
         let class = capacity.next_power_of_two();
         match self.free.get_mut(&class).and_then(Vec::pop) {
-            Some(mut buf) => {
+            Some(buf) => {
                 self.stats.hits += 1;
-                buf.clear();
                 debug_assert!(buf.capacity() >= capacity);
                 buf
             }
@@ -85,8 +92,10 @@ impl<T> BufferPool<T> {
         }
     }
 
-    /// Returns a retired buffer to the pool for reuse. Contents are
-    /// irrelevant; only the allocation is recycled.
+    /// Returns a retired buffer to the pool for reuse. Only the
+    /// allocation is recycled: [`BufferPool::get`] clears it, while
+    /// [`SharedBufferPool::take_cube_for_overwrite`] keeps the stale
+    /// elements as filler.
     pub fn put(&mut self, buf: Vec<T>) {
         let cap = buf.capacity();
         if cap == 0 {
@@ -213,6 +222,23 @@ impl<T: Copy + Default> SharedBufferPool<T> {
         Cube::from_fn_in(shape, self.get(total), f)
     }
 
+    /// A pooled cube of `shape` with **unspecified contents**, for
+    /// producers that overwrite every element before the cube is read
+    /// or sent (the Doppler corner turn scatters into its blocks at
+    /// random offsets, so it needs the length up front but not a fill).
+    /// A recycled buffer keeps the length its last user left, so the
+    /// `resize` truncates — or default-fills only the missing tail —
+    /// instead of paying a whole-block memset per take. Every element is
+    /// a stale value of an earlier user or `T::default()`: initialised
+    /// memory, safe Rust.
+    pub fn take_cube_for_overwrite(&self, shape: [usize; 3]) -> Cube<T> {
+        let total = shape[0] * shape[1] * shape[2];
+        // The (first-use) tail fill runs outside the pool lock.
+        let mut buf = self.lock().pop_or_alloc(total);
+        buf.resize(total, T::default());
+        Cube::from_vec(shape, buf)
+    }
+
     /// Retires a consumed message cube, returning its backing buffer to
     /// the pool.
     pub fn recycle(&self, cube: Cube<T>) {
@@ -302,6 +328,56 @@ mod tests {
         let b = pool.get(8);
         pool.put(b);
         assert_eq!(pool.stats().dropped, 0, "reserved class must retain");
+    }
+
+    /// Buffers circulate between `get` users (clear + refill to any
+    /// length) and `take_cube_for_overwrite` users: whatever a buffer's
+    /// history, the cube has exactly the asked length, reuses the
+    /// allocation, and shows only values some earlier user wrote or the
+    /// default fill — safe Rust never sees uninitialised memory.
+    #[test]
+    fn overwrite_cubes_are_exact_and_hold_only_written_or_default_values() {
+        const MARK: u64 = 0xA5A5_5A5A_0F0F_F0F0;
+        stap_util::check::check("pool take_cube_for_overwrite", 100, |g| {
+            let pool: SharedBufferPool<u64> = SharedBufferPool::new();
+            pool.reserve(256, 2);
+            for _ in 0..24 {
+                // All requests share the 256 class, so buffers of every
+                // previous length come back.
+                let len = g.int(129, 257);
+                if g.bool(0.5) {
+                    let mut cube = pool.take_cube_for_overwrite([1, len, 1]);
+                    assert_eq!(cube.len(), len, "never shorter (or longer) than asked");
+                    let seen = cube.as_slice().iter().all(|&v| v == 0 || v == MARK);
+                    assert!(seen, "value nobody wrote");
+                    cube.as_mut_slice().fill(MARK);
+                    pool.recycle(cube);
+                } else {
+                    let mut buf = pool.get(len);
+                    assert!(buf.is_empty());
+                    buf.resize(g.int(0, len + 1), MARK);
+                    pool.put(buf);
+                }
+            }
+            assert_eq!(pool.stats().misses, 0, "reserved class never misses");
+        });
+        // A miss (fresh buffer) is default-filled to the asked length.
+        let cold: SharedBufferPool<u64> = SharedBufferPool::new();
+        assert_eq!(cold.take_cube_for_overwrite([1, 5, 1]).as_slice(), [0; 5]);
+        assert!(cold.take_cube_for_overwrite([0, 5, 1]).is_empty());
+    }
+
+    #[test]
+    fn take_cube_for_overwrite_reuses_a_recycled_cube_without_refilling() {
+        let pool: SharedBufferPool<f64> = SharedBufferPool::new();
+        pool.recycle(Cube::from_fn([2, 4, 4], |_, _, _| 7.0));
+        let again = pool.take_cube_for_overwrite([3, 2, 3]);
+        assert_eq!(again.shape(), [3, 2, 3]);
+        assert!(
+            again.as_slice().iter().all(|&v| v == 7.0),
+            "stale, not refilled"
+        );
+        assert_eq!((pool.stats().hits, pool.stats().misses), (1, 0));
     }
 
     #[test]

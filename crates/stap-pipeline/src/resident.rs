@@ -9,8 +9,18 @@
 //! coalesces up to `max_group` CPIs — from *different* streams — into
 //! one slot, every cube on every edge carries the group concatenated
 //! along axis 0, and the kernels run once per slot over all member
-//! CPIs (`DopplerProcessor::process_groups_with` batches the FFT lanes
-//! of the whole group through a single `forward_lanes` call).
+//! CPIs.
+//!
+//! The Doppler task makes **one pass** over a slot: for each
+//! cache-sized tile of range rows `DopplerProcessor::process_tiles_with`
+//! tapers and transforms the tile and [`BinBlock::scatter`] corner-turns
+//! it, still cache-resident, straight into the four pooled out-blocks
+//! (`[sub * bins + bin][row][channel]`, the order the wire has always
+//! carried) — no staggered cube is ever materialised. The beamformers
+//! consume those blocks in place: they keep the received blocks until
+//! the slot is computed and transpose each bin's `[row][channel]` plane
+//! directly into the GEMM slab, one block per Doppler node covering its
+//! own range columns.
 //!
 //! Cross-stream batching is bit-exact with per-stream serial runs
 //! because all per-CPI state is keyed by *stream*:
@@ -47,14 +57,15 @@ use stap_core::training::easy_training_cells;
 use stap_core::weights::hard_constraint;
 use stap_core::{
     cfar,
-    doppler::DopplerProcessor,
+    doppler::{DopplerProcessor, DopplerScratch},
     pulse::{PulseCompressor, PulseScratch},
     Detection,
 };
-use stap_cube::{CCube, Cube, PoolStats, RCube, SharedBufferPool};
-use stap_math::fft::FftScratch;
-use stap_math::qr::qr_update;
-use stap_math::solve::{constrained_lstsq, constrained_lstsq_from_r, normalize_columns};
+use stap_cube::{BinBlock, CCube, Cube, PoolStats, RCube, SharedBufferPool};
+use stap_math::qr::{qr_update_with, QrScratch};
+use stap_math::solve::{
+    constrained_lstsq, constrained_lstsq_from_r_with, normalize_columns, SolveScratch,
+};
 use stap_math::{CMat, Cx};
 use stap_mp::{Comm, World};
 use stap_radar::Scenario;
@@ -320,7 +331,9 @@ impl ResidentStap {
             let n = if g == b { w } else { 2 };
             for kr in &parts.doppler_k {
                 // Driver input slabs.
-                add(&mut cx, g * kr.len() * p.j_channels * p.n_pulses, n);
+                if !forwards_admitted_cube(g, &parts) {
+                    add(&mut cx, g * kr.len() * p.j_channels * p.n_pulses, n);
+                }
                 let ec = easy_cells_in(p, kr).len();
                 let fc: usize = (0..p.num_segments())
                     .map(|s| hard_cells_in(p, s, kr).len())
@@ -556,38 +569,6 @@ fn expect_grouped_real(m: Msg) -> Option<(Arc<[SubCpi]>, RCube)> {
     }
 }
 
-/// Gathers one grouped Doppler fan-out block without per-element
-/// div/mod index math: the loops run in output row-major order
-/// `(sub, bin, row, channel)`, so the bytes match the closure-built
-/// cube exactly while the hot path is pure pointer stepping.
-fn gather_bins_block(
-    pool: &SharedBufferPool<Cx>,
-    stag: &CCube,
-    b: usize,
-    klen: usize,
-    bins: &[usize],
-    rows: &[usize],
-    channels: usize,
-) -> CCube {
-    let nb = bins.len();
-    let s = stag.as_slice();
-    let [_, cdim, n] = stag.shape();
-    let row_stride = cdim * n;
-    let mut buf = pool.get(b * nb * rows.len() * channels);
-    for u in 0..b {
-        let sub0 = u * klen;
-        for &bin in bins {
-            for &row in rows {
-                let base = (sub0 + row) * row_stride + bin;
-                for ch in 0..channels {
-                    buf.push(s[base + ch * n]);
-                }
-            }
-        }
-    }
-    CCube::from_vec([b * nb, rows.len(), channels], buf)
-}
-
 /// Gathers whole `[d1, d2]` planes of `src` (the BF→PC and PC→CFAR
 /// blocks keep their two inner axes intact): each output row is one
 /// contiguous slice copy. `src_row(sub, o)` names the source plane for
@@ -612,29 +593,72 @@ fn gather_plane_rows<T: Copy + Default>(
     Cube::from_vec([b * out_rows, d1, d2], buf)
 }
 
-/// Resident Doppler (task 0): one grouped slab in, one batched FFT pass
-/// over the whole group, four grouped redistribution blocks out.
+/// Resident Doppler (task 0): one grouped slab in, one cache-tiled pass
+/// (taper, FFT, corner turn) over it, four grouped redistribution
+/// blocks out.
 fn resident_doppler(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
     let p = ctx.params;
     let my_k = ctx.parts.doppler_k[local].clone();
     let (k0, klen) = (my_k.start, my_k.len());
+    let jj = 2 * p.j_channels;
     let proc = DopplerProcessor::new(p);
     let driver = ctx.assign.driver_rank();
     let easy_bins = p.easy_bins();
     let hard_bins = p.hard_bins();
     let pool = &ctx.pools.cx;
-    let easy_cells = easy_cells_in(p, &my_k);
-    let flat_cells: Vec<usize> = (0..p.num_segments())
+    // Row offsets within one sub-CPI's slab: the weight tasks take their
+    // training cells, the beamformers every row.
+    let easy_rows: Vec<usize> = easy_cells_in(p, &my_k).iter().map(|&c| c - k0).collect();
+    let flat_rows: Vec<usize> = (0..p.num_segments())
         .flat_map(|s| hard_cells_in(p, s, &my_k))
+        .map(|c| c - k0)
         .collect();
-    // Row offsets (within one sub-CPI's stagger slab) for the gather
-    // helpers, precomputed so the slot loop does no index arithmetic
-    // beyond pointer stepping.
-    let easy_rows: Vec<usize> = easy_cells.iter().map(|&c| c - k0).collect();
-    let flat_rows: Vec<usize> = flat_cells.iter().map(|&c| c - k0).collect();
     let all_rows: Vec<usize> = (0..klen).collect();
-    let mut stag_by = ByGroup::<CCube>::new(ctx.max_group);
-    let mut fft_ws = FftScratch::new();
+    // Every out-block of a slot, in send order: (destination rank, edge,
+    // corner-turn layout).
+    let mut outs: Vec<(usize, Edge, BinBlock)> = Vec::new();
+    for (task, edge, node_bins, bins, rows, channels) in [
+        (
+            EASY_WT,
+            Edge::DopplerToEasyWt,
+            &ctx.parts.easy_wt_bins,
+            &easy_bins,
+            &easy_rows,
+            p.j_channels,
+        ),
+        (
+            HARD_WT,
+            Edge::DopplerToHardWt,
+            &ctx.parts.hard_wt_bins,
+            &hard_bins,
+            &flat_rows,
+            jj,
+        ),
+        (
+            EASY_BF,
+            Edge::DopplerToEasyBf,
+            &ctx.parts.easy_bf_bins,
+            &easy_bins,
+            &all_rows,
+            p.j_channels,
+        ),
+        (
+            HARD_BF,
+            Edge::DopplerToHardBf,
+            &ctx.parts.hard_bf_bins,
+            &hard_bins,
+            &all_rows,
+            jj,
+        ),
+    ] {
+        let dst0 = ctx.assign.rank_range(task).start;
+        for (q, bins_idx) in node_bins.iter().enumerate() {
+            let layout = BinBlock::new(&bins[bins_idx.clone()], rows, klen, channels);
+            outs.push((dst0 + q, edge, layout));
+        }
+    }
+    let mut blocks: Vec<CCube> = Vec::with_capacity(outs.len());
+    let mut ws = DopplerScratch::new();
     let mut health = PipelineHealth::default();
     let mut busy = 0.0f64;
     let mut slot = 0usize;
@@ -645,114 +669,39 @@ fn resident_doppler(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         let t_busy = Instant::now();
         let Some((group, slab)) = expect_grouped_cube(m) else {
             // Cascade the shutdown on all four out-edges.
-            for (q, _) in ctx.parts.easy_wt_bins.iter().enumerate() {
-                let dst = ctx.assign.rank_range(EASY_WT).start + q;
-                comm.send(
-                    dst,
-                    tag(Edge::DopplerToEasyWt, slot),
-                    Msg::new(slot, Payload::Shutdown),
-                );
-            }
-            for (q, _) in ctx.parts.hard_wt_bins.iter().enumerate() {
-                let dst = ctx.assign.rank_range(HARD_WT).start + q;
-                comm.send(
-                    dst,
-                    tag(Edge::DopplerToHardWt, slot),
-                    Msg::new(slot, Payload::Shutdown),
-                );
-            }
-            for (r, _) in ctx.parts.easy_bf_bins.iter().enumerate() {
-                let dst = ctx.assign.rank_range(EASY_BF).start + r;
-                comm.send(
-                    dst,
-                    tag(Edge::DopplerToEasyBf, slot),
-                    Msg::new(slot, Payload::Shutdown),
-                );
-            }
-            for (r, _) in ctx.parts.hard_bf_bins.iter().enumerate() {
-                let dst = ctx.assign.rank_range(HARD_BF).start + r;
-                comm.send(
-                    dst,
-                    tag(Edge::DopplerToHardBf, slot),
-                    Msg::new(slot, Payload::Shutdown),
-                );
+            for (dst, edge, _) in &outs {
+                comm.send(*dst, tag(*edge, slot), Msg::new(slot, Payload::Shutdown));
             }
             break;
         };
         let b = group.len();
-        let stag = stag_by.get(b, |b| {
-            CCube::zeros([b * klen, 2 * p.j_channels, p.n_pulses])
+        for (_, _, layout) in &outs {
+            let mut block = pool.take_cube_for_overwrite(layout.shape(b));
+            if cfg!(debug_assertions) {
+                // Stale contents must never reach the wire: poison them
+                // so an uncovered element cannot pass for data.
+                block.as_mut_slice().fill(Cx::new(f64::NAN, f64::NAN));
+            }
+            blocks.push(block);
+        }
+        // The perf core: each tile is tapered, transformed and scattered
+        // into all out-blocks while it is cache-resident.
+        let mut covered = 0usize;
+        proc.process_tiles_with(&slab, k0, b, &mut ws, |row0, tile| {
+            for ((_, _, layout), block) in outs.iter().zip(&mut blocks) {
+                covered += layout.scatter(tile, jj, p.n_pulses, row0, block.as_mut_slice());
+            }
         });
-        // The perf core: ALL group members' FFT lanes through one
-        // batched forward pass.
-        proc.process_groups_with(&slab, k0, b, stag, &mut fft_ws);
+        debug_assert_eq!(
+            covered,
+            blocks.iter().map(CCube::len).sum::<usize>(),
+            "corner turn left out-block elements unwritten"
+        );
         pool.recycle(slab);
-
-        for (q, bins_idx) in ctx.parts.easy_wt_bins.iter().enumerate() {
-            let block = gather_bins_block(
-                pool,
-                stag,
-                b,
-                klen,
-                &easy_bins[bins_idx.clone()],
-                &easy_rows,
-                p.j_channels,
-            );
-            let dst = ctx.assign.rank_range(EASY_WT).start + q;
+        for ((dst, edge, _), block) in outs.iter().zip(blocks.drain(..)) {
             comm.send(
-                dst,
-                tag(Edge::DopplerToEasyWt, slot),
-                Msg::grouped(slot, group.clone(), Payload::Cube(block)),
-            );
-        }
-        for (q, bins_idx) in ctx.parts.hard_wt_bins.iter().enumerate() {
-            let block = gather_bins_block(
-                pool,
-                stag,
-                b,
-                klen,
-                &hard_bins[bins_idx.clone()],
-                &flat_rows,
-                2 * p.j_channels,
-            );
-            let dst = ctx.assign.rank_range(HARD_WT).start + q;
-            comm.send(
-                dst,
-                tag(Edge::DopplerToHardWt, slot),
-                Msg::grouped(slot, group.clone(), Payload::Cube(block)),
-            );
-        }
-        for (r, bins_idx) in ctx.parts.easy_bf_bins.iter().enumerate() {
-            let block = gather_bins_block(
-                pool,
-                stag,
-                b,
-                klen,
-                &easy_bins[bins_idx.clone()],
-                &all_rows,
-                p.j_channels,
-            );
-            let dst = ctx.assign.rank_range(EASY_BF).start + r;
-            comm.send(
-                dst,
-                tag(Edge::DopplerToEasyBf, slot),
-                Msg::grouped(slot, group.clone(), Payload::Cube(block)),
-            );
-        }
-        for (r, bins_idx) in ctx.parts.hard_bf_bins.iter().enumerate() {
-            let block = gather_bins_block(
-                pool,
-                stag,
-                b,
-                klen,
-                &hard_bins[bins_idx.clone()],
-                &all_rows,
-                2 * p.j_channels,
-            );
-            let dst = ctx.assign.rank_range(HARD_BF).start + r;
-            comm.send(
-                dst,
-                tag(Edge::DopplerToHardBf, slot),
+                *dst,
+                tag(*edge, slot),
                 Msg::grouped(slot, group.clone(), Payload::Cube(block)),
             );
         }
@@ -1017,6 +966,13 @@ fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
     let mut snapshots: Vec<Vec<CMat>> = (0..nbins)
         .map(|_| (0..segs).map(|s| CMat::zeros(seg_cells[s], jj)).collect())
         .collect();
+    let constraints: Vec<CMat> = bins_idx
+        .clone()
+        .map(|bn| hard_constraint(p, hard_bins[bn]))
+        .collect();
+    let mut r_new = CMat::zeros(jj, jj);
+    let mut qr_ws = QrScratch::new();
+    let mut solve_ws = SolveScratch::new();
     let mut seg_rows = vec![0usize; segs];
     let mut blocks: Vec<CCube> = Vec::with_capacity(p0);
     let mut health = PipelineHealth::default();
@@ -1045,36 +1001,47 @@ fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
             .map(|(_, ov)| Vec::with_capacity(b * ov.len() * segs))
             .collect();
         for (u, sub) in group.iter().enumerate() {
+            // Snapshots are the block's `[cell][2J]` planes conjugated;
+            // within one Doppler node's plane each segment's cells are
+            // one contiguous run.
             seg_rows.iter_mut().for_each(|r| *r = 0);
             for (block, counts) in blocks.iter().zip(&dp_counts) {
-                let mut ci = 0usize;
-                for (s, &cnt) in counts.iter().enumerate() {
-                    for c in 0..cnt {
-                        for (bi, snap) in snapshots.iter_mut().enumerate() {
-                            for ch in 0..jj {
-                                snap[s][(seg_rows[s] + c, ch)] =
-                                    block[(u * nbins + bi, ci + c, ch)].conj();
-                            }
+                let plane = block.shape()[1] * jj;
+                for (bi, snap) in snapshots.iter_mut().enumerate() {
+                    let mut src = &block.as_slice()[(u * nbins + bi) * plane..][..plane];
+                    for (s, &cnt) in counts.iter().enumerate() {
+                        let (run, rest) = src.split_at(cnt * jj);
+                        let dst = &mut snap[s].as_mut_slice()[seg_rows[s] * jj..][..cnt * jj];
+                        for (d, x) in dst.iter_mut().zip(run) {
+                            *d = x.conj();
                         }
+                        src = rest;
                     }
-                    seg_rows[s] += cnt;
-                    ci += cnt;
+                }
+                for (row, &cnt) in seg_rows.iter_mut().zip(counts) {
+                    *row += cnt;
                 }
             }
             let beam = sub.scpi as usize % beams;
             let steering = &ctx.steering[beam];
             let mut weights: Vec<CMat> = Vec::with_capacity(nbins * segs);
-            for bi in 0..nbins {
-                let bin = hard_bins[bins_idx.start + bi];
-                let constraint = hard_constraint(p, bin);
+            for (bi, constraint) in constraints.iter().enumerate() {
                 for (s, snap) in snapshots[bi].iter().enumerate() {
                     let r_prev = r_state
                         .entry((sub.stream, beam, bi, s))
                         .or_insert_with(|| CMat::zeros(jj, jj));
-                    let r_new = qr_update(r_prev, p.forgetting_factor, snap);
+                    qr_update_with(r_prev, p.forgetting_factor, snap, &mut r_new, &mut qr_ws);
                     let k = mean_abs(snap) * p.beam_constraint_wt;
-                    let w = constrained_lstsq_from_r(&r_new, &constraint, k, steering);
-                    *r_prev = r_new;
+                    let mut w = CMat::zeros(jj, steering.cols());
+                    constrained_lstsq_from_r_with(
+                        &r_new,
+                        constraint,
+                        k,
+                        steering,
+                        &mut w,
+                        &mut solve_ws,
+                    );
+                    r_prev.as_mut_slice().copy_from_slice(r_new.as_slice());
                     weights.push(w);
                 }
             }
@@ -1138,63 +1105,42 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
                 .collect()
         })
         .collect();
-    let mut data_by = ByGroup::<CCube>::new(ctx.max_group);
     let mut out_by = ByGroup::<CCube>::new(ctx.max_group);
     let mut slab = CMat::zeros(p.j_channels, p.k_range);
     let mut y = CMat::zeros(p.m_beams, p.k_range);
     let mut fifo: HashMap<(u16, usize), VecDeque<Vec<CMat>>> =
         import_ring(&ctx.carry.easy_fifo, &bins_idx);
+    // One received block per Doppler node, kept until the slot is
+    // computed: the GEMM slab is filled straight from them.
+    let mut blocks: Vec<CCube> = Vec::with_capacity(p0);
     let mut health = PipelineHealth::default();
     let mut busy = 0.0f64;
     let mut slot = 0usize;
-    'outer: loop {
+    loop {
         sample_mailbox(comm, &mut health);
         comm.fault_checkpoint(slot as u64);
-        let mut group: Option<Arc<[SubCpi]>> = None;
-        let mut first = true;
-        for dp in 0..p0 {
-            let m = comm
-                .recv(dop0 + dp, tag(Edge::DopplerToEasyBf, slot))
-                .unwrap();
-            match expect_grouped_cube(m) {
-                Some((g, block)) => {
-                    let b = g.len();
-                    if first {
-                        first = false;
-                        group = Some(g);
-                        // Touch the workspaces so they exist for this size.
-                        data_by.get(b, |b| CCube::zeros([b * nbins, p.k_range, p.j_channels]));
-                        out_by.get(b, |b| CCube::zeros([b * nbins, p.m_beams, p.k_range]));
-                    }
-                    let data = data_by.slots[b].as_mut().unwrap();
-                    let k0 = ctx.parts.doppler_k[dp].start;
-                    data.place([0, k0, 0], &block);
-                    pool.recycle(block);
-                }
-                None => {
-                    // Remaining Doppler shutdowns were drained; drain the
-                    // weight-edge shutdowns, cascade to PC and exit.
-                    for (src, _) in &wt_sources {
-                        let m2 = comm.recv(*src, tag(Edge::EasyWtToEasyBf, slot)).unwrap();
-                        assert!(matches!(m2.payload, Payload::Shutdown));
-                    }
-                    for (t, _) in pc_mine.iter().enumerate() {
-                        let dst = ctx.assign.rank_range(PC).start + t;
-                        comm.send(
-                            dst,
-                            tag(Edge::EasyBfToPc, slot),
-                            Msg::new(slot, Payload::Shutdown),
-                        );
-                    }
-                    break 'outer;
-                }
+        let Some(group) =
+            recv_doppler_blocks(comm, dop0, p0, Edge::DopplerToEasyBf, slot, &mut blocks)
+        else {
+            // The Doppler shutdowns were drained; drain the weight-edge
+            // shutdowns, cascade to PC and exit.
+            for (src, _) in &wt_sources {
+                let m2 = comm.recv(*src, tag(Edge::EasyWtToEasyBf, slot)).unwrap();
+                assert!(matches!(m2.payload, Payload::Shutdown));
             }
-        }
-        let group = group.expect("at least one Doppler node");
+            for (t, _) in pc_mine.iter().enumerate() {
+                let dst = ctx.assign.rank_range(PC).start + t;
+                comm.send(
+                    dst,
+                    tag(Edge::EasyBfToPc, slot),
+                    Msg::new(slot, Payload::Shutdown),
+                );
+            }
+            break;
+        };
         let t_busy = Instant::now();
         let b = group.len();
-        let data = data_by.slots[b].as_mut().unwrap();
-        let out = out_by.slots[b].as_mut().unwrap();
+        let out = out_by.get(b, |b| CCube::zeros([b * nbins, p.m_beams, p.k_range]));
 
         // Push phase: assemble each member CPI's freshly-computed
         // per-bin weight set from the slot's weight messages and file it
@@ -1233,13 +1179,20 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
                     .and_then(VecDeque::pop_front)
                     .expect("weight FIFO underflow: streams must submit CPIs in order")
             };
-            for bi in 0..nbins {
-                slab.fill_from_fn(|ch, kc| data[(u * nbins + bi, kc, ch)]);
-                weights[bi].hermitian_matmul_into(&slab, &mut y);
+            for (bi, w) in weights.iter().enumerate() {
+                for (block, kr) in blocks.iter().zip(&ctx.parts.doppler_k) {
+                    let plane = kr.len() * p.j_channels;
+                    let rows = &block.as_slice()[(u * nbins + bi) * plane..][..plane];
+                    slab.fill_cols_transposed(kr.start, rows);
+                }
+                w.hermitian_matmul_into(&slab, &mut y);
                 for m in 0..p.m_beams {
                     out.lane_mut(u * nbins + bi, m).copy_from_slice(y.row(m));
                 }
             }
+        }
+        for block in blocks.drain(..) {
+            pool.recycle(block);
         }
 
         for (t, mine) in pc_mine.iter().enumerate() {
@@ -1295,7 +1248,6 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         })
         .collect();
     let seg_ranges: Vec<Range<usize>> = (0..segs).map(|s| p.segment_range(s)).collect();
-    let mut data_by = ByGroup::<CCube>::new(ctx.max_group);
     let mut out_by = ByGroup::<CCube>::new(ctx.max_group);
     let mut slabs: Vec<CMat> = seg_ranges
         .iter()
@@ -1307,6 +1259,7 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         .collect();
     let mut fifo: HashMap<(u16, usize), VecDeque<Vec<Vec<CMat>>>> =
         import_ring(&ctx.carry.hard_fifo, &bins_idx);
+    let mut blocks: Vec<CCube> = Vec::with_capacity(p0);
     let mut health = PipelineHealth::default();
     let mut busy = 0.0f64;
     let mut slot = 0usize;
@@ -1332,51 +1285,29 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
             .collect()
     };
 
-    'outer: loop {
+    loop {
         sample_mailbox(comm, &mut health);
         comm.fault_checkpoint(slot as u64);
-        let mut group: Option<Arc<[SubCpi]>> = None;
-        let mut first = true;
-        for dp in 0..p0 {
-            let m = comm
-                .recv(dop0 + dp, tag(Edge::DopplerToHardBf, slot))
-                .unwrap();
-            match expect_grouped_cube(m) {
-                Some((g, block)) => {
-                    let b = g.len();
-                    if first {
-                        first = false;
-                        group = Some(g);
-                        data_by.get(b, |b| CCube::zeros([b * nbins, p.k_range, jj]));
-                        out_by.get(b, |b| CCube::zeros([b * nbins, p.m_beams, p.k_range]));
-                    }
-                    let data = data_by.slots[b].as_mut().unwrap();
-                    let k0 = ctx.parts.doppler_k[dp].start;
-                    data.place([0, k0, 0], &block);
-                    pool.recycle(block);
-                }
-                None => {
-                    for (src, _) in &wt_sources {
-                        let m2 = comm.recv(*src, tag(Edge::HardWtToHardBf, slot)).unwrap();
-                        assert!(matches!(m2.payload, Payload::Shutdown));
-                    }
-                    for (t, _) in pc_mine.iter().enumerate() {
-                        let dst = ctx.assign.rank_range(PC).start + t;
-                        comm.send(
-                            dst,
-                            tag(Edge::HardBfToPc, slot),
-                            Msg::new(slot, Payload::Shutdown),
-                        );
-                    }
-                    break 'outer;
-                }
+        let Some(group) =
+            recv_doppler_blocks(comm, dop0, p0, Edge::DopplerToHardBf, slot, &mut blocks)
+        else {
+            for (src, _) in &wt_sources {
+                let m2 = comm.recv(*src, tag(Edge::HardWtToHardBf, slot)).unwrap();
+                assert!(matches!(m2.payload, Payload::Shutdown));
             }
-        }
-        let group = group.expect("at least one Doppler node");
+            for (t, _) in pc_mine.iter().enumerate() {
+                let dst = ctx.assign.rank_range(PC).start + t;
+                comm.send(
+                    dst,
+                    tag(Edge::HardBfToPc, slot),
+                    Msg::new(slot, Payload::Shutdown),
+                );
+            }
+            break;
+        };
         let t_busy = Instant::now();
         let b = group.len();
-        let data = data_by.slots[b].as_mut().unwrap();
-        let out = out_by.slots[b].as_mut().unwrap();
+        let out = out_by.get(b, |b| CCube::zeros([b * nbins, p.m_beams, p.k_range]));
 
         let mut pushed: Vec<Vec<Option<Vec<CMat>>>> = (0..b).map(|_| vec![None; nbins]).collect();
         for (src, ov) in &wt_sources {
@@ -1409,16 +1340,30 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
                     .and_then(VecDeque::pop_front)
                     .expect("weight FIFO underflow: streams must submit CPIs in order")
             };
-            for bi in 0..nbins {
+            for (bi, seg_weights) in weights.iter().enumerate() {
                 for seg in 0..segs {
                     let r = &seg_ranges[seg];
-                    slabs[seg].fill_from_fn(|ch, kc| data[(u * nbins + bi, r.start + kc, ch)]);
-                    weights[bi][seg].hermitian_matmul_into(&slabs[seg], &mut ys[seg]);
+                    for (block, kr) in blocks.iter().zip(&ctx.parts.doppler_k) {
+                        let ov = overlap(kr, r);
+                        if ov.is_empty() {
+                            continue;
+                        }
+                        let plane = kr.len() * jj;
+                        let rows = &block.as_slice()[(u * nbins + bi) * plane..][..plane];
+                        slabs[seg].fill_cols_transposed(
+                            ov.start - r.start,
+                            &rows[(ov.start - kr.start) * jj..][..ov.len() * jj],
+                        );
+                    }
+                    seg_weights[seg].hermitian_matmul_into(&slabs[seg], &mut ys[seg]);
                     for m in 0..p.m_beams {
                         out.lane_mut(u * nbins + bi, m)[r.clone()].copy_from_slice(ys[seg].row(m));
                     }
                 }
             }
+        }
+        for block in blocks.drain(..) {
+            pool.recycle(block);
         }
 
         for (t, mine) in pc_mine.iter().enumerate() {
@@ -1657,6 +1602,13 @@ fn resident_cfar(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
     TaskExit::stateless(health, busy)
 }
 
+/// One CPI for one Doppler node: the admitted cube *is* the input slab,
+/// so the driver forwards it instead of copying it into a pooled slab
+/// (and [`ResidentStap::reserve`] provisions no slab for that case).
+fn forwards_admitted_cube(group_len: usize, parts: &Partitions) -> bool {
+    group_len == 1 && parts.doppler_k.len() == 1
+}
+
 /// The driver arm of a resident session: windowed slot injection from
 /// the jobs channel, completion collection, shutdown cascade.
 fn resident_driver(
@@ -1717,25 +1669,39 @@ fn resident_driver(
                 })
                 .collect();
             let submitted: Vec<Instant> = batch.iter().map(|j| j.submitted).collect();
-            for (pn, kr) in ctx.parts.doppler_k.iter().enumerate() {
-                let klen = kr.len();
-                // Axis 0 is the slowest axis, so each sub-CPI's k-slab is
-                // one contiguous run: assemble the group slab with b slice
-                // copies rather than an element-wise rebuild.
-                let row = p.j_channels * p.n_pulses;
-                let mut buf = ctx.pools.cx.get(b * klen * row);
-                for job in &batch {
-                    buf.extend_from_slice(&job.cube.as_slice()[kr.start * row..kr.end * row]);
-                }
-                let slab = CCube::from_vec([b * klen, p.j_channels, p.n_pulses], buf);
-                comm.send(
-                    dop0 + pn,
-                    tag(Edge::Input, next_slot),
-                    Msg::grouped(next_slot, group.clone(), Payload::Cube(slab)),
+            if forwards_admitted_cube(b, ctx.parts) {
+                let job = batch.into_iter().next().expect("b == 1");
+                assert_eq!(
+                    job.cube.shape(),
+                    [p.k_range, p.j_channels, p.n_pulses],
+                    "CPI cube shape"
                 );
-            }
-            for job in batch {
-                ctx.pools.cx.recycle(job.cube);
+                comm.send(
+                    dop0,
+                    tag(Edge::Input, next_slot),
+                    Msg::grouped(next_slot, group.clone(), Payload::Cube(job.cube)),
+                );
+            } else {
+                for (pn, kr) in ctx.parts.doppler_k.iter().enumerate() {
+                    let klen = kr.len();
+                    // Axis 0 is the slowest axis, so each sub-CPI's k-slab
+                    // is one contiguous run: assemble the group slab with b
+                    // slice copies rather than an element-wise rebuild.
+                    let row = p.j_channels * p.n_pulses;
+                    let mut buf = ctx.pools.cx.get(b * klen * row);
+                    for job in &batch {
+                        buf.extend_from_slice(&job.cube.as_slice()[kr.start * row..kr.end * row]);
+                    }
+                    let slab = CCube::from_vec([b * klen, p.j_channels, p.n_pulses], buf);
+                    comm.send(
+                        dop0 + pn,
+                        tag(Edge::Input, next_slot),
+                        Msg::grouped(next_slot, group.clone(), Payload::Cube(slab)),
+                    );
+                }
+                for job in batch {
+                    ctx.pools.cx.recycle(job.cube);
+                }
             }
             inflight.push_back((group, submitted));
             next_slot += 1;
@@ -1877,6 +1843,66 @@ mod tests {
             summary.pool_cx
         );
         assert_eq!(summary.pool_real.misses, 0);
+    }
+
+    /// Grouped slots on a two-Doppler-node assignment against the
+    /// sequential reference, bit for bit: every beamformer slab is
+    /// filled from two received blocks, each covering its own range
+    /// columns, and every slot carries up to three CPIs.
+    #[test]
+    fn grouped_multi_node_slots_match_sequential_reference_bitwise() {
+        let params = StapParams::reduced();
+        let sc = Scenario::reduced(19);
+        let count = 14usize;
+        let cubes: Vec<CCube> = sc.stream(count).map(|(_, _, c)| c).collect();
+        let bits = |ds: &[Detection]| -> Vec<(usize, usize, usize, u64)> {
+            ds.iter()
+                .map(|d| (d.bin, d.beam, d.range, d.power.to_bits()))
+                .collect()
+        };
+        let mut seq = stap_core::SequentialStap::for_scenario(params.clone(), &sc);
+        let beams = seq.steering.len();
+        let want: Vec<_> = cubes
+            .iter()
+            .enumerate()
+            .map(|(i, c)| bits(&seq.process_cpi(i % beams, c).detections))
+            .collect();
+
+        let assign = NodeAssignment::tiny();
+        assert_eq!(assign.nodes(DOPPLER), 2, "the multi-block slab fill");
+        let res = ResidentStap::for_scenario(params, assign, &sc).with_max_group(3);
+        // Sized for three-CPI groups (`reserve` caps the group at the
+        // stream count).
+        res.reserve(3, 4);
+        let (jobs_tx, jobs_rx) = mpsc::sync_channel(4);
+        let (done_tx, done_rx) = mpsc::channel();
+        let pool = res.pools().cx.clone();
+        let feeder = std::thread::spawn(move || {
+            // Slots of 3, 3, 3, 3, 2 CPIs of the one stream.
+            for (slot, chunk) in cubes.chunks(3).enumerate() {
+                let batch: Vec<CpiJob> = chunk
+                    .iter()
+                    .enumerate()
+                    .map(|(i, c)| CpiJob {
+                        stream: 0,
+                        scpi: (slot * 3 + i) as u32,
+                        cube: pool.take_cube_from(c),
+                        submitted: Instant::now(),
+                    })
+                    .collect();
+                jobs_tx.send(batch).unwrap();
+            }
+        });
+        let summary = res.serve(jobs_rx, done_tx).unwrap();
+        feeder.join().unwrap();
+        assert_eq!((summary.cpis, summary.slots), (count as u64, 5));
+        assert_eq!(summary.pool_cx.misses, 0, "{:?}", summary.pool_cx);
+        let mut got = vec![Vec::new(); count];
+        while let Ok(d) = done_rx.recv() {
+            got[d.scpi as usize] = bits(&d.detections);
+        }
+        assert!(want.iter().any(|w| !w.is_empty()), "scenario must detect");
+        assert_eq!(got, want);
     }
 
     /// Variable group sizes (ramp-up and tail slots smaller than
