@@ -14,8 +14,11 @@
 //! - redistribution packing + recycling through the shared buffer pool
 //! - the serve path's slot round: ingest copy, slot assembly, the
 //!   one-pass Doppler corner turn (`process_tiles_with` +
-//!   `BinBlock::scatter` into length-preserving pool blocks) and the
-//!   beamformer's in-place slab fill
+//!   `BinBlock::scatter` into length-preserving pool blocks), the
+//!   lane-batched hard weights read straight from the weight block
+//!   (`HardWeightLanes::process`, allocating only on first sight of a
+//!   (stream, beam)) and the beamformer's operand pack from the
+//!   beamform block
 //! - easy beamforming of one Doppler bin (`hermitian_matmul_into`)
 //! - hard weight computation for one azimuth (`process_into`: snapshot
 //!   gather, recursive planar QR update, constrained solve)
@@ -28,10 +31,11 @@
 use stap::core::beamform::{hard_beamform_into_with, HardBeamformScratch};
 use stap::core::doppler::{DopplerProcessor, DopplerScratch};
 use stap::core::pulse::{PulseCompressor, PulseScratch};
-use stap::core::weights::{HardWeightComputer, HardWeightScratch, HardWeights};
+use stap::core::weights::{HardWeightComputer, HardWeightLanes, HardWeightScratch, HardWeights};
 use stap::core::StapParams;
 use stap::cube::{AxisPartition, BinBlock, CCube, RCube, RedistPlan, SharedBufferPool};
 use stap::math::fft::FftScratch;
+use stap::math::gemm::{gemm_planar_into, PlanarMat};
 use stap::math::{CMat, Cx};
 use stap_bench::alloc_count::{self, CountingAllocator};
 use std::hint::black_box;
@@ -223,14 +227,16 @@ fn steady_state_cpi_kernels_do_not_allocate() {
     }
 
     // --- Multi-stream slot round: ingest-copy, cross-stream slot -------
-    // assembly, the one-pass Doppler corner turn and the beamformer's
-    // in-place block consumption, all through a pool warmed by `reserve`
-    // the way `ResidentStap::reserve` pre-warms the serve pools. This is
-    // the serve path's per-slot hot path: B submitted CPIs (different
-    // streams) coalesce into one stacked slab; every cache-resident FFT
-    // tile is scattered straight into the pooled wire blocks; the
-    // beamformer transposes each bin's plane out of the received block
-    // into its GEMM slab.
+    // assembly, the one-pass Doppler corner turn and the weight and
+    // beamform tasks' in-place block consumption, all through a pool
+    // warmed by `reserve` the way `ResidentStap::reserve` pre-warms the
+    // serve pools. This is the serve path's per-slot hot path: B
+    // submitted CPIs (different streams) coalesce into one stacked slab;
+    // every cache-resident FFT tile is scattered straight into the
+    // pooled wire blocks; the hard-weight task folds each member's
+    // training rows into its lane-layout QR factors and solves, reading
+    // the weight block where it lies; the beamformer packs each bin's
+    // plane out of the received block into its GEMM operand.
     {
         let b = 4usize; // group size: CPIs per slot
         let klen = 64usize; // one node's k-rows per sub-CPI
@@ -250,8 +256,19 @@ fn steady_state_cpi_kernels_do_not_allocate() {
             BinBlock::new(&bins, &all_rows, klen, jj),
         ];
         let w = CMat::from_fn(jj, p.m_beams, |i, j| det_cx(i, j, 5));
-        let mut gemm_slab = CMat::zeros(jj, klen);
+        let mut data = PlanarMat::zeros(jj, klen);
+        let mut wpack = PlanarMat::new();
         let mut y = CMat::zeros(p.m_beams, klen);
+        // The training rows dealt out over the range segments; eight
+        // bins are two full lane groups per segment.
+        let segs = p.num_segments();
+        let seg_rows: Vec<usize> = (0..segs).map(|s| (train_rows.len() + s) / segs).collect();
+        assert_eq!(seg_rows.iter().sum::<usize>(), train_rows.len());
+        let mut lanes = HardWeightLanes::<(u16, usize)>::new(&p, &bins, &[seg_rows]);
+        let steering = CMat::from_fn(p.j_channels, p.m_beams, |i, j| det_cx(i, j, 9));
+        let mut hard_weights: Vec<Vec<CMat>> = (0..b)
+            .map(|_| vec![CMat::zeros(jj, p.m_beams); bins.len() * segs])
+            .collect();
         let pool: SharedBufferPool<Cx> = SharedBufferPool::new();
         // Demand-driven pre-warm: B producer-held cubes, the group slab
         // and the out-blocks, exactly what one in-flight slot needs.
@@ -293,23 +310,39 @@ fn steady_state_cpi_kernels_do_not_allocate() {
             });
             assert_eq!(covered, blocks.iter().map(CCube::len).sum::<usize>());
             pool.recycle(slab);
+            // Hard weight: each member stream's recursion takes its
+            // `[bin][row][2J]` planes of the weight block as they lie.
+            let wt = blocks[0].as_slice();
+            let plane = train_rows.len() * jj;
+            for (u, weights) in hard_weights.iter_mut().enumerate() {
+                lanes.process(
+                    (u as u16, 0),
+                    &steering,
+                    |_, bin| &wt[(u * bins.len() + bin) * plane..][..plane],
+                    weights.chunks_mut(segs),
+                );
+            }
+            black_box(hard_weights[0][0][(0, 0)]);
             // Beamformer: each (sub, bin) plane of the received block
-            // goes straight into the GEMM slab.
+            // is packed straight into the GEMM operand.
             let bf = &blocks[1];
             let plane = klen * jj;
+            wpack.pack_hermitian_from(&w);
             for planes in bf.as_slice().chunks_exact(plane) {
-                gemm_slab.fill_cols_transposed(0, planes);
-                w.hermitian_matmul_into(&gemm_slab, &mut y);
+                data.pack_cols_transposed(0, planes);
+                gemm_planar_into(&wpack, &data, &mut y);
             }
             black_box(y[(0, 0)]);
             for block in blocks.drain(..) {
                 pool.recycle(block);
             }
         };
-        slot(&pool); // warmup: FFT scratch sizing, flop thread-locals
+        // Warmup: FFT scratch sizing, flop thread-locals, first sight
+        // of the four (stream, beam) recursions.
+        slot(&pool);
         let before = pool.stats();
         assert_zero_alloc(
-            "multi-stream slot: assembly, corner turn, in-place beamform",
+            "multi-stream slot: assembly, corner turn, lane hard weights, in-place beamform",
             || slot(&pool),
         );
         let after = pool.stats();

@@ -13,6 +13,7 @@
 
 use crate::params::StapParams;
 use crate::training::easy_snapshot;
+use crate::weights::mean_abs;
 use stap_cube::CCube;
 use stap_math::solve::constrained_lstsq;
 use stap_math::{CMat, Cx};
@@ -110,14 +111,6 @@ pub fn beamspace_easy_weights(
         })
         .collect();
     BeamSpaceWeights { t, per_bin }
-}
-
-fn mean_abs(m: &CMat) -> f64 {
-    if m.rows() == 0 || m.cols() == 0 {
-        return 1.0;
-    }
-    let s: f64 = m.as_slice().iter().map(|x| x.abs()).sum();
-    (s / (m.rows() * m.cols()) as f64).max(1e-12)
 }
 
 /// Closed-form weight-computation cost ratio vs element space for one

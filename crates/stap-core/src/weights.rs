@@ -22,13 +22,15 @@
 use crate::params::StapParams;
 use crate::training::{easy_snapshot, hard_snapshot_into, hard_training_cells, EasyTrainingStore};
 use stap_cube::CCube;
-use stap_math::qr::{qr_update_with, QrScratch};
+use stap_math::qr::{qr_update_lanes, qr_update_with, LaneMat, QrScratch, LANES};
 use stap_math::solve::{
-    constrained_lstsq, constrained_lstsq_from_r_with, normalize_columns, SolveScratch,
+    constrained_lstsq, constrained_lstsq_from_r_lanes, constrained_lstsq_from_r_with,
+    normalize_columns, LaneSolveScratch, SolveScratch,
 };
 use stap_math::{CMat, Cx};
 use std::collections::HashMap;
 use std::f64::consts::PI;
+use std::hash::Hash;
 
 /// Easy-bin weights: one `J x M` matrix per easy Doppler bin.
 #[derive(Clone, Debug)]
@@ -79,12 +81,27 @@ pub fn hard_constraint(params: &StapParams, bin: usize) -> CMat {
 
 /// Mean element magnitude of a matrix — the MATLAB reference's `average`,
 /// used to scale the constraint block commensurately with the data.
-fn mean_abs(m: &CMat) -> f64 {
-    if m.rows() == 0 || m.cols() == 0 {
+pub fn mean_abs(m: &CMat) -> f64 {
+    mean_abs_runs([m.as_slice()])
+}
+
+/// [`mean_abs`] of a matrix given as consecutive runs of its row-major
+/// elements (a training snapshot still lying in the wire blocks it
+/// arrived in). Magnitudes are summed in element order, so the result is
+/// bit-identical to gathering the runs into a matrix first — and, since
+/// `hypot(re, im) == hypot(re, -im)`, to conjugating them on the way.
+pub fn mean_abs_runs<'a>(runs: impl IntoIterator<Item = &'a [Cx]>) -> f64 {
+    let (mut sum, mut count) = (0.0, 0usize);
+    for run in runs {
+        for x in run {
+            sum += x.abs();
+        }
+        count += run.len();
+    }
+    if count == 0 {
         return 1.0;
     }
-    let s: f64 = m.as_slice().iter().map(|x| x.abs()).sum();
-    (s / (m.rows() * m.cols()) as f64).max(1e-12)
+    (sum / count as f64).max(1e-12)
 }
 
 /// Easy weight computation with per-azimuth training history.
@@ -280,6 +297,172 @@ impl HardWeightScratch {
             qr: QrScratch::new(),
             solve: SolveScratch::new(),
         }
+    }
+}
+
+/// The hard recursion of a set of hard Doppler bins, [`LANES`] bins to a
+/// vector: what [`HardWeightComputer::process_into`] computes, bit for
+/// bit, through the lane kernels of `stap-math`.
+///
+/// The `R` factors live in lane layout for good — one [`LaneMat`] per
+/// (`key`, group of [`LANES`] adjacent bins, range segment), updated in
+/// place — so nothing is packed or unpacked per CPI except the new
+/// training rows, which are read straight from Doppler wire blocks
+/// (`[bin][cell][2J]`, un-conjugated) rather than from a staggered
+/// cube. Bins are batched within one segment, where every bin has the
+/// same number of training rows; a last group short of [`LANES`] bins
+/// is padded with copies of its first bin, whose results are dropped.
+///
+/// `K` names an independent recursion (the sequential reference keys by
+/// azimuth beam, the resident pipeline by stream and beam).
+pub struct HardWeightLanes<K> {
+    beam_constraint_wt: f64,
+    forgetting_factor: f64,
+    /// `2J`, the order of every factor.
+    jj: usize,
+    /// Range segments per bin.
+    segs: usize,
+    /// `[I_J | e^{-2 pi i d s / N} I_J]` per owned bin.
+    constraints: Vec<CMat>,
+    /// Per input piece, per segment: where that segment's training rows
+    /// start in the piece's `[cell][2J]` plane and how many there are.
+    pieces: Vec<Vec<(usize, usize)>>,
+    /// `R` per key, indexed `[group * segments + segment]`.
+    state: HashMap<K, Vec<LaneMat>>,
+    xt: LaneMat,
+    solve: LaneSolveScratch,
+}
+
+impl<K: Copy + Eq + Hash> HardWeightLanes<K> {
+    /// An empty recursion over the Doppler bins `bins`. Training rows
+    /// arrive in `piece_rows.len()` pieces (one per Doppler node): piece
+    /// `p` holds `piece_rows[p][seg]` of segment `seg`'s rows, segments
+    /// in ascending order, and the pieces in order make up each
+    /// segment's snapshot.
+    pub fn new(params: &StapParams, bins: &[usize], piece_rows: &[Vec<usize>]) -> Self {
+        let pieces = piece_rows
+            .iter()
+            .map(|rows| {
+                assert_eq!(rows.len(), params.num_segments(), "rows per segment");
+                let mut at = 0;
+                rows.iter()
+                    .map(|&n| {
+                        at += n;
+                        (at - n, n)
+                    })
+                    .collect()
+            })
+            .collect();
+        HardWeightLanes {
+            beam_constraint_wt: params.beam_constraint_wt,
+            forgetting_factor: params.forgetting_factor,
+            jj: 2 * params.j_channels,
+            segs: params.num_segments(),
+            constraints: bins.iter().map(|&b| hard_constraint(params, b)).collect(),
+            pieces,
+            state: HashMap::new(),
+            xt: LaneMat::zeros(0, 0),
+            solve: LaneSolveScratch::new(),
+        }
+    }
+
+    /// The factors of recursion `key`, all zeros on first sight.
+    fn factors(
+        state: &mut HashMap<K, Vec<LaneMat>>,
+        key: K,
+        (nbins, segs, jj): (usize, usize, usize),
+    ) -> &mut [LaneMat] {
+        state.entry(key).or_insert_with(|| {
+            let count = nbins.div_ceil(LANES) * segs;
+            (0..count).map(|_| LaneMat::zeros(jj, jj)).collect()
+        })
+    }
+
+    /// One CPI of recursion `key`: folds its training rows into every
+    /// (bin, segment) factor and solves for the weights the next CPI of
+    /// this recursion applies. `plane(p, b)` is piece `p`'s `[cell][2J]`
+    /// plane of the `b`-th owned bin; `out` yields, per owned bin in
+    /// order, that bin's per-segment weight matrices (resized grow-only
+    /// to `2J x steering.cols()`).
+    ///
+    /// Allocates only the first time a `key` is seen.
+    pub fn process<'a, 'o>(
+        &mut self,
+        key: K,
+        steering: &CMat,
+        plane: impl Fn(usize, usize) -> &'a [Cx],
+        mut out: impl Iterator<Item = &'o mut [CMat]>,
+    ) {
+        let HardWeightLanes {
+            beam_constraint_wt,
+            forgetting_factor,
+            jj,
+            segs,
+            constraints,
+            pieces,
+            state,
+            xt,
+            solve,
+        } = self;
+        let (nbins, segs, jj) = (constraints.len(), *segs, *jj);
+        let factors = Self::factors(state, key, (nbins, segs, jj));
+        for (g, factors) in factors.chunks_mut(segs.max(1)).enumerate() {
+            let live = LANES.min(nbins - g * LANES);
+            // Padding lanes rerun the group's first bin.
+            let bin = |l: usize| g * LANES + if l < live { l } else { 0 };
+            let mut weights: [Option<&mut [CMat]>; LANES] = std::array::from_fn(|l| {
+                (l < live).then(|| out.next().expect("one weight row per owned bin"))
+            });
+            for (seg, r) in factors.iter_mut().enumerate() {
+                let run = |p: usize, l: usize| {
+                    let (at, rows) = pieces[p][seg];
+                    &plane(p, bin(l))[at * jj..(at + rows) * jj]
+                };
+                xt.resize(jj, pieces.iter().map(|p| p[seg].1).sum());
+                let mut row = 0;
+                for (p, piece) in pieces.iter().enumerate() {
+                    xt.fill_cols_conj(row, std::array::from_fn(|l| run(p, l)));
+                    row += piece[seg].1;
+                }
+                qr_update_lanes(r, *forgetting_factor, xt, live);
+                let mut k = [0.0; LANES];
+                for l in 0..LANES {
+                    k[l] = if l < live {
+                        mean_abs_runs((0..pieces.len()).map(|p| run(p, l))) * *beam_constraint_wt
+                    } else {
+                        k[0]
+                    };
+                }
+                constrained_lstsq_from_r_lanes(
+                    r,
+                    std::array::from_fn(|l| &constraints[bin(l)]),
+                    k,
+                    steering,
+                    weights.each_mut().map(|w| w.as_mut().map(|w| &mut w[seg])),
+                    solve,
+                );
+            }
+        }
+    }
+
+    /// Installs `r` as the factor of (`key`, `bin`-th owned bin, `seg`).
+    pub fn import(&mut self, key: K, bin: usize, seg: usize, r: &CMat) {
+        let shape = (self.constraints.len(), self.segs, self.jj);
+        Self::factors(&mut self.state, key, shape)[bin / LANES * self.segs + seg]
+            .set_lane(bin % LANES, r);
+    }
+
+    /// Every factor held, as `(key, owned-bin index, segment, R)`.
+    pub fn export(&self) -> impl Iterator<Item = (K, usize, usize, CMat)> + '_ {
+        let (nbins, segs) = (self.constraints.len(), self.segs);
+        self.state.iter().flat_map(move |(&key, factors)| {
+            (0..nbins).flat_map(move |bin| {
+                (0..segs).map(move |seg| {
+                    let r = factors[bin / LANES * segs + seg].lane(bin % LANES);
+                    (key, bin, seg, r)
+                })
+            })
+        })
     }
 }
 

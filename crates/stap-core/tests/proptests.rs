@@ -5,8 +5,10 @@ use stap_core::cfar::{cfar, Detection};
 use stap_core::doppler::DopplerProcessor;
 use stap_core::params::StapParams;
 use stap_core::pulse::PulseCompressor;
+use stap_core::training::hard_training_cells;
+use stap_core::weights::{HardWeightComputer, HardWeightLanes, HardWeightScratch, HardWeights};
 use stap_cube::{CCube, RCube};
-use stap_math::Cx;
+use stap_math::{CMat, Cx};
 use stap_util::check::{check, Gen};
 
 fn params() -> StapParams {
@@ -245,5 +247,109 @@ mod weight_properties {
                 }
             }
         });
+    }
+}
+
+/// The lane-batched hard recursion against the sequential one, bit for
+/// bit: ten CPIs revisiting five azimuths, owned-bin counts that fill a
+/// vector exactly, leave one to three padding lanes or are a single bin,
+/// and training rows arriving in two pieces that cut through a segment.
+/// Half way, the factors are exported and carried into a fresh owner.
+#[test]
+fn hard_weight_lanes_match_sequential_recursion_bitwise() {
+    let mut p = params();
+    (p.n_pulses, p.n_hard) = (64, 56);
+    p.validate().unwrap();
+    let (beams, cpis, jj) = (5usize, 10usize, 2 * p.j_channels);
+    let segs = p.num_segments();
+    let hard_bins = p.hard_bins();
+    let mut g = Gen::from_seed(0x1998);
+    let steering: Vec<CMat> = (0..beams)
+        .map(|_| CMat::from_fn(p.j_channels, p.m_beams, |_, _| cx(&mut g)))
+        .collect();
+    let cubes: Vec<CCube> = (0..cpis)
+        .map(|_| CCube::from_fn([p.k_range, jj, p.n_pulses], |_, _, _| cx(&mut g)))
+        .collect();
+
+    let mut seq = HardWeightComputer::new(&p);
+    let mut ws = HardWeightScratch::new(&p);
+    let want: Vec<HardWeights> = cubes
+        .iter()
+        .enumerate()
+        .map(|(i, cube)| {
+            let mut w = HardWeights::zeros(&p, p.m_beams);
+            seq.process_into(i % beams, cube, &steering[i % beams], &mut w, &mut ws);
+            w
+        })
+        .collect();
+
+    // Two Doppler nodes' worth of pieces: range cells below and from 24,
+    // which splits the second segment's training rows between them.
+    let cut = 24;
+    let cells: [Vec<Vec<usize>>; 2] = [0..cut, cut..p.k_range].map(|kr| {
+        (0..segs)
+            .map(|s| {
+                let mut c = hard_training_cells(&p, s);
+                c.retain(|k| kr.contains(k));
+                c
+            })
+            .collect()
+    });
+    assert!(
+        cells.iter().all(|piece| !piece[1].is_empty()),
+        "segment 1 is split"
+    );
+    let piece_rows: Vec<Vec<usize>> = cells
+        .iter()
+        .map(|piece| piece.iter().map(Vec::len).collect())
+        .collect();
+
+    for (first, count) in [(0, 56), (3, 1), (9, 3), (20, 4), (41, 7)] {
+        let bins = &hard_bins[first..first + count];
+        // The wire form of one CPI: per piece, `[bin][cell][2J]`.
+        let wire = |cube: &CCube| -> [Vec<Cx>; 2] {
+            [0, 1].map(|piece| {
+                let mut block = Vec::new();
+                for &bin in bins {
+                    for &k in cells[piece].iter().flatten() {
+                        block.extend((0..jj).map(|ch| cube[(k, ch, bin)]));
+                    }
+                }
+                block
+            })
+        };
+        let mut lanes = HardWeightLanes::<usize>::new(&p, bins, &piece_rows);
+        for (i, cube) in cubes.iter().enumerate() {
+            if i == cpis / 2 {
+                let mut carried = HardWeightLanes::new(&p, bins, &piece_rows);
+                for (key, bin, seg, r) in lanes.export() {
+                    carried.import(key, bin, seg, &r);
+                }
+                lanes = carried;
+            }
+            let blocks = wire(cube);
+            let mut got: Vec<Vec<CMat>> = vec![vec![CMat::zeros(0, 0); segs]; count];
+            lanes.process(
+                i % beams,
+                &steering[i % beams],
+                |piece, b| {
+                    let plane = blocks[piece].len() / count;
+                    &blocks[piece][b * plane..(b + 1) * plane]
+                },
+                got.iter_mut().map(Vec::as_mut_slice),
+            );
+            for (b, per_seg) in got.iter().enumerate() {
+                for (seg, w) in per_seg.iter().enumerate() {
+                    let reference = &want[i].per_bin[first + b][seg];
+                    assert_eq!(w.shape(), reference.shape());
+                    for (a, r) in w.as_slice().iter().zip(reference.as_slice()) {
+                        assert!(
+                            a.re.to_bits() == r.re.to_bits() && a.im.to_bits() == r.im.to_bits(),
+                            "{count} bins from {first}: CPI {i} bin {b} segment {seg}: {a:?} != {r:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

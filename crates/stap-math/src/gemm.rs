@@ -150,6 +150,47 @@ impl PlanarMat {
         }
     }
 
+    /// Transposing pack of a column band: `src` is `[column][row]`
+    /// row-major — `src.len() / rows` runs of `rows` elements, each the
+    /// contents of one column — and lands in columns `col0..` of the
+    /// current shape, i.e. `self[(r, col0 + c)] = src[c * rows + r]`.
+    /// The beamformers' `[range][channel] -> [channel][range]` operand
+    /// pack straight from a wire block: four source runs at a time
+    /// complete one destination cache line per plane row, so no line is
+    /// visited twice.
+    pub fn pack_cols_transposed(&mut self, col0: usize, src: &[Cx]) {
+        let (rows, cols) = (self.rows, self.cols);
+        if rows == 0 {
+            assert!(src.is_empty(), "pack_cols_transposed into an empty matrix");
+            return;
+        }
+        assert_eq!(src.len() % rows, 0, "pack_cols_transposed ragged source");
+        assert!(
+            col0 + src.len() / rows <= cols,
+            "pack_cols_transposed out of bounds"
+        );
+        let mut c = col0;
+        let mut quads = src.chunks_exact(4 * rows);
+        for quad in &mut quads {
+            for r in 0..rows {
+                let at = r * cols + c;
+                let (re, im) = (&mut self.re[at..at + 4], &mut self.im[at..at + 4]);
+                for i in 0..4 {
+                    let v = quad[i * rows + r];
+                    (re[i], im[i]) = (v.re, v.im);
+                }
+            }
+            c += 4;
+        }
+        for run in quads.remainder().chunks_exact(rows) {
+            for (r, &v) in run.iter().enumerate() {
+                self.re[r * cols + c] = v.re;
+                self.im[r * cols + c] = v.im;
+            }
+            c += 1;
+        }
+    }
+
     /// Overwrites the planes with `f(row, col)` — the planar analogue of
     /// [`CMat::fill_from_fn`], used to gather beamforming slabs straight
     /// into packed form (skipping the interleaved intermediate).
@@ -493,6 +534,28 @@ mod tests {
         for i in 0..4 {
             for k in 0..6 {
                 assert_eq!(p.at(i, k), a[(k, i)].conj());
+            }
+        }
+    }
+
+    #[test]
+    fn pack_cols_transposed_matches_elementwise_pack() {
+        // Column counts around the 4-run blocking, bands at an offset.
+        for (rows, cols, col0, nc) in [(3, 9, 2, 7), (16, 12, 0, 12), (5, 4, 1, 3), (2, 8, 8, 0)] {
+            let src = sample(nc, rows, 5); // `[column][row]`
+            let before = sample(rows, cols, 6);
+            let mut got = PlanarMat::new();
+            got.pack_from(&before);
+            got.pack_cols_transposed(col0, src.as_slice());
+            for r in 0..rows {
+                for c in 0..cols {
+                    let want = if (col0..col0 + nc).contains(&c) {
+                        src[(c - col0, r)]
+                    } else {
+                        before[(r, c)]
+                    };
+                    assert_eq!(got.at(r, c), want, "{rows}x{cols} band {col0}+{nc}");
+                }
             }
         }
     }

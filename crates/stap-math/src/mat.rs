@@ -230,43 +230,6 @@ impl CMat {
         }
     }
 
-    /// Transposing fill of a column band: `src` is `[column][row]`
-    /// row-major — `src.len() / rows` runs of `rows` elements, each the
-    /// contents of one column — and lands in columns `col0..`, i.e.
-    /// `self[(r, col0 + c)] = src[c * rows + r]`. The slice form of the
-    /// beamformers' `[range][channel] -> [channel][range]` slab fill:
-    /// four source runs at a time complete one destination cache line
-    /// per matrix row, so no line is visited twice.
-    pub fn fill_cols_transposed(&mut self, col0: usize, src: &[Cx]) {
-        let (rows, cols) = (self.rows, self.cols);
-        if rows == 0 {
-            assert!(src.is_empty(), "fill_cols_transposed into an empty matrix");
-            return;
-        }
-        assert_eq!(src.len() % rows, 0, "fill_cols_transposed ragged source");
-        assert!(
-            col0 + src.len() / rows <= cols,
-            "fill_cols_transposed out of bounds"
-        );
-        let mut c = col0;
-        let mut quads = src.chunks_exact(4 * rows);
-        for quad in &mut quads {
-            for r in 0..rows {
-                let dst = &mut self.data[r * cols + c..][..4];
-                for (i, d) in dst.iter_mut().enumerate() {
-                    *d = quad[i * rows + r];
-                }
-            }
-            c += 4;
-        }
-        for run in quads.remainder().chunks_exact(rows) {
-            for (r, &v) in run.iter().enumerate() {
-                self.data[r * cols + c] = v;
-            }
-            c += 1;
-        }
-    }
-
     /// Matrix-vector product `self * x`.
     pub fn matvec(&self, x: &[Cx]) -> Vec<Cx> {
         assert_eq!(self.cols, x.len(), "matvec dimension mismatch");
@@ -403,23 +366,6 @@ impl fmt::Debug for CMat {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fill_cols_transposed_matches_elementwise_fill() {
-        // Column counts around the 4-run blocking, bands at an offset.
-        for (rows, cols, col0, nc) in [(3, 9, 2, 7), (16, 12, 0, 12), (5, 4, 1, 3), (2, 8, 8, 0)] {
-            let src = sample(nc, rows); // `[column][row]`
-            let mut got = sample(rows, cols);
-            let mut want = got.clone();
-            got.fill_cols_transposed(col0, src.as_slice());
-            for r in 0..rows {
-                for c in 0..nc {
-                    want[(r, col0 + c)] = src[(c, r)];
-                }
-            }
-            assert_eq!(got, want, "{rows}x{cols} band {col0}+{nc}");
-        }
-    }
 
     fn sample(rows: usize, cols: usize) -> CMat {
         CMat::from_fn(rows, cols, |i, j| {

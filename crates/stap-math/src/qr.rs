@@ -215,6 +215,372 @@ pub fn qr_update_with(
     }
 }
 
+/// Independent problems the lane kernels carry per vector.
+pub const LANES: usize = 4;
+
+/// One `f64` per lane.
+pub type Lane = [f64; LANES];
+
+/// [`LANES`] equally shaped complex matrices held element-interleaved
+/// and split-complex: element `(i, j)` of lane `l`'s matrix is
+/// `(re[i * cols + j][l], im[i * cols + j][l])`. Every arithmetic
+/// statement of the lane kernels is a loop over `l` of the scalar
+/// kernel's own expression, so one 256-bit instruction advances four
+/// problems by one scalar step and each lane's result is bit-for-bit the
+/// scalar kernel's.
+#[derive(Clone, Debug, Default)]
+pub struct LaneMat {
+    rows: usize,
+    cols: usize,
+    re: Vec<Lane>,
+    im: Vec<Lane>,
+}
+
+impl LaneMat {
+    /// `rows x cols` zeros in every lane.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        LaneMat {
+            rows,
+            cols,
+            re: vec![[0.0; LANES]; rows * cols],
+            im: vec![[0.0; LANES]; rows * cols],
+        }
+    }
+
+    /// `(rows, cols)` of each lane's matrix.
+    #[inline]
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// Grow-only reshape; contents are unspecified afterwards.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        let n = rows * cols;
+        if self.re.len() < n {
+            self.re.resize(n, [0.0; LANES]);
+            self.im.resize(n, [0.0; LANES]);
+        }
+        self.rows = rows;
+        self.cols = cols;
+    }
+
+    /// Overwrites lane `l` with `m` (same shape).
+    pub fn set_lane(&mut self, l: usize, m: &CMat) {
+        assert_eq!(m.shape(), self.shape(), "lane shape mismatch");
+        for (idx, v) in m.as_slice().iter().enumerate() {
+            self.re[idx][l] = v.re;
+            self.im[idx][l] = v.im;
+        }
+    }
+
+    /// Lane `l` as an interleaved matrix.
+    pub fn lane(&self, l: usize) -> CMat {
+        let n = self.rows * self.cols;
+        let data = (0..n)
+            .map(|idx| Cx::new(self.re[idx][l], self.im[idx][l]))
+            .collect();
+        CMat::from_vec(self.rows, self.cols, data)
+    }
+
+    /// Conjugate-transposing pack of a band of columns, all lanes at
+    /// once: `src[l]` is lane `l`'s `[column][row]` run (each column
+    /// `rows` elements, the layout of a training-snapshot block whose
+    /// rows are snapshots) and lands conjugated in columns `col0..`,
+    /// i.e. `self[(r, col0 + c)] = conj(src[l][c * rows + r])` — the
+    /// transposed new-rows operand of [`qr_update_lanes`].
+    pub fn fill_cols_conj(&mut self, col0: usize, src: [&[Cx]; LANES]) {
+        let (rows, cols) = (self.rows, self.cols);
+        let len = src[0].len();
+        assert!(
+            src.iter().all(|s| s.len() == len),
+            "lane runs differ in length"
+        );
+        if rows == 0 {
+            assert_eq!(len, 0, "fill_cols_conj into an empty matrix");
+            return;
+        }
+        assert_eq!(len % rows, 0, "fill_cols_conj ragged source");
+        assert!(col0 + len / rows <= cols, "fill_cols_conj out of bounds");
+        for c in 0..len / rows {
+            for r in 0..rows {
+                let (s, d) = (c * rows + r, r * cols + col0 + c);
+                for (l, run) in src.iter().enumerate() {
+                    self.re[d][l] = run[s].re;
+                    self.im[d][l] = -run[s].im;
+                }
+            }
+        }
+    }
+
+    /// Split borrow of both planes.
+    #[inline]
+    pub(crate) fn planes_mut(&mut self) -> (&mut [Lane], &mut [Lane]) {
+        let n = self.rows * self.cols;
+        (&mut self.re[..n], &mut self.im[..n])
+    }
+
+    /// Both planes.
+    #[inline]
+    pub(crate) fn planes(&self) -> (&[Lane], &[Lane]) {
+        let n = self.rows * self.cols;
+        (&self.re[..n], &self.im[..n])
+    }
+}
+
+/// Lane form of [`qr_update_with`], in place: every lane's `r` becomes
+/// the `R` factor of `[forget * r; x]`, where `xt` holds the lanes' new
+/// rows **transposed** (`cols x s`, see [`LaneMat::fill_cols_conj`]) and
+/// is consumed as scratch. Lane `l` runs exactly the scalar kernel's
+/// IEEE operation sequence, so `r.lane(l)` equals what `qr_update_with`
+/// returns for that lane's operands bit for bit (given, as there, zeros
+/// below the diagonal of the leading block).
+///
+/// Lanes `live..` are padding: the caller fills them with any benign
+/// operands (a copy of lane 0, say), they cost nothing extra and are
+/// left out of the flop count.
+pub fn qr_update_lanes(r: &mut LaneMat, forget: f64, xt: &mut LaneMat, live: usize) {
+    let (n, cols) = r.shape();
+    assert!(cols >= n, "r must have at least as many columns as rows");
+    assert_eq!(xt.shape().0, cols, "new-rows column mismatch");
+    // Below the diagonal the factor is zero and stays zero; the kernels
+    // neither read nor write there.
+    let (rr, ri) = r.planes_mut();
+    for i in 0..n {
+        let row = i * cols + i..(i + 1) * cols;
+        for v in rr[row.clone()].iter_mut().chain(&mut ri[row]) {
+            for x in v {
+                *x *= forget;
+            }
+        }
+    }
+    flops::add(live as u64 * 2 * (n * n) as u64);
+    annihilate_lanes(r, xt, std::array::from_fn(|l| l < live));
+}
+
+/// The column loop of the structured update on lane operands: Householder
+/// reflectors on `[r[k][k]; x[:, k]]` for `k in 0..rows`, applied to
+/// columns `k + 1..cols` of both blocks. Shared by the recursive update
+/// and the bordered constrained solve; only `live` lanes count flops.
+pub(crate) fn annihilate_lanes(r: &mut LaneMat, xt: &mut LaneMat, live: [bool; LANES]) {
+    let (n, cols) = r.shape();
+    let s = xt.shape().1;
+    let (rr, ri) = r.planes_mut();
+    let (xr, xi) = xt.planes_mut();
+    // |r[k][k]|^2 + sum_i |x[i][k]|^2, the scalar kernel's first pass
+    // over column k. Reflector k leaves it behind for column k + 1 (see
+    // `Reflector::apply`); column 0 has no predecessor.
+    let mut norm_sqr = [0.0; LANES];
+    if n > 0 {
+        norm_sqr = sum_sqr(norm_sqr_of(rr[0], ri[0]), &xr[..s], &xi[..s]);
+    }
+    for k in 0..n {
+        // Column k of x is the reflector's tail; columns after it are
+        // what the reflector is applied to.
+        let (xr_head, xr_tail) = xr.split_at_mut((k + 1) * s);
+        let (xi_head, xi_tail) = xi.split_at_mut((k + 1) * s);
+        let (vr, vi) = (&xr_head[k * s..], &xi_head[k * s..]);
+        let (dr, di) = (rr[k * cols + k], ri[k * cols + k]);
+        // The scalar kernel's once-per-column work, lane by lane: the
+        // `norm == 0` skip, the phase (with its `hypot` and `|d| == 0`
+        // branch), alpha and the reflector head.
+        let mut on = [true; LANES];
+        let (mut ar, mut ai) = ([0.0; LANES], [0.0; LANES]);
+        let (mut v0r, mut v0i) = ([0.0; LANES], [0.0; LANES]);
+        for l in 0..LANES {
+            let norm = norm_sqr[l].sqrt();
+            if norm == 0.0 {
+                on[l] = false;
+                continue;
+            }
+            let d = Cx::new(dr[l], di[l]);
+            let d_abs = d.abs();
+            let phase = if d_abs == 0.0 {
+                Cx::real(1.0)
+            } else {
+                d.scale(1.0 / d_abs)
+            };
+            let alpha = -phase.scale(norm);
+            let v0 = d - alpha;
+            (ar[l], ai[l]) = (alpha.re, alpha.im);
+            (v0r[l], v0i[l]) = (v0.re, v0.im);
+        }
+        let vnorm_sqr = sum_sqr(norm_sqr_of(v0r, v0i), vr, vi);
+        let mut beta = [0.0; LANES];
+        for l in 0..LANES {
+            on[l] &= vnorm_sqr[l] != 0.0;
+            beta[l] = 2.0 / vnorm_sqr[l];
+        }
+        let head = Reflector {
+            on,
+            v0r,
+            v0i,
+            beta,
+            vr,
+            vi,
+        };
+        if k + 1 < n {
+            let next = (k + 1) * cols + k + 1;
+            norm_sqr = norm_sqr_of(rr[next], ri[next]);
+        }
+        let row = k * cols + k + 1..(k + 1) * cols;
+        let (rkr, rki) = (&mut rr[row.clone()], &mut ri[row]);
+        if on == [true; LANES] {
+            head.apply::<true>(rkr, rki, xr_tail, xi_tail, &mut norm_sqr);
+        } else {
+            head.apply::<false>(rkr, rki, xr_tail, xi_tail, &mut norm_sqr);
+        }
+        let mut stepped = 0u64;
+        for l in 0..LANES {
+            if on[l] {
+                rr[k * cols + k][l] = ar[l];
+                ri[k * cols + k][l] = ai[l];
+                stepped += u64::from(live[l]);
+            }
+        }
+        flops::add(
+            stepped * ((cols - k) as u64 * (2 * flops::CMAC * s as u64 + 20) + 4 * s as u64 + 30),
+        );
+    }
+}
+
+/// `re^2 + im^2` per lane.
+#[inline(always)]
+fn norm_sqr_of(re: Lane, im: Lane) -> Lane {
+    std::array::from_fn(|l| re[l] * re[l] + im[l] * im[l])
+}
+
+/// `acc + sum_i |x[i]|^2` per lane, ascending over the rows.
+#[inline(always)]
+fn sum_sqr(mut acc: Lane, xr: &[Lane], xi: &[Lane]) -> Lane {
+    for (re, im) in xr.iter().zip(xi) {
+        for l in 0..LANES {
+            acc[l] += re[l] * re[l] + im[l] * im[l];
+        }
+    }
+    acc
+}
+
+/// One column's Householder reflector on lane operands.
+struct Reflector<'a> {
+    /// Lanes the scalar kernel would not have skipped at this column.
+    on: [bool; LANES],
+    v0r: Lane,
+    v0i: Lane,
+    beta: Lane,
+    /// The reflector's tail, `s` rows.
+    vr: &'a [Lane],
+    vi: &'a [Lane],
+}
+
+impl Reflector<'_> {
+    /// Applies `I - beta v v^H` to the columns right of the reflector's
+    /// own: `rkr`/`rki` are that part of row `k` of `r`, `xr`/`xi` the
+    /// matching columns of `x^T` (`s` rows each). With `ALL` every lane
+    /// steps and the loops over `l` vectorise; without it the lanes that
+    /// are off keep their operands untouched, as the scalar kernel's
+    /// `continue` does.
+    ///
+    /// The columns are independent of one another, so they are walked
+    /// from the last to the first with the next column's dot product
+    /// riding in the loop that updates the current one: the dot is a
+    /// chain of dependent adds, the update is not, and together they
+    /// fill the pipeline (an ordered reduction in every loop over the
+    /// rows also keeps the compiler vectorising across lanes rather than
+    /// across rows). The first column — the next reflector's own — is
+    /// updated last and leaves `sum_i |x[i]|^2` added to `next_norm_sqr`.
+    /// Per column every sum still ascends over the rows as the scalar
+    /// kernel's does.
+    ///
+    /// Kept out of line on purpose: as arguments of a real call the four
+    /// slices are known not to overlap, and that is what lets the
+    /// compiler turn each loop over `l` into one vector instruction
+    /// (inlined into the caller it falls back to scalar code, ~3x slower).
+    #[inline(never)]
+    fn apply<const ALL: bool>(
+        &self,
+        rkr: &mut [Lane],
+        rki: &mut [Lane],
+        xr: &mut [Lane],
+        xi: &mut [Lane],
+        next_norm_sqr: &mut Lane,
+    ) {
+        let Reflector {
+            on,
+            v0r,
+            v0i,
+            beta,
+            vr,
+            vi,
+        } = *self;
+        let s = vr.len();
+        let Some(last) = rkr.len().checked_sub(1) else {
+            return;
+        };
+        // w0 = conj(v0) * r[k][j] starts column j's dot product.
+        let w0 = |rjr: Lane, rji: Lane| {
+            let (mut wr, mut wi) = ([0.0; LANES], [0.0; LANES]);
+            for l in 0..LANES {
+                if ALL || on[l] {
+                    let (cr, ci) = (v0r[l], -v0i[l]);
+                    wr[l] = cr * rjr[l] - ci * rji[l];
+                    wi[l] = cr * rji[l] + ci * rjr[l];
+                }
+            }
+            (wr, wi)
+        };
+        let (mut wr, mut wi) = w0(rkr[last], rki[last]);
+        for (((v_r, v_i), x_r), x_i) in vr.iter().zip(vi).zip(&xr[last * s..]).zip(&xi[last * s..])
+        {
+            for l in 0..LANES {
+                if ALL || on[l] {
+                    wr[l] = wr[l] + v_r[l] * x_r[l] + v_i[l] * x_i[l];
+                    wi[l] = wi[l] + v_r[l] * x_i[l] - v_i[l] * x_r[l];
+                }
+            }
+        }
+        for c in (0..=last).rev() {
+            let (mut wbr, mut wbi) = ([0.0; LANES], [0.0; LANES]);
+            for l in 0..LANES {
+                if ALL || on[l] {
+                    wbr[l] = wr[l] * beta[l];
+                    wbi[l] = wi[l] * beta[l];
+                    rkr[c][l] -= v0r[l] * wbr[l] - v0i[l] * wbi[l];
+                    rki[c][l] -= v0r[l] * wbi[l] + v0i[l] * wbr[l];
+                }
+            }
+            let (xr_before, xr_c) = xr[..(c + 1) * s].split_at_mut(c * s);
+            let (xi_before, xi_c) = xi[..(c + 1) * s].split_at_mut(c * s);
+            let rows = vr.iter().zip(vi).zip(xr_c.iter_mut().zip(xi_c.iter_mut()));
+            if c > 0 {
+                (wr, wi) = w0(rkr[c - 1], rki[c - 1]);
+                let next = xr_before[(c - 1) * s..]
+                    .iter()
+                    .zip(&xi_before[(c - 1) * s..]);
+                for (((v_r, v_i), (x_r, x_i)), (n_r, n_i)) in rows.zip(next) {
+                    for l in 0..LANES {
+                        if ALL || on[l] {
+                            x_r[l] -= v_r[l] * wbr[l] - v_i[l] * wbi[l];
+                            x_i[l] -= v_r[l] * wbi[l] + v_i[l] * wbr[l];
+                            wr[l] = wr[l] + v_r[l] * n_r[l] + v_i[l] * n_i[l];
+                            wi[l] = wi[l] + v_r[l] * n_i[l] - v_i[l] * n_r[l];
+                        }
+                    }
+                }
+            } else {
+                for ((v_r, v_i), (x_r, x_i)) in rows {
+                    for l in 0..LANES {
+                        if ALL || on[l] {
+                            x_r[l] -= v_r[l] * wbr[l] - v_i[l] * wbi[l];
+                            x_i[l] -= v_r[l] * wbi[l] + v_i[l] * wbr[l];
+                        }
+                        next_norm_sqr[l] += x_r[l] * x_r[l] + x_i[l] * x_i[l];
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// In-place Householder reduction to upper-triangular form, optionally
 /// applying the same reflectors to `rhs`.
 fn householder_inplace(a: &mut CMat, mut rhs: Option<&mut CMat>) {

@@ -11,7 +11,7 @@
 use crate::complex::{Cx, ZERO};
 use crate::flops;
 use crate::mat::CMat;
-use crate::qr::{qr_update_with, qr_with_rhs, QrScratch};
+use crate::qr::{annihilate_lanes, qr_update_with, qr_with_rhs, Lane, LaneMat, QrScratch, LANES};
 
 /// Solves `R X = B` for upper-triangular `R` (multiple right-hand sides).
 ///
@@ -178,6 +178,178 @@ pub fn constrained_lstsq_from_r_with(
     }
     flops::add((sc * n * n) as u64 * flops::CMAC / 2 + (sc * n) as u64 * 7);
     normalize_columns_in_place(out);
+}
+
+/// Persistent scratch for [`constrained_lstsq_from_r_lanes`]: the
+/// bordered system's triangular top, its transposed constraint block
+/// and the back-substituted weights, all in lane layout. Grow-only.
+#[derive(Default)]
+pub struct LaneSolveScratch {
+    top: LaneMat,
+    xt: LaneMat,
+    w: LaneMat,
+}
+
+impl LaneSolveScratch {
+    /// Empty scratch; buffers are sized on first use.
+    pub fn new() -> Self {
+        LaneSolveScratch::default()
+    }
+}
+
+/// Lane form of [`constrained_lstsq_from_r_with`]: lane `l` solves
+/// `[R_l; k_l C_l] w = [0; k_l s]` from its own triangular factor
+/// (`r`, square), constraint and constraint weight against the shared
+/// `steering`, and writes its normalized weights into `out[l]` (resized
+/// grow-only). Each lane runs exactly the scalar kernel's IEEE operation
+/// sequence — bordered structured update, back-substitution, column
+/// normalisation — so `out[l]` equals the scalar result bit for bit.
+///
+/// A lane whose `out` is `None` is padding: give it any benign operands
+/// (a copy of a live lane's); nothing is written for it and it is left
+/// out of the flop count.
+pub fn constrained_lstsq_from_r_lanes(
+    r: &LaneMat,
+    constraints: [&CMat; LANES],
+    k: Lane,
+    steering: &CMat,
+    mut out: [Option<&mut CMat>; LANES],
+    ws: &mut LaneSolveScratch,
+) {
+    let (n, rcols) = r.shape();
+    assert_eq!(rcols, n, "R must be square");
+    let (crows, sc) = steering.shape();
+    for c in constraints {
+        assert_eq!(c.shape(), (crows, n), "constraint shape mismatch");
+    }
+    let live_lanes: [bool; LANES] = std::array::from_fn(|l| out[l].is_some());
+    let live = live_lanes.iter().filter(|&&on| on).count() as u64;
+    let bcols = n + sc;
+    // Top of the bordered system, `[R 0]`: only the upper triangle and
+    // the right-hand-side columns are ever read.
+    ws.top.resize(n, bcols);
+    {
+        let (rr, ri) = r.planes();
+        let (tr, ti) = ws.top.planes_mut();
+        for i in 0..n {
+            tr[i * bcols + i..i * bcols + n].copy_from_slice(&rr[i * n + i..(i + 1) * n]);
+            ti[i * bcols + i..i * bcols + n].copy_from_slice(&ri[i * n + i..(i + 1) * n]);
+            tr[i * bcols + n..(i + 1) * bcols].fill([0.0; LANES]);
+            ti[i * bcols + n..(i + 1) * bcols].fill([0.0; LANES]);
+        }
+    }
+    // Bottom, `[kC ks]`, transposed for the structured update.
+    ws.xt.resize(bcols, crows);
+    {
+        let (xr, xi) = ws.xt.planes_mut();
+        for i in 0..crows {
+            for l in 0..LANES {
+                for (j, v) in constraints[l].row(i).iter().enumerate() {
+                    let v = v.scale(k[l]);
+                    (xr[j * crows + i][l], xi[j * crows + i][l]) = (v.re, v.im);
+                }
+                for (j, v) in steering.row(i).iter().enumerate() {
+                    let v = v.scale(k[l]);
+                    (xr[(n + j) * crows + i][l], xi[(n + j) * crows + i][l]) = (v.re, v.im);
+                }
+            }
+        }
+    }
+    // The scalar solve runs its update with forget = 1.0, an exact
+    // identity that still counts its flops.
+    flops::add(live * 2 * (n * n) as u64);
+    annihilate_lanes(&mut ws.top, &mut ws.xt, live_lanes);
+
+    // Back-substitute out of the bordered factor a row at a time, two
+    // solutions abreast: each solution's chain over `kk` ascends exactly
+    // as the scalar column-by-column loop's does.
+    ws.w.resize(n, sc);
+    let (tr, ti) = ws.top.planes();
+    let (wr, wi) = ws.w.planes_mut();
+    for i in (0..n).rev() {
+        let (trow, tirow) = (
+            &tr[i * bcols..(i + 1) * bcols],
+            &ti[i * bcols..(i + 1) * bcols],
+        );
+        let (wr_row, wr_done) = wr[i * sc..].split_at_mut(sc);
+        let (wi_row, wi_done) = wi[i * sc..].split_at_mut(sc);
+        let mut j = 0;
+        while j + 2 <= sc {
+            back_substitute_lanes::<2>(i, n, j, trow, tirow, wr_done, wi_done, wr_row, wi_row);
+            j += 2;
+        }
+        if j < sc {
+            back_substitute_lanes::<1>(i, n, j, trow, tirow, wr_done, wi_done, wr_row, wi_row);
+        }
+    }
+    flops::add(live * ((sc * n * n) as u64 * flops::CMAC / 2 + (sc * n) as u64 * 7));
+
+    // Normalize each solution to unit length on the way out of the lanes
+    // (a lane whose norm is not positive keeps its column, as in
+    // `normalize_columns_in_place`).
+    for o in out.iter_mut().flatten() {
+        o.resize(n, sc);
+    }
+    for j in 0..sc {
+        let mut norm_sqr = [0.0; LANES];
+        for i in 0..n {
+            let (re, im) = (wr[i * sc + j], wi[i * sc + j]);
+            for l in 0..LANES {
+                norm_sqr[l] += re[l] * re[l] + im[l] * im[l];
+            }
+        }
+        for (l, o) in out.iter_mut().enumerate() {
+            let Some(o) = o else { continue };
+            let norm = norm_sqr[l].sqrt();
+            let scale = (norm > 0.0).then(|| 1.0 / norm);
+            for i in 0..n {
+                let v = Cx::new(wr[i * sc + j][l], wi[i * sc + j][l]);
+                o[(i, j)] = scale.map_or(v, |inv| v.scale(inv));
+            }
+        }
+    }
+    flops::add(live * (n * sc) as u64 * 6);
+}
+
+/// Rows `i` of `JB` adjacent solutions (columns `j..j + JB`) of the lane
+/// back-substitution: `x[i] = (rhs[i] - sum_{kk > i} t[i][kk] x[kk]) /
+/// t[i][i]` with `trow`/`tirow` row `i` of the bordered factor and
+/// `*_done` the solved rows `i + 1..n`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn back_substitute_lanes<const JB: usize>(
+    i: usize,
+    n: usize,
+    j: usize,
+    trow: &[Lane],
+    tirow: &[Lane],
+    wr_done: &[Lane],
+    wi_done: &[Lane],
+    wr_row: &mut [Lane],
+    wi_row: &mut [Lane],
+) {
+    let sc = wr_row.len();
+    let mut acc_r: [Lane; JB] = std::array::from_fn(|c| trow[n + j + c]);
+    let mut acc_i: [Lane; JB] = std::array::from_fn(|c| tirow[n + j + c]);
+    for kk in i + 1..n {
+        let (pr, pi) = (trow[kk], tirow[kk]);
+        let at = (kk - i - 1) * sc + j;
+        for c in 0..JB {
+            let (xr, xi) = (wr_done[at + c], wi_done[at + c]);
+            for l in 0..LANES {
+                acc_r[c][l] -= pr[l] * xr[l] - pi[l] * xi[l];
+                acc_i[c][l] -= pr[l] * xi[l] + pi[l] * xr[l];
+            }
+        }
+    }
+    let (dr, di) = (trow[i], tirow[i]);
+    for c in 0..JB {
+        for l in 0..LANES {
+            let d = dr[l] * dr[l] + di[l] * di[l];
+            wr_row[j + c][l] = (acc_r[c][l] * dr[l] + acc_i[c][l] * di[l]) / d;
+            wi_row[j + c][l] = (acc_i[c][l] * dr[l] - acc_r[c][l] * di[l]) / d;
+        }
+    }
 }
 
 /// Scales every column to unit Euclidean length (zero columns unchanged).

@@ -2,12 +2,19 @@
 //! see `stap_util::check`).
 
 use stap_math::fft::{dft_naive, Direction, Fft, FftScratch};
+use stap_math::flops;
 use stap_math::gemm::{
     hermitian_matmul_interleaved_into, hermitian_matmul_planar_into, matmul_interleaved_into,
     matmul_planar_into, GemmScratch, GEMM_CUTOFF,
 };
-use stap_math::qr::{is_upper_triangular, qr_r, qr_update, qr_update_with, QrScratch};
-use stap_math::solve::{back_substitute, lstsq};
+use stap_math::qr::{
+    is_upper_triangular, qr_r, qr_update, qr_update_lanes, qr_update_with, LaneMat, QrScratch,
+    LANES,
+};
+use stap_math::solve::{
+    back_substitute, constrained_lstsq_from_r_lanes, constrained_lstsq_from_r_with, lstsq,
+    LaneSolveScratch, SolveScratch,
+};
 use stap_math::{CMat, Cx};
 use stap_util::check::{check, Gen};
 
@@ -349,6 +356,195 @@ fn qr_update_with_matches_wrapper_bitwise() {
         qr_update_with(&r_old, 0.85, &new_rows, &mut got, &mut QrScratch::new());
         assert_bitwise_eq(&got, &want, &format!("qr_update n={n}+{extra_cols} s={s}"));
     });
+}
+
+/// Bitwise equality where the scalar kernel produced numbers; where it
+/// produced a NaN the lane kernel must too (which payload survives a
+/// NaN-with-NaN operation depends on operand order, which the compiler
+/// is free to pick differently for scalar and vector instructions).
+fn assert_same_bits_or_both_nan(got: &CMat, want: &CMat, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}: shape");
+    let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+    for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+        assert!(
+            same(a.re, b.re) && same(a.im, b.im),
+            "{what}: {a:?} != {b:?}"
+        );
+    }
+}
+
+/// One lane's `(r_old, new_rows)` for the lane-kernel properties: an
+/// ordinary problem or one that drives the scalar kernel down a rare
+/// branch (`norm == 0`, `|d| == 0`) at some or every column.
+fn lane_problem(g: &mut Gen, n: usize, extra_cols: usize, s: usize) -> (CMat, CMat) {
+    let cols = n + extra_cols;
+    let upper = qr_r(&cmat(g, n + 4, n));
+    let mut r_old = CMat::from_fn(n, cols, |i, j| if j < n { upper[(i, j)] } else { cx(g) });
+    let mut rows = cmat(g, s, cols);
+    match g.int(0, 7) {
+        // First sight of a (beam, bin, segment): R is all zeros, so
+        // every column takes the `|d| == 0` phase branch.
+        0 => r_old = CMat::zeros(n, cols),
+        // Nothing at all: every column is skipped at `norm == 0`.
+        1 => {
+            r_old = CMat::zeros(n, cols);
+            rows = CMat::zeros(s, cols);
+        }
+        // One column of zeros through both blocks: skipped there only.
+        2 => {
+            let k = g.int(0, n);
+            for i in 0..n {
+                r_old[(i, k)] = Cx::new(0.0, 0.0);
+            }
+            for i in 0..s {
+                rows[(i, k)] = Cx::new(0.0, 0.0);
+            }
+        }
+        // A zero on the diagonal under live new rows.
+        3 => {
+            let k = g.int(0, n);
+            r_old[(k, k)] = Cx::new(0.0, 0.0);
+        }
+        // Magnitudes whose squares underflow: `norm == 0` over data
+        // that is not zero.
+        4 => {
+            r_old = r_old.scale(1e-170);
+            rows = rows.scale(1e-170);
+        }
+        _ => {}
+    }
+    (r_old, rows)
+}
+
+/// Lanes `live..` of a lane operand are padding: a copy of lane 0.
+fn padded<T: Clone>(mut live: Vec<T>) -> [T; LANES] {
+    let first = live[0].clone();
+    live.resize(LANES, first);
+    live.try_into().ok().expect("at most LANES live lanes")
+}
+
+/// The tentpole contract of the lane kernels: lane `l` of
+/// `qr_update_lanes` is `qr_update_with` on lane `l`'s operands, bit for
+/// bit, whatever its neighbours are doing — including neighbours (or
+/// itself) on the scalar kernel's rare branches — and the flop count is
+/// the sum of the live lanes' scalar counts.
+#[test]
+fn qr_update_lanes_match_scalar_per_lane_bitwise() {
+    check("qr_update_lanes_match_scalar_per_lane_bitwise", 96, |g| {
+        let n = g.int(1, 9);
+        let extra_cols = g.int(0, 4);
+        let s = g.int(0, 10);
+        let forget = if g.bool(0.2) { 1.0 } else { g.float(0.3, 1.0) };
+        let live = g.int(1, LANES + 1);
+        let problems = padded(g.vec(live, |g| lane_problem(g, n, extra_cols, s)));
+
+        let mut r = LaneMat::zeros(n, n + extra_cols);
+        let mut xt = LaneMat::zeros(n + extra_cols, s);
+        let conj: Vec<CMat> = problems.iter().map(|(_, rows)| rows.conj()).collect();
+        for (l, (r_old, _)) in problems.iter().enumerate() {
+            r.set_lane(l, r_old);
+        }
+        xt.fill_cols_conj(0, std::array::from_fn(|l| conj[l].as_slice()));
+        let ((), lane_flops) = flops::count(|| qr_update_lanes(&mut r, forget, &mut xt, live));
+
+        let mut scalar_flops = 0;
+        for (l, (r_old, rows)) in problems.iter().enumerate().take(live) {
+            let mut want = CMat::zeros(0, 0);
+            let ((), f) = flops::count(|| {
+                qr_update_with(r_old, forget, rows, &mut want, &mut QrScratch::new())
+            });
+            scalar_flops += f;
+            let what = format!("lane {l}/{live} n={n}+{extra_cols} s={s} forget={forget}");
+            assert_same_bits_or_both_nan(&r.lane(l), &want, &what);
+        }
+        assert_eq!(lane_flops, scalar_flops, "flop count, {live} live lanes");
+    });
+}
+
+/// Same contract for the bordered constrained solve, from factors that
+/// are ordinary, rank deficient (not enough training yet: the solve
+/// skips columns and divides by zero) or all zeros, with one to four
+/// live lanes in any position.
+#[test]
+fn constrained_lstsq_lanes_match_scalar_per_lane_bitwise() {
+    check(
+        "constrained_lstsq_lanes_match_scalar_per_lane_bitwise",
+        96,
+        |g| {
+            let n = g.int(2, 10);
+            let crows = g.int(1, n + 1);
+            let sc = g.int(1, 6);
+            let steering = cmat(g, crows, sc).scale(0.01);
+            let live = g.int(1, LANES + 1);
+            let lanes = padded(g.vec(live, |g| {
+                // The factor a recursion would hold after one update.
+                let s = g.int(1, 2 * n);
+                let (r_old, rows) = lane_problem(g, n, 0, s);
+                let mut r = CMat::zeros(0, 0);
+                qr_update_with(&r_old, 0.6, &rows, &mut r, &mut QrScratch::new());
+                let k = if g.bool(0.1) {
+                    1e-12
+                } else {
+                    g.float(0.01, 50.0)
+                };
+                (r, cmat(g, crows, n).scale(0.01), k)
+            }));
+            // Live lanes need not be the leading ones.
+            let mut dead = [false; LANES];
+            for _ in live..LANES {
+                let free: Vec<usize> = (0..LANES).filter(|&l| !dead[l]).collect();
+                dead[g.choose(&free)] = true;
+            }
+
+            let mut r = LaneMat::zeros(n, n);
+            for (l, (factor, _, _)) in lanes.iter().enumerate() {
+                r.set_lane(l, factor);
+            }
+            let mut got: [CMat; LANES] = std::array::from_fn(|_| CMat::zeros(0, 0));
+            let mut it = got.iter_mut();
+            let out = std::array::from_fn(|l| {
+                let o = it.next();
+                if dead[l] {
+                    None
+                } else {
+                    o
+                }
+            });
+            let ((), lane_flops) = flops::count(|| {
+                constrained_lstsq_from_r_lanes(
+                    &r,
+                    std::array::from_fn(|l| &lanes[l].1),
+                    std::array::from_fn(|l| lanes[l].2),
+                    &steering,
+                    out,
+                    &mut LaneSolveScratch::new(),
+                )
+            });
+
+            let mut scalar_flops = 0;
+            for (l, (factor, constraint, k)) in lanes.iter().enumerate() {
+                if dead[l] {
+                    assert_eq!(got[l].shape(), (0, 0), "dead lane {l} was written");
+                    continue;
+                }
+                let mut want = CMat::zeros(0, 0);
+                let ((), f) = flops::count(|| {
+                    constrained_lstsq_from_r_with(
+                        factor,
+                        constraint,
+                        *k,
+                        &steering,
+                        &mut want,
+                        &mut SolveScratch::new(),
+                    )
+                });
+                scalar_flops += f;
+                let what = format!("lane {l} (dead {dead:?}) n={n} crows={crows} sc={sc}");
+                assert_same_bits_or_both_nan(&got[l], &want, &what);
+            }
+            assert_eq!(lane_flops, scalar_flops, "flop count, dead {dead:?}");
+        },
+    );
 }
 
 #[test]

@@ -205,7 +205,13 @@ impl<M: Send> World<M> {
             let mut handles = Vec::with_capacity(n);
             for comm in self.comms {
                 let f = &f;
-                handles.push(s.spawn(move || run_poisoning(f, comm)));
+                // Named so per-thread CPU (`/proc/<pid>/task/*/stat`, see
+                // scripts/thread_cpu.sh) can be attributed to ranks.
+                let rank_thread = std::thread::Builder::new()
+                    .name(format!("stap-r{}", comm.rank()))
+                    .spawn_scoped(s, move || run_poisoning(f, comm))
+                    .expect("spawn a rank thread");
+                handles.push(rank_thread);
             }
             for (i, h) in handles.into_iter().enumerate() {
                 match h.join() {

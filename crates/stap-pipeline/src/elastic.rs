@@ -412,7 +412,7 @@ impl ElasticStap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assignment::EASY_WT;
+    use crate::assignment::{EASY_WT, HARD_WT};
     use stap_core::Detection;
     use stap_cube::CCube;
     use stap_radar::Scenario;
@@ -424,12 +424,20 @@ mod tests {
     }
 
     /// The acceptance property: a forced mid-campaign reassignment
-    /// (rank-loss degradation on the easy-weight task) produces
-    /// *bit-identical* detections to a run that never rebalanced — the
-    /// weight-history rings, QR recursion state and beamform FIFOs all
-    /// migrate exactly across the epoch boundary.
+    /// (rank-loss degradation on a weight task) produces *bit-identical*
+    /// detections to a run that never rebalanced — the weight-history
+    /// rings, QR recursion state and beamform FIFOs all migrate exactly
+    /// across the epoch boundary. Degrading hard weight re-partitions
+    /// its bins 7+7 -> 5+5+4: the recursion leaves lane layout as
+    /// [`ResidentState::hard_r`] and re-enters it in different groups.
     #[test]
     fn rebalance_mid_campaign_is_bit_identical() {
+        for task in [EASY_WT, HARD_WT] {
+            rebalance_toward_is_bit_identical(task);
+        }
+    }
+
+    fn rebalance_toward_is_bit_identical(task: usize) {
         let params = StapParams::reduced();
         let sc = Scenario::reduced(13);
         let per_stream = 12usize;
@@ -466,9 +474,9 @@ mod tests {
         };
         let want = run_straight(&cubes);
 
-        // Elastic run: same slot structure, but a Degraded{EASY_WT}
-        // event lands mid-campaign (after slot 6 is submitted), forcing
-        // a rank shift toward easy weight at the next slot boundary.
+        // Elastic run: same slot structure, but a Degraded{task} event
+        // lands mid-campaign (after slot 6 is submitted), forcing a rank
+        // shift toward that task at the next slot boundary.
         let el = ElasticStap::for_scenario(params.clone(), NodeAssignment::tiny(), &sc)
             .with_max_group(1)
             .with_reserve_hints(1, 2)
@@ -485,7 +493,7 @@ mod tests {
         let feeder = std::thread::spawn(move || {
             for (scpi, c) in cubes2.iter().enumerate() {
                 if scpi == 6 {
-                    ctl_tx.send(Rebalance::Degraded { task: EASY_WT }).unwrap();
+                    ctl_tx.send(Rebalance::Degraded { task }).unwrap();
                 }
                 jobs_tx
                     .send(vec![CpiJob {
@@ -509,8 +517,8 @@ mod tests {
         );
         assert_eq!(summary.epochs.len(), 2);
         assert_eq!(
-            summary.final_assign.0[EASY_WT],
-            NodeAssignment::tiny().0[EASY_WT] + 1,
+            summary.final_assign.0[task],
+            NodeAssignment::tiny().0[task] + 1,
             "the degraded task gained a rank: {:?}",
             summary.final_assign
         );

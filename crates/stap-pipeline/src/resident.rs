@@ -18,9 +18,9 @@
 //! (`[sub * bins + bin][row][channel]`, the order the wire has always
 //! carried) — no staggered cube is ever materialised. The beamformers
 //! consume those blocks in place: they keep the received blocks until
-//! the slot is computed and transpose each bin's `[row][channel]` plane
-//! directly into the GEMM slab, one block per Doppler node covering its
-//! own range columns.
+//! the slot is computed and pack each bin's `[row][channel]` plane,
+//! transposed, directly into the GEMM's split-complex operand, one
+//! block per Doppler node covering its own range columns.
 //!
 //! Cross-stream batching is bit-exact with per-stream serial runs
 //! because all per-CPI state is keyed by *stream*:
@@ -28,7 +28,10 @@
 //! * azimuth revisit: `beam = scpi % steering.len()` uses the
 //!   per-stream CPI index, not the slot index;
 //! * easy-weight history rings are keyed `(stream, beam)`;
-//! * hard-weight QR recursion state is keyed `(stream, beam, bin, seg)`;
+//! * hard-weight QR recursion state is keyed `(stream, beam)` and held
+//!   in lane layout, four bins to a vector, per (bin group, segment)
+//!   (`stap_core::weights::HardWeightLanes`); it is `(stream, beam,
+//!   bin, seg)`-keyed matrices only as exported [`ResidentState`];
 //! * the beamform tasks keep per-`(stream, beam)` weight FIFOs: every
 //!   slot first *pushes* the weight sets computed from its member CPIs,
 //!   then *consumes* for each member — popping the front of
@@ -49,12 +52,11 @@ use crate::metrics::PipelineHealth;
 use crate::msg::{tag, Edge, Msg, Payload, SubCpi};
 use crate::runner::PipelineError;
 use crate::tasks::{
-    easy_cells_in, expect_weights, hard_cells_in, mean_abs, sample_mailbox, weight_sources,
-    PipelinePools,
+    easy_cells_in, expect_weights, hard_cells_in, sample_mailbox, weight_sources, PipelinePools,
 };
 use stap_core::params::StapParams;
 use stap_core::training::easy_training_cells;
-use stap_core::weights::hard_constraint;
+use stap_core::weights::{mean_abs, HardWeightLanes};
 use stap_core::{
     cfar,
     doppler::{DopplerProcessor, DopplerScratch},
@@ -62,10 +64,8 @@ use stap_core::{
     Detection,
 };
 use stap_cube::{BinBlock, CCube, Cube, PoolStats, RCube, SharedBufferPool};
-use stap_math::qr::{qr_update_with, QrScratch};
-use stap_math::solve::{
-    constrained_lstsq, constrained_lstsq_from_r_with, normalize_columns, SolveScratch,
-};
+use stap_math::gemm::{gemm_planar_into, PlanarMat};
+use stap_math::solve::{constrained_lstsq, normalize_columns};
 use stap_math::{CMat, Cx};
 use stap_mp::{Comm, World};
 use stap_radar::Scenario;
@@ -123,10 +123,13 @@ pub struct ResidentSummary {
     pub pool_real: PoolStats,
     /// Wall-clock seconds from `serve` entry to return.
     pub elapsed: f64,
-    /// Per-task busy seconds, summed over that task's nodes: time spent
-    /// assembling, computing and packing slots, excluding blocked
-    /// receives. The elastic scheduler ranks bottlenecks by
-    /// `busy[t] / nodes[t]`.
+    /// Per-task busy seconds, summed over that task's nodes: wall-clock
+    /// time spent assembling, computing and packing slots, excluding
+    /// blocked receives. On a host with fewer cores than rank threads
+    /// that includes time spent runnable but waiting for a core, so it
+    /// overstates tasks that share their core (`scripts/thread_cpu.sh`
+    /// reads the CPU each rank thread actually used). The elastic
+    /// scheduler ranks bottlenecks by `busy[t] / nodes[t]`.
     pub busy: [f64; 7],
 }
 
@@ -886,18 +889,18 @@ fn resident_easy_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
                 }
             }
             let steering = &ctx.steering[beam];
-            let weights: Vec<CMat> = (0..nbins)
-                .map(|bi| {
-                    let mut stacked = q[0][bi].clone();
-                    for older in q.iter().skip(1) {
-                        stacked = stacked.vstack(&older[bi]);
-                    }
-                    let k = mean_abs(&stacked) * p.beam_constraint_wt;
-                    constrained_lstsq(&stacked, &constraint, k, steering)
-                })
-                .collect();
-            for (i, (_, ov)) in targets.iter().enumerate() {
-                per_node[i].extend(ov.clone().map(|bn| weights[bn - bins_idx.start].clone()));
+            let mut weights = (0..nbins).map(|bi| {
+                let mut stacked = q[0][bi].clone();
+                for older in q.iter().skip(1) {
+                    stacked = stacked.vstack(&older[bi]);
+                }
+                let k = mean_abs(&stacked) * p.beam_constraint_wt;
+                constrained_lstsq(&stacked, &constraint, k, steering)
+            });
+            // The easy BF nodes partition the easy bins: in target order
+            // the overlaps are this node's bins in order.
+            for (w, (_, ov)) in per_node.iter_mut().zip(&targets) {
+                w.extend(weights.by_ref().take(ov.len()));
             }
         }
         for block in blocks.drain(..) {
@@ -921,19 +924,21 @@ fn resident_easy_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
     }
 }
 
-/// Resident hard weight (task 2): QR recursion state keyed
-/// (stream, beam, bin, segment).
+/// Resident hard weight (task 2): the lane-batched QR recursion of this
+/// node's bins, keyed (stream, beam); it leaves lane layout only to be
+/// exported as [`ResidentState::hard_r`] when the session drains.
 fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
     let p = ctx.params;
     let bins_idx = ctx.parts.hard_wt_bins[local].clone();
     let nbins = bins_idx.len();
-    let hard_bins = p.hard_bins();
     let p0 = ctx.assign.nodes(DOPPLER);
     let dop0 = ctx.assign.rank_range(DOPPLER).start;
     let beams = ctx.steering.len();
     let jj = 2 * p.j_channels;
     let segs = p.num_segments();
     let bf0 = ctx.assign.rank_range(HARD_BF).start;
+    // The hard BF nodes partition the hard bins, so these overlaps are
+    // this node's bins in order, each bin in exactly one of them.
     let targets: Vec<(usize, Range<usize>)> = ctx
         .parts
         .hard_bf_bins
@@ -944,36 +949,17 @@ fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
             (!ov.is_empty()).then_some((bf0 + r, ov))
         })
         .collect();
-    // Node-local QR state, keyed by LOCAL bin index; imported from the
-    // carried global-keyed state and rebased back on export.
-    let mut r_state: HashMap<(u16, usize, usize, usize), CMat> = ctx
-        .carry
-        .hard_r
-        .iter()
-        .filter(|((_, _, bin, _), _)| bins_idx.contains(bin))
-        .map(|(&(s, bm, bin, seg), m)| ((s, bm, bin - bins_idx.start, seg), m.clone()))
+    // Each Doppler node's block holds its share of every segment's
+    // training cells, segment after segment.
+    let dp_counts: Vec<Vec<usize>> = (ctx.parts.doppler_k.iter())
+        .map(|kr| (0..segs).map(|s| hard_cells_in(p, s, kr).len()).collect())
         .collect();
-    let seg_cells: Vec<usize> = (0..segs)
-        .map(|s| stap_core::training::hard_training_cells(p, s).len())
-        .collect();
-    let dp_counts: Vec<Vec<usize>> = (0..p0)
-        .map(|dp| {
-            let kr = ctx.parts.doppler_k[dp].clone();
-            (0..segs).map(|s| hard_cells_in(p, s, &kr).len()).collect()
-        })
-        .collect();
-    // Per-sub snapshot scratch, fully overwritten for each member CPI.
-    let mut snapshots: Vec<Vec<CMat>> = (0..nbins)
-        .map(|_| (0..segs).map(|s| CMat::zeros(seg_cells[s], jj)).collect())
-        .collect();
-    let constraints: Vec<CMat> = bins_idx
-        .clone()
-        .map(|bn| hard_constraint(p, hard_bins[bn]))
-        .collect();
-    let mut r_new = CMat::zeros(jj, jj);
-    let mut qr_ws = QrScratch::new();
-    let mut solve_ws = SolveScratch::new();
-    let mut seg_rows = vec![0usize; segs];
+    let mut lanes = HardWeightLanes::new(p, &p.hard_bins()[bins_idx.clone()], &dp_counts);
+    for (&(stream, beam, bin, seg), r) in &ctx.carry.hard_r {
+        if bins_idx.contains(&bin) {
+            lanes.import((stream, beam), bin - bins_idx.start, seg, r);
+        }
+    }
     let mut blocks: Vec<CCube> = Vec::with_capacity(p0);
     let mut health = PipelineHealth::default();
     let mut busy = 0.0f64;
@@ -995,62 +981,25 @@ fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
             break;
         };
         let t_busy = Instant::now();
-        let b = group.len();
+        // The wire order of a weight message: [member CPI][bin][segment].
         let mut per_node: Vec<Vec<CMat>> = targets
             .iter()
-            .map(|(_, ov)| Vec::with_capacity(b * ov.len() * segs))
+            .map(|(_, ov)| vec![CMat::zeros(0, 0); group.len() * ov.len() * segs])
             .collect();
         for (u, sub) in group.iter().enumerate() {
-            // Snapshots are the block's `[cell][2J]` planes conjugated;
-            // within one Doppler node's plane each segment's cells are
-            // one contiguous run.
-            seg_rows.iter_mut().for_each(|r| *r = 0);
-            for (block, counts) in blocks.iter().zip(&dp_counts) {
-                let plane = block.shape()[1] * jj;
-                for (bi, snap) in snapshots.iter_mut().enumerate() {
-                    let mut src = &block.as_slice()[(u * nbins + bi) * plane..][..plane];
-                    for (s, &cnt) in counts.iter().enumerate() {
-                        let (run, rest) = src.split_at(cnt * jj);
-                        let dst = &mut snap[s].as_mut_slice()[seg_rows[s] * jj..][..cnt * jj];
-                        for (d, x) in dst.iter_mut().zip(run) {
-                            *d = x.conj();
-                        }
-                        src = rest;
-                    }
-                }
-                for (row, &cnt) in seg_rows.iter_mut().zip(counts) {
-                    *row += cnt;
-                }
-            }
             let beam = sub.scpi as usize % beams;
-            let steering = &ctx.steering[beam];
-            let mut weights: Vec<CMat> = Vec::with_capacity(nbins * segs);
-            for (bi, constraint) in constraints.iter().enumerate() {
-                for (s, snap) in snapshots[bi].iter().enumerate() {
-                    let r_prev = r_state
-                        .entry((sub.stream, beam, bi, s))
-                        .or_insert_with(|| CMat::zeros(jj, jj));
-                    qr_update_with(r_prev, p.forgetting_factor, snap, &mut r_new, &mut qr_ws);
-                    let k = mean_abs(snap) * p.beam_constraint_wt;
-                    let mut w = CMat::zeros(jj, steering.cols());
-                    constrained_lstsq_from_r_with(
-                        &r_new,
-                        constraint,
-                        k,
-                        steering,
-                        &mut w,
-                        &mut solve_ws,
-                    );
-                    r_prev.as_mut_slice().copy_from_slice(r_new.as_slice());
-                    weights.push(w);
-                }
-            }
-            for (i, (_, ov)) in targets.iter().enumerate() {
-                for bn in ov.clone() {
-                    let base = (bn - bins_idx.start) * segs;
-                    per_node[i].extend(weights[base..base + segs].iter().cloned());
-                }
-            }
+            let weights = per_node.iter_mut().zip(&targets).flat_map(|(w, (_, ov))| {
+                w[u * ov.len() * segs..][..ov.len() * segs].chunks_mut(segs)
+            });
+            lanes.process(
+                (sub.stream, beam),
+                &ctx.steering[beam],
+                |dp, bi| {
+                    let plane = blocks[dp].shape()[1] * jj;
+                    &blocks[dp].as_slice()[(u * nbins + bi) * plane..][..plane]
+                },
+                weights,
+            );
         }
         for block in blocks.drain(..) {
             ctx.pools.cx.recycle(block);
@@ -1070,9 +1019,9 @@ fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
         health,
         busy,
         state: TaskState::HardWt(
-            r_state
-                .into_iter()
-                .map(|((s, bm, bi, seg), m)| ((s, bm, bins_idx.start + bi, seg), m))
+            lanes
+                .export()
+                .map(|((s, bm), bi, seg, r)| ((s, bm, bins_idx.start + bi, seg), r))
                 .collect(),
         ),
     }
@@ -1106,12 +1055,15 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         })
         .collect();
     let mut out_by = ByGroup::<CCube>::new(ctx.max_group);
-    let mut slab = CMat::zeros(p.j_channels, p.k_range);
+    // The GEMM operands, packed once each: the bin's `J x K` data
+    // straight from the wire blocks, the weights conjugate-transposed.
+    let mut data = PlanarMat::zeros(p.j_channels, p.k_range);
+    let mut wpack = PlanarMat::new();
     let mut y = CMat::zeros(p.m_beams, p.k_range);
     let mut fifo: HashMap<(u16, usize), VecDeque<Vec<CMat>>> =
         import_ring(&ctx.carry.easy_fifo, &bins_idx);
     // One received block per Doppler node, kept until the slot is
-    // computed: the GEMM slab is filled straight from them.
+    // computed: the GEMM operand is packed straight from them.
     let mut blocks: Vec<CCube> = Vec::with_capacity(p0);
     let mut health = PipelineHealth::default();
     let mut busy = 0.0f64;
@@ -1142,27 +1094,25 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         let b = group.len();
         let out = out_by.get(b, |b| CCube::zeros([b * nbins, p.m_beams, p.k_range]));
 
-        // Push phase: assemble each member CPI's freshly-computed
-        // per-bin weight set from the slot's weight messages and file it
-        // in that member's (stream, beam) FIFO.
-        let mut pushed: Vec<Vec<Option<CMat>>> = (0..b).map(|_| vec![None; nbins]).collect();
-        for (src, ov) in &wt_sources {
-            let m = comm.recv(*src, tag(Edge::EasyWtToEasyBf, slot)).unwrap();
-            let w = expect_weights(m.payload);
-            let ol = ov.len();
-            debug_assert_eq!(w.len(), b * ol);
-            for (u, sub_w) in w.chunks(ol).enumerate() {
-                for (i, bn) in ov.clone().enumerate() {
-                    pushed[u][bn - bins_idx.start] = Some(sub_w[i].clone());
-                }
-            }
-        }
-        for (u, pb) in pushed.into_iter().enumerate() {
-            let sub = group[u];
+        // Push phase: move each member CPI's freshly-computed per-bin
+        // weight set out of the slot's weight messages (`[member][bin]`
+        // each, the sources' overlaps being this node's bins in order)
+        // into that member's (stream, beam) FIFO.
+        let mut fresh: Vec<std::vec::IntoIter<CMat>> = wt_sources
+            .iter()
+            .map(|(src, ov)| {
+                let m = comm.recv(*src, tag(Edge::EasyWtToEasyBf, slot)).unwrap();
+                let w = expect_weights(m.payload);
+                assert_eq!(w.len(), b * ov.len(), "weights from overlap source");
+                w.into_iter()
+            })
+            .collect();
+        for sub in group.iter() {
             let beam = sub.scpi as usize % beams;
-            let set: Vec<CMat> = pb
-                .into_iter()
-                .map(|w| w.expect("missing weights from overlap source"))
+            let set: Vec<CMat> = fresh
+                .iter_mut()
+                .zip(&wt_sources)
+                .flat_map(|(w, (_, ov))| w.take(ov.len()))
                 .collect();
             fifo.entry((sub.stream, beam)).or_default().push_back(set);
         }
@@ -1183,9 +1133,10 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
                 for (block, kr) in blocks.iter().zip(&ctx.parts.doppler_k) {
                     let plane = kr.len() * p.j_channels;
                     let rows = &block.as_slice()[(u * nbins + bi) * plane..][..plane];
-                    slab.fill_cols_transposed(kr.start, rows);
+                    data.pack_cols_transposed(kr.start, rows);
                 }
-                w.hermitian_matmul_into(&slab, &mut y);
+                wpack.pack_hermitian_from(w);
+                gemm_planar_into(&wpack, &data, &mut y);
                 for m in 0..p.m_beams {
                     out.lane_mut(u * nbins + bi, m).copy_from_slice(y.row(m));
                 }
@@ -1249,10 +1200,11 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         .collect();
     let seg_ranges: Vec<Range<usize>> = (0..segs).map(|s| p.segment_range(s)).collect();
     let mut out_by = ByGroup::<CCube>::new(ctx.max_group);
-    let mut slabs: Vec<CMat> = seg_ranges
+    let mut data: Vec<PlanarMat> = seg_ranges
         .iter()
-        .map(|r| CMat::zeros(jj, r.len()))
+        .map(|r| PlanarMat::zeros(jj, r.len()))
         .collect();
+    let mut wpack = PlanarMat::new();
     let mut ys: Vec<CMat> = seg_ranges
         .iter()
         .map(|r| CMat::zeros(p.m_beams, r.len()))
@@ -1309,24 +1261,22 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         let b = group.len();
         let out = out_by.get(b, |b| CCube::zeros([b * nbins, p.m_beams, p.k_range]));
 
-        let mut pushed: Vec<Vec<Option<Vec<CMat>>>> = (0..b).map(|_| vec![None; nbins]).collect();
-        for (src, ov) in &wt_sources {
-            let m = comm.recv(*src, tag(Edge::HardWtToHardBf, slot)).unwrap();
-            let w = expect_weights(m.payload);
-            let ol = ov.len();
-            debug_assert_eq!(w.len(), b * ol * segs);
-            for (u, sub_w) in w.chunks(ol * segs).enumerate() {
-                for (i, bn) in ov.clone().enumerate() {
-                    pushed[u][bn - bins_idx.start] = Some(sub_w[i * segs..(i + 1) * segs].to_vec());
-                }
-            }
-        }
-        for (u, pb) in pushed.into_iter().enumerate() {
-            let sub = group[u];
+        // Push phase, as in easy BF; a message is `[member][bin][segment]`.
+        let mut fresh: Vec<std::vec::IntoIter<CMat>> = wt_sources
+            .iter()
+            .map(|(src, ov)| {
+                let m = comm.recv(*src, tag(Edge::HardWtToHardBf, slot)).unwrap();
+                let w = expect_weights(m.payload);
+                assert_eq!(w.len(), b * ov.len() * segs, "weights from overlap source");
+                w.into_iter()
+            })
+            .collect();
+        for sub in group.iter() {
             let beam = sub.scpi as usize % beams;
-            let set: Vec<Vec<CMat>> = pb
-                .into_iter()
-                .map(|w| w.expect("missing weights from overlap source"))
+            let set: Vec<Vec<CMat>> = fresh
+                .iter_mut()
+                .zip(&wt_sources)
+                .flat_map(|(w, (_, ov))| ov.clone().map(|_| w.take(segs).collect()))
                 .collect();
             fifo.entry((sub.stream, beam)).or_default().push_back(set);
         }
@@ -1350,12 +1300,13 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
                         }
                         let plane = kr.len() * jj;
                         let rows = &block.as_slice()[(u * nbins + bi) * plane..][..plane];
-                        slabs[seg].fill_cols_transposed(
+                        data[seg].pack_cols_transposed(
                             ov.start - r.start,
                             &rows[(ov.start - kr.start) * jj..][..ov.len() * jj],
                         );
                     }
-                    seg_weights[seg].hermitian_matmul_into(&slabs[seg], &mut ys[seg]);
+                    wpack.pack_hermitian_from(&seg_weights[seg]);
+                    gemm_planar_into(&wpack, &data[seg], &mut ys[seg]);
                     for m in 0..p.m_beams {
                         out.lane_mut(u * nbins + bi, m)[r.clone()].copy_from_slice(ys[seg].row(m));
                     }
@@ -1845,12 +1796,25 @@ mod tests {
         assert_eq!(summary.pool_real.misses, 0);
     }
 
-    /// Grouped slots on a two-Doppler-node assignment against the
-    /// sequential reference, bit for bit: every beamformer slab is
-    /// filled from two received blocks, each covering its own range
-    /// columns, and every slot carries up to three CPIs.
+    /// Grouped slots on two-Doppler-node assignments against the
+    /// sequential reference, bit for bit: every beamformer operand is
+    /// packed from two received blocks, each covering its own range
+    /// columns, every hard-weight training snapshot comes in two pieces,
+    /// and every slot carries up to three CPIs. Neither assignment gives
+    /// a hard-weight node a multiple of four bins, so every node's last
+    /// lane group carries padding lanes; the second one also cuts a lane
+    /// group in two between the hard-beamform nodes it feeds.
     #[test]
     fn grouped_multi_node_slots_match_sequential_reference_bitwise() {
+        for assign in [
+            NodeAssignment::tiny(),
+            NodeAssignment([2, 1, 1, 1, 2, 2, 1]),
+        ] {
+            grouped_slots_match_sequential_reference_bitwise(assign);
+        }
+    }
+
+    fn grouped_slots_match_sequential_reference_bitwise(assign: NodeAssignment) {
         let params = StapParams::reduced();
         let sc = Scenario::reduced(19);
         let count = 14usize;
@@ -1868,8 +1832,13 @@ mod tests {
             .map(|(i, c)| bits(&seq.process_cpi(i % beams, c).detections))
             .collect();
 
-        let assign = NodeAssignment::tiny();
-        assert_eq!(assign.nodes(DOPPLER), 2, "the multi-block slab fill");
+        assert_eq!(assign.nodes(DOPPLER), 2, "the multi-block operand pack");
+        let parts = Partitions::new(&params, &assign);
+        assert!(
+            parts.hard_wt_bins.iter().all(|bins| bins.len() % 4 != 0),
+            "padding lanes on every hard-weight node: {:?}",
+            parts.hard_wt_bins
+        );
         let res = ResidentStap::for_scenario(params, assign, &sc).with_max_group(3);
         // Sized for three-CPI groups (`reserve` caps the group at the
         // stream count).

@@ -28,7 +28,7 @@ use crate::metrics::{PipelineHealth, TaskTiming};
 use crate::msg::{cpi_of_tag, edge_of_tag, tag, Edge, Msg, Payload};
 use stap_core::params::StapParams;
 use stap_core::training::{easy_training_cells, hard_training_cells};
-use stap_core::weights::hard_constraint;
+use stap_core::weights::{hard_constraint, mean_abs};
 use stap_core::{
     cfar,
     doppler::DopplerProcessor,
@@ -786,14 +786,6 @@ pub fn run_hard_weight(ctx: &TaskCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
     }
     report.health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
     report
-}
-
-pub(crate) fn mean_abs(m: &CMat) -> f64 {
-    if m.rows() == 0 || m.cols() == 0 {
-        return 1.0;
-    }
-    let s: f64 = m.as_slice().iter().map(|x| x.abs()).sum();
-    (s / (m.rows() * m.cols()) as f64).max(1e-12)
 }
 
 /// Weight-source nodes whose bin range overlaps `my_bins`.

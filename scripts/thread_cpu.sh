@@ -1,0 +1,103 @@
+#!/usr/bin/env bash
+# Where the CPU of a benchmark run goes, thread by thread.
+#
+#   scripts/thread_cpu.sh <workload> [seconds=6]
+#
+# Runs the unmodified BENCHMARK.json command on <workload>, waits for the
+# rank threads (`stap-r<rank>`, named by stap-mp::world) to appear and
+# warm up, then diffs utime+stime of every task in
+# /proc/<pid>/task/*/stat across <seconds> of the measured period and
+# prints milliseconds of CPU per CPI per thread name (CPIs = the run's
+# own throughput_cpi_s times the sampled seconds).
+#
+# Ranks are the workload's node assignment laid out task by task —
+# Doppler, easy weight, hard weight, easy BF, hard BF, pulse compression,
+# CFAR — followed by the driver; with one node per task `stap-r2` is hard
+# weight. `ResidentSummary.busy` is wall-clock on a host with fewer cores
+# than rank threads and counts waiting for a core; this does not.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+workload="${1:?usage: scripts/thread_cpu.sh <workload> [seconds=6]}"
+seconds="${2:-6}"
+
+mapfile -t bench_cmd < <(python3 - <<'PY'
+import json
+for word in json.load(open("BENCHMARK.json"))["command"]:
+    print(word)
+PY
+)
+
+tmp="$(mktemp -d "${TMPDIR:-/tmp}/thread_cpu.XXXXXX")"
+trap 'kill "$run" 2>/dev/null || true; rm -rf "$tmp"' EXIT
+
+# Build first so the sampled process is the benchmark, not cargo.
+cargo build --release --quiet --offline --manifest-path benchmark/Cargo.toml
+"${bench_cmd[@]}" --workload "$workload" >"$tmp/run.log" 2>&1 &
+run=$!
+
+# `cargo run` execs the benchmark where it can (same pid) and spawns it
+# as a child where it cannot.
+bench_pid() {
+  if [ "$(cat /proc/"$run"/comm 2>/dev/null)" = stap-benchmark ]; then
+    echo "$run"
+  else
+    pgrep -P "$run" -x stap-benchmark | head -n 1
+  fi
+}
+
+# utime+stime ticks per task, as "<ticks> <tid>:<comm>" lines. The comm
+# field is parenthesised and may hold spaces; counted from after it the
+# ticks are fields 12 and 13.
+sample() {
+  python3 - "$1" <<'PY'
+import glob, sys
+for stat in glob.glob(f"/proc/{sys.argv[1]}/task/*/stat"):
+    try:
+        text = open(stat).read()
+    except OSError:
+        continue  # the task ended
+    comm = text[text.index("(") + 1:text.rindex(")")]
+    rest = text[text.rindex(")") + 2:].split()
+    print(int(rest[11]) + int(rest[12]), f"{stat.split('/')[4]}:{comm}")
+PY
+}
+
+pid=""
+for _ in $(seq 1 600); do
+  pid="$(bench_pid || true)"
+  if [ -n "$pid" ] && grep -qs '^stap-r' /proc/"$pid"/task/*/comm; then break; fi
+  kill -0 "$run" 2>/dev/null || { cat "$tmp/run.log"; echo "benchmark exited before its ranks started" >&2; exit 1; }
+  sleep 0.1
+done
+[ -n "$pid" ] || { echo "no benchmark process" >&2; exit 1; }
+sleep 2 # set-up and warm-up CPIs
+sample "$pid" >"$tmp/before"
+sleep "$seconds"
+sample "$pid" >"$tmp/after"
+wait "$run" || true
+trap 'rm -rf "$tmp"' EXIT
+
+python3 - "$tmp" "$seconds" "$(getconf CLK_TCK)" <<'PY'
+import collections, json, sys
+tmp, seconds, hz = sys.argv[1], float(sys.argv[2]), float(sys.argv[3])
+result = [l for l in open(f"{tmp}/run.log").read().splitlines() if l.startswith('{"correct"')]
+if not result:
+    sys.exit(open(f"{tmp}/run.log").read() + "\nno result line")
+rate = json.loads(result[-1])["metrics"]["throughput_cpi_s"]["value"]
+def read(name):
+    return {task: int(ticks) for ticks, task in (l.split(" ", 1) for l in open(f"{tmp}/{name}").read().splitlines())}
+before, after = read("before"), read("after")
+per_name = collections.Counter()
+for task, ticks in after.items():
+    per_name[task.split(":", 1)[1]] += ticks - before.get(task, 0)
+cpis = rate * seconds
+print(f"{rate:.1f} CPI/s, {seconds:g} s sampled = {cpis:.0f} CPIs")
+total = 0.0
+for name, ticks in sorted(per_name.items(), key=lambda kv: -kv[1]):
+    ms = ticks * 1000.0 / hz / cpis
+    total += ms
+    if ticks:
+        print(f"{name:<16} {ms:8.2f} ms/CPI")
+print(f"{'all threads':<16} {total:8.2f} ms/CPI")
+PY
