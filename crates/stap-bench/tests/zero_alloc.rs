@@ -15,10 +15,12 @@
 //! - the serve path's slot round: ingest copy, slot assembly, the
 //!   one-pass Doppler corner turn (`process_tiles_with` +
 //!   `BinBlock::scatter` into length-preserving pool blocks), the
-//!   lane-batched hard weights read straight from the weight block
-//!   (`HardWeightLanes::process`, allocating only on first sight of a
-//!   (stream, beam)) and the beamformer's operand pack from the
-//!   beamform block
+//!   lane-batched hard and easy weights read straight from the weight
+//!   blocks (`HardWeightLanes::process`, `EasyWeightLanes::process`,
+//!   allocating only on first sight of a (stream, beam)), the
+//!   beamformer's operand pack from the beamform block and its GEMM
+//!   store into the PC-bound block, pulse compression of that block in
+//!   place into the CFAR-bound block, and CFAR over that block
 //! - easy beamforming of one Doppler bin (`hermitian_matmul_into`)
 //! - hard weight computation for one azimuth (`process_into`: snapshot
 //!   gather, recursive planar QR update, constrained solve)
@@ -29,13 +31,16 @@
 //! allocations would show up in our deltas.
 
 use stap::core::beamform::{hard_beamform_into_with, HardBeamformScratch};
+use stap::core::cfar::{self, CfarScratch};
 use stap::core::doppler::{DopplerProcessor, DopplerScratch};
 use stap::core::pulse::{PulseCompressor, PulseScratch};
-use stap::core::weights::{HardWeightComputer, HardWeightLanes, HardWeightScratch, HardWeights};
+use stap::core::weights::{
+    EasyWeightLanes, HardWeightComputer, HardWeightLanes, HardWeightScratch, HardWeights,
+};
 use stap::core::StapParams;
 use stap::cube::{AxisPartition, BinBlock, CCube, RCube, RedistPlan, SharedBufferPool};
 use stap::math::fft::FftScratch;
-use stap::math::gemm::{gemm_planar_into, PlanarMat};
+use stap::math::gemm::{gemm_planar_into_strided, PlanarMat};
 use stap::math::{CMat, Cx};
 use stap_bench::alloc_count::{self, CountingAllocator};
 use std::hint::black_box;
@@ -100,7 +105,6 @@ fn steady_state_cpi_kernels_do_not_allocate() {
 
     // --- CFAR: one node's bin group through the rolling detector. ------
     {
-        use stap::core::cfar::{self, CfarScratch};
         let bins = 8usize;
         // Positive power floor with two strong cells per lane, so the
         // detection-push path runs without outgrowing the reserved
@@ -227,16 +231,19 @@ fn steady_state_cpi_kernels_do_not_allocate() {
     }
 
     // --- Multi-stream slot round: ingest-copy, cross-stream slot -------
-    // assembly, the one-pass Doppler corner turn and the weight and
-    // beamform tasks' in-place block consumption, all through a pool
-    // warmed by `reserve` the way `ResidentStap::reserve` pre-warms the
-    // serve pools. This is the serve path's per-slot hot path: B
-    // submitted CPIs (different streams) coalesce into one stacked slab;
-    // every cache-resident FFT tile is scattered straight into the
-    // pooled wire blocks; the hard-weight task folds each member's
-    // training rows into its lane-layout QR factors and solves, reading
-    // the weight block where it lies; the beamformer packs each bin's
-    // plane out of the received block into its GEMM operand.
+    // assembly, the one-pass Doppler corner turn and every downstream
+    // task's in-place block consumption, all through pools warmed by
+    // `reserve` the way `ResidentStap::reserve` pre-warms the serve
+    // pools. This is the serve path's per-slot hot path: B submitted
+    // CPIs (different streams) coalesce into one stacked slab; every
+    // cache-resident FFT tile is scattered straight into the pooled
+    // wire blocks; the weight tasks fold each member's training rows
+    // into their lane-layout state and solve, reading the weight blocks
+    // where they lie; the beamformer packs each bin's plane out of the
+    // received block into its GEMM operand and the GEMM stores into the
+    // block pulse compression receives; pulse compression transforms
+    // that block in place, lane by lane, into the block CFAR receives;
+    // CFAR runs over that block.
     {
         let b = 4usize; // group size: CPIs per slot
         let klen = 64usize; // one node's k-rows per sub-CPI
@@ -251,14 +258,21 @@ fn steady_state_cpi_kernels_do_not_allocate() {
         let bins: Vec<usize> = p.hard_bins()[..8].to_vec();
         let all_rows: Vec<usize> = (0..klen).collect();
         let train_rows: Vec<usize> = (0..klen).step_by(3).collect();
+        let easy: Vec<usize> = p.easy_bins()[..8].to_vec();
         let layouts = [
             BinBlock::new(&bins, &train_rows, klen, jj),
             BinBlock::new(&bins, &all_rows, klen, jj),
+            BinBlock::new(&easy, &train_rows, klen, p.j_channels),
         ];
         let w = CMat::from_fn(jj, p.m_beams, |i, j| det_cx(i, j, 5));
         let mut data = PlanarMat::zeros(jj, klen);
         let mut wpack = PlanarMat::new();
-        let mut y = CMat::zeros(p.m_beams, klen);
+        let pc = PulseCompressor::new(&p);
+        let mut fft_ws = FftScratch::new();
+        // Room for a detection in every cell: the round must not depend
+        // on how many this data happens to raise.
+        let bf_shape = [b * bins.len(), p.m_beams, p.k_range];
+        let mut cfar_ws = CfarScratch::with_capacity(bf_shape.iter().product());
         // The training rows dealt out over the range segments; eight
         // bins are two full lane groups per segment.
         let segs = p.num_segments();
@@ -269,14 +283,24 @@ fn steady_state_cpi_kernels_do_not_allocate() {
         let mut hard_weights: Vec<Vec<CMat>> = (0..b)
             .map(|_| vec![CMat::zeros(jj, p.m_beams); bins.len() * segs])
             .collect();
+        // Eight easy bins are two full lane groups too.
+        let mut easy_lanes =
+            EasyWeightLanes::<(u16, usize)>::new(&p, easy.len(), &[train_rows.len()]);
+        let mut easy_weights: Vec<Vec<CMat>> = (0..b)
+            .map(|_| vec![CMat::zeros(p.j_channels, p.m_beams); easy.len()])
+            .collect();
         let pool: SharedBufferPool<Cx> = SharedBufferPool::new();
-        // Demand-driven pre-warm: B producer-held cubes, the group slab
-        // and the out-blocks, exactly what one in-flight slot needs.
+        let real_pool: SharedBufferPool<f64> = SharedBufferPool::new();
+        // Demand-driven pre-warm: B producer-held cubes, the group slab,
+        // the Doppler out-blocks, the PC-bound and the CFAR-bound block,
+        // exactly what one in-flight slot needs.
         pool.reserve(sub_len, b);
         pool.reserve(b * klen * row, 1);
         for layout in &layouts {
             pool.reserve(layout.shape(b).iter().product(), 1);
         }
+        pool.reserve(bf_shape.iter().product(), 1);
+        real_pool.reserve(bf_shape.iter().product(), 1);
         let sources: Vec<CCube> = (0..b)
             .map(|s| CCube::from_fn(sub_shape, |i, j, k| det_cx(i + s, j, k)))
             .collect();
@@ -323,29 +347,64 @@ fn steady_state_cpi_kernels_do_not_allocate() {
                 );
             }
             black_box(hard_weights[0][0][(0, 0)]);
-            // Beamformer: each (sub, bin) plane of the received block
-            // is packed straight into the GEMM operand.
-            let bf = &blocks[1];
-            let plane = klen * jj;
-            wpack.pack_hermitian_from(&w);
-            for planes in bf.as_slice().chunks_exact(plane) {
-                data.pack_cols_transposed(0, planes);
-                gemm_planar_into(&wpack, &data, &mut y);
+            // Easy weight: the same, over `[bin][row][J]` planes into
+            // each stream's history ring.
+            let wt = blocks[2].as_slice();
+            let plane = train_rows.len() * p.j_channels;
+            for (u, weights) in easy_weights.iter_mut().enumerate() {
+                easy_lanes.process(
+                    (u as u16, 0),
+                    &steering,
+                    |_, bin| &wt[(u * easy.len() + bin) * plane..][..plane],
+                    weights.iter_mut(),
+                );
             }
-            black_box(y[(0, 0)]);
+            black_box(easy_weights[0][0][(0, 0)]);
+            // Beamformer: each (sub, bin) plane of the received block
+            // is packed straight into the GEMM operand, and the product
+            // stored into that bin's `[M][K]` plane of the PC-bound
+            // block — once per `klen` range columns, as the K / klen
+            // Doppler nodes' (or a hard bin's segments') products land.
+            let mut to_pc = pool.take_cube_for_overwrite(bf_shape);
+            let bf = &blocks[1];
+            wpack.pack_hermitian_from(&w);
+            let planes = bf.as_slice().chunks_exact(klen * jj);
+            let outs = to_pc.as_mut_slice().chunks_exact_mut(p.m_beams * p.k_range);
+            for (plane, out) in planes.zip(outs) {
+                data.pack_cols_transposed(0, plane);
+                for col0 in (0..p.k_range).step_by(klen) {
+                    gemm_planar_into_strided(&wpack, &data, &mut out[col0..], p.k_range);
+                }
+            }
             for block in blocks.drain(..) {
                 pool.recycle(block);
             }
+            // Pulse compression: the received block in place, lane by
+            // lane, into the CFAR-bound block.
+            let mut to_cfar = real_pool.take_cube_for_overwrite(bf_shape);
+            pc.compress_in_place(to_pc.as_mut_slice(), to_cfar.as_mut_slice(), &mut fft_ws);
+            pool.recycle(to_pc);
+            // CFAR: over the received block where it lies.
+            cfar_ws.begin_cpi();
+            for row in 0..bf_shape[0] {
+                for beam in 0..p.m_beams {
+                    let lane = to_cfar.lane(row, beam);
+                    cfar::cfar_lane(&p, lane, row, beam, &mut cfar_ws.detections);
+                }
+            }
+            black_box(cfar_ws.detections.len());
+            real_pool.recycle(to_cfar);
         };
         // Warmup: FFT scratch sizing, flop thread-locals, first sight
-        // of the four (stream, beam) recursions.
+        // of the four (stream, beam) recursions and history rings.
         slot(&pool);
-        let before = pool.stats();
+        let (before, real_before) = (pool.stats(), real_pool.stats());
         assert_zero_alloc(
-            "multi-stream slot: assembly, corner turn, lane hard weights, in-place beamform",
+            "multi-stream slot: assembly, corner turn, lane weights, beamform into the PC \
+             block, pulse compression in place, CFAR over the block",
             || slot(&pool),
         );
-        let after = pool.stats();
+        let (after, real_after) = (pool.stats(), real_pool.stats());
         assert_eq!(
             after.misses, before.misses,
             "steady-state slots must not miss the reserved pool: {after:?}"
@@ -357,8 +416,13 @@ fn steady_state_cpi_kernels_do_not_allocate() {
         );
         assert_eq!(
             (after.hits - before.hits) as usize,
-            ROUNDS * (b + 1 + layouts.len()),
+            ROUNDS * (b + 1 + layouts.len() + 1),
             "every buffer of a slot goes through the pool: {after:?}"
+        );
+        assert_eq!(
+            (real_after.misses, real_after.hits - real_before.hits),
+            (0, ROUNDS as u64),
+            "one reserved power block per slot: {real_after:?}"
         );
     }
 

@@ -17,21 +17,14 @@ use crate::params::StapParams;
 use stap_cube::{CCube, RCube};
 use stap_math::fft::{Fft, FftScratch};
 use stap_math::{flops, simd, Cx};
-use std::cell::RefCell;
 
-thread_local! {
-    /// Per-thread workspace backing [`PulseCompressor::process_into`],
-    /// so the convenience entry point stops allocating a fresh
-    /// [`PulseScratch`] on every call.
-    static TLS_PULSE_SCRATCH: RefCell<PulseScratch> = RefCell::new(PulseScratch::new());
-}
-
-/// Reusable pulse-compression workspace: one spectrum buffer big enough
-/// for a whole beamformed cube, grown on first use and reused across
-/// CPIs (plus an [`FftScratch`] for non-power-of-two range lengths).
+/// Reusable pulse-compression workspace: one range lane for callers
+/// whose input must survive (the in-place form needs none) plus an
+/// [`FftScratch`] for non-power-of-two range lengths. Grows on first
+/// use and is reused across CPIs.
 #[derive(Default)]
 pub struct PulseScratch {
-    spec: Vec<Cx>,
+    lane: Vec<Cx>,
     fft: FftScratch,
 }
 
@@ -73,55 +66,46 @@ impl PulseCompressor {
     /// Compresses a beamformed cube `(N, M, K)` into real power
     /// `(N, M, K)`.
     pub fn process(&self, beamformed: &CCube) -> RCube {
-        let [n, m, k] = beamformed.shape();
-        let mut out = RCube::zeros([n, m, k]);
-        self.process_into(beamformed, &mut out);
+        let mut out = RCube::zeros(beamformed.shape());
+        self.process_into_with(beamformed, &mut out, &mut PulseScratch::new());
         out
     }
 
-    /// Like [`PulseCompressor::process`] but writing into a
-    /// caller-provided cube of the same shape. Routes through a lazily
-    /// initialized thread-local [`PulseScratch`] (the same pattern as
-    /// the GEMM engine's pack buffers), so repeated calls allocate
-    /// nothing once the scratch is warm; hot loops that own their
-    /// workspace should still prefer
-    /// [`PulseCompressor::process_into_with`].
-    pub fn process_into(&self, beamformed: &CCube, out: &mut RCube) {
-        TLS_PULSE_SCRATCH.with(|s| self.process_into_with(beamformed, out, &mut s.borrow_mut()));
-    }
-
-    /// The zero-allocation steady-state kernel: matched-filters every
-    /// `(bin, beam)` lane of the cube through batched FFTs, reusing the
-    /// caller's [`PulseScratch`]. Bit-identical to the per-lane path.
+    /// [`PulseCompressor::process`] into a caller-provided cube of the
+    /// same shape, leaving `beamformed` intact: each lane is copied into
+    /// the workspace and run through [`Self::compress_in_place`].
+    /// Allocates nothing once the workspace is warm.
     pub fn process_into_with(&self, beamformed: &CCube, out: &mut RCube, ws: &mut PulseScratch) {
-        let [n, m, k] = beamformed.shape();
-        assert_eq!(k, self.k, "range length mismatch");
-        assert_eq!(out.shape(), [n, m, k], "output shape");
-        let total = n * m * k;
-        if ws.spec.len() < total {
-            ws.spec.resize(total, Cx::default());
+        let k = self.k;
+        assert_eq!(beamformed.shape()[2], k, "range length mismatch");
+        assert_eq!(out.shape(), beamformed.shape(), "output shape");
+        ws.lane.resize(k, Cx::default());
+        let PulseScratch { lane, fft } = ws;
+        let lanes = beamformed.as_slice().chunks_exact(k);
+        for (src, power) in lanes.zip(out.as_mut_slice().chunks_exact_mut(k)) {
+            lane.copy_from_slice(src);
+            self.compress_in_place(lane, power, fft);
         }
-        let spec = &mut ws.spec[..total];
-        spec.copy_from_slice(beamformed.as_slice());
-        self.fft.forward_lanes(spec, &mut ws.fft);
-        for lane in spec.chunks_exact_mut(k) {
-            simd::cmul_in_place(lane, &self.filter);
-        }
-        flops::add(flops::CMUL * total as u64);
-        self.fft.inverse_lanes(spec, &mut ws.fft);
-        simd::norm_sqr_into(out.as_mut_slice(), spec);
-        flops::add(3 * total as u64); // |.|^2 per cell
     }
 
-    /// Matched-filters one range lane into `buf` (complex output, before
-    /// the power detection).
-    pub fn compress_lane(&self, lane: &[Cx], buf: &mut Vec<Cx>) {
-        buf.clear();
-        buf.extend_from_slice(lane);
-        self.fft.forward(buf);
-        simd::cmul_in_place(buf, &self.filter);
-        flops::add(flops::CMUL * self.k as u64);
-        self.fft.inverse(buf);
+    /// The pulse-compression kernel loop: every `K`-long range lane of
+    /// `lanes` goes forward FFT, matched-filter multiply, inverse FFT
+    /// and magnitude-squared into the matching lane of `power` while it
+    /// is cache-resident. `lanes` is consumed as scratch (it is left
+    /// holding the compressed complex lanes). A lane's result does not
+    /// depend on which other lanes it is processed with.
+    pub fn compress_in_place(&self, lanes: &mut [Cx], power: &mut [f64], fft: &mut FftScratch) {
+        let k = self.k;
+        assert_eq!(lanes.len() % k, 0, "range length mismatch");
+        assert_eq!(power.len(), lanes.len(), "output shape");
+        for (lane, power) in lanes.chunks_exact_mut(k).zip(power.chunks_exact_mut(k)) {
+            self.fft.forward_with_scratch(lane, fft);
+            simd::cmul_in_place(lane, &self.filter);
+            self.fft.inverse_with_scratch(lane, fft);
+            simd::norm_sqr_into(power, lane);
+        }
+        // The matched-filter multiply and |.|^2 per cell.
+        flops::add((flops::CMUL + 3) * lanes.len() as u64);
     }
 }
 
@@ -133,6 +117,54 @@ mod tests {
 
     fn params() -> StapParams {
         StapParams::reduced()
+    }
+
+    /// The whole-cube sequence the kernel loop replaced, kept as its
+    /// oracle: every pass crosses all lanes before the next starts.
+    fn whole_cube_passes(pc: &PulseCompressor, beamformed: &CCube) -> RCube {
+        let mut spec = beamformed.as_slice().to_vec();
+        let mut fft = FftScratch::new();
+        pc.fft.forward_lanes(&mut spec, &mut fft);
+        for lane in spec.chunks_exact_mut(pc.k) {
+            simd::cmul_in_place(lane, &pc.filter);
+        }
+        pc.fft.inverse_lanes(&mut spec, &mut fft);
+        let mut out = RCube::zeros(beamformed.shape());
+        simd::norm_sqr_into(out.as_mut_slice(), &spec);
+        out
+    }
+
+    #[test]
+    fn per_lane_loop_matches_whole_cube_passes_bitwise() {
+        use stap_util::check::check;
+        check("per_lane_loop_matches_whole_cube_passes_bitwise", 24, |g| {
+            let mut p = params();
+            // Radix-4, radix-2 and Bluestein range lengths.
+            p.k_range = g.choose(&[64, 32, 48]);
+            p.replica_len = 8;
+            let pc = PulseCompressor::new(&p);
+            let (n, m) = (g.int(0, 6), g.int(1, 5));
+            let cube = CCube::from_fn([n, m, p.k_range], |_, _, _| {
+                Cx::new(g.float(-10.0, 10.0), g.float(-10.0, 10.0))
+            });
+            let want = whole_cube_passes(&pc, &cube);
+            let bits =
+                |c: &RCube| -> Vec<u64> { c.as_slice().iter().map(|v| v.to_bits()).collect() };
+            let mut ws = PulseScratch::new();
+            let mut got = RCube::zeros(cube.shape());
+            pc.process_into_with(&cube, &mut got, &mut ws);
+            assert_eq!(bits(&got), bits(&want), "copying form, {n}x{m} lanes");
+            // In place, the lanes in two runs cut anywhere: a lane
+            // processed alone is the lane processed in a cube.
+            let mut data = cube.clone();
+            let mut got = RCube::zeros(cube.shape());
+            let cut = g.int(0, n * m + 1) * p.k_range;
+            let (d0, d1) = data.as_mut_slice().split_at_mut(cut);
+            let (p0, p1) = got.as_mut_slice().split_at_mut(cut);
+            pc.compress_in_place(d1, p1, &mut ws.fft);
+            pc.compress_in_place(d0, p0, &mut ws.fft);
+            assert_eq!(bits(&got), bits(&want), "in place, cut at {cut}");
+        });
     }
 
     #[test]

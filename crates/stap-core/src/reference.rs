@@ -14,7 +14,7 @@ use crate::beamform::{
 use crate::cfar::{cfar, cfar_lane, Detection};
 use crate::doppler::DopplerProcessor;
 use crate::params::StapParams;
-use crate::pulse::PulseCompressor;
+use crate::pulse::{PulseCompressor, PulseScratch};
 use crate::weights::{EasyWeightComputer, EasyWeights, HardWeightComputer, HardWeights};
 use stap_cube::{CCube, RCube};
 use stap_math::CMat;
@@ -44,6 +44,7 @@ pub struct CpiWorkspace {
     hard_out: CCube,
     beamformed: CCube,
     power: RCube,
+    pulse: PulseScratch,
     detections: Vec<Detection>,
 }
 
@@ -62,6 +63,7 @@ impl CpiWorkspace {
             hard_out: CCube::zeros([params.n_hard, m, k]),
             beamformed: CCube::zeros([n, m, k]),
             power: RCube::zeros([n, m, k]),
+            pulse: PulseScratch::new(),
             detections: Vec::new(),
         }
     }
@@ -192,7 +194,8 @@ impl SequentialStap {
         hard_beamform_into(&self.params, &ws.staggered, &wh, &mut ws.hard_out);
         interleave_bins_into(&self.params, &ws.easy_out, &ws.hard_out, &mut ws.beamformed);
 
-        self.pulse.process_into(&ws.beamformed, &mut ws.power);
+        self.pulse
+            .process_into_with(&ws.beamformed, &mut ws.power, &mut ws.pulse);
         ws.detections.clear();
         for bin in 0..self.params.n_pulses {
             for m in 0..self.params.m_beams {

@@ -22,13 +22,13 @@
 use crate::params::StapParams;
 use crate::training::{easy_snapshot, hard_snapshot_into, hard_training_cells, EasyTrainingStore};
 use stap_cube::CCube;
-use stap_math::qr::{qr_update_lanes, qr_update_with, LaneMat, QrScratch, LANES};
+use stap_math::qr::{qr_update_lanes, qr_update_with, Lane, LaneMat, QrScratch, LANES};
 use stap_math::solve::{
     constrained_lstsq, constrained_lstsq_from_r_lanes, constrained_lstsq_from_r_with,
-    normalize_columns, LaneSolveScratch, SolveScratch,
+    constrained_lstsq_lanes, normalize_columns, LaneSolveScratch, SolveScratch,
 };
 use stap_math::{CMat, Cx};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::f64::consts::PI;
 use std::hash::Hash;
 
@@ -464,6 +464,239 @@ impl<K: Copy + Eq + Hash> HardWeightLanes<K> {
             })
         })
     }
+}
+
+/// One CPI's training rows of a group of [`LANES`] adjacent easy bins.
+struct EasySnap {
+    /// The rows, conjugated and transposed (`J x cells`): a block of the
+    /// stacked system [`constrained_lstsq_lanes`] reduces.
+    xt: LaneMat,
+    /// `|x|` of the same elements in `[cell][channel]` order, the order
+    /// [`mean_abs`] sums a stacked training matrix in; `hypot` is paid
+    /// once per element, not once per CPI the element stays in history.
+    abs: Vec<Lane>,
+}
+
+/// The history ring of one recursion: the last `len <= depth` CPIs of
+/// every bin group, oldest at slot `head`.
+struct EasyRing {
+    head: usize,
+    len: usize,
+    /// Indexed `[group * depth + slot]`.
+    snaps: Vec<EasySnap>,
+}
+
+/// The easy weights of a set of easy Doppler bins, [`LANES`] bins to a
+/// vector: what [`EasyWeightComputer::process`] computes, bit for bit,
+/// through the lane kernels of `stap-math`.
+///
+/// The training history lives in lane layout for good — per `key`, per
+/// group of [`LANES`] adjacent bins, a ring of the last `easy_history`
+/// CPIs' rows — so nothing is cloned or stacked per CPI: the new rows
+/// are packed, conjugated, straight from Doppler wire blocks
+/// (`[bin][cell][J]`, un-conjugated) over the oldest, and the solve
+/// assembles `[oldest ... newest; k I_J]` into its own reused work
+/// matrix. Every bin of a key has the same history depth, so the stacked
+/// systems of a group's lanes are equally shaped; a last group short of
+/// [`LANES`] bins is padded with copies of its first bin, whose results
+/// are dropped.
+///
+/// `K` names an independent history (the sequential reference keys by
+/// azimuth beam, the resident pipeline by stream and beam).
+pub struct EasyWeightLanes<K> {
+    beam_constraint_wt: f64,
+    /// CPIs of history per key (`easy_history`).
+    depth: usize,
+    /// `J`, the order of every system.
+    j: usize,
+    nbins: usize,
+    /// The easy constraint block, `I_J`.
+    constraint: CMat,
+    /// Training rows per input piece.
+    pieces: Vec<usize>,
+    state: HashMap<K, EasyRing>,
+    solve: LaneSolveScratch,
+}
+
+impl<K: Copy + Eq + Hash> EasyWeightLanes<K> {
+    /// Empty histories over `nbins` easy bins. Training rows arrive in
+    /// `piece_rows.len()` pieces (one per Doppler node), `piece_rows[p]`
+    /// of them in piece `p`; the pieces in order make up a CPI's
+    /// snapshot.
+    pub fn new(params: &StapParams, nbins: usize, piece_rows: &[usize]) -> Self {
+        let j = params.j_channels;
+        let cells: usize = piece_rows.iter().sum();
+        let mut solve = LaneSolveScratch::new();
+        solve.reserve_dense(params.easy_history * cells + j, j, params.m_beams);
+        EasyWeightLanes {
+            beam_constraint_wt: params.beam_constraint_wt,
+            depth: params.easy_history,
+            j,
+            nbins,
+            constraint: CMat::identity(j),
+            pieces: piece_rows.to_vec(),
+            state: HashMap::new(),
+            solve,
+        }
+    }
+
+    /// The ring of history `key`, empty (and fully allocated) on first
+    /// sight.
+    fn ring(
+        state: &mut HashMap<K, EasyRing>,
+        key: K,
+        (nbins, depth, j, cells): (usize, usize, usize, usize),
+    ) -> &mut EasyRing {
+        state.entry(key).or_insert_with(|| EasyRing {
+            head: 0,
+            len: 0,
+            snaps: (0..nbins.div_ceil(LANES) * depth)
+                .map(|_| EasySnap {
+                    xt: LaneMat::zeros(j, cells),
+                    abs: vec![[0.0; LANES]; cells * j],
+                })
+                .collect(),
+        })
+    }
+
+    /// `(bins, history depth, J, training rows per CPI)`.
+    fn dims(&self) -> (usize, usize, usize, usize) {
+        (self.nbins, self.depth, self.j, self.pieces.iter().sum())
+    }
+
+    /// One CPI of history `key`: its training rows replace the oldest
+    /// CPI's (once `easy_history` are held) and every owned bin is solved
+    /// for the weights the next CPI of this history applies. `plane(p,
+    /// b)` is piece `p`'s `[cell][J]` plane of the `b`-th owned bin;
+    /// `out` yields, per owned bin in order, that bin's weight matrix
+    /// (resized grow-only to `J x steering.cols()`).
+    ///
+    /// Allocates only the first time a `key` is seen.
+    pub fn process<'a, 'o>(
+        &mut self,
+        key: K,
+        steering: &CMat,
+        plane: impl Fn(usize, usize) -> &'a [Cx],
+        mut out: impl Iterator<Item = &'o mut CMat>,
+    ) {
+        let dims @ (nbins, depth, j, _) = self.dims();
+        let EasyWeightLanes {
+            beam_constraint_wt: wt,
+            constraint,
+            pieces,
+            state,
+            solve,
+            ..
+        } = self;
+        let ring = Self::ring(state, key, dims);
+        // The newest CPI takes the free slot, or the oldest's.
+        let newest = (ring.head + ring.len) % depth;
+        if ring.len < depth {
+            ring.len += 1;
+        } else {
+            ring.head = (ring.head + 1) % depth;
+        }
+        for (g, snaps) in ring.snaps.chunks_mut(depth).enumerate() {
+            let live = LANES.min(nbins - g * LANES);
+            // Padding lanes rerun the group's first bin.
+            let bin = |l: usize| g * LANES + if l < live { l } else { 0 };
+            let snap = &mut snaps[newest];
+            let mut row = 0;
+            for (p, &rows) in pieces.iter().enumerate() {
+                let src: [&[Cx]; LANES] = std::array::from_fn(|l| plane(p, bin(l)));
+                snap.xt.fill_cols_conj(row, src);
+                for (i, a) in snap.abs[row * j..(row + rows) * j].iter_mut().enumerate() {
+                    *a = std::array::from_fn(|l| src[l][i].abs());
+                }
+                row += rows;
+            }
+            // `mean_abs` of the stacked history: one chain per lane,
+            // ascending over the rows oldest CPI first.
+            let slots = ring_slots(ring.head, ring.len, depth);
+            let mut sum = [0.0; LANES];
+            let mut count = 0usize;
+            for slot in slots.clone() {
+                for a in &snaps[slot].abs {
+                    for l in 0..LANES {
+                        sum[l] += a[l];
+                    }
+                }
+                count += snaps[slot].abs.len();
+            }
+            let k = sum.map(|s| {
+                let mean = if count == 0 {
+                    1.0
+                } else {
+                    (s / count as f64).max(1e-12)
+                };
+                mean * *wt
+            });
+            let weights: [Option<&mut CMat>; LANES] = std::array::from_fn(|l| {
+                (l < live).then(|| out.next().expect("one weight matrix per owned bin"))
+            });
+            let snaps = &*snaps;
+            constrained_lstsq_lanes(
+                slots.map(|slot| &snaps[slot].xt),
+                constraint,
+                k,
+                steering,
+                weights,
+                solve,
+            );
+        }
+    }
+
+    /// Installs `history` (front = oldest, `cells x J` conjugated
+    /// snapshots) as the ring of (`key`, `bin`-th owned bin). Every bin
+    /// of a key must be given the same number of CPIs.
+    pub fn import(&mut self, key: K, bin: usize, history: &VecDeque<CMat>) {
+        let dims @ (nbins, depth, ..) = self.dims();
+        assert!(history.len() <= depth, "imported history beyond the depth");
+        let ring = Self::ring(&mut self.state, key, dims);
+        assert!(
+            ring.head == 0 && (ring.len == 0 || ring.len == history.len()),
+            "ragged imported history"
+        );
+        ring.len = history.len();
+        let (g, l) = (bin / LANES, bin % LANES);
+        // The first bin of a short last group also fills its padding.
+        let live = LANES.min(nbins - g * LANES);
+        let lanes = if l == 0 { live..LANES } else { 0..0 };
+        for (slot, m) in history.iter().enumerate() {
+            let snap = &mut ring.snaps[g * depth + slot];
+            let xt = m.transpose();
+            for l in std::iter::once(l).chain(lanes.clone()) {
+                snap.xt.set_lane(l, &xt);
+                for (a, v) in snap.abs.iter_mut().zip(m.as_slice()) {
+                    a[l] = v.abs();
+                }
+            }
+        }
+    }
+
+    /// Every ring held, as `(key, owned-bin index, history)` in the form
+    /// [`Self::import`] takes.
+    pub fn export(&self) -> impl Iterator<Item = (K, usize, VecDeque<CMat>)> + '_ {
+        let (nbins, depth) = (self.nbins, self.depth);
+        self.state.iter().flat_map(move |(&key, ring)| {
+            (0..nbins).map(move |bin| {
+                let history = ring_slots(ring.head, ring.len, depth)
+                    .map(|slot| {
+                        ring.snaps[bin / LANES * depth + slot]
+                            .xt
+                            .lane(bin % LANES)
+                            .transpose()
+                    })
+                    .collect();
+                (key, bin, history)
+            })
+        })
+    }
+}
+
+/// Ring slots oldest to newest.
+fn ring_slots(head: usize, len: usize, depth: usize) -> impl Iterator<Item = usize> + Clone {
+    (0..len).map(move |i| (head + i) % depth)
 }
 
 #[cfg(test)]

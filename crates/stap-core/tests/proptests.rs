@@ -5,8 +5,11 @@ use stap_core::cfar::{cfar, Detection};
 use stap_core::doppler::DopplerProcessor;
 use stap_core::params::StapParams;
 use stap_core::pulse::PulseCompressor;
-use stap_core::training::hard_training_cells;
-use stap_core::weights::{HardWeightComputer, HardWeightLanes, HardWeightScratch, HardWeights};
+use stap_core::training::{easy_training_cells, hard_training_cells};
+use stap_core::weights::{
+    EasyWeightComputer, EasyWeightLanes, HardWeightComputer, HardWeightLanes, HardWeightScratch,
+    HardWeights,
+};
 use stap_cube::{CCube, RCube};
 use stap_math::{CMat, Cx};
 use stap_util::check::{check, Gen};
@@ -348,6 +351,98 @@ fn hard_weight_lanes_match_sequential_recursion_bitwise() {
                             "{count} bins from {first}: CPI {i} bin {b} segment {seg}: {a:?} != {r:?}"
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+/// The lane-batched easy weights against `EasyWeightComputer::process`,
+/// bit for bit: twenty CPIs revisiting five azimuths, so every history
+/// warms up through one, two and three CPIs and then evicts; owned-bin
+/// counts that fill a vector exactly, leave one to three padding lanes,
+/// are a single bin or all 72; training rows arriving in two pieces.
+/// Half way (histories two deep) the rings are exported and carried into
+/// a fresh owner.
+#[test]
+fn easy_weight_lanes_match_sequential_history_bitwise() {
+    let mut p = params();
+    (p.n_pulses, p.n_hard) = (80, 8);
+    p.validate().unwrap();
+    assert_eq!(p.n_easy(), 72);
+    let (beams, cpis, j) = (5usize, 20usize, p.j_channels);
+    let easy_bins = p.easy_bins();
+    let mut g = Gen::from_seed(0x1998_0330);
+    let steering: Vec<CMat> = (0..beams)
+        .map(|_| CMat::from_fn(j, p.m_beams, |_, _| cx(&mut g)))
+        .collect();
+    let cubes: Vec<CCube> = (0..cpis)
+        .map(|_| CCube::from_fn([p.k_range, 2 * j, p.n_pulses], |_, _, _| cx(&mut g)))
+        .collect();
+
+    let mut seq = EasyWeightComputer::new(&p);
+    let want: Vec<Vec<CMat>> = cubes
+        .iter()
+        .enumerate()
+        .map(|(i, cube)| seq.process(i % beams, cube, &steering[i % beams]).per_bin)
+        .collect();
+
+    // Two Doppler nodes' worth of pieces.
+    let cut = 10;
+    let cells: [Vec<usize>; 2] = [0..cut, cut..p.k_range].map(|kr| {
+        let mut c = easy_training_cells(&p);
+        c.retain(|k| kr.contains(k));
+        c
+    });
+    assert!(
+        cells.iter().all(|piece| !piece.is_empty()),
+        "rows are split"
+    );
+    let piece_rows: Vec<usize> = cells.iter().map(Vec::len).collect();
+
+    for (first, count) in [(0, 72), (5, 1), (9, 3), (20, 4), (41, 7)] {
+        let bins = &easy_bins[first..first + count];
+        // The wire form of one CPI: per piece, `[bin][cell][J]`.
+        let wire = |cube: &CCube| -> [Vec<Cx>; 2] {
+            [0, 1].map(|piece| {
+                let mut block = Vec::new();
+                for &bin in bins {
+                    for &k in &cells[piece] {
+                        block.extend((0..j).map(|ch| cube[(k, ch, bin)]));
+                    }
+                }
+                block
+            })
+        };
+        let mut lanes = EasyWeightLanes::<usize>::new(&p, count, &piece_rows);
+        for (i, cube) in cubes.iter().enumerate() {
+            if i == cpis / 2 {
+                let mut carried = EasyWeightLanes::new(&p, count, &piece_rows);
+                for (key, bin, history) in lanes.export() {
+                    assert_eq!(history.len(), 2, "two CPIs per azimuth so far");
+                    carried.import(key, bin, &history);
+                }
+                lanes = carried;
+            }
+            let blocks = wire(cube);
+            let mut got = vec![CMat::zeros(0, 0); count];
+            lanes.process(
+                i % beams,
+                &steering[i % beams],
+                |piece, b| {
+                    let plane = blocks[piece].len() / count;
+                    &blocks[piece][b * plane..(b + 1) * plane]
+                },
+                got.iter_mut(),
+            );
+            for (b, w) in got.iter().enumerate() {
+                let reference = &want[i][first + b];
+                assert_eq!(w.shape(), reference.shape());
+                for (a, r) in w.as_slice().iter().zip(reference.as_slice()) {
+                    assert!(
+                        a.re.to_bits() == r.re.to_bits() && a.im.to_bits() == r.im.to_bits(),
+                        "{count} bins from {first}: CPI {i} bin {b}: {a:?} != {r:?}"
+                    );
                 }
             }
         }

@@ -247,6 +247,17 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut GemmScratch) -> R) -> R {
 ///
 /// Counts `8 m k n` flops (complex multiply-accumulate convention).
 pub fn gemm_planar_into(a: &PlanarMat, b: &PlanarMat, out: &mut CMat) {
+    assert_eq!(out.shape(), (a.rows(), b.cols()), "output shape mismatch");
+    gemm_planar_into_strided(a, b, out.as_mut_slice(), b.cols());
+}
+
+/// [`gemm_planar_into`] storing into a window of a larger row-major
+/// array: element `(i, j)` of the product lands in `out[i * ld + j]`, so
+/// a beamformer's `M x len` result goes straight into columns
+/// `c0..c0 + len` of a wire block's `[M][K]` plane (`out` starting at
+/// column `c0`, `ld = K`). Elements of `out` outside the window are not
+/// touched; the arithmetic per output is that of the compact form.
+pub fn gemm_planar_into_strided(a: &PlanarMat, b: &PlanarMat, out: &mut [Cx], ld: usize) {
     let (m, kk) = a.shape();
     assert_eq!(
         b.rows(),
@@ -256,12 +267,16 @@ pub fn gemm_planar_into(a: &PlanarMat, b: &PlanarMat, out: &mut CMat) {
         b.cols()
     );
     let n = b.cols();
-    assert_eq!(out.shape(), (m, n), "output shape mismatch");
+    assert!(ld >= n, "leading dimension {ld} below the row length {n}");
+    assert!(
+        m == 0 || out.len() >= (m - 1) * ld + n,
+        "output window out of bounds"
+    );
     let ar = &a.re[..m * kk];
     let ai = &a.im[..m * kk];
     let br = &b.re[..kk * n];
     let bi = &b.im[..kk * n];
-    let od = out.as_mut_slice();
+    let od = out;
     // Resolve the SIMD backend once per product; the AVX2 micro-kernel
     // performs the identical update order (bit-for-bit, see
     // `simd::avx2::micro_2x8`). On builds already targeting AVX2 the
@@ -297,20 +312,20 @@ pub fn gemm_planar_into(a: &PlanarMat, b: &PlanarMat, out: &mut CMat) {
                         a1i,
                         br,
                         bi,
-                        &mut od[i * n..],
-                        n,
+                        &mut od[i * ld..],
+                        ld,
                     );
                 }
                 j += NR;
                 continue;
             }
-            micro_2xnr(kk, n, j, a0r, a0i, a1r, a1i, br, bi, &mut od[i * n..], i, n);
+            micro_2xnr(kk, n, j, a0r, a0i, a1r, a1i, br, bi, &mut od[i * ld..], ld);
             j += NR;
         }
         while j < n {
             let (c0, c1) = dot2(kk, n, j, a0r, a0i, a1r, a1i, br, bi);
-            od[i * n + j] = c0;
-            od[(i + 1) * n + j] = c1;
+            od[i * ld + j] = c0;
+            od[(i + 1) * ld + j] = c1;
             j += 1;
         }
         i += 2;
@@ -325,7 +340,7 @@ pub fn gemm_planar_into(a: &PlanarMat, b: &PlanarMat, out: &mut CMat) {
                 // SAFETY: AVX2 availability established above; same
                 // bounds as the scalar panel below.
                 unsafe {
-                    simd::avx2::micro_1x8(kk, n, j, a0r, a0i, br, bi, &mut od[i * n..]);
+                    simd::avx2::micro_1x8(kk, n, j, a0r, a0i, br, bi, &mut od[i * ld..]);
                 }
                 j += NR;
                 continue;
@@ -343,7 +358,7 @@ pub fn gemm_planar_into(a: &PlanarMat, b: &PlanarMat, out: &mut CMat) {
                 }
             }
             for t in 0..NR {
-                od[i * n + j + t] = Cx::new(cr[t], ci[t]);
+                od[i * ld + j + t] = Cx::new(cr[t], ci[t]);
             }
             j += NR;
         }
@@ -356,7 +371,7 @@ pub fn gemm_planar_into(a: &PlanarMat, b: &PlanarMat, out: &mut CMat) {
                     c.im + a0r[k] * bi[o] + a0i[k] * br[o],
                 );
             }
-            od[i * n + j] = c;
+            od[i * ld + j] = c;
             j += 1;
         }
     }
@@ -378,8 +393,7 @@ fn micro_2xnr(
     br: &[f64],
     bi: &[f64],
     out_rows: &mut [Cx],
-    _i: usize,
-    ncols: usize,
+    ld: usize,
 ) {
     let mut c0r = [0.0f64; NR];
     let mut c0i = [0.0f64; NR];
@@ -400,7 +414,7 @@ fn micro_2xnr(
     }
     for t in 0..NR {
         out_rows[j + t] = Cx::new(c0r[t], c0i[t]);
-        out_rows[ncols + j + t] = Cx::new(c1r[t], c1i[t]);
+        out_rows[ld + j + t] = Cx::new(c1r[t], c1i[t]);
     }
 }
 

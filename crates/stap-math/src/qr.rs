@@ -379,10 +379,151 @@ pub(crate) fn annihilate_lanes(r: &mut LaneMat, xt: &mut LaneMat, live: [bool; L
         let (xr_head, xr_tail) = xr.split_at_mut((k + 1) * s);
         let (xi_head, xi_tail) = xi.split_at_mut((k + 1) * s);
         let (vr, vi) = (&xr_head[k * s..], &xi_head[k * s..]);
-        let (dr, di) = (rr[k * cols + k], ri[k * cols + k]);
-        // The scalar kernel's once-per-column work, lane by lane: the
-        // `norm == 0` skip, the phase (with its `hypot` and `|d| == 0`
-        // branch), alpha and the reflector head.
+        let (head, ar, ai) =
+            Reflector::new(norm_sqr, (rr[k * cols + k], ri[k * cols + k]), (vr, vi), s);
+        let on = head.on;
+        if k + 1 < n {
+            let next = (k + 1) * cols + k + 1;
+            norm_sqr = norm_sqr_of(rr[next], ri[next]);
+        }
+        let row = k * cols + k + 1..(k + 1) * cols;
+        let (rkr, rki) = (&mut rr[row.clone()], &mut ri[row]);
+        if on == [true; LANES] {
+            head.apply::<true, false>(rkr, rki, xr_tail, xi_tail, &mut norm_sqr);
+        } else {
+            head.apply::<false, false>(rkr, rki, xr_tail, xi_tail, &mut norm_sqr);
+        }
+        let mut stepped = 0u64;
+        for l in 0..LANES {
+            if on[l] {
+                rr[k * cols + k][l] = ar[l];
+                ri[k * cols + k][l] = ai[l];
+                stepped += u64::from(live[l]);
+            }
+        }
+        flops::add(
+            stepped * ((cols - k) as u64 * (2 * flops::CMAC * s as u64 + 20) + 4 * s as u64 + 30),
+        );
+    }
+}
+
+/// Lane form of the dense reduction behind [`qr_with_rhs`]: `at` holds
+/// the lanes' `[A | B]` **transposed** (`(n + rhs) x m`, row `j` being
+/// column `j` of `A`, then of `B`) and is consumed; `top` becomes
+/// `[R | Q^H B]` (`n x (n + rhs)`, the bordered layout the lane
+/// back-substitution reads; below the diagonal it is unspecified). Lane
+/// `l` runs `householder_inplace`'s IEEE operation sequence — a column's
+/// update of itself is skipped, its outcome being overwritten by
+/// `alpha` and zeros — so row `k` of `top` equals the scalar `R` and
+/// `Q^H B` rows bit for bit. Only `live` lanes count flops.
+pub(crate) fn householder_lanes(
+    at: &mut LaneMat,
+    n: usize,
+    top: &mut LaneMat,
+    live: [bool; LANES],
+) {
+    let (cols, m) = at.shape();
+    assert!(n <= cols, "more factor columns than the work matrix has");
+    assert!(m >= n, "QR requires rows >= cols ({m} < {n})");
+    top.resize(n, cols);
+    let (ar, ai) = at.planes_mut();
+    let (tr, ti) = top.planes_mut();
+    // sum_{i >= k} |a[i][k]|^2: reflector k leaves it behind for column
+    // k + 1 (see `Reflector::apply`); column 0 has no predecessor.
+    let mut norm_sqr = [0.0; LANES];
+    if n > 0 {
+        norm_sqr = sum_sqr(norm_sqr, &ar[..m], &ai[..m]);
+    }
+    for k in 0..n {
+        // Row k is final once reflector k has been applied to it: it
+        // moves to `top`, where it is the reflector's head row.
+        let (trow, tirow) = (
+            &mut tr[k * cols..(k + 1) * cols],
+            &mut ti[k * cols..(k + 1) * cols],
+        );
+        for c in k..cols {
+            (trow[c], tirow[c]) = (ar[c * m + k], ai[c * m + k]);
+        }
+        // Rows k + 1.. of column k are the reflector's tail, the same
+        // rows of the columns after it what it is applied to.
+        let (ar_head, ar_tail) = ar.split_at_mut((k + 1) * m);
+        let (ai_head, ai_tail) = ai.split_at_mut((k + 1) * m);
+        let tail = k * m + k + 1..(k + 1) * m;
+        let (head, alpha_r, alpha_i) = Reflector::new(
+            norm_sqr,
+            (trow[k], tirow[k]),
+            (&ar_head[tail.clone()], &ai_head[tail]),
+            m,
+        );
+        let on = head.on;
+        norm_sqr = [0.0; LANES];
+        if k + 1 < cols {
+            let (rkr, rki) = (&mut trow[k + 1..], &mut tirow[k + 1..]);
+            let (xr, xi) = (&mut ar_tail[k + 1..], &mut ai_tail[k + 1..]);
+            if on == [true; LANES] {
+                head.apply::<true, true>(rkr, rki, xr, xi, &mut norm_sqr);
+            } else {
+                head.apply::<false, true>(rkr, rki, xr, xi, &mut norm_sqr);
+            }
+        }
+        let mut stepped = 0u64;
+        for l in 0..LANES {
+            if on[l] {
+                (trow[k][l], tirow[k][l]) = (alpha_r[l], alpha_i[l]);
+                stepped += u64::from(live[l]);
+            }
+        }
+        let rows = (m - k) as u64;
+        flops::add(stepped * ((cols - k) as u64 * (2 * flops::CMAC * rows + 2) + 4 * rows + 30));
+    }
+}
+
+/// `re^2 + im^2` per lane.
+#[inline(always)]
+fn norm_sqr_of(re: Lane, im: Lane) -> Lane {
+    std::array::from_fn(|l| re[l] * re[l] + im[l] * im[l])
+}
+
+/// `acc + sum_i |x[i]|^2` per lane, ascending over the rows.
+#[inline(always)]
+fn sum_sqr(mut acc: Lane, xr: &[Lane], xi: &[Lane]) -> Lane {
+    for (re, im) in xr.iter().zip(xi) {
+        for l in 0..LANES {
+            acc[l] += re[l] * re[l] + im[l] * im[l];
+        }
+    }
+    acc
+}
+
+/// One column's Householder reflector on lane operands.
+struct Reflector<'a> {
+    /// Lanes the scalar kernel would not have skipped at this column.
+    on: [bool; LANES],
+    v0r: Lane,
+    v0i: Lane,
+    beta: Lane,
+    /// The reflector's tail, `s` rows.
+    vr: &'a [Lane],
+    vi: &'a [Lane],
+    /// Distance between the tails of adjacent columns in `x^T` (`s` when
+    /// the columns are packed back to back).
+    stride: usize,
+}
+
+impl<'a> Reflector<'a> {
+    /// The scalar kernels' once-per-column work, lane by lane: from the
+    /// column's `norm_sqr`, its diagonal element `d` and the tail below
+    /// it come the `norm == 0` skip, the phase (with its `hypot` and
+    /// `|d| == 0` branch), alpha, the reflector head, `beta` and the
+    /// `vnorm_sqr == 0` skip. Returns the reflector and alpha, which
+    /// replaces the diagonal in the lanes that are `on`.
+    #[inline(always)]
+    fn new(
+        norm_sqr: Lane,
+        (dr, di): (Lane, Lane),
+        (vr, vi): (&'a [Lane], &'a [Lane]),
+        stride: usize,
+    ) -> (Self, Lane, Lane) {
         let mut on = [true; LANES];
         let (mut ar, mut ai) = ([0.0; LANES], [0.0; LANES]);
         let (mut v0r, mut v0i) = ([0.0; LANES], [0.0; LANES]);
@@ -417,68 +558,19 @@ pub(crate) fn annihilate_lanes(r: &mut LaneMat, xt: &mut LaneMat, live: [bool; L
             beta,
             vr,
             vi,
+            stride,
         };
-        if k + 1 < n {
-            let next = (k + 1) * cols + k + 1;
-            norm_sqr = norm_sqr_of(rr[next], ri[next]);
-        }
-        let row = k * cols + k + 1..(k + 1) * cols;
-        let (rkr, rki) = (&mut rr[row.clone()], &mut ri[row]);
-        if on == [true; LANES] {
-            head.apply::<true>(rkr, rki, xr_tail, xi_tail, &mut norm_sqr);
-        } else {
-            head.apply::<false>(rkr, rki, xr_tail, xi_tail, &mut norm_sqr);
-        }
-        let mut stepped = 0u64;
-        for l in 0..LANES {
-            if on[l] {
-                rr[k * cols + k][l] = ar[l];
-                ri[k * cols + k][l] = ai[l];
-                stepped += u64::from(live[l]);
-            }
-        }
-        flops::add(
-            stepped * ((cols - k) as u64 * (2 * flops::CMAC * s as u64 + 20) + 4 * s as u64 + 30),
-        );
+        (head, ar, ai)
     }
-}
 
-/// `re^2 + im^2` per lane.
-#[inline(always)]
-fn norm_sqr_of(re: Lane, im: Lane) -> Lane {
-    std::array::from_fn(|l| re[l] * re[l] + im[l] * im[l])
-}
-
-/// `acc + sum_i |x[i]|^2` per lane, ascending over the rows.
-#[inline(always)]
-fn sum_sqr(mut acc: Lane, xr: &[Lane], xi: &[Lane]) -> Lane {
-    for (re, im) in xr.iter().zip(xi) {
-        for l in 0..LANES {
-            acc[l] += re[l] * re[l] + im[l] * im[l];
-        }
-    }
-    acc
-}
-
-/// One column's Householder reflector on lane operands.
-struct Reflector<'a> {
-    /// Lanes the scalar kernel would not have skipped at this column.
-    on: [bool; LANES],
-    v0r: Lane,
-    v0i: Lane,
-    beta: Lane,
-    /// The reflector's tail, `s` rows.
-    vr: &'a [Lane],
-    vi: &'a [Lane],
-}
-
-impl Reflector<'_> {
     /// Applies `I - beta v v^H` to the columns right of the reflector's
     /// own: `rkr`/`rki` are that part of row `k` of `r`, `xr`/`xi` the
-    /// matching columns of `x^T` (`s` rows each). With `ALL` every lane
-    /// steps and the loops over `l` vectorise; without it the lanes that
-    /// are off keep their operands untouched, as the scalar kernel's
-    /// `continue` does.
+    /// matching columns of `x^T` (`s` rows each, `stride` apart). With
+    /// `ALL` every lane steps and the loops over `l` vectorise; without
+    /// it the lanes that are off keep their operands untouched, as the
+    /// scalar kernel's `continue` does. `DENSE` starts each column's dot
+    /// product from zero, as the dense reduction's `mul_add` chain does
+    /// (`0.0 + x` differs from `x` in the sign of a negative zero).
     ///
     /// The columns are independent of one another, so they are walked
     /// from the last to the first with the next column's dot product
@@ -496,7 +588,7 @@ impl Reflector<'_> {
     /// compiler turn each loop over `l` into one vector instruction
     /// (inlined into the caller it falls back to scalar code, ~3x slower).
     #[inline(never)]
-    fn apply<const ALL: bool>(
+    fn apply<const ALL: bool, const DENSE: bool>(
         &self,
         rkr: &mut [Lane],
         rki: &mut [Lane],
@@ -511,6 +603,7 @@ impl Reflector<'_> {
             beta,
             vr,
             vi,
+            stride,
         } = *self;
         let s = vr.len();
         let Some(last) = rkr.len().checked_sub(1) else {
@@ -522,14 +615,23 @@ impl Reflector<'_> {
             for l in 0..LANES {
                 if ALL || on[l] {
                     let (cr, ci) = (v0r[l], -v0i[l]);
-                    wr[l] = cr * rjr[l] - ci * rji[l];
-                    wi[l] = cr * rji[l] + ci * rjr[l];
+                    if DENSE {
+                        wr[l] = 0.0 + cr * rjr[l] - ci * rji[l];
+                        wi[l] = 0.0 + cr * rji[l] + ci * rjr[l];
+                    } else {
+                        wr[l] = cr * rjr[l] - ci * rji[l];
+                        wi[l] = cr * rji[l] + ci * rjr[l];
+                    }
                 }
             }
             (wr, wi)
         };
         let (mut wr, mut wi) = w0(rkr[last], rki[last]);
-        for (((v_r, v_i), x_r), x_i) in vr.iter().zip(vi).zip(&xr[last * s..]).zip(&xi[last * s..])
+        for (((v_r, v_i), x_r), x_i) in vr
+            .iter()
+            .zip(vi)
+            .zip(&xr[last * stride..])
+            .zip(&xi[last * stride..])
         {
             for l in 0..LANES {
                 if ALL || on[l] {
@@ -548,14 +650,14 @@ impl Reflector<'_> {
                     rki[c][l] -= v0r[l] * wbi[l] + v0i[l] * wbr[l];
                 }
             }
-            let (xr_before, xr_c) = xr[..(c + 1) * s].split_at_mut(c * s);
-            let (xi_before, xi_c) = xi[..(c + 1) * s].split_at_mut(c * s);
+            let (xr_before, xr_c) = xr[..c * stride + s].split_at_mut(c * stride);
+            let (xi_before, xi_c) = xi[..c * stride + s].split_at_mut(c * stride);
             let rows = vr.iter().zip(vi).zip(xr_c.iter_mut().zip(xi_c.iter_mut()));
             if c > 0 {
                 (wr, wi) = w0(rkr[c - 1], rki[c - 1]);
-                let next = xr_before[(c - 1) * s..]
+                let next = xr_before[(c - 1) * stride..]
                     .iter()
-                    .zip(&xi_before[(c - 1) * s..]);
+                    .zip(&xi_before[(c - 1) * stride..]);
                 for (((v_r, v_i), (x_r, x_i)), (n_r, n_i)) in rows.zip(next) {
                     for l in 0..LANES {
                         if ALL || on[l] {

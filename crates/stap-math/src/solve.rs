@@ -11,7 +11,10 @@
 use crate::complex::{Cx, ZERO};
 use crate::flops;
 use crate::mat::CMat;
-use crate::qr::{annihilate_lanes, qr_update_with, qr_with_rhs, Lane, LaneMat, QrScratch, LANES};
+use crate::qr::{
+    annihilate_lanes, householder_lanes, qr_update_with, qr_with_rhs, Lane, LaneMat, QrScratch,
+    LANES,
+};
 
 /// Solves `R X = B` for upper-triangular `R` (multiple right-hand sides).
 ///
@@ -180,9 +183,11 @@ pub fn constrained_lstsq_from_r_with(
     normalize_columns_in_place(out);
 }
 
-/// Persistent scratch for [`constrained_lstsq_from_r_lanes`]: the
-/// bordered system's triangular top, its transposed constraint block
-/// and the back-substituted weights, all in lane layout. Grow-only.
+/// Persistent scratch for the lane solves: the bordered factor `top`,
+/// the transposed block the reflectors annihilate (the constraint rows
+/// of [`constrained_lstsq_from_r_lanes`], the whole stacked system of
+/// [`constrained_lstsq_lanes`]) and the back-substituted weights, all
+/// in lane layout. Grow-only.
 #[derive(Default)]
 pub struct LaneSolveScratch {
     top: LaneMat,
@@ -194,6 +199,14 @@ impl LaneSolveScratch {
     /// Empty scratch; buffers are sized on first use.
     pub fn new() -> Self {
         LaneSolveScratch::default()
+    }
+
+    /// Sizes the scratch for [`constrained_lstsq_lanes`] systems of up to
+    /// `rows` stacked rows (training and constraint), `n` unknowns and
+    /// `sc` right-hand sides, so that a caller whose training history is
+    /// still filling up does not grow it CPI by CPI.
+    pub fn reserve_dense(&mut self, rows: usize, n: usize, sc: usize) {
+        self.xt.resize(n + sc, rows);
     }
 }
 
@@ -213,7 +226,7 @@ pub fn constrained_lstsq_from_r_lanes(
     constraints: [&CMat; LANES],
     k: Lane,
     steering: &CMat,
-    mut out: [Option<&mut CMat>; LANES],
+    out: [Option<&mut CMat>; LANES],
     ws: &mut LaneSolveScratch,
 ) {
     let (n, rcols) = r.shape();
@@ -240,32 +253,114 @@ pub fn constrained_lstsq_from_r_lanes(
     }
     // Bottom, `[kC ks]`, transposed for the structured update.
     ws.xt.resize(bcols, crows);
-    {
-        let (xr, xi) = ws.xt.planes_mut();
-        for i in 0..crows {
-            for l in 0..LANES {
-                for (j, v) in constraints[l].row(i).iter().enumerate() {
-                    let v = v.scale(k[l]);
-                    (xr[j * crows + i][l], xi[j * crows + i][l]) = (v.re, v.im);
-                }
-                for (j, v) in steering.row(i).iter().enumerate() {
-                    let v = v.scale(k[l]);
-                    (xr[(n + j) * crows + i][l], xi[(n + j) * crows + i][l]) = (v.re, v.im);
-                }
-            }
-        }
-    }
+    fill_constraint_rows(&mut ws.xt, 0, constraints, k, steering);
     // The scalar solve runs its update with forget = 1.0, an exact
     // identity that still counts its flops.
     flops::add(live * 2 * (n * n) as u64);
     annihilate_lanes(&mut ws.top, &mut ws.xt, live_lanes);
 
-    // Back-substitute out of the bordered factor a row at a time, two
-    // solutions abreast: each solution's chain over `kk` ascends exactly
-    // as the scalar column-by-column loop's does.
-    ws.w.resize(n, sc);
-    let (tr, ti) = ws.top.planes();
-    let (wr, wi) = ws.w.planes_mut();
+    solve_bordered_lanes(&ws.top, n, &mut ws.w, out);
+}
+
+/// Lane form of [`constrained_lstsq`]: lane `l` solves
+/// `[data_l; k_l C] w = [0; k_l s]` by a dense Householder reduction of
+/// the stacked system, where the lanes' training rows arrive as `data`
+/// — consecutive row blocks, each **transposed** (`n x rows` with `n`
+/// the column count of `constraint`, see [`LaneMat::fill_cols_conj`]) —
+/// and every lane has the same number of them. `out[l]` receives the
+/// normalized weights (resized grow-only) and equals the scalar result
+/// for that lane's operands bit for bit; flop counts match too.
+///
+/// A lane whose `out` is `None` is padding: give it any benign operands
+/// (a copy of a live lane's); nothing is written for it and it is left
+/// out of the flop count.
+pub fn constrained_lstsq_lanes<'a>(
+    data: impl Iterator<Item = &'a LaneMat> + Clone,
+    constraint: &CMat,
+    k: Lane,
+    steering: &CMat,
+    out: [Option<&mut CMat>; LANES],
+    ws: &mut LaneSolveScratch,
+) {
+    let (crows, n) = constraint.shape();
+    let sc = steering.cols();
+    assert_eq!(
+        steering.rows(),
+        crows,
+        "steering rows must match constraint rows"
+    );
+    let drows: usize = data.clone().map(|d| d.shape().1).sum();
+    let m = drows + crows;
+    // The stacked system and its right-hand side, transposed: row `j` is
+    // column `j` of `[data; kC]`, row `n + j` column `j` of `[0; ks]`.
+    ws.xt.resize(n + sc, m);
+    let (xr, xi) = ws.xt.planes_mut();
+    let mut at = 0;
+    for d in data {
+        let rows = d.shape().1;
+        assert_eq!(d.shape().0, n, "training block column mismatch");
+        let (dr, di) = d.planes();
+        for j in 0..n {
+            xr[j * m + at..][..rows].copy_from_slice(&dr[j * rows..(j + 1) * rows]);
+            xi[j * m + at..][..rows].copy_from_slice(&di[j * rows..(j + 1) * rows]);
+        }
+        at += rows;
+    }
+    for j in 0..sc {
+        xr[(n + j) * m..][..drows].fill([0.0; LANES]);
+        xi[(n + j) * m..][..drows].fill([0.0; LANES]);
+    }
+    fill_constraint_rows(&mut ws.xt, drows, [constraint; LANES], k, steering);
+    let live = std::array::from_fn(|l| out[l].is_some());
+    householder_lanes(&mut ws.xt, n, &mut ws.top, live);
+    solve_bordered_lanes(&ws.top, n, &mut ws.w, out);
+}
+
+/// Writes the constraint rows `[k_l C_l | k_l s]` of a stacked system
+/// held transposed in `xt` (row `j` is column `j` of the system, the
+/// right-hand-side columns after the `n` unknowns') at system rows
+/// `row0..`, lane by lane.
+fn fill_constraint_rows(
+    xt: &mut LaneMat,
+    row0: usize,
+    constraints: [&CMat; LANES],
+    k: Lane,
+    steering: &CMat,
+) {
+    let m = xt.shape().1;
+    let (xr, xi) = xt.planes_mut();
+    for i in 0..steering.rows() {
+        for l in 0..LANES {
+            let row = constraints[l].row(i).iter().chain(steering.row(i));
+            for (j, v) in row.enumerate() {
+                let v = v.scale(k[l]);
+                (xr[j * m + row0 + i][l], xi[j * m + row0 + i][l]) = (v.re, v.im);
+            }
+        }
+    }
+}
+
+/// Back-substitution and column normalisation out of a bordered factor
+/// `[R | Q^H rhs]` (`n x (n + sc)` in `top`, upper triangle and
+/// right-hand-side columns): lane `l`'s unit-length solutions land in
+/// `out[l]` (resized grow-only to `n x sc`), computed by the IEEE
+/// operation sequence of [`back_substitute`] and
+/// [`normalize_columns_in_place`]. Lanes without an `out` are padding
+/// and left out of the flop count.
+fn solve_bordered_lanes(
+    top: &LaneMat,
+    n: usize,
+    w: &mut LaneMat,
+    mut out: [Option<&mut CMat>; LANES],
+) {
+    let bcols = top.shape().1;
+    let sc = bcols - n;
+    let live = out.iter().flatten().count() as u64;
+    // A row at a time, two solutions abreast: each solution's chain over
+    // `kk` ascends exactly as the scalar column-by-column loop's does.
+    w.resize(n, sc);
+    let (tr, ti) = top.planes();
+    let (wr, wi) = w.planes_mut();
     for i in (0..n).rev() {
         let (trow, tirow) = (
             &tr[i * bcols..(i + 1) * bcols],

@@ -4,16 +4,17 @@
 use stap_math::fft::{dft_naive, Direction, Fft, FftScratch};
 use stap_math::flops;
 use stap_math::gemm::{
-    hermitian_matmul_interleaved_into, hermitian_matmul_planar_into, matmul_interleaved_into,
-    matmul_planar_into, GemmScratch, GEMM_CUTOFF,
+    gemm_planar_into, gemm_planar_into_strided, hermitian_matmul_interleaved_into,
+    hermitian_matmul_planar_into, matmul_interleaved_into, matmul_planar_into, GemmScratch,
+    PlanarMat, GEMM_CUTOFF,
 };
 use stap_math::qr::{
     is_upper_triangular, qr_r, qr_update, qr_update_lanes, qr_update_with, LaneMat, QrScratch,
     LANES,
 };
 use stap_math::solve::{
-    back_substitute, constrained_lstsq_from_r_lanes, constrained_lstsq_from_r_with, lstsq,
-    LaneSolveScratch, SolveScratch,
+    back_substitute, constrained_lstsq, constrained_lstsq_from_r_lanes,
+    constrained_lstsq_from_r_with, constrained_lstsq_lanes, lstsq, LaneSolveScratch, SolveScratch,
 };
 use stap_math::{CMat, Cx};
 use stap_util::check::{check, Gen};
@@ -297,6 +298,42 @@ fn hermitian_gemm_planar_matches_interleaved_bitwise() {
     );
 }
 
+/// The strided store is the compact product, bit for bit, written into
+/// a window of a wider array whose other elements stay untouched — a
+/// hard segment's `M x len` result inside a wire block's `[M][K]` plane.
+#[test]
+fn gemm_strided_output_matches_compact_bitwise() {
+    check("gemm_strided_output_matches_compact_bitwise", 48, |g| {
+        let m = g.int(1, 8);
+        let k = g.int(1, 13);
+        let n = g.int(1, 27);
+        let (c0, pad) = (g.int(0, 9), g.int(0, 9));
+        let ld = c0 + n + pad;
+        let (mut a, mut b) = (PlanarMat::new(), PlanarMat::new());
+        a.pack_from(&cmat(g, m, k));
+        b.pack_from(&cmat(g, k, n));
+        let mut want = CMat::zeros(m, n);
+        gemm_planar_into(&a, &b, &mut want);
+        let filler = Cx::new(f64::NAN, 7.0);
+        let mut wide = vec![filler; m * ld];
+        gemm_planar_into_strided(&a, &b, &mut wide[c0..], ld);
+        for (i, row) in wide.chunks_exact(ld).enumerate() {
+            for (j, v) in row.iter().enumerate() {
+                let expect = if (c0..c0 + n).contains(&j) {
+                    want[(i, j - c0)]
+                } else {
+                    filler
+                };
+                assert_eq!(
+                    (v.re.to_bits(), v.im.to_bits()),
+                    (expect.re.to_bits(), expect.im.to_bits()),
+                    "({i}, {j}) of {m}x{n} at column {c0}, ld {ld}"
+                );
+            }
+        }
+    });
+}
+
 /// `CMat::matmul_into` dispatches on problem size (small problems use
 /// the interleaved kernel, large ones the packed engine). Both sides of
 /// the cutoff must agree bitwise, so the dispatch boundary is invisible
@@ -540,6 +577,137 @@ fn constrained_lstsq_lanes_match_scalar_per_lane_bitwise() {
                 });
                 scalar_flops += f;
                 let what = format!("lane {l} (dead {dead:?}) n={n} crows={crows} sc={sc}");
+                assert_same_bits_or_both_nan(&got[l], &want, &what);
+            }
+            assert_eq!(lane_flops, scalar_flops, "flop count, dead {dead:?}");
+        },
+    );
+}
+
+/// One lane's stacked training rows (`rows x n`) for the dense lane
+/// solve: ordinary, or driving `householder_inplace` down a rare branch
+/// at some or every column.
+fn dense_lane_problem(g: &mut Gen, rows: usize, n: usize) -> CMat {
+    let mut data = cmat(g, rows, n);
+    match g.int(0, 8) {
+        // No training signal at all: only the constraint rows are left.
+        0 => data = CMat::zeros(rows, n),
+        // Conjugated zeros, as the pack of an all-zero wire block holds.
+        1 => data = CMat::zeros(rows, n).conj(),
+        // A column of zeros (of either sign, a packed wire block's are
+        // conjugated): `norm == 0` there unless the constraint block has
+        // something in it.
+        2 => {
+            let k = g.int(0, n);
+            let zero = Cx::new(0.0, if g.bool(0.5) { -0.0 } else { 0.0 });
+            for i in 0..rows {
+                data[(i, k)] = zero;
+            }
+        }
+        // Zero leading rows: `|d| == 0` on the diagonals they hold.
+        3 => {
+            for i in 0..g.int(0, rows + 1) {
+                for j in 0..n {
+                    data[(i, j)] = Cx::new(0.0, 0.0);
+                }
+            }
+        }
+        // Magnitudes whose squares underflow, to zero or to subnormals.
+        4 => data = data.scale(1e-170),
+        5 => data = data.scale(1e-163),
+        _ => {}
+    }
+    data
+}
+
+/// The dense lane solve against the scalar `constrained_lstsq`: lane `l`
+/// is the scalar kernel on lane `l`'s operands, bit for bit, with the
+/// training rows arriving in one to three blocks, one to four live lanes
+/// in any position, and ordinary lanes next to ones on the scalar
+/// kernel's rare branches; flop counts are equal.
+#[test]
+fn dense_constrained_lstsq_lanes_match_scalar_per_lane_bitwise() {
+    check(
+        "dense_constrained_lstsq_lanes_match_scalar_per_lane_bitwise",
+        96,
+        |g| {
+            let n = g.int(1, 10);
+            let crows = g.int(1, n + 1);
+            let sc = g.int(1, 6);
+            // `m >= n` overall: the constraint rows count.
+            let count = g.int(1, 4);
+            let mut blocks: Vec<usize> = g.vec(count, |g| g.int(0, 2 * n));
+            blocks[0] += n - crows;
+            let rows: usize = blocks.iter().sum();
+            let steering = cmat(g, crows, sc).scale(0.01);
+            let constraint = if crows == n && g.bool(0.5) {
+                CMat::identity(n)
+            } else {
+                cmat(g, crows, n).scale(0.01)
+            };
+            let live = g.int(1, LANES + 1);
+            let lanes = padded(g.vec(live, |g| {
+                let k = if g.bool(0.1) {
+                    1e-12
+                } else {
+                    g.float(0.01, 50.0)
+                };
+                (dense_lane_problem(g, rows, n), k)
+            }));
+            let mut dead = [false; LANES];
+            for _ in live..LANES {
+                let free: Vec<usize> = (0..LANES).filter(|&l| !dead[l]).collect();
+                dead[g.choose(&free)] = true;
+            }
+
+            // Each block of rows, transposed into lane layout.
+            let mut at = 0;
+            let data: Vec<LaneMat> = blocks
+                .iter()
+                .map(|&b| {
+                    let conj: Vec<CMat> = lanes
+                        .iter()
+                        .map(|(d, _)| d.rows_range(at, at + b).conj())
+                        .collect();
+                    at += b;
+                    let mut xt = LaneMat::zeros(n, b);
+                    xt.fill_cols_conj(0, std::array::from_fn(|l| conj[l].as_slice()));
+                    xt
+                })
+                .collect();
+            let mut got: [CMat; LANES] = std::array::from_fn(|_| CMat::zeros(0, 0));
+            let mut it = got.iter_mut();
+            let out = std::array::from_fn(|l| {
+                let o = it.next();
+                if dead[l] {
+                    None
+                } else {
+                    o
+                }
+            });
+            let ((), lane_flops) = flops::count(|| {
+                constrained_lstsq_lanes(
+                    data.iter(),
+                    &constraint,
+                    std::array::from_fn(|l| lanes[l].1),
+                    &steering,
+                    out,
+                    &mut LaneSolveScratch::new(),
+                )
+            });
+
+            let mut scalar_flops = 0;
+            for (l, (stacked, k)) in lanes.iter().enumerate() {
+                if dead[l] {
+                    assert_eq!(got[l].shape(), (0, 0), "dead lane {l} was written");
+                    continue;
+                }
+                let (want, f) =
+                    flops::count(|| constrained_lstsq(stacked, &constraint, *k, &steering));
+                scalar_flops += f;
+                let what = format!(
+                    "lane {l} (dead {dead:?}) n={n} blocks={blocks:?} crows={crows} sc={sc}"
+                );
                 assert_same_bits_or_both_nan(&got[l], &want, &what);
             }
             assert_eq!(lane_flops, scalar_flops, "flop count, dead {dead:?}");

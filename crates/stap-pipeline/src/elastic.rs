@@ -430,6 +430,9 @@ mod tests {
     /// across the epoch boundary. Degrading hard weight re-partitions
     /// its bins 7+7 -> 5+5+4: the recursion leaves lane layout as
     /// [`ResidentState::hard_r`] and re-enters it in different groups.
+    /// Degrading easy weight re-partitions 18 -> 9+9, which cuts the lane
+    /// group of bins 8..12 in two: the history rings leave lane layout as
+    /// [`ResidentState::easy_history`] and re-enter it regrouped.
     #[test]
     fn rebalance_mid_campaign_is_bit_identical() {
         for task in [EASY_WT, HARD_WT] {

@@ -22,12 +22,26 @@
 //! transposed, directly into the GEMM's split-complex operand, one
 //! block per Doppler node covering its own range columns.
 //!
+//! Downstream of the beamformers every edge costs one write and one
+//! read. Beamforming, pulse compression and CFAR are all partitioned
+//! along the Doppler-bin axis, so their blocks carry whole `[M][K]`
+//! planes and nothing is reorganised: a beamformer draws the block each
+//! PC node will receive before it computes and its GEMM stores every
+//! bin's plane into it; pulse compression transforms each received block
+//! in place, lane by lane, as it arrives and writes the power straight
+//! into the blocks CFAR receives; CFAR runs its detector over those
+//! blocks where they lie, in bin order. Every block taken for overwrite
+//! is NaN-poisoned and coverage-checked in debug builds.
+//!
 //! Cross-stream batching is bit-exact with per-stream serial runs
 //! because all per-CPI state is keyed by *stream*:
 //!
 //! * azimuth revisit: `beam = scpi % steering.len()` uses the
 //!   per-stream CPI index, not the slot index;
-//! * easy-weight history rings are keyed `(stream, beam)`;
+//! * easy-weight history rings are keyed `(stream, beam)` and held in
+//!   lane layout, four bins to a vector
+//!   (`stap_core::weights::EasyWeightLanes`); they are `(stream, beam,
+//!   bin)`-keyed matrices only as exported [`ResidentState`];
 //! * hard-weight QR recursion state is keyed `(stream, beam)` and held
 //!   in lane layout, four bins to a vector, per (bin group, segment)
 //!   (`stap_core::weights::HardWeightLanes`); it is `(stream, beam,
@@ -55,21 +69,21 @@ use crate::tasks::{
     easy_cells_in, expect_weights, hard_cells_in, sample_mailbox, weight_sources, PipelinePools,
 };
 use stap_core::params::StapParams;
-use stap_core::training::easy_training_cells;
-use stap_core::weights::{mean_abs, HardWeightLanes};
+use stap_core::weights::{EasyWeightLanes, HardWeightLanes};
 use stap_core::{
     cfar,
     doppler::{DopplerProcessor, DopplerScratch},
-    pulse::{PulseCompressor, PulseScratch},
+    pulse::PulseCompressor,
     Detection,
 };
 use stap_cube::{BinBlock, CCube, Cube, PoolStats, RCube, SharedBufferPool};
-use stap_math::gemm::{gemm_planar_into, PlanarMat};
-use stap_math::solve::{constrained_lstsq, normalize_columns};
+use stap_math::fft::FftScratch;
+use stap_math::gemm::{gemm_planar_into_strided, PlanarMat};
+use stap_math::solve::normalize_columns;
 use stap_math::{CMat, Cx};
 use stap_mp::{Comm, World};
 use stap_radar::Scenario;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -178,6 +192,27 @@ impl TaskExit {
             health,
             busy,
             state: TaskState::Stateless,
+        }
+    }
+
+    /// The exit of a task with cross-slot state, which is exported only
+    /// for a caller that takes it ([`ResidentStap::serve_with_state`]):
+    /// exporting copies every matrix out of the task's own layout.
+    fn stateful(
+        ctx: &ResCtx,
+        health: PipelineHealth,
+        busy: f64,
+        export: impl FnOnce() -> TaskState,
+    ) -> Self {
+        let state = if ctx.export {
+            export()
+        } else {
+            TaskState::Stateless
+        };
+        TaskExit {
+            health,
+            busy,
+            state,
         }
     }
 }
@@ -303,11 +338,16 @@ impl ResidentStap {
     /// streams with `queue_depth` admitted-and-waiting CPIs each, so
     /// even the first slot is miss-free. Derives the exact block sizes
     /// from the partitions (the same index arithmetic the task loops
-    /// use) and multiplies by the in-flight slot count. The batcher
-    /// coalesces *partial* groups while streams ramp up or drain, and a
-    /// `g < max_group` slot draws from smaller size classes than the
-    /// steady-state full group — every group size up to the bound gets
-    /// a transient allowance so ramp slots stay miss-free too.
+    /// use). A block of one kind — one (edge, sender, receiver) — is
+    /// live at most once per in-flight slot, from the moment its
+    /// producer draws it (the beamformers and pulse compression draw
+    /// theirs before they compute into them) until its consumer has
+    /// computed out of it, so the in-flight window bounds each kind
+    /// whatever the holding times. The batcher coalesces any group size
+    /// up to the bound at any time — partial groups are not only a
+    /// ramp-up affair under paced arrivals — and a smaller group draws
+    /// from a smaller size class, so every class a kind's group sizes
+    /// fall into gets the whole window.
     pub fn reserve(&self, streams: usize, queue_depth: usize) {
         let p = &self.params;
         let parts = Partitions::new(p, &self.assign);
@@ -315,67 +355,68 @@ impl ResidentStap {
         let w = self.window + 2; // in-flight slots + assembly margin
         let mut cx: HashMap<usize, usize> = HashMap::new();
         let mut real: HashMap<usize, usize> = HashMap::new();
-        fn add(m: &mut HashMap<usize, usize>, len: usize, count: usize) {
-            if len > 0 {
-                *m.entry(len.next_power_of_two()).or_default() += count;
+        // One block kind of `per_cpi` elements per member CPI, drawn for
+        // the group sizes in `groups`.
+        fn kind(
+            m: &mut HashMap<usize, usize>,
+            per_cpi: usize,
+            groups: impl Iterator<Item = usize>,
+            w: usize,
+        ) {
+            if per_cpi == 0 {
+                return;
+            }
+            let classes: BTreeSet<usize> =
+                groups.map(|g| (g * per_cpi).next_power_of_two()).collect();
+            for class in classes {
+                *m.entry(class).or_default() += w;
             }
         }
         // Raw CPI cubes: one held per producer, up to `queue_depth`
         // admitted per stream, plus in-flight groups.
         let raw = p.k_range * p.j_channels * p.n_pulses;
-        add(&mut cx, raw, streams * (queue_depth + 1) + b * w);
+        cx.insert(raw.next_power_of_two(), streams * (queue_depth + 1) + b * w);
         let easy_bins = p.easy_bins();
         let hard_bins = p.hard_bins();
-        for g in 1..=b {
-            // Full groups are the steady state and need the whole
-            // in-flight window; partial sizes are transient and only
-            // need an assembly allowance (power-of-two classes merge
-            // many of them with the full-group classes anyway).
-            let n = if g == b { w } else { 2 };
-            for kr in &parts.doppler_k {
-                // Driver input slabs.
-                if !forwards_admitted_cube(g, &parts) {
-                    add(&mut cx, g * kr.len() * p.j_channels * p.n_pulses, n);
-                }
-                let ec = easy_cells_in(p, kr).len();
-                let fc: usize = (0..p.num_segments())
-                    .map(|s| hard_cells_in(p, s, kr).len())
-                    .sum();
-                for bins in &parts.easy_wt_bins {
-                    add(&mut cx, g * bins.len() * ec * p.j_channels, n);
-                }
-                for bins in &parts.hard_wt_bins {
-                    add(&mut cx, g * bins.len() * fc * 2 * p.j_channels, n);
-                }
-                for bins in &parts.easy_bf_bins {
-                    add(&mut cx, g * bins.len() * kr.len() * p.j_channels, n);
-                }
-                for bins in &parts.hard_bf_bins {
-                    add(&mut cx, g * bins.len() * kr.len() * 2 * p.j_channels, n);
-                }
+        for kr in &parts.doppler_k {
+            // Driver input slabs (a lone admitted cube is forwarded).
+            let slab_groups = (1..=b).filter(|&g| !forwards_admitted_cube(g, &parts));
+            kind(
+                &mut cx,
+                kr.len() * p.j_channels * p.n_pulses,
+                slab_groups,
+                w,
+            );
+            let ec = easy_cells_in(p, kr).len();
+            let fc: usize = (0..p.num_segments())
+                .map(|s| hard_cells_in(p, s, kr).len())
+                .sum();
+            for bins in &parts.easy_wt_bins {
+                kind(&mut cx, bins.len() * ec * p.j_channels, 1..=b, w);
             }
-            // Beamform -> PC blocks: per (BF node, PC node) natural-bin
-            // overlap, exactly as the task loops compute `pc_mine`.
-            for pc_bins in &parts.pc_bins {
-                for idx in &parts.easy_bf_bins {
-                    let mine = idx
-                        .clone()
-                        .filter(|&bn| pc_bins.contains(&easy_bins[bn]))
-                        .count();
-                    add(&mut cx, g * mine * p.m_beams * p.k_range, n);
-                }
-                for idx in &parts.hard_bf_bins {
-                    let mine = idx
-                        .clone()
-                        .filter(|&bn| pc_bins.contains(&hard_bins[bn]))
-                        .count();
-                    add(&mut cx, g * mine * p.m_beams * p.k_range, n);
-                }
-                // PC -> CFAR real blocks.
-                for cf in &parts.cfar_bins {
-                    let ov = overlap(pc_bins, cf);
-                    add(&mut real, g * ov.len() * p.m_beams * p.k_range, n);
-                }
+            for bins in &parts.hard_wt_bins {
+                kind(&mut cx, bins.len() * fc * 2 * p.j_channels, 1..=b, w);
+            }
+            for bins in &parts.easy_bf_bins {
+                kind(&mut cx, bins.len() * kr.len() * p.j_channels, 1..=b, w);
+            }
+            for bins in &parts.hard_bf_bins {
+                kind(&mut cx, bins.len() * kr.len() * 2 * p.j_channels, 1..=b, w);
+            }
+        }
+        // Beamform -> PC blocks: per (BF node, PC node) natural-bin
+        // overlap, exactly as `PcBlocks` counts it.
+        let plane = p.m_beams * p.k_range;
+        for pc_bins in &parts.pc_bins {
+            for (idx, bins) in (parts.easy_bf_bins.iter().map(|idx| (idx, &easy_bins)))
+                .chain(parts.hard_bf_bins.iter().map(|idx| (idx, &hard_bins)))
+            {
+                let mine = (idx.clone().filter(|&bn| pc_bins.contains(&bins[bn]))).count();
+                kind(&mut cx, mine * plane, 1..=b, w);
+            }
+            // PC -> CFAR real blocks.
+            for cf in &parts.cfar_bins {
+                kind(&mut real, overlap(pc_bins, cf).len() * plane, 1..=b, w);
             }
         }
         for (cap, count) in cx {
@@ -395,7 +436,7 @@ impl ResidentStap {
         jobs: Receiver<Vec<CpiJob>>,
         done: Sender<CpiDone>,
     ) -> Result<ResidentSummary, PipelineError> {
-        self.serve_with_state(jobs, done, ResidentState::default())
+        self.run(jobs, done, &ResidentState::default(), false)
             .map(|(summary, _)| summary)
     }
 
@@ -411,6 +452,18 @@ impl ResidentStap {
         jobs: Receiver<Vec<CpiJob>>,
         done: Sender<CpiDone>,
         carry: ResidentState,
+    ) -> Result<(ResidentSummary, ResidentState), PipelineError> {
+        self.run(jobs, done, &carry, true)
+    }
+
+    /// One resident session; the drained tasks' state is exported (and
+    /// returned) only when `export` is set.
+    fn run(
+        &self,
+        jobs: Receiver<Vec<CpiJob>>,
+        done: Sender<CpiDone>,
+        carry: &ResidentState,
+        export: bool,
     ) -> Result<(ResidentSummary, ResidentState), PipelineError> {
         let t0 = Instant::now();
         let parts = Partitions::new(&self.params, &self.assign);
@@ -433,7 +486,8 @@ impl ResidentStap {
             pools: &self.pools,
             max_group: self.max_group,
             screen: self.screen,
-            carry: &carry,
+            carry,
+            export,
         };
         let ctx_ref = &ctx;
         let window = self.window.max(1);
@@ -534,26 +588,8 @@ struct ResCtx<'a> {
     max_group: usize,
     screen: bool,
     carry: &'a ResidentState,
-}
-
-/// Lazily-built per-group-size workspaces: slot groups are usually at
-/// the `max_group` steady-state size, but ramp-up and the final tail
-/// slot can be smaller; each distinct size allocates its workspace once
-/// and reuses it for the rest of the session.
-struct ByGroup<T> {
-    slots: Vec<Option<T>>,
-}
-
-impl<T> ByGroup<T> {
-    fn new(max: usize) -> Self {
-        ByGroup {
-            slots: (0..=max).map(|_| None).collect(),
-        }
-    }
-
-    fn get(&mut self, b: usize, mk: impl FnOnce(usize) -> T) -> &mut T {
-        self.slots[b].get_or_insert_with(|| mk(b))
-    }
+    /// Whether the tasks export their cross-slot state when they drain.
+    export: bool,
 }
 
 fn expect_grouped_cube(m: Msg) -> Option<(Arc<[SubCpi]>, CCube)> {
@@ -572,28 +608,107 @@ fn expect_grouped_real(m: Msg) -> Option<(Arc<[SubCpi]>, RCube)> {
     }
 }
 
-/// Gathers whole `[d1, d2]` planes of `src` (the BF→PC and PC→CFAR
-/// blocks keep their two inner axes intact): each output row is one
-/// contiguous slice copy. `src_row(sub, o)` names the source plane for
-/// output row `sub * out_rows + o`.
-fn gather_plane_rows<T: Copy + Default>(
+/// A pooled block whose every element is about to be overwritten. Debug
+/// builds poison it first, so an element the producer left out cannot
+/// pass for data downstream.
+fn take_block_for_overwrite<T: Copy + Default>(
     pool: &SharedBufferPool<T>,
-    src: &Cube<T>,
-    b: usize,
-    out_rows: usize,
-    mut src_row: impl FnMut(usize, usize) -> usize,
+    shape: [usize; 3],
+    poison: T,
 ) -> Cube<T> {
-    let [_, d1, d2] = src.shape();
-    let plane = d1 * d2;
-    let s = src.as_slice();
-    let mut buf = pool.get(b * out_rows * plane);
-    for u in 0..b {
-        for o in 0..out_rows {
-            let r = src_row(u, o);
-            buf.extend_from_slice(&s[r * plane..(r + 1) * plane]);
+    let mut block = pool.take_cube_for_overwrite(shape);
+    if cfg!(debug_assertions) {
+        block.as_mut_slice().fill(poison);
+    }
+    block
+}
+
+/// The blocks one beamform node sends pulse compression in a slot, one
+/// per PC node, `[member * bins + bin][M][K]` with the node's bins that
+/// PC node owns in ascending order. They are taken from the pool before
+/// the slot is computed and the GEMM stores each bin's `[M][K]` plane
+/// into them directly — the one write of the edge.
+struct PcBlocks {
+    /// Per PC node, how many of this node's bins it owns.
+    counts: Vec<usize>,
+    /// Per bin of this node: its PC node and its row among that node's.
+    dest: Vec<(usize, usize)>,
+    /// `[M, K]`, one bin of one member CPI.
+    plane: [usize; 2],
+    blocks: Vec<CCube>,
+}
+
+impl PcBlocks {
+    /// `bins` are this node's Doppler bins (natural numbering) in order.
+    fn new(ctx: &ResCtx, bins: impl Iterator<Item = usize>) -> Self {
+        let mut counts = vec![0usize; ctx.parts.pc_bins.len()];
+        let dest = bins
+            .map(|bin| {
+                let t = (ctx.parts.pc_bins.iter())
+                    .position(|r| r.contains(&bin))
+                    .expect("the PC nodes partition the Doppler bins");
+                counts[t] += 1;
+                (t, counts[t] - 1)
+            })
+            .collect();
+        PcBlocks {
+            blocks: Vec::with_capacity(counts.len()),
+            counts,
+            dest,
+            plane: [ctx.params.m_beams, ctx.params.k_range],
         }
     }
-    Cube::from_vec([b * out_rows, d1, d2], buf)
+
+    /// Draws the slot's blocks for a group of `b` member CPIs.
+    fn take(&mut self, pool: &SharedBufferPool<Cx>, b: usize) {
+        let [m, k] = self.plane;
+        for &count in &self.counts {
+            let poison = Cx::new(f64::NAN, f64::NAN);
+            self.blocks
+                .push(take_block_for_overwrite(pool, [b * count, m, k], poison));
+        }
+    }
+
+    /// The `[M][K]` plane of member `u`'s `bi`-th bin.
+    fn plane_mut(&mut self, u: usize, bi: usize) -> &mut [Cx] {
+        let (t, row) = self.dest[bi];
+        let plane = self.plane[0] * self.plane[1];
+        &mut self.blocks[t].as_mut_slice()[(u * self.counts[t] + row) * plane..][..plane]
+    }
+
+    /// Sends the finished blocks; `covered` is how many elements the
+    /// slot stored into them.
+    fn send(
+        &mut self,
+        ctx: &ResCtx,
+        comm: &mut Comm<Msg>,
+        edge: Edge,
+        slot: usize,
+        group: &Arc<[SubCpi]>,
+        covered: usize,
+    ) {
+        debug_assert_eq!(
+            covered,
+            self.blocks.iter().map(CCube::len).sum::<usize>(),
+            "beamformer left out-block elements unwritten"
+        );
+        let pc0 = ctx.assign.rank_range(PC).start;
+        for (t, block) in self.blocks.drain(..).enumerate() {
+            comm.send(
+                pc0 + t,
+                tag(edge, slot),
+                Msg::grouped(slot, group.clone(), Payload::Cube(block)),
+            );
+        }
+    }
+
+    /// Cascades a shutdown to every PC node.
+    fn shutdown(&self, ctx: &ResCtx, comm: &mut Comm<Msg>, edge: Edge, slot: usize) {
+        let pc0 = ctx.assign.rank_range(PC).start;
+        for t in 0..self.counts.len() {
+            comm.send(pc0 + t, tag(edge, slot), Msg::new(slot, Payload::Shutdown));
+        }
+    }
 }
 
 /// Resident Doppler (task 0): one grouped slab in, one cache-tiled pass
@@ -679,13 +794,8 @@ fn resident_doppler(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         };
         let b = group.len();
         for (_, _, layout) in &outs {
-            let mut block = pool.take_cube_for_overwrite(layout.shape(b));
-            if cfg!(debug_assertions) {
-                // Stale contents must never reach the wire: poison them
-                // so an uncovered element cannot pass for data.
-                block.as_mut_slice().fill(Cx::new(f64::NAN, f64::NAN));
-            }
-            blocks.push(block);
+            let poison = Cx::new(f64::NAN, f64::NAN);
+            blocks.push(take_block_for_overwrite(pool, layout.shape(b), poison));
         }
         // The perf core: each tile is tapered, transformed and scattered
         // into all out-blocks while it is cache-resident.
@@ -808,33 +918,37 @@ fn export_ring<T>(
     out
 }
 
-/// Resident easy weight (task 1): per-(stream, beam) history rings,
-/// weights for every member CPI of every slot, one grouped weight
-/// message per overlapping BF node per slot.
-fn resident_easy_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
-    let p = ctx.params;
-    let bins_idx = ctx.parts.easy_wt_bins[local].clone();
-    let nbins = bins_idx.len();
+/// The slot loop of both weight tasks: one block per Doppler node in,
+/// `member` called for every member CPI of the group with the received
+/// blocks and that CPI's slice of the outgoing messages (one run of
+/// `per_bin` matrices per owned bin, in bin order), one grouped weight
+/// message per overlapping BF node out — `[member CPI][bin][per_bin]`,
+/// the order the wire has always carried. `bf` names the beamform task
+/// fed and its bin partition.
+fn weight_slots(
+    ctx: &ResCtx,
+    comm: &mut Comm<Msg>,
+    (in_edge, out_edge): (Edge, Edge),
+    bins_idx: &Range<usize>,
+    (bf_task, bf_parts): (usize, &[Range<usize>]),
+    per_bin: usize,
+    mut member: impl FnMut(usize, &SubCpi, &[CCube], &mut dyn Iterator<Item = &mut [CMat]>),
+) -> (PipelineHealth, f64) {
     let p0 = ctx.assign.nodes(DOPPLER);
     let dop0 = ctx.assign.rank_range(DOPPLER).start;
-    let beams = ctx.steering.len();
-    let constraint = CMat::identity(p.j_channels);
-    let total_cells = easy_training_cells(p).len();
-    // Destination BF nodes with their bin overlaps (slot-invariant).
-    let bf0 = ctx.assign.rank_range(EASY_BF).start;
-    let targets: Vec<(usize, Range<usize>)> = ctx
-        .parts
-        .easy_bf_bins
+    // Destination BF nodes with their bin overlaps (slot-invariant). The
+    // BF nodes partition the bins, so these overlaps are this node's
+    // bins in order, each bin in exactly one of them.
+    let bf0 = ctx.assign.rank_range(bf_task).start;
+    let targets: Vec<(usize, Range<usize>)> = bf_parts
         .iter()
         .enumerate()
         .filter_map(|(r, bf_bins)| {
-            let ov = overlap(&bins_idx, bf_bins);
+            let ov = overlap(bins_idx, bf_bins);
             (!ov.is_empty()).then_some((bf0 + r, ov))
         })
         .collect();
-    let mut history: HashMap<(u16, usize), VecDeque<Vec<CMat>>> =
-        import_ring(&ctx.carry.easy_history, &bins_idx);
-    let mut spares: Vec<Vec<CMat>> = Vec::new();
+    let mut per_node: Vec<Vec<CMat>> = targets.iter().map(|_| Vec::new()).collect();
     let mut blocks: Vec<CCube> = Vec::with_capacity(p0);
     let mut health = PipelineHealth::default();
     let mut busy = 0.0f64;
@@ -842,86 +956,96 @@ fn resident_easy_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
     loop {
         sample_mailbox(comm, &mut health);
         comm.fault_checkpoint(slot as u64);
-        blocks.clear();
-        let Some(group) =
-            recv_doppler_blocks(comm, dop0, p0, Edge::DopplerToEasyWt, slot, &mut blocks)
-        else {
+        let Some(group) = recv_doppler_blocks(comm, dop0, p0, in_edge, slot, &mut blocks) else {
             for (dst, _) in &targets {
-                comm.send(
-                    *dst,
-                    tag(Edge::EasyWtToEasyBf, slot),
-                    Msg::new(slot, Payload::Shutdown),
-                );
+                comm.send(*dst, tag(out_edge, slot), Msg::new(slot, Payload::Shutdown));
             }
             break;
         };
         let t_busy = Instant::now();
-        let b = group.len();
-        let mut per_node: Vec<Vec<CMat>> = targets
-            .iter()
-            .map(|(_, ov)| Vec::with_capacity(b * ov.len()))
-            .collect();
+        for (w, (_, ov)) in per_node.iter_mut().zip(&targets) {
+            w.resize(group.len() * ov.len() * per_bin, CMat::zeros(0, 0));
+        }
         for (u, sub) in group.iter().enumerate() {
-            let mut snaps = spares.pop().unwrap_or_else(|| {
-                (0..nbins)
-                    .map(|_| CMat::zeros(total_cells, p.j_channels))
-                    .collect()
+            let mut weights = per_node.iter_mut().zip(&targets).flat_map(|(w, (_, ov))| {
+                w[u * ov.len() * per_bin..][..ov.len() * per_bin].chunks_mut(per_bin)
             });
-            let mut row = 0usize;
-            for block in &blocks {
-                let cells = block.shape()[1];
-                for (bi, snap) in snaps.iter_mut().enumerate() {
-                    for ci in 0..cells {
-                        for ch in 0..p.j_channels {
-                            snap[(row + ci, ch)] = block[(u * nbins + bi, ci, ch)].conj();
-                        }
-                    }
-                }
-                row += cells;
-            }
-            debug_assert_eq!(row, total_cells);
-            let beam = sub.scpi as usize % beams;
-            let q = history.entry((sub.stream, beam)).or_default();
-            q.push_back(snaps);
-            while q.len() > p.easy_history {
-                if let Some(s) = q.pop_front() {
-                    spares.push(s);
-                }
-            }
-            let steering = &ctx.steering[beam];
-            let mut weights = (0..nbins).map(|bi| {
-                let mut stacked = q[0][bi].clone();
-                for older in q.iter().skip(1) {
-                    stacked = stacked.vstack(&older[bi]);
-                }
-                let k = mean_abs(&stacked) * p.beam_constraint_wt;
-                constrained_lstsq(&stacked, &constraint, k, steering)
-            });
-            // The easy BF nodes partition the easy bins: in target order
-            // the overlaps are this node's bins in order.
-            for (w, (_, ov)) in per_node.iter_mut().zip(&targets) {
-                w.extend(weights.by_ref().take(ov.len()));
-            }
+            member(u, sub, &blocks, &mut weights);
         }
         for block in blocks.drain(..) {
             ctx.pools.cx.recycle(block);
         }
-        for ((dst, _), w) in targets.iter().zip(per_node) {
+        for ((dst, _), w) in targets.iter().zip(&mut per_node) {
             comm.send(
                 *dst,
-                tag(Edge::EasyWtToEasyBf, slot),
-                Msg::grouped(slot, group.clone(), Payload::Weights(w)),
+                tag(out_edge, slot),
+                Msg::grouped(slot, group.clone(), Payload::Weights(std::mem::take(w))),
             );
         }
         busy += t_busy.elapsed().as_secs_f64();
         slot += 1;
     }
     health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit {
-        health,
-        busy,
-        state: TaskState::EasyWt(export_ring(history, bins_idx.start)),
+    (health, busy)
+}
+
+/// Piece `dp`'s `[cell][channel]` plane of member `u`'s `bi`-th bin in
+/// the blocks a weight task received.
+fn member_plane<'a>(
+    blocks: &'a [CCube],
+    u: usize,
+    nbins: usize,
+) -> impl Fn(usize, usize) -> &'a [Cx] {
+    move |dp, bi| {
+        let [_, cells, channels] = blocks[dp].shape();
+        &blocks[dp].as_slice()[(u * nbins + bi) * cells * channels..][..cells * channels]
     }
+}
+
+/// Resident easy weight (task 1): the lane-batched dense solve of this
+/// node's bins over per-(stream, beam) history rings; the rings leave
+/// lane layout only to be exported as [`ResidentState::easy_history`]
+/// when the session drains.
+fn resident_easy_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
+    let p = ctx.params;
+    let bins_idx = ctx.parts.easy_wt_bins[local].clone();
+    let nbins = bins_idx.len();
+    let beams = ctx.steering.len();
+    // Each Doppler node's block holds its share of the training cells.
+    let dp_cells: Vec<usize> = (ctx.parts.doppler_k.iter())
+        .map(|kr| easy_cells_in(p, kr).len())
+        .collect();
+    let mut lanes = EasyWeightLanes::new(p, nbins, &dp_cells);
+    for (&(stream, beam, bin), history) in &ctx.carry.easy_history {
+        if bins_idx.contains(&bin) {
+            lanes.import((stream, beam), bin - bins_idx.start, history);
+        }
+    }
+    let (health, busy) = weight_slots(
+        ctx,
+        comm,
+        (Edge::DopplerToEasyWt, Edge::EasyWtToEasyBf),
+        &bins_idx,
+        (EASY_BF, &ctx.parts.easy_bf_bins),
+        1,
+        |u, sub, blocks, weights| {
+            let beam = sub.scpi as usize % beams;
+            lanes.process(
+                (sub.stream, beam),
+                &ctx.steering[beam],
+                member_plane(blocks, u, nbins),
+                weights.map(|w| &mut w[0]),
+            );
+        },
+    );
+    TaskExit::stateful(ctx, health, busy, || {
+        TaskState::EasyWt(
+            lanes
+                .export()
+                .map(|((s, bm), bi, history)| ((s, bm, bins_idx.start + bi), history))
+                .collect(),
+        )
+    })
 }
 
 /// Resident hard weight (task 2): the lane-batched QR recursion of this
@@ -931,24 +1055,8 @@ fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
     let p = ctx.params;
     let bins_idx = ctx.parts.hard_wt_bins[local].clone();
     let nbins = bins_idx.len();
-    let p0 = ctx.assign.nodes(DOPPLER);
-    let dop0 = ctx.assign.rank_range(DOPPLER).start;
     let beams = ctx.steering.len();
-    let jj = 2 * p.j_channels;
     let segs = p.num_segments();
-    let bf0 = ctx.assign.rank_range(HARD_BF).start;
-    // The hard BF nodes partition the hard bins, so these overlaps are
-    // this node's bins in order, each bin in exactly one of them.
-    let targets: Vec<(usize, Range<usize>)> = ctx
-        .parts
-        .hard_bf_bins
-        .iter()
-        .enumerate()
-        .filter_map(|(r, bf_bins)| {
-            let ov = overlap(&bins_idx, bf_bins);
-            (!ov.is_empty()).then_some((bf0 + r, ov))
-        })
-        .collect();
     // Each Doppler node's block holds its share of every segment's
     // training cells, segment after segment.
     let dp_counts: Vec<Vec<usize>> = (ctx.parts.doppler_k.iter())
@@ -960,71 +1068,31 @@ fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
             lanes.import((stream, beam), bin - bins_idx.start, seg, r);
         }
     }
-    let mut blocks: Vec<CCube> = Vec::with_capacity(p0);
-    let mut health = PipelineHealth::default();
-    let mut busy = 0.0f64;
-    let mut slot = 0usize;
-    loop {
-        sample_mailbox(comm, &mut health);
-        comm.fault_checkpoint(slot as u64);
-        blocks.clear();
-        let Some(group) =
-            recv_doppler_blocks(comm, dop0, p0, Edge::DopplerToHardWt, slot, &mut blocks)
-        else {
-            for (dst, _) in &targets {
-                comm.send(
-                    *dst,
-                    tag(Edge::HardWtToHardBf, slot),
-                    Msg::new(slot, Payload::Shutdown),
-                );
-            }
-            break;
-        };
-        let t_busy = Instant::now();
-        // The wire order of a weight message: [member CPI][bin][segment].
-        let mut per_node: Vec<Vec<CMat>> = targets
-            .iter()
-            .map(|(_, ov)| vec![CMat::zeros(0, 0); group.len() * ov.len() * segs])
-            .collect();
-        for (u, sub) in group.iter().enumerate() {
+    let (health, busy) = weight_slots(
+        ctx,
+        comm,
+        (Edge::DopplerToHardWt, Edge::HardWtToHardBf),
+        &bins_idx,
+        (HARD_BF, &ctx.parts.hard_bf_bins),
+        segs,
+        |u, sub, blocks, weights| {
             let beam = sub.scpi as usize % beams;
-            let weights = per_node.iter_mut().zip(&targets).flat_map(|(w, (_, ov))| {
-                w[u * ov.len() * segs..][..ov.len() * segs].chunks_mut(segs)
-            });
             lanes.process(
                 (sub.stream, beam),
                 &ctx.steering[beam],
-                |dp, bi| {
-                    let plane = blocks[dp].shape()[1] * jj;
-                    &blocks[dp].as_slice()[(u * nbins + bi) * plane..][..plane]
-                },
+                member_plane(blocks, u, nbins),
                 weights,
             );
-        }
-        for block in blocks.drain(..) {
-            ctx.pools.cx.recycle(block);
-        }
-        for ((dst, _), w) in targets.iter().zip(per_node) {
-            comm.send(
-                *dst,
-                tag(Edge::HardWtToHardBf, slot),
-                Msg::grouped(slot, group.clone(), Payload::Weights(w)),
-            );
-        }
-        busy += t_busy.elapsed().as_secs_f64();
-        slot += 1;
-    }
-    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit {
-        health,
-        busy,
-        state: TaskState::HardWt(
+        },
+    );
+    TaskExit::stateful(ctx, health, busy, || {
+        TaskState::HardWt(
             lanes
                 .export()
                 .map(|((s, bm), bi, seg, r)| ((s, bm, bins_idx.start + bi, seg), r))
                 .collect(),
-        ),
-    }
+        )
+    })
 }
 
 /// Resident easy beamform (task 3): per-(stream, beam) weight FIFOs,
@@ -1043,23 +1111,11 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         &bins_idx,
         ctx.assign.rank_range(EASY_WT).start,
     );
-    let pc_mine: Vec<Vec<usize>> = ctx
-        .parts
-        .pc_bins
-        .iter()
-        .map(|pc_bins| {
-            bins_idx
-                .clone()
-                .filter(|&bn| pc_bins.contains(&easy_bins[bn]))
-                .collect()
-        })
-        .collect();
-    let mut out_by = ByGroup::<CCube>::new(ctx.max_group);
+    let mut outs = PcBlocks::new(ctx, bins_idx.clone().map(|bn| easy_bins[bn]));
     // The GEMM operands, packed once each: the bin's `J x K` data
     // straight from the wire blocks, the weights conjugate-transposed.
     let mut data = PlanarMat::zeros(p.j_channels, p.k_range);
     let mut wpack = PlanarMat::new();
-    let mut y = CMat::zeros(p.m_beams, p.k_range);
     let mut fifo: HashMap<(u16, usize), VecDeque<Vec<CMat>>> =
         import_ring(&ctx.carry.easy_fifo, &bins_idx);
     // One received block per Doppler node, kept until the slot is
@@ -1080,19 +1136,11 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
                 let m2 = comm.recv(*src, tag(Edge::EasyWtToEasyBf, slot)).unwrap();
                 assert!(matches!(m2.payload, Payload::Shutdown));
             }
-            for (t, _) in pc_mine.iter().enumerate() {
-                let dst = ctx.assign.rank_range(PC).start + t;
-                comm.send(
-                    dst,
-                    tag(Edge::EasyBfToPc, slot),
-                    Msg::new(slot, Payload::Shutdown),
-                );
-            }
+            outs.shutdown(ctx, comm, Edge::EasyBfToPc, slot);
             break;
         };
         let t_busy = Instant::now();
         let b = group.len();
-        let out = out_by.get(b, |b| CCube::zeros([b * nbins, p.m_beams, p.k_range]));
 
         // Push phase: move each member CPI's freshly-computed per-bin
         // weight set out of the slot's weight messages (`[member][bin]`
@@ -1120,6 +1168,8 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         // Consume phase: beamform each member with the weights computed
         // from its own stream's CPI `scpi - beams` (quiescent before the
         // first revisit), exactly the per-stream serial schedule.
+        outs.take(pool, b);
+        let mut covered = 0usize;
         for (u, sub) in group.iter().enumerate() {
             let beam = sub.scpi as usize % beams;
             let weights: Vec<CMat> = if (sub.scpi as usize) < beams {
@@ -1136,37 +1186,24 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
                     data.pack_cols_transposed(kr.start, rows);
                 }
                 wpack.pack_hermitian_from(w);
-                gemm_planar_into(&wpack, &data, &mut y);
-                for m in 0..p.m_beams {
-                    out.lane_mut(u * nbins + bi, m).copy_from_slice(y.row(m));
-                }
+                // The product lands in the bin's `[M][K]` plane of the
+                // block its PC node receives.
+                let plane = outs.plane_mut(u, bi);
+                gemm_planar_into_strided(&wpack, &data, plane, p.k_range);
+                covered += plane.len();
             }
         }
         for block in blocks.drain(..) {
             pool.recycle(block);
         }
-
-        for (t, mine) in pc_mine.iter().enumerate() {
-            let ml = mine.len();
-            let block = gather_plane_rows(pool, out, b, ml, |u, o| {
-                u * nbins + mine[o] - bins_idx.start
-            });
-            let dst = ctx.assign.rank_range(PC).start + t;
-            comm.send(
-                dst,
-                tag(Edge::EasyBfToPc, slot),
-                Msg::grouped(slot, group.clone(), Payload::Cube(block)),
-            );
-        }
+        outs.send(ctx, comm, Edge::EasyBfToPc, slot, &group, covered);
         busy += t_busy.elapsed().as_secs_f64();
         slot += 1;
     }
     health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit {
-        health,
-        busy,
-        state: TaskState::EasyBf(export_ring(fifo, bins_idx.start)),
-    }
+    TaskExit::stateful(ctx, health, busy, || {
+        TaskState::EasyBf(export_ring(fifo, bins_idx.start))
+    })
 }
 
 /// Resident hard beamform (task 4): per-(bin, segment) weight sets in
@@ -1187,28 +1224,13 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         &bins_idx,
         ctx.assign.rank_range(HARD_WT).start,
     );
-    let pc_mine: Vec<Vec<usize>> = ctx
-        .parts
-        .pc_bins
-        .iter()
-        .map(|pc_bins| {
-            bins_idx
-                .clone()
-                .filter(|&bn| pc_bins.contains(&hard_bins[bn]))
-                .collect()
-        })
-        .collect();
+    let mut outs = PcBlocks::new(ctx, bins_idx.clone().map(|bn| hard_bins[bn]));
     let seg_ranges: Vec<Range<usize>> = (0..segs).map(|s| p.segment_range(s)).collect();
-    let mut out_by = ByGroup::<CCube>::new(ctx.max_group);
     let mut data: Vec<PlanarMat> = seg_ranges
         .iter()
         .map(|r| PlanarMat::zeros(jj, r.len()))
         .collect();
     let mut wpack = PlanarMat::new();
-    let mut ys: Vec<CMat> = seg_ranges
-        .iter()
-        .map(|r| CMat::zeros(p.m_beams, r.len()))
-        .collect();
     let mut fifo: HashMap<(u16, usize), VecDeque<Vec<Vec<CMat>>>> =
         import_ring(&ctx.carry.hard_fifo, &bins_idx);
     let mut blocks: Vec<CCube> = Vec::with_capacity(p0);
@@ -1247,19 +1269,11 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
                 let m2 = comm.recv(*src, tag(Edge::HardWtToHardBf, slot)).unwrap();
                 assert!(matches!(m2.payload, Payload::Shutdown));
             }
-            for (t, _) in pc_mine.iter().enumerate() {
-                let dst = ctx.assign.rank_range(PC).start + t;
-                comm.send(
-                    dst,
-                    tag(Edge::HardBfToPc, slot),
-                    Msg::new(slot, Payload::Shutdown),
-                );
-            }
+            outs.shutdown(ctx, comm, Edge::HardBfToPc, slot);
             break;
         };
         let t_busy = Instant::now();
         let b = group.len();
-        let out = out_by.get(b, |b| CCube::zeros([b * nbins, p.m_beams, p.k_range]));
 
         // Push phase, as in easy BF; a message is `[member][bin][segment]`.
         let mut fresh: Vec<std::vec::IntoIter<CMat>> = wt_sources
@@ -1281,6 +1295,8 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
             fifo.entry((sub.stream, beam)).or_default().push_back(set);
         }
 
+        outs.take(pool, b);
+        let mut covered = 0usize;
         for (u, sub) in group.iter().enumerate() {
             let beam = sub.scpi as usize % beams;
             let weights: Vec<Vec<CMat>> = if (sub.scpi as usize) < beams {
@@ -1306,75 +1322,76 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
                         );
                     }
                     wpack.pack_hermitian_from(&seg_weights[seg]);
-                    gemm_planar_into(&wpack, &data[seg], &mut ys[seg]);
-                    for m in 0..p.m_beams {
-                        out.lane_mut(u * nbins + bi, m)[r.clone()].copy_from_slice(ys[seg].row(m));
-                    }
+                    // The segment's `M x len` product lands in its
+                    // columns of the bin's `[M][K]` plane.
+                    let plane = outs.plane_mut(u, bi);
+                    gemm_planar_into_strided(&wpack, &data[seg], &mut plane[r.start..], p.k_range);
+                    covered += p.m_beams * r.len();
                 }
             }
         }
         for block in blocks.drain(..) {
             pool.recycle(block);
         }
-
-        for (t, mine) in pc_mine.iter().enumerate() {
-            let ml = mine.len();
-            let block = gather_plane_rows(pool, out, b, ml, |u, o| {
-                u * nbins + mine[o] - bins_idx.start
-            });
-            let dst = ctx.assign.rank_range(PC).start + t;
-            comm.send(
-                dst,
-                tag(Edge::HardBfToPc, slot),
-                Msg::grouped(slot, group.clone(), Payload::Cube(block)),
-            );
-        }
+        outs.send(ctx, comm, Edge::HardBfToPc, slot, &group, covered);
         busy += t_busy.elapsed().as_secs_f64();
         slot += 1;
     }
     health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit {
-        health,
-        busy,
-        state: TaskState::HardBf(export_ring(fifo, bins_idx.start)),
-    }
+    TaskExit::stateful(ctx, health, busy, || {
+        TaskState::HardBf(export_ring(fifo, bins_idx.start))
+    })
 }
 
-/// Resident pulse compression (task 5): the whole slot group through
-/// one `process_into_with` pass over the concatenated cube.
+/// Resident pulse compression (task 5): each received beamform block is
+/// compressed in place as it arrives, lane by lane, the power written
+/// straight into the blocks CFAR receives.
 fn resident_pc(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
     let p = ctx.params;
     let my_bins = ctx.parts.pc_bins[local].clone();
-    let ml = my_bins.len();
     let easy_bins = p.easy_bins();
     let hard_bins = p.hard_bins();
     let compressor = PulseCompressor::new(p);
-    let mut feeders: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (r, idx) in ctx.parts.easy_bf_bins.iter().enumerate() {
-        let bins: Vec<usize> = idx
-            .clone()
-            .map(|bn| easy_bins[bn])
-            .filter(|bn| my_bins.contains(bn))
-            .collect();
-        feeders.push((ctx.assign.rank_range(EASY_BF).start + r, bins));
+    // Per feeding BF node: its rank, its edge and which of my bins its
+    // block holds.
+    let mut feeders: Vec<(usize, Edge, Vec<usize>)> = Vec::new();
+    for (task, edge, parts, bins) in [
+        (
+            EASY_BF,
+            Edge::EasyBfToPc,
+            &ctx.parts.easy_bf_bins,
+            &easy_bins,
+        ),
+        (
+            HARD_BF,
+            Edge::HardBfToPc,
+            &ctx.parts.hard_bf_bins,
+            &hard_bins,
+        ),
+    ] {
+        for (r, idx) in parts.iter().enumerate() {
+            let mine = (idx.clone().map(|bn| bins[bn]))
+                .filter(|bn| my_bins.contains(bn))
+                .collect();
+            feeders.push((ctx.assign.rank_range(task).start + r, edge, mine));
+        }
     }
-    for (r, idx) in ctx.parts.hard_bf_bins.iter().enumerate() {
-        let bins: Vec<usize> = idx
-            .clone()
-            .map(|bn| hard_bins[bn])
-            .filter(|bn| my_bins.contains(bn))
-            .collect();
-        feeders.push((ctx.assign.rank_range(HARD_BF).start + r, bins));
-    }
-    let cfar_ov: Vec<Range<usize>> = ctx
-        .parts
-        .cfar_bins
-        .iter()
+    // Per CFAR node, the bins of mine it owns; per bin of mine, its CFAR
+    // node and its row among that node's.
+    let cfar0 = ctx.assign.rank_range(CFAR).start;
+    let cfar_ov: Vec<Range<usize>> = (ctx.parts.cfar_bins.iter())
         .map(|c| overlap(&my_bins, c))
         .collect();
-    let mut data_by = ByGroup::<CCube>::new(ctx.max_group);
-    let mut power_by = ByGroup::<RCube>::new(ctx.max_group);
-    let mut pc_ws = PulseScratch::new();
+    let dest: Vec<(usize, usize)> = (my_bins.clone())
+        .map(|bn| {
+            let c = (cfar_ov.iter().position(|ov| ov.contains(&bn)))
+                .expect("the CFAR nodes partition the Doppler bins");
+            (c, bn - cfar_ov[c].start)
+        })
+        .collect();
+    let plane = p.m_beams * p.k_range;
+    let mut powers: Vec<RCube> = Vec::with_capacity(cfar_ov.len());
+    let mut fft_ws = FftScratch::new();
     let mut health = PipelineHealth::default();
     let mut busy = 0.0f64;
     let mut slot = 0usize;
@@ -1382,89 +1399,71 @@ fn resident_pc(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
         sample_mailbox(comm, &mut health);
         comm.fault_checkpoint(slot as u64);
         let mut group: Option<Arc<[SubCpi]>> = None;
-        let mut first = true;
-        for (fi, (src, bins)) in feeders.iter().enumerate() {
-            let m = comm.recv(*src, tag(edge_for(ctx, *src), slot)).unwrap();
-            match expect_grouped_cube(m) {
-                Some((g, block)) => {
-                    let b = g.len();
-                    if first {
-                        first = false;
-                        group = Some(g);
-                        data_by.get(b, |b| CCube::zeros([b * ml, p.m_beams, p.k_range]));
-                        power_by.get(b, |b| RCube::zeros([b * ml, p.m_beams, p.k_range]));
-                    }
-                    let data = data_by.slots[b].as_mut().unwrap();
-                    let bl = bins.len();
-                    debug_assert_eq!(block.shape()[0], b * bl);
-                    for u in 0..b {
-                        for (i, &bn) in bins.iter().enumerate() {
-                            for m in 0..p.m_beams {
-                                data.lane_mut(u * ml + bn - my_bins.start, m)
-                                    .copy_from_slice(block.lane(u * bl + i, m));
-                            }
-                        }
-                    }
-                    ctx.pools.cx.recycle(block);
+        let mut covered = 0usize;
+        for (fi, (src, edge, bins)) in feeders.iter().enumerate() {
+            let m = comm.recv(*src, tag(*edge, slot)).unwrap();
+            let Some((g, mut block)) = expect_grouped_cube(m) else {
+                for (src2, edge2, _) in feeders.iter().skip(fi + 1) {
+                    let m2 = comm.recv(*src2, tag(*edge2, slot)).unwrap();
+                    assert!(matches!(m2.payload, Payload::Shutdown));
                 }
-                None => {
-                    for (src2, _) in feeders.iter().skip(fi + 1) {
-                        let m2 = comm.recv(*src2, tag(edge_for(ctx, *src2), slot)).unwrap();
-                        assert!(matches!(m2.payload, Payload::Shutdown));
-                    }
-                    for u in 0..ctx.parts.cfar_bins.len() {
-                        let dst = ctx.assign.rank_range(CFAR).start + u;
-                        comm.send(
-                            dst,
-                            tag(Edge::PcToCfar, slot),
-                            Msg::new(slot, Payload::Shutdown),
-                        );
-                    }
-                    break 'outer;
+                for c in 0..cfar_ov.len() {
+                    comm.send(
+                        cfar0 + c,
+                        tag(Edge::PcToCfar, slot),
+                        Msg::new(slot, Payload::Shutdown),
+                    );
                 }
+                break 'outer;
+            };
+            let t_busy = Instant::now();
+            let b = g.len();
+            if group.is_none() {
+                for ov in &cfar_ov {
+                    let shape = [b * ov.len(), p.m_beams, p.k_range];
+                    powers.push(take_block_for_overwrite(&ctx.pools.real, shape, f64::NAN));
+                }
+                group = Some(g);
             }
+            let bl = bins.len();
+            debug_assert_eq!(block.shape(), [b * bl, p.m_beams, p.k_range]);
+            for (row, lanes) in block.as_mut_slice().chunks_exact_mut(plane).enumerate() {
+                let (c, at) = dest[bins[row % bl] - my_bins.start];
+                let at = (row / bl) * cfar_ov[c].len() + at;
+                let power = &mut powers[c].as_mut_slice()[at * plane..][..plane];
+                compressor.compress_in_place(lanes, power, &mut fft_ws);
+                covered += plane;
+            }
+            ctx.pools.cx.recycle(block);
+            busy += t_busy.elapsed().as_secs_f64();
         }
         let group = group.expect("at least one feeder");
-        let t_busy = Instant::now();
-        let b = group.len();
-        let data = data_by.slots[b].as_mut().unwrap();
-        let power = power_by.slots[b].as_mut().unwrap();
-        compressor.process_into_with(data, power, &mut pc_ws);
-        for (u_cf, ov) in cfar_ov.iter().enumerate() {
-            let ol = ov.len();
-            let block = gather_plane_rows(&ctx.pools.real, power, b, ol, |u, o| {
-                u * ml + ov.start + o - my_bins.start
-            });
-            let dst = ctx.assign.rank_range(CFAR).start + u_cf;
+        debug_assert_eq!(
+            covered,
+            powers.iter().map(RCube::len).sum::<usize>(),
+            "pulse compression left power-block elements unwritten"
+        );
+        for (c, block) in powers.drain(..).enumerate() {
             comm.send(
-                dst,
+                cfar0 + c,
                 tag(Edge::PcToCfar, slot),
                 Msg::grouped(slot, group.clone(), Payload::Real(block)),
             );
         }
-        busy += t_busy.elapsed().as_secs_f64();
         slot += 1;
     }
     health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
     TaskExit::stateless(health, busy)
 }
 
-/// Which BF->PC edge a sender rank uses (PC receives on two edges).
-fn edge_for(ctx: &ResCtx, src: usize) -> Edge {
-    if src < ctx.assign.rank_range(HARD_BF).start {
-        Edge::EasyBfToPc
-    } else {
-        Edge::HardBfToPc
-    }
-}
-
-/// Resident CFAR (task 6): per-member detection lists, one grouped
-/// `DetectionsGroup` message to the driver per slot.
+/// Resident CFAR (task 6): the detector runs over the received power
+/// blocks where they lie, in bin order; per-member detection lists go to
+/// the driver in one grouped `DetectionsGroup` message per slot.
 fn resident_cfar(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
     let p = ctx.params;
     let my_bins = ctx.parts.cfar_bins[local].clone();
-    let ml = my_bins.len();
     let driver = ctx.assign.driver_rank();
+    // One block per PC node, holding its ascending share of my bins.
     let feeders: Vec<(usize, Range<usize>)> = ctx
         .parts
         .pc_bins
@@ -1472,8 +1471,8 @@ fn resident_cfar(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
         .enumerate()
         .map(|(t, r)| (ctx.assign.rank_range(PC).start + t, overlap(r, &my_bins)))
         .collect();
-    let mut power_by = ByGroup::<RCube>::new(ctx.max_group);
-    let mut scratch = cfar::CfarScratch::for_task(p, ml);
+    let mut blocks: Vec<RCube> = Vec::with_capacity(feeders.len());
+    let mut scratch = cfar::CfarScratch::for_task(p, my_bins.len());
     let mut health = PipelineHealth::default();
     let mut busy = 0.0f64;
     let mut slot = 0usize;
@@ -1481,65 +1480,49 @@ fn resident_cfar(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
         sample_mailbox(comm, &mut health);
         comm.fault_checkpoint(slot as u64);
         let mut group: Option<Arc<[SubCpi]>> = None;
-        let mut first = true;
-        for (fi, (src, ov)) in feeders.iter().enumerate() {
+        for (fi, (src, _)) in feeders.iter().enumerate() {
             let m = comm.recv(*src, tag(Edge::PcToCfar, slot)).unwrap();
-            match expect_grouped_real(m) {
-                Some((g, block)) => {
-                    let b = g.len();
-                    if first {
-                        first = false;
-                        group = Some(g);
-                        power_by.get(b, |b| RCube::zeros([b * ml, p.m_beams, p.k_range]));
-                    }
-                    let power = power_by.slots[b].as_mut().unwrap();
-                    let ol = ov.len();
-                    debug_assert_eq!(block.shape()[0], b * ol);
-                    for u in 0..b {
-                        for i in 0..ol {
-                            for m in 0..p.m_beams {
-                                power
-                                    .lane_mut(u * ml + ov.start - my_bins.start + i, m)
-                                    .copy_from_slice(block.lane(u * ol + i, m));
-                            }
-                        }
-                    }
-                    ctx.pools.real.recycle(block);
+            let Some((g, block)) = expect_grouped_real(m) else {
+                for (src2, _) in feeders.iter().skip(fi + 1) {
+                    let m2 = comm.recv(*src2, tag(Edge::PcToCfar, slot)).unwrap();
+                    assert!(matches!(m2.payload, Payload::Shutdown));
                 }
-                None => {
-                    for (src2, _) in feeders.iter().skip(fi + 1) {
-                        let m2 = comm.recv(*src2, tag(Edge::PcToCfar, slot)).unwrap();
-                        assert!(matches!(m2.payload, Payload::Shutdown));
-                    }
-                    break 'outer;
-                }
-            }
+                break 'outer;
+            };
+            group.get_or_insert(g);
+            blocks.push(block);
         }
         let group = group.expect("at least one PC node");
         let t_busy = Instant::now();
         let b = group.len();
-        let power = power_by.slots[b].as_mut().unwrap();
-        let mut per_sub: Vec<Vec<Detection>> = Vec::with_capacity(b);
-        // Screening attributes non-finite power to the owning sub-CPI:
-        // each member's lanes are disjoint rows of the slot cube, so a
+        // The message to the driver: per member CPI its detections and,
+        // when screening, whether its power held non-finite samples —
+        // each member's lanes are disjoint rows of the blocks, so a
         // poisoned tenant degrades its own CPI, never its slot-mates'.
-        let mut mask: Vec<bool> = Vec::new();
+        let mut per_sub: Vec<Vec<Detection>> = Vec::with_capacity(b);
+        let mut mask: Vec<bool> = Vec::with_capacity(if ctx.screen { b } else { 0 });
         for u in 0..b {
             scratch.begin_cpi();
             let mut poisoned = false;
-            for bi in 0..ml {
-                for m in 0..p.m_beams {
-                    let lane = power.lane(u * ml + bi, m);
-                    if ctx.screen && !lane.iter().all(|v| v.is_finite()) {
-                        poisoned = true;
+            for (block, (_, ov)) in blocks.iter().zip(&feeders) {
+                debug_assert_eq!(block.shape()[0], b * ov.len());
+                for (i, bin) in ov.clone().enumerate() {
+                    for m in 0..p.m_beams {
+                        let lane = block.lane(u * ov.len() + i, m);
+                        if ctx.screen && !lane.iter().all(|v| v.is_finite()) {
+                            poisoned = true;
+                        }
+                        cfar::cfar_lane(p, lane, bin, m, &mut scratch.detections);
                     }
-                    cfar::cfar_lane(p, lane, my_bins.start + bi, m, &mut scratch.detections);
                 }
             }
             if ctx.screen {
                 mask.push(poisoned);
             }
             per_sub.push(scratch.take());
+        }
+        for block in blocks.drain(..) {
+            ctx.pools.real.recycle(block);
         }
         comm.send(
             driver,
@@ -1803,12 +1786,20 @@ mod tests {
     /// and every slot carries up to three CPIs. Neither assignment gives
     /// a hard-weight node a multiple of four bins, so every node's last
     /// lane group carries padding lanes; the second one also cuts a lane
-    /// group in two between the hard-beamform nodes it feeds.
+    /// group in two between the hard-beamform nodes it feeds. All of them
+    /// split a beamform node's bins across two PC blocks and have a CFAR
+    /// node read its bins out of two power blocks; the last two also cut
+    /// a lane group of easy bins (8..12 of 18) between two easy-beamform
+    /// nodes, once with the PC and CFAR partitions aligned (a CFAR node's
+    /// second block is empty) and once with three CFAR nodes across two
+    /// PC nodes (each PC block compresses into two CFAR blocks).
     #[test]
     fn grouped_multi_node_slots_match_sequential_reference_bitwise() {
         for assign in [
             NodeAssignment::tiny(),
             NodeAssignment([2, 1, 1, 1, 2, 2, 1]),
+            NodeAssignment([2, 1, 1, 2, 1, 2, 2]),
+            NodeAssignment([2, 1, 1, 2, 1, 2, 3]),
         ] {
             grouped_slots_match_sequential_reference_bitwise(assign);
         }
@@ -1839,6 +1830,10 @@ mod tests {
             "padding lanes on every hard-weight node: {:?}",
             parts.hard_wt_bins
         );
+        assert_eq!(assign.nodes(PC), 2, "beamform output in two PC blocks");
+        if let [first, _] = &parts.easy_bf_bins[..] {
+            assert!(first.end % 4 != 0, "a lane group of easy bins is cut");
+        }
         let res = ResidentStap::for_scenario(params, assign, &sc).with_max_group(3);
         // Sized for three-CPI groups (`reserve` caps the group at the
         // stream count).
@@ -1866,6 +1861,7 @@ mod tests {
         feeder.join().unwrap();
         assert_eq!((summary.cpis, summary.slots), (count as u64, 5));
         assert_eq!(summary.pool_cx.misses, 0, "{:?}", summary.pool_cx);
+        assert_eq!(summary.pool_real.misses, 0, "{:?}", summary.pool_real);
         let mut got = vec![Vec::new(); count];
         while let Ok(d) = done_rx.recv() {
             got[d.scpi as usize] = bits(&d.detections);

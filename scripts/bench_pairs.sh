@@ -4,8 +4,8 @@
 #
 #   scripts/bench_pairs.sh <workload> [pairs=10] [parent-ref=HEAD~1]
 #
-# Builds the parent (checked out into a `git worktree` under a temp dir)
-# and the change (this tree, as it is on disk) with separate
+# Builds the parent (`git archive` of <parent-ref> unpacked under a temp
+# dir) and the change (this tree, as it is on disk) with separate
 # CARGO_TARGET_DIRs, then runs <pairs> pairs of the unmodified
 # BENCHMARK.json command, each tree from its own root. The two sides of a
 # pair share a fresh --seed, and the side that runs first alternates.
@@ -26,13 +26,10 @@ parent_ref="${3:-HEAD~1}"
 change_root="$PWD"
 
 tmp="$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")"
-cleanup() {
-  git worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 
-git worktree add --detach "$tmp/parent" "$parent_ref" >/dev/null
+mkdir "$tmp/parent"
+git archive "$parent_ref" | tar -x -C "$tmp/parent"
 echo "parent $(git rev-parse --short "$parent_ref") in $tmp/parent, change = working tree of $change_root"
 
 # The BENCHMARK.json command, word by word (no workload arguments yet).

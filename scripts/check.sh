@@ -56,7 +56,7 @@ run_stage() {
       # live above the fabric, so the classification is transport-blind.
       # The JSON artifact is kept when FAULTS_SMOKE_OUT is set.
       local faults_out
-      faults_out="${FAULTS_SMOKE_OUT:-$(mktemp /tmp/FAULTS_smoke.XXXXXX.json)}"
+      faults_out="${FAULTS_SMOKE_OUT:-$(mktemp "${TMPDIR:-/tmp}"/FAULTS_smoke.XXXXXX.json)}"
       [ -n "${FAULTS_SMOKE_OUT:-}" ] || trap 'rm -f "$faults_out"' RETURN
       cargo run --release -q -p stap-bench --bin stapctl -- faults \
         --transport "${STAP_TRANSPORT:-inproc}" \
@@ -69,7 +69,7 @@ run_stage() {
       # --quick) gate themselves against the baseline and refuse to
       # record a >10% regression.
       local smoke_out
-      smoke_out="${BENCH_SMOKE_OUT:-$(mktemp /tmp/BENCH_kernels_smoke.XXXXXX.json)}"
+      smoke_out="${BENCH_SMOKE_OUT:-$(mktemp "${TMPDIR:-/tmp}"/BENCH_kernels_smoke.XXXXXX.json)}"
       [ -n "${BENCH_SMOKE_OUT:-}" ] || trap 'rm -f "$smoke_out"' RETURN
       cargo run --release -q -p stap-bench --bin stapctl -- bench --quick --out "$smoke_out"
       ;;
@@ -79,7 +79,7 @@ run_stage() {
       # over the wire when STAP_TRANSPORT says so. Kept when
       # TRACE_SMOKE_OUT is set.
       local trace_out
-      trace_out="${TRACE_SMOKE_OUT:-$(mktemp /tmp/TRACE_pipeline_smoke.XXXXXX.json)}"
+      trace_out="${TRACE_SMOKE_OUT:-$(mktemp "${TMPDIR:-/tmp}"/TRACE_pipeline_smoke.XXXXXX.json)}"
       [ -n "${TRACE_SMOKE_OUT:-}" ] || trap 'rm -f "$trace_out"' RETURN
       cargo run --release -q -p stap-bench --bin stapctl -- trace --cpis 6 \
         --transport "${STAP_TRANSPORT:-inproc}" --out "$trace_out" \
@@ -97,7 +97,7 @@ run_stage() {
       # state that never missed the pre-warmed pools. The JSON artifact
       # is kept (CI uploads it) unless SERVE_SMOKE_OUT is unset.
       local serve_out
-      serve_out="${SERVE_SMOKE_OUT:-$(mktemp /tmp/SERVE_smoke.XXXXXX.json)}"
+      serve_out="${SERVE_SMOKE_OUT:-$(mktemp "${TMPDIR:-/tmp}"/SERVE_smoke.XXXXXX.json)}"
       [ -n "${SERVE_SMOKE_OUT:-}" ] || trap 'rm -f "$serve_out"' RETURN
       cargo run --release -q -p stap-bench --bin stapctl -- \
         serve --streams 4 --cpis 6 --group 4 --json >"$serve_out" \
@@ -128,7 +128,7 @@ PY
       # loaded CI host. The JSON artifact is kept when ASSIGN_SMOKE_OUT
       # is set (CI uploads it).
       local assign_out
-      assign_out="${ASSIGN_SMOKE_OUT:-$(mktemp /tmp/ASSIGN_smoke.XXXXXX.json)}"
+      assign_out="${ASSIGN_SMOKE_OUT:-$(mktemp "${TMPDIR:-/tmp}"/ASSIGN_smoke.XXXXXX.json)}"
       [ -n "${ASSIGN_SMOKE_OUT:-}" ] || trap 'rm -f "$assign_out"' RETURN
       cargo run --release -q -p stap-bench --bin stapctl -- \
         assign --budget 10 --cpis 12 --expect sane --out "$assign_out" \
@@ -145,7 +145,7 @@ PY
       # the JSON. Deterministic by seed. The artifact is kept when
       # CHAOS_SMOKE_OUT is set (CI uploads it).
       local chaos_out
-      chaos_out="${CHAOS_SMOKE_OUT:-$(mktemp /tmp/CHAOS_smoke.XXXXXX.json)}"
+      chaos_out="${CHAOS_SMOKE_OUT:-$(mktemp "${TMPDIR:-/tmp}"/CHAOS_smoke.XXXXXX.json)}"
       [ -n "${CHAOS_SMOKE_OUT:-}" ] || trap 'rm -f "$chaos_out"' RETURN
       cargo run --release -q -p stap-bench --bin stapctl -- \
         chaos --seed 7 --cpis 8 --out "$chaos_out" \
@@ -169,7 +169,7 @@ PY
       # loopback TCP mesh — and the TCP run's per-edge measured bytes
       # must reconcile with the DES model within a factor of two.
       local par_dir
-      par_dir="$(mktemp -d /tmp/stap_parity.XXXXXX)"
+      par_dir="$(mktemp -d "${TMPDIR:-/tmp}"/stap_parity.XXXXXX)"
       trap 'rm -rf "$par_dir"' RETURN
       local t
       for t in inproc shm tcp; do

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Where the CPU of a benchmark run goes, thread by thread.
 #
-#   scripts/thread_cpu.sh <workload> [seconds=6]
+#   scripts/thread_cpu.sh <workload> [seconds=6] [nodes]
 #
 # Runs the unmodified BENCHMARK.json command on <workload>, waits for the
 # rank threads (`stap-r<rank>`, named by stap-mp::world) to appear and
@@ -12,14 +12,20 @@
 #
 # Ranks are the workload's node assignment laid out task by task —
 # Doppler, easy weight, hard weight, easy BF, hard BF, pulse compression,
-# CFAR — followed by the driver; with one node per task `stap-r2` is hard
-# weight. `ResidentSummary.busy` is wall-clock on a host with fewer cores
-# than rank threads and counts waiting for a core; this does not.
+# CFAR — followed by the driver, so which task `stap-r2` is depends on
+# the assignment: hard weight with one node per task (`paper_closed`),
+# easy weight under `red_multi_closed`'s 2,1,2,1,1,2,1. Give the
+# assignment as [nodes] (seven comma-separated counts, as in
+# benchmark/src/workload.rs) and every rank is printed with its task's
+# name, followed by the sum per task. `ResidentSummary.busy` is
+# wall-clock on a host with fewer cores than rank threads and counts
+# waiting for a core; this does not.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-workload="${1:?usage: scripts/thread_cpu.sh <workload> [seconds=6]}"
+workload="${1:?usage: scripts/thread_cpu.sh <workload> [seconds=6] [nodes]}"
 seconds="${2:-6}"
+nodes="${3:-}"
 
 mapfile -t bench_cmd < <(python3 - <<'PY'
 import json
@@ -78,9 +84,21 @@ sample "$pid" >"$tmp/after"
 wait "$run" || true
 trap 'rm -rf "$tmp"' EXIT
 
-python3 - "$tmp" "$seconds" "$(getconf CLK_TCK)" <<'PY'
+python3 - "$tmp" "$seconds" "$(getconf CLK_TCK)" "$nodes" <<'PY'
 import collections, json, sys
 tmp, seconds, hz = sys.argv[1], float(sys.argv[2]), float(sys.argv[3])
+TASKS = ["doppler", "easy weight", "hard weight", "easy BF", "hard BF", "pulse compr.", "CFAR"]
+task_of = {}
+if sys.argv[4]:
+    counts = [int(n) for n in sys.argv[4].split(",")]
+    if len(counts) != len(TASKS):
+        sys.exit(f"nodes: want {len(TASKS)} comma-separated counts, got {sys.argv[4]!r}")
+    rank = 0
+    for task, count in zip(TASKS, counts):
+        for _ in range(count):
+            task_of[f"stap-r{rank}"] = task
+            rank += 1
+    task_of[f"stap-r{rank}"] = "driver"
 result = [l for l in open(f"{tmp}/run.log").read().splitlines() if l.startswith('{"correct"')]
 if not result:
     sys.exit(open(f"{tmp}/run.log").read() + "\nno result line")
@@ -94,10 +112,15 @@ for task, ticks in after.items():
 cpis = rate * seconds
 print(f"{rate:.1f} CPI/s, {seconds:g} s sampled = {cpis:.0f} CPIs")
 total = 0.0
+per_task = collections.Counter()
 for name, ticks in sorted(per_name.items(), key=lambda kv: -kv[1]):
     ms = ticks * 1000.0 / hz / cpis
     total += ms
+    if name in task_of:
+        per_task[task_of[name]] += ms
     if ticks:
-        print(f"{name:<16} {ms:8.2f} ms/CPI")
+        print(f"{name:<16} {ms:8.2f} ms/CPI  {task_of.get(name, '')}".rstrip())
 print(f"{'all threads':<16} {total:8.2f} ms/CPI")
+for task, ms in sorted(per_task.items(), key=lambda kv: -kv[1]):
+    print(f"  {task:<14} {ms:8.2f} ms/CPI")
 PY
