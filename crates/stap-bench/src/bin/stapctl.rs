@@ -4,15 +4,9 @@
 //! ```text
 //! stapctl simulate --nodes 16,8,56,8,14,8,8 [--cpis 25] [--input-rate 5]
 //!                  [--replicas 1,1,1,1,1,1,1] [--contention] [--json]
-//! stapctl optimize --budget 118 [--objective throughput|latency] [--floor 3.0]
 //! stapctl detect   [--cpis 6] [--seed 42] [--full] [--nodes 2,1,2,1,1,2,1]
 //! stapctl faults   [--cpis 10] [--seed 7] [--drop-cpi 2] [--stall-cpi 6]
 //!                  [--expect degraded=3,dropped=1] [--json] [--out PATH]
-//! stapctl gantt    [--nodes N0,..,N6] [--cpis 8]
-//! stapctl csv      --what fig11|scaling
-//! stapctl bench    [--quick] [--json] [--force] [--out BENCH_kernels.json]
-//! stapctl bench    --streams [--quick] [--json] [--force] [--out BENCH_streams.json]
-//! stapctl bench    --assign [--quick] [--json] [--force] [--out BENCH_assign.json]
 //! stapctl assign   [--budget B] [--cpis K] [--evals E] [--expect sane,paper-case]
 //!                  [--json] [--out PATH]
 //! stapctl serve    [--streams 4] [--cpis 8] [--seed 42] [--depth 8] [--group G]
@@ -25,7 +19,6 @@
 //!                  [--expect recovered>=1,quarantined=1] [--json] [--out PATH]
 //! stapctl cluster  [--transport shm|tcp] [--cpis 6] [--seed 42] [--nodes ...]
 //!                  [--relaunches 0] [--json] [--out PATH]
-//! stapctl bench    --transport [--quick] [--json] [--force] [--out BENCH_transport.json]
 //! ```
 //!
 //! `--transport` selects the rank fabric: `inproc` (the default) runs
@@ -43,19 +36,12 @@
 //! and the resident pipeline) and reports per-stream p50/p99 latency;
 //! `loadgen` is the same engine with a deliberately tight per-stream
 //! queue so admission backpressure (QueueFull + retry) is exercised.
-//! `bench --streams` measures the aggregate multi-stream rate against a
-//! serial one-shot baseline and gates `BENCH_streams.json` like the
-//! kernel bench.
 //!
 //! `faults` runs a deterministic fault-injection campaign on the real
 //! (reduced-size) pipeline: one weight-task stall and one dropped
 //! inter-task message, then reports per-CPI outcomes and health
 //! counters. `--expect degraded=G,dropped=D` turns it into a CI gate
 //! that fails when the classification deviates.
-//!
-//! `bench` in full mode refuses to overwrite its output file when any
-//! kernel's optimized-path median regressed more than 10% against the
-//! recorded `after_ns` (pass `--force` to accept a new baseline).
 //!
 //! `chaos` runs a seeded chaos campaign on the *supervised* serve
 //! runtime: a scheduled rank panic (checkpoint/restore recovery), a
@@ -79,7 +65,6 @@ use stap::machine::Mesh;
 use stap::pipeline::assignment::TASK_NAMES;
 use stap::pipeline::{NodeAssignment, ParallelStap};
 use stap::radar::Scenario;
-use stap::sim::assign::{optimize, Objective};
 use stap::sim::{simulate, SimConfig};
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -88,10 +73,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
          stapctl simulate --nodes N0,..,N6 [--cpis K] [--input-rate R] [--replicas R0,..,R6] [--contention]\n  \
-         stapctl optimize --budget B [--objective throughput|latency] [--floor T] [--moves M]\n  \
          stapctl detect [--cpis K] [--seed S] [--full] [--nodes N0,..,N6]\n  \
          stapctl faults [--cpis K] [--seed S] [--drop-cpi C] [--stall-cpi C] [--transport inproc|shm|tcp] [--expect degraded=G,dropped=D] [--json] [--out PATH]\n  \
-         stapctl bench [--streams|--assign|--transport] [--quick] [--json] [--force] [--out PATH]\n  \
          stapctl assign [--budget B] [--cpis K] [--evals E] [--expect sane,paper-case] [--json] [--out PATH]\n  \
          stapctl serve [--streams N] [--cpis K] [--seed S] [--depth D] [--group G] [--window W] [--json] [--out PATH]\n  \
          stapctl loadgen [--streams N] [--cpis K] [--seed S] [--depth D] [--group G] [--window W] [--json] [--out PATH]\n  \
@@ -218,35 +201,6 @@ fn cmd_simulate(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_optimize(flags: HashMap<String, String>) -> Result<(), String> {
-    let budget: usize = flags
-        .get("budget")
-        .ok_or("--budget is required")?
-        .parse()
-        .map_err(|e| format!("--budget: {e}"))?;
-    let moves: usize = flags
-        .get("moves")
-        .map(|m| m.parse().map_err(|e| format!("--moves: {e}")))
-        .transpose()?
-        .unwrap_or(15);
-    let objective = match flags.get("objective").map(String::as_str) {
-        None | Some("throughput") => Objective::MaxThroughput,
-        Some("latency") => Objective::MinLatency {
-            throughput_floor: flags
-                .get("floor")
-                .map(|f| f.parse().map_err(|e| format!("--floor: {e}")))
-                .transpose()?
-                .unwrap_or(0.0),
-        },
-        Some(other) => return Err(format!("unknown objective {other}")),
-    };
-    let cfg = SimConfig::paper(NodeAssignment::case2());
-    let (a, r) = optimize(&cfg, budget, objective, moves);
-    println!("optimized assignment for {budget} nodes ({objective:?}):");
-    print_sim(&r, &a);
-    Ok(())
-}
-
 fn cmd_detect(flags: HashMap<String, String>) -> Result<(), String> {
     let cpis: usize = flags
         .get("cpis")
@@ -339,7 +293,7 @@ fn cmd_faults(flags: HashMap<String, String>) -> Result<(), String> {
     let easy_wt_rank = assign.rank_range(EASY_WT).start;
     println!(
         "fault campaign: {cpis} reduced CPIs over {}, drop Doppler->easyBF at CPI {drop_cpi}, \
-         stall easy-weight rank {easy_wt_rank} for 2 s at CPI {stall_cpi}",
+         stall easy-weight rank {easy_wt_rank} at CPI {stall_cpi}",
         transport.name()
     );
     let cfg = stap_bench::cluster::ClusterConfig {
@@ -433,386 +387,6 @@ fn cmd_faults(flags: HashMap<String, String>) -> Result<(), String> {
         println!("expectations met: degraded={degraded} dropped={dropped}");
     }
     Ok(())
-}
-
-fn cmd_gantt(flags: HashMap<String, String>) -> Result<(), String> {
-    let nodes = flags
-        .get("nodes")
-        .map(|s| parse_counts(s))
-        .transpose()?
-        .unwrap_or(NodeAssignment::case3().0);
-    let mut cfg = SimConfig::paper(NodeAssignment(nodes));
-    cfg.num_cpis = flags
-        .get("cpis")
-        .map(|c| c.parse().map_err(|e| format!("--cpis: {e}")))
-        .transpose()?
-        .unwrap_or(8);
-    let traced = stap::sim::simulate_traced(&cfg);
-    println!("{}", stap::sim::render_gantt(&traced, cfg.num_cpis, 110));
-    Ok(())
-}
-
-fn cmd_csv(flags: HashMap<String, String>) -> Result<(), String> {
-    use stap::sim::sweep;
-    match flags.get("what").map(String::as_str) {
-        Some("fig11") => {
-            let m = stap::machine::Paragon::afrl_calibrated();
-            let rows = sweep::fig11_rows(
-                &m,
-                &stap::core::flops::paper_table1().0,
-                &sweep::default_fig11_sweeps(),
-            );
-            print!("{}", sweep::fig11_csv(&rows));
-            Ok(())
-        }
-        Some("scaling") => {
-            let cfg = SimConfig::paper(NodeAssignment::case3());
-            let rows = sweep::scaling_rows(&cfg, &sweep::proportional_ladder(&[1, 2, 4, 8, 16]));
-            print!("{}", sweep::scaling_csv(&rows));
-            Ok(())
-        }
-        other => Err(format!("--what must be fig11 or scaling, got {other:?}")),
-    }
-}
-
-fn cmd_bench(flags: HashMap<String, String>) -> Result<(), String> {
-    use stap_bench::kernels;
-    use stap_util::bench::fmt_ns;
-    if flags.contains_key("streams") {
-        return cmd_bench_streams(flags);
-    }
-    if flags.contains_key("assign") {
-        return cmd_bench_assign(flags);
-    }
-    if flags.contains_key("transport") {
-        return cmd_bench_transport(flags);
-    }
-    let quick = flags.contains_key("quick");
-    let pairs = kernels::measure(quick);
-    println!();
-    println!(
-        "{:<32} {:>12} {:>12} {:>9}",
-        "kernel (before/after)", "seed path", "optimized", "speedup"
-    );
-    for p in &pairs {
-        println!(
-            "{:<32} {:>12} {:>12} {:>8.2}x",
-            p.name,
-            fmt_ns(p.before.median_ns),
-            fmt_ns(p.after.median_ns),
-            p.speedup()
-        );
-    }
-    let out_path = flags
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or("BENCH_kernels.json");
-    // Regression gate: full-mode runs must not silently regress a kernel
-    // past the recorded baseline. Quick mode (CI smoke) times too little
-    // to be meaningful; --force records a new baseline regardless. A
-    // baseline recorded under a different SIMD backend (host metadata
-    // mismatch) only warns — cross-host timings are not comparable and
-    // must not hard-fail the gate.
-    if !quick && !flags.contains_key("force") {
-        if let Ok(baseline) = std::fs::read_to_string(out_path) {
-            if let Some(why) = kernels::host_mismatch(&baseline) {
-                eprintln!(
-                    "WARNING: {why}; skipping the >10% regression gate \
-                     (timings are not comparable across SIMD backends)"
-                );
-            } else {
-                let slow = kernels::regressions(&pairs, &baseline, 0.10)?;
-                if !slow.is_empty() {
-                    for line in &slow {
-                        eprintln!("REGRESSION {line}");
-                    }
-                    return Err(format!(
-                        "{} kernel(s) regressed >10% vs the recorded {out_path}; \
-                         baseline left untouched (re-run with --force to accept)",
-                        slow.len()
-                    ));
-                }
-            }
-        }
-    }
-    let j = kernels::report(&pairs, quick);
-    if flags.contains_key("json") {
-        println!("{}", j.to_string_pretty());
-    }
-    std::fs::write(out_path, j.to_string_pretty()).map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
-    Ok(())
-}
-
-fn cmd_bench_streams(flags: HashMap<String, String>) -> Result<(), String> {
-    use stap_bench::streams;
-    let quick = flags.contains_key("quick");
-    let cfg = if quick {
-        streams::StreamsConfig::quick()
-    } else {
-        streams::StreamsConfig::full()
-    };
-    println!(
-        "multi-stream bench: {} streams x {} CPIs (group {}, window {}) vs {} serial one-shot CPIs...",
-        cfg.streams, cfg.cpis_per_stream, cfg.max_group, cfg.window, cfg.serial_cpis
-    );
-    let r = streams::measure(cfg)?;
-    let s = &r.load.summary;
-    println!(
-        "serial one-shot  {:>8.1} CPI/s\nmulti-stream     {:>8.1} CPI/s  ({} CPIs in {} slots, {:.2} CPIs/slot)\nspeedup          {:>8.2}x",
-        r.serial_cpis_per_sec,
-        s.cpis_per_sec,
-        s.cpis,
-        s.slots,
-        s.cpis as f64 / s.slots.max(1) as f64,
-        r.speedup
-    );
-    println!(
-        "latency          p50 {:.2} ms  p99 {:.2} ms  max {:.2} ms   backpressure retries {}",
-        s.aggregate.p50_ms, s.aggregate.p99_ms, s.aggregate.max_ms, r.load.backpressure_retries
-    );
-    for st in &s.streams {
-        println!(
-            "  stream {:>2}: {:>3} CPIs  p50 {:>7.2} ms  p99 {:>7.2} ms  max {:>7.2} ms",
-            st.stream, st.cpis, st.latency.p50_ms, st.latency.p99_ms, st.latency.max_ms
-        );
-    }
-    let out_path = flags
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or("BENCH_streams.json");
-    // Same gating discipline as the kernel bench: a full-mode run that
-    // lost more than 10% aggregate throughput (or gained >10% p99)
-    // against the recorded baseline refuses to overwrite it.
-    if !quick && !flags.contains_key("force") {
-        if let Ok(baseline) = std::fs::read_to_string(out_path) {
-            if let Some(why) = stap_bench::kernels::host_mismatch(&baseline) {
-                eprintln!(
-                    "WARNING: {why}; skipping the >10% regression gate \
-                     (timings are not comparable across SIMD backends)"
-                );
-            } else {
-                let slow = streams::regressions(&r, &baseline, 0.10)?;
-                if !slow.is_empty() {
-                    for line in &slow {
-                        eprintln!("REGRESSION {line}");
-                    }
-                    return Err(format!(
-                        "{} metric(s) regressed >10% vs the recorded {out_path}; \
-                         baseline left untouched (re-run with --force to accept)",
-                        slow.len()
-                    ));
-                }
-            }
-        }
-    }
-    let j = streams::report(&r, quick);
-    if flags.contains_key("json") {
-        println!("{}", j.to_string_pretty());
-    }
-    std::fs::write(out_path, j.to_string_pretty()).map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
-    Ok(())
-}
-
-fn cmd_bench_assign(flags: HashMap<String, String>) -> Result<(), String> {
-    use stap_bench::assign;
-    let quick = flags.contains_key("quick");
-    let cfg = if quick {
-        assign::AssignConfig::quick()
-    } else {
-        assign::AssignConfig::full()
-    };
-    println!(
-        "assignment bench: {} x {} CPIs per arm (window {}, group {}), optimizer budgets {}..={}",
-        cfg.trials, cfg.cpis_per_trial, cfg.window, cfg.max_group, cfg.budget_lo, cfg.budget_hi
-    );
-    let r = assign::measure(cfg)?;
-    let fmt_nodes = |a: &NodeAssignment| {
-        a.0.iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    println!(
-        "default   [{}]  median {:>8.1} CPI/s\noptimized [{}]  median {:>8.1} CPI/s  (modeled overhead {:.1} us/CPI)\nspeedup   {:>8.2}x",
-        fmt_nodes(&r.default_assign),
-        r.default_cpis_per_sec,
-        fmt_nodes(&r.opt_assign),
-        r.opt_cpis_per_sec,
-        r.opt_modeled_overhead_s * 1e6,
-        r.speedup
-    );
-    let out_path = flags
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or("BENCH_assign.json");
-    // Same gating discipline as the other benches; a baseline recorded
-    // under a different SIMD backend only warns (satellite: host
-    // metadata travels in every BENCH_*.json).
-    if !quick && !flags.contains_key("force") {
-        if let Ok(baseline) = std::fs::read_to_string(out_path) {
-            if let Some(why) = stap_bench::kernels::host_mismatch(&baseline) {
-                eprintln!(
-                    "WARNING: {why}; skipping the >10% regression gate \
-                     (timings are not comparable across SIMD backends)"
-                );
-            } else {
-                let slow = assign::regressions(&r, &baseline, 0.10)?;
-                if !slow.is_empty() {
-                    for line in &slow {
-                        eprintln!("REGRESSION {line}");
-                    }
-                    return Err(format!(
-                        "{} metric(s) regressed >10% vs the recorded {out_path}; \
-                         baseline left untouched (re-run with --force to accept)",
-                        slow.len()
-                    ));
-                }
-            }
-        }
-    }
-    let j = assign::report(&r, quick);
-    if flags.contains_key("json") {
-        println!("{}", j.to_string_pretty());
-    }
-    std::fs::write(out_path, j.to_string_pretty()).map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
-    Ok(())
-}
-
-/// `stapctl bench --transport`: measure canonical-config pipeline
-/// throughput over every transport (inproc threads, shm processes, tcp
-/// processes), assert the detections digest agrees across all three,
-/// and gate `BENCH_transport.json` with the same discipline as the
-/// kernel bench: host-metadata mismatch warns and skips, a >10%
-/// throughput regression against the recorded baseline refuses to
-/// overwrite it unless `--force`.
-fn cmd_bench_transport(flags: HashMap<String, String>) -> Result<(), String> {
-    use stap::mp::TransportKind;
-    use stap::pipeline::wire::detections_digest;
-    use stap_bench::cluster::{run_cluster, ClusterConfig};
-    use stap_bench::kernels;
-    use stap_util::Json;
-
-    let quick = flags.contains_key("quick");
-    let cpis = if quick { 4 } else { 8 };
-    println!("transport bench: canonical reduced config, {cpis} CPIs per transport...");
-    let mut rows: Vec<(&'static str, f64, f64, f64)> = Vec::new();
-    let mut digests: Vec<u64> = Vec::new();
-    for t in TransportKind::ALL {
-        let mut cfg = ClusterConfig::canonical(t);
-        cfg.cpis = cpis;
-        let t0 = std::time::Instant::now();
-        let out = run_cluster(&cfg)?;
-        let wall = t0.elapsed().as_secs_f64();
-        let digest = detections_digest(&out.detections);
-        // Gate on wall-clock CPI/s (stable, includes process spawn);
-        // the steady-state rate rides along as information only — its
-        // measurement window is too small at bench CPI counts to gate.
-        let wall_thr = cpis as f64 / wall.max(1e-9);
-        println!(
-            "  {:<8} {wall_thr:>8.2} CPI/s wall (incl. spawn)  {:>10.2} CPI/s steady-state  digest {digest:016x}",
-            t.name(),
-            out.timings.measured_throughput,
-        );
-        rows.push((t.name(), wall_thr, out.timings.measured_throughput, wall));
-        digests.push(digest);
-    }
-    if digests.windows(2).any(|w| w[0] != w[1]) {
-        return Err("transports disagree on the detections digest — parity broken".into());
-    }
-
-    let out_path = flags
-        .get("out")
-        .map(String::as_str)
-        .unwrap_or("BENCH_transport.json");
-    // Same gating discipline as the kernel bench: full-mode runs must
-    // not silently lose >10% throughput on any transport vs the
-    // recorded baseline; cross-host baselines only warn.
-    if !quick && !flags.contains_key("force") {
-        if let Ok(baseline) = std::fs::read_to_string(out_path) {
-            if let Some(why) = kernels::host_mismatch(&baseline) {
-                eprintln!(
-                    "WARNING: {why}; skipping the >10% regression gate \
-                     (timings are not comparable across SIMD backends)"
-                );
-            } else {
-                let slow = transport_regressions(&rows, &baseline, 0.10)?;
-                if !slow.is_empty() {
-                    for line in &slow {
-                        eprintln!("REGRESSION {line}");
-                    }
-                    return Err(format!(
-                        "{} transport(s) regressed >10% vs the recorded {out_path}; \
-                         baseline left untouched (re-run with --force to accept)",
-                        slow.len()
-                    ));
-                }
-            }
-        }
-    }
-    let j = Json::obj([
-        ("quick", Json::Bool(quick)),
-        ("cpis", Json::Num(cpis as f64)),
-        (
-            "detections_digest",
-            Json::Str(format!("{:016x}", digests[0])),
-        ),
-        ("host", kernels::host_metadata()),
-        (
-            "transports",
-            Json::arr(rows.iter().map(|(name, thr, steady, wall)| {
-                Json::obj([
-                    ("name", Json::Str((*name).to_string())),
-                    ("cpis_per_sec", Json::Num(*thr)),
-                    ("steady_cpi_s", Json::Num(*steady)),
-                    ("wall_s", Json::Num(*wall)),
-                ])
-            })),
-        ),
-    ]);
-    if flags.contains_key("json") {
-        println!("{}", j.to_string_pretty());
-    }
-    std::fs::write(out_path, j.to_string_pretty()).map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
-    Ok(())
-}
-
-/// Compares measured transport throughputs against a recorded
-/// `BENCH_transport.json` baseline; returns one line per transport
-/// whose wall-clock CPI/s fell more than `tol` below the baseline.
-/// Quick-mode baselines time too little to gate against and pass.
-fn transport_regressions(
-    rows: &[(&'static str, f64, f64, f64)],
-    baseline: &str,
-    tol: f64,
-) -> Result<Vec<String>, String> {
-    use stap_util::Json;
-    let doc = Json::parse(baseline).map_err(|e| format!("parse baseline: {e}"))?;
-    if matches!(doc.get("quick"), Some(Json::Bool(true))) {
-        return Ok(Vec::new());
-    }
-    let Some(Json::Arr(base)) = doc.get("transports") else {
-        return Err("baseline has no transports array".into());
-    };
-    let mut slow = Vec::new();
-    for (name, thr, _, _) in rows {
-        for b in base {
-            if !matches!(b.get("name"), Some(Json::Str(n)) if n.as_str() == *name) {
-                continue;
-            }
-            if let Some(Json::Num(old)) = b.get("cpis_per_sec") {
-                if *thr < old * (1.0 - tol) {
-                    slow.push(format!(
-                        "{name}: {old:.2} CPI/s recorded, {thr:.2} CPI/s measured"
-                    ));
-                }
-            }
-        }
-    }
-    Ok(slow)
 }
 
 /// `stapctl assign`: enumerate (or heuristically search) the
@@ -1399,14 +973,9 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
-    // `bench --streams`/`--transport` are selectors (boolean);
-    // `serve`/`loadgen` take `--streams N` and `trace`/`faults`/
-    // `cluster` take `--transport KIND` as values.
     let bools: &[&str] = match cmd.as_str() {
-        "bench" => &["quick", "json", "force", "streams", "assign", "transport"],
-        "serve" | "loadgen" | "assign" | "chaos" | "cluster" => &["json"],
         "_rank" => &["two-beam", "trace"],
-        _ => &["contention", "full", "json", "quick", "force"],
+        _ => &["contention", "full", "json"],
     };
     let flags = match parse_flags(&args[1..], bools) {
         Ok(f) => f,
@@ -1417,12 +986,8 @@ fn main() -> ExitCode {
     };
     let result = match cmd.as_str() {
         "simulate" => cmd_simulate(flags),
-        "optimize" => cmd_optimize(flags),
         "detect" => cmd_detect(flags),
         "faults" => cmd_faults(flags),
-        "gantt" => cmd_gantt(flags),
-        "csv" => cmd_csv(flags),
-        "bench" => cmd_bench(flags),
         "assign" => cmd_assign(flags),
         "serve" => cmd_serve_session(flags, false),
         "loadgen" => cmd_serve_session(flags, true),

@@ -51,13 +51,13 @@ pub const RESULT_SENTINEL: &str = "@stapctl-rank-result ";
 
 /// Deterministic fault campaign riding on a cluster run: the canonical
 /// `stapctl faults` plan (one dropped Doppler->easyBF message, one
-/// 2-second easy-weight stall), reconstructed identically in every
-/// rank process from these two indices.
+/// easy-weight stall of 2 s x `STAP_CI_SLACK`), reconstructed
+/// identically in every rank process from these two indices.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultSpec {
     /// CPI whose Doppler->easyBF message is dropped.
     pub drop_cpi: usize,
-    /// CPI at which the easy-weight rank stalls for 2 s.
+    /// CPI at which the easy-weight rank stalls.
     pub stall_cpi: usize,
 }
 
@@ -133,8 +133,16 @@ pub fn build_runner(cfg: &ClusterConfig) -> (ParallelStap, Vec<CCube>) {
         let easy_wt_rank = assign.rank_range(EASY_WT).start;
         let doppler0 = assign.rank_range(DOPPLER).start;
         let easy_bf_rank = assign.rank_range(EASY_BF).start;
+        // The stall and both deadlines scale by `STAP_CI_SLACK` together
+        // (rank children inherit it): the classification depends on
+        // their ratios, not on their absolute lengths.
+        let slack = stap_util::ci_slack();
         let plan = FaultPlan::seeded(cfg.seed)
-            .stall_rank(easy_wt_rank, f.stall_cpi as u64, Duration::from_secs(2))
+            .stall_rank(
+                easy_wt_rank,
+                f.stall_cpi as u64,
+                Duration::from_secs(2).mul_f64(slack),
+            )
             .drop_message(
                 doppler0,
                 easy_bf_rank,
@@ -143,8 +151,8 @@ pub fn build_runner(cfg: &ClusterConfig) -> (ParallelStap, Vec<CCube>) {
         runner = runner
             .with_policy(RuntimePolicy {
                 fault_tolerant: true,
-                edge_timeout: Duration::from_millis(200),
-                weight_grace: Duration::from_millis(50),
+                edge_timeout: Duration::from_millis(200).mul_f64(slack),
+                weight_grace: Duration::from_millis(50).mul_f64(slack),
                 max_retries: 1,
                 screen_nonfinite: true,
                 ..RuntimePolicy::default()
@@ -187,7 +195,7 @@ fn child_args(cfg: &ClusterConfig, rank: usize, endpoint: &str) -> Vec<String> {
 }
 
 /// Entry point for the hidden `stapctl _rank` subcommand: parses the
-/// flags [`child_args`] built, runs exactly one rank over the wire, and
+/// flags `child_args` built, runs exactly one rank over the wire, and
 /// prints the sentinel-prefixed JSON result line.
 pub fn child_main(flags: &HashMap<String, String>) -> Result<(), String> {
     let get = |k: &str| -> Result<&String, String> { flags.get(k).ok_or(format!("--{k} missing")) };

@@ -1,25 +1,19 @@
-//! Before/after kernel pairs for the steady-state hot-path optimization.
+//! Frozen seed-path kernels, kept as test oracles.
 //!
-//! "Before" is a faithful re-implementation of the seed tree's kernels:
-//! one radix-2 FFT dispatch per lane, a freshly allocated buffer per
-//! window/lane/message, and allocating matrix products. "After" is the
-//! current hot path: batched mixed-radix FFTs over unit-stride lanes,
-//! persistent workspaces, `*_into` matrix kernels and pooled
-//! redistribution packing. [`report`] times every pair at the paper's
-//! sizes (`N = 128`, `K = 512`, `J = 16`, `M = 6`) and renders the
-//! `BENCH_kernels.json` document.
+//! Each is a faithful re-implementation of the seed tree's kernel: one
+//! radix-2 FFT dispatch per lane, a freshly allocated buffer per
+//! window/lane/message, per-element packing, interleaved recursive QR,
+//! a CFAR that recomputes both half-windows per cell. The tests below
+//! hold the current hot path (batched mixed-radix FFTs, persistent
+//! workspaces, run-fused packing, planar QR, rolling-window CFAR) to
+//! them.
 
-use stap::core::cfar::{self, CfarKind, CfarScratch, Detection};
-use stap::core::doppler::DopplerProcessor;
+use stap::core::cfar::{CfarKind, Detection};
 use stap::core::params::StapParams;
-use stap::core::pulse::{chirp, PulseCompressor, PulseScratch};
-use stap::cube::{AxisPartition, CCube, RCube, RedistBlock, RedistPlan, SharedBufferPool};
-use stap::math::fft::{Fft, FftScratch};
-use stap::math::gemm::{gemm_planar_into, hermitian_matmul_interleaved_into, PlanarMat};
-use stap::math::qr::{qr_r, qr_update_with, QrScratch};
-use stap::math::simd::{self, Backend};
+use stap::core::pulse::chirp;
+use stap::cube::{CCube, RCube, RedistBlock, RedistPlan};
+use stap::math::fft::Fft;
 use stap::math::{flops, CMat, Cx};
-use stap_util::{Bench, BenchResult, Json};
 
 /// Deterministic complex test data.
 pub fn det_cx(i: usize, j: usize, k: usize) -> Cx {
@@ -228,13 +222,12 @@ pub fn reference_qr_update(r_old: &CMat, forget: f64, new_rows: &CMat) -> CMat {
 
 /// The seed tree's CFAR detector, frozen verbatim: both reference
 /// half-windows are *recomputed* for every test cell — O(K·W) per lane
-/// — where the live [`cfar::cfar_lane_kind`] maintains rolling sums
-/// (initial sum + slide, O(K + W)). Kept as the bench "before" path and
-/// as the oracle for the rolling-window equivalence test: the set of
-/// reference cells per test cell is identical, so thresholds agree to
-/// rounding for all three [`CfarKind`] variants including clamped
-/// edges. (No flop accounting here — this is a reference, not a
-/// modeled kernel.)
+/// — where the live [`stap::core::cfar::cfar_lane_kind`] maintains
+/// rolling sums (initial sum + slide, O(K + W)). Kept as the oracle for
+/// the rolling-window equivalence test: the set of reference cells per
+/// test cell is identical, so thresholds agree to rounding for all three
+/// [`CfarKind`] variants including clamped edges. (No flop accounting
+/// here — this is a reference, not a modeled kernel.)
 pub fn reference_cfar_lane(
     params: &StapParams,
     kind: CfarKind,
@@ -295,529 +288,18 @@ pub fn reference_cfar_lane(
     }
 }
 
-/// One before/after measurement.
-pub struct Pair {
-    /// Kernel name (stable across PRs; keys `BENCH_kernels.json`).
-    pub name: String,
-    /// Seed-path timing.
-    pub before: BenchResult,
-    /// Optimized-path timing.
-    pub after: BenchResult,
-}
-
-impl Pair {
-    /// before / after median ratio.
-    pub fn speedup(&self) -> f64 {
-        self.before.median_ns / self.after.median_ns
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::Str(self.name.clone())),
-            ("before_ns", Json::Num(self.before.median_ns)),
-            ("after_ns", Json::Num(self.after.median_ns)),
-            ("speedup", Json::Num(self.speedup())),
-        ])
-    }
-}
-
-fn doppler_slab(p: &StapParams, rows: usize) -> CCube {
-    CCube::from_fn([rows, p.j_channels, p.n_pulses], det_cx)
-}
-
-/// Times every before/after kernel pair. `quick` shrinks the bench
-/// windows for CI smoke runs.
-pub fn measure(quick: bool) -> Vec<Pair> {
-    let mut b = if quick { Bench::quick() } else { Bench::new() };
-    b.quiet = true;
-    let p = StapParams::paper();
-    let mut pairs = Vec::new();
-
-    // --- raw FFT at the two pipeline lengths ---------------------------
-    for n in [p.n_pulses, p.k_range] {
-        let lanes = 32usize;
-        let src: Vec<Cx> = (0..lanes * n).map(|i| det_cx(i, 1, 2)).collect();
-        let plan2 = Fft::new_radix2(n);
-        let before = b.run(&format!("fft_forward_{n}_x{lanes}_ref"), || {
-            // Seed path: fresh buffer + per-lane dispatch.
-            let mut total = 0.0;
-            for lane in src.chunks_exact(n) {
-                let mut buf = lane.to_vec();
-                plan2.forward(&mut buf);
-                total += buf[0].re;
-            }
-            total
-        });
-        let plan4 = Fft::new(n);
-        let mut work = src.clone();
-        let mut ws = FftScratch::new();
-        let after = b.run(&format!("fft_forward_{n}_x{lanes}_opt"), || {
-            // Hot path: one batched dispatch, in place, no allocation.
-            work.copy_from_slice(&src);
-            plan4.forward_lanes(&mut work, &mut ws);
-            work[0].re
-        });
-        pairs.push(Pair {
-            name: format!("fft_forward_n{n}_{lanes}lanes"),
-            before,
-            after,
-        });
-    }
-
-    // --- Doppler slab at case-3 size (K/8 = 64 rows, J = 16, N = 128) --
-    {
-        let rows = 64usize;
-        let slab = doppler_slab(&p, rows);
-        let refd = ReferenceDoppler::new(&p);
-        let shape = [rows, 2 * p.j_channels, p.n_pulses];
-        let before = b.run("doppler_slab_ref", || {
-            let mut out = CCube::zeros(shape);
-            refd.process_rows(&slab, 0, &mut out);
-            out[(0, 0, 0)].re
-        });
-        let proc = DopplerProcessor::new(&p);
-        let mut out = CCube::zeros(shape);
-        let mut ws = FftScratch::new();
-        let after = b.run("doppler_slab_opt", || {
-            proc.process_rows_with(&slab, 0, &mut out, &mut ws);
-            out[(0, 0, 0)].re
-        });
-        pairs.push(Pair {
-            name: "doppler_slab_64x16x128".into(),
-            before,
-            after,
-        });
-    }
-
-    // --- pulse compression (8 bins, M = 6, K = 512) --------------------
-    {
-        let cube = CCube::from_fn([8, p.m_beams, p.k_range], det_cx);
-        let refp = ReferencePulse::new(&p);
-        let before = b.run("pulse_compression_ref", || refp.process(&cube)[(0, 0, 0)]);
-        let pc = PulseCompressor::new(&p);
-        let mut power = RCube::zeros(cube.shape());
-        let mut ws = PulseScratch::new();
-        let after = b.run("pulse_compression_opt", || {
-            pc.process_into_with(&cube, &mut power, &mut ws);
-            power[(0, 0, 0)]
-        });
-        pairs.push(Pair {
-            name: "pulse_compression_8x6x512".into(),
-            before,
-            after,
-        });
-    }
-
-    // --- redistribution packing (Doppler -> beamform reorganization) ---
-    {
-        // (K, 2J, N) on 8 nodes along K -> (N, K, 2J) on 4 nodes along N.
-        let shape = [p.k_range, 2 * p.j_channels, p.n_pulses];
-        let plan = RedistPlan::new(
-            shape,
-            AxisPartition::block(0, p.k_range, 8),
-            AxisPartition::block(0, p.n_pulses, 4),
-            [2, 0, 1],
-        );
-        let local = CCube::from_fn(plan.src_local_shape(0), det_cx);
-        let blocks: Vec<_> = plan.sends_of(0).collect();
-        let before = b.run("redist_pack_ref", || {
-            // Seed path: per-element index arithmetic, fresh Vec per block.
-            let mut acc = 0.0;
-            for blk in &blocks {
-                let msg = reference_pack(&plan, blk, &local);
-                acc += msg[0].re;
-            }
-            acc
-        });
-        let pool: SharedBufferPool<Cx> = SharedBufferPool::new();
-        let after = b.run("redist_pack_opt", || {
-            let mut acc = 0.0;
-            for blk in &blocks {
-                let msg = plan.pack_with(blk, &local, &pool);
-                acc += msg.as_slice()[0].re;
-                pool.recycle(msg);
-            }
-            acc
-        });
-        pairs.push(Pair {
-            name: "redist_pack_doppler_to_bf".into(),
-            before,
-            after,
-        });
-    }
-
-    // --- easy beamforming, one bin: (J x M)^H . (J x K) ----------------
-    {
-        let w = CMat::from_fn(p.j_channels, p.m_beams, |i, j| det_cx(i, j, 3));
-        let data = CCube::from_fn([1, p.k_range, p.j_channels], det_cx);
-        let before = b.run("easy_bf_bin_ref", || {
-            // Seed path: fresh slab + output, interleaved k-i-j product.
-            let slab = CMat::from_fn(p.j_channels, p.k_range, |ch, kc| data[(0, kc, ch)]);
-            let mut y = CMat::zeros(p.m_beams, p.k_range);
-            hermitian_matmul_interleaved_into(&w, &slab, &mut y);
-            y[(0, 0)].re
-        });
-        let mut slab = PlanarMat::zeros(p.j_channels, p.k_range);
-        let mut wpack = PlanarMat::zeros(p.m_beams, p.j_channels);
-        let mut y = CMat::zeros(p.m_beams, p.k_range);
-        let after = b.run("easy_bf_bin_opt", || {
-            // Hot path: split-complex packing + register-tiled micro-kernel.
-            slab.fill_from_fn(p.j_channels, p.k_range, |ch, kc| data[(0, kc, ch)]);
-            wpack.pack_hermitian_from(&w);
-            gemm_planar_into(&wpack, &slab, &mut y);
-            y[(0, 0)].re
-        });
-        pairs.push(Pair {
-            name: "easy_beamform_bin_16x6x512".into(),
-            before,
-            after,
-        });
-    }
-
-    // --- hard beamforming, one (bin, segment): (2J x M)^H . (2J x Kseg) -
-    {
-        let jj = 2 * p.j_channels;
-        let seg = p.segment_range(p.num_segments() - 1); // largest segment
-        let k_seg = seg.len();
-        let w = CMat::from_fn(jj, p.m_beams, |i, j| det_cx(i, j, 7));
-        let data = CCube::from_fn([1, k_seg, jj], det_cx);
-        let before = b.run("hard_bf_seg_ref", || {
-            let slab = CMat::from_fn(jj, k_seg, |ch, kc| data[(0, kc, ch)]);
-            let mut y = CMat::zeros(p.m_beams, k_seg);
-            hermitian_matmul_interleaved_into(&w, &slab, &mut y);
-            y[(0, 0)].re
-        });
-        let mut slab = PlanarMat::zeros(jj, k_seg);
-        let mut wpack = PlanarMat::zeros(p.m_beams, jj);
-        let mut y = CMat::zeros(p.m_beams, k_seg);
-        let after = b.run("hard_bf_seg_opt", || {
-            slab.fill_from_fn(jj, k_seg, |ch, kc| data[(0, kc, ch)]);
-            wpack.pack_hermitian_from(&w);
-            gemm_planar_into(&wpack, &slab, &mut y);
-            y[(0, 0)].re
-        });
-        pairs.push(Pair {
-            name: format!("hard_beamform_seg_32x6x{k_seg}"),
-            before,
-            after,
-        });
-    }
-
-    // --- SMI sample covariance: X^H X for a 48 x 16 training block -----
-    {
-        let rows = 3 * p.j_channels; // 48 training snapshots
-        let x = CMat::from_fn(rows, p.j_channels, |i, j| det_cx(i, j, 11));
-        let before = b.run("smi_cov_ref", || {
-            let mut r = CMat::zeros(p.j_channels, p.j_channels);
-            hermitian_matmul_interleaved_into(&x, &x, &mut r);
-            r[(0, 0)].re
-        });
-        let mut r = CMat::zeros(p.j_channels, p.j_channels);
-        let after = b.run("smi_cov_opt", || {
-            // Dispatches to the planar engine (48*16*16 MACs > cutoff).
-            x.hermitian_matmul_into(&x, &mut r);
-            r[(0, 0)].re
-        });
-        pairs.push(Pair {
-            name: "smi_covariance_48x16".into(),
-            before,
-            after,
-        });
-    }
-
-    // --- recursive QR weight update: 2J x 2J R + one training block ----
-    {
-        let jj = 2 * p.j_channels;
-        let s = p.hard_samples;
-        let seed_block = CMat::from_fn(2 * jj, jj, |i, j| det_cx(i, j, 13));
-        let r0 = qr_r(&seed_block);
-        let new_rows = CMat::from_fn(s, jj, |i, j| det_cx(i, j, 17));
-        let before = b.run("qr_weights_ref", || {
-            let r = reference_qr_update(&r0, 0.95, &new_rows);
-            r[(0, 0)].re
-        });
-        let mut out = CMat::zeros(jj, jj);
-        let mut ws = QrScratch::new();
-        let after = b.run("qr_weights_opt", || {
-            qr_update_with(&r0, 0.95, &new_rows, &mut out, &mut ws);
-            out[(0, 0)].re
-        });
-        pairs.push(Pair {
-            name: format!("qr_weights_{jj}x{jj}_s{s}"),
-            before,
-            after,
-        });
-    }
-
-    // --- rolling-window CFAR vs the frozen recomputing detector --------
-    // Reduced config (K = 64, W = 16): the per-cell cost drops from
-    // O(W) window recomputation to O(1) bound slides.
-    {
-        let rp = StapParams::reduced();
-        let power = RCube::from_fn([rp.n_pulses, rp.m_beams, rp.k_range], |a, bb, c| {
-            let v = det_cx(a, bb, c).norm_sqr();
-            // A sprinkling of strong cells so the detection-push path
-            // is exercised, not just the threshold math.
-            if (a + bb + c) % 97 == 0 {
-                v * 400.0
-            } else {
-                v
-            }
-        });
-        let [nb, m, _] = power.shape();
-        let mut dets: Vec<Detection> = Vec::with_capacity(1024);
-        let before = b.run("cfar_ref", || {
-            dets.clear();
-            for bin in 0..nb {
-                for beam in 0..m {
-                    reference_cfar_lane(
-                        &rp,
-                        CfarKind::CellAveraging,
-                        power.lane(bin, beam),
-                        bin,
-                        beam,
-                        &mut dets,
-                    );
-                }
-            }
-            dets.len()
-        });
-        let mut scratch = CfarScratch::with_capacity(1024);
-        let after = b.run("cfar_opt", || {
-            scratch.begin_cpi();
-            for bin in 0..nb {
-                for beam in 0..m {
-                    cfar::cfar_lane(
-                        &rp,
-                        power.lane(bin, beam),
-                        bin,
-                        beam,
-                        &mut scratch.detections,
-                    );
-                }
-            }
-            scratch.detections.len()
-        });
-        pairs.push(Pair {
-            name: format!("cfar_rolling_k{}_w{}", rp.k_range, rp.cfar_window),
-            before,
-            after,
-        });
-    }
-
-    // --- SIMD dispatch pairs: forced-scalar vs runtime-dispatched ------
-    // backend through the *same* code paths (outputs are bit-identical;
-    // the delta is pure vectorization). On hosts without AVX2 — or with
-    // STAP_SIMD=off — both sides resolve to scalar and the pair reads
-    // ~1.0x, which is exactly what the recorded host metadata explains.
-    {
-        let lanes = 16usize;
-        let k = p.k_range;
-        let filt: Vec<Cx> = (0..k).map(|i| det_cx(i, 23, 29)).collect();
-        let src: Vec<Cx> = (0..lanes * k).map(|i| det_cx(i, 31, 37)).collect();
-        let mut spec = src.clone();
-        simd::set_backend(Some(Backend::Scalar));
-        let before = b.run("simd_cmul_ref", || {
-            spec.copy_from_slice(&src);
-            for lane in spec.chunks_exact_mut(k) {
-                simd::cmul_in_place(lane, &filt);
-            }
-            spec[0].re
-        });
-        simd::set_backend(None);
-        let after = b.run("simd_cmul_opt", || {
-            spec.copy_from_slice(&src);
-            for lane in spec.chunks_exact_mut(k) {
-                simd::cmul_in_place(lane, &filt);
-            }
-            spec[0].re
-        });
-        pairs.push(Pair {
-            name: format!("simd_cmul_{k}x{lanes}"),
-            before,
-            after,
-        });
-
-        let mut pow = vec![0.0f64; lanes * k];
-        simd::set_backend(Some(Backend::Scalar));
-        let before = b.run("simd_norm_sqr_ref", || {
-            simd::norm_sqr_into(&mut pow, &src);
-            pow[0]
-        });
-        simd::set_backend(None);
-        let after = b.run("simd_norm_sqr_opt", || {
-            simd::norm_sqr_into(&mut pow, &src);
-            pow[0]
-        });
-        pairs.push(Pair {
-            name: format!("simd_norm_sqr_{k}x{lanes}"),
-            before,
-            after,
-        });
-    }
-    {
-        // Doppler taper at the paper lane shape: window of N - stagger
-        // weights applied with a per-range correction factor.
-        let n = p.n_pulses;
-        let wlen = n - p.stagger;
-        let lanes = 64usize;
-        let src: Vec<Cx> = (0..lanes * n).map(|i| det_cx(i, 41, 43)).collect();
-        let win: Vec<f64> = (0..wlen).map(|i| det_cx(i, 47, 53).re + 1.0).collect();
-        let mut out = vec![Cx::default(); n];
-        simd::set_backend(Some(Backend::Scalar));
-        let before = b.run("simd_taper_ref", || {
-            let mut acc = 0.0;
-            for lane in src.chunks_exact(n) {
-                simd::taper_into(&mut out, lane, &win, 0.731);
-                acc += out[0].re;
-            }
-            acc
-        });
-        simd::set_backend(None);
-        let after = b.run("simd_taper_opt", || {
-            let mut acc = 0.0;
-            for lane in src.chunks_exact(n) {
-                simd::taper_into(&mut out, lane, &win, 0.731);
-                acc += out[0].re;
-            }
-            acc
-        });
-        pairs.push(Pair {
-            name: format!("simd_taper_{wlen}x{lanes}"),
-            before,
-            after,
-        });
-    }
-    {
-        // Batched FFT butterflies at the pulse-compression length.
-        let n = p.k_range;
-        let lanes = 16usize;
-        let fft = Fft::new(n);
-        let src: Vec<Cx> = (0..lanes * n).map(|i| det_cx(i, 67, 71)).collect();
-        let mut work = src.clone();
-        let mut ws = FftScratch::new();
-        simd::set_backend(Some(Backend::Scalar));
-        let before = b.run("simd_fft_ref", || {
-            work.copy_from_slice(&src);
-            fft.forward_lanes(&mut work, &mut ws);
-            work[0].re
-        });
-        simd::set_backend(None);
-        let after = b.run("simd_fft_opt", || {
-            work.copy_from_slice(&src);
-            fft.forward_lanes(&mut work, &mut ws);
-            work[0].re
-        });
-        pairs.push(Pair {
-            name: format!("simd_fft_n{n}_{lanes}lanes"),
-            before,
-            after,
-        });
-    }
-
-    pairs
-}
-
-/// Renders the `BENCH_kernels.json` document.
-pub fn report(pairs: &[Pair], quick: bool) -> Json {
-    let p = StapParams::paper();
-    Json::obj([
-        ("bench", Json::Str("kernels".into())),
-        (
-            "mode",
-            Json::Str(if quick { "quick" } else { "full" }.into()),
-        ),
-        (
-            "sizes",
-            Json::obj([
-                ("n_pulses", Json::Num(p.n_pulses as f64)),
-                ("k_range", Json::Num(p.k_range as f64)),
-                ("j_channels", Json::Num(p.j_channels as f64)),
-                ("m_beams", Json::Num(p.m_beams as f64)),
-            ]),
-        ),
-        ("host", host_metadata()),
-        ("kernels", Json::arr(pairs.iter().map(|pr| pr.to_json()))),
-    ])
-}
-
-/// The host CPU-feature context a benchmark document was recorded
-/// under. Baselines move across machines; the regression gate compares
-/// this against [`host_mismatch`] so a scalar-host rerun of an
-/// AVX2-recorded baseline warns instead of misfiring.
-pub fn host_metadata() -> Json {
-    Json::obj([
-        ("simd_backend", Json::Str(simd::backend_name().into())),
-        ("avx2_available", Json::Bool(simd::avx2_available())),
-        (
-            "stap_simd_env",
-            match std::env::var("STAP_SIMD") {
-                Ok(v) => Json::Str(v),
-                Err(_) => Json::Null,
-            },
-        ),
-    ])
-}
-
-/// Checks whether `baseline` was recorded under a different SIMD
-/// backend than the current process dispatches. Returns a
-/// human-readable description of the mismatch, or `None` when the
-/// backends agree (or the baseline predates host metadata — those
-/// documents were all recorded on the gating host, so the gate still
-/// applies).
-pub fn host_mismatch(baseline: &str) -> Option<String> {
-    let doc = Json::parse(baseline).ok()?;
-    let recorded = match doc.get("host")?.get("simd_backend")? {
-        Json::Str(s) => s.clone(),
-        _ => return None,
-    };
-    let current = simd::backend_name();
-    if recorded != current {
-        Some(format!(
-            "baseline recorded with simd_backend={recorded}, current host dispatches {current}"
-        ))
-    } else {
-        None
-    }
-}
-
-/// Compares fresh timings against a recorded `BENCH_kernels.json`
-/// document. Returns one human-readable line per kernel whose new
-/// optimized-path median is more than `tolerance` (fractional, e.g.
-/// `0.10`) slower than the recorded `after_ns`. Kernels absent from the
-/// baseline (new entries) are skipped. Errors when the baseline is not
-/// parseable — a gate that silently skips is no gate.
-pub fn regressions(pairs: &[Pair], baseline: &str, tolerance: f64) -> Result<Vec<String>, String> {
-    let doc = Json::parse(baseline).map_err(|e| format!("baseline parse error: {e}"))?;
-    let recorded = match doc.get("kernels") {
-        Some(Json::Arr(a)) => a,
-        _ => return Err("baseline has no `kernels` array".to_string()),
-    };
-    let mut lines = Vec::new();
-    for p in pairs {
-        let rec = recorded
-            .iter()
-            .find(|k| matches!(k.get("name"), Some(Json::Str(n)) if *n == p.name));
-        let Some(old) = rec.and_then(|k| k.get("after_ns")).and_then(Json::as_f64) else {
-            continue;
-        };
-        if old > 0.0 && p.after.median_ns > old * (1.0 + tolerance) {
-            lines.push(format!(
-                "{}: after_ns {:.0} -> {:.0} (+{:.1}%, tolerance {:.0}%)",
-                p.name,
-                old,
-                p.after.median_ns,
-                (p.after.median_ns / old - 1.0) * 100.0,
-                tolerance * 100.0
-            ));
-        }
-    }
-    Ok(lines)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stap::core::cfar;
+    use stap::core::doppler::DopplerProcessor;
+    use stap::core::pulse::PulseCompressor;
+    use stap::cube::AxisPartition;
+    use stap::math::qr::{qr_r, qr_update_with, QrScratch};
+
+    fn doppler_slab(p: &StapParams, rows: usize) -> CCube {
+        CCube::from_fn([rows, p.j_channels, p.n_pulses], det_cx)
+    }
 
     /// The reference (seed-path) kernels and the optimized kernels must
     /// agree numerically — different FFT factorizations, same transform.
@@ -965,88 +447,6 @@ mod tests {
                 let n = compare(&p, kind, &lane, &format!("spikes {kind:?}"));
                 assert!(n >= 3, "spiked lane should fire, got {n}");
             }
-        }
-    }
-
-    #[test]
-    fn host_mismatch_detects_backend_change() {
-        let mine = report(&[], true).to_string_pretty();
-        assert_eq!(host_mismatch(&mine), None);
-        let other = if simd::backend_name() == "avx2" {
-            "scalar"
-        } else {
-            "avx2"
-        };
-        let foreign = Json::obj([(
-            "host",
-            Json::obj([("simd_backend", Json::Str(other.into()))]),
-        )])
-        .to_string_pretty();
-        assert!(host_mismatch(&foreign).is_some());
-        // Pre-metadata baselines (no `host` key) are not a mismatch.
-        assert_eq!(host_mismatch("{\"kernels\": []}"), None);
-        assert_eq!(host_mismatch("not json"), None);
-    }
-
-    fn fake_pair(name: &str, after_ns: f64) -> Pair {
-        let mk = |ns: f64| BenchResult {
-            name: name.to_string(),
-            median_ns: ns,
-            min_ns: ns,
-            mean_ns: ns,
-            iters: 1,
-        };
-        Pair {
-            name: name.to_string(),
-            before: mk(after_ns * 2.0),
-            after: mk(after_ns),
-        }
-    }
-
-    #[test]
-    fn regression_gate_flags_only_slowdowns_beyond_tolerance() {
-        let baseline = Json::obj([(
-            "kernels",
-            Json::arr([
-                Json::obj([
-                    ("name", Json::Str("a".into())),
-                    ("after_ns", Json::Num(100.0)),
-                ]),
-                Json::obj([
-                    ("name", Json::Str("b".into())),
-                    ("after_ns", Json::Num(100.0)),
-                ]),
-            ]),
-        )])
-        .to_string_pretty();
-        // a: 25% slower (flagged). b: 5% slower (within tolerance).
-        // c: not in baseline (skipped).
-        let pairs = vec![
-            fake_pair("a", 125.0),
-            fake_pair("b", 105.0),
-            fake_pair("c", 9999.0),
-        ];
-        let lines = regressions(&pairs, &baseline, 0.10).unwrap();
-        assert_eq!(lines.len(), 1, "{lines:?}");
-        assert!(lines[0].starts_with("a:"), "{}", lines[0]);
-        assert!(regressions(&pairs, "not json", 0.10).is_err());
-    }
-
-    #[test]
-    fn report_has_all_pairs_and_positive_speedups() {
-        // Tiny windows: this checks plumbing, not performance.
-        let pairs = measure(true);
-        let j = report(&pairs, true);
-        let arr = match j.get("kernels") {
-            Some(Json::Arr(a)) => a,
-            other => panic!("kernels not an array: {other:?}"),
-        };
-        assert_eq!(arr.len(), pairs.len());
-        assert!(pairs.len() >= 14);
-        assert!(j.get("host").and_then(|h| h.get("simd_backend")).is_some());
-        for pr in &pairs {
-            assert!(pr.before.median_ns > 0.0 && pr.after.median_ns > 0.0);
-            assert!(pr.speedup() > 0.0);
         }
     }
 }

@@ -3,10 +3,8 @@
 //! `stap-sim`.
 
 pub mod alloc_count;
-pub mod assign;
 pub mod cluster;
 pub mod kernels;
-pub mod streams;
 
 use stap::core::doppler::DopplerProcessor;
 use stap::core::weights::EasyWeightComputer;

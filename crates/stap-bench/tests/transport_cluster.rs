@@ -15,6 +15,7 @@ use stap::pipeline::wire::detections_digest;
 use stap::pipeline::PipelineOutput;
 use stap_bench::cluster::{run_cluster, run_supervised, ClusterConfig, FaultSpec};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 fn canonical(transport: TransportKind) -> ClusterConfig {
     let mut cfg = ClusterConfig::canonical(transport);
@@ -22,9 +23,30 @@ fn canonical(transport: TransportKind) -> ClusterConfig {
     cfg
 }
 
+/// Every test here launches up to eight rank processes over a
+/// sleep-polling fabric, and the fault campaign classifies by wall-clock
+/// deadlines: run at once (cargo's default) they starve each other on a
+/// two-core host, so each test holds this lock for its whole body. The
+/// lock guards no data, so a test that failed while holding it must not
+/// fail the others through poisoning.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The canonical in-process run, computed once for the tests that
+/// compare a wire run against it.
+fn inproc_baseline() -> &'static PipelineOutput {
+    static BASE: OnceLock<PipelineOutput> = OnceLock::new();
+    BASE.get_or_init(|| run_cluster(&canonical(TransportKind::InProc)).expect("inproc run"))
+}
+
 #[test]
 fn detections_bit_identical_across_transports() {
-    let base = run_cluster(&canonical(TransportKind::InProc)).expect("inproc run");
+    let _serial = serial();
+    let base = inproc_baseline();
     let want = detections_digest(&base.detections);
     for transport in [TransportKind::Shm, TransportKind::Tcp] {
         let out = run_cluster(&canonical(transport)).expect(transport.name());
@@ -66,6 +88,7 @@ fn data_event_multiset(out: &PipelineOutput) -> Vec<(usize, u8, usize, u64, u64)
 
 #[test]
 fn trace_event_multiset_deterministic_across_transports() {
+    let _serial = serial();
     let mut cfg = canonical(TransportKind::InProc);
     cfg.tracing = true;
     let base = data_event_multiset(&run_cluster(&cfg).expect("inproc run"));
@@ -85,6 +108,7 @@ fn trace_event_multiset_deterministic_across_transports() {
 
 #[test]
 fn fault_classification_parity_across_transports() {
+    let _serial = serial();
     let campaign = |transport| {
         let mut cfg = canonical(transport);
         cfg.two_beam = false;
@@ -114,6 +138,7 @@ fn fault_classification_parity_across_transports() {
 
 #[test]
 fn killed_rank_process_is_relaunched_and_completes() {
+    let _serial = serial();
     let marker = std::env::temp_dir().join(format!("stap_abort_once_{}", std::process::id()));
     let _ = std::fs::remove_file(&marker);
 
@@ -132,10 +157,9 @@ fn killed_rank_process_is_relaunched_and_completes() {
     let (out, relaunches) = result.expect("supervised run");
     assert_eq!(relaunches, 1, "exactly one relaunch after the rank kill");
 
-    let inproc = run_cluster(&canonical(TransportKind::InProc)).expect("inproc run");
     assert_eq!(
         detections_digest(&out.detections),
-        detections_digest(&inproc.detections),
+        detections_digest(&inproc_baseline().detections),
         "post-recovery detections must match the clean run bit-for-bit"
     );
 }

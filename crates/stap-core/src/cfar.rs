@@ -76,7 +76,7 @@ pub fn cfar_lane(
 /// reference half-window sums are maintained incrementally as the test
 /// cell advances — each of the four window bounds moves by at most one
 /// cell per step, so the per-cell cost is O(1) and the whole lane is
-/// O(K + W), exactly the accounting [`crate::flops::cfar`] has always
+/// O(K + W), exactly the accounting [`crate::flops::closed_form`] has always
 /// billed (`W - 1` initial adds + 4 slide ops per cell). Edge clamping
 /// is preserved: the same `saturating_sub`/`min(k)` bounds as the
 /// original recomputing detector define each window, so the *set* of

@@ -29,17 +29,13 @@
 
 pub mod analysis;
 pub mod beamform;
-pub mod beamspace;
 pub mod cfar;
 pub mod doppler;
 pub mod flops;
-pub mod mti;
 pub mod params;
 pub mod pulse;
 pub mod reference;
 pub mod render;
-pub mod sinr;
-pub mod smi;
 pub mod tracker;
 pub mod training;
 pub mod volumes;

@@ -1,11 +1,11 @@
 //! Cholesky factorization of Hermitian positive-definite matrices.
 //!
-//! Used by the sample-matrix-inversion (SMI) baseline beamformer: the
-//! "traditional" adaptive approach estimates the clutter covariance
-//! `R = X^H X / n` and solves `R w = s` — the `O(n^3)` route the paper's
-//! Appendix A contrasts with its QR-based least squares ("it is not
-//! necessary to produce an estimate of the clutter covariance matrix,
-//! which is an order n^3 operation").
+//! Used by `stap-core::analysis`'s MVDR spectrum: the "traditional"
+//! adaptive approach estimates the clutter covariance `R = X^H X / n`
+//! and solves `R w = s` — the `O(n^3)` route the paper's Appendix A
+//! contrasts with its QR-based least squares ("it is not necessary to
+//! produce an estimate of the clutter covariance matrix, which is an
+//! order n^3 operation").
 
 use crate::complex::Cx;
 use crate::flops;
@@ -89,22 +89,6 @@ pub fn solve_with_factor(l: &CMat, b: &CMat) -> CMat {
     x
 }
 
-/// Sample covariance `X^H X / rows + loading * I` from snapshot rows
-/// (each row one snapshot), with diagonal loading for invertibility at
-/// low sample support.
-pub fn sample_covariance(snapshots: &CMat, loading: f64) -> CMat {
-    let n = snapshots.cols();
-    let rows = snapshots.rows().max(1);
-    let mut r = snapshots
-        .hermitian_matmul(snapshots)
-        .scale(1.0 / rows as f64);
-    for i in 0..n {
-        r[(i, i)] += Cx::real(loading);
-    }
-    flops::add(n as u64 + 2);
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,27 +161,14 @@ mod tests {
     }
 
     #[test]
-    fn sample_covariance_is_hermitian_and_loaded() {
-        let snaps = hpd(6, 11); // any matrix works as "snapshots"
-        let r = sample_covariance(&snaps, 0.1);
-        let tol = 1e-12 * r.fro_norm().max(1.0);
-        for i in 0..6 {
-            for j in 0..6 {
-                assert!(r[(i, j)].approx_eq(r[(j, i)].conj(), tol));
-            }
-        }
-        let r0 = sample_covariance(&snaps, 0.0);
-        for i in 0..6 {
-            // Relative tolerance: diagonal entries are O(1000) here.
-            assert!((r[(i, i)].re - r0[(i, i)].re - 0.1).abs() < 1e-12 * r[(i, i)].re.abs());
-        }
-    }
-
-    #[test]
     fn rank_deficient_covariance_needs_loading() {
         // Fewer snapshots than dimensions: singular without loading.
         let snaps = CMat::from_fn(2, 6, |i, j| Cx::new((i + j) as f64, i as f64));
-        assert!(cholesky(&sample_covariance(&snaps, 0.0)).is_err());
-        assert!(cholesky(&sample_covariance(&snaps, 1e-3)).is_ok());
+        let mut r = snaps.hermitian_matmul(&snaps).scale(0.5);
+        assert!(cholesky(&r).is_err());
+        for i in 0..6 {
+            r[(i, i)] += Cx::real(1e-3);
+        }
+        assert!(cholesky(&r).is_ok());
     }
 }

@@ -75,7 +75,7 @@ pub fn constrained_lstsq(data: &CMat, constraint: &CMat, k: f64, steering: &CMat
 /// `[R; k C] w = [0; k s]`.
 ///
 /// `R` already summarizes the training snapshots, so only the constraint
-/// rows need annihilating — the [`qr_update`] structure makes this cheap.
+/// rows need annihilating — the [`crate::qr::qr_update`] structure makes this cheap.
 pub fn constrained_lstsq_from_r(r: &CMat, constraint: &CMat, k: f64, steering: &CMat) -> CMat {
     let mut out = CMat::zeros(r.cols(), steering.cols());
     let mut ws = SolveScratch::new();

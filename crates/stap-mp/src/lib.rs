@@ -11,7 +11,7 @@
 //!   exact semantics the paper's double-buffered `MPI_Isend` loop
 //!   (Fig. 10) relies on,
 //! * `recv_any` for servicing whichever predecessor finishes first,
-//! * barriers and a broadcast convenience for test orchestration.
+//! * barriers for test orchestration.
 //!
 //! The runtime is deliberately *transport only*: redistribution planning
 //! lives in `stap-cube`, the pipeline loop in `stap-pipeline`, and
@@ -23,10 +23,8 @@
 //! network). The parallel decomposition is therefore testable on any
 //! host, and measurable on real multi-process machines.
 
-pub mod collectives;
 pub mod comm;
 pub mod fault;
-pub mod request;
 pub mod shm;
 pub mod tcp;
 pub mod trace;
@@ -35,7 +33,6 @@ pub mod world;
 
 pub use comm::{Comm, MailboxStats, RecvError, Tag};
 pub use fault::{Corruptor, FaultAction, FaultPlan, FaultRule, TagPattern};
-pub use request::RecvRequest;
 pub use shm::{ShmLink, ShmRegion};
 pub use tcp::{spawn_coordinator, TcpLink};
 pub use trace::{CommEvent, RankTrace, SpanRecorder, TraceKind, TraceSink};

@@ -1,95 +1,8 @@
-//! Property-based tests for the message-passing runtime: collectives
-//! over arbitrary world sizes, groups, roots and payloads (in-tree
+//! Property-based tests for the message-passing runtime (in-tree
 //! harness; see `stap_util::check`).
 
-use stap_mp::collectives::{all_reduce, all_to_all, broadcast, gather, scatter};
 use stap_mp::world::run_spmd;
 use stap_util::check::check;
-
-#[test]
-fn broadcast_delivers_to_everyone() {
-    check("broadcast_delivers_to_everyone", 16, |g| {
-        let n = g.int(1, 9);
-        let root = g.int(0, 9) % n;
-        let value = g.u64();
-        let group: Vec<usize> = (0..n).collect();
-        let got = run_spmd::<u64, u64>(n, |mut comm| {
-            let v = (comm.rank() == root).then_some(value);
-            broadcast(&mut comm, &group, root, 1, v).unwrap()
-        });
-        assert!(got.iter().all(|&v| v == value));
-    });
-}
-
-#[test]
-fn gather_collects_everything_in_order() {
-    check("gather_collects_everything_in_order", 16, |g| {
-        let n = g.int(1, 8);
-        let root = g.int(0, 8) % n;
-        let group: Vec<usize> = (0..n).collect();
-        let got = run_spmd::<usize, Option<Vec<usize>>>(n, |mut comm| {
-            let mine = comm.rank() * 7 + 1;
-            gather(&mut comm, &group, root, 2, mine).unwrap()
-        });
-        for (r, res) in got.iter().enumerate() {
-            if r == root {
-                let want: Vec<usize> = (0..n).map(|i| i * 7 + 1).collect();
-                assert_eq!(res.as_ref().unwrap(), &want);
-            } else {
-                assert!(res.is_none());
-            }
-        }
-    });
-}
-
-#[test]
-fn all_reduce_sum_is_rank_order_independent() {
-    check("all_reduce_sum_is_rank_order_independent", 16, |g| {
-        let n = g.int(1, 8);
-        let values = g.vec(8, |g| g.u64() % 1000);
-        let group: Vec<usize> = (0..n).collect();
-        let vals = values.clone();
-        let got = run_spmd::<u64, u64>(n, |mut comm| {
-            let mine = vals[comm.rank()];
-            all_reduce(&mut comm, &group, 3, mine, |a, b| a + b).unwrap()
-        });
-        let want: u64 = values[..n].iter().sum();
-        assert!(got.iter().all(|&v| v == want));
-    });
-}
-
-#[test]
-fn scatter_then_gather_roundtrips() {
-    check("scatter_then_gather_roundtrips", 16, |g| {
-        let n = g.int(1, 8);
-        let group: Vec<usize> = (0..n).collect();
-        let got = run_spmd::<usize, Option<Vec<usize>>>(n, |mut comm| {
-            let values = (comm.rank() == 0).then(|| (0..n).map(|i| i * i).collect::<Vec<_>>());
-            let mine = scatter(&mut comm, &group, 0, 4, values).unwrap();
-            gather(&mut comm, &group, 0, 5, mine).unwrap()
-        });
-        let want: Vec<usize> = (0..n).map(|i| i * i).collect();
-        assert_eq!(got[0].as_ref().unwrap(), &want);
-    });
-}
-
-#[test]
-fn all_to_all_is_a_transpose() {
-    check("all_to_all_is_a_transpose", 16, |g| {
-        let n = g.int(1, 7);
-        let group: Vec<usize> = (0..n).collect();
-        let got = run_spmd::<(usize, usize), Vec<(usize, usize)>>(n, |mut comm| {
-            let me = comm.rank();
-            let sends: Vec<(usize, usize)> = (0..n).map(|dst| (me, dst)).collect();
-            all_to_all(&mut comm, &group, 6, sends).unwrap()
-        });
-        for (me, received) in got.iter().enumerate() {
-            for (src, msg) in received.iter().enumerate() {
-                assert_eq!(*msg, (src, me));
-            }
-        }
-    });
-}
 
 #[test]
 fn point_to_point_preserves_per_pair_order() {

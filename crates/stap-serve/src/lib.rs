@@ -14,7 +14,7 @@
 //!   one pipeline slot so the FFT/GEMM kernels amortize across streams;
 //! * [`slo`] — latency percentile math for p50/p99 service objectives;
 //! * [`loadgen`] — a synthetic multi-stream load generator used by
-//!   `stapctl loadgen`, `stapctl bench --streams` and the smoke tests;
+//!   `stapctl loadgen`, `stapctl serve` and the smoke tests;
 //! * [`health`] — per-stream outcome/reject counters, fault streaks,
 //!   and the quarantine bookkeeping surfaced in [`ServeSummary`];
 //! * [`supervisor`] — supervised serving: periodic checkpoint export at

@@ -117,26 +117,6 @@ pub fn optimize(
     (current, result)
 }
 
-/// Smallest total node count whose optimized assignment reaches
-/// `target_throughput`, found by scanning budgets upward in steps of
-/// `step`. Returns `None` if `max_budget` is insufficient.
-pub fn min_nodes_for_throughput(
-    cfg: &SimConfig,
-    target_throughput: f64,
-    max_budget: usize,
-    step: usize,
-) -> Option<(NodeAssignment, SimResult)> {
-    let mut budget = 7;
-    while budget <= max_budget {
-        let (a, r) = optimize(cfg, budget, Objective::MaxThroughput, 20);
-        if r.measured_throughput >= target_throughput {
-            return Some((a, r));
-        }
-        budget += step.max(1);
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,15 +195,5 @@ mod tests {
             "floor violated: {}",
             r.measured_throughput
         );
-    }
-
-    #[test]
-    fn min_nodes_scan_finds_a_budget_for_2cpi_per_s() {
-        // The paper reaches 1.99 CPI/s with 59 nodes; the optimizer
-        // should need no more than that.
-        let cfg = base();
-        let (a, r) = min_nodes_for_throughput(&cfg, 2.0, 80, 7).unwrap();
-        assert!(r.measured_throughput >= 2.0);
-        assert!(a.total() <= 80, "budget {}", a.total());
     }
 }

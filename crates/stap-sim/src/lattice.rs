@@ -26,17 +26,10 @@
 //!   on its throughput and a lower bound on its latency; candidates
 //!   whose *bounds* are already dominated by an evaluated point cannot
 //!   reach the frontier and are skipped without a simulation.
-//!
-//! The serialized-host model at the bottom ranks assignments for a
-//! *single-core* host (this container), where task parallelism cannot
-//! overlap compute and the steady-state cost is the total per-slot
-//! overhead: message count and bytes moved. That model drives the
-//! `stapctl bench --assign` A/B measurement.
 
 use crate::assign::proportional_seed;
-use crate::des::{modeled_edge_bytes, simulate, SimConfig};
+use crate::des::{simulate, SimConfig};
 use stap_machine::ALL_TASKS;
-use stap_pipeline::assignment::{overlap, Partitions};
 use stap_pipeline::NodeAssignment;
 use stap_util::Json;
 use std::collections::HashMap;
@@ -477,110 +470,6 @@ pub fn evaluate(cfg: &SimConfig, a: NodeAssignment) -> Candidate {
     }
 }
 
-// ---------------------------------------------------------------------
-// Serialized-host model: ranking assignments for a single-core host.
-// ---------------------------------------------------------------------
-
-/// Cost constants of a host where every rank timeshares one core. With
-/// no compute overlap, per-slot *overhead* — messages posted and bytes
-/// packed/unpacked — is the only assignment-dependent cost; kernel
-/// arithmetic is invariant (the same flops run regardless of how they
-/// are partitioned).
-#[derive(Clone, Copy, Debug)]
-pub struct SerializedHost {
-    /// Cost to post + deliver one in-process message (channel send,
-    /// mailbox insert, receiver wake), seconds.
-    pub per_message_s: f64,
-    /// Cost per byte gathered/scattered across an edge (strided copy
-    /// through cache), seconds.
-    pub per_byte_s: f64,
-}
-
-impl Default for SerializedHost {
-    fn default() -> Self {
-        SerializedHost {
-            // Measured order-of-magnitude for the stap-mp in-process
-            // mailbox on this container; only the *ranking* of
-            // assignments consumes these, and both terms grow strictly
-            // with node count, so modest calibration error cannot flip
-            // an argmin.
-            per_message_s: 10e-6,
-            per_byte_s: 0.25e-9,
-        }
-    }
-}
-
-/// Messages posted per slot under the resident topology: data fan-outs
-/// go to every consumer node, weight edges only to overlapping pairs,
-/// and the driver posts one input slab per Doppler node and receives
-/// one detection message per CFAR node.
-pub fn message_count(p: &stap_core::StapParams, a: &NodeAssignment) -> u64 {
-    let parts = Partitions::new(p, a);
-    let [p0, q, q2, r, r2, t, u] = a.0.map(|n| n as u64);
-    let pairs = |src: &Vec<std::ops::Range<usize>>, dst: &Vec<std::ops::Range<usize>>| -> u64 {
-        src.iter()
-            .map(|s| dst.iter().filter(|d| !overlap(s, d).is_empty()).count() as u64)
-            .sum()
-    };
-    p0  // driver -> Doppler input slabs
-        + p0 * (q + q2 + r + r2) // Doppler fan-out
-        + pairs(&parts.easy_wt_bins, &parts.easy_bf_bins)
-        + pairs(&parts.hard_wt_bins, &parts.hard_bf_bins)
-        + (r + r2) * t // BF -> PC (sent to every PC node)
-        + t * u // PC -> CFAR (sent to every CFAR node)
-        + u // CFAR -> driver
-}
-
-/// Per-slot overhead of an assignment on a serialized host:
-/// `(cost_seconds, messages, bytes)`.
-pub fn serialized_overhead(
-    cfg: &SimConfig,
-    host: &SerializedHost,
-    a: NodeAssignment,
-) -> (f64, u64, u64) {
-    let mut c = cfg.clone();
-    c.assign = a;
-    let bytes: u64 = modeled_edge_bytes(&c).iter().sum();
-    let msgs = message_count(&cfg.params, &a);
-    (
-        msgs as f64 * host.per_message_s + bytes as f64 * host.per_byte_s,
-        msgs,
-        bytes,
-    )
-}
-
-/// Minimum-overhead assignment across all feasible lattice points with
-/// totals in `budgets` (ties break toward fewer nodes, then
-/// lexicographically, for determinism). This is the optimizer the
-/// single-core `stapctl bench --assign` measurement uses.
-pub fn optimize_serialized(
-    cfg: &SimConfig,
-    host: &SerializedHost,
-    budgets: std::ops::RangeInclusive<usize>,
-) -> (NodeAssignment, f64) {
-    let mut best: Option<(NodeAssignment, f64)> = None;
-    for budget in budgets {
-        enumerate(budget, &mut |a| {
-            if !feasible(&cfg.params, &a) {
-                return;
-            }
-            let (cost, _, _) = serialized_overhead(cfg, host, a);
-            let better = match &best {
-                None => true,
-                Some((b, bc)) => {
-                    cost < *bc * (1.0 - 1e-12)
-                        || ((cost - *bc).abs() <= *bc * 1e-12
-                            && (a.total(), a.0) < (b.total(), b.0))
-                }
-            };
-            if better {
-                best = Some((a, cost));
-            }
-        });
-    }
-    best.expect("no feasible assignment in the budget range")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -749,20 +638,5 @@ mod tests {
             // hand-picked assignment in its own objective.
             assert!(r.best_throughput.throughput >= probe.throughput * 0.999);
         }
-    }
-
-    #[test]
-    fn serialized_overhead_grows_with_node_count() {
-        let cfg = base();
-        let host = SerializedHost::default();
-        let (small, sm, _) =
-            serialized_overhead(&cfg, &host, NodeAssignment([1, 1, 1, 1, 1, 1, 1]));
-        let (tiny, tm, _) = serialized_overhead(&cfg, &host, NodeAssignment::tiny());
-        let (big, bm, _) = serialized_overhead(&cfg, &host, NodeAssignment::case3());
-        assert!(sm < tm && tm < bm, "{sm} {tm} {bm}");
-        assert!(small < tiny && tiny < big);
-        let (best, cost) = optimize_serialized(&cfg, &host, 7..=10);
-        assert_eq!(best, NodeAssignment([1, 1, 1, 1, 1, 1, 1]));
-        assert!(cost <= small);
     }
 }

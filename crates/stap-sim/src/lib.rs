@@ -24,7 +24,6 @@ pub mod des;
 pub mod experiments;
 pub mod lattice;
 pub mod reconcile;
-pub mod sweep;
 pub mod trace;
 
 pub use assign::{optimize, Objective};
@@ -32,8 +31,8 @@ pub use des::{
     derive_policy, modeled_edge_bytes, simulate, simulate_traced, SimConfig, SimFaults, SimResult,
 };
 pub use lattice::{
-    evaluate, explore, feasible, lattice_size, optimize_serialized, task_capacity, Candidate,
-    ExploreOptions, LatticeReport, SerializedHost,
+    evaluate, explore, feasible, lattice_size, task_capacity, Candidate, ExploreOptions,
+    LatticeReport,
 };
 pub use reconcile::{reconcile, render_reconciliation, ReconRow, Reconciliation};
 pub use trace::{render_gantt, Traced};

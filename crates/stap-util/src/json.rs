@@ -1,13 +1,14 @@
 //! A minimal, insertion-ordered JSON value with a pretty-printer and a
 //! recursive-descent parser.
 //!
-//! Only what report emission and the bench regression gate need: build a
+//! Only what report emission and the cluster launcher need: build a
 //! tree, print it, read one back. No derive machinery — call sites
 //! construct values explicitly, which keeps the output field order under
-//! the author's control (handy for diffing `BENCH_kernels.json` across
-//! PRs). [`Json::parse`] reads the documents this module itself emits
-//! (plus ordinary standard JSON), so `stapctl bench` can compare fresh
-//! timings against a recorded baseline.
+//! the author's control (handy for diffing reports across PRs).
+//! [`Json::parse`] reads the documents this module itself emits (plus
+//! ordinary standard JSON), so a parent process can read the result
+//! lines its rank children print and `benchmark/` can read
+//! `BENCHMARK.json`.
 
 use std::fmt::Write as _;
 

@@ -10,20 +10,14 @@
 //! - [`check`]: a minimal property-testing loop replacing `proptest`:
 //!   run a property over many seeded random cases and report the
 //!   failing seed so a failure reproduces exactly.
-//! - [`bench`]: a wall-clock micro-benchmark harness replacing
-//!   `criterion`: warmup, calibrated batching, and robust (median)
-//!   per-iteration timings.
-
 //! - [`slack`]: the `STAP_CI_SLACK` deadline multiplier CI uses to
 //!   widen wall-clock gates on slow shared runners.
 
-pub mod bench;
 pub mod check;
 pub mod json;
 pub mod rng;
 pub mod slack;
 
-pub use bench::{Bench, BenchResult};
 pub use json::Json;
 pub use rng::Rng;
 pub use slack::{ci_slack, slacked_secs};

@@ -24,7 +24,7 @@ stage_name() {
     3) echo "release build" ;;
     4) echo "tests (includes the zero-allocation regression)" ;;
     5) echo "fault smoke (deterministic campaign: stall + drop over 10 CPIs)" ;;
-    6) echo "bench smoke (quick windows; plumbing only, not timing)" ;;
+    6) echo "benchmark smoke (benchmark/ builds and one quick run is correct; plumbing only, not timing)" ;;
     7) echo "trace smoke (Chrome trace + measured-vs-modeled reconciliation)" ;;
     8) echo "scalar fallback (STAP_SIMD=off: the non-AVX2 path stays green)" ;;
     9) echo "serve smoke (small loadgen: SLO fields present, zero pool misses)" ;;
@@ -63,15 +63,23 @@ run_stage() {
         --expect degraded=3,dropped=1 --out "$faults_out"
       ;;
     6)
-      # Quick mode writes to a scratch path (or BENCH_SMOKE_OUT) so the
-      # recorded full-mode baseline in BENCH_kernels.json is never
-      # clobbered by smoke numbers. Full runs (stapctl bench, no
-      # --quick) gate themselves against the baseline and refuse to
-      # record a >10% regression.
+      # benchmark/ is a workspace of its own, so stages 2-4 never
+      # compile it: build the package every PR is judged by against
+      # this tree and check that one quick run ends in a result line
+      # whose oracle agrees and no CPI failed. The result line is kept
+      # when BENCHMARK_SMOKE_OUT is set.
       local smoke_out
-      smoke_out="${BENCH_SMOKE_OUT:-$(mktemp "${TMPDIR:-/tmp}"/BENCH_kernels_smoke.XXXXXX.json)}"
-      [ -n "${BENCH_SMOKE_OUT:-}" ] || trap 'rm -f "$smoke_out"' RETURN
-      cargo run --release -q -p stap-bench --bin stapctl -- bench --quick --out "$smoke_out"
+      smoke_out="${BENCHMARK_SMOKE_OUT:-$(mktemp "${TMPDIR:-/tmp}"/BENCHMARK_smoke.XXXXXX.json)}"
+      [ -n "${BENCHMARK_SMOKE_OUT:-}" ] || trap 'rm -f "$smoke_out"' RETURN
+      cargo build --release --offline --manifest-path benchmark/Cargo.toml \
+        && cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+          --workload red_open --quick --seed 1 | tail -n 1 >"$smoke_out" \
+        && python3 - "$smoke_out" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["correct"] is True and doc["failed"] == 0, f"benchmark run not clean: {doc}"
+print("benchmark smoke ok: %d CPIs attempted, oracle agrees, none failed" % doc["attempted"])
+PY
       ;;
     7)
       # Traced run of the canonical 2-azimuth reduced config: must emit a

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full reproduction pass: tests, the paper-table regeneration, the
-# machine-checked reproduction gate, and the benches. Mirrors what
-# EXPERIMENTS.md records.
+# machine-checked reproduction gate, and a quick pass of the benchmark
+# (benchmark/README.md). Mirrors what EXPERIMENTS.md records.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,7 +14,7 @@ cargo run --release -p stap-bench --bin repro
 echo "== 3/4 reproduction gate =="
 cargo run --release -p stap-bench --bin repro -- check
 
-echo "== 4/4 benches =="
-cargo bench -p stap-bench
+echo "== 4/4 benchmark (quick, ungated) =="
+benchmark/selfcheck.sh --quick
 
 echo "reproduction complete."

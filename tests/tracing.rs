@@ -286,7 +286,7 @@ fn ci_workflow_is_structurally_valid() {
     }
     for entry in [
         "- name: fault-smoke",
-        "- name: bench-smoke",
+        "- name: benchmark-smoke",
         "- name: trace-smoke",
         "- name: serve-smoke",
         "- name: assign-smoke",
@@ -352,7 +352,7 @@ fn check_script_stage_list_matches_workflow() {
         "rustfmt",
         "clippy",
         "fault smoke",
-        "bench smoke",
+        "benchmark smoke",
         "trace smoke",
         "scalar fallback",
         "serve smoke",
