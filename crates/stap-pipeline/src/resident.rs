@@ -47,12 +47,22 @@
 //!   (`stap_core::weights::HardWeightLanes`); it is `(stream, beam,
 //!   bin, seg)`-keyed matrices only as exported [`ResidentState`];
 //! * the beamform tasks keep per-`(stream, beam)` weight FIFOs: every
-//!   slot first *pushes* the weight sets computed from its member CPIs,
-//!   then *consumes* for each member — popping the front of
+//!   slot *consumes* for each member — popping the front of
 //!   `fifo[(stream, scpi % beams)]` yields exactly the weights computed
 //!   from `(stream, scpi - beams)`, the paper's TD(1,3)/TD(2,4)
-//!   temporal dependency, even when one slot carries several CPIs of
-//!   the same stream.
+//!   temporal dependency — sends, and only then receives and *pushes*
+//!   the weight sets computed from its own member CPIs. A slot that
+//!   carries `scpi - beams` and `scpi` of one stream finds that FIFO
+//!   empty and pushes before it consumes.
+//!
+//! That order is how the loops honour the paper's eq. 2, latency = T0 +
+//! max(T3, T4) + T5 + T6: the weights a slot is beamformed with were
+//! computed from earlier slots, so neither weight task is on its path.
+//! Doppler sends the beamformers' blocks before the weight tasks', the
+//! weight ranks run at background priority (`run_at_background_priority`)
+//! so a woken chain thread takes their core, and they trail the chain
+//! by at most one slot — a beamformer does not start slot `s + 1` before
+//! it has pushed slot `s`.
 //!
 //! The contract the admission layer (`stap-serve`) upholds: each
 //! stream's CPIs are submitted in `scpi` order starting at 0, with no
@@ -139,11 +149,12 @@ pub struct ResidentSummary {
     pub elapsed: f64,
     /// Per-task busy seconds, summed over that task's nodes: wall-clock
     /// time spent assembling, computing and packing slots, excluding
-    /// blocked receives. On a host with fewer cores than rank threads
-    /// that includes time spent runnable but waiting for a core, so it
-    /// overstates tasks that share their core (`scripts/thread_cpu.sh`
-    /// reads the CPU each rank thread actually used). The elastic
-    /// scheduler ranks bottlenecks by `busy[t] / nodes[t]`.
+    /// blocked receives (a beamformer's wait for weights included). On a
+    /// host with fewer cores than rank threads that includes time spent
+    /// runnable but waiting for a core, so it overstates tasks that
+    /// share their core (`scripts/thread_cpu.sh` reads the CPU each rank
+    /// thread actually used). The elastic scheduler ranks bottlenecks by
+    /// `busy[t] / nodes[t]`.
     pub busy: [f64; 7],
 }
 
@@ -339,11 +350,20 @@ impl ResidentStap {
     /// even the first slot is miss-free. Derives the exact block sizes
     /// from the partitions (the same index arithmetic the task loops
     /// use). A block of one kind — one (edge, sender, receiver) — is
-    /// live at most once per in-flight slot, from the moment its
-    /// producer draws it (the beamformers and pulse compression draw
-    /// theirs before they compute into them) until its consumer has
-    /// computed out of it, so the in-flight window bounds each kind
-    /// whatever the holding times. The batcher coalesces any group size
+    /// live from the moment its producer draws it (the beamformers and
+    /// pulse compression draw theirs before they compute into them)
+    /// until its consumer has computed out of it. On the eq.-2 chain
+    /// that is at most once per in-flight slot, so `window` bounds those
+    /// kinds whatever the holding times. The two Doppler → weight kinds
+    /// can be live once more: a slot completes without waiting for its
+    /// weight tasks, so they may still hold its blocks while Doppler
+    /// has drawn those of all `window` slots behind it — but no more
+    /// than that, because a beamformer receives slot `s`'s weights
+    /// before it starts slot `s + 1`, which keeps the weight tasks
+    /// within one slot of the chain. Every kind gets `w = window + 2`:
+    /// for those two kinds one of the two blocks over the window is
+    /// the lagging slot's and one is margin; every other kind keeps
+    /// both as margin. The batcher coalesces any group size
     /// up to the bound at any time — partial groups are not only a
     /// ramp-up affair under paced arrivals — and a smaller group draws
     /// from a smaller size class, so every class a kind's group sizes
@@ -352,7 +372,7 @@ impl ResidentStap {
         let p = &self.params;
         let parts = Partitions::new(p, &self.assign);
         let b = self.max_group.min(streams.max(1)).max(1);
-        let w = self.window + 2; // in-flight slots + assembly margin
+        let w = self.window + 2; // in-flight slots + a lagging weight slot + margin
         let mut cx: HashMap<usize, usize> = HashMap::new();
         let mut real: HashMap<usize, usize> = HashMap::new();
         // One block kind of `per_cpi` elements per member CPI, drawn for
@@ -733,25 +753,11 @@ fn resident_doppler(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         .collect();
     let all_rows: Vec<usize> = (0..klen).collect();
     // Every out-block of a slot, in send order: (destination rank, edge,
-    // corner-turn layout).
+    // corner-turn layout). The beamformers are on the latency path
+    // (eq. 2), the weight tasks are not, so the beamformers' blocks go
+    // first.
     let mut outs: Vec<(usize, Edge, BinBlock)> = Vec::new();
     for (task, edge, node_bins, bins, rows, channels) in [
-        (
-            EASY_WT,
-            Edge::DopplerToEasyWt,
-            &ctx.parts.easy_wt_bins,
-            &easy_bins,
-            &easy_rows,
-            p.j_channels,
-        ),
-        (
-            HARD_WT,
-            Edge::DopplerToHardWt,
-            &ctx.parts.hard_wt_bins,
-            &hard_bins,
-            &flat_rows,
-            jj,
-        ),
         (
             EASY_BF,
             Edge::DopplerToEasyBf,
@@ -766,6 +772,22 @@ fn resident_doppler(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
             &ctx.parts.hard_bf_bins,
             &hard_bins,
             &all_rows,
+            jj,
+        ),
+        (
+            EASY_WT,
+            Edge::DopplerToEasyWt,
+            &ctx.parts.easy_wt_bins,
+            &easy_bins,
+            &easy_rows,
+            p.j_channels,
+        ),
+        (
+            HARD_WT,
+            Edge::DopplerToHardWt,
+            &ctx.parts.hard_wt_bins,
+            &hard_bins,
+            &flat_rows,
             jj,
         ),
     ] {
@@ -989,6 +1011,28 @@ fn weight_slots(
     (health, busy)
 }
 
+/// Drops the calling thread to the lowest scheduling priority (nice 19).
+/// The weight tasks are off the latency path — their output is consumed
+/// a slot late (eq. 2) — so a woken Doppler, beamform, pulse-compression
+/// or CFAR thread should preempt them rather than queue behind them.
+/// Best effort: nothing happens off Linux or when the call fails.
+fn run_at_background_priority() {
+    #[cfg(target_os = "linux")]
+    {
+        use std::ffi::{c_int, c_uint};
+        extern "C" {
+            fn setpriority(which: c_int, who: c_uint, prio: c_int) -> c_int;
+        }
+        const PRIO_PROCESS: c_int = 0;
+        // SAFETY: `setpriority(2)` as libc (which std links) declares it:
+        // three integers by value, no pointers, no memory touched. With
+        // `PRIO_PROCESS` and `who` 0 Linux applies the nice value to the
+        // calling thread only; raising one's own nice value needs no
+        // privilege, and a failure (-1) leaves the thread as it was.
+        let _ = unsafe { setpriority(PRIO_PROCESS, 0, 19) };
+    }
+}
+
 /// Piece `dp`'s `[cell][channel]` plane of member `u`'s `bi`-th bin in
 /// the blocks a weight task received.
 fn member_plane<'a>(
@@ -1007,6 +1051,7 @@ fn member_plane<'a>(
 /// lane layout only to be exported as [`ResidentState::easy_history`]
 /// when the session drains.
 fn resident_easy_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
+    run_at_background_priority();
     let p = ctx.params;
     let bins_idx = ctx.parts.easy_wt_bins[local].clone();
     let nbins = bins_idx.len();
@@ -1052,6 +1097,7 @@ fn resident_easy_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
 /// node's bins, keyed (stream, beam); it leaves lane layout only to be
 /// exported as [`ResidentState::hard_r`] when the session drains.
 fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
+    run_at_background_priority();
     let p = ctx.params;
     let bins_idx = ctx.parts.hard_wt_bins[local].clone();
     let nbins = bins_idx.len();
@@ -1095,8 +1141,87 @@ fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
     })
 }
 
+/// A beamform node's pending weights: per-(stream, beam) FIFOs of weight
+/// sets, one `T` per bin of the node, fed from the weight messages of
+/// the slots the node has beamformed. Popping the front of a member's
+/// FIFO yields the set computed from `(stream, scpi - beams)`.
+struct WeightFifos<T> {
+    /// The weight nodes feeding this node, each with its overlap of the
+    /// node's bins; the overlaps are the node's bins in order.
+    sources: Vec<(usize, Range<usize>)>,
+    edge: Edge,
+    beams: usize,
+    /// Matrices per bin in a weight message, and how they make a `T`.
+    per_bin: usize,
+    unpack: fn(&mut std::vec::IntoIter<CMat>, usize) -> T,
+    queues: HashMap<(u16, usize), VecDeque<Vec<T>>>,
+    /// Slots whose weight messages have been pushed.
+    pushed: usize,
+    /// Seconds blocked on a slot's own weights before its GEMM — idle
+    /// time inside the node's busy timer.
+    waited: f64,
+}
+
+impl<T> WeightFifos<T> {
+    /// Push phase: receives slot `slot`'s weight messages
+    /// (`[member][bin][per_bin]` each) and moves each member CPI's
+    /// freshly-computed per-bin set to the back of that member's FIFO.
+    /// Does nothing when the slot was already pushed.
+    fn push_slot(&mut self, comm: &mut Comm<Msg>, slot: usize, group: &[SubCpi]) {
+        if self.pushed > slot {
+            return;
+        }
+        let mut fresh: Vec<std::vec::IntoIter<CMat>> = (self.sources.iter())
+            .map(|(src, ov)| {
+                let m = comm.recv(*src, tag(self.edge, slot)).unwrap();
+                let w = expect_weights(m.payload);
+                let want = group.len() * ov.len() * self.per_bin;
+                assert_eq!(w.len(), want, "weights from overlap source");
+                w.into_iter()
+            })
+            .collect();
+        for sub in group {
+            let set: Vec<T> = (fresh.iter_mut().zip(&self.sources))
+                .flat_map(|(w, (_, ov))| ov.clone().map(|_| (self.unpack)(w, self.per_bin)))
+                .collect();
+            let key = (sub.stream, sub.scpi as usize % self.beams);
+            self.queues.entry(key).or_default().push_back(set);
+        }
+        self.pushed = slot + 1;
+    }
+
+    /// The weights member `sub` (`scpi >= beams`) of slot `slot` is
+    /// beamformed with. Every earlier slot's weights were pushed after
+    /// that slot's send, so they wait in the FIFO and the slot's own
+    /// weight messages are off its latency path (eq. 2) — unless the
+    /// slot also carries `scpi - beams` of this stream: then the FIFO is
+    /// empty and the slot is pushed here, before its GEMM.
+    fn pop(&mut self, comm: &mut Comm<Msg>, slot: usize, group: &[SubCpi], sub: &SubCpi) -> Vec<T> {
+        let key = (sub.stream, sub.scpi as usize % self.beams);
+        let front = |queues: &mut HashMap<(u16, usize), VecDeque<Vec<T>>>| {
+            queues.get_mut(&key).and_then(VecDeque::pop_front)
+        };
+        front(&mut self.queues).unwrap_or_else(|| {
+            let t_wait = Instant::now();
+            self.push_slot(comm, slot, group);
+            self.waited += t_wait.elapsed().as_secs_f64();
+            front(&mut self.queues)
+                .expect("weight FIFO underflow: streams must submit CPIs in order")
+        })
+    }
+
+    /// Drains the weight edge's shutdowns (the Doppler shutdowns of
+    /// `slot` were received).
+    fn drain_shutdown(&self, comm: &mut Comm<Msg>, slot: usize) {
+        for (src, _) in &self.sources {
+            let m = comm.recv(*src, tag(self.edge, slot)).unwrap();
+            assert!(matches!(m.payload, Payload::Shutdown));
+        }
+    }
+}
+
 /// Resident easy beamform (task 3): per-(stream, beam) weight FIFOs,
-/// push-then-consume per slot.
+/// consume, send, then push per slot.
 fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
     let p = ctx.params;
     let bins_idx = ctx.parts.easy_bf_bins[local].clone();
@@ -1106,18 +1231,25 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
     let dop0 = ctx.assign.rank_range(DOPPLER).start;
     let beams = ctx.steering.len();
     let pool = &ctx.pools.cx;
-    let wt_sources = weight_sources(
-        &ctx.parts.easy_wt_bins,
-        &bins_idx,
-        ctx.assign.rank_range(EASY_WT).start,
-    );
+    let mut wts = WeightFifos {
+        sources: weight_sources(
+            &ctx.parts.easy_wt_bins,
+            &bins_idx,
+            ctx.assign.rank_range(EASY_WT).start,
+        ),
+        edge: Edge::EasyWtToEasyBf,
+        beams,
+        per_bin: 1,
+        unpack: |w, _| w.next().expect("length checked"),
+        queues: import_ring(&ctx.carry.easy_fifo, &bins_idx),
+        pushed: 0,
+        waited: 0.0,
+    };
     let mut outs = PcBlocks::new(ctx, bins_idx.clone().map(|bn| easy_bins[bn]));
     // The GEMM operands, packed once each: the bin's `J x K` data
     // straight from the wire blocks, the weights conjugate-transposed.
     let mut data = PlanarMat::zeros(p.j_channels, p.k_range);
     let mut wpack = PlanarMat::new();
-    let mut fifo: HashMap<(u16, usize), VecDeque<Vec<CMat>>> =
-        import_ring(&ctx.carry.easy_fifo, &bins_idx);
     // One received block per Doppler node, kept until the slot is
     // computed: the GEMM operand is packed straight from them.
     let mut blocks: Vec<CCube> = Vec::with_capacity(p0);
@@ -1132,38 +1264,12 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         else {
             // The Doppler shutdowns were drained; drain the weight-edge
             // shutdowns, cascade to PC and exit.
-            for (src, _) in &wt_sources {
-                let m2 = comm.recv(*src, tag(Edge::EasyWtToEasyBf, slot)).unwrap();
-                assert!(matches!(m2.payload, Payload::Shutdown));
-            }
+            wts.drain_shutdown(comm, slot);
             outs.shutdown(ctx, comm, Edge::EasyBfToPc, slot);
             break;
         };
         let t_busy = Instant::now();
         let b = group.len();
-
-        // Push phase: move each member CPI's freshly-computed per-bin
-        // weight set out of the slot's weight messages (`[member][bin]`
-        // each, the sources' overlaps being this node's bins in order)
-        // into that member's (stream, beam) FIFO.
-        let mut fresh: Vec<std::vec::IntoIter<CMat>> = wt_sources
-            .iter()
-            .map(|(src, ov)| {
-                let m = comm.recv(*src, tag(Edge::EasyWtToEasyBf, slot)).unwrap();
-                let w = expect_weights(m.payload);
-                assert_eq!(w.len(), b * ov.len(), "weights from overlap source");
-                w.into_iter()
-            })
-            .collect();
-        for sub in group.iter() {
-            let beam = sub.scpi as usize % beams;
-            let set: Vec<CMat> = fresh
-                .iter_mut()
-                .zip(&wt_sources)
-                .flat_map(|(w, (_, ov))| w.take(ov.len()))
-                .collect();
-            fifo.entry((sub.stream, beam)).or_default().push_back(set);
-        }
 
         // Consume phase: beamform each member with the weights computed
         // from its own stream's CPI `scpi - beams` (quiescent before the
@@ -1171,13 +1277,11 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         outs.take(pool, b);
         let mut covered = 0usize;
         for (u, sub) in group.iter().enumerate() {
-            let beam = sub.scpi as usize % beams;
             let weights: Vec<CMat> = if (sub.scpi as usize) < beams {
+                let beam = sub.scpi as usize % beams;
                 vec![normalize_columns(ctx.steering[beam].clone()); nbins]
             } else {
-                fifo.get_mut(&(sub.stream, beam))
-                    .and_then(VecDeque::pop_front)
-                    .expect("weight FIFO underflow: streams must submit CPIs in order")
+                wts.pop(comm, slot, &group, sub)
             };
             for (bi, w) in weights.iter().enumerate() {
                 for (block, kr) in blocks.iter().zip(&ctx.parts.doppler_k) {
@@ -1198,11 +1302,15 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         }
         outs.send(ctx, comm, Edge::EasyBfToPc, slot, &group, covered);
         busy += t_busy.elapsed().as_secs_f64();
+        // Push phase, after the send: the weight task may still be at
+        // work on this slot, at most one slot behind the chain, and the
+        // wait for it is idle time like any other blocked receive.
+        wts.push_slot(comm, slot, &group);
         slot += 1;
     }
     health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit::stateful(ctx, health, busy, || {
-        TaskState::EasyBf(export_ring(fifo, bins_idx.start))
+    TaskExit::stateful(ctx, health, busy - wts.waited, || {
+        TaskState::EasyBf(export_ring(wts.queues, bins_idx.start))
     })
 }
 
@@ -1219,11 +1327,21 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
     let jj = 2 * p.j_channels;
     let segs = p.num_segments();
     let pool = &ctx.pools.cx;
-    let wt_sources = weight_sources(
-        &ctx.parts.hard_wt_bins,
-        &bins_idx,
-        ctx.assign.rank_range(HARD_WT).start,
-    );
+    // A weight message is `[member][bin][segment]`.
+    let mut wts = WeightFifos {
+        sources: weight_sources(
+            &ctx.parts.hard_wt_bins,
+            &bins_idx,
+            ctx.assign.rank_range(HARD_WT).start,
+        ),
+        edge: Edge::HardWtToHardBf,
+        beams,
+        per_bin: segs,
+        unpack: |w, segs| w.take(segs).collect::<Vec<CMat>>(),
+        queues: import_ring(&ctx.carry.hard_fifo, &bins_idx),
+        pushed: 0,
+        waited: 0.0,
+    };
     let mut outs = PcBlocks::new(ctx, bins_idx.clone().map(|bn| hard_bins[bn]));
     let seg_ranges: Vec<Range<usize>> = (0..segs).map(|s| p.segment_range(s)).collect();
     let mut data: Vec<PlanarMat> = seg_ranges
@@ -1231,8 +1349,6 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         .map(|r| PlanarMat::zeros(jj, r.len()))
         .collect();
     let mut wpack = PlanarMat::new();
-    let mut fifo: HashMap<(u16, usize), VecDeque<Vec<Vec<CMat>>>> =
-        import_ring(&ctx.carry.hard_fifo, &bins_idx);
     let mut blocks: Vec<CCube> = Vec::with_capacity(p0);
     let mut health = PipelineHealth::default();
     let mut busy = 0.0f64;
@@ -1265,46 +1381,21 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         let Some(group) =
             recv_doppler_blocks(comm, dop0, p0, Edge::DopplerToHardBf, slot, &mut blocks)
         else {
-            for (src, _) in &wt_sources {
-                let m2 = comm.recv(*src, tag(Edge::HardWtToHardBf, slot)).unwrap();
-                assert!(matches!(m2.payload, Payload::Shutdown));
-            }
+            wts.drain_shutdown(comm, slot);
             outs.shutdown(ctx, comm, Edge::HardBfToPc, slot);
             break;
         };
         let t_busy = Instant::now();
         let b = group.len();
 
-        // Push phase, as in easy BF; a message is `[member][bin][segment]`.
-        let mut fresh: Vec<std::vec::IntoIter<CMat>> = wt_sources
-            .iter()
-            .map(|(src, ov)| {
-                let m = comm.recv(*src, tag(Edge::HardWtToHardBf, slot)).unwrap();
-                let w = expect_weights(m.payload);
-                assert_eq!(w.len(), b * ov.len() * segs, "weights from overlap source");
-                w.into_iter()
-            })
-            .collect();
-        for sub in group.iter() {
-            let beam = sub.scpi as usize % beams;
-            let set: Vec<Vec<CMat>> = fresh
-                .iter_mut()
-                .zip(&wt_sources)
-                .flat_map(|(w, (_, ov))| ov.clone().map(|_| w.take(segs).collect()))
-                .collect();
-            fifo.entry((sub.stream, beam)).or_default().push_back(set);
-        }
-
+        // Consume, send, then push, as in easy BF.
         outs.take(pool, b);
         let mut covered = 0usize;
         for (u, sub) in group.iter().enumerate() {
-            let beam = sub.scpi as usize % beams;
             let weights: Vec<Vec<CMat>> = if (sub.scpi as usize) < beams {
-                quiescent(beam)
+                quiescent(sub.scpi as usize % beams)
             } else {
-                fifo.get_mut(&(sub.stream, beam))
-                    .and_then(VecDeque::pop_front)
-                    .expect("weight FIFO underflow: streams must submit CPIs in order")
+                wts.pop(comm, slot, &group, sub)
             };
             for (bi, seg_weights) in weights.iter().enumerate() {
                 for seg in 0..segs {
@@ -1335,11 +1426,12 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
         }
         outs.send(ctx, comm, Edge::HardBfToPc, slot, &group, covered);
         busy += t_busy.elapsed().as_secs_f64();
+        wts.push_slot(comm, slot, &group);
         slot += 1;
     }
     health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit::stateful(ctx, health, busy, || {
-        TaskState::HardBf(export_ring(fifo, bins_idx.start))
+    TaskExit::stateful(ctx, health, busy - wts.waited, || {
+        TaskState::HardBf(export_ring(wts.queues, bins_idx.start))
     })
 }
 
@@ -1698,6 +1790,25 @@ mod tests {
     use crate::runner::ParallelStap;
     use std::sync::mpsc;
 
+    type Bits = Vec<(usize, usize, usize, u64)>;
+
+    fn bits(ds: &[Detection]) -> Bits {
+        ds.iter()
+            .map(|d| (d.bin, d.beam, d.range, d.power.to_bits()))
+            .collect()
+    }
+
+    /// One stream's detections from the sequential reference, bit for bit.
+    fn sequential_bits(params: &StapParams, sc: &Scenario, cubes: &[CCube]) -> Vec<Bits> {
+        let mut seq = stap_core::SequentialStap::for_scenario(params.clone(), sc);
+        let beams = seq.steering.len();
+        cubes
+            .iter()
+            .enumerate()
+            .map(|(i, c)| bits(&seq.process_cpi(i % beams, c).detections))
+            .collect()
+    }
+
     /// Interleaved multi-stream resident processing must be
     /// bit-identical to running each stream through the batch pipeline
     /// on its own.
@@ -1792,7 +1903,9 @@ mod tests {
     /// a lane group of easy bins (8..12 of 18) between two easy-beamform
     /// nodes, once with the PC and CFAR partitions aligned (a CFAR node's
     /// second block is empty) and once with three CFAR nodes across two
-    /// PC nodes (each PC block compresses into two CFAR blocks).
+    /// PC nodes (each PC block compresses into two CFAR blocks). Every
+    /// slot carries `scpi` and `scpi + beams` of the one stream, so every
+    /// beamformer receives its slot's own weights before its GEMM.
     #[test]
     fn grouped_multi_node_slots_match_sequential_reference_bitwise() {
         for assign in [
@@ -1810,18 +1923,7 @@ mod tests {
         let sc = Scenario::reduced(19);
         let count = 14usize;
         let cubes: Vec<CCube> = sc.stream(count).map(|(_, _, c)| c).collect();
-        let bits = |ds: &[Detection]| -> Vec<(usize, usize, usize, u64)> {
-            ds.iter()
-                .map(|d| (d.bin, d.beam, d.range, d.power.to_bits()))
-                .collect()
-        };
-        let mut seq = stap_core::SequentialStap::for_scenario(params.clone(), &sc);
-        let beams = seq.steering.len();
-        let want: Vec<_> = cubes
-            .iter()
-            .enumerate()
-            .map(|(i, c)| bits(&seq.process_cpi(i % beams, c).detections))
-            .collect();
+        let want = sequential_bits(&params, &sc, &cubes);
 
         assert_eq!(assign.nodes(DOPPLER), 2, "the multi-block operand pack");
         let parts = Partitions::new(&params, &assign);
@@ -1872,51 +1974,183 @@ mod tests {
 
     /// Variable group sizes (ramp-up and tail slots smaller than
     /// max_group) and same-stream multi-CPI slots keep the per-stream
-    /// weight schedule intact.
+    /// weight schedule intact, bit for bit. A slot that carries `scpi`
+    /// and `scpi + beams` of the stream receives its own weights before
+    /// its GEMM, a lone CPI after its send, and the session goes from
+    /// one to the other and back; under `tiny` the hard beamformer is
+    /// fed by two weight nodes.
     #[test]
     fn uneven_groups_and_same_stream_slots_match() {
         let params = StapParams::reduced();
         let sc = Scenario::reduced(7);
-        let per_stream = 6usize;
-        let cubes: Vec<CCube> = sc.stream(per_stream).map(|(_, _, c)| c).collect();
-        let want = ParallelStap::for_scenario(params.clone(), NodeAssignment::tiny(), &sc)
-            .run(cubes.clone())
-            .detections;
+        let slots: [&[usize]; 6] = [&[0], &[1, 2], &[3, 4, 5], &[6], &[7], &[8, 9]];
+        let count = 10usize;
+        let cubes: Vec<CCube> = sc.stream(count).map(|(_, _, c)| c).collect();
+        let want = sequential_bits(&params, &sc, &cubes);
+        assert!(want.iter().any(|w| !w.is_empty()), "scenario must detect");
 
-        // One stream, CPIs packed into uneven slots: [0], [1,2], [3,4,5].
-        let res = ResidentStap::for_scenario(params, NodeAssignment::tiny(), &sc).with_max_group(3);
+        for assign in [NodeAssignment::tiny(), NodeAssignment([1; 7])] {
+            let res = ResidentStap::for_scenario(params.clone(), assign, &sc).with_max_group(3);
+            assert!(
+                res.max_group > res.steering.len(),
+                "`scpi + beams` fits a slot"
+            );
+            res.reserve(3, 4);
+            let (jobs_tx, jobs_rx) = mpsc::sync_channel(4);
+            let (done_tx, done_rx) = mpsc::channel();
+            let pool = res.pools().cx.clone();
+            let summary = std::thread::scope(|s| {
+                s.spawn(|| {
+                    for slot in slots {
+                        let batch = (slot.iter())
+                            .map(|&scpi| CpiJob {
+                                stream: 0,
+                                scpi: scpi as u32,
+                                cube: pool.take_cube_from(&cubes[scpi]),
+                                submitted: Instant::now(),
+                            })
+                            .collect();
+                        jobs_tx.send(batch).unwrap();
+                    }
+                    drop(jobs_tx);
+                });
+                res.serve(jobs_rx, done_tx).unwrap()
+            });
+            assert_eq!(summary.cpis as usize, count);
+            assert_eq!(summary.slots as usize, slots.len());
+            assert_eq!(summary.pool_cx.misses, 0, "{:?}", summary.pool_cx);
+
+            let mut got = vec![Vec::new(); count];
+            while let Ok(d) = done_rx.recv() {
+                got[d.scpi as usize] = bits(&d.detections);
+            }
+            assert_eq!(got, want, "{assign:?}");
+        }
+    }
+
+    /// Eq. 2 as a property: the weight tasks are off the latency path. A
+    /// weight rank that sleeps a second before slot 3 delays slot 4 —
+    /// the first slot beamformed with slot 3's weights — and not slot 3,
+    /// and every slot's detections stay those of the sequential
+    /// reference.
+    #[test]
+    fn stalled_weight_task_delays_the_next_slot_not_its_own() {
+        let params = StapParams::reduced();
+        let sc = Scenario::reduced(29);
+        let count = 6usize;
+        let cubes: Vec<CCube> = sc.stream(count).map(|(_, _, c)| c).collect();
+        let want = sequential_bits(&params, &sc, &cubes);
+        let stall = std::time::Duration::from_secs_f64(stap_util::ci_slack());
+
+        for task in [EASY_WT, HARD_WT] {
+            let assign = NodeAssignment([1; 7]);
+            let plan =
+                stap_mp::FaultPlan::seeded(1).stall_rank(assign.rank_range(task).start, 3, stall);
+            let res = ResidentStap::for_scenario(params.clone(), assign, &sc)
+                .with_max_group(1)
+                .with_faults(plan);
+            res.reserve(1, 1);
+            let (jobs_tx, jobs_rx) = mpsc::sync_channel(1);
+            let (done_tx, done_rx) = mpsc::channel();
+            let pool = res.pools().cx.clone();
+            // One CPI in the pipeline at a time.
+            let (submitted, done): (Vec<Instant>, Vec<CpiDone>) = std::thread::scope(|s| {
+                let engine = s.spawn(|| res.serve(jobs_rx, done_tx).unwrap());
+                let timeline = (cubes.iter().enumerate())
+                    .map(|(scpi, c)| {
+                        let submitted = Instant::now();
+                        let job = CpiJob {
+                            stream: 0,
+                            scpi: scpi as u32,
+                            cube: pool.take_cube_from(c),
+                            submitted,
+                        };
+                        jobs_tx.send(vec![job]).unwrap();
+                        (submitted, done_rx.recv().expect("a completion per CPI"))
+                    })
+                    .unzip();
+                drop(jobs_tx);
+                engine.join().unwrap();
+                timeline
+            });
+
+            let got: Vec<Bits> = done.iter().map(|d| bits(&d.detections)).collect();
+            assert_eq!(got, want, "task {task}");
+            let stall = stall.as_secs_f64();
+            assert!(
+                done[3].latency < stall / 2.0,
+                "task {task}: slot 3 waited {:.3} s for its own weights",
+                done[3].latency
+            );
+            // The rank stalls after it has received slot 2, and slot 4 is
+            // not beamformed before slot 3's weights are pushed.
+            let remainder = stall - submitted[4].duration_since(submitted[2]).as_secs_f64();
+            assert!(
+                done[4].latency >= remainder,
+                "task {task}: slot 4 took {:.3} s of the {remainder:.3} s left of the stall",
+                done[4].latency
+            );
+        }
+    }
+
+    /// Mailboxes stay bounded by the window when the driver is never
+    /// short of jobs: a weight task trails the chain by one slot at
+    /// most, so no edge queues more than a window of slots and one.
+    #[test]
+    fn saturated_session_keeps_mailboxes_within_the_window() {
+        let params = StapParams::reduced();
+        let sc = Scenario::reduced(31);
+        let cubes: Vec<CCube> = sc.stream(4).map(|(_, _, c)| c).collect();
+        let count = 48usize;
+        let res = ResidentStap::for_scenario(params, NodeAssignment([1; 7]), &sc)
+            .with_max_group(1)
+            .with_window(3);
         res.reserve(1, 4);
         let (jobs_tx, jobs_rx) = mpsc::sync_channel(4);
         let (done_tx, done_rx) = mpsc::channel();
         let pool = res.pools().cx.clone();
-        let feeder = std::thread::spawn(move || {
-            let mk = |scpi: usize| {
-                let c = &cubes[scpi];
-                CpiJob {
-                    stream: 0,
-                    scpi: scpi as u32,
-                    cube: pool.take_cube(c.shape(), |i, j, k| c[(i, j, k)]),
-                    submitted: Instant::now(),
+        let summary = std::thread::scope(|s| {
+            s.spawn(|| {
+                for scpi in 0..count {
+                    let job = CpiJob {
+                        stream: 0,
+                        scpi: scpi as u32,
+                        cube: pool.take_cube_from(&cubes[scpi % cubes.len()]),
+                        submitted: Instant::now(),
+                    };
+                    jobs_tx.send(vec![job]).unwrap();
                 }
-            };
-            jobs_tx.send(vec![mk(0)]).unwrap();
-            jobs_tx.send(vec![mk(1), mk(2)]).unwrap();
-            jobs_tx.send(vec![mk(3), mk(4), mk(5)]).unwrap();
+                drop(jobs_tx);
+            });
+            res.serve(jobs_rx, done_tx).unwrap()
         });
-        let summary = res.serve(jobs_rx, done_tx).unwrap();
-        feeder.join().unwrap();
-        assert_eq!(summary.cpis as usize, per_stream);
-        assert_eq!(summary.slots, 3);
+        assert_eq!(done_rx.iter().count(), count);
+        assert_eq!(summary.pool_cx.misses, 0, "{:?}", summary.pool_cx);
+        let depth = summary.health.max_mailbox_depth;
+        assert!(
+            depth.iter().all(|&d| d <= res.window as u64 + 1),
+            "per-edge mailbox depth {depth:?} over window {} + 1",
+            res.window
+        );
+    }
 
-        let mut got = vec![Vec::new(); per_stream];
-        while let Ok(d) = done_rx.recv() {
-            got[d.scpi as usize] = d.detections;
+    /// Linux nice values are per thread: the helper lowers the calling
+    /// thread (field 19 of its `stat` line) and no other.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn background_priority_is_the_calling_threads_alone() {
+        fn nice() -> i32 {
+            let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+            // Fields counted from after the parenthesised comm: state is 3.
+            let rest = &stat[stat.rfind(')').unwrap() + 2..];
+            rest.split(' ').nth(19 - 3).unwrap().parse().unwrap()
         }
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(g.len(), w.len(), "CPI {i}");
-            for (a, b) in g.iter().zip(w) {
-                assert_eq!((a.bin, a.beam, a.range), (b.bin, b.beam, b.range));
-            }
-        }
+        let before = nice();
+        let lowered = std::thread::spawn(|| {
+            run_at_background_priority();
+            nice()
+        });
+        assert_eq!(lowered.join().unwrap(), 19);
+        assert_eq!(nice(), before);
     }
 }

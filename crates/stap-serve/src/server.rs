@@ -294,7 +294,11 @@ struct Collected {
 
 struct Shared {
     ing: Mutex<Ingest>,
-    cv: Condvar,
+    /// Wakes the batcher: a CPI was admitted, or admission closed.
+    work: Condvar,
+    /// Wakes the producers parked in [`StapServer::wait_ready`]: a
+    /// completion freed a unit of depth, or admission closed.
+    room: Condvar,
 }
 
 /// A running multi-stream STAP server. Construct with
@@ -355,7 +359,8 @@ impl StapServer {
                 quarantine_streak: cfg.quarantine_streak,
                 probation_ms: cfg.probation_ms,
             })),
-            cv: Condvar::new(),
+            work: Condvar::new(),
+            room: Condvar::new(),
         });
 
         // Credit-based backpressure: the slot channel holds at most
@@ -387,7 +392,7 @@ impl StapServer {
                         if !ing.open {
                             return; // drops jobs_tx -> engine drains and exits
                         }
-                        ing = sh.cv.wait(ing).unwrap();
+                        ing = sh.work.wait(ing).unwrap();
                     }
                     backlog = ing.ready.len();
                 }
@@ -485,9 +490,7 @@ impl StapServer {
                     .lock()
                     .unwrap()
                     .complete(d.stream, d.degraded, Instant::now());
-                // Wake producers blocked in `wait_ready` (the batcher
-                // also wakes, rechecks and goes back to sleep — cheap).
-                sh.cv.notify_all();
+                sh.room.notify_all();
                 if let Some(t) = &tap {
                     let _ = t.send(d);
                 }
@@ -572,7 +575,7 @@ impl StapServer {
         let mut ing = self.shared.ing.lock().unwrap();
         while ing.open && !ing.ready_for(stream) {
             waits += 1;
-            ing = self.shared.cv.wait(ing).unwrap();
+            ing = self.shared.room.wait(ing).unwrap();
         }
         waits
     }
@@ -593,7 +596,7 @@ impl StapServer {
         let r = self.shared.ing.lock().unwrap().submit(stream, cube, now);
         match r {
             Ok(scpi) => {
-                self.shared.cv.notify_one();
+                self.shared.work.notify_one();
                 Ok(scpi)
             }
             Err((reject, cube)) => {
@@ -623,7 +626,8 @@ impl StapServer {
             let mut ing = self.shared.ing.lock().unwrap();
             ing.open = false;
         }
-        self.shared.cv.notify_all();
+        self.shared.work.notify_all();
+        self.shared.room.notify_all();
         self.batcher
             .take()
             .unwrap()
@@ -783,5 +787,72 @@ mod tests {
         assert_eq!(s.cpis, 10);
         assert_eq!(s.rebalances, 1, "degradation must force one rank shift");
         assert!(s.resident.busy.iter().sum::<f64>() > 0.0);
+    }
+
+    /// A submission wakes the batcher, never a producer parked on a
+    /// full depth. The pipeline is stalled, so stream 0 stays full with
+    /// its producer parked in `wait_ready` for the whole test; each of
+    /// stream 1's CPIs must leave the ready queue for the engine long
+    /// before the stall ends. Two CPIs, because a `notify_one` that
+    /// producers can also receive goes to whichever waiter has waited
+    /// longest: the first CPI re-queues the batcher behind the producer
+    /// and the second is the one left in the ready queue.
+    #[test]
+    fn submit_wakes_the_batcher_past_a_parked_producer() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::Duration;
+        let params = StapParams::reduced();
+        let sc = Scenario::reduced(17);
+        let cube = sc.stream(1).next().unwrap().2;
+        let stall = Duration::from_secs_f64(stap_util::ci_slack());
+        let assign = NodeAssignment::tiny();
+        let doppler = assign.rank_range(stap_pipeline::assignment::DOPPLER).start;
+        let res = ResidentStap::for_scenario(params, assign, &sc)
+            .with_faults(stap_mp::FaultPlan::seeded(1).stall_rank(doppler, 0, stall));
+        let server = StapServer::start(
+            res,
+            ServerConfig {
+                max_group: 1,
+                queue_depth: 2,
+                streams_hint: 2,
+                ..ServerConfig::default()
+            },
+        );
+        let t0 = Instant::now();
+        server.register(0);
+        server.register(1);
+        let dispatched = |what: &str| {
+            while !server.shared.ing.lock().unwrap().ready.is_empty() {
+                assert!(
+                    t0.elapsed() < stall / 2,
+                    "{what} still in the ready queue with the batcher asleep"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        for _ in 0..2 {
+            server.submit(0, server.take_cube_from(&cube)).unwrap();
+        }
+        dispatched("stream 0");
+        let released = AtomicBool::new(false);
+        let (parking_tx, parking_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                parking_tx.send(()).unwrap();
+                server.wait_ready(0);
+                released.store(true, Ordering::SeqCst);
+            });
+            parking_rx.recv().unwrap();
+            for scpi in 0..2 {
+                // Not for correctness: gives the producer, then the
+                // batcher, time to be the one parked last.
+                std::thread::sleep(Duration::from_millis(20));
+                server.submit(1, server.take_cube_from(&cube)).unwrap();
+                dispatched(&format!("stream 1 CPI {scpi}"));
+            }
+            assert!(!released.load(Ordering::SeqCst), "stream 0 stayed full");
+        });
+        let s = server.shutdown().unwrap();
+        assert_eq!(s.cpis, 4);
     }
 }

@@ -8,7 +8,9 @@
 # warm up, then diffs utime+stime of every task in
 # /proc/<pid>/task/*/stat across <seconds> of the measured period and
 # prints milliseconds of CPU per CPI per thread name (CPIs = the run's
-# own throughput_cpi_s times the sampled seconds).
+# own throughput_cpi_s times the sampled seconds) with the thread's nice
+# value beside it: the resident weight ranks run at nice 19, background
+# to the latency path.
 #
 # Ranks are the workload's node assignment laid out task by task —
 # Doppler, easy weight, hard weight, easy BF, hard BF, pulse compression,
@@ -52,9 +54,10 @@ bench_pid() {
   fi
 }
 
-# utime+stime ticks per task, as "<ticks> <tid>:<comm>" lines. The comm
-# field is parenthesised and may hold spaces; counted from after it the
-# ticks are fields 12 and 13.
+# utime+stime ticks and nice value per task, as "<ticks> <nice>
+# <tid>:<comm>" lines. The comm field is parenthesised and may hold
+# spaces; counted from after it the ticks are fields 12 and 13 and nice
+# is field 17.
 sample() {
   python3 - "$1" <<'PY'
 import glob, sys
@@ -65,7 +68,7 @@ for stat in glob.glob(f"/proc/{sys.argv[1]}/task/*/stat"):
         continue  # the task ended
     comm = text[text.index("(") + 1:text.rindex(")")]
     rest = text[text.rindex(")") + 2:].split()
-    print(int(rest[11]) + int(rest[12]), f"{stat.split('/')[4]}:{comm}")
+    print(int(rest[11]) + int(rest[12]), rest[16], f"{stat.split('/')[4]}:{comm}")
 PY
 }
 
@@ -104,11 +107,14 @@ if not result:
     sys.exit(open(f"{tmp}/run.log").read() + "\nno result line")
 rate = json.loads(result[-1])["metrics"]["throughput_cpi_s"]["value"]
 def read(name):
-    return {task: int(ticks) for ticks, task in (l.split(" ", 1) for l in open(f"{tmp}/{name}").read().splitlines())}
+    return {task: (int(ticks), nice) for ticks, nice, task in (l.split(" ", 2) for l in open(f"{tmp}/{name}").read().splitlines())}
 before, after = read("before"), read("after")
 per_name = collections.Counter()
-for task, ticks in after.items():
-    per_name[task.split(":", 1)[1]] += ticks - before.get(task, 0)
+nice_of = {}
+for task, (ticks, nice) in after.items():
+    name = task.split(":", 1)[1]
+    per_name[name] += ticks - before.get(task, (0, nice))[0]
+    nice_of[name] = nice
 cpis = rate * seconds
 print(f"{rate:.1f} CPI/s, {seconds:g} s sampled = {cpis:.0f} CPIs")
 total = 0.0
@@ -119,7 +125,7 @@ for name, ticks in sorted(per_name.items(), key=lambda kv: -kv[1]):
     if name in task_of:
         per_task[task_of[name]] += ms
     if ticks:
-        print(f"{name:<16} {ms:8.2f} ms/CPI  {task_of.get(name, '')}".rstrip())
+        print(f"{name:<16} {ms:8.2f} ms/CPI  nice {nice_of[name]:>2}  {task_of.get(name, '')}".rstrip())
 print(f"{'all threads':<16} {total:8.2f} ms/CPI")
 for task, ms in sorted(per_task.items(), key=lambda kv: -kv[1]):
     print(f"  {task:<14} {ms:8.2f} ms/CPI")
