@@ -118,26 +118,12 @@ impl<T: Copy + Default> Cube<T> {
 
     /// Copies the sub-block `r0 x r1 x r2` into a new cube.
     pub fn extract(&self, r0: Range<usize>, r1: Range<usize>, r2: Range<usize>) -> Cube<T> {
-        self.extract_into(r0, r1, r2, Vec::new())
-    }
-
-    /// Like [`Cube::extract`] but copying into a caller-provided buffer
-    /// (typically recycled from a [`crate::BufferPool`]). Byte-identical
-    /// to [`Cube::extract`].
-    pub fn extract_into(
-        &self,
-        r0: Range<usize>,
-        r1: Range<usize>,
-        r2: Range<usize>,
-        mut data: Vec<T>,
-    ) -> Cube<T> {
         assert!(
             r0.end <= self.shape[0] && r1.end <= self.shape[1] && r2.end <= self.shape[2],
             "extract range out of bounds"
         );
         let shape = [r0.len(), r1.len(), r2.len()];
-        data.clear();
-        data.reserve(shape[0] * shape[1] * shape[2]);
+        let mut data = Vec::with_capacity(shape[0] * shape[1] * shape[2]);
         for i in r0 {
             for j in r1.clone() {
                 let o = self.offset(i, j, r2.start);

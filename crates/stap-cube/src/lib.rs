@@ -22,11 +22,9 @@ pub mod cube;
 pub mod partition;
 pub mod pool;
 pub mod redist;
-pub mod view;
 
 pub use corner::BinBlock;
 pub use cube::{CCube, Cube, RCube};
 pub use partition::{block_ranges, AxisPartition};
 pub use pool::{BufferPool, PoolStats, SharedBufferPool};
 pub use redist::{RedistBlock, RedistPlan};
-pub use view::CubeView;

@@ -70,19 +70,6 @@ pub fn constrained_lstsq(data: &CMat, constraint: &CMat, k: f64, steering: &CMat
     normalize_columns(w)
 }
 
-/// Beam-constrained least squares starting from a precomputed triangular
-/// factor `R` of the training data (the recursive hard-bin path): solves
-/// `[R; k C] w = [0; k s]`.
-///
-/// `R` already summarizes the training snapshots, so only the constraint
-/// rows need annihilating — the [`crate::qr::qr_update`] structure makes this cheap.
-pub fn constrained_lstsq_from_r(r: &CMat, constraint: &CMat, k: f64, steering: &CMat) -> CMat {
-    let mut out = CMat::zeros(r.cols(), steering.cols());
-    let mut ws = SolveScratch::new();
-    constrained_lstsq_from_r_with(r, constraint, k, steering, &mut out, &mut ws);
-    out
-}
-
 /// Persistent scratch for [`constrained_lstsq_from_r_with`]: the bordered
 /// system, its triangular/constraint split, the updated factor, and the
 /// QR-update scratch. Grow-only, so the steady-state hard-weight path
@@ -114,10 +101,13 @@ impl Default for SolveScratch {
     }
 }
 
-/// Allocation-free [`constrained_lstsq_from_r`]: writes the normalized
-/// weights into `out` (resized grow-only) using the caller's scratch.
-/// Arithmetic order is identical to the allocating version — results are
-/// bit-for-bit equal.
+/// Beam-constrained least squares starting from a precomputed triangular
+/// factor `R` of the training data (the recursive hard-bin path): solves
+/// `[R; k C] w = [0; k s]`, writing the normalized weights into `out`
+/// (resized grow-only) using the caller's scratch.
+///
+/// `R` already summarizes the training snapshots, so only the constraint
+/// rows need annihilating — the [`crate::qr::qr_update`] structure makes this cheap.
 pub fn constrained_lstsq_from_r_with(
     r: &CMat,
     constraint: &CMat,
@@ -605,7 +595,8 @@ mod tests {
         let c = CMat::identity(8);
         let s = rng_mat(8, 2, 14);
         let full = constrained_lstsq(&data, &c, 0.5, &s);
-        let fast = constrained_lstsq_from_r(&r, &c, 0.5, &s);
+        let mut fast = CMat::zeros(0, 0);
+        constrained_lstsq_from_r_with(&r, &c, 0.5, &s, &mut fast, &mut SolveScratch::new());
         // Solutions may differ by a per-column unit phase; compare the
         // projector they define instead.
         for j in 0..2 {

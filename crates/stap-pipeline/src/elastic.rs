@@ -30,8 +30,8 @@
 //!    shared buffer pools (no cold re-warm).
 //!
 //! The bit-identical guarantee rests on two invariants proven
-//! elsewhere: per-bin computations are partition-independent
-//! (`runner::equivalence_holds_across_assignments`), and the state
+//! elsewhere: per-bin computations are partition-independent (the
+//! differential matrix in `tests/pipeline_properties.rs`), and the state
 //! export/import round-trip preserves per-bin FIFO order exactly
 //! ([`crate::resident`]).
 

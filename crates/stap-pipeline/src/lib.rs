@@ -10,9 +10,14 @@
 //! * [`assignment`] — node counts per task (the paper's case 1/2/3) and
 //!   the partitioning of each task's data dimension,
 //! * [`msg`] — the wire messages and tag scheme,
-//! * [`tasks`] — the per-node SPMD loops for all seven tasks,
-//! * [`runner`] — world construction, CPI injection, detection
-//!   collection, timing aggregation,
+//! * [`resident`] — the engine: one loop per task, each node receiving,
+//!   computing and sending one slot of CPIs at a time, and the driver
+//!   that feeds it (fault tolerance and spans live in those loops),
+//! * [`runner`] — [`ParallelStap`], a session of that engine over a
+//!   fixed CPI list: world construction, detection collection, timing
+//!   aggregation,
+//! * [`tasks`] — the buffer pools every rank of a session shares,
+//! * [`elastic`] — resident epochs with live rank shifts,
 //! * [`metrics`] — per-task recv/comp/send timing and the paper's
 //!   throughput/latency equations (1)-(3).
 //!

@@ -35,9 +35,7 @@ pub enum Payload {
     /// Weight matrices for a set of bins (easy: one per bin; hard:
     /// `num_segments` per bin, segment-major within each bin).
     Weights(Vec<CMat>),
-    /// Detections from a CFAR node (to the driver).
-    Detections(Vec<Detection>),
-    /// Per-sub-CPI detection lists from a CFAR node in resident mode,
+    /// Per-sub-CPI detection lists from a CFAR node (to the driver),
     /// aligned with the slot's [`Msg::group`] order. The second vector
     /// (same alignment) flags sub-CPIs whose power lanes contained
     /// non-finite samples on this node — the serve layer folds it into
@@ -49,7 +47,7 @@ pub enum Payload {
     /// *draining* under faults: downstream receivers learn immediately
     /// that the CPI is gone rather than burning their edge timeout.
     Dropped,
-    /// Resident-mode end-of-stream sentinel, cascaded down the data
+    /// End-of-session sentinel, cascaded down the data
     /// edges so every task loop unwinds after its last slot.
     Shutdown,
 }
@@ -58,17 +56,17 @@ pub enum Payload {
 #[derive(Debug, Clone)]
 pub struct Msg {
     /// CPI index this message belongs to (echoes the tag's low bits).
-    /// In resident mode this is the *slot* index.
+    /// The pipeline runs CPIs in slots, so this is the *slot* index.
     pub seq: u32,
     /// True when the sender computed this data in a degraded mode
     /// (e.g. beamformed with stale weights). ORed along the data path
     /// so the driver can classify the CPI outcome.
     pub degraded: bool,
-    /// Resident-mode slot composition: which `(stream, scpi)` pairs are
+    /// Slot composition: which `(stream, scpi)` pairs are
     /// coalesced into this slot, in axis-0 concatenation order. Built
     /// once per slot by the driver and shared by `Arc` so forwarding it
     /// along every edge costs one refcount, not an allocation. `None`
-    /// in batch mode (the classic one-scenario run).
+    /// on drop and shutdown markers.
     pub group: Option<Arc<[SubCpi]>>,
     /// The actual payload.
     pub payload: Payload,
@@ -85,22 +83,7 @@ impl Msg {
         }
     }
 
-    /// A message carrying an explicit degraded flag.
-    pub fn flagged(cpi: usize, degraded: bool, payload: Payload) -> Msg {
-        Msg {
-            seq: cpi as u32,
-            degraded,
-            group: None,
-            payload,
-        }
-    }
-
-    /// The drop marker for CPI `cpi`.
-    pub fn dropped(cpi: usize) -> Msg {
-        Msg::new(cpi, Payload::Dropped)
-    }
-
-    /// A resident-mode message for slot `slot` carrying the slot's
+    /// A message for slot `slot` carrying the slot's
     /// stream composition.
     pub fn grouped(slot: usize, group: Arc<[SubCpi]>, payload: Payload) -> Msg {
         Msg {
@@ -174,7 +157,6 @@ pub fn wire_bytes(msg: &Msg) -> u64 {
         // Output-edge payloads are unmodeled (the paper does not price
         // detection reports); 16 bytes per detection keeps the trace
         // honest about non-zero traffic.
-        Payload::Detections(ds) => 16 * ds.len() as u64,
         Payload::DetectionsGroup(gs, _) => gs.iter().map(|ds| 16 * ds.len() as u64).sum(),
         Payload::Dropped | Payload::Shutdown => 0,
     }
@@ -237,8 +219,10 @@ mod tests {
         let m = Msg::new(42, Payload::Dropped);
         assert_eq!(m.seq, 42);
         assert!(!m.degraded);
-        let m = Msg::flagged(7, true, Payload::Detections(Vec::new()));
-        assert!(m.degraded);
-        assert!(matches!(Msg::dropped(3).payload, Payload::Dropped));
+        let m = Msg::grouped(7, Arc::from([]), Payload::Shutdown);
+        assert_eq!(
+            (m.seq, m.degraded, m.group.map(|g| g.len())),
+            (7, false, Some(0))
+        );
     }
 }

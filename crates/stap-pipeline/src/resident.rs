@@ -1,8 +1,8 @@
-//! Resident multi-stream pipeline: the long-running ingestion back end.
+//! The pipeline engine: the seven task loops, resident for a session.
 //!
-//! The batch runner ([`crate::runner::ParallelStap`]) spawns a world,
-//! streams a fixed CPI list through it and tears everything down. A
-//! radar front end serving many concurrent *streams* cannot afford that:
+//! The batch runner ([`crate::runner::ParallelStap`]) runs these loops
+//! for one fixed CPI list and tears everything down. A radar front end
+//! serving many concurrent *streams* cannot afford that:
 //! per-arrival world spawns dominate, and each stream's CPIs arrive
 //! interleaved with every other stream's. This module keeps the seven
 //! task nodes resident and drives them with **slot groups**: the driver
@@ -66,19 +66,39 @@
 //!
 //! The contract the admission layer (`stap-serve`) upholds: each
 //! stream's CPIs are submitted in `scpi` order starting at 0, with no
-//! gaps. Resident mode is the production fast path — non-fault-tolerant
-//! (plain blocking receives), untraced, and steady-state
-//! allocation-free for every cube that travels an edge (all drawn from
-//! the shared [`PipelinePools`], pre-warmed by [`ResidentStap::reserve`]).
+//! gaps. Every cube that travels an edge is drawn from the shared
+//! [`PipelinePools`] (pre-warmed by [`ResidentStap::reserve`] on the
+//! serve path), so the steady state is allocation-free.
+//!
+//! # One engine, two feeds
+//!
+//! Each task has exactly one loop function here, and every loop leaves
+//! what is not its own to a [`Node`]: the receive ([`recv_msg`]), the
+//! drop markers a lost input sends downstream, the end-of-slot purge,
+//! and the slot's [`TaskTiming`] and span. The driver reads its slots
+//! from a [`Feed`]. Which front end turns what on:
+//!
+//! * [`ResidentStap::serve`] — and `ElasticStap` and `stap-serve`'s
+//!   `StapServer` on top of it — feeds slot groups from a jobs channel
+//!   with [`RuntimePolicy::default`] and no trace epoch: plain blocking
+//!   receives, no spans, the per-slot timings only summed into
+//!   [`ResidentSummary::busy`];
+//! * [`crate::ParallelStap`] is a session whose driver reads its CPI
+//!   list, one CPI per slot (`max_group = 1`). It passes its own policy
+//!   — a fault-tolerant one turns on deadlines, retries, sequence checks,
+//!   quarantine, drop markers, stale-weight fallback and purging — and,
+//!   when traced, the trace epoch that turns on one [`TaskSpan`] per slot
+//!   per node and Doppler's redistribution spans.
 
 use crate::assignment::{overlap, NodeAssignment, Partitions, *};
-use crate::metrics::PipelineHealth;
-use crate::msg::{tag, Edge, Msg, Payload, SubCpi};
-use crate::runner::PipelineError;
-use crate::tasks::{
-    easy_cells_in, expect_weights, hard_cells_in, sample_mailbox, weight_sources, PipelinePools,
-};
+use crate::fault::{payload_is_finite, RuntimePolicy};
+use crate::metrics::{PipelineHealth, TaskTiming};
+use crate::msg::{cpi_of_tag, edge_of_tag, tag, Edge, Msg, Payload, SubCpi};
+use crate::runner::{PipelineError, TaskReport};
+use crate::tasks::PipelinePools;
+use crate::trace::TaskSpan;
 use stap_core::params::StapParams;
+use stap_core::training::{easy_training_cells, hard_training_cells};
 use stap_core::weights::{EasyWeightLanes, HardWeightLanes};
 use stap_core::{
     cfar,
@@ -91,13 +111,13 @@ use stap_math::fft::FftScratch;
 use stap_math::gemm::{gemm_planar_into_strided, PlanarMat};
 use stap_math::solve::normalize_columns;
 use stap_math::{CMat, Cx};
-use stap_mp::{Comm, World};
+use stap_mp::{Comm, RecvError, Tag, World};
 use stap_radar::Scenario;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One CPI submitted to the resident pipeline.
 pub struct CpiJob {
@@ -138,7 +158,8 @@ pub struct ResidentSummary {
     /// Slots (coalesced groups) processed.
     pub slots: u64,
     /// Merged health counters (mailbox depth telemetry; the fault
-    /// counters stay zero — resident mode is non-fault-tolerant).
+    /// counters stay zero — the serve front ends run the default,
+    /// non-fault-tolerant policy).
     pub health: PipelineHealth,
     /// Complex pool traffic. `misses` beyond warmup means
     /// [`ResidentStap::reserve`] under-provisioned.
@@ -147,9 +168,11 @@ pub struct ResidentSummary {
     pub pool_real: PoolStats,
     /// Wall-clock seconds from `serve` entry to return.
     pub elapsed: f64,
-    /// Per-task busy seconds, summed over that task's nodes: wall-clock
-    /// time spent assembling, computing and packing slots, excluding
-    /// blocked receives (a beamformer's wait for weights included). On a
+    /// Per-task busy seconds, summed over that task's nodes from the
+    /// same per-slot [`TaskTiming`] records `ParallelStap` reports
+    /// (`total_without_idle`): wall-clock time spent computing and
+    /// sending slots, excluding every blocked receive (a beamformer's
+    /// wait for weights included). On a
     /// host with fewer cores than rank threads that includes time spent
     /// runnable but waiting for a core, so it overstates tasks that
     /// share their core (`scripts/thread_cpu.sh` reads the CPU each rank
@@ -190,42 +213,14 @@ impl ResidentState {
     }
 }
 
-/// What one resident task node hands back when its loop exits.
-struct TaskExit {
-    health: PipelineHealth,
+/// What one task node hands back when its loop exits.
+pub(crate) struct TaskExit {
+    /// Health counters, and the per-slot timings and spans the session
+    /// keeps.
+    pub(crate) report: TaskReport,
+    /// Every slot's compute and send seconds, summed.
     busy: f64,
     state: TaskState,
-}
-
-impl TaskExit {
-    fn stateless(health: PipelineHealth, busy: f64) -> Self {
-        TaskExit {
-            health,
-            busy,
-            state: TaskState::Stateless,
-        }
-    }
-
-    /// The exit of a task with cross-slot state, which is exported only
-    /// for a caller that takes it ([`ResidentStap::serve_with_state`]):
-    /// exporting copies every matrix out of the task's own layout.
-    fn stateful(
-        ctx: &ResCtx,
-        health: PipelineHealth,
-        busy: f64,
-        export: impl FnOnce() -> TaskState,
-    ) -> Self {
-        let state = if ctx.export {
-            export()
-        } else {
-            TaskState::Stateless
-        };
-        TaskExit {
-            health,
-            busy,
-            state,
-        }
-    }
 }
 
 /// The node-local slice of [`ResidentState`], already rebased to global
@@ -498,6 +493,7 @@ impl ResidentStap {
                     .with_corruptor(crate::fault::nan_corruptor());
             }
         }
+        let policy = RuntimePolicy::default();
         let ctx = ResCtx {
             params: &self.params,
             assign: &self.assign,
@@ -508,6 +504,9 @@ impl ResidentStap {
             screen: self.screen,
             carry,
             export,
+            policy: &policy,
+            epoch: None,
+            slots: None,
         };
         let ctx_ref = &ctx;
         let window = self.window.max(1);
@@ -529,24 +528,7 @@ impl ResidentStap {
         let results = world.try_run_collect(|mut comm| {
             let rank = comm.rank();
             match ctx_ref.assign.task_of_rank(rank) {
-                Some((t @ DOPPLER, local)) => {
-                    Res::Task(t, resident_doppler(ctx_ref, &mut comm, local))
-                }
-                Some((t @ EASY_WT, local)) => {
-                    Res::Task(t, resident_easy_weight(ctx_ref, &mut comm, local))
-                }
-                Some((t @ HARD_WT, local)) => {
-                    Res::Task(t, resident_hard_weight(ctx_ref, &mut comm, local))
-                }
-                Some((t @ EASY_BF, local)) => {
-                    Res::Task(t, resident_easy_bf(ctx_ref, &mut comm, local))
-                }
-                Some((t @ HARD_BF, local)) => {
-                    Res::Task(t, resident_hard_bf(ctx_ref, &mut comm, local))
-                }
-                Some((t @ PC, local)) => Res::Task(t, resident_pc(ctx_ref, &mut comm, local)),
-                Some((t @ CFAR, local)) => Res::Task(t, resident_cfar(ctx_ref, &mut comm, local)),
-                Some(_) => unreachable!("unknown task"),
+                Some((t, local)) => Res::Task(t, run_task(ctx_ref, &mut comm, t, local)),
                 None => {
                     let jobs = jobs_cell
                         .lock()
@@ -555,7 +537,7 @@ impl ResidentStap {
                         .expect("driver rank runs once");
                     let done = done_cell.lock().unwrap().take().expect("driver rank once");
                     let (health, cpis, slots) =
-                        resident_driver(ctx_ref, &mut comm, window, jobs, done);
+                        drive(ctx_ref, &mut comm, window, &mut Channel { jobs, done });
                     Res::Driver {
                         health,
                         cpis,
@@ -570,7 +552,7 @@ impl ResidentStap {
         for r in results {
             match r {
                 Res::Task(t, exit) => {
-                    summary.health.merge(&exit.health);
+                    summary.health.merge(&exit.report.health);
                     summary.busy[t] += exit.busy;
                     match exit.state {
                         TaskState::Stateless => {}
@@ -598,34 +580,349 @@ impl ResidentStap {
     }
 }
 
-/// Shared read-only context for the resident task loops.
-struct ResCtx<'a> {
-    params: &'a StapParams,
-    assign: &'a NodeAssignment,
-    parts: &'a Partitions,
-    steering: &'a [CMat],
-    pools: &'a PipelinePools,
-    max_group: usize,
-    screen: bool,
-    carry: &'a ResidentState,
+/// The session every rank of one world shares, read-only.
+pub(crate) struct ResCtx<'a> {
+    pub(crate) params: &'a StapParams,
+    pub(crate) assign: &'a NodeAssignment,
+    pub(crate) parts: &'a Partitions,
+    pub(crate) steering: &'a [CMat],
+    pub(crate) pools: &'a PipelinePools,
+    pub(crate) max_group: usize,
+    pub(crate) screen: bool,
+    pub(crate) carry: &'a ResidentState,
     /// Whether the tasks export their cross-slot state when they drain.
-    export: bool,
+    pub(crate) export: bool,
+    /// How every receive behaves (see [`recv_msg`]).
+    pub(crate) policy: &'a RuntimePolicy,
+    /// Trace epoch: each node records a [`TaskSpan`] per slot when set.
+    pub(crate) epoch: Option<Instant>,
+    /// The session's length in slots when it is known up front (the CPI
+    /// list): each node then keeps every slot's [`TaskTiming`] (an
+    /// open-ended session only sums them) and ends at that slot as on a
+    /// shutdown, so no receive deadline can carry a node past the end.
+    pub(crate) slots: Option<usize>,
 }
 
-fn expect_grouped_cube(m: Msg) -> Option<(Arc<[SubCpi]>, CCube)> {
-    match m.payload {
-        Payload::Shutdown => None,
-        Payload::Cube(c) => Some((m.group.expect("resident messages carry a group"), c)),
-        other => panic!("resident: expected grouped Cube or Shutdown, got {other:?}"),
+/// The task loops, indexed by paper task number.
+type TaskLoop = fn(&ResCtx, &mut Comm<Msg>, usize) -> TaskExit;
+
+/// Runs node `local` of task `task` until its session shuts down.
+pub(crate) fn run_task(ctx: &ResCtx, comm: &mut Comm<Msg>, task: usize, local: usize) -> TaskExit {
+    let loops: [TaskLoop; 7] = [
+        resident_doppler,
+        resident_easy_weight,
+        resident_hard_weight,
+        resident_easy_bf,
+        resident_hard_bf,
+        resident_pc,
+        resident_cfar,
+    ];
+    loops[task](ctx, comm, local)
+}
+
+fn expect_cube(p: Payload) -> CCube {
+    match p {
+        Payload::Cube(c) => c,
+        other => panic!("expected Cube, got {other:?}"),
     }
 }
 
-fn expect_grouped_real(m: Msg) -> Option<(Arc<[SubCpi]>, RCube)> {
-    match m.payload {
-        Payload::Shutdown => None,
-        Payload::Real(c) => Some((m.group.expect("resident messages carry a group"), c)),
-        other => panic!("resident: expected grouped Real or Shutdown, got {other:?}"),
+fn expect_real(p: Payload) -> RCube {
+    match p {
+        Payload::Real(c) => c,
+        other => panic!("expected Real, got {other:?}"),
     }
+}
+
+fn expect_weights(p: Payload) -> Vec<CMat> {
+    match p {
+        Payload::Weights(w) => w,
+        other => panic!("expected Weights, got {other:?}"),
+    }
+}
+
+/// Outcome of one receive on a pipeline edge.
+pub(crate) enum Recvd {
+    /// The slot's message.
+    Msg(Msg),
+    /// The input is gone: an explicit drop marker or, fault-tolerant, a
+    /// deadline overrun after retries or a quarantined (non-finite)
+    /// payload.
+    Gone,
+    /// Nothing more will come: the shutdown sentinel or, fault-tolerant,
+    /// a disconnected world.
+    Shutdown,
+}
+
+/// One receive on edge-tag `t` for slot `slot` under `policy`.
+///
+/// The default policy is the plain blocking receive (an unexpected
+/// `Disconnected` panics: fail fast, which the serve supervisor relies
+/// on). The fault-tolerant path enforces `timeout` per attempt with
+/// `policy.max_retries` retries, discards messages whose `seq` does not
+/// match `slot` (late/duplicate deliveries), and screens payloads for
+/// non-finite values.
+pub(crate) fn recv_msg(
+    comm: &mut Comm<Msg>,
+    src: usize,
+    t: Tag,
+    slot: usize,
+    policy: &RuntimePolicy,
+    timeout: Duration,
+    health: &mut PipelineHealth,
+) -> Recvd {
+    let e = edge_of_tag(t);
+    let m = if !policy.fault_tolerant {
+        let m = comm.recv(src, t).unwrap();
+        debug_assert_eq!(m.seq as usize, slot, "tag/seq mismatch on edge {e}");
+        m
+    } else {
+        let mut retries = 0u32;
+        loop {
+            match comm.recv_timeout(src, t, timeout) {
+                // A late or duplicated delivery matched this tag
+                // (possible only under injection); discard and wait on.
+                Ok(m) if m.seq as usize != slot => health.edges[e].late_or_dup += 1,
+                Ok(m) if policy.screen_nonfinite && !payload_is_finite(&m.payload) => {
+                    health.edges[e].quarantined += 1;
+                    return Recvd::Gone;
+                }
+                Ok(m) => break m,
+                Err(RecvError::Timeout) if retries < policy.max_retries => {
+                    retries += 1;
+                    health.edges[e].retries += 1;
+                }
+                Err(RecvError::Timeout) => {
+                    health.edges[e].dropped += 1;
+                    return Recvd::Gone;
+                }
+                Err(RecvError::Disconnected) => {
+                    health.edges[e].dropped += 1;
+                    return Recvd::Shutdown;
+                }
+            }
+        }
+    };
+    match m.payload {
+        Payload::Dropped => Recvd::Gone,
+        Payload::Shutdown => Recvd::Shutdown,
+        _ => Recvd::Msg(m),
+    }
+}
+
+/// End-of-slot hygiene for fault-tolerant loops: discards every buffered
+/// message belonging to slot `slot` or earlier — late deliveries the
+/// loop gave up on, and duplicate copies of messages already consumed —
+/// attributing the discards to their edges. Without this the
+/// unexpected-message queue would grow for the rest of the run.
+pub(crate) fn purge_late(comm: &mut Comm<Msg>, slot: usize, health: &mut PipelineHealth) {
+    let edges = &mut health.edges;
+    comm.purge_pending(|_, t| {
+        if cpi_of_tag(t) <= slot {
+            edges[edge_of_tag(t)].late_or_dup += 1;
+            false
+        } else {
+            true
+        }
+    });
+}
+
+/// Samples the receiver-side mailbox and max-merges the currently
+/// buffered per-edge depths into `health.max_mailbox_depth`. Called once
+/// per slot at the top of each loop: one inbox drain plus a bucket walk,
+/// no allocation.
+fn sample_mailbox(comm: &mut Comm<Msg>, health: &mut PipelineHealth) {
+    let mut depth = [0u64; crate::msg::NUM_EDGES];
+    comm.pending_counts(|_, t, n| {
+        let e = edge_of_tag(t);
+        if e < depth.len() {
+            depth[e] += n as u64;
+        }
+    });
+    for (a, b) in health.max_mailbox_depth.iter_mut().zip(depth) {
+        *a = (*a).max(b);
+    }
+}
+
+/// One slot's input on a set of edges.
+enum Input {
+    /// Every source delivered: the slot's group, and whether any sender
+    /// computed its part in a degraded mode.
+    Data(Arc<[SubCpi]>, bool),
+    /// At least one source's message is gone; the group, when any
+    /// source delivered.
+    Lost(Option<Arc<[SubCpi]>>),
+    /// The session is over.
+    Shutdown,
+}
+
+/// What every task loop shares, one slot at a time: the receive, the
+/// slot's phase clock and span, the end-of-slot purge, and the node's
+/// report.
+struct Node<'a> {
+    ctx: &'a ResCtx<'a>,
+    report: TaskReport,
+    busy: f64,
+    /// When the current slot began.
+    started: Instant,
+    /// Seconds of the current slot spent blocked in receives.
+    idle: f64,
+}
+
+impl<'a> Node<'a> {
+    fn new(ctx: &'a ResCtx<'a>) -> Self {
+        Node {
+            ctx,
+            report: TaskReport::default(),
+            busy: 0.0,
+            started: Instant::now(),
+            idle: 0.0,
+        }
+    }
+
+    /// Top of slot `slot`: mailbox depth sample, fault checkpoint, and
+    /// the slot clock.
+    fn begin(&mut self, comm: &mut Comm<Msg>, slot: usize) {
+        sample_mailbox(comm, &mut self.report.health);
+        comm.fault_checkpoint(slot as u64);
+        self.started = Instant::now();
+        self.idle = 0.0;
+    }
+
+    /// Receives slot `slot`'s message from each `(rank, edge)` source in
+    /// order, handing every delivered one to `take` with the source's
+    /// position. After a shutdown the remaining sources' shutdowns are
+    /// drained.
+    fn recv(
+        &mut self,
+        comm: &mut Comm<Msg>,
+        slot: usize,
+        sources: impl IntoIterator<Item = (usize, Edge)>,
+        timeout: Duration,
+        mut take: impl FnMut(usize, Msg),
+    ) -> Input {
+        if self.ctx.slots.is_some_and(|n| slot >= n) {
+            return Input::Shutdown;
+        }
+        let (mut group, mut degraded) = (None, false);
+        let (mut lost, mut shutdown) = (false, false);
+        for (i, (src, edge)) in sources.into_iter().enumerate() {
+            let t = Instant::now();
+            let got = recv_msg(
+                comm,
+                src,
+                tag(edge, slot),
+                slot,
+                self.ctx.policy,
+                timeout,
+                &mut self.report.health,
+            );
+            self.idle += t.elapsed().as_secs_f64();
+            match got {
+                // Only a disconnected fault-tolerant world can still
+                // hand over a message it had buffered.
+                Recvd::Msg(_) if shutdown => debug_assert!(
+                    self.ctx.policy.fault_tolerant,
+                    "mixed shutdown/data within a slot"
+                ),
+                Recvd::Msg(m) => {
+                    if group.is_none() {
+                        group.clone_from(&m.group);
+                    }
+                    degraded |= m.degraded;
+                    take(i, m);
+                }
+                Recvd::Gone => lost = true,
+                Recvd::Shutdown => shutdown = true,
+            }
+        }
+        if shutdown {
+            Input::Shutdown
+        } else if lost {
+            Input::Lost(group)
+        } else {
+            Input::Data(group.expect("pipeline messages carry a group"), degraded)
+        }
+    }
+
+    /// End of slot `slot`, after its push phase: records the slot's
+    /// timing (and span) and, fault-tolerant, purges what came late.
+    fn end(&mut self, comm: &mut Comm<Msg>, slot: usize, comp: f64, send: f64) {
+        let t = TaskTiming {
+            recv: self.idle,
+            comp,
+            send,
+            recv_idle: self.idle,
+        };
+        self.busy += t.total_without_idle();
+        if let Some(e) = self.ctx.epoch {
+            let start = self.started.duration_since(e).as_secs_f64();
+            self.report.spans.push(TaskSpan {
+                cpi: slot,
+                start,
+                recv_end: start + t.recv,
+                comp_end: start + t.recv + t.comp,
+                send_end: start + t.recv + t.comp + t.send,
+            });
+        }
+        if self.ctx.slots.is_some() {
+            self.report.timings.push(t);
+        }
+        if self.ctx.policy.fault_tolerant {
+            purge_late(comm, slot, &mut self.report.health);
+        }
+    }
+
+    /// The node's exit; its cross-slot state is exported only for a
+    /// caller that takes it ([`ResidentStap::serve_with_state`]):
+    /// exporting copies every matrix out of the task's own layout.
+    fn finish(mut self, comm: &mut Comm<Msg>, state: impl FnOnce() -> TaskState) -> TaskExit {
+        self.report.health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
+        TaskExit {
+            report: self.report,
+            busy: self.busy,
+            state: if self.ctx.export {
+                state()
+            } else {
+                TaskState::Stateless
+            },
+        }
+    }
+}
+
+/// Sends `payload` (a shutdown or drop marker) for slot `slot` on every
+/// `(rank, edge)` out-edge.
+fn signal(
+    comm: &Comm<Msg>,
+    outs: impl IntoIterator<Item = (usize, Edge)>,
+    slot: usize,
+    payload: Payload,
+) {
+    for (dst, edge) in outs {
+        comm.send(dst, tag(edge, slot), Msg::new(slot, payload.clone()));
+    }
+}
+
+fn recycle<T: Copy + Default>(pool: &SharedBufferPool<T>, blocks: &mut Vec<Cube<T>>) {
+    for block in blocks.drain(..) {
+        pool.recycle(block);
+    }
+}
+
+/// Global training cells for easy weights that fall inside `krange`.
+fn easy_cells_in(params: &StapParams, krange: &Range<usize>) -> Vec<usize> {
+    easy_training_cells(params)
+        .into_iter()
+        .filter(|c| krange.contains(c))
+        .collect()
+}
+
+/// Global training cells for hard segment `seg` inside `krange`.
+fn hard_cells_in(params: &StapParams, seg: usize, krange: &Range<usize>) -> Vec<usize> {
+    hard_training_cells(params, seg)
+        .into_iter()
+        .filter(|c| krange.contains(c))
+        .collect()
 }
 
 /// A pooled block whose every element is about to be overwritten. Debug
@@ -698,6 +995,7 @@ impl PcBlocks {
 
     /// Sends the finished blocks; `covered` is how many elements the
     /// slot stored into them.
+    #[allow(clippy::too_many_arguments)]
     fn send(
         &mut self,
         ctx: &ResCtx,
@@ -706,6 +1004,7 @@ impl PcBlocks {
         slot: usize,
         group: &Arc<[SubCpi]>,
         covered: usize,
+        degraded: bool,
     ) {
         debug_assert_eq!(
             covered,
@@ -717,16 +1016,11 @@ impl PcBlocks {
             comm.send(
                 pc0 + t,
                 tag(edge, slot),
-                Msg::grouped(slot, group.clone(), Payload::Cube(block)),
+                Msg {
+                    degraded,
+                    ..Msg::grouped(slot, group.clone(), Payload::Cube(block))
+                },
             );
-        }
-    }
-
-    /// Cascades a shutdown to every PC node.
-    fn shutdown(&self, ctx: &ResCtx, comm: &mut Comm<Msg>, edge: Edge, slot: usize) {
-        let pc0 = ctx.assign.rank_range(PC).start;
-        for t in 0..self.counts.len() {
-            comm.send(pc0 + t, tag(edge, slot), Msg::new(slot, Payload::Shutdown));
         }
     }
 }
@@ -797,23 +1091,39 @@ fn resident_doppler(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
             outs.push((dst0 + q, edge, layout));
         }
     }
+    let out_edges = || outs.iter().map(|&(dst, edge, _)| (dst, edge));
     let mut blocks: Vec<CCube> = Vec::with_capacity(outs.len());
     let mut ws = DopplerScratch::new();
-    let mut health = PipelineHealth::default();
-    let mut busy = 0.0f64;
-    let mut slot = 0usize;
-    loop {
-        sample_mailbox(comm, &mut health);
-        comm.fault_checkpoint(slot as u64);
-        let m = comm.recv(driver, tag(Edge::Input, slot)).unwrap();
-        let t_busy = Instant::now();
-        let Some((group, slab)) = expect_grouped_cube(m) else {
-            // Cascade the shutdown on all four out-edges.
-            for (dst, edge, _) in &outs {
-                comm.send(*dst, tag(*edge, slot), Msg::new(slot, Payload::Shutdown));
+    let mut node = Node::new(ctx);
+    let mut slab = None;
+    for slot in 0.. {
+        node.begin(comm, slot);
+        let input = node.recv(
+            comm,
+            slot,
+            [(driver, Edge::Input)],
+            ctx.policy.edge_timeout,
+            |_, m| slab = Some(expect_cube(m.payload)),
+        );
+        let group = match input {
+            Input::Data(group, _) => group,
+            Input::Lost(_) => {
+                // Keep the rest of the pipeline draining this slot.
+                signal(comm, out_edges(), slot, Payload::Dropped);
+                node.end(comm, slot, 0.0, 0.0);
+                continue;
             }
-            break;
+            Input::Shutdown => {
+                signal(comm, out_edges(), slot, Payload::Shutdown);
+                break;
+            }
         };
+        let slab = slab.take().expect("the slot's slab");
+        let t = Instant::now();
+        // Doppler's "data collection and reorganization" happens inside
+        // the tile pass; traced, each out-block is a `Redistribute` span
+        // from the start of the pass to its send.
+        let pack_t0 = comm.trace_now();
         let b = group.len();
         for (_, _, layout) in &outs {
             let poison = Cx::new(f64::NAN, f64::NAN);
@@ -833,52 +1143,31 @@ fn resident_doppler(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
             "corner turn left out-block elements unwritten"
         );
         pool.recycle(slab);
+        let comp = t.elapsed().as_secs_f64();
+        let t = Instant::now();
         for ((dst, edge, _), block) in outs.iter().zip(blocks.drain(..)) {
+            let (bytes, tg) = (8 * block.len() as u64, tag(*edge, slot));
             comm.send(
                 *dst,
-                tag(*edge, slot),
+                tg,
                 Msg::grouped(slot, group.clone(), Payload::Cube(block)),
             );
+            comm.trace_redistribute(*dst, tg, bytes, pack_t0);
         }
-        busy += t_busy.elapsed().as_secs_f64();
-        slot += 1;
+        node.end(comm, slot, comp, t.elapsed().as_secs_f64());
     }
-    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit::stateless(health, busy)
+    node.finish(comm, || TaskState::Stateless)
 }
 
-/// Receives one grouped block per Doppler node; `None` means shutdown
-/// (remaining Doppler shutdowns drained).
-fn recv_doppler_blocks(
-    comm: &mut Comm<Msg>,
-    dop0: usize,
-    p0: usize,
-    edge: Edge,
-    slot: usize,
-    blocks: &mut Vec<CCube>,
-) -> Option<Arc<[SubCpi]>> {
-    let mut group: Option<Arc<[SubCpi]>> = None;
-    for dp in 0..p0 {
-        let m = comm.recv(dop0 + dp, tag(edge, slot)).unwrap();
-        match expect_grouped_cube(m) {
-            Some((g, c)) => {
-                group.get_or_insert(g);
-                blocks.push(c);
-            }
-            None => {
-                for dp2 in dp + 1..p0 {
-                    let m2 = comm.recv(dop0 + dp2, tag(edge, slot)).unwrap();
-                    assert!(
-                        matches!(m2.payload, Payload::Shutdown),
-                        "mixed shutdown/data within a slot"
-                    );
-                }
-                return None;
-            }
-        }
-    }
-    Some(group.expect("at least one Doppler node"))
+/// The ranks of the Doppler nodes, each with `edge`: every weight and
+/// beamform node's sources.
+fn doppler_sources(ctx: &ResCtx, edge: Edge) -> impl Iterator<Item = (usize, Edge)> {
+    ctx.assign.rank_range(DOPPLER).map(move |r| (r, edge))
 }
+
+/// A beamform node's per-(stream, beam) queues of per-bin weight sets,
+/// each flagged stale or fresh.
+type Fifos<T> = HashMap<(u16, usize), VecDeque<(Vec<T>, bool)>>;
 
 /// Rebuilds a node-local `(stream, beam) -> queue of per-bin entries`
 /// map from globally-keyed carried state: picks this node's `bins_idx`
@@ -887,9 +1176,9 @@ fn recv_doppler_blocks(
 fn import_ring<T: Clone>(
     carried: &HashMap<(u16, usize, usize), VecDeque<T>>,
     bins_idx: &Range<usize>,
-) -> HashMap<(u16, usize), VecDeque<Vec<T>>> {
+) -> Fifos<T> {
     let nbins = bins_idx.len();
-    let mut out: HashMap<(u16, usize), VecDeque<Vec<T>>> = HashMap::new();
+    let mut out: Fifos<T> = HashMap::new();
     let keys: std::collections::HashSet<(u16, usize)> = carried
         .keys()
         .filter(|(_, _, g)| bins_idx.contains(g))
@@ -899,14 +1188,16 @@ fn import_ring<T: Clone>(
         let len = carried
             .get(&(stream, beam, bins_idx.start))
             .map_or(0, VecDeque::len);
-        let mut q: VecDeque<Vec<T>> = (0..len).map(|_| Vec::with_capacity(nbins)).collect();
+        let mut q: VecDeque<(Vec<T>, bool)> = (0..len)
+            .map(|_| (Vec::with_capacity(nbins), false))
+            .collect();
         for bin in bins_idx.clone() {
             let d = carried
                 .get(&(stream, beam, bin))
                 .expect("carried state covers every bin of a (stream, beam)");
             assert_eq!(d.len(), len, "ragged carried queue");
             for (qi, item) in d.iter().enumerate() {
-                q[qi].push(item.clone());
+                q[qi].0.push(item.clone());
             }
         }
         out.insert((stream, beam), q);
@@ -916,16 +1207,13 @@ fn import_ring<T: Clone>(
 
 /// Inverse of [`import_ring`]: unzips each `(stream, beam)` queue into
 /// per-bin queues rebased to global bin keys (`bin0` = this node's
-/// partition start).
-fn export_ring<T>(
-    rings: HashMap<(u16, usize), VecDeque<Vec<T>>>,
-    bin0: usize,
-) -> HashMap<(u16, usize, usize), VecDeque<T>> {
+/// partition start); the stale flags stay behind.
+fn export_ring<T>(rings: Fifos<T>, bin0: usize) -> HashMap<(u16, usize, usize), VecDeque<T>> {
     let mut out = HashMap::new();
     for ((stream, beam), q) in rings {
         let len = q.len();
         let mut per_bin: Vec<VecDeque<T>> = Vec::new();
-        for entry in q {
+        for (entry, _) in q {
             if per_bin.is_empty() {
                 per_bin = entry.iter().map(|_| VecDeque::with_capacity(len)).collect();
             }
@@ -946,18 +1234,20 @@ fn export_ring<T>(
 /// `per_bin` matrices per owned bin, in bin order), one grouped weight
 /// message per overlapping BF node out — `[member CPI][bin][per_bin]`,
 /// the order the wire has always carried. `bf` names the beamform task
-/// fed and its bin partition.
+/// fed and its bin partition. A slot with a lost input leaves the
+/// weight state untouched and sends drop markers instead.
+#[allow(clippy::too_many_arguments)]
 fn weight_slots(
     ctx: &ResCtx,
     comm: &mut Comm<Msg>,
+    node: &mut Node,
     (in_edge, out_edge): (Edge, Edge),
     bins_idx: &Range<usize>,
     (bf_task, bf_parts): (usize, &[Range<usize>]),
     per_bin: usize,
     mut member: impl FnMut(usize, &SubCpi, &[CCube], &mut dyn Iterator<Item = &mut [CMat]>),
-) -> (PipelineHealth, f64) {
+) {
     let p0 = ctx.assign.nodes(DOPPLER);
-    let dop0 = ctx.assign.rank_range(DOPPLER).start;
     // Destination BF nodes with their bin overlaps (slot-invariant). The
     // BF nodes partition the bins, so these overlaps are this node's
     // bins in order, each bin in exactly one of them.
@@ -970,21 +1260,33 @@ fn weight_slots(
             (!ov.is_empty()).then_some((bf0 + r, ov))
         })
         .collect();
+    let out_edges = || targets.iter().map(|&(dst, _)| (dst, out_edge));
     let mut per_node: Vec<Vec<CMat>> = targets.iter().map(|_| Vec::new()).collect();
     let mut blocks: Vec<CCube> = Vec::with_capacity(p0);
-    let mut health = PipelineHealth::default();
-    let mut busy = 0.0f64;
-    let mut slot = 0usize;
-    loop {
-        sample_mailbox(comm, &mut health);
-        comm.fault_checkpoint(slot as u64);
-        let Some(group) = recv_doppler_blocks(comm, dop0, p0, in_edge, slot, &mut blocks) else {
-            for (dst, _) in &targets {
-                comm.send(*dst, tag(out_edge, slot), Msg::new(slot, Payload::Shutdown));
+    for slot in 0.. {
+        node.begin(comm, slot);
+        let input = node.recv(
+            comm,
+            slot,
+            doppler_sources(ctx, in_edge),
+            ctx.policy.edge_timeout,
+            |_, m| blocks.push(expect_cube(m.payload)),
+        );
+        let group = match input {
+            Input::Data(group, _) => group,
+            Input::Lost(_) => {
+                recycle(&ctx.pools.cx, &mut blocks);
+                signal(comm, out_edges(), slot, Payload::Dropped);
+                node.end(comm, slot, 0.0, 0.0);
+                continue;
             }
-            break;
+            Input::Shutdown => {
+                recycle(&ctx.pools.cx, &mut blocks);
+                signal(comm, out_edges(), slot, Payload::Shutdown);
+                return;
+            }
         };
-        let t_busy = Instant::now();
+        let t = Instant::now();
         for (w, (_, ov)) in per_node.iter_mut().zip(&targets) {
             w.resize(group.len() * ov.len() * per_bin, CMat::zeros(0, 0));
         }
@@ -994,9 +1296,9 @@ fn weight_slots(
             });
             member(u, sub, &blocks, &mut weights);
         }
-        for block in blocks.drain(..) {
-            ctx.pools.cx.recycle(block);
-        }
+        recycle(&ctx.pools.cx, &mut blocks);
+        let comp = t.elapsed().as_secs_f64();
+        let t = Instant::now();
         for ((dst, _), w) in targets.iter().zip(&mut per_node) {
             comm.send(
                 *dst,
@@ -1004,11 +1306,8 @@ fn weight_slots(
                 Msg::grouped(slot, group.clone(), Payload::Weights(std::mem::take(w))),
             );
         }
-        busy += t_busy.elapsed().as_secs_f64();
-        slot += 1;
+        node.end(comm, slot, comp, t.elapsed().as_secs_f64());
     }
-    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    (health, busy)
 }
 
 /// Drops the calling thread to the lowest scheduling priority (nice 19).
@@ -1066,9 +1365,11 @@ fn resident_easy_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
             lanes.import((stream, beam), bin - bins_idx.start, history);
         }
     }
-    let (health, busy) = weight_slots(
+    let mut node = Node::new(ctx);
+    weight_slots(
         ctx,
         comm,
+        &mut node,
         (Edge::DopplerToEasyWt, Edge::EasyWtToEasyBf),
         &bins_idx,
         (EASY_BF, &ctx.parts.easy_bf_bins),
@@ -1083,7 +1384,7 @@ fn resident_easy_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
             );
         },
     );
-    TaskExit::stateful(ctx, health, busy, || {
+    node.finish(comm, || {
         TaskState::EasyWt(
             lanes
                 .export()
@@ -1114,9 +1415,11 @@ fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
             lanes.import((stream, beam), bin - bins_idx.start, seg, r);
         }
     }
-    let (health, busy) = weight_slots(
+    let mut node = Node::new(ctx);
+    weight_slots(
         ctx,
         comm,
+        &mut node,
         (Edge::DopplerToHardWt, Edge::HardWtToHardBf),
         &bins_idx,
         (HARD_BF, &ctx.parts.hard_bf_bins),
@@ -1131,7 +1434,7 @@ fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
             );
         },
     );
-    TaskExit::stateful(ctx, health, busy, || {
+    node.finish(comm, || {
         TaskState::HardWt(
             lanes
                 .export()
@@ -1143,9 +1446,10 @@ fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
 
 /// A beamform node's pending weights: per-(stream, beam) FIFOs of weight
 /// sets, one `T` per bin of the node, fed from the weight messages of
-/// the slots the node has beamformed. Popping the front of a member's
+/// the slots the node has beamformed; each set is flagged stale when it
+/// stands in for a lost weight message. Popping the front of a member's
 /// FIFO yields the set computed from `(stream, scpi - beams)`.
-struct WeightFifos<T> {
+struct WeightFifos<T, Q> {
     /// The weight nodes feeding this node, each with its overlap of the
     /// node's bins; the overlaps are the node's bins in order.
     sources: Vec<(usize, Range<usize>)>,
@@ -1154,135 +1458,255 @@ struct WeightFifos<T> {
     /// Matrices per bin in a weight message, and how they make a `T`.
     per_bin: usize,
     unpack: fn(&mut std::vec::IntoIter<CMat>, usize) -> T,
-    queues: HashMap<(u16, usize), VecDeque<Vec<T>>>,
+    /// The weights of each azimuth's first visit (`scpi < beams`) and of
+    /// last resort.
+    quiescent: Q,
+    queues: Fifos<T>,
+    /// The last set pushed fresh per (stream, beam): what a lost weight
+    /// message is replaced with. Kept by fault-tolerant sessions only.
+    last_good: HashMap<(u16, usize), Vec<T>>,
     /// Slots whose weight messages have been pushed.
     pushed: usize,
-    /// Seconds blocked on a slot's own weights before its GEMM — idle
-    /// time inside the node's busy timer.
-    waited: f64,
 }
 
-impl<T> WeightFifos<T> {
-    /// Push phase: receives slot `slot`'s weight messages
-    /// (`[member][bin][per_bin]` each) and moves each member CPI's
-    /// freshly-computed per-bin set to the back of that member's FIFO.
-    /// Does nothing when the slot was already pushed.
-    fn push_slot(&mut self, comm: &mut Comm<Msg>, slot: usize, group: &[SubCpi]) {
-        if self.pushed > slot {
-            return;
+impl<T: Clone, Q: Fn(usize) -> Vec<T>> WeightFifos<T, Q> {
+    /// The FIFOs of a node owning `bins_idx` of the bins `wt` (weight
+    /// task, its partition) computes, starting from `carried`.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        ctx: &ResCtx,
+        bins_idx: &Range<usize>,
+        (wt_task, wt_parts): (usize, &[Range<usize>]),
+        edge: Edge,
+        per_bin: usize,
+        unpack: fn(&mut std::vec::IntoIter<CMat>, usize) -> T,
+        quiescent: Q,
+        carried: &HashMap<(u16, usize, usize), VecDeque<T>>,
+    ) -> Self {
+        let wt0 = ctx.assign.rank_range(wt_task).start;
+        WeightFifos {
+            sources: (wt_parts.iter().enumerate())
+                .filter_map(|(q, r)| {
+                    let ov = overlap(r, bins_idx);
+                    (!ov.is_empty()).then(|| (wt0 + q, ov))
+                })
+                .collect(),
+            edge,
+            beams: ctx.steering.len(),
+            per_bin,
+            unpack,
+            quiescent,
+            queues: import_ring(carried, bins_idx),
+            last_good: HashMap::new(),
+            pushed: 0,
         }
-        let mut fresh: Vec<std::vec::IntoIter<CMat>> = (self.sources.iter())
-            .map(|(src, ov)| {
-                let m = comm.recv(*src, tag(self.edge, slot)).unwrap();
-                let w = expect_weights(m.payload);
-                let want = group.len() * ov.len() * self.per_bin;
-                assert_eq!(w.len(), want, "weights from overlap source");
-                w.into_iter()
-            })
-            .collect();
-        for sub in group {
-            let set: Vec<T> = (fresh.iter_mut().zip(&self.sources))
-                .flat_map(|(w, (_, ov))| ov.clone().map(|_| (self.unpack)(w, self.per_bin)))
-                .collect();
-            let key = (sub.stream, sub.scpi as usize % self.beams);
-            self.queues.entry(key).or_default().push_back(set);
-        }
-        self.pushed = slot + 1;
     }
 
-    /// The weights member `sub` (`scpi >= beams`) of slot `slot` is
-    /// beamformed with. Every earlier slot's weights were pushed after
-    /// that slot's send, so they wait in the FIFO and the slot's own
-    /// weight messages are off its latency path (eq. 2) — unless the
-    /// slot also carries `scpi - beams` of this stream: then the FIFO is
-    /// empty and the slot is pushed here, before its GEMM.
-    fn pop(&mut self, comm: &mut Comm<Msg>, slot: usize, group: &[SubCpi], sub: &SubCpi) -> Vec<T> {
-        let key = (sub.stream, sub.scpi as usize % self.beams);
-        let front = |queues: &mut HashMap<(u16, usize), VecDeque<Vec<T>>>| {
-            queues.get_mut(&key).and_then(VecDeque::pop_front)
+    /// The stand-in for a lost set of `key`, counted as stale.
+    fn stale(&self, node: &mut Node, key: (u16, usize)) -> Vec<T> {
+        node.report.health.edges[self.edge as usize].stale_weights += 1;
+        (self.last_good.get(&key).cloned()).unwrap_or_else(|| (self.quiescent)(key.1))
+    }
+
+    /// Push phase: receives slot `slot`'s weight messages
+    /// (`[member][bin][per_bin]` each) and moves each member CPI's
+    /// freshly-computed per-bin set to the back of that member's FIFO —
+    /// or, when a message is lost, the last good set of that (stream,
+    /// beam), flagged stale. Does nothing when the slot was already
+    /// pushed. Returns the slot's group: `group` if the caller knows it,
+    /// else the weight messages'.
+    fn push_slot(
+        &mut self,
+        node: &mut Node,
+        comm: &mut Comm<Msg>,
+        slot: usize,
+        group: Option<&Arc<[SubCpi]>>,
+    ) -> Option<Arc<[SubCpi]>> {
+        if self.pushed > slot {
+            return group.cloned();
+        }
+        self.pushed = slot + 1;
+        let mut fresh: Vec<std::vec::IntoIter<CMat>> = Vec::with_capacity(self.sources.len());
+        let input = node.recv(
+            comm,
+            slot,
+            self.sources.iter().map(|&(src, _)| (src, self.edge)),
+            node.ctx.policy.weight_grace,
+            |_, m| fresh.push(expect_weights(m.payload).into_iter()),
+        );
+        let (group, lost) = match input {
+            Input::Data(g, _) => (group.cloned().unwrap_or(g), false),
+            Input::Lost(g) => (group.cloned().or(g)?, true),
+            Input::Shutdown => (group.cloned()?, true),
         };
-        front(&mut self.queues).unwrap_or_else(|| {
-            let t_wait = Instant::now();
-            self.push_slot(comm, slot, group);
-            self.waited += t_wait.elapsed().as_secs_f64();
-            front(&mut self.queues)
-                .expect("weight FIFO underflow: streams must submit CPIs in order")
-        })
+        for (w, (_, ov)) in fresh.iter().zip(&self.sources).filter(|_| !lost) {
+            let want = group.len() * ov.len() * self.per_bin;
+            assert_eq!(w.len(), want, "weights from overlap source");
+        }
+        for sub in group.iter() {
+            let key = (sub.stream, sub.scpi as usize % self.beams);
+            let set = if lost {
+                self.stale(node, key)
+            } else {
+                let set: Vec<T> = (fresh.iter_mut().zip(&self.sources))
+                    .flat_map(|(w, (_, ov))| ov.clone().map(|_| (self.unpack)(w, self.per_bin)))
+                    .collect();
+                if node.ctx.policy.fault_tolerant {
+                    self.last_good.insert(key, set.clone());
+                }
+                set
+            };
+            self.queues.entry(key).or_default().push_back((set, lost));
+        }
+        Some(group)
+    }
+
+    /// The weights member `sub` of slot `slot` is beamformed with, and
+    /// whether they are stale: quiescent on the azimuth's first visit,
+    /// else the front of its FIFO. Every earlier slot's weights were
+    /// pushed after that slot's send, so they wait in the FIFO and the
+    /// slot's own weight messages are off its latency path (eq. 2) —
+    /// unless the slot also carries `scpi - beams` of this stream: then
+    /// the FIFO is empty and the slot is pushed here, before its GEMM.
+    fn take(
+        &mut self,
+        node: &mut Node,
+        comm: &mut Comm<Msg>,
+        slot: usize,
+        group: &Arc<[SubCpi]>,
+        sub: &SubCpi,
+    ) -> (Vec<T>, bool) {
+        let key = (sub.stream, sub.scpi as usize % self.beams);
+        if (sub.scpi as usize) < self.beams {
+            return ((self.quiescent)(key.1), false);
+        }
+        if self.queues.get(&key).is_none_or(VecDeque::is_empty) {
+            self.push_slot(node, comm, slot, Some(group));
+        }
+        match self.queues.get_mut(&key).and_then(VecDeque::pop_front) {
+            Some(set) => set,
+            // Only a fault-tolerant session that lost everything about an
+            // earlier slot gets here.
+            None if node.ctx.policy.fault_tolerant => (self.stale(node, key), true),
+            None => panic!("weight FIFO underflow: streams must submit CPIs in order"),
+        }
     }
 
     /// Drains the weight edge's shutdowns (the Doppler shutdowns of
     /// `slot` were received).
-    fn drain_shutdown(&self, comm: &mut Comm<Msg>, slot: usize) {
-        for (src, _) in &self.sources {
-            let m = comm.recv(*src, tag(self.edge, slot)).unwrap();
-            assert!(matches!(m.payload, Payload::Shutdown));
-        }
+    fn drain_shutdown(&self, node: &mut Node, comm: &mut Comm<Msg>, slot: usize) {
+        let sources = self.sources.iter().map(|&(src, _)| (src, self.edge));
+        let grace = node.ctx.policy.weight_grace;
+        node.recv(comm, slot, sources, grace, |_, _| {
+            panic!("weights after the last slot")
+        });
     }
 }
 
-/// Resident easy beamform (task 3): per-(stream, beam) weight FIFOs,
-/// consume, send, then push per slot.
+/// The slot loop of both beamform tasks: one block per Doppler node in,
+/// and per slot *consume* (beamform every member with the weights its
+/// FIFO holds; `gemm` computes member `u`'s bins from the blocks into the
+/// PC blocks and says how many elements it stored), *send*, then *push*
+/// the slot's own weights. A slot with lost data still pushes its
+/// weights — the next revisit needs them — and retires what it would
+/// have consumed.
+fn beamform_slots<T: Clone, Q: Fn(usize) -> Vec<T>>(
+    ctx: &ResCtx,
+    comm: &mut Comm<Msg>,
+    node: &mut Node,
+    (in_edge, out_edge): (Edge, Edge),
+    wts: &mut WeightFifos<T, Q>,
+    outs: &mut PcBlocks,
+    mut gemm: impl FnMut(usize, &[T], &[CCube], &mut PcBlocks) -> usize,
+) {
+    let pool = &ctx.pools.cx;
+    let pc_edges = || ctx.assign.rank_range(PC).map(|r| (r, out_edge));
+    let mut blocks: Vec<CCube> = Vec::with_capacity(ctx.assign.nodes(DOPPLER));
+    for slot in 0.. {
+        node.begin(comm, slot);
+        let input = node.recv(
+            comm,
+            slot,
+            doppler_sources(ctx, in_edge),
+            ctx.policy.edge_timeout,
+            |_, m| blocks.push(expect_cube(m.payload)),
+        );
+        let group = match input {
+            Input::Data(group, _) => group,
+            Input::Lost(group) => {
+                recycle(pool, &mut blocks);
+                signal(comm, pc_edges(), slot, Payload::Dropped);
+                if let Some(group) = wts.push_slot(node, comm, slot, group.as_ref()) {
+                    for sub in group.iter() {
+                        wts.take(node, comm, slot, &group, sub);
+                    }
+                }
+                node.end(comm, slot, 0.0, 0.0);
+                continue;
+            }
+            Input::Shutdown => {
+                recycle(pool, &mut blocks);
+                wts.drain_shutdown(node, comm, slot);
+                signal(comm, pc_edges(), slot, Payload::Shutdown);
+                return;
+            }
+        };
+        // Consume: beamform each member with the weights computed from its
+        // own stream's CPI `scpi - beams` (quiescent before the first
+        // revisit), exactly the per-stream serial schedule. A wait for the
+        // slot's own weights (the early push) is idle, not compute.
+        let (t, idle0) = (Instant::now(), node.idle);
+        outs.take(pool, group.len());
+        let (mut covered, mut degraded) = (0usize, false);
+        for (u, sub) in group.iter().enumerate() {
+            let (weights, stale) = wts.take(node, comm, slot, &group, sub);
+            degraded |= stale;
+            covered += gemm(u, &weights, &blocks, outs);
+        }
+        recycle(pool, &mut blocks);
+        let comp = t.elapsed().as_secs_f64() - (node.idle - idle0);
+        let t = Instant::now();
+        outs.send(ctx, comm, out_edge, slot, &group, covered, degraded);
+        let send = t.elapsed().as_secs_f64();
+        // Push phase, after the send: the weight task may still be at
+        // work on this slot, at most one slot behind the chain, and the
+        // wait for it is idle time like any other blocked receive.
+        wts.push_slot(node, comm, slot, Some(&group));
+        node.end(comm, slot, comp, send);
+    }
+}
+
+/// Resident easy beamform (task 3).
 fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
     let p = ctx.params;
     let bins_idx = ctx.parts.easy_bf_bins[local].clone();
     let nbins = bins_idx.len();
     let easy_bins = p.easy_bins();
-    let p0 = ctx.assign.nodes(DOPPLER);
-    let dop0 = ctx.assign.rank_range(DOPPLER).start;
-    let beams = ctx.steering.len();
-    let pool = &ctx.pools.cx;
-    let mut wts = WeightFifos {
-        sources: weight_sources(
-            &ctx.parts.easy_wt_bins,
-            &bins_idx,
-            ctx.assign.rank_range(EASY_WT).start,
-        ),
-        edge: Edge::EasyWtToEasyBf,
-        beams,
-        per_bin: 1,
-        unpack: |w, _| w.next().expect("length checked"),
-        queues: import_ring(&ctx.carry.easy_fifo, &bins_idx),
-        pushed: 0,
-        waited: 0.0,
-    };
+    let mut wts = WeightFifos::new(
+        ctx,
+        &bins_idx,
+        (EASY_WT, &ctx.parts.easy_wt_bins),
+        Edge::EasyWtToEasyBf,
+        1,
+        |w, _| w.next().expect("length checked"),
+        |beam| vec![normalize_columns(ctx.steering[beam].clone()); nbins],
+        &ctx.carry.easy_fifo,
+    );
     let mut outs = PcBlocks::new(ctx, bins_idx.clone().map(|bn| easy_bins[bn]));
     // The GEMM operands, packed once each: the bin's `J x K` data
     // straight from the wire blocks, the weights conjugate-transposed.
     let mut data = PlanarMat::zeros(p.j_channels, p.k_range);
     let mut wpack = PlanarMat::new();
-    // One received block per Doppler node, kept until the slot is
-    // computed: the GEMM operand is packed straight from them.
-    let mut blocks: Vec<CCube> = Vec::with_capacity(p0);
-    let mut health = PipelineHealth::default();
-    let mut busy = 0.0f64;
-    let mut slot = 0usize;
-    loop {
-        sample_mailbox(comm, &mut health);
-        comm.fault_checkpoint(slot as u64);
-        let Some(group) =
-            recv_doppler_blocks(comm, dop0, p0, Edge::DopplerToEasyBf, slot, &mut blocks)
-        else {
-            // The Doppler shutdowns were drained; drain the weight-edge
-            // shutdowns, cascade to PC and exit.
-            wts.drain_shutdown(comm, slot);
-            outs.shutdown(ctx, comm, Edge::EasyBfToPc, slot);
-            break;
-        };
-        let t_busy = Instant::now();
-        let b = group.len();
-
-        // Consume phase: beamform each member with the weights computed
-        // from its own stream's CPI `scpi - beams` (quiescent before the
-        // first revisit), exactly the per-stream serial schedule.
-        outs.take(pool, b);
-        let mut covered = 0usize;
-        for (u, sub) in group.iter().enumerate() {
-            let weights: Vec<CMat> = if (sub.scpi as usize) < beams {
-                let beam = sub.scpi as usize % beams;
-                vec![normalize_columns(ctx.steering[beam].clone()); nbins]
-            } else {
-                wts.pop(comm, slot, &group, sub)
-            };
+    let mut node = Node::new(ctx);
+    beamform_slots(
+        ctx,
+        comm,
+        &mut node,
+        (Edge::DopplerToEasyBf, Edge::EasyBfToPc),
+        &mut wts,
+        &mut outs,
+        |u, weights: &[CMat], blocks, outs| {
+            let mut covered = 0;
             for (bi, w) in weights.iter().enumerate() {
                 for (block, kr) in blocks.iter().zip(&ctx.parts.doppler_k) {
                     let plane = kr.len() * p.j_channels;
@@ -1296,64 +1720,22 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
                 gemm_planar_into_strided(&wpack, &data, plane, p.k_range);
                 covered += plane.len();
             }
-        }
-        for block in blocks.drain(..) {
-            pool.recycle(block);
-        }
-        outs.send(ctx, comm, Edge::EasyBfToPc, slot, &group, covered);
-        busy += t_busy.elapsed().as_secs_f64();
-        // Push phase, after the send: the weight task may still be at
-        // work on this slot, at most one slot behind the chain, and the
-        // wait for it is idle time like any other blocked receive.
-        wts.push_slot(comm, slot, &group);
-        slot += 1;
-    }
-    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit::stateful(ctx, health, busy - wts.waited, || {
+            covered
+        },
+    );
+    node.finish(comm, || {
         TaskState::EasyBf(export_ring(wts.queues, bins_idx.start))
     })
 }
 
-/// Resident hard beamform (task 4): per-(bin, segment) weight sets in
-/// per-(stream, beam) FIFOs.
+/// Resident hard beamform (task 4): per-(bin, segment) weight sets.
 fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
     let p = ctx.params;
     let bins_idx = ctx.parts.hard_bf_bins[local].clone();
     let nbins = bins_idx.len();
     let hard_bins = p.hard_bins();
-    let p0 = ctx.assign.nodes(DOPPLER);
-    let dop0 = ctx.assign.rank_range(DOPPLER).start;
-    let beams = ctx.steering.len();
     let jj = 2 * p.j_channels;
     let segs = p.num_segments();
-    let pool = &ctx.pools.cx;
-    // A weight message is `[member][bin][segment]`.
-    let mut wts = WeightFifos {
-        sources: weight_sources(
-            &ctx.parts.hard_wt_bins,
-            &bins_idx,
-            ctx.assign.rank_range(HARD_WT).start,
-        ),
-        edge: Edge::HardWtToHardBf,
-        beams,
-        per_bin: segs,
-        unpack: |w, segs| w.take(segs).collect::<Vec<CMat>>(),
-        queues: import_ring(&ctx.carry.hard_fifo, &bins_idx),
-        pushed: 0,
-        waited: 0.0,
-    };
-    let mut outs = PcBlocks::new(ctx, bins_idx.clone().map(|bn| hard_bins[bn]));
-    let seg_ranges: Vec<Range<usize>> = (0..segs).map(|s| p.segment_range(s)).collect();
-    let mut data: Vec<PlanarMat> = seg_ranges
-        .iter()
-        .map(|r| PlanarMat::zeros(jj, r.len()))
-        .collect();
-    let mut wpack = PlanarMat::new();
-    let mut blocks: Vec<CCube> = Vec::with_capacity(p0);
-    let mut health = PipelineHealth::default();
-    let mut busy = 0.0f64;
-    let mut slot = 0usize;
-
     let quiescent = |beam: usize| -> Vec<Vec<CMat>> {
         bins_idx
             .clone()
@@ -1374,29 +1756,34 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
             })
             .collect()
     };
-
-    loop {
-        sample_mailbox(comm, &mut health);
-        comm.fault_checkpoint(slot as u64);
-        let Some(group) =
-            recv_doppler_blocks(comm, dop0, p0, Edge::DopplerToHardBf, slot, &mut blocks)
-        else {
-            wts.drain_shutdown(comm, slot);
-            outs.shutdown(ctx, comm, Edge::HardBfToPc, slot);
-            break;
-        };
-        let t_busy = Instant::now();
-        let b = group.len();
-
-        // Consume, send, then push, as in easy BF.
-        outs.take(pool, b);
-        let mut covered = 0usize;
-        for (u, sub) in group.iter().enumerate() {
-            let weights: Vec<Vec<CMat>> = if (sub.scpi as usize) < beams {
-                quiescent(sub.scpi as usize % beams)
-            } else {
-                wts.pop(comm, slot, &group, sub)
-            };
+    // A weight message is `[member][bin][segment]`.
+    let mut wts = WeightFifos::new(
+        ctx,
+        &bins_idx,
+        (HARD_WT, &ctx.parts.hard_wt_bins),
+        Edge::HardWtToHardBf,
+        segs,
+        |w, segs| w.take(segs).collect::<Vec<CMat>>(),
+        quiescent,
+        &ctx.carry.hard_fifo,
+    );
+    let mut outs = PcBlocks::new(ctx, bins_idx.clone().map(|bn| hard_bins[bn]));
+    let seg_ranges: Vec<Range<usize>> = (0..segs).map(|s| p.segment_range(s)).collect();
+    let mut data: Vec<PlanarMat> = seg_ranges
+        .iter()
+        .map(|r| PlanarMat::zeros(jj, r.len()))
+        .collect();
+    let mut wpack = PlanarMat::new();
+    let mut node = Node::new(ctx);
+    beamform_slots(
+        ctx,
+        comm,
+        &mut node,
+        (Edge::DopplerToHardBf, Edge::HardBfToPc),
+        &mut wts,
+        &mut outs,
+        |u, weights: &[Vec<CMat>], blocks, outs| {
+            let mut covered = 0;
             for (bi, seg_weights) in weights.iter().enumerate() {
                 for seg in 0..segs {
                     let r = &seg_ranges[seg];
@@ -1420,17 +1807,10 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExi
                     covered += p.m_beams * r.len();
                 }
             }
-        }
-        for block in blocks.drain(..) {
-            pool.recycle(block);
-        }
-        outs.send(ctx, comm, Edge::HardBfToPc, slot, &group, covered);
-        busy += t_busy.elapsed().as_secs_f64();
-        wts.push_slot(comm, slot, &group);
-        slot += 1;
-    }
-    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit::stateful(ctx, health, busy - wts.waited, || {
+            covered
+        },
+    );
+    node.finish(comm, || {
         TaskState::HardBf(export_ring(wts.queues, bins_idx.start))
     })
 }
@@ -1470,7 +1850,7 @@ fn resident_pc(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
     }
     // Per CFAR node, the bins of mine it owns; per bin of mine, its CFAR
     // node and its row among that node's.
-    let cfar0 = ctx.assign.rank_range(CFAR).start;
+    let cfar_edges = || ctx.assign.rank_range(CFAR).map(|r| (r, Edge::PcToCfar));
     let cfar_ov: Vec<Range<usize>> = (ctx.parts.cfar_bins.iter())
         .map(|c| overlap(&my_bins, c))
         .collect();
@@ -1484,68 +1864,76 @@ fn resident_pc(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
     let plane = p.m_beams * p.k_range;
     let mut powers: Vec<RCube> = Vec::with_capacity(cfar_ov.len());
     let mut fft_ws = FftScratch::new();
-    let mut health = PipelineHealth::default();
-    let mut busy = 0.0f64;
-    let mut slot = 0usize;
-    'outer: loop {
-        sample_mailbox(comm, &mut health);
-        comm.fault_checkpoint(slot as u64);
-        let mut group: Option<Arc<[SubCpi]>> = None;
-        let mut covered = 0usize;
-        for (fi, (src, edge, bins)) in feeders.iter().enumerate() {
-            let m = comm.recv(*src, tag(*edge, slot)).unwrap();
-            let Some((g, mut block)) = expect_grouped_cube(m) else {
-                for (src2, edge2, _) in feeders.iter().skip(fi + 1) {
-                    let m2 = comm.recv(*src2, tag(*edge2, slot)).unwrap();
-                    assert!(matches!(m2.payload, Payload::Shutdown));
+    let mut node = Node::new(ctx);
+    for slot in 0.. {
+        node.begin(comm, slot);
+        let (mut covered, mut comp) = (0usize, 0.0f64);
+        let input = node.recv(
+            comm,
+            slot,
+            feeders.iter().map(|&(src, edge, _)| (src, edge)),
+            ctx.policy.edge_timeout,
+            |fi, m| {
+                let t = Instant::now();
+                let b = m
+                    .group
+                    .as_ref()
+                    .expect("pipeline messages carry a group")
+                    .len();
+                if powers.is_empty() {
+                    for ov in &cfar_ov {
+                        let shape = [b * ov.len(), p.m_beams, p.k_range];
+                        powers.push(take_block_for_overwrite(&ctx.pools.real, shape, f64::NAN));
+                    }
                 }
-                for c in 0..cfar_ov.len() {
-                    comm.send(
-                        cfar0 + c,
-                        tag(Edge::PcToCfar, slot),
-                        Msg::new(slot, Payload::Shutdown),
-                    );
+                let bins = &feeders[fi].2;
+                let bl = bins.len();
+                let mut block = expect_cube(m.payload);
+                debug_assert_eq!(block.shape(), [b * bl, p.m_beams, p.k_range]);
+                for (row, lanes) in block.as_mut_slice().chunks_exact_mut(plane).enumerate() {
+                    let (c, at) = dest[bins[row % bl] - my_bins.start];
+                    let at = (row / bl) * cfar_ov[c].len() + at;
+                    let power = &mut powers[c].as_mut_slice()[at * plane..][..plane];
+                    compressor.compress_in_place(lanes, power, &mut fft_ws);
+                    covered += plane;
                 }
-                break 'outer;
-            };
-            let t_busy = Instant::now();
-            let b = g.len();
-            if group.is_none() {
-                for ov in &cfar_ov {
-                    let shape = [b * ov.len(), p.m_beams, p.k_range];
-                    powers.push(take_block_for_overwrite(&ctx.pools.real, shape, f64::NAN));
-                }
-                group = Some(g);
+                ctx.pools.cx.recycle(block);
+                comp += t.elapsed().as_secs_f64();
+            },
+        );
+        let (group, degraded) = match input {
+            Input::Data(group, degraded) => (group, degraded),
+            Input::Lost(_) => {
+                recycle(&ctx.pools.real, &mut powers);
+                signal(comm, cfar_edges(), slot, Payload::Dropped);
+                node.end(comm, slot, comp, 0.0);
+                continue;
             }
-            let bl = bins.len();
-            debug_assert_eq!(block.shape(), [b * bl, p.m_beams, p.k_range]);
-            for (row, lanes) in block.as_mut_slice().chunks_exact_mut(plane).enumerate() {
-                let (c, at) = dest[bins[row % bl] - my_bins.start];
-                let at = (row / bl) * cfar_ov[c].len() + at;
-                let power = &mut powers[c].as_mut_slice()[at * plane..][..plane];
-                compressor.compress_in_place(lanes, power, &mut fft_ws);
-                covered += plane;
+            Input::Shutdown => {
+                recycle(&ctx.pools.real, &mut powers);
+                signal(comm, cfar_edges(), slot, Payload::Shutdown);
+                break;
             }
-            ctx.pools.cx.recycle(block);
-            busy += t_busy.elapsed().as_secs_f64();
-        }
-        let group = group.expect("at least one feeder");
+        };
         debug_assert_eq!(
             covered,
             powers.iter().map(RCube::len).sum::<usize>(),
             "pulse compression left power-block elements unwritten"
         );
-        for (c, block) in powers.drain(..).enumerate() {
+        let t = Instant::now();
+        for ((dst, edge), block) in cfar_edges().zip(powers.drain(..)) {
             comm.send(
-                cfar0 + c,
-                tag(Edge::PcToCfar, slot),
-                Msg::grouped(slot, group.clone(), Payload::Real(block)),
+                dst,
+                tag(edge, slot),
+                Msg {
+                    degraded,
+                    ..Msg::grouped(slot, group.clone(), Payload::Real(block))
+                },
             );
         }
-        slot += 1;
+        node.end(comm, slot, comp, t.elapsed().as_secs_f64());
     }
-    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit::stateless(health, busy)
+    node.finish(comm, || TaskState::Stateless)
 }
 
 /// Resident CFAR (task 6): the detector runs over the received power
@@ -1565,27 +1953,32 @@ fn resident_cfar(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
         .collect();
     let mut blocks: Vec<RCube> = Vec::with_capacity(feeders.len());
     let mut scratch = cfar::CfarScratch::for_task(p, my_bins.len());
-    let mut health = PipelineHealth::default();
-    let mut busy = 0.0f64;
-    let mut slot = 0usize;
-    'outer: loop {
-        sample_mailbox(comm, &mut health);
-        comm.fault_checkpoint(slot as u64);
-        let mut group: Option<Arc<[SubCpi]>> = None;
-        for (fi, (src, _)) in feeders.iter().enumerate() {
-            let m = comm.recv(*src, tag(Edge::PcToCfar, slot)).unwrap();
-            let Some((g, block)) = expect_grouped_real(m) else {
-                for (src2, _) in feeders.iter().skip(fi + 1) {
-                    let m2 = comm.recv(*src2, tag(Edge::PcToCfar, slot)).unwrap();
-                    assert!(matches!(m2.payload, Payload::Shutdown));
-                }
-                break 'outer;
-            };
-            group.get_or_insert(g);
-            blocks.push(block);
-        }
-        let group = group.expect("at least one PC node");
-        let t_busy = Instant::now();
+    let mut node = Node::new(ctx);
+    for slot in 0.. {
+        node.begin(comm, slot);
+        let input = node.recv(
+            comm,
+            slot,
+            feeders.iter().map(|&(src, _)| (src, Edge::PcToCfar)),
+            ctx.policy.edge_timeout,
+            |_, m| blocks.push(expect_real(m.payload)),
+        );
+        let (group, degraded) = match input {
+            Input::Data(group, degraded) => (group, degraded),
+            Input::Lost(_) => {
+                // Tell the driver, so it classifies the slot as dropped
+                // instead of waiting on detections that will never come.
+                recycle(&ctx.pools.real, &mut blocks);
+                signal(comm, [(driver, Edge::Output)], slot, Payload::Dropped);
+                node.end(comm, slot, 0.0, 0.0);
+                continue;
+            }
+            Input::Shutdown => {
+                recycle(&ctx.pools.real, &mut blocks);
+                break;
+            }
+        };
+        let t = Instant::now();
         let b = group.len();
         // The message to the driver: per member CPI its detections and,
         // when screening, whether its power held non-finite samples —
@@ -1613,19 +2006,20 @@ fn resident_cfar(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
             }
             per_sub.push(scratch.take());
         }
-        for block in blocks.drain(..) {
-            ctx.pools.real.recycle(block);
-        }
+        recycle(&ctx.pools.real, &mut blocks);
+        let comp = t.elapsed().as_secs_f64();
+        let t = Instant::now();
         comm.send(
             driver,
             tag(Edge::Output, slot),
-            Msg::grouped(slot, group.clone(), Payload::DetectionsGroup(per_sub, mask)),
+            Msg {
+                degraded,
+                ..Msg::grouped(slot, group, Payload::DetectionsGroup(per_sub, mask))
+            },
         );
-        busy += t_busy.elapsed().as_secs_f64();
-        slot += 1;
+        node.end(comm, slot, comp, t.elapsed().as_secs_f64());
     }
-    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit::stateless(health, busy)
+    node.finish(comm, || TaskState::Stateless)
 }
 
 /// One CPI for one Doppler node: the admitted cube *is* the input slab,
@@ -1635,20 +2029,70 @@ fn forwards_admitted_cube(group_len: usize, parts: &Partitions) -> bool {
     group_len == 1 && parts.doppler_k.len() == 1
 }
 
-/// The driver arm of a resident session: windowed slot injection from
-/// the jobs channel, completion collection, shutdown cascade.
-fn resident_driver(
+/// Where a session's slots come from and where their CPIs' results go.
+pub(crate) trait Feed {
+    /// The next slot group; blocks only when `wait`.
+    /// `Err(Disconnected)` ends the session.
+    fn next(&mut self, wait: bool) -> Result<Vec<CpiJob>, TryRecvError>;
+    /// Member `sub`'s result, `latency` seconds after its submission:
+    /// its detections (`None` when the CPI was dropped) and whether a
+    /// degraded mode touched it.
+    fn complete(
+        &mut self,
+        sub: SubCpi,
+        latency: f64,
+        detections: Option<Vec<Detection>>,
+        degraded: bool,
+    );
+}
+
+/// [`ResidentStap::serve`]'s feed: slot groups from the jobs channel,
+/// completions to the `done` channel.
+struct Channel {
+    jobs: Receiver<Vec<CpiJob>>,
+    done: Sender<CpiDone>,
+}
+
+impl Feed for Channel {
+    fn next(&mut self, wait: bool) -> Result<Vec<CpiJob>, TryRecvError> {
+        if wait {
+            self.jobs.recv().map_err(|_| TryRecvError::Disconnected)
+        } else {
+            self.jobs.try_recv()
+        }
+    }
+
+    fn complete(
+        &mut self,
+        sub: SubCpi,
+        latency: f64,
+        detections: Option<Vec<Detection>>,
+        degraded: bool,
+    ) {
+        // A closed `done` receiver is fine: keep draining.
+        let _ = self.done.send(CpiDone {
+            stream: sub.stream,
+            scpi: sub.scpi,
+            degraded: degraded || detections.is_none(),
+            detections: detections.unwrap_or_default(),
+            latency,
+        });
+    }
+}
+
+/// The driver rank: windowed slot injection from `feed`, completion
+/// collection, shutdown cascade. Returns the driver's health, the CPIs
+/// completed and the slots run.
+pub(crate) fn drive(
     ctx: &ResCtx,
     comm: &mut Comm<Msg>,
     window: usize,
-    jobs: Receiver<Vec<CpiJob>>,
-    done: Sender<CpiDone>,
+    feed: &mut impl Feed,
 ) -> (PipelineHealth, u64, u64) {
     let p = ctx.params;
     let dop0 = ctx.assign.rank_range(DOPPLER).start;
-    let cfar_ranks: Vec<usize> = ctx.assign.rank_range(CFAR).collect();
     let mut inflight: VecDeque<(Arc<[SubCpi]>, Vec<Instant>)> = VecDeque::with_capacity(window);
-    let mut health = PipelineHealth::default();
+    let mut node = Node::new(ctx);
     let mut next_slot = 0usize;
     let mut collected = 0usize;
     let mut cpis = 0u64;
@@ -1658,25 +2102,14 @@ fn resident_driver(
         // Fill the window. Block for the first job only when nothing is
         // in flight; otherwise prefer draining completed slots.
         while open && next_slot - collected < window {
-            let batch = if collected < next_slot {
-                match jobs.try_recv() {
-                    Ok(bt) => Some(bt),
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        open = false;
-                        break;
-                    }
-                }
-            } else {
-                match jobs.recv() {
-                    Ok(bt) => Some(bt),
-                    Err(_) => {
-                        open = false;
-                        break;
-                    }
+            let batch = match feed.next(collected == next_slot) {
+                Ok(batch) => batch,
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
+                    open = false;
+                    break;
                 }
             };
-            let Some(batch) = batch else { break };
             if batch.is_empty() {
                 continue;
             }
@@ -1733,61 +2166,63 @@ fn resident_driver(
             next_slot += 1;
         }
         if collected < next_slot {
-            sample_mailbox(comm, &mut health);
-            let (group, submitted) = inflight.pop_front().unwrap();
+            sample_mailbox(comm, &mut node.report.health);
+            let (group, submitted) = inflight.pop_front().expect("a slot in flight");
             let b = group.len();
             let mut per_sub: Vec<Vec<Detection>> = (0..b).map(|_| Vec::new()).collect();
-            let mut degraded = vec![false; b];
-            for &src in &cfar_ranks {
-                let m = comm.recv(src, tag(Edge::Output, collected)).unwrap();
-                match m.payload {
+            let mut masked = vec![false; b];
+            let input = node.recv(
+                comm,
+                collected,
+                ctx.assign.rank_range(CFAR).map(|r| (r, Edge::Output)),
+                ctx.policy.edge_timeout,
+                |_, m| match m.payload {
                     Payload::DetectionsGroup(gs, mask) => {
                         debug_assert_eq!(gs.len(), b);
                         for (u, ds) in gs.into_iter().enumerate() {
                             per_sub[u].extend(ds);
                         }
                         for (u, &bad) in mask.iter().enumerate() {
-                            degraded[u] |= bad;
+                            masked[u] |= bad;
                         }
                     }
-                    other => panic!("resident driver: expected DetectionsGroup, got {other:?}"),
-                }
-            }
+                    other => panic!("driver: expected DetectionsGroup, got {other:?}"),
+                },
+            );
+            let (lost, degraded) = match input {
+                Input::Data(_, degraded) => (false, degraded),
+                Input::Lost(_) | Input::Shutdown => (true, false),
+            };
             let now = Instant::now();
             for (u, mut ds) in per_sub.into_iter().enumerate() {
-                ds.sort_by_key(|d| (d.bin, d.beam, d.range));
-                if degraded[u] {
+                let degraded = degraded || masked[u];
+                let health = &mut node.report.health;
+                if lost {
+                    health.dropped_cpis += 1;
+                } else if degraded {
                     health.degraded_cpis += 1;
                 }
-                // A closed `done` receiver is fine: keep draining.
-                let _ = done.send(CpiDone {
-                    stream: group[u].stream,
-                    scpi: group[u].scpi,
-                    detections: ds,
-                    latency: now.duration_since(submitted[u]).as_secs_f64(),
-                    degraded: degraded[u],
-                });
+                ds.sort_by_key(|d| (d.bin, d.beam, d.range));
+                let latency = now.duration_since(submitted[u]).as_secs_f64();
+                feed.complete(group[u], latency, (!lost).then_some(ds), degraded);
+            }
+            if ctx.policy.fault_tolerant {
+                purge_late(comm, collected, &mut node.report.health);
             }
             cpis += b as u64;
             collected += 1;
         }
     }
     // Every slot drained: cascade the shutdown from the input edge.
-    for pn in 0..ctx.parts.doppler_k.len() {
-        comm.send(
-            dop0 + pn,
-            tag(Edge::Input, next_slot),
-            Msg::new(next_slot, Payload::Shutdown),
-        );
-    }
-    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    (health, cpis, next_slot as u64)
+    let inputs = ctx.assign.rank_range(DOPPLER).map(|r| (r, Edge::Input));
+    signal(comm, inputs, next_slot, Payload::Shutdown);
+    let exit = node.finish(comm, || TaskState::Stateless);
+    (exit.report.health, cpis, next_slot as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::ParallelStap;
     use std::sync::mpsc;
 
     type Bits = Vec<(usize, usize, usize, u64)>;
@@ -1807,87 +2242,6 @@ mod tests {
             .enumerate()
             .map(|(i, c)| bits(&seq.process_cpi(i % beams, c).detections))
             .collect()
-    }
-
-    /// Interleaved multi-stream resident processing must be
-    /// bit-identical to running each stream through the batch pipeline
-    /// on its own.
-    #[test]
-    fn interleaved_streams_match_per_stream_batch_runs() {
-        let params = StapParams::reduced();
-        let seeds = [11u64, 23u64, 47u64];
-        let per_stream = 5usize;
-        let scenarios: Vec<Scenario> = seeds.iter().map(|&s| Scenario::reduced(s)).collect();
-        let streams: Vec<Vec<CCube>> = scenarios
-            .iter()
-            .map(|sc| sc.stream(per_stream).map(|(_, _, c)| c).collect())
-            .collect();
-
-        // Per-stream serial baselines (batch pipeline, same steering).
-        let mut want: Vec<Vec<Vec<Detection>>> = Vec::new();
-        for (sc, cubes) in scenarios.iter().zip(&streams) {
-            let par = ParallelStap::for_scenario(params.clone(), NodeAssignment::tiny(), sc);
-            want.push(par.run(cubes.clone()).detections);
-        }
-
-        // Resident run: one slot per CPI index carrying all three
-        // streams' cubes (steering fans are per-scenario; use stream 0's
-        // scenario for construction — all reduced scenarios share the
-        // same transmit beams and geometry).
-        let res = ResidentStap::for_scenario(params, NodeAssignment::tiny(), &scenarios[0])
-            .with_max_group(seeds.len());
-        res.reserve(seeds.len(), 1);
-        let (jobs_tx, jobs_rx) = mpsc::sync_channel(4);
-        let (done_tx, done_rx) = mpsc::channel();
-        let pool = res.pools().cx.clone();
-        let feeder = std::thread::spawn(move || {
-            for scpi in 0..per_stream {
-                let batch: Vec<CpiJob> = streams
-                    .iter()
-                    .enumerate()
-                    .map(|(s, cubes)| {
-                        let c = &cubes[scpi];
-                        CpiJob {
-                            stream: s as u16,
-                            scpi: scpi as u32,
-                            cube: pool.take_cube(c.shape(), |i, j, k| c[(i, j, k)]),
-                            submitted: Instant::now(),
-                        }
-                    })
-                    .collect();
-                jobs_tx.send(batch).unwrap();
-            }
-        });
-        let summary = res.serve(jobs_rx, done_tx).unwrap();
-        feeder.join().unwrap();
-        assert_eq!(summary.cpis as usize, seeds.len() * per_stream);
-        assert_eq!(summary.slots as usize, per_stream);
-
-        let mut got: Vec<Vec<Vec<Detection>>> = vec![vec![Vec::new(); per_stream]; seeds.len()];
-        let mut n = 0;
-        while let Ok(d) = done_rx.recv() {
-            assert!(d.latency >= 0.0);
-            got[d.stream as usize][d.scpi as usize] = d.detections;
-            n += 1;
-        }
-        assert_eq!(n, seeds.len() * per_stream);
-        for (s, (g, w)) in got.iter().zip(&want).enumerate() {
-            for (i, (gd, wd)) in g.iter().zip(w).enumerate() {
-                assert_eq!(gd.len(), wd.len(), "stream {s} CPI {i} detection count");
-                for (a, b) in gd.iter().zip(wd) {
-                    assert_eq!((a.bin, a.beam, a.range), (b.bin, b.beam, b.range));
-                    assert!((a.power - b.power).abs() <= 1e-9 * b.power.abs().max(1.0));
-                }
-            }
-        }
-        // Demand-driven reserve: the steady state must be miss-free
-        // (every class pre-warmed before the first slot).
-        assert_eq!(
-            summary.pool_cx.misses, 0,
-            "reserve() under-provisioned the complex pool: {:?}",
-            summary.pool_cx
-        );
-        assert_eq!(summary.pool_real.misses, 0);
     }
 
     /// Grouped slots on two-Doppler-node assignments against the
@@ -2152,5 +2506,83 @@ mod tests {
         });
         assert_eq!(lowered.join().unwrap(), 19);
         assert_eq!(nice(), before);
+    }
+}
+
+#[cfg(test)]
+mod seq_tests {
+    use super::*;
+
+    fn weights_msg(seq: usize) -> Msg {
+        Msg::new(seq, Payload::Weights(Vec::new()))
+    }
+
+    /// A message whose `seq` disagrees with the slot being received (a
+    /// late or duplicated delivery that landed on a reused tag) is
+    /// discarded and counted, and the receive keeps waiting for the
+    /// real message.
+    #[test]
+    fn out_of_order_seq_is_discarded_then_real_message_received() {
+        let world: World<Msg> = World::new(2);
+        let policy = RuntimePolicy::fault_tolerant();
+        let counts = world.run_collect(move |mut comm| {
+            if comm.rank() == 0 {
+                // A stale slot-4 message mislabeled onto slot 5's tag,
+                // then the genuine slot-5 message.
+                comm.send(1, tag(Edge::Input, 5), weights_msg(4));
+                comm.send(1, tag(Edge::Input, 5), weights_msg(5));
+                0
+            } else {
+                let mut health = PipelineHealth::default();
+                let got = recv_msg(
+                    &mut comm,
+                    0,
+                    tag(Edge::Input, 5),
+                    5,
+                    &policy,
+                    Duration::from_secs(2),
+                    &mut health,
+                );
+                assert!(matches!(got, Recvd::Msg(Msg { seq: 5, .. })));
+                health.edges[Edge::Input as usize].late_or_dup
+            }
+        });
+        assert_eq!(counts[1], 1, "stale seq not counted");
+    }
+
+    /// Duplicated or late messages left in the mailbox are shed by the
+    /// end-of-slot purge; messages for future slots survive it.
+    #[test]
+    fn purge_discards_current_and_earlier_cpis_only() {
+        let world: World<Msg> = World::new(2);
+        let policy = RuntimePolicy::fault_tolerant();
+        let results = world.run_collect(move |mut comm| {
+            if comm.rank() == 0 {
+                comm.send(1, tag(Edge::Input, 0), weights_msg(0)); // duplicate of a consumed slot
+                comm.send(1, tag(Edge::Input, 1), weights_msg(1)); // late for the current slot
+                comm.send(1, tag(Edge::Input, 2), weights_msg(2)); // next slot: must survive
+                (0, true)
+            } else {
+                let mut health = PipelineHealth::default();
+                // Give all three sends time to land in the mailbox.
+                std::thread::sleep(Duration::from_millis(50));
+                purge_late(&mut comm, 1, &mut health);
+                // Slot 2 must still be receivable after the purge.
+                let got = recv_msg(
+                    &mut comm,
+                    0,
+                    tag(Edge::Input, 2),
+                    2,
+                    &policy,
+                    Duration::from_secs(2),
+                    &mut health,
+                );
+                let survived = matches!(got, Recvd::Msg(_));
+                (health.edges[Edge::Input as usize].late_or_dup, survived)
+            }
+        });
+        let (purged, survived) = results[1];
+        assert!(purged >= 1, "nothing was purged");
+        assert!(survived, "future slot was wrongly purged");
     }
 }

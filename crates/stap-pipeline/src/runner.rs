@@ -1,21 +1,20 @@
-//! World construction, CPI injection and result collection.
+//! World construction, CPI injection and result collection for batch
+//! runs: a [`ParallelStap`] run is a session of the resident engine
+//! whose driver reads a CPI list.
 
-use crate::assignment::{
-    NodeAssignment, Partitions, CFAR, DOPPLER, EASY_BF, EASY_WT, HARD_BF, HARD_WT, PC,
-};
+use crate::assignment::{NodeAssignment, Partitions};
 use crate::fault::{nan_corruptor, RuntimePolicy};
 use crate::metrics::{CpiOutcome, PipelineHealth, PipelineTimings, TaskTiming};
-use crate::msg::{tag, Edge, Msg, Payload};
-use crate::tasks::{
-    purge_late, recv_msg, run_cfar, run_doppler, run_easy_bf, run_easy_weight, run_hard_bf,
-    run_hard_weight, run_pc, PipelinePools, Recvd, TaskCtx, TaskReport,
-};
+use crate::msg::{Msg, SubCpi};
+use crate::resident::{drive, run_task, CpiJob, Feed, ResCtx, ResidentState};
+use crate::tasks::PipelinePools;
 use stap_core::{Detection, StapParams};
-use stap_cube::CCube;
-use stap_math::CMat;
+use stap_cube::{CCube, SharedBufferPool};
+use stap_math::{CMat, Cx};
 use stap_mp::{FaultPlan, World, WorldError};
 use stap_radar::Scenario;
 use std::fmt;
+use std::sync::mpsc::TryRecvError;
 use std::time::Instant;
 
 /// Why a pipeline run could not produce output.
@@ -61,6 +60,19 @@ pub struct PipelineOutput {
     /// marks). `None` unless the run was built with
     /// [`ParallelStap::with_tracing`].
     pub trace: Option<crate::trace::PipelineTrace>,
+}
+
+/// What a task node's loop hands back: per-CPI phase times plus the
+/// node's fault-tolerance counters.
+#[derive(Debug, Default)]
+pub struct TaskReport {
+    /// Per-CPI phase timings.
+    pub timings: Vec<TaskTiming>,
+    /// This node's health counters (all zero without faults).
+    pub health: PipelineHealth,
+    /// Per-CPI spans (empty unless the run was traced; `Vec::new` does
+    /// not allocate, so the untraced path stays allocation-free).
+    pub spans: Vec<crate::trace::TaskSpan>,
 }
 
 /// What one rank contributes to a run. Produced by
@@ -261,8 +273,9 @@ impl ParallelStap {
     /// (which *is* one rank, on a wire-backed `Comm`) can execute the
     /// identical code path the in-process threads run.
     ///
-    /// Task ranks only use `cpis` for its length; the driver rank
-    /// extracts and injects the actual cubes.
+    /// Every rank runs the resident engine's loop for its task with one
+    /// CPI per slot, this runner's [`RuntimePolicy`] and, traced, `epoch`;
+    /// the driver rank feeds it `cpis` in order. Task ranks ignore `cpis`.
     pub fn run_rank(
         &self,
         comm: &mut stap_mp::Comm<Msg>,
@@ -271,153 +284,46 @@ impl ParallelStap {
         pools: &PipelinePools,
         epoch: Option<Instant>,
     ) -> RankResult {
-        let rank = comm.rank();
-        let ctx = TaskCtx {
+        let carry = ResidentState::default();
+        let ctx = ResCtx {
             params: &self.params,
             assign: &self.assign,
             parts,
             steering: &self.steering,
-            num_cpis: cpis.len(),
             pools,
+            max_group: 1,
+            screen: false,
+            carry: &carry,
+            export: false,
             policy: &self.policy,
             epoch,
+            slots: Some(cpis.len()),
         };
-        match self.assign.task_of_rank(rank) {
-            Some((DOPPLER, local)) => RankResult::Task {
-                task: DOPPLER,
-                node: local,
-                report: run_doppler(&ctx, comm, local),
+        match self.assign.task_of_rank(comm.rank()) {
+            Some((task, node)) => RankResult::Task {
+                task,
+                node,
+                report: run_task(&ctx, comm, task, node).report,
             },
-            Some((EASY_WT, local)) => RankResult::Task {
-                task: EASY_WT,
-                node: local,
-                report: run_easy_weight(&ctx, comm, local),
-            },
-            Some((HARD_WT, local)) => RankResult::Task {
-                task: HARD_WT,
-                node: local,
-                report: run_hard_weight(&ctx, comm, local),
-            },
-            Some((EASY_BF, local)) => RankResult::Task {
-                task: EASY_BF,
-                node: local,
-                report: run_easy_bf(&ctx, comm, local),
-            },
-            Some((HARD_BF, local)) => RankResult::Task {
-                task: HARD_BF,
-                node: local,
-                report: run_hard_bf(&ctx, comm, local),
-            },
-            Some((PC, local)) => RankResult::Task {
-                task: PC,
-                node: local,
-                report: run_pc(&ctx, comm, local),
-            },
-            Some((CFAR, local)) => RankResult::Task {
-                task: CFAR,
-                node: local,
-                report: run_cfar(&ctx, comm, local),
-            },
-            Some(_) => unreachable!("unknown task"),
-            None => RankResult::Driver(self.run_driver(comm, cpis, parts, pools, epoch)),
-        }
-    }
-
-    /// The driver rank: inject CPI slabs (windowed) and collect
-    /// detections, recording injection and completion times and
-    /// classifying each CPI's outcome.
-    fn run_driver(
-        &self,
-        comm: &mut stap_mp::Comm<Msg>,
-        cpis: &[CCube],
-        parts: &Partitions,
-        pools: &PipelinePools,
-        epoch: Option<Instant>,
-    ) -> DriverResult {
-        let num_cpis = cpis.len();
-        let window = self.window.max(1);
-        let policy = &self.policy;
-        let cfar_ranks: Vec<usize> = self.assign.rank_range(CFAR).collect();
-        let mut detections: Vec<Vec<Detection>> = Vec::with_capacity(num_cpis);
-        let mut outcomes: Vec<CpiOutcome> = Vec::with_capacity(num_cpis);
-        let mut health = PipelineHealth::default();
-        let mut inject_t = vec![0.0f64; num_cpis];
-        let mut complete_t = vec![0.0f64; num_cpis];
-        // Under tracing the driver clock shares the trace epoch so CPI
-        // marks line up with the spans.
-        let t0 = epoch.unwrap_or_else(Instant::now);
-        let mut next_inject = 0usize;
-        // `done` is simultaneously a tag, a checkpoint epoch and an
-        // index; an enumerate rewrite would obscure it.
-        #[allow(clippy::needless_range_loop)]
-        for done in 0..num_cpis {
-            comm.fault_checkpoint(done as u64);
-            while next_inject < num_cpis && next_inject < done + window {
-                let cube = &cpis[next_inject];
-                inject_t[next_inject] = t0.elapsed().as_secs_f64();
-                for (pn, kr) in parts.doppler_k.iter().enumerate() {
-                    // Input slabs come from the shared pool too; the
-                    // Doppler nodes retire them after use.
-                    let buf = pools
-                        .cx
-                        .get(kr.len() * self.params.j_channels * self.params.n_pulses);
-                    let slab = cube.extract_into(
-                        kr.clone(),
-                        0..self.params.j_channels,
-                        0..self.params.n_pulses,
-                        buf,
-                    );
-                    comm.send(
-                        self.assign.rank_range(DOPPLER).start + pn,
-                        tag(Edge::Input, next_inject),
-                        Msg::new(next_inject, Payload::Cube(slab)),
-                    );
-                }
-                next_inject += 1;
+            None => {
+                let mut list = CpiList {
+                    cpis,
+                    pool: &pools.cx,
+                    // Under tracing the driver clock shares the trace
+                    // epoch so CPI marks line up with the spans.
+                    t0: epoch.unwrap_or_else(Instant::now),
+                    out: DriverResult {
+                        detections: Vec::with_capacity(cpis.len()),
+                        inject_t: Vec::with_capacity(cpis.len()),
+                        complete_t: Vec::with_capacity(cpis.len()),
+                        outcomes: Vec::with_capacity(cpis.len()),
+                        health: PipelineHealth::default(),
+                    },
+                };
+                let (health, _, _) = drive(&ctx, comm, self.window.max(1), &mut list);
+                list.out.health = health;
+                RankResult::Driver(list.out)
             }
-            let mut merged = Vec::new();
-            let mut lost = false;
-            let mut degraded = false;
-            for &src in &cfar_ranks {
-                match recv_msg(
-                    comm,
-                    src,
-                    tag(Edge::Output, done),
-                    done,
-                    policy,
-                    policy.edge_timeout,
-                    &mut health,
-                ) {
-                    Recvd::Data(Payload::Detections(d), deg) => {
-                        degraded |= deg;
-                        merged.extend(d);
-                    }
-                    Recvd::Data(other, _) => {
-                        panic!("expected detections, got {other:?}")
-                    }
-                    Recvd::Gone => lost = true,
-                }
-            }
-            merged.sort_by_key(|d| (d.bin, d.beam, d.range));
-            complete_t[done] = t0.elapsed().as_secs_f64();
-            outcomes.push(if lost {
-                CpiOutcome::Dropped
-            } else if degraded {
-                CpiOutcome::DegradedStaleWeights
-            } else {
-                CpiOutcome::Ok
-            });
-            detections.push(if lost { Vec::new() } else { merged });
-            if policy.fault_tolerant {
-                purge_late(comm, done, &mut health);
-            }
-        }
-        DriverResult {
-            detections,
-            inject_t,
-            complete_t,
-            outcomes,
-            health,
         }
     }
 
@@ -494,17 +400,9 @@ impl ParallelStap {
                             .collect();
                     }
                     detections = d;
+                    // The driver counted the dropped and degraded CPIs.
                     timings.health.merge(&health);
                     if self.policy.fault_tolerant {
-                        for o in &outcomes {
-                            match o {
-                                CpiOutcome::Dropped => timings.health.dropped_cpis += 1,
-                                CpiOutcome::DegradedStaleWeights => {
-                                    timings.health.degraded_cpis += 1
-                                }
-                                CpiOutcome::Ok => {}
-                            }
-                        }
                         timings.outcomes = outcomes;
                     }
                 }
@@ -536,6 +434,49 @@ impl ParallelStap {
     }
 }
 
+/// A batch session's feed: the CPI list in order, one CPI per slot, each
+/// a pooled copy; completions fill the driver's [`DriverResult`].
+struct CpiList<'a> {
+    cpis: &'a [CCube],
+    pool: &'a SharedBufferPool<Cx>,
+    t0: Instant,
+    out: DriverResult,
+}
+
+impl Feed for CpiList<'_> {
+    fn next(&mut self, _wait: bool) -> Result<Vec<CpiJob>, TryRecvError> {
+        let i = self.out.inject_t.len();
+        let cube = self.cpis.get(i).ok_or(TryRecvError::Disconnected)?;
+        let now = Instant::now();
+        self.out
+            .inject_t
+            .push(now.duration_since(self.t0).as_secs_f64());
+        Ok(vec![CpiJob {
+            stream: 0,
+            scpi: i as u32,
+            cube: self.pool.take_cube_from(cube),
+            submitted: now,
+        }])
+    }
+
+    fn complete(
+        &mut self,
+        sub: SubCpi,
+        latency: f64,
+        detections: Option<Vec<Detection>>,
+        degraded: bool,
+    ) {
+        let i = sub.scpi as usize;
+        self.out.complete_t.push(self.out.inject_t[i] + latency);
+        self.out.outcomes.push(match (&detections, degraded) {
+            (None, _) => CpiOutcome::Dropped,
+            (Some(_), true) => CpiOutcome::DegradedStaleWeights,
+            (Some(_), false) => CpiOutcome::Ok,
+        });
+        self.out.detections.push(detections.unwrap_or_default());
+    }
+}
+
 fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
@@ -547,93 +488,6 @@ fn mean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stap_core::SequentialStap;
-
-    /// The central invariant: the parallel pipeline produces the exact
-    /// detections of the sequential reference.
-    #[test]
-    fn parallel_matches_sequential_reference() {
-        let params = StapParams::reduced();
-        let scenario = Scenario::reduced(77);
-        let cpis: Vec<CCube> = scenario.stream(6).map(|(_, _, c)| c).collect();
-
-        let mut seq = SequentialStap::for_scenario(params.clone(), &scenario);
-        let want: Vec<Vec<Detection>> = cpis
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let beam = i % scenario.transmit_beams.len();
-                let mut d = seq.process_cpi(beam, c).detections;
-                d.sort_by_key(|d| (d.bin, d.beam, d.range));
-                d
-            })
-            .collect();
-
-        let par = ParallelStap::for_scenario(params, NodeAssignment::tiny(), &scenario);
-        let got = par.run(cpis);
-        assert_eq!(got.detections.len(), want.len());
-        for (i, (g, w)) in got.detections.iter().zip(&want).enumerate() {
-            assert_eq!(
-                g.len(),
-                w.len(),
-                "CPI {i}: {} vs {} detections",
-                g.len(),
-                w.len()
-            );
-            for (gd, wd) in g.iter().zip(w) {
-                assert_eq!((gd.bin, gd.beam, gd.range), (wd.bin, wd.beam, wd.range));
-                assert!((gd.power - wd.power).abs() <= 1e-9 * wd.power.abs().max(1.0));
-            }
-        }
-    }
-
-    #[test]
-    fn equivalence_holds_across_assignments() {
-        let params = StapParams::reduced();
-        let scenario = Scenario::reduced(5);
-        let cpis: Vec<CCube> = scenario.stream(4).map(|(_, _, c)| c).collect();
-
-        let baseline = ParallelStap::for_scenario(
-            params.clone(),
-            NodeAssignment([1, 1, 1, 1, 1, 1, 1]),
-            &scenario,
-        )
-        .run(cpis.clone());
-
-        for assign in [
-            NodeAssignment([4, 2, 3, 2, 2, 3, 2]),
-            NodeAssignment([2, 1, 4, 1, 2, 1, 3]),
-        ] {
-            let out =
-                ParallelStap::for_scenario(params.clone(), assign, &scenario).run(cpis.clone());
-            for (i, (a, b)) in out.detections.iter().zip(&baseline.detections).enumerate() {
-                assert_eq!(a.len(), b.len(), "assignment {assign:?} CPI {i}");
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!((x.bin, x.beam, x.range), (y.bin, y.beam, y.range));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn multi_azimuth_streams_work() {
-        let params = StapParams::reduced();
-        let mut scenario = Scenario::reduced(9);
-        scenario.transmit_beams = vec![-20.0, 0.0, 20.0];
-        let cpis: Vec<CCube> = scenario.stream(7).map(|(_, _, c)| c).collect();
-
-        let mut seq = SequentialStap::for_scenario(params.clone(), &scenario);
-        let want: Vec<usize> = cpis
-            .iter()
-            .enumerate()
-            .map(|(i, c)| seq.process_cpi(i % 3, c).detections.len())
-            .collect();
-
-        let par = ParallelStap::for_scenario(params, NodeAssignment::tiny(), &scenario);
-        let got = par.run(cpis);
-        let got_counts: Vec<usize> = got.detections.iter().map(|d| d.len()).collect();
-        assert_eq!(got_counts, want);
-    }
 
     #[test]
     fn timings_are_populated() {

@@ -1,7 +1,8 @@
 //! Measured pipeline timelines: task spans, comm spans, exporters.
 //!
 //! When [`crate::ParallelStap::with_tracing`] is enabled, every task
-//! node records one [`TaskSpan`] per CPI (receive/compute/send
+//! node of the (resident) engine records one [`TaskSpan`] per CPI
+//! (receive/compute/send
 //! boundaries, mirroring the simulator's `stap_sim::trace::Interval`)
 //! and every rank's communicator records send/recv/wait/redistribute
 //! events with `(peer, tag, bytes)` attribution. [`PipelineTrace`]
@@ -109,8 +110,10 @@ impl TraceStats {
         for rt in &trace.comm {
             for ev in &rt.events {
                 let e = edge_of_tag(ev.tag);
-                if e >= NUM_EDGES {
-                    continue; // barrier or out-of-scheme tag
+                if e >= NUM_EDGES || cpi_of_tag(ev.tag) >= trace.num_cpis {
+                    // Barrier or out-of-scheme tag, or a shutdown frame
+                    // (tagged with the slot after the last CPI).
+                    continue;
                 }
                 match ev.kind {
                     TraceKind::Send => {

@@ -18,8 +18,7 @@
 
 use crate::metrics::{CpiOutcome, EdgeHealth, PipelineHealth};
 use crate::msg::{Msg, Payload, SubCpi};
-use crate::runner::{DriverResult, RankResult};
-use crate::tasks::TaskReport;
+use crate::runner::{DriverResult, RankResult, TaskReport};
 use crate::trace::TaskSpan;
 use stap_core::Detection;
 use stap_cube::{CCube, RCube};
@@ -35,7 +34,7 @@ const VERSION: u8 = 1;
 const KIND_CUBE: u8 = 0;
 const KIND_REAL: u8 = 1;
 const KIND_WEIGHTS: u8 = 2;
-const KIND_DETECTIONS: u8 = 3;
+// Kind 3 was the retired one-CPI `Detections` payload; kinds keep their numbers.
 const KIND_DETECTIONS_GROUP: u8 = 4;
 const KIND_DROPPED: u8 = 5;
 const KIND_SHUTDOWN: u8 = 6;
@@ -78,10 +77,6 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
                 put_u32(out, w.cols());
                 put_cx_slice(out, w.as_slice());
             }
-        }
-        Payload::Detections(ds) => {
-            out.push(KIND_DETECTIONS);
-            put_detections(out, ds);
         }
         Payload::DetectionsGroup(gs, flags) => {
             out.push(KIND_DETECTIONS_GROUP);
@@ -145,7 +140,6 @@ pub fn decode_msg(bytes: &[u8]) -> Msg {
             }
             Payload::Weights(ws)
         }
-        KIND_DETECTIONS => Payload::Detections(c.detections()),
         KIND_DETECTIONS_GROUP => {
             let n = c.u32() as usize;
             let gs = (0..n).map(|_| c.detections()).collect();
@@ -675,7 +669,10 @@ mod tests {
                 im: -(i as f64) / 7.0,
             })
             .collect();
-        let msg = Msg::flagged(9, true, Payload::Cube(CCube::from_vec([2, 3, 4], data)));
+        let msg = Msg {
+            degraded: true,
+            ..Msg::new(9, Payload::Cube(CCube::from_vec([2, 3, 4], data)))
+        };
         let got = roundtrip(&msg);
         assert_eq!(got.seq, 9);
         assert!(got.degraded);
@@ -755,12 +752,6 @@ mod tests {
             }
             _ => panic!("wrong payload kind"),
         }
-
-        let got = roundtrip(&Msg::new(5, Payload::Detections(ds.clone())));
-        match got.payload {
-            Payload::Detections(b) => assert_detections_eq(&b, &ds),
-            _ => panic!("wrong payload kind"),
-        }
     }
 
     #[test]
@@ -783,7 +774,7 @@ mod tests {
     #[test]
     fn sentinels_round_trip() {
         assert!(matches!(
-            roundtrip(&Msg::dropped(2)).payload,
+            roundtrip(&Msg::new(2, Payload::Dropped)).payload,
             Payload::Dropped
         ));
         assert!(matches!(
@@ -795,7 +786,7 @@ mod tests {
     #[test]
     fn version_skew_is_loud() {
         let mut buf = Vec::new();
-        encode_msg(&Msg::dropped(0), &mut buf);
+        encode_msg(&Msg::new(0, Payload::Dropped), &mut buf);
         buf[0] = 99;
         assert!(std::panic::catch_unwind(|| decode_msg(&buf)).is_err());
     }

@@ -6,6 +6,7 @@
 # Usage:
 #   scripts/check.sh              # run every stage in order
 #   scripts/check.sh --stage 4    # run a single stage (used by CI jobs)
+#   scripts/check.sh --stage 5 --repeat 10   # run it 10 times: "k/10 passed"
 #   scripts/check.sh --list       # list stage numbers and names
 #
 # On failure the script exits non-zero and names the failing stage, so a
@@ -211,30 +212,50 @@ PY
 }
 
 stages=$(seq 1 "$NUM_STAGES")
-case "${1:-}" in
-  --stage)
-    stages="${2:?--stage needs a number}"
-    ;;
-  --list)
-    for i in $(seq 1 "$NUM_STAGES"); do
-      echo "$i $(stage_name "$i")"
-    done
-    exit 0
-    ;;
-  "") ;;
-  *)
-    echo "usage: $0 [--stage N | --list]" >&2
-    exit 2
-    ;;
-esac
-
-for i in $stages; do
-  echo "== $i/$NUM_STAGES $(stage_name "$i") =="
-  if ! run_stage "$i"; then
-    echo
-    echo "FAILED at stage $i/$NUM_STAGES: $(stage_name "$i")" >&2
-    exit 1
-  fi
+repeat=1
+while [ $# -gt 0 ]; do
+  case "$1" in
+    --stage)
+      stages="${2:?--stage needs a number}"
+      shift 2
+      ;;
+    --repeat)
+      repeat="${2:?--repeat needs a count}"
+      shift 2
+      ;;
+    --list)
+      for i in $(seq 1 "$NUM_STAGES"); do
+        echo "$i $(stage_name "$i")"
+      done
+      exit 0
+      ;;
+    *)
+      echo "usage: $0 [--stage N] [--repeat N] | --list" >&2
+      exit 2
+      ;;
+  esac
 done
 
+# --repeat N is the flake gate: every run goes to the end, then the
+# tally decides.
+passed=0
+for run in $(seq 1 "$repeat"); do
+  [ "$repeat" -eq 1 ] || echo "== run $run/$repeat =="
+  ok=1
+  for i in $stages; do
+    echo "== $i/$NUM_STAGES $(stage_name "$i") =="
+    run_stage "$i"
+    status=$?
+    trap - RETURN # a stage's temp-file cleanup must not outlive it
+    if [ "$status" -ne 0 ]; then
+      echo
+      echo "FAILED at stage $i/$NUM_STAGES: $(stage_name "$i")" >&2
+      ok=0
+      break
+    fi
+  done
+  passed=$((passed + ok))
+done
+[ "$repeat" -eq 1 ] || echo "$passed/$repeat passed"
+[ "$passed" -eq "$repeat" ] || exit 1
 echo "check passed."

@@ -28,12 +28,19 @@ fn runner(scenario: &Scenario) -> ParallelStap {
     ParallelStap::for_scenario(StapParams::reduced(), NodeAssignment::tiny(), scenario)
 }
 
+/// `ms` milliseconds, scaled by `STAP_CI_SLACK` like every wall-clock
+/// budget in CI: the classifications depend on the budgets' ratios, not
+/// on their absolute lengths.
+fn slacked(ms: u64) -> Duration {
+    Duration::from_millis(ms).mul_f64(stap_util::ci_slack())
+}
+
 /// Short deadlines so lost-edge campaigns finish quickly.
 fn fast_policy() -> RuntimePolicy {
     RuntimePolicy {
         fault_tolerant: true,
-        edge_timeout: Duration::from_millis(150),
-        weight_grace: Duration::from_millis(75),
+        edge_timeout: slacked(150),
+        weight_grace: slacked(75),
         max_retries: 1,
         screen_nonfinite: true,
         ..RuntimePolicy::default()
@@ -110,8 +117,9 @@ fn dropped_data_message_drops_exactly_that_cpi() {
 fn dropped_weight_message_degrades_not_drops() {
     let (scenario, cpis) = scenario_and_cpis(33, 6);
     let baseline = runner(&scenario).run(cpis.clone());
-    // Weights computed from CPI 2 target CPI 3 (one transmit beam).
-    let plan = FaultPlan::seeded(10).drop_message(EASY_WT, EASY_BF, tag(Edge::EasyWtToEasyBf, 3));
+    // Weight messages are tagged by their source CPI: the set computed
+    // from CPI 2 is what CPI 3 applies (one transmit beam).
+    let plan = FaultPlan::seeded(10).drop_message(EASY_WT, EASY_BF, tag(Edge::EasyWtToEasyBf, 2));
     let out = runner(&scenario)
         .with_policy(fast_policy())
         .with_faults(plan)
@@ -140,12 +148,12 @@ fn dropped_weight_message_degrades_not_drops() {
 fn acceptance_campaign_stall_plus_drop_over_ten_cpis() {
     let (scenario, cpis) = scenario_and_cpis(7, 10);
     let plan = FaultPlan::seeded(7)
-        .stall_rank(EASY_WT, 6, Duration::from_secs(2))
+        .stall_rank(EASY_WT, 6, slacked(2000))
         .drop_message(DOPPLER0, EASY_BF, tag(Edge::DopplerToEasyBf, 2));
     let policy = RuntimePolicy {
         fault_tolerant: true,
-        edge_timeout: Duration::from_millis(200),
-        weight_grace: Duration::from_millis(50),
+        edge_timeout: slacked(200),
+        weight_grace: slacked(50),
         max_retries: 1,
         screen_nonfinite: true,
         ..RuntimePolicy::default()

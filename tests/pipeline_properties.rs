@@ -2,13 +2,21 @@
 //! machinery: for arbitrary geometries and node assignments, structural
 //! invariants must hold (in-tree harness; see `stap_util::check`).
 
-use stap::core::StapParams;
+use stap::core::{Detection, SequentialStap, StapParams};
 use stap::cube::{block_ranges, AxisPartition, CCube, RedistPlan, SharedBufferPool};
 use stap::math::Cx;
+use stap::mp::{spawn_coordinator, Comm, TcpLink};
 use stap::pipeline::assignment::Partitions;
-use stap::pipeline::NodeAssignment;
+use stap::pipeline::msg::Msg;
+use stap::pipeline::runner::RankResult;
+use stap::pipeline::tasks::PipelinePools;
+use stap::pipeline::wire::msg_codec;
+use stap::pipeline::{CpiJob, NodeAssignment, ParallelStap, ResidentStap};
+use stap::radar::Scenario;
 use stap::sim::{simulate, SimConfig};
 use stap_util::check::check;
+use std::sync::mpsc;
+use std::time::Instant;
 
 fn small_params(k: usize, j: usize, n: usize, n_hard: usize) -> StapParams {
     let mut p = StapParams::reduced();
@@ -261,4 +269,171 @@ fn reduced_geometry_params_validate() {
             assert_eq!(p.easy_bins().len() + p.hard_bins().len(), n);
         }
     });
+}
+
+// ---------------------------------------------------------------------
+// The differential matrix: every front end of the one engine against
+// the sequential reference, bit for bit.
+// ---------------------------------------------------------------------
+
+/// A CPI's detections as (bin, beam, range, power bits), sorted.
+type Bits = Vec<(usize, usize, usize, u64)>;
+
+fn bits(ds: &[Detection]) -> Bits {
+    let mut b: Bits = ds
+        .iter()
+        .map(|d| (d.bin, d.beam, d.range, d.power.to_bits()))
+        .collect();
+    b.sort_unstable();
+    b
+}
+
+/// How a cell drives the engine.
+#[derive(Clone, Copy, Debug)]
+enum FrontEnd {
+    /// `ParallelStap::run`: in-process ranks over channels.
+    Batch,
+    /// `ParallelStap::run_rank` on one thread per rank, each over its
+    /// own loopback `TcpLink` and the wire codec (what the benchmark's
+    /// `red_tcp_batch` runs).
+    BatchOverTcp,
+    /// `ResidentStap::serve`: one stream, one CPI per slot.
+    Serve,
+    /// `ResidentStap::serve`: three streams coalesced three to a slot.
+    ServeGrouped,
+}
+
+/// Runs `streams` (one cube list per stream) through `front` and returns
+/// every stream's detections per CPI.
+fn run_front(
+    front: FrontEnd,
+    assign: NodeAssignment,
+    scenario: &Scenario,
+    streams: &[Vec<CCube>],
+) -> Vec<Vec<Bits>> {
+    let params = StapParams::reduced();
+    match front {
+        FrontEnd::Batch => {
+            let out = ParallelStap::for_scenario(params, assign, scenario).run(streams[0].clone());
+            vec![out.detections.iter().map(|d| bits(d)).collect()]
+        }
+        FrontEnd::BatchOverTcp => {
+            let par = ParallelStap::for_scenario(params, assign, scenario);
+            let parts = Partitions::new(&par.params, &par.assign);
+            let pools = PipelinePools::default();
+            let size = assign.world_size();
+            let (coord, coordinator) = spawn_coordinator(size).expect("rendezvous listener");
+            let results: Vec<RankResult> = std::thread::scope(|s| {
+                let ranks: Vec<_> = (0..size)
+                    .map(|rank| {
+                        let (par, parts, pools, coord) = (&par, &parts, &pools, &coord);
+                        s.spawn(move || {
+                            let link = TcpLink::rendezvous(coord, rank, size).expect("rendezvous");
+                            let mut comm: Comm<Msg> = Comm::over_wire(Box::new(link), msg_codec());
+                            par.run_rank(&mut comm, &streams[0], parts, pools, None)
+                        })
+                    })
+                    .collect();
+                ranks.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            coordinator.join().unwrap().expect("rendezvous");
+            let out = par.assemble(streams[0].len(), results, Vec::new(), &pools);
+            vec![out.detections.iter().map(|d| bits(d)).collect()]
+        }
+        FrontEnd::Serve | FrontEnd::ServeGrouped => {
+            let group = if matches!(front, FrontEnd::Serve) {
+                1
+            } else {
+                3
+            };
+            let streams = &streams[..group];
+            let res = ResidentStap::for_scenario(params, assign, scenario).with_max_group(group);
+            res.reserve(group, 4);
+            let (jobs_tx, jobs_rx) = mpsc::sync_channel(2);
+            let (done_tx, done_rx) = mpsc::channel();
+            let pool = res.pools().cx.clone();
+            let summary = std::thread::scope(|s| {
+                s.spawn(move || {
+                    for scpi in 0..streams[0].len() {
+                        let slot = (streams.iter().enumerate())
+                            .map(|(stream, cubes)| CpiJob {
+                                stream: stream as u16,
+                                scpi: scpi as u32,
+                                cube: pool.take_cube_from(&cubes[scpi]),
+                                submitted: Instant::now(),
+                            })
+                            .collect();
+                        jobs_tx.send(slot).unwrap();
+                    }
+                });
+                res.serve(jobs_rx, done_tx).unwrap()
+            });
+            // Demand-driven reserve: the steady state is miss-free.
+            assert_eq!(summary.pool_cx.misses, 0, "{:?}", summary.pool_cx);
+            assert_eq!(summary.pool_real.misses, 0, "{:?}", summary.pool_real);
+            let mut got = vec![vec![Bits::new(); streams[0].len()]; group];
+            for d in done_rx {
+                assert!(d.latency >= 0.0 && !d.degraded);
+                got[d.stream as usize][d.scpi as usize] = bits(&d.detections);
+            }
+            got
+        }
+    }
+}
+
+/// The acceptance matrix of the one engine: four assignments (from one
+/// node per task to four Doppler nodes, so operands are packed from up
+/// to four blocks and hard-weight lane groups are padded and cut) × one
+/// and three transmit beams (so weights are applied one revisit late
+/// per azimuth) × four front ends, every cell compared bit for bit with
+/// `SequentialStap` per stream.
+#[test]
+fn every_front_end_matches_the_sequential_reference_bitwise() {
+    let params = StapParams::reduced();
+    let cpis = 7;
+    for beams in [vec![0.0], vec![-20.0, 0.0, 20.0]] {
+        let scenarios: Vec<Scenario> = [41u64, 43, 47]
+            .iter()
+            .map(|&seed| Scenario {
+                transmit_beams: beams.clone(),
+                ..Scenario::reduced(seed)
+            })
+            .collect();
+        let streams: Vec<Vec<CCube>> = (scenarios.iter())
+            .map(|sc| sc.stream(cpis).map(|(_, _, c)| c).collect())
+            .collect();
+        let want: Vec<Vec<Bits>> = (scenarios.iter().zip(&streams))
+            .map(|(sc, cubes)| {
+                let mut seq = SequentialStap::for_scenario(params.clone(), sc);
+                (cubes.iter().enumerate())
+                    .map(|(i, c)| bits(&seq.process_cpi(i % beams.len(), c).detections))
+                    .collect()
+            })
+            .collect();
+        assert!(
+            want[0].iter().any(|w| !w.is_empty()),
+            "scenario must detect"
+        );
+        for assign in [
+            NodeAssignment::tiny(),
+            NodeAssignment([1; 7]),
+            NodeAssignment([2, 1, 1, 2, 1, 2, 3]),
+            NodeAssignment([4, 2, 3, 2, 2, 3, 2]),
+        ] {
+            for front in [
+                FrontEnd::Batch,
+                FrontEnd::BatchOverTcp,
+                FrontEnd::Serve,
+                FrontEnd::ServeGrouped,
+            ] {
+                let got = run_front(front, assign, &scenarios[0], &streams);
+                assert_eq!(
+                    got,
+                    want[..got.len()],
+                    "{front:?} on {assign:?}, {} beam(s)",
+                    beams.len()
+                );
+            }
+        }
+    }
 }

@@ -296,6 +296,20 @@ fn ci_workflow_is_structurally_valid() {
     ] {
         assert!(text.contains(entry), "missing matrix entry {entry:?}");
     }
+    // The fault smoke is gated three times per push (check.sh --repeat).
+    let fault_entry = text
+        .split("- name: fault-smoke")
+        .nth(1)
+        .and_then(|rest| rest.split("- name:").next())
+        .expect("fault-smoke entry");
+    assert!(
+        fault_entry.contains("repeat: \"3\""),
+        "fault-smoke runs stage 5 three times: {fault_entry}"
+    );
+    assert!(
+        text.contains("--repeat \"${{ matrix.repeat || 1 }}\""),
+        "the smoke step passes each entry's repeat count"
+    );
     // The transport matrix runs the wire backends.
     assert!(text.contains("transport: shm"), "shm transport entry");
     assert!(text.contains("transport: tcp"), "tcp transport entry");
@@ -366,5 +380,9 @@ fn check_script_stage_list_matches_workflow() {
     assert!(
         script.contains("--stage"),
         "check.sh supports single-stage selection"
+    );
+    assert!(
+        script.contains("--repeat") && script.contains("passed\""),
+        "check.sh supports the repeat (flake-gate) mode"
     );
 }
