@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::transport::{
-    ctrl_gen, LinkError, WireCodec, WireFrame, WireLink, CTRL_BARRIER_ENTER, CTRL_BARRIER_RELEASE,
+    ctrl_gen, LinkError, WireCodec, WireLink, WirePool, CTRL_BARRIER_ENTER, CTRL_BARRIER_RELEASE,
     CTRL_GOODBYE, CTRL_RESERVED_BASE,
 };
 
@@ -187,6 +187,9 @@ pub(crate) struct LocalFabric<M> {
 pub(crate) struct WireState<M> {
     pub(crate) link: Box<dyn WireLink>,
     pub(crate) codec: WireCodec<M>,
+    /// Decodes into, and takes sent messages back to, the rank's buffer
+    /// pool (see [`Comm::install_wire_pool`]); `None` uses the codec.
+    pool: Option<Box<dyn WirePool<M>>>,
     /// Reused encode scratch so steady-state sends do not allocate.
     encode_buf: Vec<u8>,
     /// Self-sends loop back here without touching the link (mirroring
@@ -302,6 +305,7 @@ impl<M: Send> Comm<M> {
                 state: RefCell::new(WireState {
                     link,
                     codec,
+                    pool: None,
                     encode_buf: Vec::new(),
                     loopback: VecDeque::new(),
                     goodbyes: 0,
@@ -357,6 +361,17 @@ impl<M: Send> Comm<M> {
         bytes_of: fn(&M) -> u64,
     ) {
         self.tracer = Some(crate::trace::CommTracer::new(epoch, sink.clone(), bytes_of));
+    }
+
+    /// Routes this endpoint's message buffers through `pool`: received
+    /// frames decode into buffers drawn from it and sent messages return
+    /// to it once encoded, so a wire rank recycles like a thread of the
+    /// local fabric. Does nothing on the local fabric, which moves
+    /// messages by value.
+    pub fn install_wire_pool(&mut self, pool: Box<dyn WirePool<M>>) {
+        if let Fabric::Wire(w) = &self.fabric {
+            w.state.borrow_mut().pool = Some(pool);
+        }
     }
 
     /// This endpoint's rank in `0..size()`.
@@ -424,11 +439,13 @@ impl<M: Send> Comm<M> {
                     });
                     return;
                 }
-                let mut buf = std::mem::take(&mut st.encode_buf);
-                buf.clear();
-                (st.codec.encode)(&msg, &mut buf);
-                st.link.send_frame(dst, tag, &buf);
-                st.encode_buf = buf;
+                let st = &mut *st;
+                st.encode_buf.clear();
+                (st.codec.encode)(&msg, &mut st.encode_buf);
+                st.link.send_frame(dst, tag, &st.encode_buf);
+                if let Some(pool) = &st.pool {
+                    pool.retire(msg);
+                }
             }
         }
     }
@@ -510,6 +527,7 @@ impl<M: Send> Comm<M> {
             },
             Fabric::Wire(w) => {
                 let mut st = w.state.borrow_mut();
+                let st = &mut *st;
                 if let Some(e) = st.loopback.pop_front() {
                     return Step::Got(e);
                 }
@@ -525,13 +543,28 @@ impl<M: Send> Comm<M> {
                     }
                     first = false;
                     let remaining = deadline.saturating_duration_since(now);
+                    // Control frames are absorbed into the barrier and
+                    // goodbye state; a data frame is decoded out of the
+                    // link's buffer before the next call reuses it.
                     match st.link.recv_frame(remaining) {
-                        Ok(f) => {
-                            if let Some(e) = st.classify(f) {
-                                return Step::Got(e);
+                        Ok(f) => match f.tag {
+                            CTRL_GOODBYE => st.goodbyes += 1,
+                            CTRL_BARRIER_ENTER => {
+                                st.barrier_enters.push((f.src, ctrl_gen(f.payload)))
                             }
-                            // Control frame absorbed; keep pulling.
-                        }
+                            CTRL_BARRIER_RELEASE => st.barrier_releases.push(ctrl_gen(f.payload)),
+                            tag => {
+                                let msg = match &st.pool {
+                                    Some(pool) => pool.decode(f.payload),
+                                    None => (st.codec.decode)(f.payload),
+                                };
+                                return Step::Got(Envelope {
+                                    src: f.src,
+                                    tag,
+                                    msg,
+                                });
+                            }
+                        },
                         Err(LinkError::Timeout) => return Step::Idle,
                         Err(LinkError::Disconnected) => {
                             st.link_down = true;
@@ -903,32 +936,6 @@ impl<M: Send> Comm<M> {
     fn drain_inbox(&mut self) {
         while let Some(e) = self.try_next() {
             self.pending.push(e);
-        }
-    }
-}
-
-impl<M> WireState<M> {
-    /// Absorbs control frames into the barrier/goodbye state; returns a
-    /// decoded envelope for data frames.
-    fn classify(&mut self, f: WireFrame) -> Option<Envelope<M>> {
-        match f.tag {
-            CTRL_GOODBYE => {
-                self.goodbyes += 1;
-                None
-            }
-            CTRL_BARRIER_ENTER => {
-                self.barrier_enters.push((f.src, ctrl_gen(&f.payload)));
-                None
-            }
-            CTRL_BARRIER_RELEASE => {
-                self.barrier_releases.push(ctrl_gen(&f.payload));
-                None
-            }
-            tag => Some(Envelope {
-                src: f.src,
-                tag,
-                msg: (self.codec.decode)(&f.payload),
-            }),
         }
     }
 }

@@ -36,5 +36,7 @@ pub use fault::{Corruptor, FaultAction, FaultPlan, FaultRule, TagPattern};
 pub use shm::{ShmLink, ShmRegion};
 pub use tcp::{spawn_coordinator, TcpLink};
 pub use trace::{CommEvent, RankTrace, SpanRecorder, TraceKind, TraceSink};
-pub use transport::{LinkError, TransportKind, WireCodec, WireFrame, WireLink, CTRL_RESERVED_BASE};
+pub use transport::{
+    LinkError, TransportKind, WireCodec, WireFrame, WireLink, WirePool, CTRL_RESERVED_BASE,
+};
 pub use world::{run_spmd, World, WorldError};

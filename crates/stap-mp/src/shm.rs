@@ -146,8 +146,11 @@ pub struct ShmLink {
     tails: Vec<u64>,
     /// Partial-frame reassembly buffer per source.
     partial: Vec<Vec<u8>>,
-    /// Complete frames ready to hand out, in extraction order.
-    ready: VecDeque<WireFrame>,
+    /// Complete frames `(src, tag, payload)` ready to hand out, in
+    /// extraction order.
+    ready: VecDeque<(usize, Tag, Vec<u8>)>,
+    /// Payload of the frame `recv_frame` handed out last.
+    held: Vec<u8>,
     /// Supervisor kill switch: aborts ring-full waits (see module docs).
     abort: Arc<AtomicBool>,
     /// A send gave up (abort or stall timeout); all further sends are
@@ -192,6 +195,7 @@ impl ShmLink {
             tails: vec![0; size],
             partial: vec![Vec::new(); size],
             ready: VecDeque::new(),
+            held: Vec::new(),
             abort: Arc::new(AtomicBool::new(false)),
             dead_tx: vec![false; size],
             stall_timeout: Duration::from_secs(60),
@@ -210,7 +214,10 @@ impl ShmLink {
     }
 
     /// Streams `bytes` into the `(self.rank, dst)` ring, waiting for the
-    /// reader when full. Returns false when the send was abandoned.
+    /// reader when full — and draining this rank's own inbound rings
+    /// meanwhile, so two ranks streaming frames larger than the ring at
+    /// each other cannot deadlock. Returns false when the send was
+    /// abandoned.
     fn write_stream(&mut self, dst: usize, bytes: &[u8]) -> bool {
         let ring = self.ring_off(self.rank, dst);
         let data = ring + RING_CTRL_BYTES;
@@ -232,7 +239,9 @@ impl ShmLink {
                 if since.elapsed() > self.stall_timeout {
                     return false;
                 }
-                std::thread::sleep(Duration::from_micros(50));
+                if !self.pump_all() {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
                 continue;
             }
             stall_since = None;
@@ -310,6 +319,16 @@ impl ShmLink {
         true
     }
 
+    /// Pumps every inbound ring once; true when bytes moved.
+    fn pump_all(&mut self) -> bool {
+        let me = self.rank;
+        let mut progress = false;
+        for src in (0..self.size).filter(|&s| s != me) {
+            progress |= self.pump(src);
+        }
+        progress
+    }
+
     /// Pops every complete frame out of `src`'s reassembly buffer.
     fn extract(&mut self, src: usize) {
         let buf = &mut self.partial[src];
@@ -321,7 +340,7 @@ impl ShmLink {
             }
             let tag = Tag::from_le_bytes(buf[off + 4..off + 12].try_into().unwrap());
             let payload = buf[off + 12..off + 12 + len].to_vec();
-            self.ready.push_back(WireFrame { src, tag, payload });
+            self.ready.push_back((src, tag, payload));
             off += 12 + len;
         }
         buf.drain(..off);
@@ -352,22 +371,21 @@ impl WireLink for ShmLink {
         }
     }
 
-    fn recv_frame(&mut self, timeout: Duration) -> Result<WireFrame, LinkError> {
+    fn recv_frame(&mut self, timeout: Duration) -> Result<WireFrame<'_>, LinkError> {
         let deadline = Instant::now() + timeout;
         loop {
-            if let Some(f) = self.ready.pop_front() {
-                return Ok(f);
+            if let Some((src, tag, payload)) = self.ready.pop_front() {
+                self.held = payload;
+                return Ok(WireFrame {
+                    src,
+                    tag,
+                    payload: &self.held,
+                });
             }
             if self.abort.load(Ordering::Relaxed) {
                 return Err(LinkError::Disconnected);
             }
-            let mut progress = false;
-            for src in 0..self.size {
-                if src != self.rank {
-                    progress |= self.pump(src);
-                }
-            }
-            if progress {
+            if self.pump_all() {
                 continue;
             }
             if Instant::now() >= deadline {
@@ -397,10 +415,7 @@ mod tests {
         let mut a = links.remove(0);
         a.send_frame(1, 7, b"hello shm");
         let f = b.recv_frame(Duration::from_secs(2)).unwrap();
-        assert_eq!(
-            (f.src, f.tag, f.payload.as_slice()),
-            (0, 7, &b"hello shm"[..])
-        );
+        assert_eq!((f.src, f.tag, f.payload), (0, 7, &b"hello shm"[..]));
         b.send_frame(0, 9, &[]);
         let f = a.recv_frame(Duration::from_secs(2)).unwrap();
         assert_eq!((f.src, f.tag, f.payload.len()), (1, 9, 0));

@@ -80,15 +80,16 @@ pub enum LinkError {
     Disconnected,
 }
 
-/// One tagged frame received from a peer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireFrame {
+/// One tagged frame received from a peer. The payload borrows the link's
+/// receive buffer, which the next call on the link reuses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WireFrame<'a> {
     /// Sending rank.
     pub src: usize,
     /// Message tag (or a control tag in the reserved range).
     pub tag: Tag,
     /// Encoded payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
 /// A byte-moving fabric between `size()` ranks.
@@ -113,7 +114,7 @@ pub trait WireLink: Send {
     fn send_frame(&mut self, dst: usize, tag: Tag, payload: &[u8]);
     /// Waits up to `timeout` for the next frame from any peer.
     /// `Duration::ZERO` polls without sleeping.
-    fn recv_frame(&mut self, timeout: Duration) -> Result<WireFrame, LinkError>;
+    fn recv_frame(&mut self, timeout: Duration) -> Result<WireFrame<'_>, LinkError>;
     /// Releases fabric resources (sockets, mappings). Called once from
     /// `Comm::drop` after the goodbye handshake.
     fn close(&mut self) {}
@@ -138,6 +139,19 @@ impl<M> Clone for WireCodec<M> {
     }
 }
 impl<M> Copy for WireCodec<M> {}
+
+/// The receiving and sending rank's buffer pool, seen from the wire.
+/// Installed on an endpoint with [`crate::Comm::install_wire_pool`], it
+/// decodes every received data frame in place of [`WireCodec::decode`],
+/// drawing the message's buffers from the pool, and takes back every
+/// sent message once [`WireCodec::encode`] has copied it onto the wire.
+/// The local fabric moves messages by value and never calls either.
+pub trait WirePool<M>: Send {
+    /// Decodes one frame to the message `WireCodec::decode` would give.
+    fn decode(&self, bytes: &[u8]) -> M;
+    /// Receives a sent message back after its encoding.
+    fn retire(&self, msg: M);
+}
 
 /// Tags at or above this value are reserved for the wire control plane.
 /// The STAP pipeline's tag scheme (`edge << 48 | cpi`) tops out ten

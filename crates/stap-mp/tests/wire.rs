@@ -173,6 +173,27 @@ fn variable_length_payloads_round_trip_bitwise() {
 }
 
 #[test]
+fn crossing_large_frames_complete_before_either_rank_receives() {
+    // Both ranks send first: each frame is far larger than what the
+    // fabric buffers, so a rank blocked in its send must keep draining
+    // the frame coming the other way or neither send ever finishes.
+    const LEN: usize = 24 << 20;
+    let pattern = |rank: usize| -> Vec<u8> {
+        (0..LEN)
+            .map(|i| (i.wrapping_mul(2654435761) >> (8 * rank)) as u8)
+            .collect()
+    };
+    for t in TRANSPORTS {
+        run_wire(t, 2, vec_codec(), |mut comm| {
+            let (me, peer) = (comm.rank(), 1 - comm.rank());
+            comm.send(peer, 1, pattern(me));
+            let got = comm.recv(peer, 1).unwrap();
+            assert!(got == pattern(peer), "[{t}] rank {me} got a damaged frame");
+        });
+    }
+}
+
+#[test]
 fn fault_drop_and_delay_rules_apply_over_the_wire() {
     use stap_mp::{FaultAction, FaultRule, TagPattern};
     for t in TRANSPORTS {

@@ -139,12 +139,13 @@ pub fn nan_corruptor() -> stap_mp::Corruptor<crate::msg::Msg> {
                 d.power = f64::NAN;
             }
         }
-        Payload::Dropped | Payload::Shutdown => {}
+        Payload::Dropped | Payload::Shutdown | Payload::Malformed => {}
     })
 }
 
 /// True when every numeric element of the payload is finite. `Dropped`
-/// markers are vacuously clean (they carry no data).
+/// markers are vacuously clean (they carry no data); a `Malformed` frame
+/// is not.
 pub fn payload_is_finite(p: &crate::msg::Payload) -> bool {
     use crate::msg::Payload;
     match p {
@@ -153,6 +154,7 @@ pub fn payload_is_finite(p: &crate::msg::Payload) -> bool {
         Payload::Weights(ws) => ws.iter().all(|w| w.is_finite()),
         Payload::DetectionsGroup(gs, _) => gs.iter().flatten().all(|d| d.power.is_finite()),
         Payload::Dropped | Payload::Shutdown => true,
+        Payload::Malformed => false,
     }
 }
 

@@ -50,6 +50,10 @@ pub enum Payload {
     /// End-of-session sentinel, cascaded down the data
     /// edges so every task loop unwinds after its last slot.
     Shutdown,
+    /// A wire frame that failed to decode (see
+    /// [`crate::wire::decode_msg`]). The receiving loop quarantines it
+    /// on its edge and treats the slot's input as lost.
+    Malformed,
 }
 
 /// Everything that travels between pipeline ranks.
@@ -158,7 +162,7 @@ pub fn wire_bytes(msg: &Msg) -> u64 {
         // detection reports); 16 bytes per detection keeps the trace
         // honest about non-zero traffic.
         Payload::DetectionsGroup(gs, _) => gs.iter().map(|ds| 16 * ds.len() as u64).sum(),
-        Payload::Dropped | Payload::Shutdown => 0,
+        Payload::Dropped | Payload::Shutdown | Payload::Malformed => 0,
     }
 }
 

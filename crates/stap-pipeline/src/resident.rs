@@ -645,9 +645,9 @@ fn expect_weights(p: Payload) -> Vec<CMat> {
 pub(crate) enum Recvd {
     /// The slot's message.
     Msg(Msg),
-    /// The input is gone: an explicit drop marker or, fault-tolerant, a
-    /// deadline overrun after retries or a quarantined (non-finite)
-    /// payload.
+    /// The input is gone: an explicit drop marker, an undecodable wire
+    /// frame or, fault-tolerant, a deadline overrun after retries or a
+    /// quarantined (non-finite) payload.
     Gone,
     /// Nothing more will come: the shutdown sentinel or, fault-tolerant,
     /// a disconnected world.
@@ -661,7 +661,8 @@ pub(crate) enum Recvd {
 /// on). The fault-tolerant path enforces `timeout` per attempt with
 /// `policy.max_retries` retries, discards messages whose `seq` does not
 /// match `slot` (late/duplicate deliveries), and screens payloads for
-/// non-finite values.
+/// non-finite values. Under either policy a wire frame that failed to
+/// decode is quarantined on its edge and the input is gone.
 pub(crate) fn recv_msg(
     comm: &mut Comm<Msg>,
     src: usize,
@@ -674,12 +675,17 @@ pub(crate) fn recv_msg(
     let e = edge_of_tag(t);
     let m = if !policy.fault_tolerant {
         let m = comm.recv(src, t).unwrap();
-        debug_assert_eq!(m.seq as usize, slot, "tag/seq mismatch on edge {e}");
+        debug_assert!(
+            m.seq as usize == slot || matches!(m.payload, Payload::Malformed),
+            "tag/seq mismatch on edge {e}"
+        );
         m
     } else {
         let mut retries = 0u32;
         loop {
             match comm.recv_timeout(src, t, timeout) {
+                // An undecodable frame has no seq to check.
+                Ok(m) if matches!(m.payload, Payload::Malformed) => break m,
                 // A late or duplicated delivery matched this tag
                 // (possible only under injection); discard and wait on.
                 Ok(m) if m.seq as usize != slot => health.edges[e].late_or_dup += 1,
@@ -706,6 +712,10 @@ pub(crate) fn recv_msg(
     match m.payload {
         Payload::Dropped => Recvd::Gone,
         Payload::Shutdown => Recvd::Shutdown,
+        Payload::Malformed => {
+            health.edges[e].quarantined += 1;
+            Recvd::Gone
+        }
         _ => Recvd::Msg(m),
     }
 }
@@ -2584,5 +2594,49 @@ mod seq_tests {
         let (purged, survived) = results[1];
         assert!(purged >= 1, "nothing was purged");
         assert!(survived, "future slot was wrongly purged");
+    }
+
+    /// A TCP frame that does not decode reaches the loop as `Malformed`
+    /// and, under either policy, is quarantined on its edge: the slot's
+    /// input is gone and nothing panics.
+    #[test]
+    fn an_undecodable_wire_frame_is_quarantined_on_its_edge() {
+        let (addr, coord) = stap_mp::spawn_coordinator(2).unwrap();
+        let policies = [RuntimePolicy::default(), RuntimePolicy::fault_tolerant()];
+        let t = |slot| tag(Edge::PcToCfar, slot);
+        let quarantined: Vec<u64> = std::thread::scope(|s| {
+            let ranks: Vec<_> = (0..2)
+                .map(|rank| {
+                    let (addr, policies) = (&addr, &policies);
+                    s.spawn(move || {
+                        let link = stap_mp::TcpLink::rendezvous(addr, rank, 2).unwrap();
+                        let mut comm = Comm::over_wire(Box::new(link), crate::wire::msg_codec());
+                        comm.install_wire_pool(Box::new(PipelinePools::default()));
+                        let mut health = PipelineHealth::default();
+                        for (slot, policy) in policies.iter().enumerate() {
+                            if rank == 0 {
+                                // Encodes to a frame of no decodable kind.
+                                comm.send(1, t(slot), Msg::new(slot, Payload::Malformed));
+                                continue;
+                            }
+                            let got = recv_msg(
+                                &mut comm,
+                                0,
+                                t(slot),
+                                slot,
+                                policy,
+                                Duration::from_secs(2),
+                                &mut health,
+                            );
+                            assert!(matches!(got, Recvd::Gone), "slot {slot}");
+                        }
+                        health.edges[Edge::PcToCfar as usize].quarantined
+                    })
+                })
+                .collect();
+            ranks.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        coord.join().unwrap().unwrap();
+        assert_eq!(quarantined, vec![0, 2]);
     }
 }

@@ -284,6 +284,10 @@ impl ParallelStap {
         pools: &PipelinePools,
         epoch: Option<Instant>,
     ) -> RankResult {
+        // Over a wire fabric, frames decode into `pools` and sent blocks
+        // return to them, as messages do between the local fabric's
+        // threads.
+        comm.install_wire_pool(Box::new(pools.clone()));
         let carry = ResidentState::default();
         let ctx = ResCtx {
             params: &self.params,

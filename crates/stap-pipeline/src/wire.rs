@@ -7,7 +7,14 @@
 //!   move pipeline messages between rank *processes*. Every `f64`
 //!   travels as its little-endian bit pattern, so a cross-process run
 //!   produces detections bit-identical to the in-process channel
-//!   fabric — the property the transport-parity gate asserts;
+//!   fabric — the property the transport-parity gate asserts. Cube
+//!   bodies cross in one bulk pass each way. Decoding trusts no byte:
+//!   every length is bounded by the frame before anything is allocated
+//!   for it, and a frame that does not parse decodes to
+//!   [`Payload::Malformed`], which the receiving loop quarantines.
+//!   [`PipelinePools`] is the codec's [`WirePool`]: on a wire endpoint
+//!   cube payloads decode into the rank's pool and sent cubes return
+//!   to it, so each frame is one pool get and one put on either side;
 //! * the **JSON result codecs** ([`rank_result_to_json`] /
 //!   [`rank_result_from_json`], plus the [`stap_mp::RankTrace`]
 //!   equivalents) that a child rank process uses to hand its
@@ -19,16 +26,17 @@
 use crate::metrics::{CpiOutcome, EdgeHealth, PipelineHealth};
 use crate::msg::{Msg, Payload, SubCpi};
 use crate::runner::{DriverResult, RankResult, TaskReport};
+use crate::tasks::PipelinePools;
 use crate::trace::TaskSpan;
 use stap_core::Detection;
-use stap_cube::{CCube, RCube};
+use stap_cube::{CCube, RCube, SharedBufferPool};
 use stap_math::{CMat, Cx};
-use stap_mp::{CommEvent, RankTrace, TraceKind, WireCodec};
+use stap_mp::{CommEvent, RankTrace, TraceKind, WireCodec, WirePool};
 use stap_util::Json;
 use std::sync::Arc;
 
-/// Bumped when the binary layout changes; a mismatch panics loudly
-/// instead of silently mis-decoding a frame from an older binary.
+/// Bumped when the binary layout changes; a frame of another version
+/// decodes to [`Payload::Malformed`] instead of being misread.
 const VERSION: u8 = 1;
 
 const KIND_CUBE: u8 = 0;
@@ -38,6 +46,8 @@ const KIND_WEIGHTS: u8 = 2;
 const KIND_DETECTIONS_GROUP: u8 = 4;
 const KIND_DROPPED: u8 = 5;
 const KIND_SHUTDOWN: u8 = 6;
+/// No decodable kind: a `Malformed` message encodes to a malformed frame.
+const KIND_MALFORMED: u8 = 0xff;
 
 /// Serializes `msg` onto `out` (which the transport reuses across
 /// sends; this function only appends).
@@ -60,14 +70,12 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
         Payload::Cube(c) => {
             out.push(KIND_CUBE);
             put_shape(out, c.shape());
-            put_cx_slice(out, c.as_slice());
+            put_cx(out, c.as_slice());
         }
         Payload::Real(r) => {
             out.push(KIND_REAL);
             put_shape(out, r.shape());
-            for v in r.as_slice() {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            put_f64(out, r.as_slice());
         }
         Payload::Weights(ws) => {
             out.push(KIND_WEIGHTS);
@@ -75,7 +83,7 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
             for w in ws {
                 put_u32(out, w.rows());
                 put_u32(out, w.cols());
-                put_cx_slice(out, w.as_slice());
+                put_cx(out, w.as_slice());
             }
         }
         Payload::DetectionsGroup(gs, flags) => {
@@ -91,73 +99,17 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
         }
         Payload::Dropped => out.push(KIND_DROPPED),
         Payload::Shutdown => out.push(KIND_SHUTDOWN),
+        Payload::Malformed => out.push(KIND_MALFORMED),
     }
 }
 
-/// Inverse of [`encode_msg`]. Panics on a malformed or version-skewed
-/// frame: the sender is a rank of the same binary, so corruption here
-/// is a bug, not an input error.
+/// Inverse of [`encode_msg`]. Frames may come from a socket, so bytes
+/// that do not parse as one frame of this codec version — truncated,
+/// bit-flipped, with an inflated length, an unknown kind or trailing
+/// bytes — decode to a [`Payload::Malformed`] message instead of
+/// panicking.
 pub fn decode_msg(bytes: &[u8]) -> Msg {
-    let mut c = Cursor { b: bytes, pos: 0 };
-    let ver = c.u8();
-    assert_eq!(ver, VERSION, "wire codec version skew: got {ver}");
-    let seq = c.u32();
-    let degraded = c.u8() != 0;
-    let group = match c.u8() {
-        0 => None,
-        _ => {
-            let n = c.u32() as usize;
-            let mut g = Vec::with_capacity(n);
-            for _ in 0..n {
-                g.push(SubCpi {
-                    stream: c.u16(),
-                    scpi: c.u32(),
-                });
-            }
-            Some(Arc::from(g.into_boxed_slice()))
-        }
-    };
-    let payload = match c.u8() {
-        KIND_CUBE => {
-            let shape = c.shape();
-            let data = c.cx_vec(shape[0] * shape[1] * shape[2]);
-            Payload::Cube(CCube::from_vec(shape, data))
-        }
-        KIND_REAL => {
-            let shape = c.shape();
-            let n = shape[0] * shape[1] * shape[2];
-            let data = (0..n).map(|_| c.f64()).collect();
-            Payload::Real(RCube::from_vec(shape, data))
-        }
-        KIND_WEIGHTS => {
-            let n = c.u32() as usize;
-            let mut ws = Vec::with_capacity(n);
-            for _ in 0..n {
-                let rows = c.u32() as usize;
-                let cols = c.u32() as usize;
-                let data = c.cx_vec(rows * cols);
-                ws.push(CMat::from_vec(rows, cols, data));
-            }
-            Payload::Weights(ws)
-        }
-        KIND_DETECTIONS_GROUP => {
-            let n = c.u32() as usize;
-            let gs = (0..n).map(|_| c.detections()).collect();
-            let nf = c.u32() as usize;
-            let flags = (0..nf).map(|_| c.u8() != 0).collect();
-            Payload::DetectionsGroup(gs, flags)
-        }
-        KIND_DROPPED => Payload::Dropped,
-        KIND_SHUTDOWN => Payload::Shutdown,
-        k => panic!("unknown payload kind {k}"),
-    };
-    assert_eq!(c.pos, bytes.len(), "trailing bytes in wire frame");
-    Msg {
-        seq,
-        degraded,
-        group,
-        payload,
-    }
+    decode_in(bytes, None)
 }
 
 /// The [`WireCodec`] the cluster transports install for pipeline runs.
@@ -166,6 +118,99 @@ pub fn msg_codec() -> WireCodec<Msg> {
         encode: encode_msg,
         decode: decode_msg,
     }
+}
+
+/// [`decode_msg`] into the pools, and sent cube blocks back to them.
+impl WirePool<Msg> for PipelinePools {
+    fn decode(&self, bytes: &[u8]) -> Msg {
+        decode_in(bytes, Some(self))
+    }
+
+    fn retire(&self, msg: Msg) {
+        match msg.payload {
+            Payload::Cube(c) => self.cx.recycle(c),
+            Payload::Real(r) => self.real.recycle(r),
+            _ => {}
+        }
+    }
+}
+
+type Decoded<T> = Result<T, &'static str>;
+
+/// Decodes one frame, drawing cube buffers from `pools` when given; a
+/// frame that does not parse is a `Malformed` message.
+fn decode_in(bytes: &[u8], pools: Option<&PipelinePools>) -> Msg {
+    parse(bytes, pools).unwrap_or_else(|_| Msg::new(0, Payload::Malformed))
+}
+
+fn parse(bytes: &[u8], pools: Option<&PipelinePools>) -> Decoded<Msg> {
+    let mut c = Cursor { b: bytes, pos: 0 };
+    if c.u8()? != VERSION {
+        return Err("codec version skew");
+    }
+    let seq = c.u32()?;
+    let degraded = c.u8()? != 0;
+    let group: Option<Arc<[SubCpi]>> = match c.u8()? {
+        0 => None,
+        1 => {
+            let n = c.count(6)?;
+            let g = (0..n).map(|_| {
+                Ok(SubCpi {
+                    stream: c.u16()?,
+                    scpi: c.u32()?,
+                })
+            });
+            Some(g.collect::<Decoded<_>>()?)
+        }
+        _ => return Err("bad group flag"),
+    };
+    let payload = match c.u8()? {
+        KIND_CUBE => {
+            let shape = c.shape()?;
+            let data = c.cx_vec(shape_len(shape)?, pools.map(|p| &p.cx))?;
+            Payload::Cube(CCube::from_vec(shape, data))
+        }
+        KIND_REAL => {
+            let shape = c.shape()?;
+            let data = c.f64_vec(shape_len(shape)?, pools.map(|p| &p.real))?;
+            Payload::Real(RCube::from_vec(shape, data))
+        }
+        KIND_WEIGHTS => {
+            let n = c.count(8)?;
+            let ws = (0..n).map(|_| {
+                let (rows, cols) = (c.u32()? as usize, c.u32()? as usize);
+                let len = rows.checked_mul(cols).ok_or("length overflow")?;
+                Ok(CMat::from_vec(rows, cols, c.cx_vec(len, None)?))
+            });
+            Payload::Weights(ws.collect::<Decoded<_>>()?)
+        }
+        KIND_DETECTIONS_GROUP => {
+            let n = c.count(4)?;
+            let gs = (0..n)
+                .map(|_| c.detections())
+                .collect::<Decoded<Vec<_>>>()?;
+            let nf = c.count(1)?;
+            let flags: Vec<bool> = c.take(nf)?.iter().map(|&f| f != 0).collect();
+            // Per member CPI of the slot, as the driver indexes them.
+            let members = group.as_ref().map_or(gs.len(), |g| g.len());
+            if gs.len() != members || !(flags.is_empty() || flags.len() == members) {
+                return Err("detections not aligned with the group");
+            }
+            Payload::DetectionsGroup(gs, flags)
+        }
+        KIND_DROPPED => Payload::Dropped,
+        KIND_SHUTDOWN => Payload::Shutdown,
+        _ => return Err("unknown payload kind"),
+    };
+    if c.pos != bytes.len() {
+        return Err("trailing bytes");
+    }
+    Ok(Msg {
+        seq,
+        degraded,
+        group,
+        payload,
+    })
 }
 
 fn put_u32(out: &mut Vec<u8>, v: usize) {
@@ -178,11 +223,37 @@ fn put_shape(out: &mut Vec<u8>, shape: [usize; 3]) {
     }
 }
 
-fn put_cx_slice(out: &mut Vec<u8>, xs: &[Cx]) {
-    for x in xs {
-        out.extend_from_slice(&x.re.to_le_bytes());
-        out.extend_from_slice(&x.im.to_le_bytes());
+/// Appends `xs` as little-endian bit patterns, real part first: one
+/// pass over the grown tail of `out`.
+fn put_cx(out: &mut Vec<u8>, xs: &[Cx]) {
+    let start = out.len();
+    out.resize(start + 16 * xs.len(), 0);
+    for (b, x) in out[start..].chunks_exact_mut(16).zip(xs) {
+        b[..8].copy_from_slice(&x.re.to_le_bytes());
+        b[8..].copy_from_slice(&x.im.to_le_bytes());
     }
+}
+
+/// [`put_cx`] for real samples.
+fn put_f64(out: &mut Vec<u8>, xs: &[f64]) {
+    let start = out.len();
+    out.resize(start + 8 * xs.len(), 0);
+    for (b, x) in out[start..].chunks_exact_mut(8).zip(xs) {
+        b.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// The `f64` whose little-endian bit pattern starts `b`, a chunk of at
+/// least eight bytes.
+fn le_f64(b: &[u8]) -> f64 {
+    f64::from_le_bytes(b[..8].try_into().expect("eight bytes"))
+}
+
+/// Element count of a cube shape, unless it overflows.
+fn shape_len(shape: [usize; 3]) -> Decoded<usize> {
+    (shape.iter())
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .ok_or("length overflow")
 }
 
 fn put_detections(out: &mut Vec<u8>, ds: &[Detection]) {
@@ -201,59 +272,93 @@ struct Cursor<'a> {
     pos: usize,
 }
 
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> &[u8] {
-        let s = &self.b[self.pos..self.pos + n];
+impl<'a> Cursor<'a> {
+    /// The next `n` bytes, if the frame holds them.
+    fn take(&mut self, n: usize) -> Decoded<&'a [u8]> {
+        let rest = &self.b[self.pos..];
+        if n > rest.len() {
+            return Err("truncated frame");
+        }
         self.pos += n;
-        s
+        Ok(&rest[..n])
     }
 
-    fn u8(&mut self) -> u8 {
-        self.take(1)[0]
+    fn bytes<const N: usize>(&mut self) -> Decoded<[u8; N]> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
     }
 
-    fn u16(&mut self) -> u16 {
-        u16::from_le_bytes(self.take(2).try_into().unwrap())
+    fn u8(&mut self) -> Decoded<u8> {
+        Ok(self.bytes::<1>()?[0])
     }
 
-    fn u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().unwrap())
+    fn u16(&mut self) -> Decoded<u16> {
+        self.bytes().map(u16::from_le_bytes)
     }
 
-    fn u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().unwrap())
+    fn u32(&mut self) -> Decoded<u32> {
+        self.bytes().map(u32::from_le_bytes)
     }
 
-    fn f64(&mut self) -> f64 {
-        f64::from_bits(self.u64())
+    fn u64(&mut self) -> Decoded<u64> {
+        self.bytes().map(u64::from_le_bytes)
     }
 
-    fn shape(&mut self) -> [usize; 3] {
-        [
-            self.u32() as usize,
-            self.u32() as usize,
-            self.u32() as usize,
-        ]
+    fn f64(&mut self) -> Decoded<f64> {
+        self.bytes().map(f64::from_le_bytes)
     }
 
-    fn cx_vec(&mut self, n: usize) -> Vec<Cx> {
+    /// A `u32` count of items of at least `min_bytes` each, refused when
+    /// the rest of the frame cannot hold that many, so no count sizes an
+    /// allocation the bytes do not back.
+    fn count(&mut self, min_bytes: usize) -> Decoded<usize> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_bytes) > self.b.len() - self.pos {
+            return Err("count exceeds frame");
+        }
+        Ok(n)
+    }
+
+    fn shape(&mut self) -> Decoded<[usize; 3]> {
+        Ok([
+            self.u32()? as usize,
+            self.u32()? as usize,
+            self.u32()? as usize,
+        ])
+    }
+
+    /// `n` complex samples in one pass, into a buffer from `pool` when
+    /// given; taken only once the frame is known to hold them.
+    fn cx_vec(&mut self, n: usize, pool: Option<&SharedBufferPool<Cx>>) -> Decoded<Vec<Cx>> {
+        let raw = self.take(n.checked_mul(16).ok_or("length overflow")?)?;
+        let mut v = pool.map_or_else(|| Vec::with_capacity(n), |p| p.get(n));
+        v.extend(raw.chunks_exact(16).map(|b| Cx {
+            re: le_f64(b),
+            im: le_f64(&b[8..]),
+        }));
+        Ok(v)
+    }
+
+    /// [`Cursor::cx_vec`] for real samples.
+    fn f64_vec(&mut self, n: usize, pool: Option<&SharedBufferPool<f64>>) -> Decoded<Vec<f64>> {
+        let raw = self.take(n.checked_mul(8).ok_or("length overflow")?)?;
+        let mut v = pool.map_or_else(|| Vec::with_capacity(n), |p| p.get(n));
+        v.extend(raw.chunks_exact(8).map(le_f64));
+        Ok(v)
+    }
+
+    fn detections(&mut self) -> Decoded<Vec<Detection>> {
+        let n = self.count(40)?;
         (0..n)
-            .map(|_| Cx {
-                re: self.f64(),
-                im: self.f64(),
-            })
-            .collect()
-    }
-
-    fn detections(&mut self) -> Vec<Detection> {
-        let n = self.u32() as usize;
-        (0..n)
-            .map(|_| Detection {
-                bin: self.u64() as usize,
-                beam: self.u64() as usize,
-                range: self.u64() as usize,
-                power: self.f64(),
-                threshold: self.f64(),
+            .map(|_| {
+                Ok(Detection {
+                    bin: self.u64()? as usize,
+                    beam: self.u64()? as usize,
+                    range: self.u64()? as usize,
+                    power: self.f64()?,
+                    threshold: self.f64()?,
+                })
             })
             .collect()
     }
@@ -788,7 +893,130 @@ mod tests {
         let mut buf = Vec::new();
         encode_msg(&Msg::new(0, Payload::Dropped), &mut buf);
         buf[0] = 99;
-        assert!(std::panic::catch_unwind(|| decode_msg(&buf)).is_err());
+        assert_eq!(parse(&buf, None).unwrap_err(), "codec version skew");
+        assert!(matches!(decode_msg(&buf).payload, Payload::Malformed));
+    }
+
+    /// One message of every kind, with awkward values: NaN payloads,
+    /// negative zero, an empty cube, flags and an empty detection list.
+    fn every_kind() -> Vec<Msg> {
+        let group: Arc<[SubCpi]> = Arc::from(vec![
+            SubCpi { stream: 3, scpi: 9 },
+            SubCpi {
+                stream: 0,
+                scpi: u32::MAX,
+            },
+        ]);
+        let cx = |i: usize| Cx {
+            re: (i as f64).sin(),
+            im: if i == 5 { f64::NAN } else { -(i as f64) },
+        };
+        vec![
+            Msg {
+                degraded: true,
+                ..Msg::grouped(
+                    4,
+                    group.clone(),
+                    Payload::Cube(CCube::from_fn([2, 3, 2], |i, j, k| cx(i * 6 + j * 2 + k))),
+                )
+            },
+            Msg::new(1, Payload::Cube(CCube::from_vec([0, 4, 2], Vec::new()))),
+            Msg::new(
+                2,
+                Payload::Real(RCube::from_vec(
+                    [1, 2, 2],
+                    vec![-0.0, 1.5, f64::INFINITY, 1e-310],
+                )),
+            ),
+            Msg::grouped(
+                5,
+                group.clone(),
+                Payload::Weights(vec![
+                    CMat::from_vec(2, 1, vec![cx(1), cx(2)]),
+                    CMat::from_vec(1, 1, vec![cx(5)]),
+                ]),
+            ),
+            Msg::grouped(
+                6,
+                group,
+                Payload::DetectionsGroup(
+                    vec![
+                        vec![det(1, 0, 7, 2.5, 0.5), det(3, 1, 2, -0.0, 1.0)],
+                        Vec::new(),
+                    ],
+                    vec![false, true],
+                ),
+            ),
+            Msg::new(7, Payload::Dropped),
+            Msg::new(8, Payload::Shutdown),
+        ]
+    }
+
+    fn frame(msg: &Msg) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_msg(msg, &mut buf);
+        buf
+    }
+
+    /// What a socket may hand the decoder: every truncation, single bit
+    /// flips and length fields inflated at every offset. Nothing may
+    /// panic; every unmodified frame must come back bit for bit (as its
+    /// re-encoding), through the plain codec and through the pools.
+    #[test]
+    fn no_frame_bytes_panic_the_decoder_and_clean_frames_round_trip() {
+        let pools = PipelinePools::default();
+        let frames: Vec<Vec<u8>> = every_kind().iter().map(frame).collect();
+        for f in &frames {
+            assert_eq!(frame(&decode_msg(f)), *f, "plain codec round trip");
+            let pooled = WirePool::decode(&pools, f);
+            assert_eq!(frame(&pooled), *f, "pooled round trip");
+            pools.retire(pooled);
+            for cut in 0..f.len() {
+                assert!(
+                    matches!(decode_msg(&f[..cut]).payload, Payload::Malformed),
+                    "a frame cut at {cut} of {} decoded",
+                    f.len()
+                );
+            }
+            for at in 0..f.len().saturating_sub(3) {
+                for big in [u32::MAX, 1 << 31, 1 << 28, 0x0001_0001] {
+                    let mut g = f.clone();
+                    g[at..at + 4].copy_from_slice(&big.to_le_bytes());
+                    let _ = decode_msg(&g);
+                    let _ = WirePool::decode(&pools, &g);
+                }
+            }
+            let mut g = f.clone();
+            g.push(0);
+            assert!(matches!(decode_msg(&g).payload, Payload::Malformed));
+        }
+        stap_util::check::check("wire frames under bit flips", 400, |g| {
+            let mut f = g.choose(&frames.iter().collect::<Vec<_>>()).clone();
+            for _ in 0..g.int(1, 4) {
+                let bit = g.int(0, 8 * f.len());
+                f[bit / 8] ^= 1 << (bit % 8);
+            }
+            let _ = decode_msg(&f);
+            let _ = WirePool::decode(&pools, &f);
+        });
+    }
+
+    /// Sent cube blocks return to the pool once encoded, and received
+    /// ones decode into pooled buffers: in steady state every frame is a
+    /// hit on each side.
+    #[test]
+    fn pooled_frames_recycle_both_ways() {
+        let pools = PipelinePools::default();
+        let f = frame(&every_kind()[0]);
+        for _ in 0..4 {
+            let msg = WirePool::decode(&pools, &f);
+            let mut again = Vec::new();
+            encode_msg(&msg, &mut again);
+            pools.retire(msg);
+            assert_eq!(again, f);
+        }
+        let s = pools.cx.stats();
+        assert_eq!((s.misses, s.hits, s.returned), (1, 3, 4));
     }
 
     #[test]

@@ -25,7 +25,7 @@ stage_name() {
     3) echo "release build" ;;
     4) echo "tests (includes the zero-allocation regression)" ;;
     5) echo "fault smoke (deterministic campaign: stall + drop over 10 CPIs)" ;;
-    6) echo "benchmark smoke (benchmark/ builds and one quick run is correct; plumbing only, not timing)" ;;
+    6) echo "benchmark smoke (benchmark/ builds; one quick run in-process and one over TCP are correct; plumbing only, not timing)" ;;
     7) echo "trace smoke (Chrome trace + measured-vs-modeled reconciliation)" ;;
     8) echo "scalar fallback (STAP_SIMD=off: the non-AVX2 path stays green)" ;;
     9) echo "serve smoke (small loadgen: SLO fields present, zero pool misses)" ;;
@@ -66,21 +66,29 @@ run_stage() {
     6)
       # benchmark/ is a workspace of its own, so stages 2-4 never
       # compile it: build the package every PR is judged by against
-      # this tree and check that one quick run ends in a result line
-      # whose oracle agrees and no CPI failed. The result line is kept
-      # when BENCHMARK_SMOKE_OUT is set.
-      local smoke_out
+      # this tree and check that one quick run of the serve path
+      # (red_open, in-process fabric) and one of the batch engine over
+      # loopback TCP (red_tcp_batch) each end in a result line whose
+      # oracle agrees and no CPI failed — so a hang or a digest break on
+      # the TCP path fails here, not only in the perf pipeline. The
+      # result lines (one JSON line per workload) are kept when
+      # BENCHMARK_SMOKE_OUT is set.
+      local smoke_out w
       smoke_out="${BENCHMARK_SMOKE_OUT:-$(mktemp "${TMPDIR:-/tmp}"/BENCHMARK_smoke.XXXXXX.json)}"
       [ -n "${BENCHMARK_SMOKE_OUT:-}" ] || trap 'rm -f "$smoke_out"' RETURN
-      cargo build --release --offline --manifest-path benchmark/Cargo.toml \
-        && cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
-          --workload red_open --quick --seed 1 | tail -n 1 >"$smoke_out" \
-        && python3 - "$smoke_out" <<'PY'
+      : >"$smoke_out"
+      cargo build --release --offline --manifest-path benchmark/Cargo.toml || return 1
+      for w in red_open red_tcp_batch; do
+        cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+          --workload "$w" --quick --seed 1 | tail -n 1 >>"$smoke_out" || return 1
+        python3 - "$smoke_out" "$w" <<'PY' || return 1
 import json, sys
-doc = json.load(open(sys.argv[1]))
-assert doc["correct"] is True and doc["failed"] == 0, f"benchmark run not clean: {doc}"
-print("benchmark smoke ok: %d CPIs attempted, oracle agrees, none failed" % doc["attempted"])
+doc = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+assert doc["correct"] is True and doc["failed"] == 0, f"{sys.argv[2]} run not clean: {doc}"
+print("benchmark smoke ok: %s, %d CPIs attempted, oracle agrees, none failed"
+      % (sys.argv[2], doc["attempted"]))
 PY
+      done
       ;;
     7)
       # Traced run of the canonical 2-azimuth reduced config: must emit a
