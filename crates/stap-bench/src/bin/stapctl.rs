@@ -16,7 +16,8 @@
 //! stapctl trace    [--cpis 6] [--seed 42] [--nodes 2,1,2,1,1,2,1] [--json]
 //!                  [--transport inproc|shm|tcp] [--out TRACE_pipeline.json]
 //! stapctl chaos    [--seed 7] [--cpis 10] [--checkpoint-every 3] [--deadline 120]
-//!                  [--expect recovered>=1,quarantined=1] [--json] [--out PATH]
+//!                  [--expect recovered>=1,rebalanced>=1,quarantined=1] [--json]
+//!                  [--out PATH]
 //! stapctl cluster  [--transport shm|tcp] [--cpis 6] [--seed 42] [--nodes ...]
 //!                  [--relaunches 0] [--json] [--out PATH]
 //! ```
@@ -45,8 +46,9 @@
 //!
 //! `chaos` runs a seeded chaos campaign on the *supervised* serve
 //! runtime: a scheduled rank panic (checkpoint/restore recovery), a
-//! mid-flight stream disconnect + reconnect, a corrupt tenant that must
-//! be quarantined, and one in-transit corruption. The campaign gates on
+//! rank shift toward a degraded task after the recovery, a mid-flight
+//! stream disconnect + reconnect, a corrupt tenant that must be
+//! quarantined, and one in-transit corruption. The campaign gates on
 //! invariants — no deadlock, lost CPIs within the checkpoint bound,
 //! quarantine fired, healthy streams complete — and exits non-zero when
 //! any gate (or `--expect`) fails. `--expect` takes
@@ -80,7 +82,7 @@ fn usage() -> ExitCode {
          stapctl loadgen [--streams N] [--cpis K] [--seed S] [--depth D] [--group G] [--window W] [--json] [--out PATH]\n  \
          stapctl trace [--cpis K] [--seed S] [--nodes N0,..,N6] [--transport inproc|shm|tcp] [--json] [--out PATH]\n  \
          stapctl cluster [--transport shm|tcp|inproc] [--cpis K] [--seed S] [--nodes N0,..,N6] [--relaunches R] [--json] [--out PATH]\n  \
-         stapctl chaos [--seed S] [--cpis K] [--checkpoint-every C] [--deadline D] [--expect recovered>=1,quarantined=1] [--json] [--out PATH]"
+         stapctl chaos [--seed S] [--cpis K] [--checkpoint-every C] [--deadline D] [--expect recovered>=1,rebalanced>=1,quarantined=1] [--json] [--out PATH]"
     );
     ExitCode::from(2)
 }
@@ -712,9 +714,10 @@ fn cmd_chaos(flags: HashMap<String, String>) -> Result<(), String> {
         println!("{}", j.to_string_pretty());
     } else {
         println!(
-            "recoveries {}  checkpoints {}  lost {}/{} CPIs  quarantines {}  \
-             degraded {}  completed {}",
+            "recoveries {}  rebalances {}  checkpoints {}  lost {}/{} CPIs  \
+             quarantines {}  degraded {}  completed {}",
             report.recovered,
+            report.rebalances,
             report.checkpoints,
             report.lost_cpis,
             report.lost_bound,

@@ -6,10 +6,10 @@
 //! TCP): the parent process owns the driver rank on a thread, spawns
 //! one child process per task rank (a hidden `stapctl _rank` re-exec),
 //! and supervises them — a child that dies poisons the driver's comm so
-//! the run fails fast instead of hanging, mirroring the serve-layer
-//! supervisor's fail-detect-relaunch discipline (see
-//! `stap_serve::supervisor`; [`run_supervised`] is the cluster analogue
-//! of its `max_recoveries` loop).
+//! the run fails fast instead of hanging, mirroring the serve session's
+//! fail-detect-relaunch discipline (see `stap_pipeline::session`;
+//! [`run_supervised`] is the cluster analogue of its `max_recoveries`
+//! loop, restarting from scratch rather than from a checkpoint).
 //!
 //! The entire pipeline code path is shared with the in-process runner:
 //! children call [`stap::pipeline::ParallelStap::run_rank`] — the exact

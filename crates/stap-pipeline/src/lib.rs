@@ -17,7 +17,10 @@
 //!   fixed CPI list: world construction, detection collection, timing
 //!   aggregation,
 //! * [`tasks`] — the buffer pools every rank of a session shares,
-//! * [`elastic`] — resident epochs with live rank shifts,
+//! * [`session`] — [`Session`], the serve path's epoch loop behind the
+//!   driver's feed: checkpoints, recovery by replay, and rank shifts
+//!   between epochs,
+//! * [`elastic`] — the rank-shift planner a session applies,
 //! * [`metrics`] — per-task recv/comp/send timing and the paper's
 //!   throughput/latency equations (1)-(3).
 //!
@@ -61,12 +64,13 @@ pub mod msg;
 pub mod report;
 pub mod resident;
 pub mod runner;
+pub mod session;
 pub mod tasks;
 pub mod trace;
 pub mod wire;
 
 pub use assignment::NodeAssignment;
-pub use elastic::{plan_rebalance, task_capacity, ElasticStap, ElasticSummary, Rebalance};
+pub use elastic::{plan_rebalance, task_capacity, Rebalance};
 pub use fault::RuntimePolicy;
 pub use metrics::{
     latency_eq2, real_latency_eq3, throughput_eq1, CpiOutcome, EdgeHealth, PipelineHealth,
@@ -75,6 +79,7 @@ pub use metrics::{
 pub use report::{render_health, render_timings};
 pub use resident::{CpiDone, CpiJob, ResidentStap, ResidentState, ResidentSummary};
 pub use runner::{ParallelStap, PipelineError, PipelineOutput};
+pub use session::{Recovered, Session, SessionSummary, SupervisorConfig, SupervisorHooks};
 pub use trace::{
     chrome_trace_json, render_breakdown, CpiMark, EdgeStat, PipelineTrace, TaskInterval, TaskSpan,
     TraceStats,

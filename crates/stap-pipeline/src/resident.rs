@@ -76,13 +76,16 @@
 //! what is not its own to a [`Node`]: the receive ([`recv_msg`]), the
 //! drop markers a lost input sends downstream, the end-of-slot purge,
 //! and the slot's [`TaskTiming`] and span. The driver reads its slots
-//! from a [`Feed`]. Which front end turns what on:
+//! from a [`Feed`], a CPI list or a session. Which front end turns what
+//! on:
 //!
-//! * [`ResidentStap::serve`] — and `ElasticStap` and `stap-serve`'s
-//!   `StapServer` on top of it — feeds slot groups from a jobs channel
-//!   with [`RuntimePolicy::default`] and no trace epoch: plain blocking
-//!   receives, no spans, the per-slot timings only summed into
-//!   [`ResidentSummary::busy`];
+//! * a [`Session`] — [`ResidentStap::serve`] is one with no triggers,
+//!   and `stap-serve`'s `StapServer` runs one — feeds slot groups from a
+//!   jobs channel with [`RuntimePolicy::default`] and no trace epoch:
+//!   plain blocking receives, no spans, the per-slot timings only summed
+//!   into [`ResidentSummary::busy`]. The feed ends an epoch at a
+//!   checkpoint or rebalance boundary, and the session relaunches the
+//!   world from the exported [`ResidentState`];
 //! * [`crate::ParallelStap`] is a session whose driver reads its CPI
 //!   list, one CPI per slot (`max_group = 1`). It passes its own policy
 //!   — a fault-tolerant one turns on deadlines, retries, sequence checks,
@@ -95,6 +98,7 @@ use crate::fault::{payload_is_finite, RuntimePolicy};
 use crate::metrics::{PipelineHealth, TaskTiming};
 use crate::msg::{cpi_of_tag, edge_of_tag, tag, Edge, Msg, Payload, SubCpi};
 use crate::runner::{PipelineError, TaskReport};
+use crate::session::Session;
 use crate::tasks::PipelinePools;
 use crate::trace::TaskSpan;
 use stap_core::params::StapParams;
@@ -176,8 +180,8 @@ pub struct ResidentSummary {
     /// host with fewer cores than rank threads that includes time spent
     /// runnable but waiting for a core, so it overstates tasks that
     /// share their core (`scripts/thread_cpu.sh` reads the CPU each rank
-    /// thread actually used). The elastic scheduler ranks bottlenecks by
-    /// `busy[t] / nodes[t]`.
+    /// thread actually used). A rebalancing [`Session`] ranks
+    /// bottlenecks by `busy[t] / nodes[t]`.
     pub busy: [f64; 7],
 }
 
@@ -248,10 +252,9 @@ pub struct ResidentStap {
     /// Soft mailbox high-water mark installed in every rank's comm
     /// (0 = disabled); crossings are counted in the summary health.
     pub mailbox_high_water: usize,
-    /// Deterministic fault schedule installed into the world on the
-    /// next [`Self::serve_with_state`] launch (`None` = clean world,
-    /// the production path). The supervisor re-arms this per launch so
-    /// a fired panic is not re-injected into the recovery world.
+    /// Deterministic fault schedule for a session's first world (`None`
+    /// = clean world, the production path); a supervised [`Session`]
+    /// installs its per-launch plans instead.
     pub faults: Option<stap_mp::FaultPlan>,
     /// Screen CFAR power lanes for non-finite samples and flag the
     /// owning sub-CPI as degraded (costs one pass over each power
@@ -310,8 +313,7 @@ impl ResidentStap {
         self
     }
 
-    /// Installs a deterministic fault schedule for the next launch (the
-    /// chaos harness and the supervisor's per-launch plans use this).
+    /// Installs a deterministic fault schedule for the first launch.
     pub fn with_faults(mut self, plan: stap_mp::FaultPlan) -> Self {
         self.faults = Some(plan);
         self
@@ -324,8 +326,8 @@ impl ResidentStap {
         self
     }
 
-    /// Replaces the buffer pools with an existing (shared) set. The
-    /// elastic scheduler threads one pool family through successive
+    /// Replaces the buffer pools with an existing (shared) set. A
+    /// [`Session`] threads this one pool family through successive
     /// epochs so a rebalance does not re-warm every size class from
     /// cold.
     pub fn with_pools(mut self, pools: PipelinePools) -> Self {
@@ -364,8 +366,21 @@ impl ResidentStap {
     /// from a smaller size class, so every class a kind's group sizes
     /// fall into gets the whole window.
     pub fn reserve(&self, streams: usize, queue_depth: usize) {
+        self.reserve_under(&self.assign, streams, queue_depth, 0);
+    }
+
+    /// [`Self::reserve`] for `assign`, with a recovering [`Session`]'s
+    /// `retained` copies added to the raw-cube count (a pool keeps the
+    /// larger of two reservations, never their sum).
+    pub(crate) fn reserve_under(
+        &self,
+        assign: &NodeAssignment,
+        streams: usize,
+        queue_depth: usize,
+        retained: usize,
+    ) {
         let p = &self.params;
-        let parts = Partitions::new(p, &self.assign);
+        let parts = Partitions::new(p, assign);
         let b = self.max_group.min(streams.max(1)).max(1);
         let w = self.window + 2; // in-flight slots + a lagging weight slot + margin
         let mut cx: HashMap<usize, usize> = HashMap::new();
@@ -388,9 +403,10 @@ impl ResidentStap {
             }
         }
         // Raw CPI cubes: one held per producer, up to `queue_depth`
-        // admitted per stream, plus in-flight groups.
+        // admitted per stream, plus in-flight groups and retained copies.
         let raw = p.k_range * p.j_channels * p.n_pulses;
-        cx.insert(raw.next_power_of_two(), streams * (queue_depth + 1) + b * w);
+        let raw_cubes = streams * (queue_depth + 1) + b * w + retained;
+        cx.insert(raw.next_power_of_two(), raw_cubes);
         let easy_bins = p.easy_bins();
         let hard_bins = p.hard_bins();
         for kr in &parts.doppler_k {
@@ -445,58 +461,46 @@ impl ResidentStap {
     /// Runs the resident world until the `jobs` channel disconnects and
     /// every in-flight slot has drained. Each received `Vec<CpiJob>` is
     /// one slot group (1..=`max_group` CPIs, distinct or repeated
-    /// streams); results stream out on `done` as slots complete.
+    /// streams); results stream out on `done` as slots complete. This is
+    /// a [`Session`] with no triggers: one epoch, no retained copies, no
+    /// state export.
     pub fn serve(
         &self,
         jobs: Receiver<Vec<CpiJob>>,
         done: Sender<CpiDone>,
     ) -> Result<ResidentSummary, PipelineError> {
-        self.run(jobs, done, &ResidentState::default(), false)
-            .map(|(summary, _)| summary)
+        Session::default()
+            .run(self, jobs, done)
+            .map(|summary| summary.resident)
     }
 
-    /// [`Self::serve`] with cross-session state carry: the stateful
-    /// tasks (weight history rings, QR recursion, beamform weight
-    /// FIFOs) start from `carry` — re-partitioned to this session's
-    /// assignment — and the drained session's state comes back with the
-    /// summary. This is the rebalance primitive: exporting under one
-    /// assignment and importing under another is bit-identical to never
-    /// having stopped.
-    pub fn serve_with_state(
+    /// One world under `assign` with `faults` installed, its stateful
+    /// tasks starting from `carry` and its driver reading `feed`. The
+    /// drained tasks' state comes back only when `export` is set; it
+    /// re-imports bit-identically under any assignment.
+    pub(crate) fn launch<F: Feed + Send>(
         &self,
-        jobs: Receiver<Vec<CpiJob>>,
-        done: Sender<CpiDone>,
-        carry: ResidentState,
-    ) -> Result<(ResidentSummary, ResidentState), PipelineError> {
-        self.run(jobs, done, &carry, true)
-    }
-
-    /// One resident session; the drained tasks' state is exported (and
-    /// returned) only when `export` is set.
-    fn run(
-        &self,
-        jobs: Receiver<Vec<CpiJob>>,
-        done: Sender<CpiDone>,
+        assign: NodeAssignment,
+        faults: Option<&stap_mp::FaultPlan>,
         carry: &ResidentState,
         export: bool,
+        feed: &mut F,
     ) -> Result<(ResidentSummary, ResidentState), PipelineError> {
         let t0 = Instant::now();
-        let parts = Partitions::new(&self.params, &self.assign);
-        let mut world: World<Msg> = World::new(self.assign.world_size());
+        let parts = Partitions::new(&self.params, &assign);
+        let mut world: World<Msg> = World::new(assign.world_size());
         if self.mailbox_high_water > 0 {
             world = world.with_mailbox_high_water(self.mailbox_high_water);
         }
-        if let Some(plan) = &self.faults {
-            if !plan.is_empty() {
-                world = world
-                    .with_faults(plan.clone())
-                    .with_corruptor(crate::fault::nan_corruptor());
-            }
+        if let Some(plan) = faults.filter(|plan| !plan.is_empty()) {
+            world = world
+                .with_faults(plan.clone())
+                .with_corruptor(crate::fault::nan_corruptor());
         }
         let policy = RuntimePolicy::default();
         let ctx = ResCtx {
             params: &self.params,
-            assign: &self.assign,
+            assign: &assign,
             parts: &parts,
             steering: &self.steering,
             pools: &self.pools,
@@ -510,11 +514,9 @@ impl ResidentStap {
         };
         let ctx_ref = &ctx;
         let window = self.window.max(1);
-        // mpsc endpoints are Send but not Sync; the SPMD closure is
-        // shared by reference across ranks, so the driver arm takes
-        // them out of a mutex (it runs exactly once).
-        let jobs_cell = Mutex::new(Some(jobs));
-        let done_cell = Mutex::new(Some(done));
+        // The SPMD closure is shared by reference across ranks, so the
+        // driver arm takes the feed out of a mutex (it runs exactly once).
+        let feed_cell = Mutex::new(Some(feed));
 
         enum Res {
             Task(usize, TaskExit),
@@ -530,14 +532,10 @@ impl ResidentStap {
             match ctx_ref.assign.task_of_rank(rank) {
                 Some((t, local)) => Res::Task(t, run_task(ctx_ref, &mut comm, t, local)),
                 None => {
-                    let jobs = jobs_cell
-                        .lock()
-                        .unwrap()
+                    let feed = (feed_cell.lock().expect("held only to take the feed"))
                         .take()
                         .expect("driver rank runs once");
-                    let done = done_cell.lock().unwrap().take().expect("driver rank once");
-                    let (health, cpis, slots) =
-                        drive(ctx_ref, &mut comm, window, &mut Channel { jobs, done });
+                    let (health, cpis, slots) = drive(ctx_ref, &mut comm, window, feed);
                     Res::Driver {
                         health,
                         cpis,
@@ -884,7 +882,7 @@ impl<'a> Node<'a> {
     }
 
     /// The node's exit; its cross-slot state is exported only for a
-    /// caller that takes it ([`ResidentStap::serve_with_state`]):
+    /// session that can end an epoch at a boundary ([`Session`]):
     /// exporting copies every matrix out of the task's own layout.
     fn finish(mut self, comm: &mut Comm<Msg>, state: impl FnOnce() -> TaskState) -> TaskExit {
         self.report.health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
@@ -2042,7 +2040,8 @@ fn forwards_admitted_cube(group_len: usize, parts: &Partitions) -> bool {
 /// Where a session's slots come from and where their CPIs' results go.
 pub(crate) trait Feed {
     /// The next slot group; blocks only when `wait`.
-    /// `Err(Disconnected)` ends the session.
+    /// `Err(Disconnected)` ends the world: its slots drain and the
+    /// shutdown cascades.
     fn next(&mut self, wait: bool) -> Result<Vec<CpiJob>, TryRecvError>;
     /// Member `sub`'s result, `latency` seconds after its submission:
     /// its detections (`None` when the CPI was dropped) and whether a
@@ -2054,40 +2053,6 @@ pub(crate) trait Feed {
         detections: Option<Vec<Detection>>,
         degraded: bool,
     );
-}
-
-/// [`ResidentStap::serve`]'s feed: slot groups from the jobs channel,
-/// completions to the `done` channel.
-struct Channel {
-    jobs: Receiver<Vec<CpiJob>>,
-    done: Sender<CpiDone>,
-}
-
-impl Feed for Channel {
-    fn next(&mut self, wait: bool) -> Result<Vec<CpiJob>, TryRecvError> {
-        if wait {
-            self.jobs.recv().map_err(|_| TryRecvError::Disconnected)
-        } else {
-            self.jobs.try_recv()
-        }
-    }
-
-    fn complete(
-        &mut self,
-        sub: SubCpi,
-        latency: f64,
-        detections: Option<Vec<Detection>>,
-        degraded: bool,
-    ) {
-        // A closed `done` receiver is fine: keep draining.
-        let _ = self.done.send(CpiDone {
-            stream: sub.stream,
-            scpi: sub.scpi,
-            degraded: degraded || detections.is_none(),
-            detections: detections.unwrap_or_default(),
-            latency,
-        });
-    }
 }
 
 /// The driver rank: windowed slot injection from `feed`, completion

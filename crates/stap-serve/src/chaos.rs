@@ -4,8 +4,11 @@
 //! live multi-stream server, gated on invariants rather than outputs:
 //!
 //! * **engine kill** — a scheduled rank panic poisons the world mid
-//!   epoch; the supervisor must recover and the campaign must complete
+//!   epoch; the session must recover and the campaign must complete
 //!   (no deadlock, bounded wall clock);
+//! * **rank shift** — once the recovery world is serving, an easy-weight
+//!   degradation event shifts a rank toward that task at the next slot
+//!   boundary, in the same session;
 //! * **stream churn** — one stream disconnects mid-run and reconnects
 //!   under a fresh id while slots are in flight;
 //! * **corrupt tenant** — one stream submits NaN cubes; the admission
@@ -23,12 +26,12 @@
 //! gate on it.
 
 use crate::server::{ServerConfig, StapServer};
-use crate::supervisor::SupervisorConfig;
+use crate::SupervisorConfig;
 use stap_core::params::StapParams;
 use stap_math::Cx;
 use stap_mp::{FaultAction, FaultPlan, FaultRule, TagPattern};
 use stap_pipeline::msg::Edge;
-use stap_pipeline::{assignment, NodeAssignment, ResidentStap};
+use stap_pipeline::{assignment, NodeAssignment, ResidentStap, RuntimePolicy};
 use stap_radar::Scenario;
 use stap_util::Json;
 use std::sync::mpsc;
@@ -97,8 +100,10 @@ pub struct ChaosReport {
     /// True when the churned tenant's reconnect (under a fresh id)
     /// completed CPIs.
     pub reconnect_ok: bool,
-    /// Checkpoints banked by the supervisor.
+    /// Checkpoints banked by the session.
     pub checkpoints: u64,
+    /// Rank shifts the session applied.
+    pub rebalances: u64,
     /// Every gate that failed, human-readable; empty = campaign passed.
     pub failures: Vec<String>,
     /// All gates held.
@@ -126,6 +131,7 @@ impl ChaosReport {
             ("degraded_cpis", Json::Num(self.degraded_cpis as f64)),
             ("reconnect_ok", b(self.reconnect_ok)),
             ("checkpoints", Json::Num(self.checkpoints as f64)),
+            ("rebalanced", Json::Num(self.rebalances as f64)),
             (
                 "failures",
                 Json::arr(self.failures.iter().map(|f| Json::Str(f.clone()))),
@@ -198,7 +204,8 @@ fn campaign(cfg: ChaosConfig) -> ChaosReport {
     let params = StapParams::reduced();
     let scenario = Scenario::reduced(cfg.seed);
     let resident = ResidentStap::for_scenario(params, assign, &scenario);
-    let server = Arc::new(StapServer::start(
+    let (tap_tx, tap_rx) = mpsc::channel();
+    let server = Arc::new(StapServer::start_with_tap(
         resident,
         ServerConfig {
             window: 2,
@@ -214,8 +221,13 @@ fn campaign(cfg: ChaosConfig) -> ChaosReport {
             screen: true,
             quarantine_streak: 2,
             probation_ms: 40,
+            policy: RuntimePolicy {
+                rebalance: true,
+                ..RuntimePolicy::default()
+            },
             ..ServerConfig::default()
         },
+        Some(tap_tx),
     ));
 
     let mut producers = Vec::new();
@@ -232,7 +244,9 @@ fn campaign(cfg: ChaosConfig) -> ChaosReport {
     }
 
     // Churn tenant: half its CPIs, a mid-flight disconnect (slots still
-    // in the pipeline), then a reconnect under a fresh id.
+    // in the pipeline), then — once the rank shift has been asked for —
+    // a reconnect under a fresh id.
+    let (shift_asked_tx, shift_asked_rx) = mpsc::channel::<()>();
     {
         let srv = server.clone();
         let n = cfg.cpis_per_stream;
@@ -241,6 +255,7 @@ fn campaign(cfg: ChaosConfig) -> ChaosReport {
             drive_stream(&srv, CHURN, seed, n / 2);
             srv.disconnect(CHURN);
             std::thread::sleep(Duration::from_millis(20));
+            let _ = shift_asked_rx.recv();
             drive_stream(&srv, CHURN_REBORN, seed + 100, n.div_ceil(2));
         }));
     }
@@ -266,6 +281,19 @@ fn campaign(cfg: ChaosConfig) -> ChaosReport {
             }
         }));
     }
+
+    // The rank shift, after the first recovery (a trigger in launch 0
+    // would end it before its kill): launch 0 delivers at most the
+    // `panic_slot` slots before the kill, so one completion more came
+    // from a recovery world. The reconnect is pulled after the trigger.
+    let recovered_after = panic_slot as usize * MAX_GROUP + 1;
+    if cfg.cpis_per_stream * HEALTHY.len() >= recovered_after
+        && tap_rx.iter().take(recovered_after).count() == recovered_after
+    {
+        server.degrade(assignment::EASY_WT);
+    }
+    drop(tap_rx);
+    let _ = shift_asked_tx.send(());
 
     for p in producers {
         p.join().expect("chaos producer panicked");
@@ -343,6 +371,7 @@ fn campaign(cfg: ChaosConfig) -> ChaosReport {
         degraded_cpis: summary.resident.health.degraded_cpis,
         reconnect_ok,
         checkpoints: summary.checkpoints,
+        rebalances: summary.rebalances,
         passed: failures.is_empty(),
         failures,
     }

@@ -11,20 +11,20 @@
 //! * [`server`] — [`server::StapServer`]: a background resident
 //!   pipeline fed through a bounded (credit-based) slot channel, with
 //!   cross-stream batching — CPIs from different streams coalesce into
-//!   one pipeline slot so the FFT/GEMM kernels amortize across streams;
+//!   one pipeline slot so the FFT/GEMM kernels amortize across streams.
+//!   Its engine is one [`stap_pipeline::Session`], which checkpoints,
+//!   recovers a failed world by replay (bit-identical for surviving
+//!   streams, typed [`Recovered`] events) and shifts ranks between
+//!   epochs, as configured;
 //! * [`slo`] — latency percentile math for p50/p99 service objectives;
 //! * [`loadgen`] — a synthetic multi-stream load generator used by
 //!   `stapctl loadgen`, `stapctl serve` and the smoke tests;
 //! * [`health`] — per-stream outcome/reject counters, fault streaks,
 //!   and the quarantine bookkeeping surfaced in [`ServeSummary`];
-//! * [`supervisor`] — supervised serving: periodic checkpoint export at
-//!   slot boundaries, panic recovery by rebuild-and-replay from the
-//!   last checkpoint (bit-identical for surviving streams), typed
-//!   [`Recovered`] events;
 //! * [`chaos`] — a seeded, deterministic fault campaign
-//!   (`stapctl chaos`) that kills a rank mid-run, corrupts a tenant,
-//!   churns another, and gates on recovery/quarantine/lost-CPI
-//!   invariants.
+//!   (`stapctl chaos`) that kills a rank mid-run, shifts a rank after
+//!   the recovery, corrupts a tenant, churns another, and gates on
+//!   recovery/quarantine/lost-CPI invariants.
 
 pub mod admission;
 pub mod chaos;
@@ -32,7 +32,6 @@ pub mod health;
 pub mod loadgen;
 pub mod server;
 pub mod slo;
-pub mod supervisor;
 
 pub use admission::{AdmissionConfig, Ingest, Pending, Reject};
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
@@ -40,4 +39,4 @@ pub use health::{LastOutcome, RejectCounts, StreamHealth};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use server::{ServeSummary, ServerConfig, StapServer, StreamStats};
 pub use slo::{percentile, LatencyProfile};
-pub use supervisor::{run_supervised, Recovered, SupervisorConfig, SupervisorHooks};
+pub use stap_pipeline::session::{Recovered, SupervisorConfig, SupervisorHooks};

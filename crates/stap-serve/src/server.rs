@@ -10,8 +10,12 @@
 //!   each stream's queue depth, and further submissions bounce with
 //!   [`Reject::QueueFull`] — backpressure propagates to producers
 //!   instead of growing queues without bound;
-//! * **engine** — [`stap_pipeline::ResidentStap::serve`] on the slot
-//!   channel: the seven resident task nodes plus driver;
+//! * **engine** — one [`stap_pipeline::Session`] on the slot channel:
+//!   the seven resident task nodes plus driver, in epochs that end at a
+//!   checkpoint (`supervised`) or a rank shift (`policy.rebalance`); a
+//!   failed world is recovered from the last checkpoint when supervised.
+//!   With neither, the session is one world, as
+//!   [`stap_pipeline::ResidentStap::serve`] runs it;
 //! * **collector** — drains per-CPI completions, records per-stream
 //!   latency samples and releases admission credits.
 //!
@@ -22,11 +26,13 @@
 use crate::admission::{AdmissionConfig, Ingest, Pending, Reject};
 use crate::health::StreamHealth;
 use crate::slo::LatencyProfile;
-use crate::supervisor::{run_supervised, Recovered, SupervisorConfig, SupervisorHooks};
 use stap_cube::CCube;
 use stap_math::Cx;
 use stap_pipeline::runner::PipelineError;
-use stap_pipeline::{CpiJob, ElasticStap, Rebalance, ResidentStap, ResidentSummary, RuntimePolicy};
+use stap_pipeline::{
+    CpiJob, Rebalance, Recovered, ResidentStap, ResidentSummary, RuntimePolicy, Session,
+    SessionSummary, SupervisorConfig, SupervisorHooks,
+};
 use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -48,23 +54,21 @@ pub struct ServerConfig {
     /// ([`ResidentStap::reserve`]). More streams than the hint still
     /// work — the pool grows on (counted) misses.
     pub streams_hint: usize,
-    /// Run the elastic engine ([`ElasticStap`]) instead of a fixed
-    /// resident world: rank shifts toward the measured bottleneck at
-    /// slot boundaries, triggered by load spikes and degradation
-    /// events.
-    pub elastic: bool,
-    /// Runtime policy for the elastic engine (cooldown, imbalance
-    /// threshold); typically `stap_sim::derive_policy` output.
+    /// Rank shifts: with `rebalance` set the engine shifts a rank
+    /// toward the measured bottleneck at a slot boundary when a load
+    /// spike ([`Self::spike_backlog`]), [`StapServer::degrade`] or
+    /// [`StapServer::rebalance_now`] asks, within the cooldown and
+    /// imbalance threshold; typically `stap_sim::derive_policy` output.
     pub policy: RuntimePolicy,
     /// Admission backlog (ready, undispatched CPIs) at which the
     /// batcher raises a load-spike rebalance trigger (0 = off; only
-    /// meaningful with `elastic`).
+    /// meaningful with `policy.rebalance`).
     pub spike_backlog: usize,
     /// Per-stream completions treated as warm-up/ramp: excluded from
     /// the latency percentiles and reported separately.
     pub warmup_cpis: u32,
     /// Run the engine under checkpoint/restore supervision (see
-    /// [`crate::supervisor`]). Mutually exclusive with `elastic`.
+    /// [`stap_pipeline::session`]); composes with `policy.rebalance`.
     pub supervised: Option<SupervisorConfig>,
     /// Screen submissions and CFAR power lanes for non-finite samples:
     /// a NaN/Inf cube bounces at admission with [`Reject::NonFinite`]
@@ -88,7 +92,6 @@ impl Default for ServerConfig {
             queue_depth: 8,
             mailbox_high_water: 64,
             streams_hint: 4,
-            elastic: false,
             policy: RuntimePolicy::default(),
             spike_backlog: 0,
             warmup_cpis: 2,
@@ -135,7 +138,7 @@ pub struct ServeSummary {
     pub aggregate: LatencyProfile,
     /// Warm-up/ramp completions excluded from the percentiles.
     pub warmup_cpis: u64,
-    /// Rank shifts the elastic engine applied (0 for a fixed world).
+    /// Rank shifts the engine applied (0 without `policy.rebalance`).
     pub rebalances: u64,
     /// Per-stream health rows (outcomes, rejects by reason, quarantine
     /// record), sorted by stream id.
@@ -149,7 +152,7 @@ pub struct ServeSummary {
     /// Sub-CPIs lost across recoveries (streams that disconnected
     /// before their retained slots could be replayed).
     pub lost_cpis: u64,
-    /// Checkpoints the supervisor banked.
+    /// Epochs the engine banked at a boundary (0 for a plain server).
     pub checkpoints: u64,
     /// The resident pipeline's own summary (health, pool traffic).
     pub resident: ResidentSummary,
@@ -275,15 +278,6 @@ impl ServeSummary {
     }
 }
 
-/// What the engine thread (fixed, elastic or supervised) reports back.
-struct EngineOut {
-    resident: ResidentSummary,
-    rebalances: u64,
-    recoveries: Vec<Recovered>,
-    checkpoints: u64,
-    lost_cpis: u64,
-}
-
 struct Collected {
     /// Steady-state latency samples (warm-up completions excluded).
     latencies: HashMap<u16, Vec<f64>>,
@@ -311,7 +305,7 @@ pub struct StapServer {
     screen: bool,
     t0: Instant,
     batcher: Option<JoinHandle<()>>,
-    engine: Option<JoinHandle<Result<EngineOut, PipelineError>>>,
+    engine: Option<JoinHandle<Result<SessionSummary, PipelineError>>>,
     collector: Option<JoinHandle<Collected>>,
     control: Option<mpsc::Sender<Rebalance>>,
 }
@@ -331,10 +325,6 @@ impl StapServer {
         cfg: ServerConfig,
         tap: Option<mpsc::Sender<stap_pipeline::CpiDone>>,
     ) -> StapServer {
-        assert!(
-            !(cfg.elastic && cfg.supervised.is_some()),
-            "supervised and elastic modes are mutually exclusive"
-        );
         let resident = resident
             .with_window(cfg.window)
             .with_max_group(cfg.max_group)
@@ -344,14 +334,6 @@ impl StapServer {
         let p = &resident.params;
         let shape = [p.k_range, p.j_channels, p.n_pulses];
         let pool = resident.pools().cx.clone();
-        if let Some(sup) = &cfg.supervised {
-            // The supervisor retains a pool-backed copy of every
-            // dispatched group until the next checkpoint, plus replay
-            // copies after a failure — pre-warm that headroom so
-            // recovery does not hit the allocator.
-            let extra = (sup.checkpoint_every as usize + cfg.window) * cfg.max_group.max(1);
-            pool.reserve(shape.iter().product(), extra);
-        }
         let shared = Arc::new(Shared {
             ing: Mutex::new(Ingest::new(AdmissionConfig {
                 queue_depth: cfg.queue_depth,
@@ -369,11 +351,11 @@ impl StapServer {
         let (done_tx, done_rx) = mpsc::channel();
 
         let max_group = cfg.max_group.max(1);
-        // The elastic control channel exists even for a fixed world so
-        // `degrade`/`rebalance_now` are always callable; a fixed engine
-        // simply never reads it.
+        // Without `policy.rebalance` nothing reads the control channel:
+        // `degrade`/`rebalance_now` are no-ops and no spike is raised.
         let (ctl_tx, ctl_rx) = mpsc::channel::<Rebalance>();
-        let spike_backlog = if cfg.elastic { cfg.spike_backlog } else { 0 };
+        let rebalance = cfg.policy.rebalance;
+        let spike_backlog = if rebalance { cfg.spike_backlog } else { 0 };
         let spike_tx = ctl_tx.clone();
         let sh = shared.clone();
         let batcher = std::thread::spawn(move || {
@@ -423,54 +405,18 @@ impl StapServer {
             }
         });
 
-        let engine = if let Some(sup) = cfg.supervised.clone() {
-            let ret = shared.clone();
-            let lost = shared.clone();
-            let hooks = SupervisorHooks {
-                is_retired: Box::new(move |s| ret.ing.lock().unwrap().is_retired(s)),
+        let (retired, lost) = (shared.clone(), shared.clone());
+        let session = Session {
+            supervise: cfg.supervised.clone(),
+            hooks: SupervisorHooks {
+                is_retired: Box::new(move |s| retired.ing.lock().unwrap().is_retired(s)),
                 on_lost: Box::new(move |s| lost.ing.lock().unwrap().note_lost(s)),
-            };
-            std::thread::spawn(move || {
-                run_supervised(resident, sup, jobs_rx, done_tx, hooks).map(|o| EngineOut {
-                    resident: o.resident,
-                    rebalances: 0,
-                    recoveries: o.recoveries,
-                    checkpoints: o.checkpoints,
-                    lost_cpis: o.lost_cpis,
-                })
-            })
-        } else if cfg.elastic {
-            let el = ElasticStap::new(
-                resident.params.clone(),
-                resident.assign,
-                resident.steering.clone(),
-            )
-            .with_policy(cfg.policy)
-            .with_window(cfg.window)
-            .with_max_group(cfg.max_group)
-            .with_mailbox_high_water(cfg.mailbox_high_water)
-            .with_reserve_hints(cfg.streams_hint, cfg.queue_depth)
-            .with_shared_pools(resident.pools().clone());
-            std::thread::spawn(move || {
-                el.serve(jobs_rx, done_tx, ctl_rx).map(|e| EngineOut {
-                    resident: e.merged_resident(),
-                    rebalances: e.rebalances,
-                    recoveries: Vec::new(),
-                    checkpoints: 0,
-                    lost_cpis: 0,
-                })
-            })
-        } else {
-            std::thread::spawn(move || {
-                resident.serve(jobs_rx, done_tx).map(|s| EngineOut {
-                    resident: s,
-                    rebalances: 0,
-                    recoveries: Vec::new(),
-                    checkpoints: 0,
-                    lost_cpis: 0,
-                })
-            })
+            },
+            control: rebalance.then_some(ctl_rx),
+            policy: cfg.policy,
+            reserve: (cfg.streams_hint, cfg.queue_depth),
         };
+        let engine = std::thread::spawn(move || session.run(&resident, jobs_rx, done_tx));
 
         let sh = shared.clone();
         let warmup = cfg.warmup_cpis;
@@ -507,14 +453,14 @@ impl StapServer {
             batcher: Some(batcher),
             engine: Some(engine),
             collector: Some(collector),
-            control: if cfg.elastic { Some(ctl_tx) } else { None },
+            control: rebalance.then_some(ctl_tx),
         }
     }
 
-    /// Reports a rank-loss / degradation event on `task` (0..7): an
-    /// elastic engine shifts a rank toward it at the next slot
-    /// boundary, bypassing cooldown and imbalance checks. A no-op on a
-    /// fixed-assignment server.
+    /// Reports a rank-loss / degradation event on `task` (0..7): with
+    /// `policy.rebalance` the engine shifts a rank toward it at the next
+    /// slot boundary, bypassing cooldown and imbalance checks. A no-op
+    /// otherwise.
     pub fn degrade(&self, task: usize) {
         if let Some(c) = &self.control {
             let _ = c.send(Rebalance::Degraded { task });
@@ -522,7 +468,7 @@ impl StapServer {
     }
 
     /// Requests a rebalance at the next slot boundary (subject to the
-    /// policy cooldown). A no-op on a fixed-assignment server.
+    /// policy cooldown). A no-op without `policy.rebalance`.
     pub fn rebalance_now(&self, reason: impl Into<String>) {
         if let Some(c) = &self.control {
             let _ = c.send(Rebalance::Now {
@@ -639,12 +585,13 @@ impl StapServer {
             .unwrap()
             .join()
             .expect("engine panicked")?;
-        let EngineOut {
+        let SessionSummary {
             resident,
             rebalances,
             recoveries,
             checkpoints,
             lost_cpis,
+            ..
         } = out;
         let collected = self
             .collector
@@ -697,7 +644,7 @@ impl StapServer {
             purged,
             aggregate,
             warmup_cpis,
-            rebalances,
+            rebalances: rebalances.len() as u64,
             stream_health,
             quarantines,
             recoveries: recoveries.len() as u64,
@@ -751,32 +698,60 @@ mod tests {
         assert!(s.aggregate.p99_ms >= s.aggregate.p50_ms);
     }
 
-    /// An elastic server survives a degradation event mid-session: the
-    /// engine shifts a rank toward the degraded task and every CPI
-    /// still completes.
+    /// A rebalancing server that is also supervised and screens: a
+    /// degradation event shifts a rank toward the degraded task, the
+    /// world after the shift screens a corrupted pc->cfar message as one
+    /// degraded CPI, and a later world's panic is recovered, all in one
+    /// session. Launches are deterministic: epochs end every four slots
+    /// and at the shift, and the trigger is sent while launch 1 waits
+    /// for CPI 6 — so the shifted world is launch 2 and the one that
+    /// panics launch 3 (slots 11 and on).
     #[test]
     fn elastic_server_rebalances_on_degradation() {
+        use stap_mp::{FaultAction, FaultPlan, FaultRule, TagPattern};
+        use stap_pipeline::msg::{tag, Edge};
         let params = StapParams::reduced();
         let sc = Scenario::reduced(9);
-        let cubes: Vec<_> = sc.stream(10).map(|(_, _, c)| c).collect();
+        let cubes: Vec<_> = sc.stream(14).map(|(_, _, c)| c).collect();
         let res = ResidentStap::for_scenario(params, NodeAssignment::tiny(), &sc);
-        let server = StapServer::start(
+        // Slot 0 of the shifted world: one corrupted power block per PC
+        // rank, all of one CPI.
+        let corrupt = FaultPlan::seeded(3).rule(FaultRule {
+            src: None,
+            dst: None,
+            tag: TagPattern::exact(tag(Edge::PcToCfar, 0)),
+            action: FaultAction::Corrupt,
+            max_hits: 1,
+        });
+        // Rank 0 is a Doppler rank under every assignment.
+        let panic = FaultPlan::seeded(4).panic_rank(0, 1);
+        let (tap_tx, tap_rx) = mpsc::channel();
+        let server = StapServer::start_with_tap(
             res,
             ServerConfig {
                 max_group: 1,
                 window: 2,
-                elastic: true,
+                screen: true,
                 policy: stap_pipeline::RuntimePolicy {
                     rebalance: true,
                     rebalance_cooldown: 1,
                     ..stap_pipeline::RuntimePolicy::default()
                 },
+                supervised: Some(SupervisorConfig {
+                    checkpoint_every: 4,
+                    max_recoveries: 1,
+                    plans: vec![FaultPlan::default(), FaultPlan::default(), corrupt, panic],
+                }),
                 ..ServerConfig::default()
             },
+            Some(tap_tx),
         );
         server.register(0);
         for (scpi, c) in cubes.iter().enumerate() {
-            if scpi == 5 {
+            if scpi == 6 {
+                // Launch 0 banked slots 0..4; launch 1 ran 4 and 5 and
+                // waits for the next group.
+                assert_eq!(tap_rx.iter().take(6).count(), 6);
                 server.degrade(stap_pipeline::assignment::EASY_WT);
             }
             server.wait_ready(0);
@@ -784,8 +759,17 @@ mod tests {
             server.submit(0, cube).expect("admission");
         }
         let s = server.shutdown().unwrap();
-        assert_eq!(s.cpis, 10);
+        assert_eq!(s.cpis, 14);
         assert_eq!(s.rebalances, 1, "degradation must force one rank shift");
+        assert_eq!(
+            s.resident.health.degraded_cpis, 1,
+            "{:?}",
+            s.resident.health
+        );
+        assert_eq!(s.recoveries, 1, "{:?}", s.recovery_log);
+        assert_eq!(s.recovery_log[0].epoch, 3);
+        assert_eq!(s.lost_cpis, 0);
+        assert_eq!(s.streams[0].cpis, 14, "every CPI delivered once");
         assert!(s.resident.busy.iter().sum::<f64>() > 0.0);
     }
 

@@ -30,7 +30,7 @@ stage_name() {
     8) echo "scalar fallback (STAP_SIMD=off: the non-AVX2 path stays green)" ;;
     9) echo "serve smoke (small loadgen: SLO fields present, zero pool misses)" ;;
     10) echo "assign smoke (lattice explore: frontier sanity + paper case dominated)" ;;
-    11) echo "chaos smoke (seeded campaign: recovery, quarantine, lost-CPI bound)" ;;
+    11) echo "chaos smoke (seeded campaign: recovery, rank shift, quarantine, lost-CPI bound)" ;;
     12) echo "transport parity (bit-identical detections on inproc/shm/tcp + byte reconciliation)" ;;
     *) echo "unknown" ;;
   esac
@@ -155,7 +155,8 @@ PY
       ;;
     11)
       # Seeded chaos campaign on the supervised serve runtime: a
-      # scheduled rank kill must recover from checkpoint, the corrupt
+      # scheduled rank kill must recover from checkpoint, a degradation
+      # after it must shift a rank in the same session, the corrupt
       # tenant must be quarantined, lost CPIs must stay within the
       # checkpoint bound and healthy streams must finish. The campaign
       # gates itself; --expect re-asserts the headline invariants from
@@ -166,15 +167,15 @@ PY
       [ -n "${CHAOS_SMOKE_OUT:-}" ] || trap 'rm -f "$chaos_out"' RETURN
       cargo run --release -q -p stap-bench --bin stapctl -- \
         chaos --seed 7 --cpis 8 --out "$chaos_out" \
-        --expect "recovered>=1,quarantined=1,deadlock=0,passed=1" \
+        --expect "recovered>=1,rebalanced>=1,quarantined=1,deadlock=0,passed=1" \
         && python3 - "$chaos_out" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["passed"] == 1, f"campaign failed gates: {doc['failures']}"
 assert doc["lost_cpis"] <= doc["lost_bound"], f"lost-CPI bound broken: {doc}"
 assert doc["reconnect_ok"] == 1, "churned tenant never completed after reconnect"
-print("chaos smoke ok: %d recoveries, %d checkpoints, %d/%d lost CPIs, %d quarantine(s)"
-      % (doc["recovered"], doc["checkpoints"], doc["lost_cpis"],
+print("chaos smoke ok: %d recoveries, %d rebalances, %d checkpoints, %d/%d lost CPIs, %d quarantine(s)"
+      % (doc["recovered"], doc["rebalanced"], doc["checkpoints"], doc["lost_cpis"],
          doc["lost_bound"], doc["quarantine_events"]))
 PY
       ;;

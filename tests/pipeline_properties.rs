@@ -5,16 +5,20 @@
 use stap::core::{Detection, SequentialStap, StapParams};
 use stap::cube::{block_ranges, AxisPartition, CCube, RedistPlan, SharedBufferPool};
 use stap::math::Cx;
-use stap::mp::{spawn_coordinator, Comm, TcpLink};
-use stap::pipeline::assignment::Partitions;
+use stap::mp::{spawn_coordinator, Comm, FaultPlan, TcpLink};
+use stap::pipeline::assignment::{Partitions, PC};
 use stap::pipeline::msg::Msg;
 use stap::pipeline::runner::RankResult;
 use stap::pipeline::tasks::PipelinePools;
 use stap::pipeline::wire::msg_codec;
-use stap::pipeline::{CpiJob, NodeAssignment, ParallelStap, ResidentStap};
+use stap::pipeline::{
+    CpiJob, NodeAssignment, ParallelStap, Rebalance, ResidentStap, RuntimePolicy, Session,
+    SupervisorConfig,
+};
 use stap::radar::Scenario;
 use stap::sim::{simulate, SimConfig};
 use stap_util::check::check;
+use std::collections::BTreeSet;
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -301,6 +305,47 @@ enum FrontEnd {
     Serve,
     /// `ResidentStap::serve`: three streams coalesced three to a slot.
     ServeGrouped,
+    /// A supervised, rebalancing `Session`: three streams three to a
+    /// slot, a checkpoint every two slots, `Rebalance::At(REBALANCE_AT)`,
+    /// and a PC-rank panic at global slot `kill`.
+    Session { kill: u64 },
+}
+
+/// The `Session` cells' scheduled rebalance: after the third slot.
+const REBALANCE_AT: u64 = 3;
+/// The `Session` cells' checkpoint cadence, in slots.
+const CHECKPOINT_EVERY: u64 = 2;
+
+/// The launch that runs global slot `slot`, and its local slot index,
+/// in a session that has not failed yet: epochs end every
+/// `CHECKPOINT_EVERY` slots and after slot `REBALANCE_AT - 1`.
+fn launch_of(slot: u64) -> (usize, u64) {
+    let (mut start, mut launch) = (0, 0);
+    loop {
+        let mut end = start + CHECKPOINT_EVERY;
+        if start < REBALANCE_AT {
+            end = end.min(REBALANCE_AT);
+        }
+        if slot < end {
+            return (launch, slot - start);
+        }
+        (start, launch) = (end, launch + 1);
+    }
+}
+
+/// PC's ranks under `assign` and under every assignment one rank shift
+/// away: a world after the rebalance runs one of them.
+fn pc_ranks_within_one_shift(assign: NodeAssignment) -> BTreeSet<usize> {
+    let mut ranks: BTreeSet<usize> = assign.rank_range(PC).collect();
+    for hot in 0..7 {
+        for donor in (0..7).filter(|&d| d != hot && assign.0[d] > 1) {
+            let mut next = assign;
+            next.0[hot] += 1;
+            next.0[donor] -= 1;
+            ranks.extend(next.rank_range(PC));
+        }
+    }
+    ranks
 }
 
 /// Runs `streams` (one cube list per stream) through `front` and returns
@@ -353,40 +398,119 @@ fn run_front(
             let (done_tx, done_rx) = mpsc::channel();
             let pool = res.pools().cx.clone();
             let summary = std::thread::scope(|s| {
-                s.spawn(move || {
-                    for scpi in 0..streams[0].len() {
-                        let slot = (streams.iter().enumerate())
-                            .map(|(stream, cubes)| CpiJob {
-                                stream: stream as u16,
-                                scpi: scpi as u32,
-                                cube: pool.take_cube_from(&cubes[scpi]),
-                                submitted: Instant::now(),
-                            })
-                            .collect();
-                        jobs_tx.send(slot).unwrap();
-                    }
-                });
+                s.spawn(move || send_slots(streams, &pool, jobs_tx));
                 res.serve(jobs_rx, done_tx).unwrap()
             });
             // Demand-driven reserve: the steady state is miss-free.
             assert_eq!(summary.pool_cx.misses, 0, "{:?}", summary.pool_cx);
             assert_eq!(summary.pool_real.misses, 0, "{:?}", summary.pool_real);
-            let mut got = vec![vec![Bits::new(); streams[0].len()]; group];
-            for d in done_rx {
-                assert!(d.latency >= 0.0 && !d.degraded);
-                got[d.stream as usize][d.scpi as usize] = bits(&d.detections);
-            }
-            got
+            collect(done_rx, group, streams[0].len())
+        }
+        FrontEnd::Session { kill } => {
+            let res = ResidentStap::for_scenario(params, assign, scenario).with_max_group(3);
+            res.reserve(3, 4);
+            let (launch, local) = launch_of(kill);
+            let ranks = if kill < REBALANCE_AT {
+                assign.rank_range(PC).collect()
+            } else {
+                pc_ranks_within_one_shift(assign)
+            };
+            let mut plans = vec![FaultPlan::default(); launch + 1];
+            plans[launch] = (ranks.into_iter()).fold(FaultPlan::seeded(kill), |plan, rank| {
+                plan.panic_rank(rank, local)
+            });
+            let (ctl_tx, ctl_rx) = mpsc::channel();
+            ctl_tx.send(Rebalance::At(REBALANCE_AT)).unwrap();
+            let session = Session {
+                supervise: Some(SupervisorConfig {
+                    checkpoint_every: CHECKPOINT_EVERY,
+                    max_recoveries: 1,
+                    plans,
+                }),
+                control: Some(ctl_rx),
+                // Any imbalance admits the shift: the bottleneck is never
+                // less busy per node than the donor.
+                policy: RuntimePolicy {
+                    rebalance: true,
+                    rebalance_cooldown: 1,
+                    rebalance_imbalance: 1.0,
+                    ..RuntimePolicy::default()
+                },
+                reserve: (3, 4),
+                ..Session::default()
+            };
+            let (jobs_tx, jobs_rx) = mpsc::sync_channel(2);
+            let (done_tx, done_rx) = mpsc::channel();
+            let pool = res.pools().cx.clone();
+            let summary = std::thread::scope(|s| {
+                s.spawn(move || send_slots(streams, &pool, jobs_tx));
+                session.run(&res, jobs_rx, done_tx).unwrap()
+            });
+            assert_eq!(summary.recoveries.len(), 1, "{:?}", summary.recoveries);
+            assert_eq!(summary.lost_cpis, 0);
+            // `[1; 7]` has no donor: its boundary runs an epoch without
+            // a shift.
+            let shifts = usize::from(assign != NodeAssignment([1; 7]));
+            assert_eq!(summary.rebalances.len(), shifts, "{assign:?}");
+            collect(done_rx, streams.len(), streams[0].len())
         }
     }
+}
+
+/// Sends one slot per CPI index, carrying that CPI of every stream.
+fn send_slots(
+    streams: &[Vec<CCube>],
+    pool: &SharedBufferPool<Cx>,
+    jobs: mpsc::SyncSender<Vec<CpiJob>>,
+) {
+    for scpi in 0..streams[0].len() {
+        let slot = (streams.iter().enumerate())
+            .map(|(stream, cubes)| CpiJob {
+                stream: stream as u16,
+                scpi: scpi as u32,
+                cube: pool.take_cube_from(&cubes[scpi]),
+                submitted: Instant::now(),
+            })
+            .collect();
+        jobs.send(slot).unwrap();
+    }
+}
+
+/// Every stream's detections per CPI, each CPI delivered exactly once
+/// and clean.
+fn collect(
+    done_rx: mpsc::Receiver<stap::pipeline::CpiDone>,
+    streams: usize,
+    cpis: usize,
+) -> Vec<Vec<Bits>> {
+    let mut got = vec![vec![None; cpis]; streams];
+    for d in done_rx {
+        assert!(d.latency >= 0.0 && !d.degraded);
+        let cell = &mut got[d.stream as usize][d.scpi as usize];
+        assert!(
+            cell.is_none(),
+            "stream {} CPI {} delivered twice",
+            d.stream,
+            d.scpi
+        );
+        *cell = Some(bits(&d.detections));
+    }
+    (got.into_iter())
+        .map(|s| {
+            s.into_iter()
+                .map(|b| b.expect("every CPI delivered"))
+                .collect()
+        })
+        .collect()
 }
 
 /// The acceptance matrix of the one engine: four assignments (from one
 /// node per task to four Doppler nodes, so operands are packed from up
 /// to four blocks and hard-weight lane groups are padded and cut) × one
 /// and three transmit beams (so weights are applied one revisit late
-/// per azimuth) × four front ends, every cell compared bit for bit with
-/// `SequentialStap` per stream.
+/// per azimuth) × six front ends, every cell compared bit for bit with
+/// `SequentialStap` per stream. The two `Session` cells kill a world
+/// before and after the scheduled rebalance.
 #[test]
 fn every_front_end_matches_the_sequential_reference_bitwise() {
     let params = StapParams::reduced();
@@ -425,6 +549,8 @@ fn every_front_end_matches_the_sequential_reference_bitwise() {
                 FrontEnd::BatchOverTcp,
                 FrontEnd::Serve,
                 FrontEnd::ServeGrouped,
+                FrontEnd::Session { kill: 1 },
+                FrontEnd::Session { kill: 6 },
             ] {
                 let got = run_front(front, assign, &scenarios[0], &streams);
                 assert_eq!(

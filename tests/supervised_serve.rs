@@ -169,6 +169,31 @@ fn clean_supervised_run_checkpoints_and_loses_nothing() {
     assert!(s.checkpoints >= 3, "got {} checkpoints", s.checkpoints);
     assert_eq!(s.stream_health.len(), 1);
     assert_eq!(s.stream_health[0].ok, 7);
+
+    // Two streams four deep: the retained copies are reserved on top of
+    // the raw cubes admission and the window hold, so a clean session
+    // never misses the pool.
+    let cubes: Vec<_> = sc.stream(24).map(|(_, _, c)| c).collect();
+    let res = ResidentStap::for_scenario(StapParams::reduced(), NodeAssignment::tiny(), &sc);
+    let (tap_tx, tap_rx) = std::sync::mpsc::channel();
+    let server = StapServer::start_with_tap(
+        res,
+        ServerConfig {
+            window: 1,
+            max_group: 1,
+            queue_depth: 4,
+            streams_hint: 2,
+            supervised: Some(SupervisorConfig {
+                checkpoint_every: 8,
+                ..SupervisorConfig::default()
+            }),
+            ..ServerConfig::default()
+        },
+        Some(tap_tx),
+    );
+    let (s, _) = run_streams(server, tap_rx, &[cubes.clone(), cubes]);
+    assert_eq!((s.cpis, s.recoveries, s.lost_cpis), (48, 0, 0));
+    assert_eq!(s.resident.pool_cx.misses, 0, "{:?}", s.resident.pool_cx);
 }
 
 /// A stream leaving mid-flight drains as `Dropped` in its health row:
