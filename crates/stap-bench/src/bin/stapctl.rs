@@ -14,20 +14,19 @@
 //! stapctl loadgen  [--streams 4] [--cpis 8] [--seed 42] [--depth 2] [--group G]
 //!                  [--window 4] [--json] [--out PATH]
 //! stapctl trace    [--cpis 6] [--seed 42] [--nodes 2,1,2,1,1,2,1] [--json]
-//!                  [--transport inproc|shm|tcp] [--out TRACE_pipeline.json]
+//!                  [--transport inproc|tcp] [--out TRACE_pipeline.json]
 //! stapctl chaos    [--seed 7] [--cpis 10] [--checkpoint-every 3] [--deadline 120]
 //!                  [--expect recovered>=1,rebalanced>=1,quarantined=1] [--json]
 //!                  [--out PATH]
-//! stapctl cluster  [--transport shm|tcp] [--cpis 6] [--seed 42] [--nodes ...]
+//! stapctl cluster  [--transport inproc|tcp] [--cpis 6] [--seed 42] [--nodes ...]
 //!                  [--relaunches 0] [--json] [--out PATH]
 //! ```
 //!
 //! `--transport` selects the rank fabric: `inproc` (the default) runs
-//! every rank as a thread over channels; `shm` and `tcp` run each task
-//! rank as a separate OS process over a shared-memory ring region or a
-//! length-prefixed TCP mesh (with an in-process rendezvous listener),
-//! the parent holding the driver rank. Detections are bit-identical
-//! across all three — `trace --json` emits a `detections_digest` the CI
+//! every rank as a thread over channels; `tcp` runs each task rank as a
+//! separate OS process over a length-prefixed TCP mesh (with an
+//! in-process rendezvous listener), the parent holding the driver rank.
+//! Detections are bit-identical across both — `trace --json` emits a `detections_digest` the CI
 //! parity stage compares. `cluster` is the standalone multi-process
 //! launcher (with relaunch supervision); `_rank` is the hidden re-exec
 //! entry point child rank processes run.
@@ -76,12 +75,12 @@ fn usage() -> ExitCode {
         "usage:\n  \
          stapctl simulate --nodes N0,..,N6 [--cpis K] [--input-rate R] [--replicas R0,..,R6] [--contention]\n  \
          stapctl detect [--cpis K] [--seed S] [--full] [--nodes N0,..,N6]\n  \
-         stapctl faults [--cpis K] [--seed S] [--drop-cpi C] [--stall-cpi C] [--transport inproc|shm|tcp] [--expect degraded=G,dropped=D] [--json] [--out PATH]\n  \
+         stapctl faults [--cpis K] [--seed S] [--drop-cpi C] [--stall-cpi C] [--transport inproc|tcp] [--expect degraded=G,dropped=D] [--json] [--out PATH]\n  \
          stapctl assign [--budget B] [--cpis K] [--evals E] [--expect sane,paper-case] [--json] [--out PATH]\n  \
          stapctl serve [--streams N] [--cpis K] [--seed S] [--depth D] [--group G] [--window W] [--json] [--out PATH]\n  \
          stapctl loadgen [--streams N] [--cpis K] [--seed S] [--depth D] [--group G] [--window W] [--json] [--out PATH]\n  \
-         stapctl trace [--cpis K] [--seed S] [--nodes N0,..,N6] [--transport inproc|shm|tcp] [--json] [--out PATH]\n  \
-         stapctl cluster [--transport shm|tcp|inproc] [--cpis K] [--seed S] [--nodes N0,..,N6] [--relaunches R] [--json] [--out PATH]\n  \
+         stapctl trace [--cpis K] [--seed S] [--nodes N0,..,N6] [--transport inproc|tcp] [--json] [--out PATH]\n  \
+         stapctl cluster [--transport inproc|tcp] [--cpis K] [--seed S] [--nodes N0,..,N6] [--relaunches R] [--json] [--out PATH]\n  \
          stapctl chaos [--seed S] [--cpis K] [--checkpoint-every C] [--deadline D] [--expect recovered>=1,rebalanced>=1,quarantined=1] [--json] [--out PATH]"
     );
     ExitCode::from(2)
@@ -290,7 +289,7 @@ fn cmd_faults(flags: HashMap<String, String>) -> Result<(), String> {
     // the outcome classification is exactly reproducible — on every
     // transport: `cluster::build_runner` reconstructs this exact plan
     // (same edge timeouts, same corruptor) in each rank process, so the
-    // classification parity across inproc/shm/tcp is a testable gate.
+    // classification parity across inproc and tcp is a testable gate.
     let assign = NodeAssignment::tiny();
     let easy_wt_rank = assign.rank_range(EASY_WT).start;
     println!(
@@ -811,7 +810,7 @@ fn cmd_trace(flags: HashMap<String, String>) -> Result<(), String> {
     // The canonical tracing configuration: the reduced scenario with a
     // two-azimuth revisit cycle, so the temporal weight dependency
     // (weights applied `beams` CPIs later) is exercised without the
-    // paper's full five-beam cycle. All three transports run through
+    // paper's full five-beam cycle. Both transports run through
     // `cluster::run_cluster` (inproc short-circuits to the thread
     // runner), so the detections digest below is directly comparable
     // across `--transport` values — the CI parity gate's whole basis.
@@ -899,9 +898,9 @@ fn cmd_trace(flags: HashMap<String, String>) -> Result<(), String> {
 }
 
 /// `stapctl cluster`: run the canonical reduced pipeline as a real
-/// multi-process cluster — the parent holds the driver rank plus the
-/// transport bootstrap (shared ring region for `shm`, rendezvous
-/// listener for `tcp`), and each task rank is a re-execed `stapctl
+/// multi-process cluster over TCP (the default; `inproc` runs the same
+/// configuration as threads) — the parent holds the driver rank plus
+/// the rendezvous listener, and each task rank is a re-execed `stapctl
 /// _rank` child process — under relaunch supervision, then report
 /// throughput and the detections digest the CI parity gate compares.
 fn cmd_cluster(flags: HashMap<String, String>) -> Result<(), String> {
@@ -909,7 +908,7 @@ fn cmd_cluster(flags: HashMap<String, String>) -> Result<(), String> {
     use stap_bench::cluster::{run_supervised, ClusterConfig};
     use stap_util::Json;
 
-    let transport = parse_transport(&flags, stap::mp::TransportKind::Shm)?;
+    let transport = parse_transport(&flags, stap::mp::TransportKind::Tcp)?;
     let mut cfg = ClusterConfig::canonical(transport);
     if let Some(c) = flags.get("cpis") {
         cfg.cpis = c.parse().map_err(|e| format!("--cpis: {e}"))?;

@@ -2,14 +2,17 @@
 //!
 //! The in-process pipeline (`ParallelStap::try_run`) runs every rank as
 //! a thread over the channel fabric. This module runs the *same* ranks
-//! as separate OS processes over a wire transport (shared memory or
-//! TCP): the parent process owns the driver rank on a thread, spawns
-//! one child process per task rank (a hidden `stapctl _rank` re-exec),
-//! and supervises them — a child that dies poisons the driver's comm so
-//! the run fails fast instead of hanging, mirroring the serve session's
-//! fail-detect-relaunch discipline (see `stap_pipeline::session`;
-//! [`run_supervised`] is the cluster analogue of its `max_recoveries`
-//! loop, restarting from scratch rather than from a checkpoint).
+//! as separate OS processes over loopback TCP: the parent process owns
+//! the rendezvous coordinator and the driver rank on threads, spawns one
+//! child process per task rank (a hidden `stapctl _rank` re-exec), and
+//! supervises them. A child that dies takes its world down at once: the
+//! parent kills the other ranks, so the driver's comm sees every peer's
+//! EOF, and aborts the rendezvous, so a death during wire-up fails the
+//! launch instead of waiting out the wire-up timeout. This mirrors the
+//! serve session's fail-detect-relaunch discipline (see
+//! `stap_pipeline::session`; [`run_supervised`] is the cluster analogue
+//! of its `max_recoveries` loop, restarting from scratch rather than
+//! from a checkpoint).
 //!
 //! The entire pipeline code path is shared with the in-process runner:
 //! children call [`stap::pipeline::ParallelStap::run_rank`] — the exact
@@ -26,9 +29,7 @@
 //! any other edge.
 
 use stap::cube::CCube;
-use stap::mp::{
-    spawn_coordinator, Comm, ShmLink, ShmRegion, TcpLink, TraceSink, TransportKind, WireLink,
-};
+use stap::mp::{abort_rendezvous, spawn_coordinator, Comm, TcpLink, TraceSink, TransportKind};
 use stap::pipeline::assignment::Partitions;
 use stap::pipeline::fault::nan_corruptor;
 use stap::pipeline::msg::Msg;
@@ -67,7 +68,8 @@ pub struct FaultSpec {
 /// bit-for-bit on scenario data, steering and fault plans.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
-    /// Wire transport (`InProc` short-circuits to the thread runner).
+    /// `Tcp` runs every rank as a process; `InProc` short-circuits to
+    /// the thread runner.
     pub transport: TransportKind,
     /// Node counts per task.
     pub nodes: [usize; 7],
@@ -166,8 +168,6 @@ pub fn build_runner(cfg: &ClusterConfig) -> (ParallelStap, Vec<CCube>) {
 fn child_args(cfg: &ClusterConfig, rank: usize, endpoint: &str) -> Vec<String> {
     let mut a = vec![
         "_rank".to_string(),
-        "--transport".into(),
-        cfg.transport.name().to_string(),
         "--rank".into(),
         rank.to_string(),
         "--endpoint".into(),
@@ -195,11 +195,10 @@ fn child_args(cfg: &ClusterConfig, rank: usize, endpoint: &str) -> Vec<String> {
 }
 
 /// Entry point for the hidden `stapctl _rank` subcommand: parses the
-/// flags `child_args` built, runs exactly one rank over the wire, and
-/// prints the sentinel-prefixed JSON result line.
+/// flags `child_args` built, runs exactly one rank over TCP, and prints
+/// the sentinel-prefixed JSON result line.
 pub fn child_main(flags: &HashMap<String, String>) -> Result<(), String> {
     let get = |k: &str| -> Result<&String, String> { flags.get(k).ok_or(format!("--{k} missing")) };
-    let transport: TransportKind = get("transport")?.parse()?;
     let rank: usize = get("rank")?.parse().map_err(|e| format!("--rank: {e}"))?;
     let endpoint = get("endpoint")?.clone();
     let nodes: Vec<usize> = get("nodes")?
@@ -210,7 +209,7 @@ pub fn child_main(flags: &HashMap<String, String>) -> Result<(), String> {
         .try_into()
         .map_err(|_| "--nodes needs 7 counts".to_string())?;
     let cfg = ClusterConfig {
-        transport,
+        transport: TransportKind::Tcp,
         nodes,
         cpis: get("cpis")?.parse().map_err(|e| format!("--cpis: {e}"))?,
         seed: get("seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
@@ -243,27 +242,8 @@ pub fn child_main(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     let (runner, cpis) = build_runner(&cfg);
-    let size = runner.assign.world_size();
-    let link: Box<dyn WireLink> = match cfg.transport {
-        TransportKind::Shm => Box::new(
-            ShmLink::attach(std::path::Path::new(&endpoint), rank)
-                .map_err(|e| format!("shm attach {endpoint}: {e}"))?,
-        ),
-        TransportKind::Tcp => Box::new(
-            TcpLink::rendezvous(&endpoint, rank, size)
-                .map_err(|e| format!("tcp rendezvous {endpoint}: {e}"))?,
-        ),
-        TransportKind::InProc => return Err("_rank needs a wire transport".into()),
-    };
-    let mut comm: Comm<Msg> = Comm::over_wire(link, msg_codec());
-    if let Some(plan) = runner.faults.clone() {
-        comm.install_fault_plan(plan, Some(nan_corruptor()));
-    }
     let sink = TraceSink::new();
-    let epoch = runner.tracing.then(Instant::now);
-    if let Some(e) = epoch {
-        comm.install_tracing(e, &sink, stap::pipeline::msg::wire_bytes);
-    }
+    let (mut comm, epoch) = join_world(&runner, &endpoint, rank, &sink)?;
     let parts = Partitions::new(&runner.params, &runner.assign);
     let pools = PipelinePools::default();
     let result = runner.run_rank(&mut comm, &cpis, &parts, &pools, epoch);
@@ -284,10 +264,32 @@ pub fn child_main(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// Joins the TCP mesh at `endpoint` as `rank` and builds its comm with
+/// the runner's fault plan and, when it traces, `sink` installed; the
+/// epoch is `Some` exactly when it traces.
+fn join_world(
+    runner: &ParallelStap,
+    endpoint: &str,
+    rank: usize,
+    sink: &TraceSink,
+) -> Result<(Comm<Msg>, Option<Instant>), String> {
+    let link = TcpLink::rendezvous(endpoint, rank, runner.assign.world_size())
+        .map_err(|e| format!("rank {rank} rendezvous at {endpoint}: {e}"))?;
+    let mut comm: Comm<Msg> = Comm::over_wire(Box::new(link), msg_codec());
+    if let Some(plan) = runner.faults.clone() {
+        comm.install_fault_plan(plan, Some(nan_corruptor()));
+    }
+    let epoch = runner.tracing.then(Instant::now);
+    if let Some(e) = epoch {
+        comm.install_tracing(e, sink, stap::pipeline::msg::wire_bytes);
+    }
+    Ok((comm, epoch))
+}
+
 /// Runs the configured pipeline as a process cluster and returns the
 /// assembled output — or, for [`TransportKind::InProc`], delegates to
-/// the thread runner so callers can sweep all three transports through
-/// one entry point.
+/// the thread runner so callers can sweep both transports through one
+/// entry point.
 pub fn run_cluster(cfg: &ClusterConfig) -> Result<PipelineOutput, String> {
     let (runner, cpis) = build_runner(cfg);
     if cfg.transport == TransportKind::InProc {
@@ -297,46 +299,11 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<PipelineOutput, String> {
     let size = runner.assign.world_size();
     let driver_rank = size - 1;
 
-    // Transport bootstrap. The shm region file and the rendezvous
-    // coordinator live exactly as long as this run.
-    let (endpoint, _region) = match cfg.transport {
-        TransportKind::Shm => {
-            let region = ShmRegion::create(size).map_err(|e| format!("shm region: {e}"))?;
-            (region.path().display().to_string(), Some(region))
-        }
-        TransportKind::Tcp => {
-            // The coordinator thread exits once every rank has its port
-            // table; on a failed bootstrap it leaks blocked in accept,
-            // which is fine for a process that is about to exit anyway.
-            let (addr, _serve) =
-                spawn_coordinator(size).map_err(|e| format!("rendezvous listener: {e}"))?;
-            (addr, None)
-        }
-        TransportKind::InProc => unreachable!(),
-    };
-
-    // Children first (they block in attach/rendezvous until everyone,
-    // including the parent's driver link below, arrives).
-    let mut children: Vec<Option<Child>> = Vec::with_capacity(driver_rank);
-    let mut readers = Vec::with_capacity(driver_rank);
-    for rank in 0..driver_rank {
-        let mut child = Command::new(&cfg.exe)
-            .args(child_args(cfg, rank, &endpoint))
-            .envs(cfg.child_env.iter().map(|(k, v)| (k, v)))
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .map_err(|e| format!("spawn rank {rank} ({}): {e}", cfg.exe.display()))?;
-        let stdout = child.stdout.take().expect("stdout was piped");
-        readers.push(std::thread::spawn(move || {
-            std::io::BufReader::new(stdout)
-                .lines()
-                .map_while(Result::ok)
-                .collect::<Vec<String>>()
-        }));
-        children.push(Some(child));
-    }
-
+    // The rendezvous coordinator serves this run's wire-up only and is
+    // joined on every path out: it ends once every rank has its port
+    // table, when a failed launch aborts it, or at its own deadline.
+    let (endpoint, coordinator) =
+        spawn_coordinator(size).map_err(|e| format!("rendezvous listener: {e}"))?;
     let kill_all = |children: &mut Vec<Option<Child>>| {
         for c in children.iter_mut().flatten() {
             let _ = c.kill();
@@ -346,55 +313,65 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<PipelineOutput, String> {
                 let _ = c.wait();
             }
         }
+        abort_rendezvous(&endpoint);
     };
 
-    // The parent's own rank: the driver, over the same wire.
-    let link: Box<dyn WireLink> = match cfg.transport {
-        TransportKind::Shm => match ShmLink::attach(std::path::Path::new(&endpoint), driver_rank) {
-            Ok(l) => Box::new(l),
+    // Children first (they block in rendezvous until everyone,
+    // including the parent's driver rank, arrives).
+    let mut children: Vec<Option<Child>> = Vec::with_capacity(driver_rank);
+    let mut readers = Vec::with_capacity(driver_rank);
+    let mut failure: Option<String> = None;
+    for rank in 0..driver_rank {
+        let spawned = Command::new(&cfg.exe)
+            .args(child_args(cfg, rank, &endpoint))
+            .envs(cfg.child_env.iter().map(|(k, v)| (k, v)))
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
+            .spawn();
+        let mut child = match spawned {
+            Ok(c) => c,
             Err(e) => {
-                kill_all(&mut children);
-                return Err(format!("driver shm attach: {e}"));
+                failure = Some(format!("spawn rank {rank} ({}): {e}", cfg.exe.display()));
+                break;
             }
-        },
-        TransportKind::Tcp => match TcpLink::rendezvous(&endpoint, driver_rank, size) {
-            Ok(l) => Box::new(l),
-            Err(e) => {
-                kill_all(&mut children);
-                return Err(format!("driver rendezvous: {e}"));
-            }
-        },
-        TransportKind::InProc => unreachable!(),
-    };
-    let mut comm: Comm<Msg> = Comm::over_wire(link, msg_codec());
-    if let Some(plan) = runner.faults.clone() {
-        comm.install_fault_plan(plan, Some(nan_corruptor()));
+        };
+        let stdout = child.stdout.take().expect("stdout was piped");
+        readers.push(std::thread::spawn(move || {
+            std::io::BufReader::new(stdout)
+                .lines()
+                .map_while(Result::ok)
+                .collect::<Vec<String>>()
+        }));
+        children.push(Some(child));
     }
+    if let Some(why) = failure {
+        kill_all(&mut children);
+        let _ = coordinator.join();
+        for r in readers {
+            let _ = r.join();
+        }
+        return Err(why);
+    }
+
     let sink = TraceSink::new();
-    let epoch = runner.tracing.then(Instant::now);
-    if let Some(e) = epoch {
-        comm.install_tracing(e, &sink, stap::pipeline::msg::wire_bytes);
-    }
-    let poison = comm.poison_handle();
     let parts = Partitions::new(&runner.params, &runner.assign);
     let pools = PipelinePools::default();
-
     let num_cpis = cpis.len();
-    // The driver borrows the runner, so it runs on a scoped thread; the
-    // scope's own thread is the supervisor.
-    let (driver_result, failure) = std::thread::scope(|s| {
+    // The driver rank joins the wire and runs on a scoped thread (it
+    // borrows the runner), so the scope's own thread is already
+    // reaping children while the driver waits in the rendezvous.
+    let driver_result = std::thread::scope(|s| {
         let driver = s.spawn(|| {
-            let mut comm = comm;
+            let (mut comm, epoch) = join_world(&runner, &endpoint, driver_rank, &sink)?;
             let r = runner.run_rank(&mut comm, &cpis, &parts, &pools, epoch);
             drop(comm);
-            r
+            Ok::<_, String>(r)
         });
 
         // Supervision loop: reap children, fail fast on a dead rank,
         // and bound the whole run with a slack-scaled watchdog (a hung
         // wire must not hang CI).
         let deadline = Instant::now() + Duration::from_secs(stap_util::slacked_secs(120));
-        let mut failure: Option<String> = None;
         loop {
             let mut all_done = true;
             for (rank, slot) in children.iter_mut().enumerate() {
@@ -427,13 +404,16 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<PipelineOutput, String> {
             std::thread::sleep(Duration::from_millis(5));
         }
         if failure.is_some() {
-            // Poison the driver so its blocked receives fail fast, then
-            // take the rest of the world down with the failed rank.
-            poison.store(true, std::sync::atomic::Ordering::SeqCst);
+            // Take the rest of the world down with the failed rank: the
+            // driver's comm sees every peer's EOF, and its rendezvous,
+            // if it is still in one, fails with the coordinator's.
             kill_all(&mut children);
         }
-        (driver.join(), failure)
+        driver.join()
     });
+    // Joined for its thread, not its result: the rendezvous either
+    // wired every rank or failed one of them, which reported it.
+    let _ = coordinator.join();
     let child_lines: Vec<Vec<String>> = readers
         .into_iter()
         .map(|r| r.join().unwrap_or_default())
@@ -442,7 +422,7 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<PipelineOutput, String> {
         return Err(why);
     }
     let driver_result = match driver_result {
-        Ok(r) => r,
+        Ok(r) => r?,
         Err(p) => {
             let msg = p
                 .downcast_ref::<String>()

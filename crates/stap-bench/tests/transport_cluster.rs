@@ -2,8 +2,9 @@
 //! launcher: the same canonical configuration must produce bit-identical
 //! detections, the same trace event multiset, and the same fault
 //! classification whether the ranks are threads over channels (inproc)
-//! or separate OS processes over shared memory / loopback TCP — and a
-//! killed rank process must be recovered by the relaunch supervisor.
+//! or separate OS processes over loopback TCP — and a killed rank
+//! process must fail its launch promptly and be recovered by the
+//! relaunch supervisor.
 //!
 //! Child ranks re-exec the real `stapctl` binary (Cargo builds it for
 //! integration tests and exposes the path via `CARGO_BIN_EXE_stapctl`),
@@ -16,6 +17,7 @@ use stap::pipeline::PipelineOutput;
 use stap_bench::cluster::{run_cluster, run_supervised, ClusterConfig, FaultSpec};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
 
 fn canonical(transport: TransportKind) -> ClusterConfig {
     let mut cfg = ClusterConfig::canonical(transport);
@@ -23,12 +25,12 @@ fn canonical(transport: TransportKind) -> ClusterConfig {
     cfg
 }
 
-/// Every test here launches up to eight rank processes over a
-/// sleep-polling fabric, and the fault campaign classifies by wall-clock
-/// deadlines: run at once (cargo's default) they starve each other on a
-/// two-core host, so each test holds this lock for its whole body. The
-/// lock guards no data, so a test that failed while holding it must not
-/// fail the others through poisoning.
+/// Every test here launches eight rank processes, and the fault
+/// campaign classifies by wall-clock deadlines: run at once (cargo's
+/// default) they starve each other on a two-core host, so each test
+/// holds this lock for its whole body. The lock guards no data, so a
+/// test that failed while holding it must not fail the others through
+/// poisoning.
 fn serial() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
     SERIAL
@@ -47,17 +49,15 @@ fn inproc_baseline() -> &'static PipelineOutput {
 fn detections_bit_identical_across_transports() {
     let _serial = serial();
     let base = inproc_baseline();
-    let want = detections_digest(&base.detections);
-    for transport in [TransportKind::Shm, TransportKind::Tcp] {
-        let out = run_cluster(&canonical(transport)).expect(transport.name());
-        assert_eq!(
-            out.detections,
-            base.detections,
-            "{} detections differ from inproc",
-            transport.name()
-        );
-        assert_eq!(detections_digest(&out.detections), want);
-    }
+    let out = run_cluster(&canonical(TransportKind::Tcp)).expect("tcp run");
+    assert_eq!(
+        out.detections, base.detections,
+        "tcp detections differ from inproc"
+    );
+    assert_eq!(
+        detections_digest(&out.detections),
+        detections_digest(&base.detections)
+    );
 }
 
 /// The application-level trace events — sends and receives of tagged
@@ -93,17 +93,10 @@ fn trace_event_multiset_deterministic_across_transports() {
     cfg.tracing = true;
     let base = data_event_multiset(&run_cluster(&cfg).expect("inproc run"));
     assert!(!base.is_empty(), "traced run recorded no data events");
-    for transport in [TransportKind::Shm, TransportKind::Tcp] {
-        let mut cfg = canonical(transport);
-        cfg.tracing = true;
-        let events = data_event_multiset(&run_cluster(&cfg).expect(transport.name()));
-        assert_eq!(
-            events,
-            base,
-            "{} trace event multiset differs from inproc",
-            transport.name()
-        );
-    }
+    let mut cfg = canonical(TransportKind::Tcp);
+    cfg.tracing = true;
+    let events = data_event_multiset(&run_cluster(&cfg).expect("tcp run"));
+    assert_eq!(events, base, "tcp trace event multiset differs from inproc");
 }
 
 #[test]
@@ -123,17 +116,13 @@ fn fault_classification_parity_across_transports() {
     let base = run_cluster(&campaign(TransportKind::InProc)).expect("inproc campaign");
     assert_eq!(base.timings.health.degraded_cpis, 3);
     assert_eq!(base.timings.health.dropped_cpis, 1);
-    for transport in [TransportKind::Shm, TransportKind::Tcp] {
-        let out = run_cluster(&campaign(transport)).expect(transport.name());
-        assert_eq!(
-            out.timings.outcomes,
-            base.timings.outcomes,
-            "{} per-CPI fault classification differs from inproc",
-            transport.name()
-        );
-        assert_eq!(out.timings.health.degraded_cpis, 3);
-        assert_eq!(out.timings.health.dropped_cpis, 1);
-    }
+    let out = run_cluster(&campaign(TransportKind::Tcp)).expect("tcp campaign");
+    assert_eq!(
+        out.timings.outcomes, base.timings.outcomes,
+        "tcp per-CPI fault classification differs from inproc"
+    );
+    assert_eq!(out.timings.health.degraded_cpis, 3);
+    assert_eq!(out.timings.health.dropped_cpis, 1);
 }
 
 #[test]
@@ -142,20 +131,31 @@ fn killed_rank_process_is_relaunched_and_completes() {
     let marker = std::env::temp_dir().join(format!("stap_abort_once_{}", std::process::id()));
     let _ = std::fs::remove_file(&marker);
 
-    // Rank 3 dies on the first launch (before it even attaches to the
-    // ring region); the supervisor must detect the dead process, poison
-    // the parent's driver comm so it cannot hang, tear the world down
-    // and relaunch — and the relaunched run must still produce the
-    // bit-exact canonical detections.
-    let mut cfg = canonical(TransportKind::Shm);
+    // Rank 3 dies on the first launch, before it joins the rendezvous.
+    // The supervisor must see the dead process, abort the wire-up the
+    // parent's driver is waiting in, tear the world down and relaunch;
+    // the relaunched run must still produce the bit-exact canonical
+    // detections. The first launch fails well inside the rendezvous
+    // timeout (30 s), and a clean launch takes well under a second, so
+    // the whole supervised run fits in 5 s (slack-scaled). `run_cluster`
+    // joins its coordinator on every path, so a coordinator left in its
+    // accept loop would hang the failed launch instead of passing.
+    let mut cfg = canonical(TransportKind::Tcp);
     cfg.child_env = vec![(
         "STAP_TEST_ABORT_ONCE".to_string(),
         format!("3:{}", marker.display()),
     )];
+    let started = Instant::now();
     let result = run_supervised(&cfg, 2);
+    let took = started.elapsed();
     let _ = std::fs::remove_file(&marker);
     let (out, relaunches) = result.expect("supervised run");
     assert_eq!(relaunches, 1, "exactly one relaunch after the rank kill");
+    let bound = Duration::from_secs(5).mul_f64(stap_util::ci_slack());
+    assert!(
+        took < bound,
+        "failed launch plus relaunch took {took:?} (bound {bound:?})"
+    );
 
     assert_eq!(
         detections_digest(&out.detections),

@@ -214,9 +214,9 @@ pub(crate) struct WireState<M> {
 pub(crate) struct WireFabric<M> {
     pub(crate) size: usize,
     pub(crate) state: RefCell<WireState<M>>,
-    /// External kill switch: a supervisor (e.g. the cluster parent after
-    /// a child process dies) sets this to turn blocked receives into
-    /// `Disconnected`, mirroring world poisoning on the local fabric.
+    /// External kill switch: a supervisor sets this to turn blocked
+    /// receives into `Disconnected`, mirroring world poisoning on the
+    /// local fabric.
     pub(crate) poisoned: Arc<AtomicBool>,
 }
 
@@ -248,7 +248,7 @@ enum Step<M> {
 ///
 /// Endpoints are fabric-agnostic: [`crate::World`] builds them over
 /// in-process channels, [`Comm::over_wire`] builds them over a
-/// [`WireLink`] (shared memory or TCP). All matching, buffering, fault
+/// [`WireLink`] (TCP between processes). All matching, buffering, fault
 /// injection and tracing behavior is identical across fabrics.
 pub struct Comm<M> {
     pub(crate) rank: usize,
@@ -325,8 +325,9 @@ impl<M: Send> Comm<M> {
     /// The poison flag peers/supervisors can set to turn this endpoint's
     /// blocked receives into `Disconnected`. On the local fabric this is
     /// the world-shared flag `World::run*` sets on a rank panic; on wire
-    /// fabrics it is per-endpoint (the cluster parent holds it and fires
-    /// it when a rank process dies).
+    /// fabrics it is per-endpoint, for a supervisor to fire when the rank
+    /// waits on a peer that will never send while the link stays up (the
+    /// link reports `Disconnected` only once every peer has closed).
     pub fn poison_handle(&self) -> Arc<AtomicBool> {
         match &self.fabric {
             Fabric::Local(l) => Arc::clone(&l.poisoned),

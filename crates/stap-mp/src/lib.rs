@@ -18,14 +18,13 @@
 //! modeled wire time in `stap-machine`. Everything here moves real bytes
 //! between real threads — or, via the [`transport`] layer, between real
 //! *processes*: the same [`Comm`] endpoint runs over in-process channels
-//! (`inproc`), a shared-memory ring region (`shm`, one OS process per
-//! rank) or length-prefixed TCP frames (`tcp`, loopback or a real
-//! network). The parallel decomposition is therefore testable on any
-//! host, and measurable on real multi-process machines.
+//! (`inproc`, ranks as threads) or length-prefixed TCP frames (`tcp`,
+//! one OS process per rank, loopback or a real network). The parallel
+//! decomposition is therefore testable on any host, and measurable on
+//! real multi-process machines.
 
 pub mod comm;
 pub mod fault;
-pub mod shm;
 pub mod tcp;
 pub mod trace;
 pub mod transport;
@@ -33,8 +32,7 @@ pub mod world;
 
 pub use comm::{Comm, MailboxStats, RecvError, Tag};
 pub use fault::{Corruptor, FaultAction, FaultPlan, FaultRule, TagPattern};
-pub use shm::{ShmLink, ShmRegion};
-pub use tcp::{spawn_coordinator, TcpLink};
+pub use tcp::{abort_rendezvous, spawn_coordinator, TcpLink};
 pub use trace::{CommEvent, RankTrace, SpanRecorder, TraceKind, TraceSink};
 pub use transport::{
     LinkError, TransportKind, WireCodec, WireFrame, WireLink, WirePool, CTRL_RESERVED_BASE,

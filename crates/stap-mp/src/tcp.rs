@@ -28,8 +28,18 @@
 //! Peer EOF is a liveness signal: when every peer socket has closed and
 //! every complete frame was handed out, `recv_frame` reports
 //! `Disconnected` — so an abnormally dead rank process (which can never
-//! wave goodbye) still unblocks its peers, unlike shared memory where
-//! the supervisor's poison handle does it.
+//! wave goodbye) still unblocks its peers once the rest of its world is
+//! torn down. A peer that stays connected but silent closes nothing;
+//! `Comm`'s poison handle is the supervisor's way to unblock a rank
+//! waiting on one.
+//!
+//! Wire-up fails fast too. Every address a rank dials was bound before
+//! it was published (the coordinator's before [`spawn_coordinator`]
+//! returns, each rank's data listener before it registers), so a refused
+//! connection means the far side is gone, and `rendezvous` returns the
+//! error at once instead of retrying. A launcher whose rank died before
+//! registering calls [`abort_rendezvous`]: the coordinator drops every
+//! rank waiting on it, and each sees EOF.
 
 use crate::comm::Tag;
 use crate::transport::{LinkError, WireFrame, WireLink};
@@ -59,21 +69,50 @@ fn read_exact_timeout(s: &mut TcpStream, buf: &mut [u8]) -> io::Result<()> {
 }
 
 /// Serves the rendezvous exchange: collects `(rank, port)` from `size`
-/// participants, then replies to each with the full port table. Blocks;
-/// run it on a thread (see [`spawn_coordinator`]).
+/// participants, then replies to each with the full port table. Blocks
+/// until then, or until [`RENDEZVOUS_TIMEOUT`] passes with a rank
+/// missing (`TimedOut`); run it on a thread (see [`spawn_coordinator`]).
+/// A bad or duplicate registration ends it at once with `InvalidData`.
+/// Either failure drops every registered rank's stream, so each waiting
+/// rank sees EOF.
 pub fn coordinator_serve(listener: TcpListener, size: usize) -> io::Result<()> {
+    serve_until(listener, size, Instant::now() + RENDEZVOUS_TIMEOUT)
+}
+
+fn serve_until(listener: TcpListener, size: usize, deadline: Instant) -> io::Result<()> {
+    listener.set_nonblocking(true)?;
     let mut streams: Vec<Option<TcpStream>> = (0..size).map(|_| None).collect();
     let mut ports = vec![0u16; size];
     let mut seen = 0usize;
-    let deadline = Instant::now() + RENDEZVOUS_TIMEOUT;
     while seen < size {
-        if Instant::now() >= deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                format!("rendezvous: {seen}/{size} ranks checked in"),
-            ));
-        }
-        let (mut s, _) = listener.accept()?;
+        // Wait in `poll(2)`, not in `accept`, so the deadline ends the
+        // wait even when no rank ever connects.
+        let mut s = match listener.accept() {
+            Ok((s, _)) => s,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) =>
+            {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        format!("rendezvous: {seen}/{size} ranks checked in"),
+                    ));
+                }
+                let mut fd = [PollFd {
+                    fd: listener.as_raw_fd(),
+                    events: POLLIN,
+                    revents: 0,
+                }];
+                poll_fds(&mut fd, poll_ms(left));
+                continue;
+            }
+            Err(e) => return Err(e),
+        };
+        s.set_nonblocking(false)?;
         let mut reg = [0u8; 6];
         read_exact_timeout(&mut s, &mut reg)?;
         let rank = u32::from_le_bytes(reg[..4].try_into().unwrap()) as usize;
@@ -93,6 +132,20 @@ pub fn coordinator_serve(listener: TcpListener, size: usize) -> io::Result<()> {
         s.write_all(&table)?;
     }
     Ok(())
+}
+
+/// Ends a rendezvous still in progress at `coord` with a registration
+/// no rank can make, so [`coordinator_serve`] returns `InvalidData` and
+/// every rank waiting on it sees EOF. A coordinator that already
+/// finished refuses the connection; that is not an error.
+pub fn abort_rendezvous(coord: &str) {
+    if let Ok(addr) = coord.parse::<SocketAddr>() {
+        if let Ok(mut c) = TcpStream::connect_timeout(&addr, Duration::from_secs(2)) {
+            let mut reg = [0u8; 6];
+            reg[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let _ = c.write_all(&reg);
+        }
+    }
 }
 
 /// Binds a loopback coordinator and serves the rendezvous on a
@@ -230,11 +283,15 @@ pub struct TcpLink {
     fd_peer: Vec<usize>,
 }
 
+/// Connects to an address that was bound before it was published,
+/// retrying only a connect that timed out (a full accept backlog drops
+/// SYNs); a refusal means the listener is gone and fails at once.
 fn connect_retry(addr: &SocketAddr) -> io::Result<TcpStream> {
     let deadline = Instant::now() + RENDEZVOUS_TIMEOUT;
     loop {
         match TcpStream::connect_timeout(addr, Duration::from_secs(2)) {
             Ok(s) => return Ok(s),
+            Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => return Err(e),
             Err(e) => {
                 if Instant::now() >= deadline {
                     return Err(e);
@@ -402,11 +459,7 @@ impl TcpLink {
                 self.fd_peer.push(i);
             }
         }
-        // Whole milliseconds, rounded up: waking early would only spin.
-        let ms = timeout.map_or(-1, |t| {
-            t.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
-        });
-        if poll_fds(&mut self.fds, ms) > 0 {
+        if poll_fds(&mut self.fds, timeout.map_or(-1, poll_ms)) > 0 {
             for (fd, &i) in self.fds.iter().zip(&self.fd_peer) {
                 // Hang-ups and errors wake a readable peer too: its next
                 // read reports them.
@@ -514,6 +567,12 @@ struct PollFd {
 
 const POLLIN: std::ffi::c_short = 0x1;
 const POLLOUT: std::ffi::c_short = 0x4;
+
+/// A `poll(2)` timeout: whole milliseconds, rounded up, since waking
+/// early would only spin.
+fn poll_ms(t: Duration) -> std::ffi::c_int {
+    t.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as std::ffi::c_int
+}
 
 /// `poll(2)` over `fds` for up to `timeout_ms` milliseconds (-1: no
 /// limit). Returns the number of ready descriptors, 0 on timeout, or -1
@@ -711,5 +770,44 @@ mod tests {
         raw.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
         let mut byte = [0u8; 1];
         assert!(matches!(raw.read(&mut byte), Ok(0) | Err(_)));
+    }
+
+    #[test]
+    fn a_coordinator_missing_a_rank_times_out_and_fails_the_registered_ones() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let deadline = Instant::now() + Duration::from_millis(150);
+        let coord = thread::spawn(move || serve_until(listener, 2, deadline));
+        // Rank 1 never comes: rank 0 sees EOF once the coordinator gives up.
+        assert!(TcpLink::rendezvous(&addr, 0, 2).is_err());
+        let err = coord.join().unwrap().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+    }
+
+    #[test]
+    fn an_aborted_rendezvous_fails_every_waiting_rank_at_once() {
+        let (addr, coord) = spawn_coordinator(3).unwrap();
+        let started = Instant::now();
+        thread::scope(|s| {
+            let waiting = [0, 2].map(|r| {
+                let addr = &addr;
+                s.spawn(move || TcpLink::rendezvous(addr, r, 3).map(|_| ()))
+            });
+            thread::sleep(Duration::from_millis(50));
+            abort_rendezvous(&addr);
+            for w in waiting {
+                assert!(w.join().unwrap().is_err());
+            }
+        });
+        let err = coord.join().unwrap().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // Far inside the coordinator's own deadline.
+        assert!(started.elapsed() < RENDEZVOUS_TIMEOUT / 3);
+        // A finished coordinator refuses the abort, and a rank dialling
+        // it fails at once instead of retrying.
+        abort_rendezvous(&addr);
+        let started = Instant::now();
+        assert!(TcpLink::rendezvous(&addr, 1, 3).is_err());
+        assert!(started.elapsed() < RENDEZVOUS_TIMEOUT / 3);
     }
 }

@@ -5,14 +5,13 @@
 //! channels. This module abstracts the byte-moving layer behind
 //! [`WireLink`] so the *same* [`crate::Comm`] — tag/source matching,
 //! unexpected-message mailbox, fault injection, span tracing — runs over
-//! three interchangeable fabrics:
+//! two interchangeable fabrics:
 //!
 //! * **inproc** — the original channel backend (typed messages, no
-//!   serialization; the fast path for single-process worlds),
-//! * **shm** — one OS process per rank over a shared ring-buffer
-//!   region (see [`crate::shm`]),
-//! * **tcp** — length-prefixed frames over loopback/network sockets
-//!   with a rendezvous coordinator (see [`crate::tcp`]).
+//!   serialization; ranks are threads of one process),
+//! * **tcp** — one OS process per rank, length-prefixed frames over
+//!   loopback/network sockets with a rendezvous coordinator (see
+//!   [`crate::tcp`]).
 //!
 //! Everything above the link is transport-agnostic: `Comm` owns the
 //! mailbox and the fault/trace planes, so drop/dup/delay injection and
@@ -27,8 +26,6 @@ use std::time::Duration;
 pub enum TransportKind {
     /// Threads in one process over mpsc channels (the default).
     InProc,
-    /// One process per rank over a shared-memory ring region.
-    Shm,
     /// One process per rank over loopback TCP sockets.
     Tcp,
 }
@@ -38,17 +35,12 @@ impl TransportKind {
     pub fn name(self) -> &'static str {
         match self {
             TransportKind::InProc => "inproc",
-            TransportKind::Shm => "shm",
             TransportKind::Tcp => "tcp",
         }
     }
 
     /// All transports, in documentation order.
-    pub const ALL: [TransportKind; 3] = [
-        TransportKind::InProc,
-        TransportKind::Shm,
-        TransportKind::Tcp,
-    ];
+    pub const ALL: [TransportKind; 2] = [TransportKind::InProc, TransportKind::Tcp];
 }
 
 impl std::str::FromStr for TransportKind {
@@ -56,11 +48,8 @@ impl std::str::FromStr for TransportKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "inproc" => Ok(TransportKind::InProc),
-            "shm" => Ok(TransportKind::Shm),
             "tcp" => Ok(TransportKind::Tcp),
-            other => Err(format!(
-                "unknown transport {other:?} (expected inproc|shm|tcp)"
-            )),
+            other => Err(format!("unknown transport {other:?} (expected inproc|tcp)")),
         }
     }
 }
@@ -183,7 +172,9 @@ mod tests {
             assert_eq!(k.name().parse::<TransportKind>().unwrap(), k);
             assert_eq!(format!("{k}"), k.name());
         }
-        assert!("mpi".parse::<TransportKind>().is_err());
+        for gone in ["mpi", "shm"] {
+            assert!(gone.parse::<TransportKind>().is_err(), "{gone}");
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Two serialization layers live here, both dependency-free:
 //!
 //! * the **binary [`Msg`] codec** ([`encode_msg`] / [`decode_msg`] /
-//!   [`msg_codec`]) that the shared-memory and TCP transports use to
-//!   move pipeline messages between rank *processes*. Every `f64`
+//!   [`msg_codec`]) that the TCP transport uses to move pipeline
+//!   messages between rank *processes*. Every `f64`
 //!   travels as its little-endian bit pattern, so a cross-process run
 //!   produces detections bit-identical to the in-process channel
 //!   fabric — the property the transport-parity gate asserts. Cube
@@ -112,7 +112,7 @@ pub fn decode_msg(bytes: &[u8]) -> Msg {
     decode_in(bytes, None)
 }
 
-/// The [`WireCodec`] the cluster transports install for pipeline runs.
+/// The [`WireCodec`] the TCP transport installs for pipeline runs.
 pub fn msg_codec() -> WireCodec<Msg> {
     WireCodec {
         encode: encode_msg,
@@ -368,7 +368,7 @@ impl<'a> Cursor<'a> {
 /// every index and the *bit patterns* of every float. Two runs produce
 /// the same digest iff their detections are bit-identical CPI by CPI —
 /// the transport-parity gate compares this single value across
-/// inproc/shm/tcp instead of diffing full detection dumps.
+/// inproc and tcp instead of diffing full detection dumps.
 pub fn detections_digest(dets: &[Vec<Detection>]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;

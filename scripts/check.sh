@@ -15,8 +15,8 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 
 NUM_STAGES=12
-# Smoke stages honor STAP_TRANSPORT (inproc|shm|tcp, default inproc) so
-# the CI transport matrix reruns them over the wire backends, and keep
+# Smoke stages honor STAP_TRANSPORT (inproc|tcp, default inproc) so the
+# CI transport entry reruns them with ranks as TCP processes, and keep
 # their JSON artifacts when the matching *_OUT env var names a path.
 stage_name() {
   case "$1" in
@@ -31,7 +31,7 @@ stage_name() {
     9) echo "serve smoke (small loadgen: SLO fields present, zero pool misses)" ;;
     10) echo "assign smoke (lattice explore: frontier sanity + paper case dominated)" ;;
     11) echo "chaos smoke (seeded campaign: recovery, rank shift, quarantine, lost-CPI bound)" ;;
-    12) echo "transport parity (bit-identical detections on inproc/shm/tcp + byte reconciliation)" ;;
+    12) echo "transport parity (bit-identical detections on inproc and tcp + byte reconciliation)" ;;
     *) echo "unknown" ;;
   esac
 }
@@ -182,15 +182,15 @@ PY
     12)
       # Transport parity: the canonical reduced config must produce
       # bit-identical detections (same FNV-1a digest over the float bit
-      # patterns) whether the ranks are threads over channels (inproc),
-      # processes over a shared ring region (shm), or processes over a
-      # loopback TCP mesh — and the TCP run's per-edge measured bytes
-      # must reconcile with the DES model within a factor of two.
+      # patterns) whether the ranks are threads over channels (inproc) or
+      # processes over a loopback TCP mesh (tcp) — and the TCP run's
+      # per-edge measured bytes must reconcile with the DES model within
+      # a factor of two.
       local par_dir
       par_dir="$(mktemp -d "${TMPDIR:-/tmp}"/stap_parity.XXXXXX)"
       trap 'rm -rf "$par_dir"' RETURN
       local t
-      for t in inproc shm tcp; do
+      for t in inproc tcp; do
         cargo run --release -q -p stap-bench --bin stapctl -- trace \
           --transport "$t" --json --out "$par_dir/trace_$t.json" \
           > "$par_dir/$t.out" || return 1
@@ -199,7 +199,7 @@ PY
 import json, sys, pathlib
 d = pathlib.Path(sys.argv[1])
 docs = {}
-for t in ("inproc", "shm", "tcp"):
+for t in ("inproc", "tcp"):
     text = (d / f"{t}.out").read_text()
     docs[t] = json.loads(text[text.index("{"):text.rindex("}") + 1])
 digests = {t: doc["detections_digest"] for t, doc in docs.items()}
@@ -209,7 +209,7 @@ rated = [e for e in edges if e["ratio"] is not None]
 assert rated, "TCP reconciliation measured no edges"
 bad = [e for e in rated if not 0.5 <= e["ratio"] <= 2.0]
 assert not bad, f"TCP per-edge byte ratio out of [0.5,2]: {bad}"
-print("transport parity ok: digest %s on all 3 transports, %d/%d edges within [0.5,2]"
+print("transport parity ok: digest %s on inproc and tcp, %d/%d edges within [0.5,2]"
       % (digests["tcp"], len(rated), len(edges)))
 PY
       ;;

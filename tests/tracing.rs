@@ -291,7 +291,6 @@ fn ci_workflow_is_structurally_valid() {
         "- name: serve-smoke",
         "- name: assign-smoke",
         "- name: chaos-smoke",
-        "- name: transport-smoke-shm",
         "- name: transport-smoke-tcp",
     ] {
         assert!(text.contains(entry), "missing matrix entry {entry:?}");
@@ -310,8 +309,7 @@ fn ci_workflow_is_structurally_valid() {
         text.contains("--repeat \"${{ matrix.repeat || 1 }}\""),
         "the smoke step passes each entry's repeat count"
     );
-    // The transport matrix runs the wire backends.
-    assert!(text.contains("transport: shm"), "shm transport entry");
+    // The transport entry runs the wire backend.
     assert!(text.contains("transport: tcp"), "tcp transport entry");
     // Wall-clock gates are slack-scaled on shared runners — in CI only.
     assert!(
