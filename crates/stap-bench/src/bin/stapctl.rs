@@ -397,7 +397,8 @@ fn cmd_faults(flags: HashMap<String, String>) -> Result<(), String> {
 /// checks the paper's hand-picked assignment for that budget is on (or
 /// dominated by) the frontier.
 fn cmd_assign(flags: HashMap<String, String>) -> Result<(), String> {
-    use stap::sim::{evaluate, explore, feasible, task_capacity, ExploreOptions};
+    use stap::pipeline::task_capacity;
+    use stap::sim::{evaluate, explore, feasible, ExploreOptions};
     let budget: usize = flags
         .get("budget")
         .map(|s| s.parse().map_err(|e| format!("--budget: {e}")))

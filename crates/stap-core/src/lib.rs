@@ -27,7 +27,6 @@
 //! * [`flops`] — Table 1: closed-form and measured operation counts,
 //! * [`volumes`] — inter-task message volumes for the machine model.
 
-pub mod analysis;
 pub mod beamform;
 pub mod cfar;
 pub mod doppler;
@@ -35,8 +34,6 @@ pub mod flops;
 pub mod params;
 pub mod pulse;
 pub mod reference;
-pub mod render;
-pub mod tracker;
 pub mod training;
 pub mod volumes;
 pub mod weights;

@@ -274,12 +274,12 @@ mod tests {
 
         // Verify against the directly permuted global cube.
         let want = global.permute(perm);
-        for p in 0..dst_part.nodes() {
+        for (p, got) in dst_cubes.iter().enumerate() {
             let own = dst_part.range_of(p);
             let mut r = [0..want.shape()[0], 0..want.shape()[1], 0..want.shape()[2]];
             r[dst_part.axis] = own;
             let expected = want.extract(r[0].clone(), r[1].clone(), r[2].clone());
-            assert_eq!(dst_cubes[p], expected, "receiver {p} mismatch");
+            assert_eq!(*got, expected, "receiver {p} mismatch");
         }
     }
 

@@ -75,13 +75,11 @@ mod tests {
     fn hardcoded_rates_match_the_derivation() {
         let derived = derive_task_rates();
         let model = Paragon::afrl_calibrated();
-        for t in 0..NUM_TASKS {
-            let rel = (model.task_flop_rate[t] - derived[t]).abs() / derived[t];
+        for (t, (&rate, &want)) in model.task_flop_rate.iter().zip(&derived).enumerate() {
+            let rel = (rate - want).abs() / want;
             assert!(
                 rel < 0.01,
-                "task {t}: model {} vs derived {} ({:.2}% off)",
-                model.task_flop_rate[t],
-                derived[t],
+                "task {t}: model {rate} vs derived {want} ({:.2}% off)",
                 rel * 100.0
             );
         }

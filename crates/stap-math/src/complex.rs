@@ -292,7 +292,7 @@ mod tests {
     #[test]
     fn cis_is_unit_modulus() {
         for k in 0..16 {
-            let t = k as f64 * 0.3927;
+            let t = k as f64 * std::f64::consts::FRAC_PI_8;
             assert!((Cx::cis(t).abs() - 1.0).abs() < TOL);
         }
     }

@@ -21,9 +21,7 @@
 //! The heavy kernels count the flops they perform through [`flops`], so the
 //! paper's operation counts can be measured rather than merely asserted.
 
-pub mod cholesky;
 pub mod complex;
-pub mod eigen;
 pub mod fft;
 pub mod flops;
 pub mod gemm;

@@ -37,11 +37,6 @@ pub struct RuntimePolicy {
     /// on overrun the task falls back to stale weights rather than
     /// stalling the latency path.
     pub weight_grace: Duration,
-    /// Retries (each of `edge_timeout`) before a data edge is declared
-    /// lost and the CPI is dropped.
-    pub max_retries: u32,
-    /// Screen received payloads for NaN/Inf and quarantine offenders.
-    pub screen_nonfinite: bool,
     /// Allow the elastic runner to shift ranks between tasks at slot
     /// boundaries when live telemetry shows a sustained bottleneck.
     pub rebalance: bool,
@@ -59,8 +54,6 @@ impl Default for RuntimePolicy {
             fault_tolerant: false,
             edge_timeout: Duration::from_secs(1),
             weight_grace: Duration::from_millis(300),
-            max_retries: 1,
-            screen_nonfinite: true,
             rebalance: false,
             rebalance_cooldown: 8,
             rebalance_imbalance: 1.25,
@@ -90,8 +83,6 @@ impl RuntimePolicy {
             fault_tolerant: true,
             edge_timeout: clamp(4.0 * seconds_per_cpi, 0.2, 5.0),
             weight_grace: clamp(seconds_per_cpi, 0.05, 2.0),
-            max_retries: 1,
-            screen_nonfinite: true,
             rebalance: true,
             // Cooldown long enough that ~2 s of telemetry (or at least
             // 4 slots) back a shift; bounded so a very slow machine can

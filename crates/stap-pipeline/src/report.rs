@@ -121,12 +121,14 @@ mod tests {
     #[test]
     fn report_renders_health_section_when_faulty() {
         use crate::metrics::CpiOutcome;
-        let mut t = PipelineTimings::default();
-        t.outcomes = vec![
-            CpiOutcome::Ok,
-            CpiOutcome::DegradedStaleWeights,
-            CpiOutcome::Dropped,
-        ];
+        let mut t = PipelineTimings {
+            outcomes: vec![
+                CpiOutcome::Ok,
+                CpiOutcome::DegradedStaleWeights,
+                CpiOutcome::Dropped,
+            ],
+            ..PipelineTimings::default()
+        };
         t.health.degraded_cpis = 1;
         t.health.dropped_cpis = 1;
         t.health.edges[crate::msg::Edge::EasyWtToEasyBf as usize].stale_weights = 1;
@@ -140,8 +142,10 @@ mod tests {
     #[test]
     fn all_ok_ft_run_reports_healthy() {
         use crate::metrics::CpiOutcome;
-        let mut t = PipelineTimings::default();
-        t.outcomes = vec![CpiOutcome::Ok; 4];
+        let t = PipelineTimings {
+            outcomes: vec![CpiOutcome::Ok; 4],
+            ..PipelineTimings::default()
+        };
         let s = render_health(&t);
         assert!(s.contains("4 CPIs: 4 ok"), "{s}");
         assert!(s.contains("healthy"), "{s}");

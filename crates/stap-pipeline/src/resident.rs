@@ -652,13 +652,17 @@ pub(crate) enum Recvd {
     Shutdown,
 }
 
+/// Retries (each of the receive's `timeout`) before a fault-tolerant
+/// data edge is declared lost and the CPI is dropped.
+const EDGE_RETRIES: u32 = 1;
+
 /// One receive on edge-tag `t` for slot `slot` under `policy`.
 ///
 /// The default policy is the plain blocking receive (an unexpected
 /// `Disconnected` panics: fail fast, which the serve supervisor relies
 /// on). The fault-tolerant path enforces `timeout` per attempt with
-/// `policy.max_retries` retries, discards messages whose `seq` does not
-/// match `slot` (late/duplicate deliveries), and screens payloads for
+/// `EDGE_RETRIES` retries, discards messages whose `seq` does not match
+/// `slot` (late/duplicate deliveries), and quarantines payloads holding
 /// non-finite values. Under either policy a wire frame that failed to
 /// decode is quarantined on its edge and the input is gone.
 pub(crate) fn recv_msg(
@@ -687,12 +691,12 @@ pub(crate) fn recv_msg(
                 // A late or duplicated delivery matched this tag
                 // (possible only under injection); discard and wait on.
                 Ok(m) if m.seq as usize != slot => health.edges[e].late_or_dup += 1,
-                Ok(m) if policy.screen_nonfinite && !payload_is_finite(&m.payload) => {
+                Ok(m) if !payload_is_finite(&m.payload) => {
                     health.edges[e].quarantined += 1;
                     return Recvd::Gone;
                 }
                 Ok(m) => break m,
-                Err(RecvError::Timeout) if retries < policy.max_retries => {
+                Err(RecvError::Timeout) if retries < EDGE_RETRIES => {
                     retries += 1;
                     health.edges[e].retries += 1;
                 }

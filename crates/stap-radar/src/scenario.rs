@@ -18,9 +18,9 @@ pub struct Target {
     /// Per-sample signal-to-noise ratio, dB.
     pub snr_db: f64,
     /// Range migration in cells per CPI (positive = receding); the
-    /// target sits at `range_cell + round(cpi * range_rate)`, so long
-    /// dwells exercise the tracker-side story (detections walking
-    /// through range while the Doppler bin stays put).
+    /// target sits at `range_cell + round(cpi * range_rate)`, so over a
+    /// long dwell its detections walk through range while the Doppler
+    /// bin stays put.
     pub range_rate: f64,
 }
 

@@ -736,36 +736,46 @@ pub fn replication() -> String {
     out
 }
 
-/// Processor-assignment optimization (Section 4.1.2's tradeoff,
-/// automated).
+/// Processor-assignment search (Section 4.1.2's tradeoff, automated):
+/// the lattice's best-throughput and best-latency points at three
+/// budgets, each beside the work-proportional seed. Only assignments
+/// within every task's partition capacity count, so at 236 nodes hard
+/// weight is capped at its 56 bins.
 pub fn optimizer() -> String {
-    use crate::assign::{optimize, proportional_seed, Objective};
+    use crate::lattice::{evaluate, explore, feasible, proportional_seed, ExploreOptions};
     let mut out = String::new();
     writeln!(
         out,
-        "Automated processor assignment (Section 4.1.2 tradeoffs)"
+        "Automated processor assignment (Section 4.1.2 tradeoffs, lattice search)"
     )
     .unwrap();
     let cfg = SimConfig::paper(NodeAssignment::case2());
     for budget in [59usize, 118, 236] {
-        let seed = proportional_seed(&cfg, budget);
-        let seed_r = simulate(&{
-            let mut c = cfg.clone();
-            c.assign = seed;
-            c
-        });
-        let (tp_a, tp_r) = optimize(&cfg, budget, Objective::MaxThroughput, 12);
+        let seed = evaluate(&cfg, proportional_seed(&cfg, budget));
+        let rep = explore(&cfg, budget, &ExploreOptions::default());
+        // The raw seed can exceed a task's capacity; the search repairs it.
+        let label = if feasible(&cfg.params, &seed.assign) {
+            "seed"
+        } else {
+            "seed (over cap)"
+        };
         writeln!(
             out,
-            "budget {:>3}: seed {:?} tp {:.3} -> optimized {:?} tp {:.3} lat {:.3}",
-            budget,
-            seed.0,
-            seed_r.measured_throughput,
-            tp_a.0,
-            tp_r.measured_throughput,
-            tp_r.measured_latency
+            "budget {budget:>3}: {label:<16} {:?} tp {:.3} lat {:.3}",
+            seed.assign.0, seed.throughput, seed.latency
         )
         .unwrap();
+        for (label, c) in [
+            ("best throughput", &rep.best_throughput),
+            ("best latency", &rep.best_latency),
+        ] {
+            writeln!(
+                out,
+                "            {label:<16} {:?} tp {:.3} lat {:.3}",
+                c.assign.0, c.throughput, c.latency
+            )
+            .unwrap();
+        }
     }
     out
 }

@@ -19,19 +19,17 @@
 //! * [`experiments`] — one driver per paper table/figure, each rendering
 //!   a paper-vs-model comparison.
 
-pub mod assign;
 pub mod des;
 pub mod experiments;
 pub mod lattice;
 pub mod reconcile;
 pub mod trace;
 
-pub use assign::{optimize, Objective};
 pub use des::{
     derive_policy, modeled_edge_bytes, simulate, simulate_traced, SimConfig, SimFaults, SimResult,
 };
 pub use lattice::{
-    evaluate, explore, feasible, lattice_size, task_capacity, Candidate, ExploreOptions,
+    evaluate, explore, feasible, lattice_size, proportional_seed, Candidate, ExploreOptions,
     LatticeReport,
 };
 pub use reconcile::{reconcile, render_reconciliation, ReconRow, Reconciliation};

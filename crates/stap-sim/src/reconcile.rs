@@ -296,10 +296,10 @@ mod tests {
     fn measured_matching(cfg: &SimConfig, comp_scale: f64) -> PipelineTimings {
         let sim = simulate(cfg);
         let mut tasks = [TaskTiming::default(); 7];
-        for t in 0..7 {
-            tasks[t].comp = sim.tasks[t].comp * comp_scale;
-            tasks[t].recv = sim.tasks[t].recv;
-            tasks[t].send = sim.tasks[t].send;
+        for (m, s) in tasks.iter_mut().zip(&sim.tasks) {
+            m.comp = s.comp * comp_scale;
+            m.recv = s.recv;
+            m.send = s.send;
         }
         PipelineTimings {
             tasks,

@@ -133,7 +133,7 @@ mod tests {
             by_node.entry((iv.task, iv.node)).or_default().push(iv);
         }
         for ((task, node), mut ivs) in by_node {
-            ivs.sort_by(|a, b| a.cpi.cmp(&b.cpi));
+            ivs.sort_by_key(|iv| iv.cpi);
             for w in ivs.windows(2) {
                 assert!(
                     w[1].start >= w[0].send_end - 1e-12,

@@ -12,7 +12,6 @@
 //! the target pops out.
 
 use stap::core::cfar::cluster;
-use stap::core::render::{save_range_doppler_map, RenderOptions};
 use stap::core::{SequentialStap, StapParams};
 use stap::radar::Scenario;
 
@@ -44,11 +43,4 @@ fn main() {
     }
     println!("\nnote: CPI 0 runs with quiescent weights (no training history);");
     println!("adaptive clutter nulling kicks in from CPI 1 onward.");
-
-    // Save the final CPI's range-Doppler map (beam 2) as a PGM image.
-    let final_cpi = scenario.generate_cpi(5);
-    let out = stap.process_cpi(0, &final_cpi);
-    let path = std::env::temp_dir().join("stap_quickstart_rd_map.pgm");
-    save_range_doppler_map(&out.power, 2, &path, &RenderOptions::default()).expect("write PGM");
-    println!("\nrange-Doppler map (beam 2) written to {}", path.display());
 }

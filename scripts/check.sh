@@ -21,7 +21,7 @@ NUM_STAGES=12
 stage_name() {
   case "$1" in
     1) echo "rustfmt" ;;
-    2) echo "clippy (deny warnings)" ;;
+    2) echo "clippy (deny warnings, every target: libs, bins, tests, examples)" ;;
     3) echo "release build" ;;
     4) echo "tests (includes the zero-allocation regression)" ;;
     5) echo "fault smoke (deterministic campaign: stall + drop over 10 CPIs)" ;;
@@ -42,7 +42,7 @@ run_stage() {
       cargo fmt --all -- --check
       ;;
     2)
-      cargo clippy --workspace -- -D warnings
+      cargo clippy --workspace --all-targets -- -D warnings
       ;;
     3)
       cargo build --release --workspace

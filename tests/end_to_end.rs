@@ -157,23 +157,28 @@ fn driver_window_size_does_not_change_results() {
 }
 
 #[test]
-fn tracker_follows_target_through_the_parallel_pipeline() {
-    use stap::core::cfar::cluster;
-    use stap::core::tracker::{Tracker, TrackerConfig};
+fn range_migrating_target_is_detected_through_the_parallel_pipeline() {
+    // The target walks two range cells per CPI at a fixed Doppler (bin
+    // 8): the parallel run must find it at its current range cell, in
+    // its Doppler bin, in at least half of the CPIs.
     let params = StapParams::reduced();
     let mut scenario = Scenario::reduced(1010);
-    scenario.targets = vec![Target {
+    let target = Target {
         range_rate: 2.0,
         ..Target::fixed(15, 0.25, 2.0, 12.0)
-    }];
+    };
+    scenario.targets = vec![target];
+    let k_range = params.k_range;
     let cpis = collect_cpis(&scenario, 8);
     let out = ParallelStap::for_scenario(params, NodeAssignment::tiny(), &scenario).run(cpis);
-    let mut tk = Tracker::new(TrackerConfig::default());
-    for dets in &out.detections {
-        tk.update(&cluster(dets));
-    }
-    let good = tk
-        .confirmed()
-        .any(|t| (t.bin - 8.0).abs() <= 1.5 && (t.range_rate - 2.0).abs() < 0.8 && t.hits >= 4);
-    assert!(good, "no track with the right velocity: {:?}", tk.tracks());
+    let hits: Vec<usize> = (0..out.detections.len())
+        .filter(|&i| {
+            let range = target.range_at(i, k_range).expect("target stays in range");
+            out.detections[i]
+                .iter()
+                .any(|d| d.bin.abs_diff(8) <= 1 && d.range.abs_diff(range) <= 1)
+        })
+        .collect();
+    assert_eq!(out.detections.len(), 8);
+    assert!(hits.len() >= 4, "target found only in CPIs {hits:?}");
 }

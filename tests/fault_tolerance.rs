@@ -41,8 +41,6 @@ fn fast_policy() -> RuntimePolicy {
         fault_tolerant: true,
         edge_timeout: slacked(150),
         weight_grace: slacked(75),
-        max_retries: 1,
-        screen_nonfinite: true,
         ..RuntimePolicy::default()
     }
 }
@@ -154,8 +152,6 @@ fn acceptance_campaign_stall_plus_drop_over_ten_cpis() {
         fault_tolerant: true,
         edge_timeout: slacked(200),
         weight_grace: slacked(50),
-        max_retries: 1,
-        screen_nonfinite: true,
         ..RuntimePolicy::default()
     };
     let out = runner(&scenario)
