@@ -27,7 +27,7 @@ use stap_math::solve::{
     constrained_lstsq, constrained_lstsq_from_r_lanes, constrained_lstsq_from_r_with,
     constrained_lstsq_lanes, normalize_columns, LaneSolveScratch, SolveScratch,
 };
-use stap_math::{CMat, Cx};
+use stap_math::{simd, CMat, Cx};
 use std::collections::{HashMap, VecDeque};
 use std::f64::consts::PI;
 use std::hash::Hash;
@@ -89,13 +89,11 @@ pub fn mean_abs(m: &CMat) -> f64 {
 /// elements (a training snapshot still lying in the wire blocks it
 /// arrived in). Magnitudes are summed in element order, so the result is
 /// bit-identical to gathering the runs into a matrix first — and, since
-/// `hypot(re, im) == hypot(re, -im)`, to conjugating them on the way.
+/// `|x| == |conj(x)|` bitwise, to conjugating them on the way.
 pub fn mean_abs_runs<'a>(runs: impl IntoIterator<Item = &'a [Cx]>) -> f64 {
     let (mut sum, mut count) = (0.0, 0usize);
     for run in runs {
-        for x in run {
-            sum += x.abs();
-        }
+        sum = simd::sum_abs(sum, run);
         count += run.len();
     }
     if count == 0 {
@@ -472,7 +470,7 @@ struct EasySnap {
     /// stacked system [`constrained_lstsq_lanes`] reduces.
     xt: LaneMat,
     /// `|x|` of the same elements in `[cell][channel]` order, the order
-    /// [`mean_abs`] sums a stacked training matrix in; `hypot` is paid
+    /// [`mean_abs`] sums a stacked training matrix in; the magnitude is paid
     /// once per element, not once per CPI the element stays in history.
     abs: Vec<Lane>,
 }
@@ -606,7 +604,10 @@ impl<K: Copy + Eq + Hash> EasyWeightLanes<K> {
                 let src: [&[Cx]; LANES] = std::array::from_fn(|l| plane(p, bin(l)));
                 snap.xt.fill_cols_conj(row, src);
                 for (i, a) in snap.abs[row * j..(row + rows) * j].iter_mut().enumerate() {
-                    *a = std::array::from_fn(|l| src[l][i].abs());
+                    *a = simd::abs_lanes(
+                        std::array::from_fn(|l| src[l][i].re),
+                        std::array::from_fn(|l| src[l][i].im),
+                    );
                 }
                 row += rows;
             }
@@ -667,8 +668,18 @@ impl<K: Copy + Eq + Hash> EasyWeightLanes<K> {
             let xt = m.transpose();
             for l in std::iter::once(l).chain(lanes.clone()) {
                 snap.xt.set_lane(l, &xt);
-                for (a, v) in snap.abs.iter_mut().zip(m.as_slice()) {
-                    a[l] = v.abs();
+            }
+            // Four elements' magnitudes to a call (a short last chunk
+            // pads with zeros and drops their magnitudes).
+            for (a, v) in snap.abs.chunks_mut(LANES).zip(m.as_slice().chunks(LANES)) {
+                let (mut re, mut im) = ([0.0; LANES], [0.0; LANES]);
+                for (e, x) in v.iter().enumerate() {
+                    (re[e], im[e]) = (x.re, x.im);
+                }
+                for (a, mag) in a.iter_mut().zip(simd::abs_lanes(re, im)) {
+                    for l in std::iter::once(l).chain(lanes.clone()) {
+                        a[l] = mag;
+                    }
                 }
             }
         }
@@ -750,6 +761,38 @@ mod tests {
                 let n: f64 = (0..p.j_channels).map(|j| wb[(j, m)].norm_sqr()).sum();
                 assert!((n - 1.0).abs() < 1e-9);
             }
+        }
+    }
+
+    /// `mean_abs_runs` sums through `stap-math`'s magnitude kernel; on
+    /// glibc that is bit for bit the libm `hypot` fold it replaced, so no
+    /// constraint scale moves. Gated on glibc, whose `hypot` the kernel
+    /// reproduces (other C libraries round theirs differently).
+    #[cfg(target_env = "gnu")]
+    #[test]
+    fn mean_abs_runs_matches_the_libm_hypot_fold() {
+        let mut state = 0x2545F491u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        for scale in [1.0, 1e-3, 3e5, 1e-140, 1e150] {
+            // Run lengths that split four-element groups every way.
+            let runs: Vec<Vec<Cx>> = [0, 1, 7, 16, 2, 33, 5, 64, 3]
+                .iter()
+                .map(|&n| {
+                    (0..n)
+                        .map(|_| Cx::new(next(), next()).scale(scale))
+                        .collect()
+                })
+                .collect();
+            let count: usize = runs.iter().map(Vec::len).sum();
+            let sum = runs.iter().flatten().fold(0.0, |s, x| s + x.re.hypot(x.im));
+            let want = (sum / count as f64).max(1e-12);
+            let got = mean_abs_runs(runs.iter().map(Vec::as_slice));
+            assert_eq!(got.to_bits(), want.to_bits(), "scale {scale:e}");
         }
     }
 

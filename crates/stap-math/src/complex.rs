@@ -65,10 +65,26 @@ impl Cx {
         self.re * self.re + self.im * self.im
     }
 
-    /// Magnitude.
+    /// Magnitude, bit for bit what glibc's `hypot(re, im)` returns (its
+    /// algorithm since 2.35; `tests/simd_kernels.rs` compares the two on
+    /// every glibc target). Inputs in `hypot_in_range` go through
+    /// `hypot_kernel`, glibc's own algorithm with every operation in its
+    /// order and no FMA, so the magnitude costs a few ns instead of a
+    /// libm call; any other input (zeros, tiny or huge parts, one part
+    /// negligible beside the other, infinities, NaNs) takes
+    /// `f64::hypot`. [`crate::simd::abs_lanes`] and
+    /// [`crate::simd::sum_abs`] run the same operations four lanes at a
+    /// time.
     #[inline]
     pub fn abs(self) -> f64 {
-        self.re.hypot(self.im)
+        // Larger and smaller part, as glibc orders them.
+        let (a, b) = (self.re.abs(), self.im.abs());
+        let (ax, ay) = if a < b { (b, a) } else { (a, b) };
+        if hypot_in_range(ax, ay) {
+            hypot_kernel(ax, ay)
+        } else {
+            self.re.hypot(self.im)
+        }
     }
 
     /// Argument (phase angle) in radians.
@@ -120,6 +136,38 @@ impl Cx {
     pub fn approx_eq(self, other: Cx, tol: f64) -> bool {
         (self.re - other.re).abs() <= tol && (self.im - other.im).abs() <= tol
     }
+}
+
+/// `2^511`: above it `ax * ax` could overflow, and glibc rescales.
+pub(crate) const HYPOT_LARGE: f64 = f64::from_bits((1023 + 511) << 52);
+/// `2^-459`: below it the kernel's correction terms could underflow,
+/// and glibc rescales.
+pub(crate) const HYPOT_TINY: f64 = f64::from_bits((1023 - 459) << 52);
+/// `2^-54`: at or below `ax * HYPOT_EPS` glibc returns `ax + ay`.
+pub(crate) const HYPOT_EPS: f64 = f64::from_bits((1023 - 54) << 52);
+
+/// Whether glibc's `hypot` takes its unscaled kernel for `(ax, ay)`.
+/// False for every NaN.
+#[inline(always)]
+pub(crate) fn hypot_in_range(ax: f64, ay: f64) -> bool {
+    ax <= HYPOT_LARGE && ay >= HYPOT_TINY && ay > ax * HYPOT_EPS
+}
+
+/// glibc's `hypot` kernel for `ax >= ay` in range (its non-FMA build):
+/// the rounded square root of the sum of squares, less the correction
+/// of Borges' improved hypot algorithm. Evaluated left to right exactly
+/// as glibc writes it; `simd::avx2::abs4` is its vector twin.
+#[inline(always)]
+pub(crate) fn hypot_kernel(ax: f64, ay: f64) -> f64 {
+    let h = (ax * ax + ay * ay).sqrt();
+    let (t1, t2) = if h <= 2.0 * ay {
+        let d = h - ay;
+        (ax * (2.0 * d - ax), (d - 2.0 * (ax - ay)) * d)
+    } else {
+        let d = h - ax;
+        (2.0 * d * (ax - 2.0 * ay), (4.0 * d - ay) * ay + d * d)
+    };
+    h - (t1 + t2) / (2.0 * h)
 }
 
 impl Add for Cx {

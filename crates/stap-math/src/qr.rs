@@ -32,6 +32,7 @@
 use crate::complex::{Cx, ZERO};
 use crate::flops;
 use crate::mat::CMat;
+use crate::simd;
 
 /// Computes the thin upper-triangular factor `R` (`n x n`) of an `m x n`
 /// matrix with `m >= n`.
@@ -513,9 +514,9 @@ struct Reflector<'a> {
 impl<'a> Reflector<'a> {
     /// The scalar kernels' once-per-column work, lane by lane: from the
     /// column's `norm_sqr`, its diagonal element `d` and the tail below
-    /// it come the `norm == 0` skip, the phase (with its `hypot` and
-    /// `|d| == 0` branch), alpha, the reflector head, `beta` and the
-    /// `vnorm_sqr == 0` skip. Returns the reflector and alpha, which
+    /// it come the `norm == 0` skip, the phase (the four lanes' `|d|` in
+    /// one [`simd::abs_lanes`] call, and the `|d| == 0` branch), alpha,
+    /// the reflector head, `beta` and the `vnorm_sqr == 0` skip. Returns the reflector and alpha, which
     /// replaces the diagonal in the lanes that are `on`.
     #[inline(always)]
     fn new(
@@ -527,6 +528,7 @@ impl<'a> Reflector<'a> {
         let mut on = [true; LANES];
         let (mut ar, mut ai) = ([0.0; LANES], [0.0; LANES]);
         let (mut v0r, mut v0i) = ([0.0; LANES], [0.0; LANES]);
+        let d_abs = simd::abs_lanes(dr, di);
         for l in 0..LANES {
             let norm = norm_sqr[l].sqrt();
             if norm == 0.0 {
@@ -534,11 +536,10 @@ impl<'a> Reflector<'a> {
                 continue;
             }
             let d = Cx::new(dr[l], di[l]);
-            let d_abs = d.abs();
-            let phase = if d_abs == 0.0 {
+            let phase = if d_abs[l] == 0.0 {
                 Cx::real(1.0)
             } else {
-                d.scale(1.0 / d_abs)
+                d.scale(1.0 / d_abs[l])
             };
             let alpha = -phase.scale(norm);
             let v0 = d - alpha;

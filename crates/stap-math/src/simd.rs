@@ -2,12 +2,21 @@
 //!
 //! The paper's per-task scaling model (Fig. 11, Tables 7–10) assumes
 //! each kernel runs at the hardware arithmetic rate. The scalar loops
-//! in `gemm`, `fft`, pulse compression and Doppler tapering leave lanes
-//! on the table on any AVX2-capable x86-64; this module provides
-//! hand-vectorized versions of exactly those loops, selected **at
-//! runtime** via [`std::is_x86_feature_detected!`] so one
-//! binary runs everywhere (the scalar code stays compiled in as the
-//! fallback and as the reference the vector paths are tested against).
+//! in `gemm`, `fft`, pulse compression, Doppler tapering, redistribution
+//! packing and the weight tasks' magnitudes leave lanes on the table on
+//! any AVX2-capable x86-64; this module provides hand-vectorized
+//! versions of exactly those loops, selected **at runtime** via
+//! [`std::is_x86_feature_detected!`] so one binary runs everywhere (the
+//! scalar code stays compiled in as the fallback and as the reference
+//! the vector paths are tested against).
+//!
+//! The dispatched kernels: [`cmul_in_place`] and [`norm_sqr_into`]
+//! (pulse compression), [`taper_into`] (Doppler), [`gather_16b_strided`]
+//! (redistribution), [`abs_lanes`] and [`sum_abs`] (the magnitude
+//! kernel: [`Cx::abs`], which is glibc's `hypot` bit for bit, four lanes
+//! at a time, for the weight tasks' constraint scale and their lane
+//! reflectors), and, called from `gemm` and `fft`, the GEMM
+//! micro-kernels and radix-4 butterflies of `avx2`.
 //!
 //! **Bit-identity contract**: every vector path performs the same
 //! floating-point operations in the same per-element order as its
@@ -171,6 +180,30 @@ pub fn norm_sqr_into(out: &mut [f64], src: &[Cx]) {
     }
 }
 
+/// Magnitudes `out[l] = Cx::new(re[l], im[l]).abs()` of four complex
+/// values given split, as the lane kernels of `qr` hold them.
+#[inline]
+pub fn abs_lanes(re: [f64; 4], im: [f64; 4]) -> [f64; 4] {
+    #[cfg(target_arch = "x86_64")]
+    if backend() == Backend::Avx2 {
+        // SAFETY: AVX2 presence was verified by `backend()`.
+        return unsafe { avx2::abs_lanes(re, im) };
+    }
+    std::array::from_fn(|l| Cx::new(re[l], im[l]).abs())
+}
+
+/// `acc + |src[0]| + |src[1]| + ...`, one addition at a time in element
+/// order (the magnitudes are [`Cx::abs`]): the sum behind the weight
+/// tasks' constraint scale `mean_abs`.
+pub fn sum_abs(acc: f64, src: &[Cx]) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if backend() == Backend::Avx2 {
+        // SAFETY: AVX2 presence was verified by `backend()`.
+        return unsafe { avx2::sum_abs(acc, src) };
+    }
+    src.iter().fold(acc, |s, x| s + x.abs())
+}
+
 /// Doppler taper application `out[i] = src[i].scale(win[i] * corr)` over
 /// `win.len()` elements.
 pub fn taper_into(out: &mut [Cx], src: &[Cx], win: &[f64], corr: f64) {
@@ -203,7 +236,8 @@ pub unsafe fn gather_16b_strided(dst: *mut u8, src: *const u8, n: usize, stride:
         unsafe { avx2::gather_16b_strided(dst, src, n, stride) };
         return;
     }
-    // SAFETY: caller contract.
+    // SAFETY: the caller's contract covers every element read
+    // (`i * stride < n * stride`) and written (`i < n`).
     unsafe {
         for i in 0..n {
             std::ptr::copy_nonoverlapping(src.add(i * stride * 16), dst.add(i * 16), 16);
@@ -224,14 +258,22 @@ pub(crate) mod avx2 {
 
     /// Sign mask that negates the *imaginary* (odd) lanes of a 2-`Cx`
     /// vector via XOR — the exact IEEE sign flip that `-x` compiles to.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available.
     #[inline(always)]
     unsafe fn neg_odd() -> __m256d {
+        // SAFETY: register-only intrinsic; AVX per the caller.
         unsafe { _mm256_setr_pd(0.0, -0.0, 0.0, -0.0) }
     }
 
     /// Sign mask negating the *real* (even) lanes.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available.
     #[inline(always)]
     unsafe fn neg_even() -> __m256d {
+        // SAFETY: register-only intrinsic; AVX per the caller.
         unsafe { _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0) }
     }
 
@@ -241,8 +283,12 @@ pub(crate) mod avx2 {
     /// The scalar `Cx::mul` computes `im = a.re*b.im + a.im*b.re`;
     /// IEEE addition commutativity makes the two bitwise equal for
     /// non-NaN inputs (the property tests pin this).
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available.
     #[inline(always)]
     unsafe fn cmul2(a: __m256d, b: __m256d) -> __m256d {
+        // SAFETY: register-only intrinsics; AVX per the caller.
         unsafe {
             let b_re = _mm256_movedup_pd(b); // [b.re, b.re, ...]
             let b_im = _mm256_permute_pd(b, 0b1111); // [b.im, b.im, ...]
@@ -256,8 +302,12 @@ pub(crate) mod avx2 {
 
     /// `x * (-i)` (forward) or `x * (+i)` (inverse) as the same
     /// swap-and-sign-flip the scalar `rot90` performs.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available.
     #[inline(always)]
     unsafe fn rot90_2<const INV: bool>(x: __m256d) -> __m256d {
+        // SAFETY: register-only intrinsics; AVX per the caller.
         unsafe {
             let sw = _mm256_permute_pd(x, 0b0101); // [im, re, ...]
             if INV {
@@ -275,8 +325,14 @@ pub(crate) mod avx2 {
     /// for the inverse direction (exact sign flip, matching scalar
     /// `w.conj()`). `Cx` is `#[repr(C)] { re, im }`, so a record is
     /// two packed doubles.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available, `which < 3`, and that `tw`
+    /// and `tw.add(1)` both point at readable records.
     #[inline(always)]
     unsafe fn load_tw2<const INV: bool>(tw: *const [Cx; 3], which: usize) -> __m256d {
+        // SAFETY: AVX per the caller; `which < 3` keeps each 16-byte
+        // load inside one of the two readable records.
         unsafe {
             let lo = _mm_loadu_pd((tw as *const Cx).add(which) as *const f64);
             let hi = _mm_loadu_pd((tw.add(1) as *const Cx).add(which) as *const f64);
@@ -293,6 +349,8 @@ pub(crate) mod avx2 {
     /// Caller must ensure AVX2 is available and `dst.len() == src.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn cmul_in_place(dst: &mut [Cx], src: &[Cx]) {
+        // SAFETY: AVX2 per the caller; `i + 2 <= n` keeps each 32-byte
+        // access (two `Cx`) inside both slices, of equal length `n`.
         unsafe {
             let n = dst.len();
             let d = dst.as_mut_ptr() as *mut f64;
@@ -314,6 +372,8 @@ pub(crate) mod avx2 {
     /// Caller must ensure AVX2 is available and `out.len() == src.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn norm_sqr_into(out: &mut [f64], src: &[Cx]) {
+        // SAFETY: AVX2 per the caller; `i + 4 <= n` keeps the loads of
+        // `src[i..i + 4]` and the store of `out[i..i + 4]` in bounds.
         unsafe {
             let n = out.len();
             let s = src.as_ptr() as *const f64;
@@ -339,11 +399,127 @@ pub(crate) mod avx2 {
         }
     }
 
+    /// [`Cx::abs`] of four lanes: its ordering of the parts,
+    /// `hypot_in_range` and `hypot_kernel`, each operation the same IEEE
+    /// operation in the same order (`h <= 2ay` picks between both
+    /// branches' terms, computed for every lane). Lanes out of range
+    /// are recomputed with `f64::hypot`, as the scalar kernel does.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available.
+    #[inline(always)]
+    unsafe fn abs4(re: __m256d, im: __m256d) -> __m256d {
+        use crate::complex::{HYPOT_EPS, HYPOT_LARGE, HYPOT_TINY};
+        // SAFETY: AVX2 per the caller; besides register operations, the
+        // only memory accesses are 32-byte ones to local `[f64; 4]`s.
+        unsafe {
+            let sign = _mm256_set1_pd(-0.0);
+            let a = _mm256_andnot_pd(sign, re);
+            let b = _mm256_andnot_pd(sign, im);
+            let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(a, b);
+            let ax = _mm256_blendv_pd(a, b, lt);
+            let ay = _mm256_blendv_pd(b, a, lt);
+            let ok = _mm256_and_pd(
+                _mm256_and_pd(
+                    _mm256_cmp_pd::<_CMP_LE_OQ>(ax, _mm256_set1_pd(HYPOT_LARGE)),
+                    _mm256_cmp_pd::<_CMP_GE_OQ>(ay, _mm256_set1_pd(HYPOT_TINY)),
+                ),
+                _mm256_cmp_pd::<_CMP_GT_OQ>(ay, _mm256_mul_pd(ax, _mm256_set1_pd(HYPOT_EPS))),
+            );
+            let two = _mm256_set1_pd(2.0);
+            let h = _mm256_sqrt_pd(_mm256_add_pd(_mm256_mul_pd(ax, ax), _mm256_mul_pd(ay, ay)));
+            let near = _mm256_cmp_pd::<_CMP_LE_OQ>(h, _mm256_mul_pd(two, ay));
+            // h <= 2ay: d = h - ay.
+            let d = _mm256_sub_pd(h, ay);
+            let t1n = _mm256_mul_pd(ax, _mm256_sub_pd(_mm256_mul_pd(two, d), ax));
+            let t2n = _mm256_mul_pd(
+                _mm256_sub_pd(d, _mm256_mul_pd(two, _mm256_sub_pd(ax, ay))),
+                d,
+            );
+            // Otherwise: d = h - ax.
+            let d = _mm256_sub_pd(h, ax);
+            let t1f = _mm256_mul_pd(
+                _mm256_mul_pd(two, d),
+                _mm256_sub_pd(ax, _mm256_mul_pd(two, ay)),
+            );
+            let t2f = _mm256_add_pd(
+                _mm256_mul_pd(_mm256_sub_pd(_mm256_mul_pd(_mm256_set1_pd(4.0), d), ay), ay),
+                _mm256_mul_pd(d, d),
+            );
+            let t1 = _mm256_blendv_pd(t1f, t1n, near);
+            let t2 = _mm256_blendv_pd(t2f, t2n, near);
+            let r = _mm256_sub_pd(
+                h,
+                _mm256_div_pd(_mm256_add_pd(t1, t2), _mm256_mul_pd(two, h)),
+            );
+            let ok = _mm256_movemask_pd(ok);
+            if ok == 0b1111 {
+                return r;
+            }
+            let (mut out, mut x, mut y) = ([0.0; 4], [0.0; 4], [0.0; 4]);
+            _mm256_storeu_pd(out.as_mut_ptr(), r);
+            _mm256_storeu_pd(x.as_mut_ptr(), re);
+            _mm256_storeu_pd(y.as_mut_ptr(), im);
+            for l in 0..4 {
+                if ok & (1 << l) == 0 {
+                    out[l] = x[l].hypot(y[l]);
+                }
+            }
+            _mm256_loadu_pd(out.as_ptr())
+        }
+    }
+
+    /// # Safety
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn abs_lanes(re: [f64; 4], im: [f64; 4]) -> [f64; 4] {
+        let mut out = [0.0; 4];
+        // SAFETY: AVX2 per the caller; each pointer addresses a local
+        // `[f64; 4]`, the 32 bytes one unaligned access moves.
+        unsafe {
+            let m = abs4(_mm256_loadu_pd(re.as_ptr()), _mm256_loadu_pd(im.as_ptr()));
+            _mm256_storeu_pd(out.as_mut_ptr(), m);
+        }
+        out
+    }
+
+    /// Four magnitudes per [`abs4`], then four scalar additions in
+    /// element order; the tail is the scalar fold.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sum_abs(mut acc: f64, src: &[Cx]) -> f64 {
+        let n = src.len();
+        let s = src.as_ptr() as *const f64;
+        let mut m = [0.0; 4];
+        let mut i = 0;
+        while i + 4 <= n {
+            // SAFETY: AVX2 per the caller; `i + 4 <= n`, so the two
+            // loads cover the eight doubles of `src[i..i + 4]`, and the
+            // store fills the local `m`.
+            unsafe {
+                let a = _mm256_loadu_pd(s.add(2 * i)); // [re0 im0 re1 im1]
+                let b = _mm256_loadu_pd(s.add(2 * i + 4)); // [re2 im2 re3 im3]
+                                                           // [re0 re2 re1 re3] and [im0 im2 im1 im3]: magnitudes
+                                                           // land in lanes 0, 2, 1, 3 of `m`.
+                let r = abs4(_mm256_unpacklo_pd(a, b), _mm256_unpackhi_pd(a, b));
+                _mm256_storeu_pd(m.as_mut_ptr(), r);
+            }
+            acc = acc + m[0] + m[2] + m[1] + m[3];
+            i += 4;
+        }
+        src[i..].iter().fold(acc, |s, x| s + x.abs())
+    }
+
     /// # Safety
     /// Caller must ensure AVX2 is available and
     /// `out.len() == src.len() == win.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn taper_into(out: &mut [Cx], src: &[Cx], win: &[f64], corr: f64) {
+        // SAFETY: AVX2 per the caller; `i + 2 <= n` keeps the loads of
+        // `src[i..i + 2]` and `win[i..i + 2]` and the store of
+        // `out[i..i + 2]` in bounds (all three hold `n`).
         unsafe {
             let n = win.len();
             let s = src.as_ptr() as *const f64;
@@ -390,6 +566,10 @@ pub(crate) mod avx2 {
         out_rows: &mut [Cx],
         ncols: usize,
     ) {
+        // SAFETY: AVX2 per the caller; the B loads read
+        // `k * n + j .. k * n + j + 8` for `k < kk`, readable per the
+        // caller, `k < kk` indexes the four A slices of `kk` elements,
+        // and the stores go through bounds-checked subslices.
         unsafe {
             let mut c0r_l = _mm256_setzero_pd();
             let mut c0r_h = _mm256_setzero_pd();
@@ -472,6 +652,7 @@ pub(crate) mod avx2 {
         bi: &[f64],
         out_row: &mut [Cx],
     ) {
+        // SAFETY: as in `micro_2x8`, for one row.
         unsafe {
             let mut cr_l = _mm256_setzero_pd();
             let mut cr_h = _mm256_setzero_pd();
@@ -510,8 +691,13 @@ pub(crate) mod avx2 {
 
     /// Interleaves split accumulators `[r0..r3] x [i0..i3]` into 8
     /// consecutive `Cx` slots.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available and `out.len() >= 8`.
     #[inline(always)]
     unsafe fn store_row(out: &mut [Cx], r_l: __m256d, r_h: __m256d, i_l: __m256d, i_h: __m256d) {
+        // SAFETY: AVX per the caller; the four 32-byte stores cover the
+        // 16 doubles of `out[..8]`.
         unsafe {
             let p = out.as_mut_ptr() as *mut f64;
             // unpacklo/hi give [r0 i0 r2 i2] / [r1 i1 r3 i3]; the
@@ -544,6 +730,9 @@ pub(crate) mod avx2 {
         q3: &mut [Cx],
         tw: &[[Cx; 3]],
     ) {
+        // SAFETY: AVX2 per the caller; `i + 2 <= h` keeps each 32-byte
+        // access inside the four `h`-element quarters, and the twiddle
+        // loads read records `i` and `i + 1` of the `h` in `tw`.
         unsafe {
             let h = q0.len();
             let p0 = q0.as_mut_ptr() as *mut f64;
@@ -591,6 +780,8 @@ pub(crate) mod avx2 {
         s3: &[Cx],
         tw: &[[Cx; 3]],
     ) {
+        // SAFETY: as in `radix4_stage`, over the four source and four
+        // destination quarters of `h` elements each.
         unsafe {
             let h = s0.len();
             let o0 = d0.as_mut_ptr() as *mut f64;
@@ -631,6 +822,9 @@ pub(crate) mod avx2 {
     /// As [`super::gather_16b_strided`], plus AVX2 availability.
     #[target_feature(enable = "avx2")]
     pub unsafe fn gather_16b_strided(dst: *mut u8, src: *const u8, n: usize, stride: usize) {
+        // SAFETY: AVX2 per the caller; element `i < n` is read at
+        // `src + i * stride * 16` and written at `dst + i * 16`, inside
+        // the regions the caller vouches for.
         unsafe {
             let step = stride * 16;
             let mut i = 0;

@@ -460,29 +460,6 @@ pub fn normalize_columns_in_place(w: &mut CMat) {
     flops::add((w.rows() * w.cols()) as u64 * 6);
 }
 
-/// Residual `||A X - B||_F`, a convenience for tests and diagnostics.
-pub fn residual_norm(a: &CMat, x: &CMat, b: &CMat) -> f64 {
-    a.matmul(x).sub(b).fro_norm()
-}
-
-/// Solves `R^H y = b` (forward substitution on the conjugate transpose),
-/// needed when whitening snapshots against a Cholesky-like factor.
-pub fn forward_substitute_hermitian(r: &CMat, b: &[Cx]) -> Vec<Cx> {
-    let n = r.rows();
-    assert_eq!(r.cols(), n, "R must be square");
-    assert_eq!(b.len(), n, "rhs length must match R");
-    let mut y = vec![ZERO; n];
-    for i in 0..n {
-        let mut acc = b[i];
-        for k in 0..i {
-            acc -= r[(k, i)].conj() * y[k];
-        }
-        y[i] = acc / r[(i, i)].conj();
-    }
-    flops::add((n * n) as u64 * flops::CMAC / 2 + n as u64 * 7);
-    y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -605,19 +582,6 @@ mod tests {
                 dot += full[(i, j)].conj() * fast[(i, j)];
             }
             assert!((dot.abs() - 1.0).abs() < 1e-8, "col {j}: {}", dot.abs());
-        }
-    }
-
-    #[test]
-    fn forward_substitute_hermitian_inverts() {
-        let r = qr_r(&rng_mat(20, 5, 15));
-        let y: Vec<Cx> = (0..5).map(|i| Cx::new(i as f64, -1.0)).collect();
-        // b = R^H y
-        let rh = r.hermitian();
-        let b = rh.matvec(&y);
-        let got = forward_substitute_hermitian(&r, &b);
-        for i in 0..5 {
-            assert!(got[i].approx_eq(y[i], 1e-10));
         }
     }
 

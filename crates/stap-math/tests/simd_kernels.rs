@@ -34,6 +34,82 @@ fn rng_vec(n: usize, seed: u64) -> Vec<Cx> {
     (0..n).map(|_| rng_cx(&mut s)).collect()
 }
 
+/// `bits` with its biased exponent replaced by `e` clamped to the
+/// finite range `[0, 2046]` (0 is the subnormals).
+fn with_exp(bits: u64, e: i64) -> f64 {
+    f64::from_bits(bits & !(0x7FF << 52) | (e.clamp(0, 2046) as u64) << 52)
+}
+
+/// `x` moved `k` representable values away from zero (towards it for
+/// negative `k`).
+fn nudge(x: f64, k: i64) -> f64 {
+    f64::from_bits(x.to_bits().wrapping_add_signed(k))
+}
+
+/// One operand pair for the magnitude kernel, from one of six regimes
+/// picked at random: raw bits (every exponent, subnormals, now and then
+/// an infinity or NaN); a second part within 2^±58 of the first at any
+/// exponent (the kernel, its `2^511` and `2^-459` rescaling edges and
+/// its `2^-54` cut-off); the smaller part a few ulps either side of
+/// `ax * 2^-54`, and either side of `ax / sqrt(3)` (where `h <= 2ay`
+/// flips); ±0, ±∞, NaN and the range edges against anything;
+/// training-like values of one scale. Signs are random.
+fn hypot_pair(s: &mut u64) -> (f64, f64) {
+    const SPECIAL: [f64; 12] = [
+        0.0,
+        f64::INFINITY,
+        f64::NAN,
+        f64::MIN_POSITIVE,
+        5e-324,
+        f64::MAX,
+        1.0,
+        6.703903964971299e153,  // 2^511
+        6.717876107567089e-139, // 2^-459
+        5.551115123125783e-17,  // 2^-54
+        1.0e-300,
+        1.0e300,
+    ];
+    let raw = xorshift(s);
+    let ex = (raw >> 52 & 0x7FF) as i64;
+    let near = |s: &mut u64, spread: u64| {
+        let delta = (xorshift(s) % (2 * spread + 1)) as i64 - spread as i64;
+        with_exp(xorshift(s), ex + delta)
+    };
+    let (x, y) = match xorshift(s) % 8 {
+        0 => (f64::from_bits(raw), f64::from_bits(xorshift(s))),
+        1 | 2 => (f64::from_bits(raw), near(s, 58)),
+        3 => {
+            let x = with_exp(raw, ex.clamp(60, 2000)).abs();
+            (
+                x,
+                nudge(x * 5.551115123125783e-17, (xorshift(s) % 7) as i64 - 3),
+            )
+        }
+        4 => {
+            let x = with_exp(raw, ex.clamp(60, 2000)).abs();
+            (x, nudge(x / 3f64.sqrt(), (xorshift(s) % 17) as i64 - 8))
+        }
+        5 => {
+            let special = SPECIAL[(xorshift(s) % 12) as usize];
+            let special = nudge(special, (xorshift(s) % 3) as i64 - 1);
+            let other = match xorshift(s) % 3 {
+                0 => SPECIAL[(xorshift(s) % 12) as usize],
+                1 => f64::from_bits(raw),
+                _ => near(s, 4),
+            };
+            (special, other)
+        }
+        _ => (with_exp(raw, 1023 + (ex % 8) - 4), near(s, 0) * 1.5),
+    };
+    let flip = xorshift(s);
+    let sign = |v: f64, bit: u64| f64::from_bits(v.to_bits() ^ (flip >> bit & 1) << 63);
+    if flip & 4 == 0 {
+        (sign(x, 0), sign(y, 1))
+    } else {
+        (sign(y, 0), sign(x, 1))
+    }
+}
+
 fn bits(v: &[Cx]) -> Vec<(u64, u64)> {
     v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
 }
@@ -72,6 +148,46 @@ fn simd_kernels_bit_match_scalar() {
             let mut out = vec![0.0f64; n];
             simd::norm_sqr_into(&mut out, &src);
             out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        });
+    }
+
+    // --- Magnitudes: four lanes split, and summed in element order. --
+    let mut s = 0x5EEDu64;
+    let pairs: Vec<Cx> = (0..400_000)
+        .map(|_| {
+            let (x, y) = hypot_pair(&mut s);
+            Cx::new(x, y)
+        })
+        .collect();
+    ab("abs_lanes", || {
+        pairs
+            .as_chunks::<4>()
+            .0
+            .iter()
+            .flat_map(|c| simd::abs_lanes(c.map(|x| x.re), c.map(|x| x.im)))
+            .map(f64::to_bits)
+            .collect::<Vec<_>>()
+    });
+    // Finite training-like values (the sums stay finite), and the
+    // special-laden pairs (sums of few terms, so one NaN or ∞ does not
+    // hide the rest). A sum of two NaNs is some NaN: which operand's
+    // payload x86 returns depends on the operand order, and `a + b` is
+    // commutative to the compiler, so NaN sums compare as NaN.
+    let train = rng_vec(4099, 123);
+    for n in [0, 1, 3, 4, 5, 7, 8, 64, 130, 1001, 4099] {
+        ab(&format!("sum_abs n={n}"), || {
+            simd::sum_abs(0.25, &train[..n]).to_bits()
+        });
+    }
+    for n in [1, 2, 3, 5, 6, 7, 9] {
+        ab(&format!("sum_abs specials n={n}"), || {
+            pairs
+                .chunks(n)
+                .map(|c| match simd::sum_abs(-0.0, c) {
+                    s if s.is_nan() => None,
+                    s => Some(s.to_bits()),
+                })
+                .collect::<Vec<_>>()
         });
     }
 
@@ -186,5 +302,26 @@ fn simd_kernels_bit_match_scalar() {
             }
             bits(&dst)
         });
+    }
+}
+
+/// `Cx::abs` is glibc's `hypot`, bit for bit, on ten million pairs from
+/// every regime of [`hypot_pair`]. With that, a change from `f64::hypot`
+/// to `Cx::abs` cannot move a golden or a digest on a glibc host, and
+/// the SIMD test above carries the result to the four-lane kernels.
+/// Gated on glibc: other C libraries (musl, the BSDs, macOS) round
+/// `hypot` differently, and glibc before 2.35 used another algorithm.
+#[cfg(target_env = "gnu")]
+#[test]
+fn cx_abs_is_glibc_hypot_bitwise() {
+    let mut s = 0xC0FFEEu64;
+    for i in 0..10_000_000u64 {
+        let (x, y) = hypot_pair(&mut s);
+        let (got, want) = (Cx::new(x, y).abs(), x.hypot(y));
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "pair {i}: hypot({x:e}, {y:e})"
+        );
     }
 }
