@@ -27,6 +27,9 @@ static BYTES: AtomicU64 = AtomicU64::new(0);
 /// ```
 pub struct CountingAllocator;
 
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the only extra work is
+// bumping relaxed atomic counters, which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);

@@ -63,7 +63,7 @@ fn detections_bit_identical_across_transports() {
 /// The application-level trace events — sends and receives of tagged
 /// pipeline messages, with their on-wire byte sizes — as a sorted
 /// multiset. Wall-clock spans and wait events differ run to run, and
-/// control traffic (barriers, goodbyes) differs by fabric, but *which*
+/// control traffic (goodbyes) differs by fabric, but *which*
 /// messages flow, between whom, and how many bytes each carries is a
 /// deterministic property of the configuration alone.
 fn data_event_multiset(out: &PipelineOutput) -> Vec<(usize, u8, usize, u64, u64)> {

@@ -426,22 +426,6 @@ fn steady_state_cpi_kernels_do_not_allocate() {
         );
     }
 
-    // --- Tracing: the disabled span recorder is allocation-free. -------
-    // Every production world runs with tracing disabled; this pins the
-    // "one branch, no clock, no alloc" guarantee of the disabled path
-    // (construction included — `Vec::new` in the enabled arm never runs).
-    {
-        use stap::mp::{SpanRecorder, TraceKind};
-        assert_zero_alloc("disabled span recorder", || {
-            let r = SpanRecorder::disabled();
-            let t0 = r.start();
-            r.record_span(TraceKind::Recv, 1, 42, 4096, t0);
-            r.record_instant(TraceKind::Send, 2, 43, 64);
-            black_box(r.len());
-            black_box(r.drain().len());
-        });
-    }
-
     // Sanity: the counter itself is live (construction above allocated).
     assert!(alloc_count::snapshot().allocs > 0);
 }

@@ -133,21 +133,6 @@ impl<T: Copy + Default> Cube<T> {
         Cube { shape, data }
     }
 
-    /// Copies a gathered subset of axis-0 indices (the paper's "data
-    /// collection": only the range cells a weight task needs are packed).
-    pub fn gather_axis0(&self, indices: &[usize]) -> Cube<T> {
-        let plane = self.shape[1] * self.shape[2];
-        let mut data = Vec::with_capacity(indices.len() * plane);
-        for &i in indices {
-            assert!(i < self.shape[0], "gather index {i} out of bounds");
-            data.extend_from_slice(&self.data[i * plane..(i + 1) * plane]);
-        }
-        Cube {
-            shape: [indices.len(), self.shape[1], self.shape[2]],
-            data,
-        }
-    }
-
     /// Writes `sub` into this cube at `offset` (element-wise copy).
     pub fn place(&mut self, offset: [usize; 3], sub: &Cube<T>) {
         let s = sub.shape;
@@ -530,20 +515,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn gather_axis0_selects_planes() {
-        let c = numbered([6, 2, 3]);
-        let g = c.gather_axis0(&[0, 2, 5]);
-        assert_eq!(g.shape(), [3, 2, 3]);
-        for j in 0..2 {
-            for k in 0..3 {
-                assert_eq!(g[(0, j, k)], c[(0, j, k)]);
-                assert_eq!(g[(1, j, k)], c[(2, j, k)]);
-                assert_eq!(g[(2, j, k)], c[(5, j, k)]);
             }
         }
     }

@@ -65,12 +65,6 @@ impl AxisPartition {
         self.len() == 0
     }
 
-    /// The node owning axis index `i`, by binary search.
-    pub fn owner_of(&self, i: usize) -> usize {
-        debug_assert!(i < self.len());
-        self.ranges.partition_point(|r| r.end <= i)
-    }
-
     /// The full local shape node `p` sees for a cube of `global` shape.
     pub fn local_shape(&self, global: [usize; 3], p: usize) -> [usize; 3] {
         let mut s = global;
@@ -123,15 +117,6 @@ mod tests {
         assert_eq!(r.iter().filter(|x| !x.is_empty()).count(), 3);
         let total: usize = r.iter().map(|x| x.len()).sum();
         assert_eq!(total, 3);
-    }
-
-    #[test]
-    fn owner_of_is_consistent_with_ranges() {
-        let p = AxisPartition::block(0, 100, 7);
-        for i in 0..100 {
-            let o = p.owner_of(i);
-            assert!(p.range_of(o).contains(&i), "index {i} owner {o}");
-        }
     }
 
     #[test]

@@ -8,16 +8,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::transport::{
-    ctrl_gen, LinkError, WireCodec, WireLink, WirePool, CTRL_BARRIER_ENTER, CTRL_BARRIER_RELEASE,
-    CTRL_GOODBYE, CTRL_RESERVED_BASE,
+    LinkError, WireCodec, WireLink, WirePool, CTRL_GOODBYE, CTRL_RESERVED_BASE,
 };
 
 /// Message tag. The STAP pipeline encodes `(task pair, CPI index, phase)`
 /// into tags so successive CPIs never cross-match.
 pub type Tag = u64;
-
-/// Wildcard source for [`Comm::recv_matching`].
-pub const ANY_SOURCE: usize = usize::MAX;
 
 /// Errors surfaced by receive operations.
 #[derive(Debug, PartialEq, Eq)]
@@ -36,16 +32,12 @@ pub(crate) struct Envelope<M> {
 
 /// The unexpected-message queue, indexed by `(src, tag)` bucket.
 ///
-/// `recv_matching` used to rescan a flat `Vec` of buffered envelopes on
-/// every call — O(pending) per receive, quadratic over a CPI's worth of
-/// out-of-order traffic. Each bucket is a FIFO of `(arrival_seq, msg)`;
-/// the global arrival counter lets [`Mailbox::take_any`] preserve the
-/// earliest-arrival semantics of `ANY_SOURCE` across buckets. Tags
-/// encode the CPI index, so drained buckets are removed eagerly to keep
-/// the map from growing without bound.
+/// A receive on an out-of-order tag is a hash lookup and a `pop_front`,
+/// not a scan over every buffered envelope. Each bucket is a FIFO in
+/// arrival order. Tags encode the CPI index, so drained buckets are
+/// removed eagerly to keep the map from growing without bound.
 pub(crate) struct Mailbox<M> {
-    buckets: HashMap<(usize, Tag), VecDeque<(u64, M)>>,
-    seq: u64,
+    buckets: HashMap<(usize, Tag), VecDeque<M>>,
     /// Messages currently buffered across every bucket.
     depth: usize,
     /// High-water mark of `depth` over the mailbox lifetime.
@@ -77,7 +69,6 @@ impl<M> Default for Mailbox<M> {
     fn default() -> Self {
         Mailbox {
             buckets: HashMap::new(),
-            seq: 0,
             depth: 0,
             max_depth: 0,
             high_water: 0,
@@ -87,10 +78,8 @@ impl<M> Default for Mailbox<M> {
 }
 
 impl<M> Mailbox<M> {
-    /// Buffers an envelope, stamping it with the arrival sequence.
+    /// Buffers an envelope at the back of its `(src, tag)` bucket.
     fn push(&mut self, e: Envelope<M>) {
-        let s = self.seq;
-        self.seq += 1;
         if self.high_water > 0 && self.depth >= self.high_water {
             self.over_high_water += 1;
         }
@@ -99,39 +88,19 @@ impl<M> Mailbox<M> {
         self.buckets
             .entry((e.src, e.tag))
             .or_default()
-            .push_back((s, e.msg));
+            .push_back(e.msg);
     }
 
     /// Pops the oldest buffered message from `(src, tag)`, removing the
     /// bucket when it drains.
     fn take(&mut self, src: usize, tag: Tag) -> Option<M> {
         let q = self.buckets.get_mut(&(src, tag))?;
-        let (_, msg) = q.pop_front().expect("empty buckets are removed eagerly");
+        let msg = q.pop_front().expect("empty buckets are removed eagerly");
         if q.is_empty() {
             self.buckets.remove(&(src, tag));
         }
         self.depth -= 1;
         Some(msg)
-    }
-
-    /// Pops the earliest-arrived message with `tag` from any source.
-    fn take_any(&mut self, tag: Tag) -> Option<(usize, M)> {
-        let src = self
-            .buckets
-            .iter()
-            .filter(|((_, t), _)| *t == tag)
-            .min_by_key(|(_, q)| q.front().expect("empty buckets are removed eagerly").0)
-            .map(|((s, _), _)| *s)?;
-        Some((src, self.take(src, tag)?))
-    }
-
-    /// True when a message matching `(src, tag)` is buffered.
-    fn contains(&self, src: usize, tag: Tag) -> bool {
-        if src == ANY_SOURCE {
-            self.buckets.keys().any(|&(_, t)| t == tag)
-        } else {
-            self.buckets.contains_key(&(src, tag))
-        }
     }
 
     /// Discards every buffered message whose `(src, tag)` fails `keep`,
@@ -164,12 +133,11 @@ impl<M> Mailbox<M> {
 }
 
 /// The in-process channel fabric: one mpsc channel per rank, shared
-/// barrier/liveness/poison state. This is the original (and default)
+/// liveness/poison state. This is the original (and default)
 /// backend; it moves typed messages with no serialization.
 pub(crate) struct LocalFabric<M> {
     pub(crate) senders: Arc<Vec<Sender<Envelope<M>>>>,
     pub(crate) inbox: Receiver<Envelope<M>>,
-    pub(crate) barrier: Arc<std::sync::Barrier>,
     /// Number of endpoints still alive. Every rank shares one `Arc` to the
     /// sender table, so a blocked receiver keeps its own channel open;
     /// disconnect is therefore detected by polling this counter instead
@@ -198,13 +166,6 @@ pub(crate) struct WireState<M> {
     /// Goodbye control frames received; `size - 1` of them means every
     /// peer exited cleanly (the wire analogue of the `alive` counter).
     goodbyes: usize,
-    /// Completed barrier count; stamps control frames so a release from
-    /// barrier N can never satisfy barrier N+1.
-    barrier_gen: u64,
-    /// Barrier-enter frames received (rank 0 only): `(src, gen)`.
-    barrier_enters: Vec<(usize, u64)>,
-    /// Barrier-release generations received ahead of the wait loop.
-    barrier_releases: Vec<u64>,
     /// The link reported `Disconnected`; no frame can ever arrive.
     link_down: bool,
 }
@@ -309,9 +270,6 @@ impl<M: Send> Comm<M> {
                     encode_buf: Vec::new(),
                     loopback: VecDeque::new(),
                     goodbyes: 0,
-                    barrier_gen: 0,
-                    barrier_enters: Vec::new(),
-                    barrier_releases: Vec::new(),
                     link_down: false,
                 }),
                 poisoned: Arc::new(AtomicBool::new(false)),
@@ -453,20 +411,8 @@ impl<M: Send> Comm<M> {
 
     /// Blocking receive of a message from `src` with `tag`.
     pub fn recv(&mut self, src: usize, tag: Tag) -> Result<M, RecvError> {
-        self.recv_matching(src, tag)
-    }
-
-    /// Blocking receive matching `(src, tag)`; `src` may be
-    /// [`ANY_SOURCE`]. Returns the message only (use
-    /// [`Comm::recv_any`] to learn the sender).
-    pub fn recv_matching(&mut self, src: usize, tag: Tag) -> Result<M, RecvError> {
-        if src == ANY_SOURCE {
-            // Delegates to the *traced* recv_any so the span is
-            // recorded exactly once, with the matched source.
-            return self.recv_any(tag).map(|(_, m)| m);
-        }
         let started = self.trace_now();
-        let r = self.recv_matching_inner(src, tag);
+        let r = self.recv_inner(src, tag);
         if let (Some(t), Ok(m)) = (&self.tracer, &r) {
             t.recorder
                 .record_span(crate::trace::TraceKind::Recv, src, tag, t.bytes(m), started);
@@ -474,7 +420,7 @@ impl<M: Send> Comm<M> {
         r
     }
 
-    fn recv_matching_inner(&mut self, src: usize, tag: Tag) -> Result<M, RecvError> {
+    fn recv_inner(&mut self, src: usize, tag: Tag) -> Result<M, RecvError> {
         if let Some(m) = self.pending.take(src, tag) {
             return Ok(m);
         }
@@ -482,36 +428,6 @@ impl<M: Send> Comm<M> {
             let e = self.blocking_next()?;
             if e.tag == tag && e.src == src {
                 return Ok(e.msg);
-            }
-            self.pending.push(e);
-        }
-    }
-
-    /// Blocking receive of the next message with `tag` from any source,
-    /// returning `(source, message)`.
-    pub fn recv_any(&mut self, tag: Tag) -> Result<(usize, M), RecvError> {
-        let started = self.trace_now();
-        let r = self.recv_any_inner(tag);
-        if let (Some(t), Ok((src, m))) = (&self.tracer, &r) {
-            t.recorder.record_span(
-                crate::trace::TraceKind::Recv,
-                *src,
-                tag,
-                t.bytes(m),
-                started,
-            );
-        }
-        r
-    }
-
-    fn recv_any_inner(&mut self, tag: Tag) -> Result<(usize, M), RecvError> {
-        if let Some(hit) = self.pending.take_any(tag) {
-            return Ok(hit);
-        }
-        loop {
-            let e = self.blocking_next()?;
-            if e.tag == tag {
-                return Ok((e.src, e.msg));
             }
             self.pending.push(e);
         }
@@ -544,16 +460,15 @@ impl<M: Send> Comm<M> {
                     }
                     first = false;
                     let remaining = deadline.saturating_duration_since(now);
-                    // Control frames are absorbed into the barrier and
-                    // goodbye state; a data frame is decoded out of the
-                    // link's buffer before the next call reuses it.
+                    // A goodbye is counted and any other reserved-range
+                    // frame is discarded undecoded: no receive can match
+                    // it, and a purge would keep it forever. A data frame
+                    // is decoded out of the link's buffer before the next
+                    // call reuses it.
                     match st.link.recv_frame(remaining) {
                         Ok(f) => match f.tag {
                             CTRL_GOODBYE => st.goodbyes += 1,
-                            CTRL_BARRIER_ENTER => {
-                                st.barrier_enters.push((f.src, ctrl_gen(f.payload)))
-                            }
-                            CTRL_BARRIER_RELEASE => st.barrier_releases.push(ctrl_gen(f.payload)),
+                            tag if tag >= CTRL_RESERVED_BASE => {}
                             tag => {
                                 let msg = match &st.pool {
                                     Some(pool) => pool.decode(f.payload),
@@ -622,7 +537,7 @@ impl<M: Send> Comm<M> {
         }
     }
 
-    /// Like [`Comm::recv_matching`] but gives up after `timeout`.
+    /// Like [`Comm::recv`] but gives up after `timeout`.
     ///
     /// Polls in short chunks so it also observes world poisoning and
     /// peer exit (like [`Comm::recv`] does) instead of burning the whole
@@ -662,11 +577,7 @@ impl<M: Send> Comm<M> {
         tag: Tag,
         timeout: Duration,
     ) -> Result<M, RecvError> {
-        if src == ANY_SOURCE {
-            if let Some((_, m)) = self.pending.take_any(tag) {
-                return Ok(m);
-            }
-        } else if let Some(m) = self.pending.take(src, tag) {
+        if let Some(m) = self.pending.take(src, tag) {
             return Ok(m);
         }
         let deadline = Instant::now() + timeout;
@@ -678,7 +589,7 @@ impl<M: Send> Comm<M> {
             let chunk = (deadline - now).min(Duration::from_millis(2));
             match self.poll_step(chunk) {
                 Step::Got(e) => {
-                    if e.tag == tag && (src == ANY_SOURCE || e.src == src) {
+                    if e.tag == tag && e.src == src {
                         return Ok(e.msg);
                     }
                     self.pending.push(e);
@@ -687,15 +598,7 @@ impl<M: Send> Comm<M> {
                 Step::Idle => {
                     if self.disconnected_now() {
                         self.drain_inbox();
-                        if self.pending.contains(src, tag) {
-                            return Ok(if src == ANY_SOURCE {
-                                self.pending.take_any(tag).map(|(_, m)| m)
-                            } else {
-                                self.pending.take(src, tag)
-                            }
-                            .expect("contains implies take succeeds"));
-                        }
-                        return Err(RecvError::Disconnected);
+                        return self.pending.take(src, tag).ok_or(RecvError::Disconnected);
                     }
                 }
             }
@@ -735,12 +638,6 @@ impl<M: Send> Comm<M> {
         self.pending.purge(keep)
     }
 
-    /// Non-blocking probe: true when a matching message is available now.
-    pub fn probe(&mut self, src: usize, tag: Tag) -> bool {
-        self.drain_inbox();
-        self.pending.contains(src, tag)
-    }
-
     /// Depth accounting of this rank's unexpected-message queue. Drains
     /// the delivery channel first so "buffered" means every message that
     /// has arrived but not been consumed, not just those a receive
@@ -770,145 +667,13 @@ impl<M: Send> Comm<M> {
         }
     }
 
-    /// Collects `count` messages with `tag` from any sources, e.g. one per
-    /// predecessor-task node in an all-to-all step. Returns them sorted by
-    /// source rank for determinism.
-    pub fn gather_tagged(&mut self, tag: Tag, count: usize) -> Result<Vec<(usize, M)>, RecvError> {
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.recv_any(tag)?);
-        }
-        out.sort_by_key(|(src, _)| *src);
-        Ok(out)
-    }
-
-    /// World-wide barrier (all ranks must call it).
-    ///
-    /// On the wire fabric this is a rank-0-coordinated enter/release
-    /// exchange over control frames; data frames arriving while blocked
-    /// are parked in the unexpected-message queue, preserving ordering.
-    /// A disconnected world degrades the barrier to a no-op (every
-    /// blocked collective surfaces `Disconnected` on its next receive).
-    pub fn barrier(&mut self) {
-        let started = self.trace_now();
-        match &self.fabric {
-            Fabric::Local(l) => {
-                l.barrier.wait();
-            }
-            Fabric::Wire(_) => self.wire_barrier(),
-        }
-        if let Some(t) = &self.tracer {
-            t.recorder.record_span(
-                crate::trace::TraceKind::Wait,
-                self.rank,
-                crate::trace::BARRIER_TAG,
-                0,
-                started,
-            );
-        }
-    }
-
-    /// Pumps the fabric once while a wire barrier waits, parking data
-    /// envelopes. Returns false when the world is disconnected (the
-    /// barrier should give up rather than hang).
-    fn barrier_pump(&mut self) -> bool {
-        match self.poll_step(Duration::from_millis(2)) {
-            Step::Got(e) => {
-                self.pending.push(e);
-                true
-            }
-            Step::Down => false,
-            Step::Idle => !self.disconnected_now(),
-        }
-    }
-
-    fn wire_barrier(&mut self) {
-        let Fabric::Wire(w) = &self.fabric else {
-            unreachable!("wire_barrier on local fabric")
-        };
-        let (size, gen) = {
-            let mut st = w.state.borrow_mut();
-            st.barrier_gen += 1;
-            (w.size, st.barrier_gen)
-        };
-        if size == 1 {
-            return;
-        }
-        if self.rank == 0 {
-            // Gather one enter per peer, then broadcast the release.
-            let mut seen = vec![false; size];
-            seen[0] = true;
-            loop {
-                {
-                    let Fabric::Wire(w) = &self.fabric else {
-                        unreachable!()
-                    };
-                    let mut st = w.state.borrow_mut();
-                    st.barrier_enters.retain(|&(s, g)| {
-                        if g == gen && s < size {
-                            seen[s] = true;
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
-                if seen.iter().all(|&b| b) {
-                    break;
-                }
-                if !self.barrier_pump() {
-                    return;
-                }
-            }
-            let Fabric::Wire(w) = &self.fabric else {
-                unreachable!()
-            };
-            let mut st = w.state.borrow_mut();
-            for dst in 1..size {
-                st.link
-                    .send_frame(dst, CTRL_BARRIER_RELEASE, &gen.to_le_bytes());
-            }
-        } else {
-            {
-                let Fabric::Wire(w) = &self.fabric else {
-                    unreachable!()
-                };
-                w.state
-                    .borrow_mut()
-                    .link
-                    .send_frame(0, CTRL_BARRIER_ENTER, &gen.to_le_bytes());
-            }
-            loop {
-                let released = {
-                    let Fabric::Wire(w) = &self.fabric else {
-                        unreachable!()
-                    };
-                    let mut st = w.state.borrow_mut();
-                    match st.barrier_releases.iter().position(|&g| g == gen) {
-                        Some(i) => {
-                            st.barrier_releases.swap_remove(i);
-                            true
-                        }
-                        None => false,
-                    }
-                };
-                if released {
-                    break;
-                }
-                if !self.barrier_pump() {
-                    return;
-                }
-            }
-        }
-    }
-
     /// Reads the clock only when tracing is enabled; pair with
     /// [`Comm::trace_redistribute`] to attribute application-side
     /// redistribution work (cube pack/unpack) without paying a clock
     /// read in production worlds.
     #[inline]
     pub fn trace_now(&self) -> Option<std::time::Instant> {
-        self.tracer.as_ref().and_then(|t| t.recorder.start())
+        self.tracer.as_ref().map(|_| Instant::now())
     }
 
     /// Records a [`crate::trace::TraceKind::Redistribute`] span begun at
@@ -946,6 +711,11 @@ mod tests {
     use super::*;
     use crate::world::World;
 
+    /// A spare tag for FIFO fences: once a receiver has matched a fence
+    /// from a sender, everything that sender sent before it is already
+    /// buffered, because delivery is FIFO per sender on every fabric.
+    const FENCE: Tag = 99;
+
     #[test]
     fn ping_pong() {
         let world: World<u32> = World::new(2);
@@ -971,43 +741,14 @@ mod tests {
                 for &(tag, v) in &[(2u64, 20u32), (1, 10), (2, 21), (1, 11), (2, 22)] {
                     comm.send(1, tag, v);
                 }
-                comm.barrier();
+                comm.send(1, FENCE, 0);
             } else {
-                comm.barrier(); // everything is buffered out of order now
+                comm.recv(0, FENCE).unwrap(); // everything is buffered out of order now
                 assert_eq!(comm.recv(0, 1).unwrap(), 10);
                 assert_eq!(comm.recv(0, 1).unwrap(), 11);
                 assert_eq!(comm.recv(0, 2).unwrap(), 20);
                 assert_eq!(comm.recv(0, 2).unwrap(), 21);
                 assert_eq!(comm.recv(0, 2).unwrap(), 22);
-            }
-        });
-    }
-
-    #[test]
-    fn recv_any_prefers_earliest_arrival_across_sources() {
-        // Rank 1 then rank 2 send the same tag (sequenced through rank
-        // 0); ANY_SOURCE receives must pop in arrival order even though
-        // the buckets are distinct.
-        let world: World<u8> = World::new(3);
-        world.run(|mut comm| match comm.rank() {
-            1 => {
-                comm.send(0, 5, 1);
-                comm.send(2, 9, 0); // wake rank 2 only after ours is sent
-            }
-            2 => {
-                let _ = comm.recv(1, 9).unwrap();
-                comm.send(0, 5, 2);
-            }
-            _ => {
-                // Wait until both are buffered so the order is decided
-                // by the mailbox, not the channel.
-                while !(comm.probe(1, 5) && comm.probe(2, 5)) {
-                    std::thread::yield_now();
-                }
-                let (s1, v1) = comm.recv_any(5).unwrap();
-                let (s2, v2) = comm.recv_any(5).unwrap();
-                assert_eq!((s1, v1), (1, 1), "first arrival must pop first");
-                assert_eq!((s2, v2), (2, 2));
             }
         });
     }
@@ -1042,40 +783,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_reports_source() {
-        let world: World<u8> = World::new(3);
-        world.run(|mut comm| match comm.rank() {
-            2 => {
-                let mut got = [false; 2];
-                for _ in 0..2 {
-                    let (src, v) = comm.recv_any(9).unwrap();
-                    assert_eq!(v as usize, src);
-                    got[src] = true;
-                }
-                assert!(got[0] && got[1]);
-            }
-            r => comm.send(2, 9, r as u8),
-        });
-    }
-
-    #[test]
-    fn gather_tagged_sorts_by_source() {
-        let world: World<usize> = World::new(5);
-        world.run(|mut comm| {
-            if comm.rank() == 0 {
-                let msgs = comm.gather_tagged(3, 4).unwrap();
-                let srcs: Vec<usize> = msgs.iter().map(|(s, _)| *s).collect();
-                assert_eq!(srcs, vec![1, 2, 3, 4]);
-                for (s, m) in msgs {
-                    assert_eq!(m, s * 10);
-                }
-            } else {
-                comm.send(0, 3, comm.rank() * 10);
-            }
-        });
-    }
-
-    #[test]
     fn disconnected_world_errors_cleanly() {
         let world: World<()> = World::new(2);
         world.run(|mut comm| {
@@ -1089,31 +796,16 @@ mod tests {
 
     #[test]
     fn timeout_fires_when_no_message() {
+        // Rank 0 stays alive until rank 1 reports back, so the wait can
+        // only end in a timeout.
         let world: World<()> = World::new(2);
         world.run(|mut comm| {
             if comm.rank() == 1 {
                 let r = comm.recv_timeout(0, 1, Duration::from_millis(20));
-                assert!(matches!(
-                    r,
-                    Err(RecvError::Timeout) | Err(RecvError::Disconnected)
-                ));
-            }
-            comm.barrier();
-        });
-    }
-
-    #[test]
-    fn probe_sees_buffered_messages() {
-        let world: World<i32> = World::new(2);
-        world.run(|mut comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 4, -1);
-                comm.barrier();
+                assert_eq!(r.unwrap_err(), RecvError::Timeout);
+                comm.send(0, FENCE, ());
             } else {
-                comm.barrier();
-                assert!(comm.probe(0, 4));
-                assert!(!comm.probe(0, 99));
-                assert_eq!(comm.recv(0, 4).unwrap(), -1);
+                comm.recv(1, FENCE).unwrap();
             }
         });
     }
@@ -1135,9 +827,9 @@ mod tests {
                 for t in 0..5u64 {
                     comm.send(1, t, t as u32);
                 }
-                comm.barrier();
+                comm.send(1, FENCE, 0);
             } else {
-                comm.barrier(); // all five are in flight or buffered now
+                comm.recv(0, FENCE).unwrap(); // all five are buffered now
                 let s = comm.mailbox_stats();
                 assert_eq!(s.depth, 5);
                 assert_eq!(s.max_depth, 5);
@@ -1166,10 +858,10 @@ mod tests {
                 for t in 0..6u64 {
                     comm.send(1, t, t as u32);
                 }
-                comm.barrier();
+                comm.send(1, FENCE, 0);
             } else {
                 comm.set_mailbox_high_water(2);
-                comm.barrier();
+                comm.recv(0, FENCE).unwrap();
                 let s = comm.mailbox_stats();
                 assert_eq!(s.depth, 6, "soft bound must not drop messages");
                 assert_eq!(s.high_water, 2);
@@ -1184,20 +876,42 @@ mod tests {
 
     #[test]
     fn heavy_all_to_all_stress() {
+        // Every rank sends to every rank, then receives from all sources
+        // in a seeded random order, yielding at random points. A rank can
+        // run at most one round ahead (it needs everyone's current-round
+        // message first), so a round ends with only next-round arrivals
+        // buffered, and the last round ends with an empty mailbox.
         const P: usize = 8;
+        const ROUNDS: u64 = 20;
         let world: World<Vec<u64>> = World::new(P);
         world.run(|mut comm| {
             let me = comm.rank();
-            for round in 0..20u64 {
+            let mut rng = stap_util::rng::Rng::seed_from_u64(0x5eed ^ me as u64);
+            for round in 0..ROUNDS {
                 for dst in 0..P {
                     comm.send(dst, round, vec![me as u64, round, dst as u64]);
                 }
-                let msgs = comm.gather_tagged(round, P).unwrap();
-                assert_eq!(msgs.len(), P);
-                for (src, m) in msgs {
+                let mut order: Vec<usize> = (0..P).collect();
+                for i in (1..P).rev() {
+                    order.swap(i, rng.gen_range_usize(0, i + 1));
+                }
+                for src in order {
+                    if rng.gen_bool(0.25) {
+                        std::thread::yield_now();
+                    }
+                    let m = comm.recv(src, round).unwrap();
                     assert_eq!(m, vec![src as u64, round, me as u64]);
                 }
+                let mut early = 0;
+                comm.pending_counts(|_, tag, n| {
+                    assert_eq!(tag, round + 1, "rank {me} round {round}");
+                    early += n;
+                });
+                // Depth accounting agrees with the buckets just counted
+                // (read without draining again: a fresh arrival would race).
+                assert_eq!(comm.pending.stats().depth, early);
             }
+            assert_eq!(comm.mailbox_stats().depth, 0, "rank {me}");
         });
     }
 }

@@ -429,17 +429,28 @@ mod tests {
         use crate::world::World;
         let world: World<u32> =
             World::new(2).with_faults(FaultPlan::seeded(0).delay_message(0, 1, 8, 2));
+        const FENCE: u64 = 10;
+        const CHECKED: u64 = 11;
         world.run(|mut comm| {
             if comm.rank() == 0 {
                 comm.fault_checkpoint(0);
                 comm.send(1, 8, 5); // held until epoch >= 2
                 comm.send(1, 9, 1); // control message, untouched
                 comm.fault_checkpoint(1);
-                comm.barrier(); // receiver checks nothing arrived on tag 8
+                comm.send(1, FENCE, 0);
+                comm.recv(1, CHECKED).unwrap(); // receiver checked tag 8
                 comm.fault_checkpoint(2); // releases the held message
             } else {
                 assert_eq!(comm.recv(0, 9).unwrap(), 1);
-                comm.barrier();
+                // Per-sender FIFO: past the fence, anything rank 0 sent
+                // before it is buffered, so tag 8 is really still held.
+                comm.recv(0, FENCE).unwrap();
+                assert_eq!(
+                    comm.recv_timeout(0, 8, std::time::Duration::ZERO),
+                    Err(crate::comm::RecvError::Timeout),
+                    "held until epoch 2"
+                );
+                comm.send(0, CHECKED, 0);
                 assert_eq!(comm.recv(0, 8).unwrap(), 5, "released at epoch 2");
             }
         });

@@ -10,8 +10,8 @@
 //! * asynchronous sends: `send` enqueues and returns immediately, the
 //!   exact semantics the paper's double-buffered `MPI_Isend` loop
 //!   (Fig. 10) relies on,
-//! * `recv_any` for servicing whichever predecessor finishes first,
-//! * barriers for test orchestration.
+//! * `recv_timeout` for deadline-bounded receives, and a per-CPI
+//!   `fault_checkpoint` for the deterministic fault plane.
 //!
 //! The runtime is deliberately *transport only*: redistribution planning
 //! lives in `stap-cube`, the pipeline loop in `stap-pipeline`, and

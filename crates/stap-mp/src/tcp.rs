@@ -70,7 +70,7 @@ fn read_exact_timeout(s: &mut TcpStream, buf: &mut [u8]) -> io::Result<()> {
 
 /// Serves the rendezvous exchange: collects `(rank, port)` from `size`
 /// participants, then replies to each with the full port table. Blocks
-/// until then, or until [`RENDEZVOUS_TIMEOUT`] passes with a rank
+/// until then, or until `RENDEZVOUS_TIMEOUT` passes with a rank
 /// missing (`TimedOut`); run it on a thread (see [`spawn_coordinator`]).
 /// A bad or duplicate registration ends it at once with `InvalidData`.
 /// Either failure drops every registered rank's stream, so each waiting

@@ -11,11 +11,11 @@
 //!   cross-thread contention while the pipeline runs. The only lock is
 //!   taken once per rank at flush time (endpoint drop), when the rank's
 //!   buffer is moved into the shared [`TraceSink`].
-//! * **Nullable with a zero-overhead disabled path.** A world without
-//!   tracing pays exactly one `Option` branch per instrumented call and
-//!   performs no allocation and takes no clock reading — the PR 1–2
-//!   zero-allocation steady-state guarantees hold unchanged (regression
-//!   tested by the counting-allocator suite in `stap-bench`).
+//! * **One off-switch.** An endpoint's tracer is an `Option`: a world
+//!   without tracing pays exactly one branch per instrumented call and
+//!   performs no allocation and takes no clock reading, so the
+//!   zero-allocation steady state holds unchanged (regression tested by
+//!   the counting-allocator suite in `stap-bench`).
 //!
 //! Events carry `(kind, peer, tag, bytes)` attribution plus start/end
 //! offsets in seconds from a caller-supplied epoch, so the pipeline
@@ -33,8 +33,8 @@ pub enum TraceKind {
     Send,
     /// Blocking receive that matched a message from `peer`.
     Recv,
-    /// Time spent blocked without obtaining a message (receive timeout,
-    /// barrier).
+    /// Time spent blocked without obtaining a message (a receive
+    /// timeout).
     Wait,
     /// Application-attributed redistribution work (pack/unpack for a
     /// cube exchange), recorded via [`crate::Comm::trace_redistribute`].
@@ -53,19 +53,15 @@ impl TraceKind {
     }
 }
 
-/// Tag value used for [`TraceKind::Wait`] events recorded by barriers,
-/// which have no message tag.
-pub const BARRIER_TAG: u64 = u64::MAX;
-
 /// One recorded communication event on one rank.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommEvent {
     /// Event class.
     pub kind: TraceKind,
-    /// The other endpoint: destination for sends, matched source for
-    /// receives, the rank itself for barrier waits.
+    /// The other endpoint: destination for sends, source for receives
+    /// and waits.
     pub peer: usize,
-    /// Message tag ([`BARRIER_TAG`] for barrier waits).
+    /// Message tag.
     pub tag: u64,
     /// Payload size attribution in wire bytes (0 when unknown, e.g.
     /// timed-out waits).
@@ -116,58 +112,26 @@ impl TraceSink {
     }
 }
 
-/// A nullable span recorder.
-///
-/// [`SpanRecorder::disabled`] produces a recorder whose every method is
-/// a single branch: no clock reads, no allocation, no locking. This is
-/// the configuration every production world runs with, and it is what
-/// the zero-allocation regression in `stap-bench` pins down.
-///
-/// [`SpanRecorder::enabled`] timestamps events relative to `epoch` and
-/// buffers them in a per-recorder `RefCell<Vec<_>>` (single-threaded
-/// interior mutability: each rank owns its recorder).
+/// A span recorder: timestamps events relative to `epoch` and buffers
+/// them in a `RefCell<Vec<_>>` (single-threaded interior mutability:
+/// each rank owns its recorder).
 pub struct SpanRecorder {
-    state: Option<RecorderState>,
-}
-
-struct RecorderState {
     epoch: Instant,
     events: RefCell<Vec<CommEvent>>,
 }
 
 impl SpanRecorder {
-    /// A recorder that drops everything at the cost of one branch.
-    pub fn disabled() -> Self {
-        SpanRecorder { state: None }
-    }
-
     /// A recorder timestamping against `epoch`. (`Vec::new` does not
     /// allocate; the first recorded event does.)
-    pub fn enabled(epoch: Instant) -> Self {
+    pub fn new(epoch: Instant) -> Self {
         SpanRecorder {
-            state: Some(RecorderState {
-                epoch,
-                events: RefCell::new(Vec::new()),
-            }),
+            epoch,
+            events: RefCell::new(Vec::new()),
         }
     }
 
-    /// True when events are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.state.is_some()
-    }
-
-    /// Reads the clock only when enabled — span callers hold the
-    /// returned `Option` and pass it back to [`SpanRecorder::record_span`],
-    /// so the disabled path never touches the clock.
-    #[inline]
-    pub fn start(&self) -> Option<Instant> {
-        self.state.as_ref().map(|_| Instant::now())
-    }
-
-    /// Records a closed span begun at `started` (obtained from
-    /// [`SpanRecorder::start`]). No-op when disabled or when `started`
-    /// is `None`.
+    /// Records a closed span begun at `started` (an `Instant` read by
+    /// the caller). No-op when `started` is `None`.
     #[inline]
     pub fn record_span(
         &self,
@@ -177,12 +141,10 @@ impl SpanRecorder {
         bytes: u64,
         started: Option<Instant>,
     ) {
-        let (Some(s), Some(t0)) = (self.state.as_ref(), started) else {
-            return;
-        };
-        let start_s = t0.duration_since(s.epoch).as_secs_f64();
-        let end_s = s.epoch.elapsed().as_secs_f64();
-        s.events.borrow_mut().push(CommEvent {
+        let Some(t0) = started else { return };
+        let start_s = t0.duration_since(self.epoch).as_secs_f64();
+        let end_s = self.epoch.elapsed().as_secs_f64();
+        self.events.borrow_mut().push(CommEvent {
             kind,
             peer,
             tag,
@@ -192,13 +154,11 @@ impl SpanRecorder {
         });
     }
 
-    /// Records an instant (zero-duration) event at "now". No-op when
-    /// disabled.
+    /// Records an instant (zero-duration) event at "now".
     #[inline]
     pub fn record_instant(&self, kind: TraceKind, peer: usize, tag: u64, bytes: u64) {
-        let Some(s) = self.state.as_ref() else { return };
-        let now_s = s.epoch.elapsed().as_secs_f64();
-        s.events.borrow_mut().push(CommEvent {
+        let now_s = self.epoch.elapsed().as_secs_f64();
+        self.events.borrow_mut().push(CommEvent {
             kind,
             peer,
             tag,
@@ -208,9 +168,9 @@ impl SpanRecorder {
         });
     }
 
-    /// Number of buffered events (0 when disabled).
+    /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.state.as_ref().map_or(0, |s| s.events.borrow().len())
+        self.events.borrow().len()
     }
 
     /// True when no events are buffered.
@@ -218,11 +178,9 @@ impl SpanRecorder {
         self.len() == 0
     }
 
-    /// Moves the buffered events out (empty when disabled).
+    /// Moves the buffered events out.
     pub fn drain(&self) -> Vec<CommEvent> {
-        self.state
-            .as_ref()
-            .map_or_else(Vec::new, |s| std::mem::take(&mut *s.events.borrow_mut()))
+        std::mem::take(&mut *self.events.borrow_mut())
     }
 }
 
@@ -236,7 +194,7 @@ pub(crate) struct CommTracer<M> {
 impl<M> CommTracer<M> {
     pub(crate) fn new(epoch: Instant, sink: TraceSink, bytes_of: fn(&M) -> u64) -> Self {
         CommTracer {
-            recorder: SpanRecorder::enabled(epoch),
+            recorder: SpanRecorder::new(epoch),
             sink,
             bytes_of,
         }
@@ -263,22 +221,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_recorder_keeps_nothing() {
-        let r = SpanRecorder::disabled();
-        assert!(!r.is_enabled());
-        assert_eq!(r.start(), None);
-        r.record_span(TraceKind::Recv, 1, 2, 3, None);
-        r.record_instant(TraceKind::Send, 1, 2, 3);
-        assert!(r.is_empty());
-        assert!(r.drain().is_empty());
-    }
-
-    #[test]
     fn enabled_recorder_orders_and_timestamps() {
         let epoch = Instant::now();
-        let r = SpanRecorder::enabled(epoch);
-        let t0 = r.start();
-        assert!(t0.is_some());
+        let r = SpanRecorder::new(epoch);
+        let t0 = Some(Instant::now());
         std::thread::sleep(std::time::Duration::from_millis(2));
         r.record_span(TraceKind::Recv, 4, 9, 128, t0);
         r.record_instant(TraceKind::Send, 5, 10, 64);
@@ -305,15 +251,23 @@ mod tests {
         let sink = TraceSink::new();
         let epoch = Instant::now();
         let world: World<Vec<u8>> = World::new(2).with_tracing(epoch, &sink, |m| m.len() as u64);
+        // Each rank times out on a tag nobody sends, then trades a done
+        // message with its peer, so the peer is alive for the whole wait
+        // and the wait ends in `Timeout`, not `Disconnected`.
+        const NEVER: u64 = 8;
+        const DONE: u64 = 9;
         world.run(|mut comm| {
+            let peer = 1 - comm.rank();
             if comm.rank() == 0 {
                 comm.send(1, 7, vec![0u8; 16]);
-                comm.barrier();
             } else {
                 let m = comm.recv(0, 7).unwrap();
                 assert_eq!(m.len(), 16);
-                comm.barrier();
             }
+            let r = comm.recv_timeout(peer, NEVER, std::time::Duration::from_millis(1));
+            assert_eq!(r.unwrap_err(), crate::comm::RecvError::Timeout);
+            comm.send(peer, DONE, vec![]);
+            comm.recv(peer, DONE).unwrap();
         });
         let traces = sink.take();
         assert_eq!(traces.len(), 2, "both ranks flushed");
@@ -329,8 +283,8 @@ mod tests {
             assert!(
                 t.events
                     .iter()
-                    .any(|e| e.kind == TraceKind::Wait && e.tag == BARRIER_TAG),
-                "rank {} recorded its barrier wait",
+                    .any(|e| e.kind == TraceKind::Wait && e.peer == 1 - t.rank && e.tag == NEVER),
+                "rank {} recorded its timed-out wait",
                 t.rank
             );
         }

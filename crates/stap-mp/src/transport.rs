@@ -90,8 +90,9 @@ pub struct WireFrame<'a> {
 /// `RefCell` to keep its own `send(&self)` signature.
 ///
 /// Tags at or above [`CTRL_RESERVED_BASE`] are reserved for `Comm`'s
-/// control plane (barrier and teardown); sending application data with
-/// such a tag over a wire transport panics.
+/// control plane (the teardown goodbye); sending application data with
+/// such a tag over a wire transport panics, and `Comm` discards any
+/// other frame it receives in that range.
 pub trait WireLink: Send {
     /// This endpoint's rank.
     fn rank(&self) -> usize;
@@ -149,18 +150,6 @@ pub const CTRL_RESERVED_BASE: Tag = Tag::MAX - 15;
 
 /// Peer is exiting cleanly; world disconnect = goodbyes from every peer.
 pub(crate) const CTRL_GOODBYE: Tag = Tag::MAX - 1;
-/// Barrier arrival, sent to rank 0 with the generation in the payload.
-pub(crate) const CTRL_BARRIER_ENTER: Tag = Tag::MAX - 2;
-/// Barrier release, broadcast by rank 0 with the generation echoed.
-pub(crate) const CTRL_BARRIER_RELEASE: Tag = Tag::MAX - 3;
-
-/// Reads the little-endian barrier generation out of a control payload.
-pub(crate) fn ctrl_gen(payload: &[u8]) -> u64 {
-    let mut b = [0u8; 8];
-    let n = payload.len().min(8);
-    b[..n].copy_from_slice(&payload[..n]);
-    u64::from_le_bytes(b)
-}
 
 #[cfg(test)]
 mod tests {
@@ -179,10 +168,6 @@ mod tests {
 
     #[test]
     fn control_tags_sit_in_the_reserved_range() {
-        for t in [CTRL_GOODBYE, CTRL_BARRIER_ENTER, CTRL_BARRIER_RELEASE] {
-            assert!(t >= CTRL_RESERVED_BASE);
-        }
-        assert_eq!(ctrl_gen(&7u64.to_le_bytes()), 7);
-        assert_eq!(ctrl_gen(&[]), 0);
+        const { assert!(CTRL_GOODBYE >= CTRL_RESERVED_BASE) };
     }
 }

@@ -38,9 +38,8 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// A set of `n` rank endpoints sharing a message space.
 ///
-/// Construct with [`World::new`], then either take the endpoints with
-/// [`World::into_comms`] and place them on your own threads, or use
-/// [`World::run`] to launch one scoped thread per rank.
+/// Construct with [`World::new`], then launch one scoped thread per rank
+/// with [`World::run`] or one of its variants.
 pub struct World<M> {
     comms: Vec<Comm<M>>,
 }
@@ -57,7 +56,6 @@ impl<M: Send> World<M> {
             rxs.push(rx);
         }
         let senders = Arc::new(txs);
-        let barrier = Arc::new(std::sync::Barrier::new(n));
         let alive = Arc::new(std::sync::atomic::AtomicUsize::new(n));
         let poisoned = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let comms = rxs
@@ -68,7 +66,6 @@ impl<M: Send> World<M> {
                 fabric: crate::comm::Fabric::Local(crate::comm::LocalFabric {
                     senders: Arc::clone(&senders),
                     inbox,
-                    barrier: Arc::clone(&barrier),
                     alive: Arc::clone(&alive),
                     poisoned: Arc::clone(&poisoned),
                 }),
@@ -140,11 +137,6 @@ impl<M: Send> World<M> {
     /// Number of ranks.
     pub fn size(&self) -> usize {
         self.comms.len()
-    }
-
-    /// Consumes the world, yielding one endpoint per rank (index = rank).
-    pub fn into_comms(self) -> Vec<Comm<M>> {
-        self.comms
     }
 
     /// Runs `f` once per rank on scoped threads and joins them all,
@@ -310,19 +302,6 @@ mod tests {
         });
         let expect: Vec<u64> = (0..P).map(|me| ((me + P - 1) % P + me) as u64).collect();
         assert_eq!(sums, expect);
-    }
-
-    #[test]
-    fn barrier_synchronizes_phases() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static PHASE1: AtomicUsize = AtomicUsize::new(0);
-        let n = 4;
-        run_spmd::<(), ()>(n, |mut comm| {
-            PHASE1.fetch_add(1, Ordering::SeqCst);
-            comm.barrier();
-            // After the barrier every rank must observe all increments.
-            assert_eq!(PHASE1.load(Ordering::SeqCst), n);
-        });
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Wire-transport integration: the full `Comm` stack (matching,
-//! mailbox, barrier, faults, tracing, disconnect) over the TCP link,
+//! mailbox, faults, tracing, disconnect) over the TCP link,
 //! exercised by threads standing in for rank processes. The
 //! multi-*process* path is covered end-to-end by the cluster tests in
 //! `stap-bench`; here the links themselves and the `Comm` control plane
 //! are pinned down in isolation.
 
-use stap_mp::{Comm, FaultPlan, RecvError, TcpLink, TraceKind, TraceSink, WireCodec};
+use stap_mp::{
+    Comm, FaultPlan, RecvError, TcpLink, TraceKind, TraceSink, WireCodec, WireLink,
+    CTRL_RESERVED_BASE,
+};
 use std::time::Duration;
 
 fn u64_codec() -> WireCodec<u64> {
@@ -76,22 +79,6 @@ fn ring_pass_and_out_of_order_matching() {
         let prev = (me + n - 1) % n;
         assert_eq!(*v, (prev * 10 + 1 + prev * 10 + 2) as u64, "rank {me}");
     }
-}
-
-#[test]
-fn barrier_separates_phases_and_parks_data() {
-    run_wire(3, u64_codec(), |mut comm| {
-        if comm.rank() == 0 {
-            comm.send(1, 5, 50);
-            comm.send(2, 5, 52);
-        }
-        comm.barrier();
-        comm.barrier(); // generations must not cross-match
-        if comm.rank() != 0 {
-            // The pre-barrier send is buffered and receivable.
-            assert_eq!(comm.recv(0, 5).unwrap(), 48 + 2 * comm.rank() as u64);
-        }
-    });
 }
 
 #[test]
@@ -182,7 +169,7 @@ fn fault_drop_and_delay_rules_apply_over_the_wire() {
             comm.send(1, 2, 22); // held until epoch 1
             comm.send(1, 3, 33); // untouched
             comm.fault_checkpoint(1); // releases the delayed send
-            comm.barrier();
+            comm.recv(1, 4).unwrap(); // connected for rank 1's timed-out wait
         } else {
             assert_eq!(comm.recv(0, 3).unwrap(), 33, "clean tag");
             assert_eq!(
@@ -192,13 +179,18 @@ fn fault_drop_and_delay_rules_apply_over_the_wire() {
                 "dropped tag must never arrive"
             );
             assert_eq!(comm.recv(0, 2).unwrap(), 22, "delayed tag arrives");
-            comm.barrier();
+            comm.send(0, 4, 0);
         }
     });
 }
 
 #[test]
 fn tracing_attributes_peer_tag_bytes_on_wire_fabrics() {
+    // Each rank times out on a tag nobody sends, then trades a done
+    // message with its peer, so the peer is connected for the whole
+    // wait and the wait ends in `Timeout`, not `Disconnected`.
+    const NEVER: u64 = 5;
+    const DONE: u64 = 6;
     let sink = TraceSink::new();
     let epoch = std::time::Instant::now();
     std::thread::scope(|s| {
@@ -207,40 +199,37 @@ fn tracing_attributes_peer_tag_bytes_on_wire_fabrics() {
             s.spawn(move || {
                 let mut comm: Comm<u64> = Comm::over_wire(Box::new(link), u64_codec());
                 comm.install_tracing(epoch, sink, |_| 8);
+                let peer = 1 - comm.rank();
                 if comm.rank() == 0 {
                     comm.send(1, 4, 44);
-                    comm.barrier();
                 } else {
                     assert_eq!(comm.recv(0, 4).unwrap(), 44);
-                    comm.barrier();
                 }
+                let waited = comm.recv_timeout(peer, NEVER, Duration::from_millis(1));
+                assert_eq!(waited.unwrap_err(), RecvError::Timeout);
+                comm.send(peer, DONE, 0);
+                comm.recv(peer, DONE).unwrap();
             });
         }
     });
     let traces = sink.take();
     assert_eq!(traces.len(), 2, "both ranks flushed");
-    let sends: Vec<_> = traces[0]
-        .events
-        .iter()
-        .filter(|e| e.kind == TraceKind::Send)
-        .collect();
-    assert_eq!(sends.len(), 1);
-    assert_eq!((sends[0].peer, sends[0].tag, sends[0].bytes), (1, 4, 8));
-    let recvs: Vec<_> = traces[1]
-        .events
-        .iter()
-        .filter(|e| e.kind == TraceKind::Recv)
-        .collect();
-    assert_eq!(recvs.len(), 1);
-    assert_eq!((recvs[0].peer, recvs[0].tag, recvs[0].bytes), (0, 4, 8));
-    // Both ranks recorded the barrier wait.
-    for rt in &traces {
-        assert!(
-            rt.events
-                .iter()
-                .any(|e| e.kind == TraceKind::Wait && e.tag == u64::MAX),
-            "rank {} barrier wait",
-            rt.rank
+    let of_kind = |rank: usize, kind: TraceKind| -> Vec<(usize, u64, u64)> {
+        traces[rank]
+            .events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| (e.peer, e.tag, e.bytes))
+            .collect()
+    };
+    assert_eq!(of_kind(0, TraceKind::Send), [(1, 4, 8), (1, DONE, 8)]);
+    assert_eq!(of_kind(1, TraceKind::Recv), [(0, 4, 8), (0, DONE, 8)]);
+    // Both ranks recorded their timed-out wait.
+    for rank in 0..2 {
+        assert_eq!(
+            of_kind(rank, TraceKind::Wait),
+            [(1 - rank, NEVER, 0)],
+            "rank {rank}"
         );
     }
 }
@@ -260,4 +249,18 @@ fn supervisor_poison_unblocks_a_wire_receive() {
     poison.store(true, std::sync::atomic::Ordering::SeqCst);
     assert_eq!(waiter.join().unwrap(), RecvError::Disconnected);
     drop(silent);
+}
+
+#[test]
+fn reserved_range_frames_never_reach_the_mailbox() {
+    // A peer speaking an older control protocol sends a frame in the
+    // reserved range that is not a goodbye. It must be discarded, not
+    // parked where no receive matches it and no purge removes it.
+    let mut links = build_links(2);
+    let mut comm: Comm<u64> = Comm::over_wire(Box::new(links.pop().unwrap()), u64_codec());
+    let mut raw = links.pop().unwrap();
+    raw.send_frame(1, CTRL_RESERVED_BASE + 2, &7u64.to_le_bytes());
+    raw.send_frame(1, 3, &33u64.to_le_bytes());
+    assert_eq!(comm.recv(0, 3).unwrap(), 33);
+    assert_eq!(comm.mailbox_stats().depth, 0, "control frame was parked");
 }

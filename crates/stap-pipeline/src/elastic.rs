@@ -17,11 +17,8 @@ use stap_core::params::StapParams;
 /// A rebalance trigger, sent on a session's control channel.
 #[derive(Clone, Debug)]
 pub enum Rebalance {
-    /// Rebalance at the next slot boundary (load spike, operator).
-    Now {
-        /// Human-readable trigger description, for the sender's logs.
-        reason: String,
-    },
+    /// Rebalance at the next slot boundary (a load spike).
+    Now,
     /// Rebalance once the count of slot groups the session has pulled
     /// from its jobs channel reaches this value. Deterministic; the property tests use it to force a
     /// mid-campaign reassignment at an exact slot.

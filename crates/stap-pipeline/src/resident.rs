@@ -73,10 +73,10 @@
 //! # One engine, two feeds
 //!
 //! Each task has exactly one loop function here, and every loop leaves
-//! what is not its own to a [`Node`]: the receive ([`recv_msg`]), the
+//! what is not its own to a `Node`: the receive (`recv_msg`), the
 //! drop markers a lost input sends downstream, the end-of-slot purge,
 //! and the slot's [`TaskTiming`] and span. The driver reads its slots
-//! from a [`Feed`], a CPI list or a session. Which front end turns what
+//! from a `Feed`, a CPI list or a session. Which front end turns what
 //! on:
 //!
 //! * a [`Session`] — [`ResidentStap::serve`] is one with no triggers,
@@ -323,15 +323,6 @@ impl ResidentStap {
     /// degraded attribution.
     pub fn with_screen(mut self, screen: bool) -> Self {
         self.screen = screen;
-        self
-    }
-
-    /// Replaces the buffer pools with an existing (shared) set. A
-    /// [`Session`] threads this one pool family through successive
-    /// epochs so a rebalance does not re-warm every size class from
-    /// cold.
-    pub fn with_pools(mut self, pools: PipelinePools) -> Self {
-        self.pools = pools;
         self
     }
 

@@ -194,7 +194,7 @@ impl SessionFeed {
         };
         while let Ok(r) = control.try_recv() {
             match r {
-                Rebalance::Now { .. } => self.trigger = Some(None),
+                Rebalance::Now => self.trigger = Some(None),
                 Rebalance::At(slot) => self.scheduled_at = Some(slot),
                 Rebalance::Degraded { task } => self.trigger = Some(Some(task.min(6))),
             }

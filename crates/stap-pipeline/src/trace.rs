@@ -111,7 +111,7 @@ impl TraceStats {
             for ev in &rt.events {
                 let e = edge_of_tag(ev.tag);
                 if e >= NUM_EDGES || cpi_of_tag(ev.tag) >= trace.num_cpis {
-                    // Barrier or out-of-scheme tag, or a shutdown frame
+                    // Out-of-scheme tag, or a shutdown frame
                     // (tagged with the slot after the last CPI).
                     continue;
                 }
@@ -202,11 +202,10 @@ pub fn chrome_trace_json(trace: &PipelineTrace) -> Json {
             None => (7, 0), // driver
         };
         for ev in &rt.events {
-            let e = edge_of_tag(ev.tag);
-            let edge = if e < NUM_EDGES {
-                EDGE_NAMES[e]
-            } else {
-                "barrier"
+            // Every pipeline tag names an edge; skip anything else, as
+            // the per-edge ledger above does.
+            let Some(edge) = EDGE_NAMES.get(edge_of_tag(ev.tag)) else {
+                continue;
             };
             events.push(complete_event(
                 ev.kind.name(),
@@ -216,7 +215,7 @@ pub fn chrome_trace_json(trace: &PipelineTrace) -> Json {
                 ev.start_s,
                 ev.end_s,
                 [
-                    ("edge", Json::Str(edge.into())),
+                    ("edge", Json::Str((*edge).into())),
                     ("peer", Json::Num(ev.peer as f64)),
                     ("bytes", Json::Num(ev.bytes as f64)),
                 ],

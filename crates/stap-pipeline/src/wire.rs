@@ -476,8 +476,8 @@ pub fn rank_trace_to_json(t: &RankTrace) -> Json {
                 Json::obj([
                     ("kind", Json::Str(e.kind.name().into())),
                     ("peer", Json::Num(e.peer as f64)),
-                    // Tags use the full u64 range (the barrier tag is
-                    // u64::MAX); bit-exact via string.
+                    // Tags may exceed f64's exact integers (the edge
+                    // sits in the top 16 bits); bit-exact via string.
                     ("tag", Json::Str(e.tag.to_string())),
                     ("bytes", Json::Num(e.bytes as f64)),
                     ("start_s", Json::Num(e.start_s)),

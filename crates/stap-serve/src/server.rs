@@ -56,9 +56,8 @@ pub struct ServerConfig {
     pub streams_hint: usize,
     /// Rank shifts: with `rebalance` set the engine shifts a rank
     /// toward the measured bottleneck at a slot boundary when a load
-    /// spike ([`Self::spike_backlog`]), [`StapServer::degrade`] or
-    /// [`StapServer::rebalance_now`] asks, within the cooldown and
-    /// imbalance threshold; typically `stap_sim::derive_policy` output.
+    /// spike ([`Self::spike_backlog`]) or [`StapServer::degrade`] asks,
+    /// within the cooldown and imbalance threshold; typically `stap_sim::derive_policy` output.
     pub policy: RuntimePolicy,
     /// Admission backlog (ready, undispatched CPIs) at which the
     /// batcher raises a load-spike rebalance trigger (0 = off; only
@@ -352,7 +351,7 @@ impl StapServer {
 
         let max_group = cfg.max_group.max(1);
         // Without `policy.rebalance` nothing reads the control channel:
-        // `degrade`/`rebalance_now` are no-ops and no spike is raised.
+        // `degrade` is a no-op and no spike is raised.
         let (ctl_tx, ctl_rx) = mpsc::channel::<Rebalance>();
         let rebalance = cfg.policy.rebalance;
         let spike_backlog = if rebalance { cfg.spike_backlog } else { 0 };
@@ -384,9 +383,7 @@ impl StapServer {
                 if spike_backlog > 0 {
                     let now_over = backlog >= spike_backlog;
                     if now_over && !over {
-                        let _ = spike_tx.send(Rebalance::Now {
-                            reason: format!("load-spike:backlog={backlog}"),
-                        });
+                        let _ = spike_tx.send(Rebalance::Now);
                     }
                     over = now_over;
                 }
@@ -464,16 +461,6 @@ impl StapServer {
     pub fn degrade(&self, task: usize) {
         if let Some(c) = &self.control {
             let _ = c.send(Rebalance::Degraded { task });
-        }
-    }
-
-    /// Requests a rebalance at the next slot boundary (subject to the
-    /// policy cooldown). A no-op without `policy.rebalance`.
-    pub fn rebalance_now(&self, reason: impl Into<String>) {
-        if let Some(c) = &self.control {
-            let _ = c.send(Rebalance::Now {
-                reason: reason.into(),
-            });
         }
     }
 

@@ -191,7 +191,8 @@ impl SimResult {
 /// Per-pair message volumes in bytes (complex samples are 8 bytes, the
 /// pulse-compressed power 4 bytes per cell, as on the Paragon).
 struct Volumes {
-    /// [src_dop_node][dst_node] for each edge out of Doppler.
+    /// Indexed `[src_dop_node][dst_node]`, one table per edge out of
+    /// Doppler.
     d_to_ew: Vec<Vec<u64>>,
     d_to_hw: Vec<Vec<u64>>,
     d_to_ebf: Vec<Vec<u64>>,

@@ -69,13 +69,6 @@ impl Rng {
         lo + ((self.next_u64() as u128 * span as u128) >> 64) as usize
     }
 
-    /// Uniform `u64` in `[lo, hi)`.
-    #[inline]
-    pub fn gen_range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range {lo}..{hi}");
-        lo + ((self.next_u64() as u128 * (hi - lo) as u128) >> 64) as u64
-    }
-
     /// `true` with probability `p`.
     #[inline]
     pub fn gen_bool(&mut self, p: f64) -> bool {

@@ -21,7 +21,7 @@ NUM_STAGES=12
 stage_name() {
   case "$1" in
     1) echo "rustfmt" ;;
-    2) echo "clippy (deny warnings, every target: libs, bins, tests, examples)" ;;
+    2) echo "lint (clippy deny warnings and undocumented unsafe, every target; rustdoc deny warnings)" ;;
     3) echo "release build" ;;
     4) echo "tests (includes the zero-allocation regression)" ;;
     5) echo "fault smoke (deterministic campaign: stall + drop over 10 CPIs)" ;;
@@ -42,7 +42,12 @@ run_stage() {
       cargo fmt --all -- --check
       ;;
     2)
-      cargo clippy --workspace --all-targets -- -D warnings
+      # Every `unsafe` block or impl carries a `// SAFETY:` comment, and
+      # the docs build without a warning (private items included), so a
+      # deleted item cannot leave a dead intra-doc link behind.
+      cargo clippy --workspace --all-targets -- -D warnings \
+        -D clippy::undocumented_unsafe_blocks || return 1
+      RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items
       ;;
     3)
       cargo build --release --workspace
