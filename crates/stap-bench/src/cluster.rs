@@ -155,7 +155,6 @@ pub fn build_runner(cfg: &ClusterConfig) -> (ParallelStap, Vec<CCube>) {
                 fault_tolerant: true,
                 edge_timeout: Duration::from_millis(200).mul_f64(slack),
                 weight_grace: Duration::from_millis(50).mul_f64(slack),
-                ..RuntimePolicy::default()
             })
             .with_faults(plan);
     }

@@ -21,7 +21,8 @@
 
 use stap::cube::{CCube, SharedBufferPool};
 use stap::math::Cx;
-use stap::serve::{AdmissionConfig, Ingest, Pending};
+use stap::pipeline::CpiJob;
+use stap::serve::{AdmissionConfig, Ingest};
 use stap_bench::alloc_count::{self, CountingAllocator};
 use std::time::Instant;
 
@@ -57,7 +58,7 @@ fn churn_round(ing: &mut Ingest, pool: &SharedBufferPool<Cx>, src: &CCube, churn
 
     // Dispatch one slot: [stream 0 CPI, churn CPI] leave the queue and
     // are now "in the pipeline".
-    let mut slot: Vec<Pending> = Vec::with_capacity(2 * PER_STREAM);
+    let mut slot: Vec<CpiJob> = Vec::with_capacity(2 * PER_STREAM);
     ing.next_group_into(2, &mut slot);
     assert_eq!(slot.len(), 2);
     assert_eq!(slot[1].stream, churn);

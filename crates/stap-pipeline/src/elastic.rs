@@ -17,11 +17,10 @@ use stap_core::params::StapParams;
 /// A rebalance trigger, sent on a session's control channel.
 #[derive(Clone, Debug)]
 pub enum Rebalance {
-    /// Rebalance at the next slot boundary (a load spike).
-    Now,
     /// Rebalance once the count of slot groups the session has pulled
-    /// from its jobs channel reaches this value. Deterministic; the property tests use it to force a
-    /// mid-campaign reassignment at an exact slot.
+    /// from its feed reaches this value. Deterministic; the property
+    /// tests use it to force a mid-campaign reassignment at an exact
+    /// slot.
     At(u64),
     /// A task suffered a rank-loss / degradation event: shift a rank
     /// toward it immediately, bypassing the cooldown and the imbalance
@@ -30,6 +29,27 @@ pub enum Rebalance {
         /// Task index (0..7) that degraded.
         task: usize,
     },
+}
+
+/// How a rebalancing session admits and plans its shifts. A session or
+/// server without one never changes its assignment.
+#[derive(Clone, Copy, Debug)]
+pub struct RebalancePolicy {
+    /// Minimum slot groups between two shifts; a scheduled trigger
+    /// inside it is dropped ([`Rebalance::Degraded`] bypasses it).
+    pub cooldown: usize,
+    /// Per-node busy-time ratio (bottleneck vs donor) that must be
+    /// exceeded before a rank is moved; 1.0 would thrash on noise.
+    pub imbalance: f64,
+}
+
+impl Default for RebalancePolicy {
+    fn default() -> Self {
+        RebalancePolicy {
+            cooldown: 8,
+            imbalance: 1.25,
+        }
+    }
 }
 
 /// Per-task partition-space capacities: a task cannot use more nodes
@@ -91,8 +111,7 @@ pub fn plan_rebalance(
 mod tests {
     use super::*;
     use crate::assignment::{EASY_WT, HARD_WT};
-    use crate::fault::RuntimePolicy;
-    use crate::resident::{CpiJob, ResidentStap};
+    use crate::resident::{ChannelFeed, CpiJob, ResidentStap};
     use crate::session::{Session, SessionSummary};
     use stap_core::Detection;
     use stap_cube::CCube;
@@ -139,7 +158,11 @@ mod tests {
                     jobs_tx.send(vec![job]).unwrap();
                 }
             });
-            session.run(&res, jobs_rx, done_tx).unwrap()
+            let mut feed = ChannelFeed {
+                jobs: jobs_rx,
+                done: done_tx,
+            };
+            session.run(&res, &mut feed).unwrap()
         });
         let mut got = vec![Vec::new(); cubes.len()];
         for d in done_rx {
@@ -152,12 +175,7 @@ mod tests {
     /// trigger on `control`.
     fn rebalancing(control: mpsc::Receiver<Rebalance>) -> Session {
         Session {
-            control: Some(control),
-            policy: RuntimePolicy {
-                rebalance: true,
-                rebalance_cooldown: 1,
-                ..RuntimePolicy::default()
-            },
+            rebalance: Some((RebalancePolicy::default(), control)),
             reserve: (1, 2),
             ..Session::default()
         }

@@ -37,15 +37,6 @@ pub struct RuntimePolicy {
     /// on overrun the task falls back to stale weights rather than
     /// stalling the latency path.
     pub weight_grace: Duration,
-    /// Allow the elastic runner to shift ranks between tasks at slot
-    /// boundaries when live telemetry shows a sustained bottleneck.
-    pub rebalance: bool,
-    /// Minimum slots between two rebalances; also the telemetry window a
-    /// bottleneck must persist for before a shift is considered.
-    pub rebalance_cooldown: usize,
-    /// Per-node busy-time ratio (bottleneck vs donor) that must be
-    /// exceeded before a rank is moved; 1.0 would thrash on noise.
-    pub rebalance_imbalance: f64,
 }
 
 impl Default for RuntimePolicy {
@@ -54,9 +45,6 @@ impl Default for RuntimePolicy {
             fault_tolerant: false,
             edge_timeout: Duration::from_secs(1),
             weight_grace: Duration::from_millis(300),
-            rebalance: false,
-            rebalance_cooldown: 8,
-            rebalance_imbalance: 1.25,
         }
     }
 }
@@ -67,28 +55,6 @@ impl RuntimePolicy {
         RuntimePolicy {
             fault_tolerant: true,
             ..RuntimePolicy::default()
-        }
-    }
-
-    /// Derives deadlines from a modeled CPI interval (seconds per CPI,
-    /// i.e. `1 / throughput` from equation (1) or the machine model in
-    /// `stap-machine`/`stap-sim`): a data edge may slip by four CPI
-    /// intervals before the CPI is abandoned, while weights get one
-    /// interval of grace — they are off the latency path, so waiting
-    /// longer than a pipeline beat only delays the *next* stage's
-    /// deadline budget.
-    pub fn from_cpi_interval(seconds_per_cpi: f64) -> Self {
-        let clamp = |s: f64, lo: f64, hi: f64| Duration::from_secs_f64(s.clamp(lo, hi));
-        RuntimePolicy {
-            fault_tolerant: true,
-            edge_timeout: clamp(4.0 * seconds_per_cpi, 0.2, 5.0),
-            weight_grace: clamp(seconds_per_cpi, 0.05, 2.0),
-            rebalance: true,
-            // Cooldown long enough that ~2 s of telemetry (or at least
-            // 4 slots) back a shift; bounded so a very slow machine can
-            // still adapt within a campaign.
-            rebalance_cooldown: ((2.0 / seconds_per_cpi).ceil() as usize).clamp(4, 64),
-            rebalance_imbalance: 1.25,
         }
     }
 }
@@ -159,23 +125,6 @@ mod tests {
     fn default_policy_is_production_off() {
         assert!(!RuntimePolicy::default().fault_tolerant);
         assert!(RuntimePolicy::fault_tolerant().fault_tolerant);
-    }
-
-    #[test]
-    fn derived_deadlines_clamp_and_scale() {
-        let p = RuntimePolicy::from_cpi_interval(0.25);
-        assert!(p.fault_tolerant);
-        assert_eq!(p.edge_timeout, Duration::from_secs_f64(1.0));
-        assert_eq!(p.weight_grace, Duration::from_secs_f64(0.25));
-        // Tiny intervals clamp up, huge ones clamp down.
-        assert_eq!(
-            RuntimePolicy::from_cpi_interval(1e-6).edge_timeout,
-            Duration::from_secs_f64(0.2)
-        );
-        assert_eq!(
-            RuntimePolicy::from_cpi_interval(100.0).edge_timeout,
-            Duration::from_secs_f64(5.0)
-        );
     }
 
     #[test]

@@ -70,16 +70,18 @@ pub mod trace;
 pub mod wire;
 
 pub use assignment::NodeAssignment;
-pub use elastic::{plan_rebalance, task_capacity, Rebalance};
+pub use elastic::{plan_rebalance, task_capacity, Rebalance, RebalancePolicy};
 pub use fault::RuntimePolicy;
 pub use metrics::{
     latency_eq2, real_latency_eq3, throughput_eq1, CpiOutcome, EdgeHealth, PipelineHealth,
     PipelineTimings, TaskTiming,
 };
 pub use report::{render_health, render_timings};
-pub use resident::{CpiDone, CpiJob, ResidentStap, ResidentState, ResidentSummary};
+pub use resident::{
+    ChannelFeed, CpiDone, CpiJob, Feed, ResidentStap, ResidentState, ResidentSummary,
+};
 pub use runner::{ParallelStap, PipelineError, PipelineOutput};
-pub use session::{Recovered, Session, SessionSummary, SupervisorConfig, SupervisorHooks};
+pub use session::{Recovered, Session, SessionSummary, SupervisorConfig};
 pub use trace::{
     chrome_trace_json, render_breakdown, CpiMark, EdgeStat, PipelineTrace, TaskInterval, TaskSpan,
     TraceStats,

@@ -76,16 +76,17 @@
 //! what is not its own to a `Node`: the receive (`recv_msg`), the
 //! drop markers a lost input sends downstream, the end-of-slot purge,
 //! and the slot's [`TaskTiming`] and span. The driver reads its slots
-//! from a `Feed`, a CPI list or a session. Which front end turns what
+//! from a [`Feed`]: a CPI list or a session. Which front end turns what
 //! on:
 //!
-//! * a [`Session`] — [`ResidentStap::serve`] is one with no triggers,
-//!   and `stap-serve`'s `StapServer` runs one — feeds slot groups from a
-//!   jobs channel with [`RuntimePolicy::default`] and no trace epoch:
-//!   plain blocking receives, no spans, the per-slot timings only summed
-//!   into [`ResidentSummary::busy`]. The feed ends an epoch at a
-//!   checkpoint or rebalance boundary, and the session relaunches the
-//!   world from the exported [`ResidentState`];
+//! * a [`Session`] — [`ResidentStap::serve`] is one with no triggers
+//!   over a [`ChannelFeed`], and `stap-serve`'s `StapServer` runs one
+//!   over its admission ledger — wraps the caller's feed, with
+//!   [`RuntimePolicy::default`] and no trace epoch: plain blocking
+//!   receives, no spans, the per-slot timings only summed into
+//!   [`ResidentSummary::busy`]. It ends an epoch at a checkpoint or
+//!   rebalance boundary and relaunches the world from the exported
+//!   [`ResidentState`];
 //! * [`crate::ParallelStap`] is a session whose driver reads its CPI
 //!   list, one CPI per slot (`max_group = 1`). It passes its own policy
 //!   — a fault-tolerant one turns on deadlines, retries, sequence checks,
@@ -137,7 +138,7 @@ pub struct CpiJob {
     pub submitted: Instant,
 }
 
-/// One CPI's completed result, delivered on the `done` channel.
+/// One CPI's completed result, as a [`ChannelFeed`] delivers it on `done`.
 pub struct CpiDone {
     /// Ingestion stream id.
     pub stream: u16,
@@ -152,6 +153,25 @@ pub struct CpiDone {
     /// detections are whatever CFAR salvaged from the finite cells. The
     /// serve layer folds this into per-stream health.
     pub degraded: bool,
+}
+
+impl CpiDone {
+    /// The result a [`Feed`] is handed for `sub`: a dropped CPI
+    /// (`detections` of `None`) is delivered degraded and empty.
+    pub fn new(
+        sub: SubCpi,
+        latency: f64,
+        detections: Option<Vec<Detection>>,
+        degraded: bool,
+    ) -> Self {
+        CpiDone {
+            stream: sub.stream,
+            scpi: sub.scpi,
+            degraded: degraded || detections.is_none(),
+            detections: detections.unwrap_or_default(),
+            latency,
+        }
+    }
 }
 
 /// What a resident session reports after shutdown.
@@ -351,7 +371,7 @@ impl ResidentStap {
     /// within one slot of the chain. Every kind gets `w = window + 2`:
     /// for those two kinds one of the two blocks over the window is
     /// the lagging slot's and one is margin; every other kind keeps
-    /// both as margin. The batcher coalesces any group size
+    /// both as margin. A feed may hand the driver any group size
     /// up to the bound at any time — partial groups are not only a
     /// ramp-up affair under paced arrivals — and a smaller group draws
     /// from a smaller size class, so every class a kind's group sizes
@@ -453,15 +473,15 @@ impl ResidentStap {
     /// every in-flight slot has drained. Each received `Vec<CpiJob>` is
     /// one slot group (1..=`max_group` CPIs, distinct or repeated
     /// streams); results stream out on `done` as slots complete. This is
-    /// a [`Session`] with no triggers: one epoch, no retained copies, no
-    /// state export.
+    /// a [`Session`] with no triggers over a [`ChannelFeed`]: one epoch,
+    /// no retained copies, no state export.
     pub fn serve(
         &self,
         jobs: Receiver<Vec<CpiJob>>,
         done: Sender<CpiDone>,
     ) -> Result<ResidentSummary, PipelineError> {
         Session::default()
-            .run(self, jobs, done)
+            .run(self, &mut ChannelFeed { jobs, done })
             .map(|summary| summary.resident)
     }
 
@@ -2032,8 +2052,12 @@ fn forwards_admitted_cube(group_len: usize, parts: &Partitions) -> bool {
     group_len == 1 && parts.doppler_k.len() == 1
 }
 
-/// Where a session's slots come from and where their CPIs' results go.
-pub(crate) trait Feed {
+/// Where a session's slots come from and where their CPIs' results go:
+/// a jobs channel ([`ChannelFeed`]), the batch engine's CPI list, or
+/// `stap-serve`'s admission ledger. A [`Session`] wraps the caller's
+/// feed for every world it launches, and the driver rank calls it on
+/// its own thread.
+pub trait Feed {
     /// The next slot group; blocks only when `wait`.
     /// `Err(Disconnected)` ends the world: its slots drain and the
     /// shutdown cascades.
@@ -2048,6 +2072,43 @@ pub(crate) trait Feed {
         detections: Option<Vec<Detection>>,
         degraded: bool,
     );
+    /// True when `stream` has left for good: a recovering session drops
+    /// its retained CPIs instead of replaying them, because a retired
+    /// stream's sequence must not advance. No stream ever is, by default.
+    fn is_retired(&self, _stream: u16) -> bool {
+        false
+    }
+    /// One CPI of a retired `stream` that a recovery could not replay.
+    fn lost(&mut self, _stream: u16) {}
+}
+
+/// The feed of [`ResidentStap::serve`]: slot groups from `jobs`,
+/// results to `done` (a closed `done` receiver is ignored).
+pub struct ChannelFeed {
+    /// One slot group per message; disconnecting ends the session.
+    pub jobs: Receiver<Vec<CpiJob>>,
+    /// One [`CpiDone`] per member CPI, in slot order.
+    pub done: Sender<CpiDone>,
+}
+
+impl Feed for ChannelFeed {
+    fn next(&mut self, wait: bool) -> Result<Vec<CpiJob>, TryRecvError> {
+        if wait {
+            self.jobs.recv().map_err(|_| TryRecvError::Disconnected)
+        } else {
+            self.jobs.try_recv()
+        }
+    }
+
+    fn complete(
+        &mut self,
+        sub: SubCpi,
+        latency: f64,
+        detections: Option<Vec<Detection>>,
+        degraded: bool,
+    ) {
+        let _ = (self.done).send(CpiDone::new(sub, latency, detections, degraded));
+    }
 }
 
 /// The driver rank: windowed slot injection from `feed`, completion

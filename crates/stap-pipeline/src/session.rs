@@ -1,40 +1,40 @@
 //! One serve session: the epoch loop behind the driver's feed.
 //!
 //! A [`Session`] runs the caller's [`ResidentStap`] as a sequence of
-//! worlds — **epochs** — and is the driver's `Feed` for all of them, on
-//! the driver's own thread: it pulls slot groups from the jobs channel
-//! and hands completions to `done`. A world ends when the feed reports
-//! `Disconnected` at a slot boundary: the jobs channel drained, a
+//! worlds — **epochs** — over the caller's [`Feed`]: on the driver's
+//! own thread it wraps that feed for every world, passing slot groups
+//! in and completions out. A world ends when the wrapper reports
+//! `Disconnected` at a slot boundary: the caller's feed ended, a
 //! **checkpoint** (every [`SupervisorConfig::checkpoint_every`] groups,
-//! replays included), or a [`Rebalance`] trigger the policy admits. The
-//! world drains, exports its cross-slot state ([`ResidentState`], keyed
-//! by global bins), and the session launches the next world from it —
-//! after a trigger under the assignment [`plan_rebalance`] shifted, the
-//! paper's move of nodes to the bottleneck (Tables 9-10).
+//! replays included), or a [`Rebalance`] trigger its [`RebalancePolicy`]
+//! admits. The world drains, exports its cross-slot state
+//! ([`ResidentState`], keyed by global bins), and the session launches
+//! the next world from it — after a trigger under the assignment
+//! [`plan_rebalance`] shifted, the paper's move of nodes to the
+//! bottleneck (Tables 9-10).
 //!
-//! With supervision on, the feed keeps a pool-backed copy of every group
-//! it feeds until the epoch banks. A failed world shows up as its launch
-//! returning `Err`: the session relaunches from the banked state and
-//! replays the retained groups in order, so detections stay
+//! With supervision on, the wrapper keeps a pool-backed copy of every
+//! group it feeds until the epoch banks. A failed world shows up as its
+//! launch returning `Err`: the session relaunches from the banked state
+//! and replays the retained groups in order, so detections stay
 //! bit-identical, and drops completions the failed world had delivered.
-//! Groups of streams retired meanwhile are not replayed; each such CPI
-//! is reported through [`SupervisorHooks::on_lost`].
+//! Groups of streams the feed reports retired ([`Feed::is_retired`])
+//! meanwhile are not replayed; each such CPI goes to [`Feed::lost`].
 //!
 //! The session spawns no thread and knows nothing of the data.
 //! [`Session::default`] triggers nothing: one epoch, no retained copies,
 //! no export — [`ResidentStap::serve`].
 
 use crate::assignment::NodeAssignment;
-use crate::elastic::{plan_rebalance, task_capacity, Rebalance};
-use crate::fault::RuntimePolicy;
+use crate::elastic::{plan_rebalance, task_capacity, Rebalance, RebalancePolicy};
 use crate::msg::SubCpi;
-use crate::resident::{CpiDone, CpiJob, Feed, ResidentStap, ResidentState, ResidentSummary};
+use crate::resident::{CpiJob, Feed, ResidentStap, ResidentState, ResidentSummary};
 use crate::runner::PipelineError;
 use stap_core::Detection;
 use stap_cube::SharedBufferPool;
 use stap_math::Cx;
 use std::collections::HashSet;
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, TryRecvError};
 
 /// Supervision knobs.
 #[derive(Clone, Debug)]
@@ -80,49 +80,25 @@ pub struct Recovered {
     pub error: String,
 }
 
-/// Callbacks wiring recovery to the admission layer without a
-/// dependency cycle.
-pub struct SupervisorHooks {
-    /// True when the stream's id is retired (disconnected): its replay
-    /// subs are dropped as lost instead of re-submitted, because a
-    /// retired stream's sequence must not advance.
-    pub is_retired: Box<dyn Fn(u16) -> bool + Send>,
-    /// Invoked once per lost sub-CPI with the owning stream, so the
-    /// health ledger can count it.
-    pub on_lost: Box<dyn Fn(u16) + Send>,
-}
-
-impl Default for SupervisorHooks {
-    fn default() -> Self {
-        SupervisorHooks {
-            is_retired: Box::new(|_| false),
-            on_lost: Box::new(|_| {}),
-        }
-    }
-}
-
-/// What may end an epoch before the jobs channel drains, and what the
-/// session keeps to recover.
+/// What may end an epoch before the feed ends, and what the session
+/// keeps to recover.
 #[derive(Default)]
 pub struct Session {
     /// Checkpoint/restore: retain fed groups, bank state every
     /// `checkpoint_every` groups and recover a failed world. `None` = a
     /// failed world ends the session with its error.
     pub supervise: Option<SupervisorConfig>,
-    /// The admission layer's view of retired streams, for replays.
-    pub hooks: SupervisorHooks,
-    /// Rebalance triggers (`None` = the assignment never changes).
-    pub control: Option<Receiver<Rebalance>>,
-    /// Its rebalance fields admit and plan the shifts: `rebalance`,
-    /// `rebalance_cooldown`, `rebalance_imbalance`.
-    pub policy: RuntimePolicy,
+    /// Rank shifts: the policy that admits and plans them, and the
+    /// channel their triggers arrive on. `None` = the assignment never
+    /// changes.
+    pub rebalance: Option<(RebalancePolicy, Receiver<Rebalance>)>,
     /// `(streams, queue_depth)` as given to [`ResidentStap::reserve`]:
     /// the session re-reserves the pools with them for a new assignment
     /// and for its retained copies.
     pub reserve: (usize, usize),
 }
 
-/// What a session reports after the jobs channel drains.
+/// What a session reports after its feed ends.
 #[derive(Clone, Debug)]
 pub struct SessionSummary {
     /// Every clean epoch's summary merged: counters, elapsed and busy
@@ -133,7 +109,7 @@ pub struct SessionSummary {
     /// The assignment the last epoch ran under.
     pub assign: NodeAssignment,
     /// Rank shifts applied, each as the number of groups pulled from
-    /// the jobs channel before it (a trigger whose plan found no
+    /// the feed before it (a trigger whose plan found no
     /// beneficial or feasible shift ends an epoch but is not listed).
     pub rebalances: Vec<u64>,
     /// Epochs that drained and banked their state (the final drain
@@ -156,12 +132,11 @@ fn copy_of(jobs: &[CpiJob], pool: &SharedBufferPool<Cx>) -> Vec<CpiJob> {
         .collect()
 }
 
-/// The driver's feed for every epoch of one session.
-struct SessionFeed {
-    jobs: Receiver<Vec<CpiJob>>,
-    done: Sender<CpiDone>,
-    control: Option<Receiver<Rebalance>>,
-    policy: RuntimePolicy,
+/// The driver's feed for every epoch of one session: the caller's feed
+/// behind checkpoints, triggers and replay.
+struct SessionFeed<'a, F> {
+    inner: &'a mut F,
+    rebalance: Option<(RebalancePolicy, Receiver<Rebalance>)>,
     /// Recovery only: the pool retained copies are drawn from.
     pool: Option<SharedBufferPool<Cx>>,
     checkpoint_every: u64,
@@ -173,9 +148,9 @@ struct SessionFeed {
     delivered: HashSet<(u16, u32)>,
     /// Groups fed this epoch, replays included.
     fed: u64,
-    /// The jobs channel has not disconnected.
+    /// The caller's feed has not ended.
     open: bool,
-    /// Groups pulled from the jobs channel over the session.
+    /// Groups pulled from the caller's feed over the session.
     pulled: u64,
     /// Groups pulled since the last applied shift (cooldown).
     since_shift: u64,
@@ -184,17 +159,16 @@ struct SessionFeed {
     trigger: Option<Option<usize>>,
 }
 
-impl SessionFeed {
-    /// Drains the control channel: the last imperative trigger wins, a
-    /// schedule persists until it fires, and what the policy does not
-    /// admit is discarded.
+impl<F: Feed> SessionFeed<'_, F> {
+    /// Drains the control channel: the last degradation wins, a
+    /// schedule persists until it fires, and a scheduled trigger inside
+    /// the cooldown is discarded.
     fn poll_control(&mut self) {
-        let Some(control) = &self.control else {
+        let Some((policy, control)) = &self.rebalance else {
             return;
         };
         while let Ok(r) = control.try_recv() {
             match r {
-                Rebalance::Now => self.trigger = Some(None),
                 Rebalance::At(slot) => self.scheduled_at = Some(slot),
                 Rebalance::Degraded { task } => self.trigger = Some(Some(task.min(6))),
             }
@@ -203,11 +177,8 @@ impl SessionFeed {
             self.trigger = Some(None);
             self.scheduled_at = None;
         }
-        if let Some(forced) = self.trigger {
-            let cooled = self.since_shift >= self.policy.rebalance_cooldown as u64;
-            if !(self.policy.rebalance && (forced.is_some() || cooled)) {
-                self.trigger = None;
-            }
+        if self.trigger == Some(None) && self.since_shift < policy.cooldown as u64 {
+            self.trigger = None;
         }
     }
 
@@ -224,17 +195,17 @@ impl SessionFeed {
     /// Strips retired streams out of the replay: grouping invariance
     /// makes dropping one stream's subs safe for every other stream's
     /// bit-identity. Returns the CPIs lost.
-    fn strip_retired(&mut self, hooks: &SupervisorHooks) -> u64 {
+    fn strip_retired(&mut self) -> u64 {
         let Some(pool) = &self.pool else {
             return 0;
         };
         let mut lost = 0;
         for group in &mut self.retained {
             let (gone, kept): (Vec<CpiJob>, Vec<CpiJob>) =
-                (std::mem::take(group).into_iter()).partition(|j| (hooks.is_retired)(j.stream));
+                (std::mem::take(group).into_iter()).partition(|j| self.inner.is_retired(j.stream));
             *group = kept;
             for j in gone {
-                (hooks.on_lost)(j.stream);
+                self.inner.lost(j.stream);
                 pool.recycle(j.cube);
                 lost += 1;
             }
@@ -244,7 +215,7 @@ impl SessionFeed {
     }
 }
 
-impl Feed for SessionFeed {
+impl<F: Feed> Feed for SessionFeed<'_, F> {
     fn next(&mut self, wait: bool) -> Result<Vec<CpiJob>, TryRecvError> {
         // Replay first, feeding copies so a second failure can replay
         // again.
@@ -257,12 +228,7 @@ impl Feed for SessionFeed {
         if !self.open || self.fed >= self.checkpoint_every || self.trigger.is_some() {
             return Err(TryRecvError::Disconnected);
         }
-        let got = if wait {
-            self.jobs.recv().map_err(|_| TryRecvError::Disconnected)
-        } else {
-            self.jobs.try_recv()
-        };
-        match got {
+        match self.inner.next(wait) {
             Ok(jobs) if !jobs.is_empty() => {
                 if let Some(pool) = &self.pool {
                     self.retained.push(copy_of(&jobs, pool));
@@ -292,20 +258,13 @@ impl Feed for SessionFeed {
         if self.pool.is_some() && !self.delivered.insert((sub.stream, sub.scpi)) {
             return; // a failed world delivered it before dying
         }
-        // A closed `done` receiver is fine: keep draining.
-        let _ = self.done.send(CpiDone {
-            stream: sub.stream,
-            scpi: sub.scpi,
-            degraded: degraded || detections.is_none(),
-            detections: detections.unwrap_or_default(),
-            latency,
-        });
+        self.inner.complete(sub, latency, detections, degraded);
     }
 }
 
 impl Session {
-    /// Runs `resident` in epochs until `jobs` disconnects and the last
-    /// epoch drains; completions stream out on `done`. Every epoch
+    /// Runs `resident` in epochs over `feed` until it ends and the last
+    /// epoch drains. Every epoch
     /// launches from `resident` (window, group bound, mailbox mark,
     /// screen, pools); only the assignment, the carried state and the
     /// fault plan change between launches. Returns the merged summary,
@@ -313,24 +272,18 @@ impl Session {
     pub fn run(
         self,
         resident: &ResidentStap,
-        jobs: Receiver<Vec<CpiJob>>,
-        done: Sender<CpiDone>,
+        feed: &mut (impl Feed + Send),
     ) -> Result<SessionSummary, PipelineError> {
         let Session {
             supervise,
-            hooks,
-            control,
-            policy,
+            rebalance,
             reserve: (streams, queue_depth),
         } = self;
-        let control = control.filter(|_| policy.rebalance);
         // Export only when something can end an epoch at a boundary.
-        let exports = supervise.is_some() || control.is_some();
+        let exports = supervise.is_some() || rebalance.is_some();
         let mut feed = SessionFeed {
-            jobs,
-            done,
-            control,
-            policy,
+            inner: feed,
+            rebalance,
             pool: supervise.as_ref().map(|_| resident.pools().cx.clone()),
             checkpoint_every: supervise
                 .as_ref()
@@ -391,9 +344,10 @@ impl Session {
                     let Some(forced) = feed.trigger.take() else {
                         continue;
                     };
-                    let imbalance = policy.rebalance_imbalance;
+                    let (policy, _) =
+                        (feed.rebalance.as_ref()).expect("only a rebalancing session triggers");
                     if let Some(next) =
-                        plan_rebalance(&summary.busy, out.assign, forced, imbalance, &caps)
+                        plan_rebalance(&summary.busy, out.assign, forced, policy.imbalance, &caps)
                     {
                         out.assign = next;
                         out.rebalances.push(feed.pulled);
@@ -407,7 +361,7 @@ impl Session {
                         feed.bank();
                         return Err(error);
                     }
-                    let lost = feed.strip_retired(&hooks);
+                    let lost = feed.strip_retired();
                     out.lost_cpis += lost;
                     out.recoveries.push(Recovered {
                         epoch: launch,

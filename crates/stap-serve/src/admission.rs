@@ -7,9 +7,9 @@
 //! submissions are rejected with [`Reject::QueueFull`] rather than
 //! buffered without bound. Disconnecting a stream purges its
 //! undispatched CPIs so a mid-flight producer failure cannot wedge the
-//! batcher — and *retires* the id: per-stream pipeline state (weight
-//! FIFOs, QR recursion) is keyed by stream id and may outlive the
-//! disconnect inside a supervisor checkpoint, so a re-registered id
+//! pipeline's driver — and *retires* the id: per-stream pipeline state
+//! (weight FIFOs, QR recursion) is keyed by stream id and may outlive
+//! the disconnect inside a supervisor checkpoint, so a re-registered id
 //! would inherit a stale weight schedule. Reconnecting tenants take a
 //! fresh id.
 //!
@@ -23,6 +23,7 @@
 
 use crate::health::{LastOutcome, StreamHealth};
 use stap_cube::CCube;
+use stap_pipeline::CpiJob;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -111,22 +112,10 @@ pub struct AdmissionConfig {
     pub probation_ms: u64,
 }
 
-/// One admitted CPI waiting for dispatch.
-pub struct Pending {
-    /// Owning stream.
-    pub stream: u16,
-    /// Per-stream CPI index assigned at admission.
-    pub scpi: u32,
-    /// The raw data cube.
-    pub cube: CCube,
-    /// Admission instant (starts the latency clock).
-    pub submitted: Instant,
-}
-
 struct StreamState {
     next_scpi: u32,
-    /// Admitted and not yet completed (spans the ready queue, the slot
-    /// channel and the pipeline itself).
+    /// Admitted and not yet completed (spans the ready queue and the
+    /// pipeline itself).
     in_flight: usize,
     /// Quarantine gate: submissions bounce until this instant.
     quarantined_until: Option<Instant>,
@@ -148,9 +137,9 @@ pub struct Ingest {
     retired: HashSet<u16>,
     /// Per-stream health rows, surviving disconnect.
     health: HashMap<u16, StreamHealth>,
-    /// Admitted CPIs not yet handed to the slot batcher, in arrival
-    /// order across streams.
-    pub ready: VecDeque<Pending>,
+    /// Admitted CPIs the pipeline's driver has not taken yet, in
+    /// arrival order across streams.
+    pub ready: VecDeque<CpiJob>,
     /// False once shutdown begins: all submissions bounce `Closed`.
     pub open: bool,
     /// Total rejected submissions (all streams, all reasons).
@@ -295,7 +284,7 @@ impl Ingest {
         let scpi = st.next_scpi;
         st.next_scpi += 1;
         st.in_flight += 1;
-        self.ready.push_back(Pending {
+        self.ready.push_back(CpiJob {
             stream,
             scpi,
             cube,
@@ -366,9 +355,9 @@ impl Ingest {
         dropped
     }
 
-    /// Takes up to `max` ready CPIs for one pipeline slot. The batcher
-    /// takes in arrival order, so a slot naturally mixes streams.
-    pub fn next_group_into(&mut self, max: usize, out: &mut Vec<Pending>) {
+    /// Takes up to `max` ready CPIs for one pipeline slot. The driver
+    /// takes them in arrival order, so a slot naturally mixes streams.
+    pub fn next_group_into(&mut self, max: usize, out: &mut Vec<CpiJob>) {
         while out.len() < max {
             match self.ready.pop_front() {
                 Some(p) => out.push(p),

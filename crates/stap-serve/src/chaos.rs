@@ -31,7 +31,7 @@ use stap_core::params::StapParams;
 use stap_math::Cx;
 use stap_mp::{FaultAction, FaultPlan, FaultRule, TagPattern};
 use stap_pipeline::msg::Edge;
-use stap_pipeline::{assignment, NodeAssignment, ResidentStap, RuntimePolicy};
+use stap_pipeline::{assignment, NodeAssignment, ResidentStap};
 use stap_radar::Scenario;
 use stap_util::Json;
 use std::sync::mpsc;
@@ -221,10 +221,7 @@ fn campaign(cfg: ChaosConfig) -> ChaosReport {
             screen: true,
             quarantine_streak: 2,
             probation_ms: 40,
-            policy: RuntimePolicy {
-                rebalance: true,
-                ..RuntimePolicy::default()
-            },
+            rebalance: true,
             ..ServerConfig::default()
         },
         Some(tap_tx),

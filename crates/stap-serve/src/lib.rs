@@ -9,7 +9,8 @@
 //!   bounded per-stream depth with reject-with-reason beyond the
 //!   high-water mark, and purge-on-disconnect;
 //! * [`server`] — [`server::StapServer`]: a background resident
-//!   pipeline fed through a bounded (credit-based) slot channel, with
+//!   pipeline whose driver takes slot groups straight from the
+//!   admission ledger, at most `window` slots in flight, with
 //!   cross-stream batching — CPIs from different streams coalesce into
 //!   one pipeline slot so the FFT/GEMM kernels amortize across streams.
 //!   Its engine is one [`stap_pipeline::Session`], which checkpoints,
@@ -33,10 +34,10 @@ pub mod loadgen;
 pub mod server;
 pub mod slo;
 
-pub use admission::{AdmissionConfig, Ingest, Pending, Reject};
+pub use admission::{AdmissionConfig, Ingest, Reject};
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use health::{LastOutcome, RejectCounts, StreamHealth};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use server::{ServeSummary, ServerConfig, StapServer, StreamStats};
 pub use slo::{percentile, LatencyProfile};
-pub use stap_pipeline::session::{Recovered, SupervisorConfig, SupervisorHooks};
+pub use stap_pipeline::session::{Recovered, SupervisorConfig};

@@ -6,7 +6,6 @@ use stap_core::training::{easy_training_cells, hard_training_cells};
 use stap_core::StapParams;
 use stap_machine::{Mesh, Paragon, ALL_TASKS};
 use stap_pipeline::assignment::{overlap, NodeAssignment, Partitions};
-use stap_pipeline::fault::RuntimePolicy;
 use stap_pipeline::metrics::{
     latency_eq2, real_latency_eq3, throughput_eq1, CpiOutcome, TaskTiming,
 };
@@ -42,18 +41,6 @@ impl SimFaults {
     pub fn is_empty(&self) -> bool {
         self.stalls.is_empty() && self.dropped_cpis.is_empty() && self.stale_weight_cpis.is_empty()
     }
-}
-
-/// Derives the runtime degradation policy the real pipeline should use
-/// on the modeled machine: deadlines scaled from the model's predicted
-/// CPI interval (equation (1)).
-pub fn derive_policy(result: &SimResult) -> RuntimePolicy {
-    let interval = if result.eq_throughput.is_finite() && result.eq_throughput > 0.0 {
-        1.0 / result.eq_throughput
-    } else {
-        0.1
-    };
-    RuntimePolicy::from_cpi_interval(interval)
 }
 
 /// Simulation configuration.
@@ -815,62 +802,6 @@ mod fault_tests {
             r.measured_throughput,
             base.measured_throughput
         );
-    }
-
-    #[test]
-    fn derived_policy_scales_with_modeled_interval() {
-        let fast = simulate(&SimConfig::paper(NodeAssignment::case1()));
-        let slow = simulate(&SimConfig::paper(NodeAssignment::case3()));
-        let pf = derive_policy(&fast);
-        let ps = derive_policy(&slow);
-        assert!(pf.fault_tolerant && ps.fault_tolerant);
-        assert!(
-            ps.edge_timeout >= pf.edge_timeout,
-            "slower machine must get looser deadlines: {:?} vs {:?}",
-            ps.edge_timeout,
-            pf.edge_timeout
-        );
-    }
-
-    #[test]
-    fn derived_policy_enables_rebalancing_with_bounded_cooldown() {
-        let r = simulate(&SimConfig::paper(NodeAssignment::case1()));
-        let p = derive_policy(&r);
-        assert!(p.rebalance, "derived policies opt into elastic rebalancing");
-        assert!(
-            (4..=64).contains(&p.rebalance_cooldown),
-            "cooldown must stay in the clamp band: {}",
-            p.rebalance_cooldown
-        );
-        assert!(p.rebalance_imbalance > 1.0);
-        // Faster modeled machines need more slots to accumulate the same
-        // telemetry window.
-        let slow = simulate(&SimConfig::paper(NodeAssignment::case3()));
-        let pslow = derive_policy(&slow);
-        assert!(
-            p.rebalance_cooldown >= pslow.rebalance_cooldown,
-            "faster machine gets a longer (in slots) cooldown: {} vs {}",
-            p.rebalance_cooldown,
-            pslow.rebalance_cooldown
-        );
-    }
-
-    #[test]
-    fn derived_policy_survives_degenerate_throughput() {
-        use std::time::Duration;
-        // A result with zero/non-finite modeled throughput (e.g. a
-        // single-rank world that never completed the measured window)
-        // must still yield usable, clamped deadlines rather than a
-        // divide-by-zero policy.
-        let mut r = simulate(&SimConfig::paper(NodeAssignment::case1()));
-        for bad in [0.0, f64::NAN, f64::INFINITY, -3.0] {
-            r.eq_throughput = bad;
-            let p = derive_policy(&r);
-            assert!(p.fault_tolerant);
-            assert!(p.edge_timeout >= Duration::from_millis(200));
-            assert!(p.edge_timeout <= Duration::from_secs(5));
-            assert!(p.rebalance_cooldown >= 4);
-        }
     }
 }
 

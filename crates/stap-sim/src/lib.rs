@@ -25,9 +25,7 @@ pub mod lattice;
 pub mod reconcile;
 pub mod trace;
 
-pub use des::{
-    derive_policy, modeled_edge_bytes, simulate, simulate_traced, SimConfig, SimFaults, SimResult,
-};
+pub use des::{modeled_edge_bytes, simulate, simulate_traced, SimConfig, SimFaults, SimResult};
 pub use lattice::{
     evaluate, explore, feasible, lattice_size, proportional_seed, Candidate, ExploreOptions,
     LatticeReport,

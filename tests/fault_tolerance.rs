@@ -41,7 +41,6 @@ fn fast_policy() -> RuntimePolicy {
         fault_tolerant: true,
         edge_timeout: slacked(150),
         weight_grace: slacked(75),
-        ..RuntimePolicy::default()
     }
 }
 
@@ -152,7 +151,6 @@ fn acceptance_campaign_stall_plus_drop_over_ten_cpis() {
         fault_tolerant: true,
         edge_timeout: slacked(200),
         weight_grace: slacked(50),
-        ..RuntimePolicy::default()
     };
     let out = runner(&scenario)
         .with_policy(policy)

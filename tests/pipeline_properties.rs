@@ -12,8 +12,8 @@ use stap::pipeline::runner::RankResult;
 use stap::pipeline::tasks::PipelinePools;
 use stap::pipeline::wire::msg_codec;
 use stap::pipeline::{
-    CpiJob, NodeAssignment, ParallelStap, Rebalance, ResidentStap, RuntimePolicy, Session,
-    SupervisorConfig,
+    ChannelFeed, CpiJob, NodeAssignment, ParallelStap, Rebalance, RebalancePolicy, ResidentStap,
+    Session, SupervisorConfig,
 };
 use stap::radar::Scenario;
 use stap::sim::{simulate, SimConfig};
@@ -427,24 +427,27 @@ fn run_front(
                     max_recoveries: 1,
                     plans,
                 }),
-                control: Some(ctl_rx),
                 // Any imbalance admits the shift: the bottleneck is never
                 // less busy per node than the donor.
-                policy: RuntimePolicy {
-                    rebalance: true,
-                    rebalance_cooldown: 1,
-                    rebalance_imbalance: 1.0,
-                    ..RuntimePolicy::default()
-                },
+                rebalance: Some((
+                    RebalancePolicy {
+                        cooldown: 1,
+                        imbalance: 1.0,
+                    },
+                    ctl_rx,
+                )),
                 reserve: (3, 4),
-                ..Session::default()
             };
             let (jobs_tx, jobs_rx) = mpsc::sync_channel(2);
             let (done_tx, done_rx) = mpsc::channel();
             let pool = res.pools().cx.clone();
             let summary = std::thread::scope(|s| {
                 s.spawn(move || send_slots(streams, &pool, jobs_tx));
-                session.run(&res, jobs_rx, done_tx).unwrap()
+                let mut feed = ChannelFeed {
+                    jobs: jobs_rx,
+                    done: done_tx,
+                };
+                session.run(&res, &mut feed).unwrap()
             });
             assert_eq!(summary.recoveries.len(), 1, "{:?}", summary.recoveries);
             assert_eq!(summary.lost_cpis, 0);
