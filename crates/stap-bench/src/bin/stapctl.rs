@@ -573,7 +573,6 @@ fn cmd_assign(flags: HashMap<String, String>) -> Result<(), String> {
 /// sockets). `serve` defaults to a steady session report; `loadgen`
 /// defaults to a tighter queue to exercise admission backpressure.
 fn cmd_serve_session(flags: HashMap<String, String>, loadgen_defaults: bool) -> Result<(), String> {
-    use stap::pipeline::ResidentStap;
     use stap::serve::{run_loadgen, LoadgenConfig, ServerConfig, StapServer};
 
     let get = |k: &str, d: usize| -> Result<usize, String> {
@@ -604,7 +603,7 @@ fn cmd_serve_session(flags: HashMap<String, String>, loadgen_defaults: bool) -> 
         || {
             let params = StapParams::reduced();
             let scenario = Scenario::reduced(seed);
-            let res = ResidentStap::for_scenario(params, NodeAssignment::tiny(), &scenario);
+            let res = ParallelStap::for_scenario(params, NodeAssignment::tiny(), &scenario);
             StapServer::start(
                 res,
                 ServerConfig {

@@ -1,7 +1,8 @@
 //! Multi-process cluster launcher for the pipelined STAP runtime.
 //!
-//! The in-process pipeline (`ParallelStap::try_run`) runs every rank as
-//! a thread over the channel fabric. This module runs the *same* ranks
+//! The in-process pipeline (`ParallelStap::try_run`, one world built by
+//! the runner's `launch`) runs every rank as a thread over the channel
+//! fabric. This module runs the *same* ranks
 //! as separate OS processes over loopback TCP: the parent process owns
 //! the rendezvous coordinator and the driver rank on threads, spawns one
 //! child process per task rank (a hidden `stapctl _rank` re-exec), and
@@ -15,8 +16,9 @@
 //! from a checkpoint).
 //!
 //! The entire pipeline code path is shared with the in-process runner:
-//! children call [`stap::pipeline::ParallelStap::run_rank`] — the exact
-//! per-rank body `try_run` uses — over a wire-backed `Comm` with the
+//! children call [`stap::pipeline::ParallelStap::run_rank`] — the one
+//! per-rank body every in-process rank of `try_run` and of a served
+//! session runs — over a wire-backed `Comm` with the
 //! bit-exact [`stap::pipeline::wire::msg_codec`]. That is what makes
 //! transport parity a *testable* property instead of a hope: same
 //! kernels, same matching, same fault rules, only the byte transport

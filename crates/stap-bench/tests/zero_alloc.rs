@@ -233,7 +233,7 @@ fn steady_state_cpi_kernels_do_not_allocate() {
     // --- Multi-stream slot round: ingest-copy, cross-stream slot -------
     // assembly, the one-pass Doppler corner turn and every downstream
     // task's in-place block consumption, all through pools warmed by
-    // `reserve` the way `ResidentStap::reserve` pre-warms the serve
+    // `reserve` the way `ParallelStap::reserve` pre-warms the serve
     // pools. This is the serve path's per-slot hot path: B submitted
     // CPIs (different streams) coalesce into one stacked slab; every
     // cache-resident FFT tile is scattered straight into the pooled

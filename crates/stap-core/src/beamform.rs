@@ -83,28 +83,6 @@ pub fn beamform_bin_easy(weights: &CMat, data: &CMat) -> CMat {
     weights.hermitian_matmul(data)
 }
 
-/// One (bin, segment) of hard beamforming: `weights` is `2J x M`, `data`
-/// is `2J x K_seg`; returns `M x K_seg`.
-pub fn beamform_bin_hard(weights: &CMat, data: &CMat) -> CMat {
-    weights.hermitian_matmul(data)
-}
-
-/// Gathers the `J x K` (easy) channel-range slab of one Doppler bin from
-/// the staggered cube (first window only).
-pub fn easy_bin_data(staggered: &CCube, params: &StapParams, bin: usize) -> CMat {
-    let j = params.j_channels;
-    let k = staggered.shape()[0];
-    CMat::from_fn(j, k, |ch, kc| staggered[(kc, ch, bin)])
-}
-
-/// Gathers the `2J x K_seg` (hard) slab of one Doppler bin over a range
-/// segment.
-pub fn hard_bin_data(staggered: &CCube, params: &StapParams, bin: usize, seg: usize) -> CMat {
-    let jj = 2 * params.j_channels;
-    let r = params.segment_range(seg);
-    CMat::from_fn(jj, r.len(), |ch, kc| staggered[(r.start + kc, ch, bin)])
-}
-
 /// Sequential easy beamforming of a full staggered CPI: returns a
 /// `(N_easy, M, K)` cube indexed by easy-bin order.
 pub fn easy_beamform(params: &StapParams, staggered: &CCube, w: &EasyWeights) -> CCube {

@@ -852,13 +852,6 @@ impl Radix4 {
     }
 }
 
-/// Convenience: out-of-place forward DFT of an arbitrary slice.
-pub fn dft(input: &[Cx]) -> Vec<Cx> {
-    let mut out = input.to_vec();
-    Fft::new(input.len()).forward(&mut out);
-    out
-}
-
 /// Naive O(n^2) DFT used as a test oracle.
 pub fn dft_naive(input: &[Cx], dir: Direction) -> Vec<Cx> {
     let n = input.len();

@@ -92,14 +92,6 @@ impl CMat {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Strided iterator over column `j` (no allocation; replaces the old
-    /// `col` accessor that copied into a fresh `Vec`).
-    #[inline]
-    pub fn col_iter(&self, j: usize) -> impl Iterator<Item = Cx> + '_ {
-        debug_assert!(j < self.cols);
-        self.data[j..].iter().step_by(self.cols.max(1)).copied()
-    }
-
     /// Copies column `j` into `out` (which must hold exactly `rows`
     /// elements). The zero-alloc counterpart of the old `col` accessor.
     pub fn copy_col_into(&self, j: usize, out: &mut [Cx]) {

@@ -111,8 +111,9 @@ pub fn plan_rebalance(
 mod tests {
     use super::*;
     use crate::assignment::{EASY_WT, HARD_WT};
-    use crate::resident::{ChannelFeed, CpiJob, ResidentStap};
+    use crate::resident::{ChannelFeed, CpiJob};
     use crate::session::{Session, SessionSummary};
+    use crate::ParallelStap;
     use stap_core::Detection;
     use stap_cube::CCube;
     use stap_radar::Scenario;
@@ -133,7 +134,7 @@ mod tests {
         cubes: &[CCube],
         trigger: Option<(usize, mpsc::Sender<Rebalance>, Rebalance)>,
     ) -> (SessionSummary, Vec<Vec<Detection>>) {
-        let res = ResidentStap::for_scenario(StapParams::reduced(), NodeAssignment::tiny(), sc)
+        let res = ParallelStap::for_scenario(StapParams::reduced(), NodeAssignment::tiny(), sc)
             .with_max_group(1);
         res.reserve(1, 2);
         let (jobs_tx, jobs_rx) = mpsc::sync_channel(2);

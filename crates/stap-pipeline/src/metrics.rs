@@ -163,10 +163,12 @@ pub struct PipelineTimings {
     /// Per-CPI outcome as classified by the driver. Empty when the run
     /// was not fault-tolerant (every CPI is implicitly `Ok`).
     pub outcomes: Vec<CpiOutcome>,
-    /// Complex buffer pool counters for the run (hits vs misses tells
-    /// whether the steady state stayed allocation-free).
+    /// Complex buffer pool counters (hits vs misses tells whether the
+    /// steady state stayed allocation-free). A runner keeps its pools
+    /// across runs, so these count every run of that runner so far; the
+    /// pools handed to `run_rank` count whatever ran on them.
     pub pool_cx: stap_cube::PoolStats,
-    /// Real buffer pool counters for the run.
+    /// Real buffer pool counters, counted like `pool_cx`.
     pub pool_real: stap_cube::PoolStats,
 }
 

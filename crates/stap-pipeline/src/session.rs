@@ -1,6 +1,6 @@
-//! One serve session: the epoch loop behind the driver's feed.
+//! One session: the epoch loop behind the driver's feed.
 //!
-//! A [`Session`] runs the caller's [`ResidentStap`] as a sequence of
+//! A [`Session`] runs the caller's [`ParallelStap`] as a sequence of
 //! worlds — **epochs** — over the caller's [`Feed`]: on the driver's
 //! own thread it wraps that feed for every world, passing slot groups
 //! in and completions out. A world ends when the wrapper reports
@@ -21,20 +21,26 @@
 //! Groups of streams the feed reports retired ([`Feed::is_retired`])
 //! meanwhile are not replayed; each such CPI goes to [`Feed::lost`].
 //!
+//! A traced runner's worlds share one trace epoch, taken when the
+//! session starts; the summary keeps every rank's report and comm
+//! events.
+//!
 //! The session spawns no thread and knows nothing of the data.
 //! [`Session::default`] triggers nothing: one epoch, no retained copies,
-//! no export — [`ResidentStap::serve`].
+//! no export — a batch ([`ParallelStap::try_run`]) and
+//! [`ParallelStap::serve`].
 
 use crate::assignment::NodeAssignment;
 use crate::elastic::{plan_rebalance, task_capacity, Rebalance, RebalancePolicy};
 use crate::msg::SubCpi;
-use crate::resident::{CpiJob, Feed, ResidentStap, ResidentState, ResidentSummary};
-use crate::runner::PipelineError;
+use crate::resident::{CpiJob, Feed, ResidentState, ResidentSummary};
+use crate::runner::{ParallelStap, PipelineError, RankResult};
 use stap_core::Detection;
 use stap_cube::SharedBufferPool;
 use stap_math::Cx;
 use std::collections::HashSet;
 use std::sync::mpsc::{Receiver, TryRecvError};
+use std::time::Instant;
 
 /// Supervision knobs.
 #[derive(Clone, Debug)]
@@ -92,7 +98,7 @@ pub struct Session {
     /// channel their triggers arrive on. `None` = the assignment never
     /// changes.
     pub rebalance: Option<(RebalancePolicy, Receiver<Rebalance>)>,
-    /// `(streams, queue_depth)` as given to [`ResidentStap::reserve`]:
+    /// `(streams, queue_depth)` as given to [`ParallelStap::reserve`]:
     /// the session re-reserves the pools with them for a new assignment
     /// and for its retained copies.
     pub reserve: (usize, usize),
@@ -120,6 +126,13 @@ pub struct SessionSummary {
     pub recoveries: Vec<Recovered>,
     /// Sub-CPIs lost across all recoveries.
     pub lost_cpis: u64,
+    /// Every rank's result from every clean epoch, in order (slot
+    /// indices restart at 0 in each epoch; the state has moved on).
+    pub ranks: Vec<RankResult>,
+    /// A traced runner's comm events from every clean epoch.
+    pub comm: Vec<stap_mp::RankTrace>,
+    /// What every span and comm event is measured from (traced only).
+    pub trace_epoch: Option<Instant>,
 }
 
 /// Pool-backed copies of a slot group's jobs.
@@ -148,6 +161,8 @@ struct SessionFeed<'a, F> {
     delivered: HashSet<(u16, u32)>,
     /// Groups fed this epoch, replays included.
     fed: u64,
+    /// Completions this epoch, replays included.
+    completed: u64,
     /// The caller's feed has not ended.
     open: bool,
     /// Groups pulled from the caller's feed over the session.
@@ -255,23 +270,29 @@ impl<F: Feed> Feed for SessionFeed<'_, F> {
         detections: Option<Vec<Detection>>,
         degraded: bool,
     ) {
+        self.completed += 1;
         if self.pool.is_some() && !self.delivered.insert((sub.stream, sub.scpi)) {
             return; // a failed world delivered it before dying
         }
         self.inner.complete(sub, latency, detections, degraded);
     }
+
+    fn slots(&self) -> Option<usize> {
+        // Replays first, then what the caller's feed has left.
+        (self.inner.slots()).map(|n| n + self.retained.len() - self.replayed)
+    }
 }
 
 impl Session {
-    /// Runs `resident` in epochs over `feed` until it ends and the last
-    /// epoch drains. Every epoch
-    /// launches from `resident` (window, group bound, mailbox mark,
-    /// screen, pools); only the assignment, the carried state and the
-    /// fault plan change between launches. Returns the merged summary,
-    /// or a world's error when recovery is off or out of budget.
+    /// Runs `runner` in epochs over `feed` until it ends and the last
+    /// epoch drains. Every epoch launches from `runner` (window, group
+    /// bound, policy, mailbox mark, screen, tracing, pools); only the
+    /// assignment, the carried state and the fault plan change between
+    /// launches. Returns the merged summary, or a world's error when
+    /// recovery is off or out of budget.
     pub fn run(
         self,
-        resident: &ResidentStap,
+        runner: &ParallelStap,
         feed: &mut (impl Feed + Send),
     ) -> Result<SessionSummary, PipelineError> {
         let Session {
@@ -284,7 +305,7 @@ impl Session {
         let mut feed = SessionFeed {
             inner: feed,
             rebalance,
-            pool: supervise.as_ref().map(|_| resident.pools().cx.clone()),
+            pool: supervise.as_ref().map(|_| runner.pools().cx.clone()),
             checkpoint_every: supervise
                 .as_ref()
                 .map_or(u64::MAX, |s| s.checkpoint_every.max(1)),
@@ -292,6 +313,7 @@ impl Session {
             replayed: 0,
             delivered: HashSet::new(),
             fed: 0,
+            completed: 0,
             open: true,
             pulled: 0,
             since_shift: u64::MAX / 2, // the first trigger is never cooling down
@@ -301,42 +323,60 @@ impl Session {
         // Retained copies and replay copies live beside the in-flight
         // cubes: reserve them on top of the raw-cube count.
         let retained = supervise.as_ref().map_or(0, |s| {
-            (s.checkpoint_every.max(1) as usize + resident.window) * resident.max_group
+            (s.checkpoint_every.max(1) as usize + runner.window) * runner.max_group
         });
+        let trace_epoch = runner.tracing.then(Instant::now);
         let mut out = SessionSummary {
             resident: ResidentSummary::default(),
-            assign: resident.assign,
+            assign: runner.assign,
             rebalances: Vec::new(),
             checkpoints: 0,
             recoveries: Vec::new(),
             lost_cpis: 0,
+            ranks: Vec::new(),
+            comm: Vec::new(),
+            trace_epoch,
         };
         if retained > 0 {
-            resident.reserve_under(&out.assign, streams, queue_depth, retained);
+            runner.reserve_under(&out.assign, streams, queue_depth, retained);
         }
-        let caps = task_capacity(&resident.params);
+        let caps = task_capacity(&runner.params);
         let mut carry = ResidentState::default();
         for launch in 0u32.. {
             let faults = match &supervise {
                 Some(s) => s.plans.get(launch as usize),
-                None => resident.faults.as_ref().filter(|_| launch == 0),
+                None => runner.faults.as_ref().filter(|_| launch == 0),
             };
             feed.fed = 0;
+            feed.completed = 0;
             feed.replayed = 0;
-            match resident.launch(out.assign, faults, &carry, exports, &mut feed) {
-                Ok((summary, state)) => {
+            let t0 = Instant::now();
+            match runner.launch(out.assign, faults, &carry, exports, trace_epoch, &mut feed) {
+                Ok((mut ranks, comm)) => {
                     let m = &mut out.resident;
-                    m.cpis += summary.cpis;
-                    m.slots += summary.slots;
-                    m.elapsed += summary.elapsed;
-                    m.health.merge(&summary.health);
-                    for (a, b) in m.busy.iter_mut().zip(summary.busy) {
+                    m.cpis += feed.completed;
+                    m.slots += feed.fed;
+                    m.elapsed += t0.elapsed().as_secs_f64();
+                    let mut busy = [0.0; 7];
+                    carry = ResidentState::default();
+                    for r in &mut ranks {
+                        match r {
+                            RankResult::Task { task, report, .. } => {
+                                m.health.merge(&report.health);
+                                busy[*task] += report.busy;
+                                carry.merge(std::mem::take(&mut report.state));
+                            }
+                            RankResult::Driver(d) => m.health.merge(&d.health),
+                        }
+                    }
+                    for (a, b) in m.busy.iter_mut().zip(busy) {
                         *a += b;
                     }
-                    m.pool_cx = summary.pool_cx;
-                    m.pool_real = summary.pool_real;
+                    m.pool_cx = runner.pools().cx.stats();
+                    m.pool_real = runner.pools().real.stats();
+                    out.ranks.append(&mut ranks);
+                    out.comm.extend(comm);
                     out.checkpoints += exports as u64;
-                    carry = state;
                     feed.bank();
                     if !feed.open {
                         break;
@@ -347,12 +387,12 @@ impl Session {
                     let (policy, _) =
                         (feed.rebalance.as_ref()).expect("only a rebalancing session triggers");
                     if let Some(next) =
-                        plan_rebalance(&summary.busy, out.assign, forced, policy.imbalance, &caps)
+                        plan_rebalance(&busy, out.assign, forced, policy.imbalance, &caps)
                     {
                         out.assign = next;
                         out.rebalances.push(feed.pulled);
                         feed.since_shift = 0;
-                        resident.reserve_under(&next, streams, queue_depth, retained);
+                        runner.reserve_under(&next, streams, queue_depth, retained);
                     }
                 }
                 Err(error) => {

@@ -1,12 +1,15 @@
 //! Measured pipeline timelines: task spans, comm spans, exporters.
 //!
 //! When [`crate::ParallelStap::with_tracing`] is enabled, every task
-//! node of the (resident) engine records one [`TaskSpan`] per CPI
-//! (receive/compute/send
+//! node records one [`TaskSpan`] per slot (receive/compute/send
 //! boundaries, mirroring the simulator's `stap_sim::trace::Interval`)
 //! and every rank's communicator records send/recv/wait/redistribute
-//! events with `(peer, tag, bytes)` attribution. [`PipelineTrace`]
-//! merges both into one timeline, which this module exports three ways:
+//! events with `(peer, tag, bytes)` attribution, all against the
+//! session's one trace epoch — on a batch and on a served session
+//! alike. A served session returns the spans and events on its
+//! [`crate::SessionSummary`]; a batch's [`PipelineTrace`] merges both,
+//! with the driver's CPI marks, into one timeline, which this module
+//! exports three ways:
 //!
 //! * [`chrome_trace_json`] — Chrome trace-event JSON, loadable in
 //!   `chrome://tracing` or Perfetto (`ui.perfetto.dev`),

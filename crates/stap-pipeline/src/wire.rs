@@ -577,6 +577,7 @@ fn task_report_from_json(j: &Json) -> Result<TaskReport, String> {
         timings,
         health: health_from_json(j.get("health").ok_or("missing health")?)?,
         spans,
+        ..TaskReport::default()
     })
 }
 
@@ -1046,6 +1047,7 @@ mod tests {
                 comp_end: 0.0035,
                 send_end: 0.004,
             }],
+            ..TaskReport::default()
         };
         let j = rank_result_to_json(&RankResult::Task {
             task: 6,

@@ -31,7 +31,7 @@ use stap_core::params::StapParams;
 use stap_math::Cx;
 use stap_mp::{FaultAction, FaultPlan, FaultRule, TagPattern};
 use stap_pipeline::msg::Edge;
-use stap_pipeline::{assignment, NodeAssignment, ResidentStap};
+use stap_pipeline::{assignment, NodeAssignment, ParallelStap};
 use stap_radar::Scenario;
 use stap_util::Json;
 use std::sync::mpsc;
@@ -203,7 +203,7 @@ fn campaign(cfg: ChaosConfig) -> ChaosReport {
 
     let params = StapParams::reduced();
     let scenario = Scenario::reduced(cfg.seed);
-    let resident = ResidentStap::for_scenario(params, assign, &scenario);
+    let resident = ParallelStap::for_scenario(params, assign, &scenario);
     let (tap_tx, tap_rx) = mpsc::channel();
     let server = Arc::new(StapServer::start_with_tap(
         resident,

@@ -3,7 +3,7 @@
 //! The paper evaluates the pipeline on one CPI stream; an operational
 //! radar processor serves *many* — one per active surveillance sector,
 //! each submitting CPIs concurrently. This crate is the long-running
-//! front end over [`stap_pipeline::ResidentStap`]:
+//! front end over [`stap_pipeline::ParallelStap`]:
 //!
 //! * [`admission`] — per-stream registration, in-order sequencing,
 //!   bounded per-stream depth with reject-with-reason beyond the

@@ -5,7 +5,7 @@
 //! driver, in epochs that end at a checkpoint (`supervised`) or a rank
 //! shift (`rebalance`); a failed world is recovered from the last
 //! checkpoint when supervised. With neither, the session is one world,
-//! as [`stap_pipeline::ResidentStap::serve`] runs it.
+//! as [`stap_pipeline::ParallelStap::serve`] runs it.
 //!
 //! The admission ledger is the session's [`Feed`], called on the
 //! driver rank's own thread:
@@ -35,7 +35,7 @@ use stap_math::Cx;
 use stap_pipeline::msg::SubCpi;
 use stap_pipeline::runner::PipelineError;
 use stap_pipeline::{
-    CpiDone, CpiJob, Feed, Rebalance, RebalancePolicy, Recovered, ResidentStap, ResidentSummary,
+    CpiDone, CpiJob, Feed, ParallelStap, Rebalance, RebalancePolicy, Recovered, ResidentSummary,
     Session, SessionSummary, SupervisorConfig,
 };
 use std::collections::HashMap;
@@ -56,7 +56,7 @@ pub struct ServerConfig {
     /// Soft mailbox high-water mark inside the pipeline (0 = off).
     pub mailbox_high_water: usize,
     /// Expected concurrent streams; sizes the pool pre-warm
-    /// ([`ResidentStap::reserve`]). More streams than the hint still
+    /// ([`ParallelStap::reserve`]). More streams than the hint still
     /// work — the pool grows on (counted) misses.
     pub streams_hint: usize,
     /// Rank shifts: when set, the engine shifts a rank toward the task
@@ -371,21 +371,23 @@ pub struct StapServer {
 }
 
 impl StapServer {
-    /// Builds the resident pipeline, pre-warms its pools for
-    /// `cfg.streams_hint` streams and starts the engine thread.
-    pub fn start(resident: ResidentStap, cfg: ServerConfig) -> StapServer {
-        StapServer::start_with_tap(resident, cfg, None)
+    /// Sets `runner`'s window, group bound, mailbox mark and screen from
+    /// `cfg`, pre-warms its pools for `cfg.streams_hint` streams and
+    /// starts the engine thread. The runner's policy, fault plan and
+    /// tracing carry over to the session as they are.
+    pub fn start(runner: ParallelStap, cfg: ServerConfig) -> StapServer {
+        StapServer::start_with_tap(runner, cfg, None)
     }
 
     /// Like [`StapServer::start`], but every completion is also
     /// forwarded (detections and all) to `tap` — the hook consumers use
     /// to receive results; a dropped tap is ignored.
     pub fn start_with_tap(
-        resident: ResidentStap,
+        runner: ParallelStap,
         cfg: ServerConfig,
         tap: Option<mpsc::Sender<CpiDone>>,
     ) -> StapServer {
-        let resident = resident
+        let resident = runner
             .with_window(cfg.window)
             .with_max_group(cfg.max_group)
             .with_mailbox_high_water(cfg.mailbox_high_water)
@@ -634,7 +636,7 @@ mod tests {
         let params = StapParams::reduced();
         let sc = Scenario::reduced(3);
         let cubes: Vec<_> = sc.stream(6).map(|(_, _, c)| c).collect();
-        let res = ResidentStap::for_scenario(params, NodeAssignment::tiny(), &sc);
+        let res = ParallelStap::for_scenario(params, NodeAssignment::tiny(), &sc);
         let server = StapServer::start(
             res,
             ServerConfig {
@@ -668,7 +670,7 @@ mod tests {
         let params = StapParams::reduced();
         let sc = Scenario::reduced(9);
         let cubes: Vec<_> = sc.stream(14).map(|(_, _, c)| c).collect();
-        let res = ResidentStap::for_scenario(params, NodeAssignment::tiny(), &sc);
+        let res = ParallelStap::for_scenario(params, NodeAssignment::tiny(), &sc);
         // Slot 0 of the shifted world: one corrupted power block per PC
         // rank, all of one CPI.
         let corrupt = FaultPlan::seeded(3).rule(FaultRule {
@@ -730,7 +732,7 @@ mod tests {
     fn idle_server_shuts_down() {
         let params = StapParams::reduced();
         let sc = Scenario::reduced(5);
-        let res = ResidentStap::for_scenario(params, NodeAssignment::tiny(), &sc);
+        let res = ParallelStap::for_scenario(params, NodeAssignment::tiny(), &sc);
         let server = StapServer::start(res, ServerConfig::default());
         server.register(0);
         let s = server.shutdown().unwrap();
@@ -751,7 +753,7 @@ mod tests {
         let stall = Duration::from_secs_f64(stap_util::ci_slack());
         let assign = NodeAssignment::tiny();
         let doppler = assign.rank_range(stap_pipeline::assignment::DOPPLER).start;
-        let res = ResidentStap::for_scenario(params, assign, &sc)
+        let res = ParallelStap::for_scenario(params, assign, &sc)
             .with_faults(stap_mp::FaultPlan::seeded(1).stall_rank(doppler, 0, stall));
         let cfg = ServerConfig::default();
         let max_group = cfg.max_group;

@@ -7,9 +7,12 @@ use stap::core::{Detection, StapParams};
 use stap::cube::CCube;
 use stap::mp::FaultPlan;
 use stap::pipeline::msg::{tag, Edge};
-use stap::pipeline::{CpiOutcome, NodeAssignment, ParallelStap, PipelineError, RuntimePolicy};
+use stap::pipeline::{
+    CpiDone, CpiJob, CpiOutcome, NodeAssignment, ParallelStap, PipelineError, RuntimePolicy,
+};
 use stap::radar::Scenario;
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 /// Ranks in `NodeAssignment::tiny()` ([2,1,2,1,1,2,1]): doppler {0,1},
 /// easy weight {2}, hard weight {3,4}, easy BF {5}, hard BF {6},
@@ -59,6 +62,7 @@ fn empty_plan_is_bit_identical_to_non_ft_run() {
     let (scenario, cpis) = scenario_and_cpis(31, 6);
     let baseline = runner(&scenario).run(cpis.clone());
     let ft = runner(&scenario)
+        .with_policy(RuntimePolicy::fault_tolerant())
         .with_faults(FaultPlan::seeded(5))
         .run(cpis);
     assert_eq!(ft.detections.len(), baseline.detections.len());
@@ -78,18 +82,19 @@ fn empty_plan_is_bit_identical_to_non_ft_run() {
 
 /// Losing one Doppler->beamform data message drops exactly that CPI
 /// end-to-end; every other CPI is untouched. Running the identical
-/// campaign twice classifies identically.
+/// campaign twice classifies identically, and serving it classifies it
+/// the same way.
 #[test]
 fn dropped_data_message_drops_exactly_that_cpi() {
     let (scenario, cpis) = scenario_and_cpis(32, 6);
     let baseline = runner(&scenario).run(cpis.clone());
     let plan = FaultPlan::seeded(9).drop_message(DOPPLER0, EASY_BF, tag(Edge::DopplerToEasyBf, 2));
-    let run_once = || {
+    let faulted = || {
         runner(&scenario)
             .with_policy(fast_policy())
             .with_faults(plan.clone())
-            .run(cpis.clone())
     };
+    let run_once = || faulted().run(cpis.clone());
     let out = run_once();
     assert_eq!(out.timings.outcomes[2], CpiOutcome::Dropped);
     assert_eq!(out.timings.health.dropped_cpis, 1);
@@ -105,6 +110,38 @@ fn dropped_data_message_drops_exactly_that_cpi() {
     let again = run_once();
     assert_eq!(again.timings.outcomes, out.timings.outcomes);
     assert_eq!(again.timings.health.dropped_cpis, 1);
+
+    // Served one CPI per slot, with the feed idle for longer than the
+    // deadline budget before the last CPI: no node may spend the budget
+    // on a slot the driver has not sent. The session shuts down.
+    let served = faulted();
+    let (jobs_tx, jobs) = mpsc::sync_channel(cpis.len());
+    let (done, done_rx) = mpsc::channel();
+    let (list, pool) = (&cpis, served.pools().cx.clone());
+    let summary = std::thread::scope(|s| {
+        s.spawn(move || {
+            for (i, cube) in list.iter().enumerate() {
+                if i + 1 == list.len() {
+                    std::thread::sleep(3 * fast_policy().edge_timeout);
+                }
+                let job = CpiJob {
+                    stream: 0,
+                    scpi: i as u32,
+                    cube: pool.take_cube_from(cube),
+                    submitted: Instant::now(),
+                };
+                jobs_tx.send(vec![job]).unwrap();
+            }
+        });
+        served.serve(jobs, done).expect("served session shuts down")
+    });
+    let got: Vec<CpiDone> = done_rx.iter().collect();
+    assert_eq!((got.len(), summary.health.dropped_cpis), (cpis.len(), 1));
+    assert!(got[2].degraded && got[2].detections.is_empty());
+    for i in [0, 1, 3, 4, 5] {
+        let clean = same_detections(&got[i].detections, &baseline.detections[i]);
+        assert!(clean && !got[i].degraded, "served CPI {i} changed");
+    }
 }
 
 /// Losing a weight matrix does NOT drop the CPI: the beamformer falls
@@ -224,7 +261,10 @@ fn delayed_message_is_absorbed_by_the_deadline_budget() {
         FaultPlan::seeded(13).delay_message(DOPPLER0, EASY_BF, tag(Edge::DopplerToEasyBf, 1), 2);
     // Generous deadlines: the delayed message (released two checkpoints
     // later at the sender) lands well inside the receive budget.
-    let out = runner(&scenario).with_faults(plan).run(cpis);
+    let out = runner(&scenario)
+        .with_policy(RuntimePolicy::fault_tolerant())
+        .with_faults(plan)
+        .run(cpis);
     assert!(
         out.timings.outcomes.iter().all(|o| *o == CpiOutcome::Ok),
         "outcomes: {:?}",

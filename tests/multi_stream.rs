@@ -7,7 +7,7 @@
 //! batching is a pure throughput optimization; it must never change a
 //! single detection.
 
-use stap::pipeline::{NodeAssignment, ParallelStap, ResidentStap};
+use stap::pipeline::{NodeAssignment, ParallelStap};
 use stap::radar::Scenario;
 use stap::serve::{LoadgenConfig, Reject, ServerConfig, StapServer};
 use stap_core::params::StapParams;
@@ -16,7 +16,7 @@ use stap_core::Detection;
 fn reduced_server(streams_hint: usize, cfg: ServerConfig) -> (StapServer, Scenario) {
     let params = StapParams::reduced();
     let scenario = Scenario::reduced(1);
-    let res = ResidentStap::for_scenario(params, NodeAssignment::tiny(), &scenario);
+    let res = ParallelStap::for_scenario(params, NodeAssignment::tiny(), &scenario);
     let cfg = ServerConfig {
         streams_hint,
         ..cfg
@@ -43,7 +43,7 @@ fn interleaved_streams_are_bit_identical_to_serial_runs() {
     }
 
     // The same CPIs, interleaved through the server.
-    let res = ResidentStap::for_scenario(params, NodeAssignment::tiny(), &scenarios[0]);
+    let res = ParallelStap::for_scenario(params, NodeAssignment::tiny(), &scenarios[0]);
     let (tap_tx, tap_rx) = std::sync::mpsc::channel();
     let server = StapServer::start_with_tap(
         res,
@@ -195,7 +195,7 @@ fn loadgen_smoke_reports_backpressure_and_slo() {
         || {
             let params = StapParams::reduced();
             let scenario = Scenario::reduced(5);
-            let res = ResidentStap::for_scenario(params, NodeAssignment::tiny(), &scenario);
+            let res = ParallelStap::for_scenario(params, NodeAssignment::tiny(), &scenario);
             StapServer::start(
                 res,
                 ServerConfig {

@@ -12,8 +12,8 @@ use stap::pipeline::runner::RankResult;
 use stap::pipeline::tasks::PipelinePools;
 use stap::pipeline::wire::msg_codec;
 use stap::pipeline::{
-    ChannelFeed, CpiJob, NodeAssignment, ParallelStap, Rebalance, RebalancePolicy, ResidentStap,
-    Session, SupervisorConfig,
+    ChannelFeed, CpiJob, NodeAssignment, ParallelStap, Rebalance, RebalancePolicy, Session,
+    SupervisorConfig,
 };
 use stap::radar::Scenario;
 use stap::sim::{simulate, SimConfig};
@@ -301,9 +301,11 @@ enum FrontEnd {
     /// own loopback `TcpLink` and the wire codec (what the benchmark's
     /// `red_tcp_batch` runs).
     BatchOverTcp,
-    /// `ResidentStap::serve`: one stream, one CPI per slot.
+    /// A one-epoch `Session` over a `ChannelFeed` (what
+    /// `ParallelStap::serve` runs), traced: one stream, one CPI per slot.
     Serve,
-    /// `ResidentStap::serve`: three streams coalesced three to a slot.
+    /// The same session untraced: three streams coalesced three to a
+    /// slot.
     ServeGrouped,
     /// A supervised, rebalancing `Session`: three streams three to a
     /// slot, a checkpoint every two slots, `Rebalance::At(REBALANCE_AT)`,
@@ -392,22 +394,42 @@ fn run_front(
                 3
             };
             let streams = &streams[..group];
-            let res = ResidentStap::for_scenario(params, assign, scenario).with_max_group(group);
+            let traced = matches!(front, FrontEnd::Serve);
+            let mut res = ParallelStap::for_scenario(params, assign, scenario);
+            (res.max_group, res.tracing) = (group, traced);
             res.reserve(group, 4);
             let (jobs_tx, jobs_rx) = mpsc::sync_channel(2);
             let (done_tx, done_rx) = mpsc::channel();
             let pool = res.pools().cx.clone();
             let summary = std::thread::scope(|s| {
                 s.spawn(move || send_slots(streams, &pool, jobs_tx));
-                res.serve(jobs_rx, done_tx).unwrap()
+                let mut feed = ChannelFeed {
+                    jobs: jobs_rx,
+                    done: done_tx,
+                };
+                Session::default().run(&res, &mut feed).unwrap()
             });
             // Demand-driven reserve: the steady state is miss-free.
-            assert_eq!(summary.pool_cx.misses, 0, "{:?}", summary.pool_cx);
-            assert_eq!(summary.pool_real.misses, 0, "{:?}", summary.pool_real);
+            let pools = (summary.resident.pool_cx, summary.resident.pool_real);
+            assert_eq!((pools.0.misses, pools.1.misses), (0, 0), "{pools:?}");
+            // Traced, every task node reports one span per slot.
+            let slots: Vec<usize> = (0..streams[0].len()).filter(|_| traced).collect();
+            assert_eq!(summary.ranks.len(), assign.world_size());
+            for r in &summary.ranks {
+                if let RankResult::Task { task, node, report } = r {
+                    let spans: Vec<usize> = report.spans.iter().map(|s| s.cpi).collect();
+                    assert_eq!(spans, slots, "task {task} node {node}");
+                }
+            }
+            assert_eq!(summary.trace_epoch.is_some(), traced);
+            assert_eq!(
+                summary.comm.len(),
+                usize::from(traced) * assign.world_size()
+            );
             collect(done_rx, group, streams[0].len())
         }
         FrontEnd::Session { kill } => {
-            let res = ResidentStap::for_scenario(params, assign, scenario).with_max_group(3);
+            let res = ParallelStap::for_scenario(params, assign, scenario).with_max_group(3);
             res.reserve(3, 4);
             let (launch, local) = launch_of(kill);
             let ranks = if kill < REBALANCE_AT {

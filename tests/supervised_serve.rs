@@ -7,7 +7,7 @@
 //! lost CPIs (zero when no stream disconnects). Recovery is not allowed
 //! to be approximately right.
 
-use stap::pipeline::{assignment, NodeAssignment, ParallelStap, ResidentStap};
+use stap::pipeline::{assignment, NodeAssignment, ParallelStap};
 use stap::radar::Scenario;
 use stap::serve::{Reject, ServerConfig, StapServer, SupervisorConfig};
 use stap_core::params::StapParams;
@@ -77,7 +77,7 @@ fn kill_and_restore_is_bit_identical_to_an_unfaulted_run() {
     // killed at slot 2 — before the first checkpoint (cadence 3), so
     // recovery replays the whole trajectory from genesis state.
     let assign = NodeAssignment::tiny();
-    let res = ResidentStap::for_scenario(params, assign, &scenarios[0]);
+    let res = ParallelStap::for_scenario(params, assign, &scenarios[0]);
     let (tap_tx, tap_rx) = std::sync::mpsc::channel();
     let server = StapServer::start_with_tap(
         res,
@@ -141,7 +141,7 @@ fn clean_supervised_run_checkpoints_and_loses_nothing() {
     let params = StapParams::reduced();
     let sc = Scenario::reduced(3);
     let cubes: Vec<_> = sc.stream(7).map(|(_, _, c)| c).collect();
-    let res = ResidentStap::for_scenario(params, NodeAssignment::tiny(), &sc);
+    let res = ParallelStap::for_scenario(params, NodeAssignment::tiny(), &sc);
     let server = StapServer::start(
         res,
         ServerConfig {
@@ -174,7 +174,7 @@ fn clean_supervised_run_checkpoints_and_loses_nothing() {
     // the raw cubes admission and the window hold, so a clean session
     // never misses the pool.
     let cubes: Vec<_> = sc.stream(24).map(|(_, _, c)| c).collect();
-    let res = ResidentStap::for_scenario(StapParams::reduced(), NodeAssignment::tiny(), &sc);
+    let res = ParallelStap::for_scenario(StapParams::reduced(), NodeAssignment::tiny(), &sc);
     let (tap_tx, tap_rx) = std::sync::mpsc::channel();
     let server = StapServer::start_with_tap(
         res,
@@ -204,7 +204,7 @@ fn disconnect_mid_flight_drains_as_dropped() {
     let params = StapParams::reduced();
     let sc = Scenario::reduced(13);
     let cubes: Vec<_> = sc.stream(6).map(|(_, _, c)| c).collect();
-    let res = ResidentStap::for_scenario(params, NodeAssignment::tiny(), &sc);
+    let res = ParallelStap::for_scenario(params, NodeAssignment::tiny(), &sc);
     let server = StapServer::start(
         res,
         ServerConfig {
@@ -253,7 +253,7 @@ fn corrupt_stream_is_screened_and_quarantined() {
     let params = StapParams::reduced();
     let sc = Scenario::reduced(19);
     let cubes: Vec<_> = sc.stream(4).map(|(_, _, c)| c).collect();
-    let res = ResidentStap::for_scenario(params, NodeAssignment::tiny(), &sc);
+    let res = ParallelStap::for_scenario(params, NodeAssignment::tiny(), &sc);
     let server = StapServer::start(
         res,
         ServerConfig {
