@@ -146,9 +146,22 @@ impl Partitions {
             cfar_bins: block_ranges(params.n_pulses, a.nodes(CFAR)),
         }
     }
+
+    /// The partition of task `t` (paper numbering).
+    pub fn of(&self, t: usize) -> &[Range<usize>] {
+        [
+            &self.doppler_k,
+            &self.easy_wt_bins,
+            &self.hard_wt_bins,
+            &self.easy_bf_bins,
+            &self.hard_bf_bins,
+            &self.pc_bins,
+            &self.cfar_bins,
+        ][t]
+    }
 }
 
-/// Intersection helper shared by the task loops.
+/// Intersection of two ranges (`0..0` when they are disjoint).
 pub fn overlap(a: &Range<usize>, b: &Range<usize>) -> Range<usize> {
     let s = a.start.max(b.start);
     let e = a.end.min(b.end);

@@ -10,6 +10,9 @@
 //! * [`assignment`] — node counts per task (the paper's case 1/2/3) and
 //!   the partitioning of each task's data dimension,
 //! * [`msg`] — the wire messages and tag scheme,
+//! * [`schedule`] — every message of a slot (edge, sender, receiver,
+//!   payload kind and shape), derived once from the partitions and read
+//!   by the loops, the pools, the checked receive and the simulator,
 //! * [`resident`] — the engine: one loop per task, each node receiving,
 //!   computing and sending one slot of CPIs at a time, and the driver
 //!   that feeds it (fault tolerance and spans live in those loops),
@@ -65,6 +68,7 @@ pub mod msg;
 pub mod report;
 pub mod resident;
 pub mod runner;
+pub mod schedule;
 pub mod session;
 pub mod tasks;
 pub mod trace;

@@ -74,7 +74,13 @@
 //! Each task has exactly one loop function here, and every loop leaves
 //! what is not its own to a `Node`: the receive (`recv_msg`), the
 //! drop markers a lost input sends downstream, the end-of-slot purge,
-//! and the slot's [`TaskTiming`] and span. The driver reads its slots
+//! and the slot's [`TaskTiming`] and span. Whom a loop receives from and
+//! sends to, and the kind and shape of each message, is the world's
+//! [`Schedule`]: a loop reads its entries once and keeps only its own
+//! partition range for compute. Every receive checks the delivered
+//! payload against its entry and quarantines one that does not fit, so
+//! a well-formed message of the wrong kind or shape costs its slot, not
+//! the rank. The driver reads its slots
 //! from a [`Feed`] that a session wraps: a batch's CPI list, a
 //! [`ChannelFeed`] ([`ParallelStap::serve`]) or `stap-serve`'s
 //! admission ledger. Whatever the feed, a world runs under the runner's
@@ -95,10 +101,11 @@ use crate::fault::{payload_is_finite, RuntimePolicy};
 use crate::metrics::{PipelineHealth, TaskTiming};
 use crate::msg::{cpi_of_tag, edge_of_tag, tag, Edge, Msg, Payload, SubCpi};
 use crate::runner::{ParallelStap, TaskReport};
+use crate::schedule::{Entry, Kind, Schedule};
 use crate::tasks::PipelinePools;
 use crate::trace::TaskSpan;
 use stap_core::params::StapParams;
-use stap_core::training::{easy_training_cells, hard_training_cells};
+use stap_core::training::hard_training_cells;
 use stap_core::weights::{EasyWeightLanes, HardWeightLanes};
 use stap_core::{
     cfar,
@@ -235,9 +242,9 @@ impl ParallelStap {
     /// Demand-driven pool sizing: pre-warms every size class the
     /// resident hot path will draw from, for `streams` concurrent
     /// streams with `queue_depth` admitted-and-waiting CPIs each, so
-    /// even the first slot is miss-free. Derives the exact block sizes
-    /// from the partitions (the same index arithmetic the task loops
-    /// use). A block of one kind — one (edge, sender, receiver) — is
+    /// even the first slot is miss-free. Reads the exact block sizes from
+    /// the [`Schedule`] the task loops route by: a block of one kind is
+    /// one pooled entry — one (edge, sender, receiver) — and is
     /// live from the moment its producer draws it (the beamformers and
     /// pulse compression draw theirs before they compute into them)
     /// until its consumer has computed out of it. On the eq.-2 chain
@@ -271,74 +278,33 @@ impl ParallelStap {
         retained: usize,
     ) {
         let p = &self.params;
-        let parts = Partitions::new(p, assign);
+        let schedule = Schedule::new(p, assign, Partitions::new(p, assign))
+            .expect("block partitions cover their spaces");
         let b = self.max_group.min(streams.max(1)).max(1);
         let w = self.window + 2; // in-flight slots + a lagging weight slot + margin
         let mut cx: HashMap<usize, usize> = HashMap::new();
         let mut real: HashMap<usize, usize> = HashMap::new();
-        // One block kind of `per_cpi` elements per member CPI, drawn for
-        // the group sizes in `groups`.
-        fn kind(
-            m: &mut HashMap<usize, usize>,
-            per_cpi: usize,
-            groups: impl Iterator<Item = usize>,
-            w: usize,
-        ) {
-            if per_cpi == 0 {
-                return;
-            }
-            let classes: BTreeSet<usize> =
-                groups.map(|g| (g * per_cpi).next_power_of_two()).collect();
-            for class in classes {
-                *m.entry(class).or_default() += w;
-            }
-        }
         // Raw CPI cubes: one held per producer, up to `queue_depth`
         // admitted per stream, plus in-flight groups and retained copies.
         let raw = p.k_range * p.j_channels * p.n_pulses;
         let raw_cubes = streams * (queue_depth + 1) + b * w + retained;
         cx.insert(raw.next_power_of_two(), raw_cubes);
-        let easy_bins = p.easy_bins();
-        let hard_bins = p.hard_bins();
-        for kr in &parts.doppler_k {
-            // Driver input slabs (a lone admitted cube is forwarded).
-            let slab_groups = (1..=b).filter(|&g| !forwards_admitted_cube(g, &parts));
-            kind(
-                &mut cx,
-                kr.len() * p.j_channels * p.n_pulses,
-                slab_groups,
-                w,
-            );
-            let ec = easy_cells_in(p, kr).len();
-            let fc: usize = (0..p.num_segments())
-                .map(|s| hard_cells_in(p, s, kr).len())
-                .sum();
-            for bins in &parts.easy_wt_bins {
-                kind(&mut cx, bins.len() * ec * p.j_channels, 1..=b, w);
-            }
-            for bins in &parts.hard_wt_bins {
-                kind(&mut cx, bins.len() * fc * 2 * p.j_channels, 1..=b, w);
-            }
-            for bins in &parts.easy_bf_bins {
-                kind(&mut cx, bins.len() * kr.len() * p.j_channels, 1..=b, w);
-            }
-            for bins in &parts.hard_bf_bins {
-                kind(&mut cx, bins.len() * kr.len() * 2 * p.j_channels, 1..=b, w);
-            }
-        }
-        // Beamform -> PC blocks: per (BF node, PC node) natural-bin
-        // overlap, exactly as `PcBlocks` counts it.
-        let plane = p.m_beams * p.k_range;
-        for pc_bins in &parts.pc_bins {
-            for (idx, bins) in (parts.easy_bf_bins.iter().map(|idx| (idx, &easy_bins)))
-                .chain(parts.hard_bf_bins.iter().map(|idx| (idx, &hard_bins)))
-            {
-                let mine = (idx.clone().filter(|&bn| pc_bins.contains(&bins[bn]))).count();
-                kind(&mut cx, mine * plane, 1..=b, w);
-            }
-            // PC -> CFAR real blocks.
-            for cf in &parts.cfar_bins {
-                kind(&mut real, overlap(pc_bins, cf).len() * plane, 1..=b, w);
+        // One block kind per pooled entry, drawn for every group size
+        // (a lone admitted cube is forwarded, not copied into a slab).
+        for e in schedule.entries() {
+            let pool = match e.kind {
+                Kind::Cube => &mut cx,
+                Kind::Real => &mut real,
+                Kind::Weights | Kind::Detections => continue,
+            };
+            let per_cpi = e.block(1).iter().product::<usize>();
+            let forwarded = |g| e.edge == Edge::Input && forwards_admitted_cube(g, assign);
+            let classes: BTreeSet<usize> = (1..=b)
+                .filter(|&g| per_cpi > 0 && !forwarded(g))
+                .map(|g| (g * per_cpi).next_power_of_two())
+                .collect();
+            for class in classes {
+                *pool.entry(class).or_default() += w;
             }
         }
         for (cap, count) in cx {
@@ -354,7 +320,10 @@ impl ParallelStap {
 pub(crate) struct ResCtx<'a> {
     pub(crate) params: &'a StapParams,
     pub(crate) assign: &'a NodeAssignment,
+    /// Each task's own range, for compute; routing reads `schedule`.
     pub(crate) parts: &'a Partitions,
+    /// Every message of a slot: who sends what to whom.
+    pub(crate) schedule: &'a Schedule,
     pub(crate) steering: &'a [CMat],
     pub(crate) pools: &'a PipelinePools,
     pub(crate) max_group: usize,
@@ -401,34 +370,12 @@ pub(crate) fn run_task(
     loops[task](ctx, comm, local)
 }
 
-fn expect_cube(p: Payload) -> CCube {
-    match p {
-        Payload::Cube(c) => c,
-        other => panic!("expected Cube, got {other:?}"),
-    }
-}
-
-fn expect_real(p: Payload) -> RCube {
-    match p {
-        Payload::Real(c) => c,
-        other => panic!("expected Real, got {other:?}"),
-    }
-}
-
-fn expect_weights(p: Payload) -> Vec<CMat> {
-    match p {
-        Payload::Weights(w) => w,
-        other => panic!("expected Weights, got {other:?}"),
-    }
-}
-
 /// Outcome of one receive on a pipeline edge.
 pub(crate) enum Recvd {
     /// The slot's message.
     Msg(Msg),
-    /// The input is gone: an explicit drop marker, an undecodable wire
-    /// frame or, fault-tolerant, a deadline overrun after retries or a
-    /// quarantined (non-finite) payload.
+    /// The input is gone: an explicit drop marker, a quarantined payload
+    /// or, fault-tolerant, a deadline overrun after retries.
     Gone,
     /// Nothing more will come: the shutdown sentinel or, fault-tolerant,
     /// a disconnected world.
@@ -439,7 +386,7 @@ pub(crate) enum Recvd {
 /// data edge is declared lost and the CPI is dropped.
 const EDGE_RETRIES: u32 = 1;
 
-/// One receive on `edge` for slot `slot` under `policy`.
+/// One receive of `entry`'s message for slot `slot` under `policy`.
 ///
 /// The default policy is the plain blocking receive (an unexpected
 /// `Disconnected` panics: fail fast, which the serve supervisor relies
@@ -447,18 +394,20 @@ const EDGE_RETRIES: u32 = 1;
 /// `EDGE_RETRIES` retries, discards messages whose `seq` does not match
 /// `slot` (late/duplicate deliveries), and quarantines payloads holding
 /// non-finite values; an attempt begun before the driver sent the slot
-/// does not count. Under either policy a wire frame that failed to
-/// decode is quarantined on its edge and the input is gone.
+/// does not count. Under either policy a payload `entry` does not admit
+/// for groups of up to `max_group` CPIs ([`Entry::admits`]: an
+/// undecodable wire frame, a wrong kind or shape, a missing or oversized
+/// group) is quarantined on its edge and the input is gone.
 pub(crate) fn recv_msg(
     comm: &mut Comm<Msg>,
-    (src, edge): (usize, Edge),
+    (entry, max_group): (&Entry, usize),
     slot: usize,
     dispatched: &AtomicUsize,
     policy: &RuntimePolicy,
     timeout: Duration,
     health: &mut PipelineHealth,
 ) -> Recvd {
-    let (e, t) = (edge as usize, tag(edge, slot));
+    let (src, e, t) = (entry.src, entry.edge as usize, tag(entry.edge, slot));
     let m = if !policy.fault_tolerant {
         let m = comm.recv(src, t).unwrap();
         debug_assert!(
@@ -500,11 +449,11 @@ pub(crate) fn recv_msg(
     match m.payload {
         Payload::Dropped => Recvd::Gone,
         Payload::Shutdown => Recvd::Shutdown,
-        Payload::Malformed => {
+        _ if entry.admits(&m, max_group) => Recvd::Msg(m),
+        _ => {
             health.edges[e].quarantined += 1;
             Recvd::Gone
         }
-        _ => Recvd::Msg(m),
     }
 }
 
@@ -512,16 +461,17 @@ pub(crate) fn recv_msg(
 /// message belonging to slot `slot` or earlier — late deliveries the
 /// loop gave up on, and duplicate copies of messages already consumed —
 /// attributing the discards to their edges. Without this the
-/// unexpected-message queue would grow for the rest of the run.
+/// unexpected-message queue would grow for the rest of the run. A tag
+/// of no pipeline edge is discarded whatever its slot.
 pub(crate) fn purge_late(comm: &mut Comm<Msg>, slot: usize, health: &mut PipelineHealth) {
     let edges = &mut health.edges;
-    comm.purge_pending(|_, t| {
-        if cpi_of_tag(t) <= slot {
-            edges[edge_of_tag(t)].late_or_dup += 1;
+    comm.purge_pending(|_, t| match edges.get_mut(edge_of_tag(t)) {
+        Some(edge) if cpi_of_tag(t) <= slot => {
+            edge.late_or_dup += 1;
             false
-        } else {
-            true
         }
+        Some(_) => true,
+        None => false,
     });
 }
 
@@ -585,15 +535,16 @@ impl<'a> Node<'a> {
         self.idle = 0.0;
     }
 
-    /// Receives slot `slot`'s message from each `(rank, edge)` source in
-    /// order, handing every delivered one to `take` with the source's
-    /// position. After a shutdown the remaining sources' shutdowns are
-    /// drained.
-    fn recv(
+    /// Receives slot `slot`'s message of each entry in `sources` in
+    /// order, handing every delivered one to `take` with the entry's
+    /// position. A message whose group is not as long as the first one's
+    /// is quarantined. After a shutdown the remaining sources' shutdowns
+    /// are drained.
+    fn recv<'e>(
         &mut self,
         comm: &mut Comm<Msg>,
         slot: usize,
-        sources: impl IntoIterator<Item = (usize, Edge)>,
+        sources: impl IntoIterator<Item = &'e Entry>,
         timeout: Duration,
         mut take: impl FnMut(usize, Msg),
     ) -> Input {
@@ -602,11 +553,11 @@ impl<'a> Node<'a> {
         }
         let (mut group, mut degraded) = (None, false);
         let (mut lost, mut shutdown) = (false, false);
-        for (i, (src, edge)) in sources.into_iter().enumerate() {
+        for (i, entry) in sources.into_iter().enumerate() {
             let t = Instant::now();
             let got = recv_msg(
                 comm,
-                (src, edge),
+                (entry, self.ctx.max_group),
                 slot,
                 &self.ctx.dispatched,
                 self.ctx.policy,
@@ -622,6 +573,12 @@ impl<'a> Node<'a> {
                     "mixed shutdown/data within a slot"
                 ),
                 Recvd::Msg(m) => {
+                    let len = |g: &Option<Arc<[SubCpi]>>| g.as_ref().map(|g| g.len());
+                    if group.is_some() && len(&group) != len(&m.group) {
+                        self.report.health.edges[entry.edge as usize].quarantined += 1;
+                        lost = true;
+                        continue;
+                    }
                     if group.is_none() {
                         group.clone_from(&m.group);
                     }
@@ -632,12 +589,10 @@ impl<'a> Node<'a> {
                 Recvd::Shutdown => shutdown = true,
             }
         }
-        if shutdown {
-            Input::Shutdown
-        } else if lost {
-            Input::Lost(group)
-        } else {
-            Input::Data(group.expect("pipeline messages carry a group"), degraded)
+        match group {
+            _ if shutdown => Input::Shutdown,
+            Some(group) if !lost => Input::Data(group, degraded),
+            group => Input::Lost(group),
         }
     }
 
@@ -681,16 +636,16 @@ impl<'a> Node<'a> {
     }
 }
 
-/// Sends `payload` (a shutdown or drop marker) for slot `slot` on every
-/// `(rank, edge)` out-edge.
-fn signal(
+/// Sends `payload` (a shutdown or drop marker) for slot `slot` in place
+/// of every entry of `outs`.
+fn signal<'e>(
     comm: &Comm<Msg>,
-    outs: impl IntoIterator<Item = (usize, Edge)>,
+    outs: impl IntoIterator<Item = &'e Entry>,
     slot: usize,
     payload: Payload,
 ) {
-    for (dst, edge) in outs {
-        comm.send(dst, tag(edge, slot), Msg::new(slot, payload.clone()));
+    for e in outs {
+        comm.send(e.dst, tag(e.edge, slot), Msg::new(slot, payload.clone()));
     }
 }
 
@@ -700,20 +655,12 @@ fn recycle<T: Copy + Default>(pool: &SharedBufferPool<T>, blocks: &mut Vec<Cube<
     }
 }
 
-/// Global training cells for easy weights that fall inside `krange`.
-fn easy_cells_in(params: &StapParams, krange: &Range<usize>) -> Vec<usize> {
-    easy_training_cells(params)
-        .into_iter()
-        .filter(|c| krange.contains(c))
-        .collect()
-}
-
-/// Global training cells for hard segment `seg` inside `krange`.
-fn hard_cells_in(params: &StapParams, seg: usize, krange: &Range<usize>) -> Vec<usize> {
-    hard_training_cells(params, seg)
-        .into_iter()
-        .filter(|c| krange.contains(c))
-        .collect()
+/// The block of a cube-edge message, which the receive has checked.
+fn cube(payload: Payload) -> Option<CCube> {
+    match payload {
+        Payload::Cube(c) => Some(c),
+        _ => None,
+    }
 }
 
 /// A pooled block whose every element is about to be overwritten. Debug
@@ -731,85 +678,64 @@ fn take_block_for_overwrite<T: Copy + Default>(
     block
 }
 
-/// The blocks one beamform node sends pulse compression in a slot, one
-/// per PC node, `[member * bins + bin][M][K]` with the node's bins that
-/// PC node owns in ascending order. They are taken from the pool before
-/// the slot is computed and the GEMM stores each bin's `[M][K]` plane
-/// into them directly — the one write of the edge.
-struct PcBlocks {
-    /// Per PC node, how many of this node's bins it owns.
-    counts: Vec<usize>,
-    /// Per bin of this node: its PC node and its row among that node's.
+/// The blocks a beamform or pulse-compression node sends in a slot, one
+/// per receiver, `[member * bins + bin][M][K]` with the receiver's run
+/// of this node's bins. They are drawn before the slot is computed and
+/// the kernel stores each bin's `[M][K]` plane into them directly — the
+/// GEMM's product, the compressed power: the one write of the edge.
+struct RunBlocks<T> {
+    /// Per receiver, its entry; the runs are this node's bins in order.
+    outs: Vec<Entry>,
+    /// Per bin of this node: its receiver and its row among that one's.
     dest: Vec<(usize, usize)>,
-    /// `[M, K]`, one bin of one member CPI.
-    plane: [usize; 2],
-    blocks: Vec<CCube>,
+    blocks: Vec<Cube<T>>,
 }
 
-impl PcBlocks {
-    /// `bins` are this node's Doppler bins (natural numbering) in order.
-    fn new(ctx: &ResCtx, bins: impl Iterator<Item = usize>) -> Self {
-        let mut counts = vec![0usize; ctx.parts.pc_bins.len()];
-        let dest = bins
-            .map(|bin| {
-                let t = (ctx.parts.pc_bins.iter())
-                    .position(|r| r.contains(&bin))
-                    .expect("the PC nodes partition the Doppler bins");
-                counts[t] += 1;
-                (t, counts[t] - 1)
-            })
+impl<T: Copy + Default> RunBlocks<T> {
+    fn new<'e>(outs: impl Iterator<Item = &'e Entry>) -> Self {
+        let outs: Vec<Entry> = outs.cloned().collect();
+        let dest = (outs.iter().enumerate())
+            .flat_map(|(t, e)| (0..e.shape[0]).map(move |row| (t, row)))
             .collect();
-        PcBlocks {
-            blocks: Vec::with_capacity(counts.len()),
-            counts,
-            dest,
-            plane: [ctx.params.m_beams, ctx.params.k_range],
-        }
+        let blocks = Vec::with_capacity(outs.len());
+        RunBlocks { outs, dest, blocks }
     }
 
     /// Draws the slot's blocks for a group of `b` member CPIs.
-    fn take(&mut self, pool: &SharedBufferPool<Cx>, b: usize) {
-        let [m, k] = self.plane;
-        for &count in &self.counts {
-            let poison = Cx::new(f64::NAN, f64::NAN);
-            self.blocks
-                .push(take_block_for_overwrite(pool, [b * count, m, k], poison));
+    fn take(&mut self, pool: &SharedBufferPool<T>, b: usize, poison: T) {
+        for e in &self.outs {
+            (self.blocks).push(take_block_for_overwrite(pool, e.block(b), poison));
         }
     }
 
     /// The `[M][K]` plane of member `u`'s `bi`-th bin.
-    fn plane_mut(&mut self, u: usize, bi: usize) -> &mut [Cx] {
+    fn plane_mut(&mut self, u: usize, bi: usize) -> &mut [T] {
         let (t, row) = self.dest[bi];
-        let plane = self.plane[0] * self.plane[1];
-        &mut self.blocks[t].as_mut_slice()[(u * self.counts[t] + row) * plane..][..plane]
+        let [count, m, k] = self.outs[t].shape;
+        &mut self.blocks[t].as_mut_slice()[(u * count + row) * m * k..][..m * k]
     }
 
-    /// Sends the finished blocks; `covered` is how many elements the
-    /// slot stored into them.
-    #[allow(clippy::too_many_arguments)]
+    /// Sends the finished blocks as `payload`s; `covered` is how many
+    /// elements the slot stored into them.
     fn send(
         &mut self,
-        ctx: &ResCtx,
         comm: &mut Comm<Msg>,
-        edge: Edge,
-        slot: usize,
-        group: &Arc<[SubCpi]>,
-        covered: usize,
-        degraded: bool,
+        (slot, group): (usize, &Arc<[SubCpi]>),
+        (covered, degraded): (usize, bool),
+        payload: fn(Cube<T>) -> Payload,
     ) {
         debug_assert_eq!(
             covered,
-            self.blocks.iter().map(CCube::len).sum::<usize>(),
-            "beamformer left out-block elements unwritten"
+            self.blocks.iter().map(Cube::len).sum::<usize>(),
+            "out-block elements left unwritten"
         );
-        let pc0 = ctx.assign.rank_range(PC).start;
-        for (t, block) in self.blocks.drain(..).enumerate() {
+        for (e, block) in self.outs.iter().zip(self.blocks.drain(..)) {
             comm.send(
-                pc0 + t,
-                tag(edge, slot),
+                e.dst,
+                tag(e.edge, slot),
                 Msg {
                     degraded,
-                    ..Msg::grouped(slot, group.clone(), Payload::Cube(block))
+                    ..Msg::grouped(slot, group.clone(), payload(block))
                 },
             );
         }
@@ -825,98 +751,63 @@ fn resident_doppler(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskRep
     let (k0, klen) = (my_k.start, my_k.len());
     let jj = 2 * p.j_channels;
     let proc = DopplerProcessor::new(p);
-    let driver = ctx.assign.driver_rank();
-    let easy_bins = p.easy_bins();
-    let hard_bins = p.hard_bins();
+    let (easy_bins, hard_bins) = (p.easy_bins(), p.hard_bins());
     let pool = &ctx.pools.cx;
-    // Row offsets within one sub-CPI's slab: the weight tasks take their
-    // training cells, the beamformers every row.
-    let easy_rows: Vec<usize> = easy_cells_in(p, &my_k).iter().map(|&c| c - k0).collect();
-    let flat_rows: Vec<usize> = (0..p.num_segments())
-        .flat_map(|s| hard_cells_in(p, s, &my_k))
-        .map(|c| c - k0)
-        .collect();
-    let all_rows: Vec<usize> = (0..klen).collect();
-    // Every out-block of a slot, in send order: (destination rank, edge,
-    // corner-turn layout). The beamformers are on the latency path
-    // (eq. 2), the weight tasks are not, so the beamformers' blocks go
-    // first.
-    let mut outs: Vec<(usize, Edge, BinBlock)> = Vec::new();
-    for (task, edge, node_bins, bins, rows, channels) in [
-        (
-            EASY_BF,
-            Edge::DopplerToEasyBf,
-            &ctx.parts.easy_bf_bins,
-            &easy_bins,
-            &all_rows,
-            p.j_channels,
-        ),
-        (
-            HARD_BF,
-            Edge::DopplerToHardBf,
-            &ctx.parts.hard_bf_bins,
-            &hard_bins,
-            &all_rows,
-            jj,
-        ),
-        (
-            EASY_WT,
-            Edge::DopplerToEasyWt,
-            &ctx.parts.easy_wt_bins,
-            &easy_bins,
-            &easy_rows,
-            p.j_channels,
-        ),
-        (
-            HARD_WT,
-            Edge::DopplerToHardWt,
-            &ctx.parts.hard_wt_bins,
-            &hard_bins,
-            &flat_rows,
-            jj,
-        ),
-    ] {
-        let dst0 = ctx.assign.rank_range(task).start;
-        for (q, bins_idx) in node_bins.iter().enumerate() {
-            let layout = BinBlock::new(&bins[bins_idx.clone()], rows, klen, channels);
-            outs.push((dst0 + q, edge, layout));
-        }
-    }
-    let out_edges = || outs.iter().map(|&(dst, edge, _)| (dst, edge));
+    let me = comm.rank();
+    let input: Vec<&Entry> = ctx.schedule.recvs(me, Edge::Input).collect();
+    // Every out-block of a slot, in send order, with its corner-turn
+    // layout. The beamformers are on the latency path (eq. 2), the
+    // weight tasks are not, so the beamformers' blocks go first.
+    let outs: Vec<(&Entry, BinBlock)> = [
+        (Edge::DopplerToEasyBf, &easy_bins),
+        (Edge::DopplerToHardBf, &hard_bins),
+        (Edge::DopplerToEasyWt, &easy_bins),
+        (Edge::DopplerToHardWt, &hard_bins),
+    ]
+    .into_iter()
+    .flat_map(|(edge, bins)| {
+        (ctx.schedule.sends(me, edge)).map(move |e| {
+            (
+                e,
+                BinBlock::new(&bins[e.part.clone()], &e.rows, klen, e.shape[2]),
+            )
+        })
+    })
+    .collect();
+    let out_edges = || outs.iter().map(|&(e, _)| e);
     let mut blocks: Vec<CCube> = Vec::with_capacity(outs.len());
     let mut ws = DopplerScratch::new();
     let mut node = Node::new(ctx);
     let mut slab = None;
     for slot in 0.. {
         node.begin(comm, slot);
-        let input = node.recv(
+        let got = node.recv(
             comm,
             slot,
-            [(driver, Edge::Input)],
+            input.iter().copied(),
             ctx.policy.edge_timeout,
-            |_, m| slab = Some(expect_cube(m.payload)),
+            |_, m| slab = cube(m.payload),
         );
-        let group = match input {
-            Input::Data(group, _) => group,
-            Input::Lost(_) => {
+        let (group, slab) = match (got, slab.take()) {
+            (Input::Data(group, _), Some(slab)) => (group, slab),
+            (Input::Shutdown, _) => {
+                signal(comm, out_edges(), slot, Payload::Shutdown);
+                break;
+            }
+            _ => {
                 // Keep the rest of the pipeline draining this slot.
                 signal(comm, out_edges(), slot, Payload::Dropped);
                 node.end(comm, slot, 0.0, 0.0);
                 continue;
             }
-            Input::Shutdown => {
-                signal(comm, out_edges(), slot, Payload::Shutdown);
-                break;
-            }
         };
-        let slab = slab.take().expect("the slot's slab");
         let t = Instant::now();
         // Doppler's "data collection and reorganization" happens inside
         // the tile pass; traced, each out-block is a `Redistribute` span
         // from the start of the pass to its send.
         let pack_t0 = comm.trace_now();
         let b = group.len();
-        for (_, _, layout) in &outs {
+        for (_, layout) in &outs {
             let poison = Cx::new(f64::NAN, f64::NAN);
             blocks.push(take_block_for_overwrite(pool, layout.shape(b), poison));
         }
@@ -924,7 +815,7 @@ fn resident_doppler(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskRep
         // into all out-blocks while it is cache-resident.
         let mut covered = 0usize;
         proc.process_tiles_with(&slab, k0, b, &mut ws, |row0, tile| {
-            for ((_, _, layout), block) in outs.iter().zip(&mut blocks) {
+            for ((_, layout), block) in outs.iter().zip(&mut blocks) {
                 covered += layout.scatter(tile, jj, p.n_pulses, row0, block.as_mut_slice());
             }
         });
@@ -936,24 +827,18 @@ fn resident_doppler(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskRep
         pool.recycle(slab);
         let comp = t.elapsed().as_secs_f64();
         let t = Instant::now();
-        for ((dst, edge, _), block) in outs.iter().zip(blocks.drain(..)) {
-            let (bytes, tg) = (8 * block.len() as u64, tag(*edge, slot));
+        for ((e, _), block) in outs.iter().zip(blocks.drain(..)) {
+            let (bytes, tg) = (8 * block.len() as u64, tag(e.edge, slot));
             comm.send(
-                *dst,
+                e.dst,
                 tg,
                 Msg::grouped(slot, group.clone(), Payload::Cube(block)),
             );
-            comm.trace_redistribute(*dst, tg, bytes, pack_t0);
+            comm.trace_redistribute(e.dst, tg, bytes, pack_t0);
         }
         node.end(comm, slot, comp, t.elapsed().as_secs_f64());
     }
     node.finish(comm, ResidentState::default)
-}
-
-/// The ranks of the Doppler nodes, each with `edge`: every weight and
-/// beamform node's sources.
-fn doppler_sources(ctx: &ResCtx, edge: Edge) -> impl Iterator<Item = (usize, Edge)> {
-    ctx.assign.rank_range(DOPPLER).map(move |r| (r, edge))
 }
 
 /// A beamform node's per-(stream, beam) queues of per-bin weight sets,
@@ -1024,76 +909,64 @@ fn export_ring<T>(rings: Fifos<T>, bin0: usize) -> HashMap<(u16, usize, usize), 
 /// blocks and that CPI's slice of the outgoing messages (one run of
 /// `per_bin` matrices per owned bin, in bin order), one grouped weight
 /// message per overlapping BF node out — `[member CPI][bin][per_bin]`,
-/// the order the wire has always carried. `bf` names the beamform task
-/// fed and its bin partition. A slot with a lost input leaves the
-/// weight state untouched and sends drop markers instead.
-#[allow(clippy::too_many_arguments)]
+/// the order the wire has always carried. A slot with a lost input
+/// leaves the weight state untouched and sends drop markers instead.
 fn weight_slots(
     ctx: &ResCtx,
     comm: &mut Comm<Msg>,
     node: &mut Node,
     (in_edge, out_edge): (Edge, Edge),
-    bins_idx: &Range<usize>,
-    (bf_task, bf_parts): (usize, &[Range<usize>]),
     per_bin: usize,
     mut member: impl FnMut(usize, &SubCpi, &[CCube], &mut dyn Iterator<Item = &mut [CMat]>),
 ) {
-    let p0 = ctx.assign.nodes(DOPPLER);
-    // Destination BF nodes with their bin overlaps (slot-invariant). The
-    // BF nodes partition the bins, so these overlaps are this node's
-    // bins in order, each bin in exactly one of them.
-    let bf0 = ctx.assign.rank_range(bf_task).start;
-    let targets: Vec<(usize, Range<usize>)> = bf_parts
-        .iter()
-        .enumerate()
-        .filter_map(|(r, bf_bins)| {
-            let ov = overlap(bins_idx, bf_bins);
-            (!ov.is_empty()).then_some((bf0 + r, ov))
-        })
-        .collect();
-    let out_edges = || targets.iter().map(|&(dst, _)| (dst, out_edge));
+    let me = comm.rank();
+    let sources: Vec<&Entry> = ctx.schedule.recvs(me, in_edge).collect();
+    // The BF nodes whose bins overlap this node's: their overlaps are
+    // this node's bins in order, each bin in exactly one of them.
+    let targets: Vec<&Entry> = ctx.schedule.sends(me, out_edge).collect();
     let mut per_node: Vec<Vec<CMat>> = targets.iter().map(|_| Vec::new()).collect();
-    let mut blocks: Vec<CCube> = Vec::with_capacity(p0);
+    let mut blocks: Vec<CCube> = Vec::with_capacity(sources.len());
     for slot in 0.. {
         node.begin(comm, slot);
         let input = node.recv(
             comm,
             slot,
-            doppler_sources(ctx, in_edge),
+            sources.iter().copied(),
             ctx.policy.edge_timeout,
-            |_, m| blocks.push(expect_cube(m.payload)),
+            |_, m| blocks.extend(cube(m.payload)),
         );
         let group = match input {
             Input::Data(group, _) => group,
             Input::Lost(_) => {
                 recycle(&ctx.pools.cx, &mut blocks);
-                signal(comm, out_edges(), slot, Payload::Dropped);
+                signal(comm, targets.iter().copied(), slot, Payload::Dropped);
                 node.end(comm, slot, 0.0, 0.0);
                 continue;
             }
             Input::Shutdown => {
                 recycle(&ctx.pools.cx, &mut blocks);
-                signal(comm, out_edges(), slot, Payload::Shutdown);
+                signal(comm, targets.iter().copied(), slot, Payload::Shutdown);
                 return;
             }
         };
         let t = Instant::now();
-        for (w, (_, ov)) in per_node.iter_mut().zip(&targets) {
-            w.resize(group.len() * ov.len() * per_bin, CMat::zeros(0, 0));
+        for (w, e) in per_node.iter_mut().zip(&targets) {
+            w.resize(group.len() * e.shape[0], CMat::zeros(0, 0));
         }
         for (u, sub) in group.iter().enumerate() {
-            let mut weights = per_node.iter_mut().zip(&targets).flat_map(|(w, (_, ov))| {
-                w[u * ov.len() * per_bin..][..ov.len() * per_bin].chunks_mut(per_bin)
-            });
+            let mut weights = per_node
+                .iter_mut()
+                .zip(&targets)
+                .flat_map(|(w, e)| w[u * e.shape[0]..][..e.shape[0]].chunks_mut(per_bin));
             member(u, sub, &blocks, &mut weights);
         }
         recycle(&ctx.pools.cx, &mut blocks);
         let comp = t.elapsed().as_secs_f64();
         let t = Instant::now();
-        for ((dst, _), w) in targets.iter().zip(&mut per_node) {
+        for (e, w) in targets.iter().zip(&mut per_node) {
             comm.send(
-                *dst,
-                tag(out_edge, slot),
+                e.dst,
+                tag(e.edge, slot),
                 Msg::grouped(slot, group.clone(), Payload::Weights(std::mem::take(w))),
             );
         }
@@ -1147,8 +1020,8 @@ fn resident_easy_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
     let nbins = bins_idx.len();
     let beams = ctx.steering.len();
     // Each Doppler node's block holds its share of the training cells.
-    let dp_cells: Vec<usize> = (ctx.parts.doppler_k.iter())
-        .map(|kr| easy_cells_in(p, kr).len())
+    let dp_cells: Vec<usize> = (ctx.schedule.recvs(comm.rank(), Edge::DopplerToEasyWt))
+        .map(|e| e.shape[1])
         .collect();
     let mut lanes = EasyWeightLanes::new(p, nbins, &dp_cells);
     for (&(stream, beam, bin), history) in &ctx.carry.easy_history {
@@ -1162,8 +1035,6 @@ fn resident_easy_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
         comm,
         &mut node,
         (Edge::DopplerToEasyWt, Edge::EasyWtToEasyBf),
-        &bins_idx,
-        (EASY_BF, &ctx.parts.easy_bf_bins),
         1,
         |u, sub, blocks, weights| {
             let beam = sub.scpi as usize % beams;
@@ -1196,7 +1067,10 @@ fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
     // Each Doppler node's block holds its share of every segment's
     // training cells, segment after segment.
     let dp_counts: Vec<Vec<usize>> = (ctx.parts.doppler_k.iter())
-        .map(|kr| (0..segs).map(|s| hard_cells_in(p, s, kr).len()).collect())
+        .map(|kr| {
+            let within = |s| (hard_training_cells(p, s).iter().filter(|c| kr.contains(c))).count();
+            (0..segs).map(within).collect()
+        })
         .collect();
     let mut lanes = HardWeightLanes::new(p, &p.hard_bins()[bins_idx.clone()], &dp_counts);
     for (&(stream, beam, bin, seg), r) in &ctx.carry.hard_r {
@@ -1210,8 +1084,6 @@ fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
         comm,
         &mut node,
         (Edge::DopplerToHardWt, Edge::HardWtToHardBf),
-        &bins_idx,
-        (HARD_BF, &ctx.parts.hard_bf_bins),
         segs,
         |u, sub, blocks, weights| {
             let beam = sub.scpi as usize % beams;
@@ -1239,7 +1111,7 @@ fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> Tas
 struct WeightFifos<T, Q> {
     /// The weight nodes feeding this node, each with its overlap of the
     /// node's bins; the overlaps are the node's bins in order.
-    sources: Vec<(usize, Range<usize>)>,
+    sources: Vec<Entry>,
     edge: Edge,
     beams: usize,
     /// Matrices per bin in a weight message, and how they make a `T`.
@@ -1257,27 +1129,19 @@ struct WeightFifos<T, Q> {
 }
 
 impl<T: Clone, Q: Fn(usize) -> Vec<T>> WeightFifos<T, Q> {
-    /// The FIFOs of a node owning `bins_idx` of the bins `wt` (weight
-    /// task, its partition) computes, starting from `carried`.
-    #[allow(clippy::too_many_arguments)]
+    /// The FIFOs of node `rank`, owning `bins_idx` of the bins its weight
+    /// messages on `edge` carry, starting from `carried`.
     fn new(
         ctx: &ResCtx,
-        bins_idx: &Range<usize>,
-        (wt_task, wt_parts): (usize, &[Range<usize>]),
+        (rank, bins_idx): (usize, &Range<usize>),
         edge: Edge,
         per_bin: usize,
         unpack: fn(&mut std::vec::IntoIter<CMat>, usize) -> T,
         quiescent: Q,
         carried: &HashMap<(u16, usize, usize), VecDeque<T>>,
     ) -> Self {
-        let wt0 = ctx.assign.rank_range(wt_task).start;
         WeightFifos {
-            sources: (wt_parts.iter().enumerate())
-                .filter_map(|(q, r)| {
-                    let ov = overlap(r, bins_idx);
-                    (!ov.is_empty()).then(|| (wt0 + q, ov))
-                })
-                .collect(),
+            sources: ctx.schedule.recvs(rank, edge).cloned().collect(),
             edge,
             beams: ctx.steering.len(),
             per_bin,
@@ -1317,26 +1181,29 @@ impl<T: Clone, Q: Fn(usize) -> Vec<T>> WeightFifos<T, Q> {
         let input = node.recv(
             comm,
             slot,
-            self.sources.iter().map(|&(src, _)| (src, self.edge)),
+            &self.sources,
             node.ctx.policy.weight_grace,
-            |_, m| fresh.push(expect_weights(m.payload).into_iter()),
+            |_, m| {
+                if let Payload::Weights(w) = m.payload {
+                    fresh.push(w.into_iter());
+                }
+            },
         );
-        let (group, lost) = match input {
-            Input::Data(g, _) => (group.cloned().unwrap_or(g), false),
-            Input::Lost(g) => (group.cloned().or(g)?, true),
-            Input::Shutdown => (group.cloned()?, true),
+        // Weights for a group of another length than the slot's data are
+        // as good as lost.
+        let (group, lost) = match (input, group) {
+            (Input::Data(g, _), Some(known)) => (known.clone(), g.len() != known.len()),
+            (Input::Data(g, _), None) => (g, false),
+            (Input::Lost(g), known) => (known.cloned().or(g)?, true),
+            (Input::Shutdown, known) => (known.cloned()?, true),
         };
-        for (w, (_, ov)) in fresh.iter().zip(&self.sources).filter(|_| !lost) {
-            let want = group.len() * ov.len() * self.per_bin;
-            assert_eq!(w.len(), want, "weights from overlap source");
-        }
         for sub in group.iter() {
             let key = (sub.stream, sub.scpi as usize % self.beams);
             let set = if lost {
                 self.stale(node, key)
             } else {
                 let set: Vec<T> = (fresh.iter_mut().zip(&self.sources))
-                    .flat_map(|(w, (_, ov))| ov.clone().map(|_| (self.unpack)(w, self.per_bin)))
+                    .flat_map(|(w, e)| e.part.clone().map(|_| (self.unpack)(w, self.per_bin)))
                     .collect();
                 if node.ctx.policy.fault_tolerant {
                     self.last_good.insert(key, set.clone());
@@ -1382,9 +1249,8 @@ impl<T: Clone, Q: Fn(usize) -> Vec<T>> WeightFifos<T, Q> {
     /// Drains the weight edge's shutdowns (the Doppler shutdowns of
     /// `slot` were received).
     fn drain_shutdown(&self, node: &mut Node, comm: &mut Comm<Msg>, slot: usize) {
-        let sources = self.sources.iter().map(|&(src, _)| (src, self.edge));
         let grace = node.ctx.policy.weight_grace;
-        node.recv(comm, slot, sources, grace, |_, _| {
+        node.recv(comm, slot, &self.sources, grace, |_, _| {
             panic!("weights after the last slot")
         });
     }
@@ -1401,28 +1267,28 @@ fn beamform_slots<T: Clone, Q: Fn(usize) -> Vec<T>>(
     ctx: &ResCtx,
     comm: &mut Comm<Msg>,
     node: &mut Node,
-    (in_edge, out_edge): (Edge, Edge),
+    in_edge: Edge,
     wts: &mut WeightFifos<T, Q>,
-    outs: &mut PcBlocks,
-    mut gemm: impl FnMut(usize, &[T], &[CCube], &mut PcBlocks) -> usize,
+    outs: &mut RunBlocks<Cx>,
+    mut gemm: impl FnMut(usize, &[T], &[CCube], &mut RunBlocks<Cx>) -> usize,
 ) {
     let pool = &ctx.pools.cx;
-    let pc_edges = || ctx.assign.rank_range(PC).map(|r| (r, out_edge));
-    let mut blocks: Vec<CCube> = Vec::with_capacity(ctx.assign.nodes(DOPPLER));
+    let sources: Vec<&Entry> = ctx.schedule.recvs(comm.rank(), in_edge).collect();
+    let mut blocks: Vec<CCube> = Vec::with_capacity(sources.len());
     for slot in 0.. {
         node.begin(comm, slot);
         let input = node.recv(
             comm,
             slot,
-            doppler_sources(ctx, in_edge),
+            sources.iter().copied(),
             ctx.policy.edge_timeout,
-            |_, m| blocks.push(expect_cube(m.payload)),
+            |_, m| blocks.extend(cube(m.payload)),
         );
         let group = match input {
             Input::Data(group, _) => group,
             Input::Lost(group) => {
                 recycle(pool, &mut blocks);
-                signal(comm, pc_edges(), slot, Payload::Dropped);
+                signal(comm, &outs.outs, slot, Payload::Dropped);
                 if let Some(group) = wts.push_slot(node, comm, slot, group.as_ref()) {
                     for sub in group.iter() {
                         wts.take(node, comm, slot, &group, sub);
@@ -1434,7 +1300,7 @@ fn beamform_slots<T: Clone, Q: Fn(usize) -> Vec<T>>(
             Input::Shutdown => {
                 recycle(pool, &mut blocks);
                 wts.drain_shutdown(node, comm, slot);
-                signal(comm, pc_edges(), slot, Payload::Shutdown);
+                signal(comm, &outs.outs, slot, Payload::Shutdown);
                 return;
             }
         };
@@ -1443,7 +1309,7 @@ fn beamform_slots<T: Clone, Q: Fn(usize) -> Vec<T>>(
         // revisit), exactly the per-stream serial schedule. A wait for the
         // slot's own weights (the early push) is idle, not compute.
         let (t, idle0) = (Instant::now(), node.idle);
-        outs.take(pool, group.len());
+        outs.take(pool, group.len(), Cx::new(f64::NAN, f64::NAN));
         let (mut covered, mut degraded) = (0usize, false);
         for (u, sub) in group.iter().enumerate() {
             let (weights, stale) = wts.take(node, comm, slot, &group, sub);
@@ -1453,7 +1319,7 @@ fn beamform_slots<T: Clone, Q: Fn(usize) -> Vec<T>>(
         recycle(pool, &mut blocks);
         let comp = t.elapsed().as_secs_f64() - (node.idle - idle0);
         let t = Instant::now();
-        outs.send(ctx, comm, out_edge, slot, &group, covered, degraded);
+        outs.send(comm, (slot, &group), (covered, degraded), Payload::Cube);
         let send = t.elapsed().as_secs_f64();
         // Push phase, after the send: the weight task may still be at
         // work on this slot, at most one slot behind the chain, and the
@@ -1468,18 +1334,17 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskRep
     let p = ctx.params;
     let bins_idx = ctx.parts.easy_bf_bins[local].clone();
     let nbins = bins_idx.len();
-    let easy_bins = p.easy_bins();
+    let me = comm.rank();
     let mut wts = WeightFifos::new(
         ctx,
-        &bins_idx,
-        (EASY_WT, &ctx.parts.easy_wt_bins),
+        (me, &bins_idx),
         Edge::EasyWtToEasyBf,
         1,
         |w, _| w.next().expect("length checked"),
         |beam| vec![normalize_columns(ctx.steering[beam].clone()); nbins],
         &ctx.carry.easy_fifo,
     );
-    let mut outs = PcBlocks::new(ctx, bins_idx.clone().map(|bn| easy_bins[bn]));
+    let mut outs = RunBlocks::new(ctx.schedule.sends(me, Edge::EasyBfToPc));
     // The GEMM operands, packed once each: the bin's `J x K` data
     // straight from the wire blocks, the weights conjugate-transposed.
     let mut data = PlanarMat::zeros(p.j_channels, p.k_range);
@@ -1489,7 +1354,7 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskRep
         ctx,
         comm,
         &mut node,
-        (Edge::DopplerToEasyBf, Edge::EasyBfToPc),
+        Edge::DopplerToEasyBf,
         &mut wts,
         &mut outs,
         |u, weights: &[CMat], blocks, outs| {
@@ -1545,17 +1410,17 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskRep
             .collect()
     };
     // A weight message is `[member][bin][segment]`.
+    let me = comm.rank();
     let mut wts = WeightFifos::new(
         ctx,
-        &bins_idx,
-        (HARD_WT, &ctx.parts.hard_wt_bins),
+        (me, &bins_idx),
         Edge::HardWtToHardBf,
         segs,
         |w, segs| w.take(segs).collect::<Vec<CMat>>(),
         quiescent,
         &ctx.carry.hard_fifo,
     );
-    let mut outs = PcBlocks::new(ctx, bins_idx.clone().map(|bn| hard_bins[bn]));
+    let mut outs = RunBlocks::new(ctx.schedule.sends(me, Edge::HardBfToPc));
     let seg_ranges: Vec<Range<usize>> = (0..segs).map(|s| p.segment_range(s)).collect();
     let mut data: Vec<PlanarMat> = seg_ranges
         .iter()
@@ -1567,7 +1432,7 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskRep
         ctx,
         comm,
         &mut node,
-        (Edge::DopplerToHardBf, Edge::HardBfToPc),
+        Edge::DopplerToHardBf,
         &mut wts,
         &mut outs,
         |u, weights: &[Vec<CMat>], blocks, outs| {
@@ -1613,45 +1478,20 @@ fn resident_pc(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
     let easy_bins = p.easy_bins();
     let hard_bins = p.hard_bins();
     let compressor = PulseCompressor::new(p);
-    // Per feeding BF node: its rank, its edge and which of my bins its
+    let me = comm.rank();
+    // Per feeding BF node: its entry and the natural bins of mine its
     // block holds.
-    let mut feeders: Vec<(usize, Edge, Vec<usize>)> = Vec::new();
-    for (task, edge, parts, bins) in [
-        (
-            EASY_BF,
-            Edge::EasyBfToPc,
-            &ctx.parts.easy_bf_bins,
-            &easy_bins,
-        ),
-        (
-            HARD_BF,
-            Edge::HardBfToPc,
-            &ctx.parts.hard_bf_bins,
-            &hard_bins,
-        ),
-    ] {
-        for (r, idx) in parts.iter().enumerate() {
-            let mine = (idx.clone().map(|bn| bins[bn]))
-                .filter(|bn| my_bins.contains(bn))
-                .collect();
-            feeders.push((ctx.assign.rank_range(task).start + r, edge, mine));
-        }
-    }
-    // Per CFAR node, the bins of mine it owns; per bin of mine, its CFAR
-    // node and its row among that node's.
-    let cfar_edges = || ctx.assign.rank_range(CFAR).map(|r| (r, Edge::PcToCfar));
-    let cfar_ov: Vec<Range<usize>> = (ctx.parts.cfar_bins.iter())
-        .map(|c| overlap(&my_bins, c))
-        .collect();
-    let dest: Vec<(usize, usize)> = (my_bins.clone())
-        .map(|bn| {
-            let c = (cfar_ov.iter().position(|ov| ov.contains(&bn)))
-                .expect("the CFAR nodes partition the Doppler bins");
-            (c, bn - cfar_ov[c].start)
-        })
-        .collect();
+    let feeders: Vec<(&Entry, Vec<usize>)> = [
+        (Edge::EasyBfToPc, &easy_bins),
+        (Edge::HardBfToPc, &hard_bins),
+    ]
+    .into_iter()
+    .flat_map(|(edge, bins)| {
+        (ctx.schedule.recvs(me, edge)).map(move |e| (e, bins[e.part.clone()].to_vec()))
+    })
+    .collect();
+    let mut outs = RunBlocks::new(ctx.schedule.sends(me, Edge::PcToCfar));
     let plane = p.m_beams * p.k_range;
-    let mut powers: Vec<RCube> = Vec::with_capacity(cfar_ov.len());
     let mut fft_ws = FftScratch::new();
     let mut node = Node::new(ctx);
     for slot in 0.. {
@@ -1660,29 +1500,21 @@ fn resident_pc(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
         let input = node.recv(
             comm,
             slot,
-            feeders.iter().map(|&(src, edge, _)| (src, edge)),
+            feeders.iter().map(|&(e, _)| e),
             ctx.policy.edge_timeout,
             |fi, m| {
                 let t = Instant::now();
-                let b = m
-                    .group
-                    .as_ref()
-                    .expect("pipeline messages carry a group")
-                    .len();
-                if powers.is_empty() {
-                    for ov in &cfar_ov {
-                        let shape = [b * ov.len(), p.m_beams, p.k_range];
-                        powers.push(take_block_for_overwrite(&ctx.pools.real, shape, f64::NAN));
-                    }
+                if outs.blocks.is_empty() {
+                    let b = m.group.as_ref().map_or(0, |g| g.len());
+                    outs.take(&ctx.pools.real, b, f64::NAN);
                 }
-                let bins = &feeders[fi].2;
+                let Some(mut block) = cube(m.payload) else {
+                    return;
+                };
+                let bins = &feeders[fi].1;
                 let bl = bins.len();
-                let mut block = expect_cube(m.payload);
-                debug_assert_eq!(block.shape(), [b * bl, p.m_beams, p.k_range]);
                 for (row, lanes) in block.as_mut_slice().chunks_exact_mut(plane).enumerate() {
-                    let (c, at) = dest[bins[row % bl] - my_bins.start];
-                    let at = (row / bl) * cfar_ov[c].len() + at;
-                    let power = &mut powers[c].as_mut_slice()[at * plane..][..plane];
+                    let power = outs.plane_mut(row / bl, bins[row % bl] - my_bins.start);
                     compressor.compress_in_place(lanes, power, &mut fft_ws);
                     covered += plane;
                 }
@@ -1693,33 +1525,19 @@ fn resident_pc(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
         let (group, degraded) = match input {
             Input::Data(group, degraded) => (group, degraded),
             Input::Lost(_) => {
-                recycle(&ctx.pools.real, &mut powers);
-                signal(comm, cfar_edges(), slot, Payload::Dropped);
+                recycle(&ctx.pools.real, &mut outs.blocks);
+                signal(comm, &outs.outs, slot, Payload::Dropped);
                 node.end(comm, slot, comp, 0.0);
                 continue;
             }
             Input::Shutdown => {
-                recycle(&ctx.pools.real, &mut powers);
-                signal(comm, cfar_edges(), slot, Payload::Shutdown);
+                recycle(&ctx.pools.real, &mut outs.blocks);
+                signal(comm, &outs.outs, slot, Payload::Shutdown);
                 break;
             }
         };
-        debug_assert_eq!(
-            covered,
-            powers.iter().map(RCube::len).sum::<usize>(),
-            "pulse compression left power-block elements unwritten"
-        );
         let t = Instant::now();
-        for ((dst, edge), block) in cfar_edges().zip(powers.drain(..)) {
-            comm.send(
-                dst,
-                tag(edge, slot),
-                Msg {
-                    degraded,
-                    ..Msg::grouped(slot, group.clone(), Payload::Real(block))
-                },
-            );
-        }
+        outs.send(comm, (slot, &group), (covered, degraded), Payload::Real);
         node.end(comm, slot, comp, t.elapsed().as_secs_f64());
     }
     node.finish(comm, ResidentState::default)
@@ -1730,27 +1548,25 @@ fn resident_pc(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
 /// the driver in one grouped `DetectionsGroup` message per slot.
 fn resident_cfar(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
     let p = ctx.params;
-    let my_bins = ctx.parts.cfar_bins[local].clone();
-    let driver = ctx.assign.driver_rank();
+    let me = comm.rank();
     // One block per PC node, holding its ascending share of my bins.
-    let feeders: Vec<(usize, Range<usize>)> = ctx
-        .parts
-        .pc_bins
-        .iter()
-        .enumerate()
-        .map(|(t, r)| (ctx.assign.rank_range(PC).start + t, overlap(r, &my_bins)))
-        .collect();
+    let feeders: Vec<&Entry> = ctx.schedule.recvs(me, Edge::PcToCfar).collect();
+    let output = (ctx.schedule.sends(me, Edge::Output).next()).expect("CFAR reports to the driver");
     let mut blocks: Vec<RCube> = Vec::with_capacity(feeders.len());
-    let mut scratch = cfar::CfarScratch::for_task(p, my_bins.len());
+    let mut scratch = cfar::CfarScratch::for_task(p, ctx.parts.cfar_bins[local].len());
     let mut node = Node::new(ctx);
     for slot in 0.. {
         node.begin(comm, slot);
         let input = node.recv(
             comm,
             slot,
-            feeders.iter().map(|&(src, _)| (src, Edge::PcToCfar)),
+            feeders.iter().copied(),
             ctx.policy.edge_timeout,
-            |_, m| blocks.push(expect_real(m.payload)),
+            |_, m| {
+                if let Payload::Real(r) = m.payload {
+                    blocks.push(r);
+                }
+            },
         );
         let (group, degraded) = match input {
             Input::Data(group, degraded) => (group, degraded),
@@ -1758,7 +1574,7 @@ fn resident_cfar(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport
                 // Tell the driver, so it classifies the slot as dropped
                 // instead of waiting on detections that will never come.
                 recycle(&ctx.pools.real, &mut blocks);
-                signal(comm, [(driver, Edge::Output)], slot, Payload::Dropped);
+                signal(comm, [output], slot, Payload::Dropped);
                 node.end(comm, slot, 0.0, 0.0);
                 continue;
             }
@@ -1778,11 +1594,10 @@ fn resident_cfar(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport
         for u in 0..b {
             scratch.begin_cpi();
             let mut poisoned = false;
-            for (block, (_, ov)) in blocks.iter().zip(&feeders) {
-                debug_assert_eq!(block.shape()[0], b * ov.len());
-                for (i, bin) in ov.clone().enumerate() {
+            for (block, e) in blocks.iter().zip(&feeders) {
+                for (i, bin) in e.part.clone().enumerate() {
                     for m in 0..p.m_beams {
-                        let lane = block.lane(u * ov.len() + i, m);
+                        let lane = block.lane(u * e.shape[0] + i, m);
                         if ctx.screen && !lane.iter().all(|v| v.is_finite()) {
                             poisoned = true;
                         }
@@ -1799,8 +1614,8 @@ fn resident_cfar(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport
         let comp = t.elapsed().as_secs_f64();
         let t = Instant::now();
         comm.send(
-            driver,
-            tag(Edge::Output, slot),
+            output.dst,
+            tag(output.edge, slot),
             Msg {
                 degraded,
                 ..Msg::grouped(slot, group, Payload::DetectionsGroup(per_sub, mask))
@@ -1814,8 +1629,8 @@ fn resident_cfar(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport
 /// One CPI for one Doppler node: the admitted cube *is* the input slab,
 /// so the driver forwards it instead of copying it into a pooled slab
 /// (and [`ParallelStap::reserve`] provisions no slab for that case).
-fn forwards_admitted_cube(group_len: usize, parts: &Partitions) -> bool {
-    group_len == 1 && parts.doppler_k.len() == 1
+fn forwards_admitted_cube(group_len: usize, assign: &NodeAssignment) -> bool {
+    group_len == 1 && assign.nodes(DOPPLER) == 1
 }
 
 /// Where a session's slots come from and where their CPIs' results go:
@@ -1891,7 +1706,9 @@ pub(crate) fn drive(
     feed: &mut impl Feed,
 ) -> PipelineHealth {
     let p = ctx.params;
-    let dop0 = ctx.assign.rank_range(DOPPLER).start;
+    let me = comm.rank();
+    let inputs: Vec<&Entry> = ctx.schedule.sends(me, Edge::Input).collect();
+    let outputs: Vec<&Entry> = ctx.schedule.recvs(me, Edge::Output).collect();
     let mut inflight: VecDeque<(Arc<[SubCpi]>, Vec<Instant>)> = VecDeque::with_capacity(window);
     let mut node = Node::new(ctx);
     let mut next_slot = 0usize;
@@ -1928,7 +1745,7 @@ pub(crate) fn drive(
                 })
                 .collect();
             let submitted: Vec<Instant> = batch.iter().map(|j| j.submitted).collect();
-            if forwards_admitted_cube(b, ctx.parts) {
+            if forwards_admitted_cube(b, ctx.assign) {
                 let job = batch.into_iter().next().expect("b == 1");
                 assert_eq!(
                     job.cube.shape(),
@@ -1936,25 +1753,25 @@ pub(crate) fn drive(
                     "CPI cube shape"
                 );
                 comm.send(
-                    dop0,
+                    inputs[0].dst,
                     tag(Edge::Input, next_slot),
                     Msg::grouped(next_slot, group.clone(), Payload::Cube(job.cube)),
                 );
             } else {
-                for (pn, kr) in ctx.parts.doppler_k.iter().enumerate() {
-                    let klen = kr.len();
+                for e in &inputs {
+                    let kr = &e.part;
                     // Axis 0 is the slowest axis, so each sub-CPI's k-slab
                     // is one contiguous run: assemble the group slab with b
                     // slice copies rather than an element-wise rebuild.
                     let row = p.j_channels * p.n_pulses;
-                    let mut buf = ctx.pools.cx.get(b * klen * row);
+                    let mut buf = ctx.pools.cx.get(b * kr.len() * row);
                     for job in &batch {
                         buf.extend_from_slice(&job.cube.as_slice()[kr.start * row..kr.end * row]);
                     }
-                    let slab = CCube::from_vec([b * klen, p.j_channels, p.n_pulses], buf);
+                    let slab = CCube::from_vec(e.block(b), buf);
                     comm.send(
-                        dop0 + pn,
-                        tag(Edge::Input, next_slot),
+                        e.dst,
+                        tag(e.edge, next_slot),
                         Msg::grouped(next_slot, group.clone(), Payload::Cube(slab)),
                     );
                 }
@@ -1975,19 +1792,17 @@ pub(crate) fn drive(
             let input = node.recv(
                 comm,
                 collected,
-                ctx.assign.rank_range(CFAR).map(|r| (r, Edge::Output)),
+                outputs.iter().copied(),
                 ctx.policy.edge_timeout,
-                |_, m| match m.payload {
-                    Payload::DetectionsGroup(gs, mask) => {
-                        debug_assert_eq!(gs.len(), b);
-                        for (u, ds) in gs.into_iter().enumerate() {
-                            per_sub[u].extend(ds);
+                |_, m| {
+                    if let Payload::DetectionsGroup(gs, mask) = m.payload {
+                        for (acc, ds) in per_sub.iter_mut().zip(gs) {
+                            acc.extend(ds);
                         }
-                        for (u, &bad) in mask.iter().enumerate() {
-                            masked[u] |= bad;
+                        for (acc, bad) in masked.iter_mut().zip(mask) {
+                            *acc |= bad;
                         }
                     }
-                    other => panic!("driver: expected DetectionsGroup, got {other:?}"),
                 },
             );
             let (lost, degraded) = match input {
@@ -2014,8 +1829,7 @@ pub(crate) fn drive(
         }
     }
     // Every slot drained: cascade the shutdown from the input edge.
-    let inputs = ctx.assign.rank_range(DOPPLER).map(|r| (r, Edge::Input));
-    signal(comm, inputs, next_slot, Payload::Shutdown);
+    signal(comm, inputs.iter().copied(), next_slot, Payload::Shutdown);
     node.finish(comm, ResidentState::default).health
 }
 
@@ -2317,8 +2131,45 @@ mod seq_tests {
     /// A list's slots: every one counts as sent.
     static ALL_SENT: AtomicUsize = AtomicUsize::new(usize::MAX);
 
-    fn weights_msg(seq: usize) -> Msg {
-        Msg::new(seq, Payload::Weights(Vec::new()))
+    /// The reduced geometry's schedule under `assign`.
+    fn schedule(assign: NodeAssignment) -> Schedule {
+        let p = StapParams::reduced();
+        Schedule::new(&p, &assign, Partitions::new(&p, &assign)).unwrap()
+    }
+
+    /// `edge`'s first entry with the largest payload, re-addressed from
+    /// rank 0 to rank 1.
+    fn entry(schedule: &Schedule, edge: Edge) -> Entry {
+        let e = (schedule.entries().iter().filter(|e| e.edge == edge))
+            .max_by_key(|e| e.shape.iter().product::<usize>())
+            .expect("every edge has an entry");
+        Entry {
+            src: 0,
+            dst: 1,
+            ..e.clone()
+        }
+    }
+
+    /// A group of `b` CPIs of one stream.
+    fn group(b: usize) -> Arc<[SubCpi]> {
+        (0..b as u32)
+            .map(|scpi| SubCpi { stream: 0, scpi })
+            .collect()
+    }
+
+    /// A zero payload of `kind` whose block (or matrix run) is `[n0, n1, n2]`.
+    fn payload(kind: Kind, [n0, n1, n2]: [usize; 3]) -> Payload {
+        match kind {
+            Kind::Cube => Payload::Cube(CCube::zeros([n0, n1, n2])),
+            Kind::Real => Payload::Real(RCube::zeros([n0, n1, n2])),
+            Kind::Weights => Payload::Weights(vec![CMat::zeros(n1, n2); n0]),
+            Kind::Detections => Payload::DetectionsGroup(vec![Vec::new(); n0], Vec::new()),
+        }
+    }
+
+    /// The input edge's message for slot `seq`.
+    fn slab(e: &Entry, seq: usize) -> Msg {
+        Msg::grouped(seq, group(1), payload(e.kind, e.block(1)))
     }
 
     /// A message whose `seq` disagrees with the slot being received (a
@@ -2329,18 +2180,19 @@ mod seq_tests {
     fn out_of_order_seq_is_discarded_then_real_message_received() {
         let world: World<Msg> = World::new(2);
         let policy = RuntimePolicy::fault_tolerant();
+        let input = entry(&schedule(NodeAssignment::tiny()), Edge::Input);
         let counts = world.run_collect(move |mut comm| {
             if comm.rank() == 0 {
                 // A stale slot-4 message mislabeled onto slot 5's tag,
                 // then the genuine slot-5 message.
-                comm.send(1, tag(Edge::Input, 5), weights_msg(4));
-                comm.send(1, tag(Edge::Input, 5), weights_msg(5));
+                comm.send(1, tag(Edge::Input, 5), slab(&input, 4));
+                comm.send(1, tag(Edge::Input, 5), slab(&input, 5));
                 0
             } else {
                 let mut health = PipelineHealth::default();
                 let got = recv_msg(
                     &mut comm,
-                    (0, Edge::Input),
+                    (&input, 1),
                     5,
                     &ALL_SENT,
                     &policy,
@@ -2360,11 +2212,12 @@ mod seq_tests {
     fn purge_discards_current_and_earlier_cpis_only() {
         let world: World<Msg> = World::new(2);
         let policy = RuntimePolicy::fault_tolerant();
+        let input = entry(&schedule(NodeAssignment::tiny()), Edge::Input);
         let results = world.run_collect(move |mut comm| {
             if comm.rank() == 0 {
-                comm.send(1, tag(Edge::Input, 0), weights_msg(0)); // duplicate of a consumed slot
-                comm.send(1, tag(Edge::Input, 1), weights_msg(1)); // late for the current slot
-                comm.send(1, tag(Edge::Input, 2), weights_msg(2)); // next slot: must survive
+                comm.send(1, tag(Edge::Input, 0), slab(&input, 0)); // duplicate of a consumed slot
+                comm.send(1, tag(Edge::Input, 1), slab(&input, 1)); // late for the current slot
+                comm.send(1, tag(Edge::Input, 2), slab(&input, 2)); // next slot: must survive
                 (0, true)
             } else {
                 let mut health = PipelineHealth::default();
@@ -2374,7 +2227,7 @@ mod seq_tests {
                 // Slot 2 must still be receivable after the purge.
                 let got = recv_msg(
                     &mut comm,
-                    (0, Edge::Input),
+                    (&input, 1),
                     2,
                     &ALL_SENT,
                     &policy,
@@ -2390,32 +2243,153 @@ mod seq_tests {
         assert!(survived, "future slot was wrongly purged");
     }
 
-    /// A TCP frame that does not decode reaches the loop as `Malformed`
-    /// and, under either policy, is quarantined on its edge: the slot's
-    /// input is gone and nothing panics.
+    /// A buffered message whose tag names no pipeline edge (a peer can
+    /// send one: it is below the reserved control tags) is discarded by
+    /// the purge instead of indexing past the per-edge counters.
+    #[test]
+    fn purge_discards_a_tag_of_no_edge() {
+        let world: World<Msg> = World::new(2);
+        let depths = world.run_collect(|mut comm| {
+            if comm.rank() == 0 {
+                // Edge byte 0xFF, slot 0.
+                comm.send(1, 0xFF << 48, Msg::new(0, Payload::Dropped));
+                return 0;
+            }
+            let buffered = |comm: &mut Comm<Msg>| {
+                let mut n = 0;
+                comm.pending_counts(|_, _, k| n += k);
+                n
+            };
+            while buffered(&mut comm) == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            purge_late(&mut comm, 0, &mut PipelineHealth::default());
+            comm.mailbox_stats().depth
+        });
+        assert_eq!(depths[1], 0);
+    }
+
+    /// Every edge's receive admits its entry's message and quarantines
+    /// the same message with a payload of another kind, of another
+    /// shape, with no group, or for a group longer than `max_group` —
+    /// under either policy, without a panic.
+    #[test]
+    fn a_payload_its_entry_does_not_admit_is_quarantined_on_every_edge() {
+        const MAX_GROUP: usize = 2;
+        let edges = [
+            Edge::Input,
+            Edge::DopplerToEasyWt,
+            Edge::DopplerToHardWt,
+            Edge::DopplerToEasyBf,
+            Edge::DopplerToHardBf,
+            Edge::EasyWtToEasyBf,
+            Edge::HardWtToHardBf,
+            Edge::EasyBfToPc,
+            Edge::HardBfToPc,
+            Edge::PcToCfar,
+            Edge::Output,
+        ];
+        let schedule = schedule(NodeAssignment([2, 1, 1, 2, 1, 2, 3]));
+        // Per edge, its entry and the five messages of one slot each: the
+        // admitted one first.
+        let table: Vec<(Entry, Vec<Msg>)> = (edges.iter())
+            .map(|&edge| {
+                let e = entry(&schedule, edge);
+                let [n0, n1, n2] = e.block(MAX_GROUP);
+                let other = match e.kind {
+                    Kind::Cube => Kind::Real,
+                    _ => Kind::Cube,
+                };
+                let msgs = vec![
+                    Msg::grouped(0, group(MAX_GROUP), payload(e.kind, [n0, n1, n2])),
+                    Msg::grouped(0, group(MAX_GROUP), payload(other, [n0, n1, n2])),
+                    Msg::grouped(0, group(MAX_GROUP), payload(e.kind, [n0 + 1, n1, n2])),
+                    Msg::new(0, payload(e.kind, e.block(1))),
+                    Msg::grouped(
+                        0,
+                        group(MAX_GROUP + 1),
+                        payload(e.kind, e.block(MAX_GROUP + 1)),
+                    ),
+                ];
+                (e, msgs)
+            })
+            .collect();
+        let policies = [RuntimePolicy::default(), RuntimePolicy::fault_tolerant()];
+        let world: World<Msg> = World::new(2);
+        let healths = world.run_collect(|mut comm| {
+            let mut health = PipelineHealth::default();
+            let mut slot = 0;
+            for policy in &policies {
+                for (e, msgs) in &table {
+                    for (i, m) in msgs.iter().enumerate() {
+                        if comm.rank() == 0 {
+                            let m = Msg {
+                                seq: slot as u32,
+                                ..m.clone()
+                            };
+                            comm.send(1, tag(e.edge, slot), m);
+                        } else {
+                            let got = recv_msg(
+                                &mut comm,
+                                (e, MAX_GROUP),
+                                slot,
+                                &ALL_SENT,
+                                policy,
+                                Duration::from_secs(2),
+                                &mut health,
+                            );
+                            let admitted = matches!(got, Recvd::Msg(_));
+                            assert_eq!(admitted, i == 0, "{:?} message {i}", e.edge);
+                        }
+                        slot += 1;
+                    }
+                }
+            }
+            health
+        });
+        for e in edges {
+            assert_eq!(healths[1].edges[e as usize].quarantined, 8, "{e:?}");
+        }
+    }
+
+    /// A wire frame that does not decode, a well-formed frame of the
+    /// wrong kind, and one of the right kind but the wrong shape all reach
+    /// the loop over real TCP and, under either policy, are quarantined
+    /// on their edge: the slot's input is gone and nothing panics.
     #[test]
     fn an_undecodable_wire_frame_is_quarantined_on_its_edge() {
         let (addr, coord) = stap_mp::spawn_coordinator(2).unwrap();
         let policies = [RuntimePolicy::default(), RuntimePolicy::fault_tolerant()];
+        let e = entry(&schedule(NodeAssignment::tiny()), Edge::PcToCfar);
+        let [n0, n1, n2] = e.block(1);
+        let frames = [
+            // Encodes to a frame of no decodable kind.
+            Payload::Malformed,
+            Payload::Cube(CCube::zeros([n0, n1, n2])),
+            Payload::Real(RCube::zeros([n0 + 1, n1, n2])),
+        ];
         let t = |slot| tag(Edge::PcToCfar, slot);
         let quarantined: Vec<u64> = std::thread::scope(|s| {
             let ranks: Vec<_> = (0..2)
                 .map(|rank| {
-                    let (addr, policies) = (&addr, &policies);
+                    let (addr, policies, e, frames) = (&addr, &policies, &e, &frames);
                     s.spawn(move || {
                         let link = stap_mp::TcpLink::rendezvous(addr, rank, 2).unwrap();
                         let mut comm = Comm::over_wire(Box::new(link), crate::wire::msg_codec());
                         comm.install_wire_pool(Box::new(PipelinePools::default()));
                         let mut health = PipelineHealth::default();
-                        for (slot, policy) in policies.iter().enumerate() {
+                        let cases = policies
+                            .iter()
+                            .flat_map(|p| frames.iter().map(move |f| (p, f)));
+                        for (slot, (policy, frame)) in cases.enumerate() {
                             if rank == 0 {
-                                // Encodes to a frame of no decodable kind.
-                                comm.send(1, t(slot), Msg::new(slot, Payload::Malformed));
+                                let m = Msg::grouped(slot, group(1), frame.clone());
+                                comm.send(1, t(slot), m);
                                 continue;
                             }
                             let got = recv_msg(
                                 &mut comm,
-                                (0, Edge::PcToCfar),
+                                (e, 1),
                                 slot,
                                 &ALL_SENT,
                                 policy,
@@ -2431,6 +2405,6 @@ mod seq_tests {
             ranks.into_iter().map(|r| r.join().unwrap()).collect()
         });
         coord.join().unwrap().unwrap();
-        assert_eq!(quarantined, vec![0, 2]);
+        assert_eq!(quarantined, vec![0, 6]);
     }
 }

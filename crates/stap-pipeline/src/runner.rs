@@ -13,6 +13,7 @@ use crate::msg::{Msg, SubCpi};
 use crate::resident::{
     drive, run_task, ChannelFeed, CpiDone, CpiJob, Feed, ResCtx, ResidentState, ResidentSummary,
 };
+use crate::schedule::Schedule;
 use crate::session::Session;
 use crate::tasks::PipelinePools;
 use stap_core::{Detection, StapParams};
@@ -30,7 +31,8 @@ use std::time::Instant;
 #[derive(Debug)]
 pub enum PipelineError {
     /// The injected input was rejected before any rank was spawned
-    /// (wrong cube shape, empty CPI list).
+    /// (wrong cube shape, empty CPI list, a partition the schedule
+    /// rejects).
     InvalidInput(String),
     /// A rank panicked and the failure was joined back (see
     /// [`stap_mp::WorldError`]).
@@ -329,7 +331,9 @@ impl ParallelStap {
     /// Runs one rank of a batch over `cpis` on `comm` through the
     /// per-rank body every in-process rank runs, so a cluster child
     /// process (one rank on a wire-backed `Comm`) runs the identical
-    /// code. `epoch` is the trace epoch installed on `comm`, if any.
+    /// code. `epoch` is the trace epoch installed on `comm`, if any. Every
+    /// rank derives the same schedule from `parts`, and panics on one that
+    /// does not cover its space.
     pub fn run_rank(
         &self,
         comm: &mut Comm<Msg>,
@@ -343,7 +347,9 @@ impl ParallelStap {
         comm.install_wire_pool(Box::new(pools.clone()));
         let mut list = CpiList::new(cpis, &pools.cx, epoch.unwrap_or_else(Instant::now));
         let (carry, slots) = (ResidentState::default(), list.slots());
-        let ctx = self.ctx(&self.assign, parts, pools, &carry, false, epoch, slots);
+        let schedule = Schedule::new(&self.params, &self.assign, parts.clone())
+            .unwrap_or_else(|e| panic!("{e}"));
+        let ctx = self.ctx(&self.assign, &schedule, pools, &carry, false, epoch, slots);
         match self.rank(&ctx, comm, || &mut list) {
             RankResult::Driver(d) => RankResult::Driver(DriverResult {
                 health: d.health,
@@ -368,6 +374,8 @@ impl ParallelStap {
         feed: &mut F,
     ) -> Result<(Vec<RankResult>, Vec<RankTrace>), PipelineError> {
         let parts = Partitions::new(&self.params, &assign);
+        let schedule =
+            Schedule::new(&self.params, &assign, parts).map_err(PipelineError::InvalidInput)?;
         let mut world: World<Msg> = World::new(assign.world_size());
         if self.mailbox_high_water > 0 {
             world = world.with_mailbox_high_water(self.mailbox_high_water);
@@ -382,7 +390,7 @@ impl ParallelStap {
             world = world.with_tracing(e, &sink, crate::msg::wire_bytes);
         }
         let slots = feed.slots();
-        let ctx = self.ctx(&assign, &parts, &self.pools, carry, export, epoch, slots);
+        let ctx = self.ctx(&assign, &schedule, &self.pools, carry, export, epoch, slots);
         // The SPMD closure is shared by reference across ranks, so the
         // driver rank takes the feed out of a mutex (it runs exactly once).
         let feed = Mutex::new(Some(feed));
@@ -401,7 +409,7 @@ impl ParallelStap {
     fn ctx<'a>(
         &'a self,
         assign: &'a NodeAssignment,
-        parts: &'a Partitions,
+        schedule: &'a Schedule,
         pools: &'a PipelinePools,
         carry: &'a ResidentState,
         export: bool,
@@ -411,7 +419,8 @@ impl ParallelStap {
         ResCtx {
             params: &self.params,
             assign,
-            parts,
+            parts: schedule.parts(),
+            schedule,
             steering: &self.steering,
             pools,
             max_group: self.max_group,

@@ -2,15 +2,15 @@
 //! pipeline's dataflow graph.
 
 use stap_core::flops::TaskFlops;
-use stap_core::training::{easy_training_cells, hard_training_cells};
 use stap_core::StapParams;
 use stap_machine::{Mesh, Paragon, ALL_TASKS};
-use stap_pipeline::assignment::{overlap, NodeAssignment, Partitions};
+use stap_pipeline::assignment::{NodeAssignment, Partitions, DOPPLER};
 use stap_pipeline::metrics::{
     latency_eq2, real_latency_eq3, throughput_eq1, CpiOutcome, TaskTiming,
 };
+use stap_pipeline::msg::{Edge, NUM_EDGES};
+use stap_pipeline::schedule::{Entry, Schedule};
 use std::collections::{HashMap, HashSet};
-use std::ops::Range;
 
 /// Deterministic fault events for the simulator, mirroring the runtime
 /// fault plane of `stap-mp`/`stap-pipeline` at the granularity the
@@ -175,126 +175,42 @@ impl SimResult {
     }
 }
 
-/// Per-pair message volumes in bytes (complex samples are 8 bytes, the
-/// pulse-compressed power 4 bytes per cell, as on the Paragon).
-struct Volumes {
-    /// Indexed `[src_dop_node][dst_node]`, one table per edge out of
-    /// Doppler.
-    d_to_ew: Vec<Vec<u64>>,
-    d_to_hw: Vec<Vec<u64>>,
-    d_to_ebf: Vec<Vec<u64>>,
-    d_to_hbf: Vec<Vec<u64>>,
-    ew_to_ebf: Vec<Vec<u64>>,
-    hw_to_hbf: Vec<Vec<u64>>,
-    ebf_to_pc: Vec<Vec<u64>>,
-    hbf_to_pc: Vec<Vec<u64>>,
-    pc_to_cfar: Vec<Vec<u64>>,
-    input_slab: Vec<u64>,
-}
-
-fn cells_in(cells: &[usize], r: &Range<usize>) -> usize {
-    cells.iter().filter(|c| r.contains(c)).count()
-}
-
-impl Volumes {
-    #[cfg(test)]
-    fn new(p: &StapParams, parts: &Partitions) -> Self {
-        Volumes::with_collection(p, parts, true)
-    }
-
-    fn with_collection(p: &StapParams, parts: &Partitions, collect: bool) -> Self {
-        let cx = 8u64; // bytes per complex sample
-        let (j, m, k) = (p.j_channels as u64, p.m_beams as u64, p.k_range as u64);
-        let easy_cells = easy_training_cells(p);
-        let hard_cells: Vec<Vec<usize>> = (0..p.num_segments())
-            .map(|s| hard_training_cells(p, s))
-            .collect();
-        let easy_bins = p.easy_bins();
-        let hard_bins = p.hard_bins();
-        let segs = p.num_segments() as u64;
-
-        let per_pair = |src: &Vec<Range<usize>>,
-                        dst: &Vec<Range<usize>>,
-                        f: &dyn Fn(&Range<usize>, &Range<usize>) -> u64|
-         -> Vec<Vec<u64>> {
-            src.iter()
-                .map(|s| dst.iter().map(|d| f(s, d)).collect())
-                .collect()
+/// The messages of `cfg`'s schedule, priced by [`Entry::bytes_per_cpi`]
+/// (8 bytes per complex sample, 4 per real, as on the Paragon). Without
+/// data collection a Doppler node ships each weight node its whole range
+/// extent — once per segment to the hard weights — instead of the
+/// training cells.
+fn modeled_messages(cfg: &SimConfig) -> Vec<Entry> {
+    let p = &cfg.params;
+    let schedule = Schedule::new(p, &cfg.assign, Partitions::new(p, &cfg.assign))
+        .expect("block partitions cover their spaces");
+    let dop0 = cfg.assign.rank_range(DOPPLER).start;
+    let mut messages = schedule.entries().to_vec();
+    for e in messages.iter_mut().filter(|_| cfg.no_data_collection) {
+        let segments = match e.edge {
+            Edge::DopplerToEasyWt => 1,
+            Edge::DopplerToHardWt => p.num_segments(),
+            _ => continue,
         };
-
-        Volumes {
-            d_to_ew: per_pair(&parts.doppler_k, &parts.easy_wt_bins, &|kr, bq| {
-                let cells = if collect {
-                    cells_in(&easy_cells, kr) as u64
-                } else {
-                    kr.len() as u64
-                };
-                bq.len() as u64 * cells * j * cx
-            }),
-            d_to_hw: per_pair(&parts.doppler_k, &parts.hard_wt_bins, &|kr, bq| {
-                let cells: u64 = if collect {
-                    hard_cells.iter().map(|c| cells_in(c, kr) as u64).sum()
-                } else {
-                    (p.num_segments() * kr.len()) as u64
-                };
-                bq.len() as u64 * cells * 2 * j * cx
-            }),
-            d_to_ebf: per_pair(&parts.doppler_k, &parts.easy_bf_bins, &|kr, br| {
-                br.len() as u64 * kr.len() as u64 * j * cx
-            }),
-            d_to_hbf: per_pair(&parts.doppler_k, &parts.hard_bf_bins, &|kr, br| {
-                br.len() as u64 * kr.len() as u64 * 2 * j * cx
-            }),
-            ew_to_ebf: per_pair(&parts.easy_wt_bins, &parts.easy_bf_bins, &|a, b| {
-                overlap(a, b).len() as u64 * j * m * cx
-            }),
-            hw_to_hbf: per_pair(&parts.hard_wt_bins, &parts.hard_bf_bins, &|a, b| {
-                overlap(a, b).len() as u64 * segs * 2 * j * m * cx
-            }),
-            ebf_to_pc: per_pair(&parts.easy_bf_bins, &parts.pc_bins, &|a, b| {
-                let n = a.clone().filter(|&x| b.contains(&easy_bins[x])).count();
-                n as u64 * m * k * cx
-            }),
-            hbf_to_pc: per_pair(&parts.hard_bf_bins, &parts.pc_bins, &|a, b| {
-                let n = a.clone().filter(|&x| b.contains(&hard_bins[x])).count();
-                n as u64 * m * k * cx
-            }),
-            pc_to_cfar: per_pair(&parts.pc_bins, &parts.cfar_bins, &|a, b| {
-                overlap(a, b).len() as u64 * m * k * 4
-            }),
-            input_slab: parts
-                .doppler_k
-                .iter()
-                .map(|kr| kr.len() as u64 * j * p.n_pulses as u64 * cx)
-                .collect(),
-        }
+        e.shape[1] = schedule.parts().doppler_k[e.src - dop0].len() * segments;
     }
+    messages
 }
 
 /// Modeled wire bytes for one CPI on each logical pipeline edge,
-/// indexed by the [`stap_pipeline::msg::Edge`] discriminant. This is
-/// the model-side half of the measured-vs-modeled reconciliation: the
-/// runtime traces attribute the same Paragon byte encoding (8 bytes per
-/// complex sample, 4 per real) to every message, so on a healthy run
-/// the per-edge comparison is an exact-match check. The output edge
-/// (detection reports) is unmodeled by the paper and reported as 0.
-pub fn modeled_edge_bytes(cfg: &SimConfig) -> [u64; stap_pipeline::msg::NUM_EDGES] {
-    let parts = Partitions::new(&cfg.params, &cfg.assign);
-    let vols = Volumes::with_collection(&cfg.params, &parts, !cfg.no_data_collection);
-    let sum = |m: &Vec<Vec<u64>>| -> u64 { m.iter().flatten().sum() };
-    [
-        vols.input_slab.iter().sum(),
-        sum(&vols.d_to_ew),
-        sum(&vols.d_to_hw),
-        sum(&vols.d_to_ebf),
-        sum(&vols.d_to_hbf),
-        sum(&vols.ew_to_ebf),
-        sum(&vols.hw_to_hbf),
-        sum(&vols.ebf_to_pc),
-        sum(&vols.hbf_to_pc),
-        sum(&vols.pc_to_cfar),
-        0,
-    ]
+/// indexed by the [`stap_pipeline::msg::Edge`] discriminant: the sum of
+/// the schedule's messages. This is the model-side half of the
+/// measured-vs-modeled reconciliation: the runtime traces attribute the
+/// same Paragon byte encoding (8 bytes per complex sample, 4 per real)
+/// to every message, so on a healthy run the per-edge comparison is an
+/// exact-match check. The output edge (detection reports) is unmodeled
+/// by the paper and reported as 0.
+pub fn modeled_edge_bytes(cfg: &SimConfig) -> [u64; NUM_EDGES] {
+    let mut bytes = [0; NUM_EDGES];
+    for e in modeled_messages(cfg) {
+        bytes[e.edge as usize] += e.bytes_per_cpi();
+    }
+    bytes
 }
 
 /// Task indices in pipeline order.
@@ -317,9 +233,6 @@ fn simulate_inner(
     cfg: &SimConfig,
     mut trace_out: Option<&mut Vec<crate::trace::Interval>>,
 ) -> SimResult {
-    let p = &cfg.params;
-    let parts = Partitions::new(p, &cfg.assign);
-    let vols = Volumes::with_collection(p, &parts, !cfg.no_data_collection);
     let mach = &cfg.machine;
     let n = cfg.num_cpis;
 
@@ -380,32 +293,35 @@ fn simulate_inner(
     // data is available immediately (the front end outpaces the
     // pipeline); otherwise CPI i arrives at i * interval. Unpack is
     // charged either way.
+    // The schedule's messages: the input slab per Doppler node, and per
+    // sending rank its non-empty sends in schedule order as (dst task,
+    // dst node, bytes, weight edge). Edges out of Doppler require data
+    // collection/reorganization (strided pack); everything downstream
+    // keeps the same bin partitioning and ships contiguous buffers ("no
+    // data collection or reorganization"). Detections are unmodeled.
+    let mut input_slab = Vec::new();
+    let mut sends: Vec<Vec<(usize, usize, u64, bool)>> = vec![Vec::new(); cfg.assign.total()];
+    for e in modeled_messages(cfg) {
+        let bytes = e.bytes_per_cpi();
+        let Some((dst_task, dst_node)) = cfg.assign.task_of_rank(e.dst) else {
+            continue;
+        };
+        if e.edge == Edge::Input {
+            input_slab.push(bytes);
+        } else if bytes > 0 {
+            let weight = matches!(e.edge, Edge::EasyWtToEasyBf | Edge::HardWtToHardBf);
+            sends[e.src].push((dst_task, dst_node, bytes, weight));
+        }
+    }
     for cpi in 0..n {
         let avail = cfg.input_interval_s.map_or(0.0, |dt| cpi as f64 * dt);
-        for (node, &bytes) in vols.input_slab.iter().enumerate() {
+        for (node, &bytes) in input_slab.iter().enumerate() {
             arrivals
                 .entry((0, node, cpi))
                 .or_default()
                 .push((avail, mach.unpack_time(bytes / mach.bytes_per_sample)));
         }
     }
-
-    // (src task, volumes, dst task, weight_edge, strided_pack). Edges out
-    // of Doppler require data collection/reorganization (strided pack);
-    // everything downstream keeps the same bin partitioning and ships
-    // contiguous buffers ("no data collection or reorganization").
-    type SendEdge<'a> = (usize, &'a Vec<Vec<u64>>, usize, bool, bool);
-    let send_edges: [SendEdge<'_>; 9] = [
-        (0, &vols.d_to_ew, 1, false, true),
-        (0, &vols.d_to_hw, 2, false, true),
-        (0, &vols.d_to_ebf, 3, false, true),
-        (0, &vols.d_to_hbf, 4, false, true),
-        (1, &vols.ew_to_ebf, 3, true, false),
-        (2, &vols.hw_to_hbf, 4, true, false),
-        (3, &vols.ebf_to_pc, 5, false, false),
-        (4, &vols.hbf_to_pc, 5, false, false),
-        (5, &vols.pc_to_cfar, 6, false, false),
-    ];
 
     for cpi in 0..n {
         for &t in &TASK_ORDER {
@@ -415,7 +331,7 @@ fn simulate_inner(
             // With stage replication, CPI `cpi` runs on replica group
             // `cpi % replicas[t]`; groups are fully independent.
             let rep = cpi % replicas[t];
-            for node in 0..nodes {
+            for (node, rank) in cfg.assign.rank_range(t).enumerate() {
                 // ---- receive phase ----
                 // Double-buffering back-pressure (Fig. 10 line 14): the
                 // loop for CPI i waits for the sends of CPI i-1 to
@@ -423,38 +339,28 @@ fn simulate_inner(
                 // them — a producer runs at most one CPI ahead of its
                 // consumers.
                 let mut phase_start = node_free[t][rep][node];
-                {
-                    for (src_task, vol, dst_task, is_weight, _strided) in &send_edges {
-                        if *src_task != t {
-                            continue;
-                        }
-                        // The same replica group last ran CPI
-                        // `cpi - replicas[t]`; its sends are the ones
-                        // double buffering waits on.
-                        let stride = replicas[t];
-                        if cpi < stride {
-                            continue;
-                        }
-                        let prev_cpi = cpi - stride;
-                        let prev_target = if *is_weight {
-                            prev_cpi + cfg.beams
-                        } else {
-                            prev_cpi
-                        };
-                        if prev_target >= n || (*is_weight && prev_target >= cpi) {
-                            // Weight messages target a future CPI whose
-                            // consumption hasn't been simulated yet; the
-                            // tiny weight volumes never exert pressure.
-                            continue;
-                        }
-                        for (dst_node, &bytes) in vol[node].iter().enumerate() {
-                            if bytes == 0 {
-                                continue;
-                            }
-                            if let Some(&e) = recv_end_at.get(&(*dst_task, dst_node, prev_target)) {
-                                phase_start = phase_start.max(e);
-                            }
-                        }
+                for &(dst_task, dst_node, _, is_weight) in &sends[rank] {
+                    // The same replica group last ran CPI
+                    // `cpi - replicas[t]`; its sends are the ones
+                    // double buffering waits on.
+                    let stride = replicas[t];
+                    if cpi < stride {
+                        continue;
+                    }
+                    let prev_cpi = cpi - stride;
+                    let prev_target = if is_weight {
+                        prev_cpi + cfg.beams
+                    } else {
+                        prev_cpi
+                    };
+                    if prev_target >= n || (is_weight && prev_target >= cpi) {
+                        // Weight messages target a future CPI whose
+                        // consumption hasn't been simulated yet; the
+                        // tiny weight volumes never exert pressure.
+                        continue;
+                    }
+                    if let Some(&e) = recv_end_at.get(&(dst_task, dst_node, prev_target)) {
+                        phase_start = phase_start.max(e);
                     }
                 }
                 if t == 0 {
@@ -488,40 +394,32 @@ fn simulate_inner(
 
                 // ---- send phase ----
                 let mut send_cursor = comp_end;
-                for (src_task, vol, dst_task, is_weight, strided) in &send_edges {
-                    if *src_task != t {
-                        continue;
-                    }
+                for &(dst_task, dst_node, bytes, is_weight) in &sends[rank] {
                     // Weight tasks' output for this CPI is consumed at
                     // cpi + beams; beyond the horizon nothing is sent.
-                    let target_cpi = if *is_weight { cpi + cfg.beams } else { cpi };
+                    let target_cpi = if is_weight { cpi + cfg.beams } else { cpi };
                     if target_cpi >= n {
                         continue;
                     }
-                    let cf = contention(t, *dst_task);
-                    for (dst_node, &bytes) in vol[node].iter().enumerate() {
-                        if bytes == 0 {
-                            continue;
-                        }
-                        // Dropped CPIs ship zero-volume markers: the edge
-                        // still costs a message startup, nothing more.
-                        let samples = if drop_this {
-                            0
-                        } else {
-                            bytes / mach.bytes_per_sample
-                        };
-                        let pack = if *strided {
-                            mach.pack_time(samples)
-                        } else {
-                            mach.contiguous_send_time(samples)
-                        };
-                        send_cursor += pack + mach.msg_startup_s;
-                        let arrive = send_cursor + mach.wire_time(samples) * cf;
-                        arrivals
-                            .entry((*dst_task, dst_node, target_cpi))
-                            .or_default()
-                            .push((arrive, mach.unpack_time(samples)));
-                    }
+                    let cf = contention(t, dst_task);
+                    // Dropped CPIs ship zero-volume markers: the edge
+                    // still costs a message startup, nothing more.
+                    let samples = if drop_this {
+                        0
+                    } else {
+                        bytes / mach.bytes_per_sample
+                    };
+                    let pack = if t == DOPPLER {
+                        mach.pack_time(samples)
+                    } else {
+                        mach.contiguous_send_time(samples)
+                    };
+                    send_cursor += pack + mach.msg_startup_s;
+                    let arrive = send_cursor + mach.wire_time(samples) * cf;
+                    arrivals
+                        .entry((dst_task, dst_node, target_cpi))
+                        .or_default()
+                        .push((arrive, mach.unpack_time(samples)));
                 }
                 let send = send_cursor - comp_end;
                 node_free[t][rep][node] = send_cursor;
@@ -831,33 +729,64 @@ mod collection_tests {
 #[cfg(test)]
 mod volume_tests {
     use super::*;
+    use crate::lattice::{explore, ExploreOptions};
     use stap_core::volumes;
 
-    /// The per-pair message volumes must sum exactly to the aggregate
-    /// inter-task volumes `stap-core` derives from the parameters —
-    /// regardless of node counts.
+    /// The schedule's per-edge totals are the aggregate inter-task
+    /// volumes `stap-core` derives from the parameters, whatever the node
+    /// counts — the paper's cases, two tiny ones and the searched
+    /// frontiers at 59 and 118 nodes — and its input edge carries one raw
+    /// CPI.
     #[test]
-    fn per_pair_volumes_sum_to_aggregates() {
+    fn schedule_edge_totals_equal_the_aggregate_volumes() {
         let p = StapParams::paper();
-        for assign in [
+        let cfg = SimConfig::paper(NodeAssignment::case3());
+        let frontier = [59, 118].into_iter().flat_map(|budget| {
+            let opts = ExploreOptions {
+                eval_budget: 100,
+                ..ExploreOptions::default()
+            };
+            explore(&cfg, budget, &opts)
+                .frontier
+                .into_iter()
+                .map(|c| c.assign)
+        });
+        let cases = [
             NodeAssignment::case1(),
+            NodeAssignment::case2(),
             NodeAssignment::case3(),
-            NodeAssignment([5, 3, 9, 2, 6, 7, 1]),
-        ] {
-            let parts = Partitions::new(&p, &assign);
-            let v = Volumes::new(&p, &parts);
-            let sum = |m: &Vec<Vec<u64>>| -> u64 { m.iter().flatten().sum() };
-            assert_eq!(sum(&v.d_to_ew), volumes::doppler_to_easy_weight(&p) * 8);
-            assert_eq!(sum(&v.d_to_hw), volumes::doppler_to_hard_weight(&p) * 8);
-            assert_eq!(sum(&v.d_to_ebf), volumes::doppler_to_easy_bf(&p) * 8);
-            assert_eq!(sum(&v.d_to_hbf), volumes::doppler_to_hard_bf(&p) * 8);
-            assert_eq!(sum(&v.ew_to_ebf), volumes::easy_weight_to_easy_bf(&p) * 8);
-            assert_eq!(sum(&v.hw_to_hbf), volumes::hard_weight_to_hard_bf(&p) * 8);
-            assert_eq!(sum(&v.ebf_to_pc), volumes::easy_bf_to_pc(&p) * 8);
-            assert_eq!(sum(&v.hbf_to_pc), volumes::hard_bf_to_pc(&p) * 8);
-            assert_eq!(sum(&v.pc_to_cfar), volumes::pc_to_cfar_real(&p) * 4);
-            let input: u64 = v.input_slab.iter().sum();
-            assert_eq!(input, (p.k_range * p.j_channels * p.n_pulses) as u64 * 8);
+            NodeAssignment::table9(),
+            NodeAssignment::table10(),
+            NodeAssignment::tiny(),
+            NodeAssignment([1; 7]),
+        ];
+        for assign in cases.into_iter().chain(frontier) {
+            let schedule = Schedule::new(&p, &assign, Partitions::new(&p, &assign)).unwrap();
+            let want = [
+                (p.k_range * p.j_channels * p.n_pulses) as u64 * 8,
+                volumes::doppler_to_easy_weight(&p) * 8,
+                volumes::doppler_to_hard_weight(&p) * 8,
+                volumes::doppler_to_easy_bf(&p) * 8,
+                volumes::doppler_to_hard_bf(&p) * 8,
+                volumes::easy_weight_to_easy_bf(&p) * 8,
+                volumes::hard_weight_to_hard_bf(&p) * 8,
+                volumes::easy_bf_to_pc(&p) * 8,
+                volumes::hard_bf_to_pc(&p) * 8,
+                volumes::pc_to_cfar_real(&p) * 4,
+                0,
+            ];
+            let mut totals = [0; NUM_EDGES];
+            for e in schedule.entries() {
+                totals[e.edge as usize] += e.bytes_per_cpi();
+            }
+            assert_eq!(totals, want, "{assign:?}");
+            assert_eq!(
+                modeled_edge_bytes(&SimConfig {
+                    assign,
+                    ..cfg.clone()
+                }),
+                want
+            );
         }
     }
 }

@@ -12,11 +12,11 @@
 //!
 //! * **Bytes must match exactly.** The runtime traces messages in the
 //!   Paragon encoding (8 bytes per complex sample, 4 per real — see
-//!   `stap_pipeline::msg::wire_bytes`), which is exactly what the
-//!   model's volume calculus prices. A per-edge ratio that is not 1.0
-//!   means the decomposition math diverged somewhere, so edge rows are
-//!   flagged outside `[0.5, 2.0]` (and, on a healthy run, anything
-//!   other than 1.0 deserves a look).
+//!   `stap_pipeline::msg::wire_bytes`), and the loops and the model
+//!   both read their messages from one `stap_pipeline::Schedule`. A
+//!   modeled edge whose measured bytes differ from the model's at all
+//!   means a loop sent something its schedule does not say, so it is
+//!   flagged.
 //! * **Compute matches only up to a machine constant.** The host is
 //!   not an i860; absolute task times are off by a large, roughly
 //!   common factor. So task rows are judged *relative to the median
@@ -58,8 +58,8 @@ pub struct Reconciliation {
     /// Per-task compute seconds per CPI (flagged >2x from the median
     /// host/model ratio).
     pub tasks: Vec<ReconRow>,
-    /// Per-edge wire bytes per CPI (flagged outside `[0.5, 2.0]`;
-    /// exact match expected).
+    /// Per-edge wire bytes per CPI (flagged unless measured equals
+    /// modeled).
     pub edges: Vec<ReconRow>,
     /// Throughput / latency (informational, never flagged).
     pub rates: Vec<ReconRow>,
@@ -122,19 +122,15 @@ pub fn reconcile(
         })
         .collect();
 
-    // Per-edge bytes: exact match expected, tolerance [0.5, 2.0].
+    // Per-edge bytes: an exact match on every modeled edge.
     let edges = (0..NUM_EDGES)
         .map(|e| {
             let m = measured_edge_bytes[e] as f64;
             let p = modeled_bytes[e] as f64;
             let r = ratio_of(m, p);
             // The output edge is unmodeled (modeled 0): never flag it.
-            // A modeled-but-unmeasured edge (r == 0) *is* a divergence.
-            let flagged = if p > 0.0 {
-                !(0.5..=2.0).contains(&r)
-            } else {
-                false
-            };
+            // A modeled-but-unmeasured edge *is* a divergence.
+            let flagged = p > 0.0 && measured_edge_bytes[e] != modeled_bytes[e];
             ReconRow {
                 name: EDGE_NAMES[e],
                 measured: m,

@@ -188,9 +188,9 @@ PY
       # Transport parity: the canonical reduced config must produce
       # bit-identical detections (same FNV-1a digest over the float bit
       # patterns) whether the ranks are threads over channels (inproc) or
-      # processes over a loopback TCP mesh (tcp) — and the TCP run's
-      # per-edge measured bytes must reconcile with the DES model within
-      # a factor of two.
+      # processes over a loopback TCP mesh (tcp) — and on both the
+      # per-edge measured bytes must equal the DES model's on every
+      # modeled edge: the loops and the model read one schedule.
       local par_dir
       par_dir="$(mktemp -d "${TMPDIR:-/tmp}"/stap_parity.XXXXXX)"
       trap 'rm -rf "$par_dir"' RETURN
@@ -209,13 +209,14 @@ for t in ("inproc", "tcp"):
     docs[t] = json.loads(text[text.index("{"):text.rindex("}") + 1])
 digests = {t: doc["detections_digest"] for t, doc in docs.items()}
 assert len(set(digests.values())) == 1, f"transport parity broken: {digests}"
-edges = docs["tcp"]["reconciliation"]["edges"]
-rated = [e for e in edges if e["ratio"] is not None]
-assert rated, "TCP reconciliation measured no edges"
-bad = [e for e in rated if not 0.5 <= e["ratio"] <= 2.0]
-assert not bad, f"TCP per-edge byte ratio out of [0.5,2]: {bad}"
-print("transport parity ok: digest %s on inproc and tcp, %d/%d edges within [0.5,2]"
-      % (digests["tcp"], len(rated), len(edges)))
+for t, doc in docs.items():
+    edges = doc["reconciliation"]["edges"]
+    modeled = [e for e in edges if e["modeled"]]
+    assert modeled, f"{t} reconciliation modeled no edges"
+    bad = [e for e in modeled if e["measured"] != e["modeled"] or e["flagged"]]
+    assert not bad, f"{t} per-edge bytes differ from the model: {bad}"
+print("transport parity ok: digest %s on inproc and tcp, %d/%d edges exact on both"
+      % (digests["tcp"], len(modeled), len(edges)))
 PY
       ;;
     *)

@@ -125,6 +125,44 @@ fn tracing_does_not_change_detections() {
     assert!(untraced.trace.is_none(), "untraced runs carry no trace");
 }
 
+/// Every message the traced run sent is its schedule's: for each CPI,
+/// each entry (edge, sender, receiver) is sent exactly once, with the
+/// entry's wire bytes on every modeled edge, and nothing else is sent.
+#[test]
+fn every_traced_message_is_its_schedule_entry() {
+    use stap::mp::TraceKind;
+    use stap::pipeline::assignment::Partitions;
+    use stap::pipeline::msg::{cpi_of_tag, edge_of_tag};
+    use stap::pipeline::schedule::{Kind, Schedule};
+    use std::collections::BTreeMap;
+    let cpis = 3;
+    let (_, trace) = traced_run(5, cpis);
+    let p = stap::core::StapParams::reduced();
+    let schedule = Schedule::new(&p, &trace.assign, Partitions::new(&p, &trace.assign)).unwrap();
+    // (edge, sender, receiver, cpi) -> (messages, bytes)
+    let mut sent: BTreeMap<(usize, usize, usize, usize), (usize, u64)> = BTreeMap::new();
+    for rt in &trace.comm {
+        for ev in rt.events.iter().filter(|ev| ev.kind == TraceKind::Send) {
+            if cpi_of_tag(ev.tag) < cpis {
+                let key = (edge_of_tag(ev.tag), rt.rank, ev.peer, cpi_of_tag(ev.tag));
+                let slot = sent.entry(key).or_default();
+                *slot = (slot.0 + 1, slot.1 + ev.bytes);
+            }
+        }
+    }
+    for e in schedule.entries() {
+        for cpi in 0..cpis {
+            let key = (e.edge as usize, e.src, e.dst, cpi);
+            let (msgs, bytes) = sent.remove(&key).unwrap_or_default();
+            assert_eq!(msgs, 1, "{e:?} at CPI {cpi}");
+            if e.kind != Kind::Detections {
+                assert_eq!(bytes, e.bytes_per_cpi(), "{e:?} at CPI {cpi}");
+            }
+        }
+    }
+    assert!(sent.is_empty(), "messages outside the schedule: {sent:?}");
+}
+
 // ---------------------------------------------------------------------
 // Golden: the Chrome trace-event schema. These strings are what
 // Perfetto / chrome://tracing parse; field names, phase letters and the
