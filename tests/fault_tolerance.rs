@@ -6,7 +6,9 @@
 use stap::core::{Detection, StapParams};
 use stap::cube::CCube;
 use stap::mp::FaultPlan;
+use stap::pipeline::assignment::Partitions;
 use stap::pipeline::msg::{tag, Edge};
+use stap::pipeline::schedule::{Kind, Schedule};
 use stap::pipeline::{
     CpiDone, CpiJob, CpiOutcome, NodeAssignment, ParallelStap, PipelineError, RuntimePolicy,
 };
@@ -204,26 +206,68 @@ fn acceptance_campaign_stall_plus_drop_over_ten_cpis() {
     assert_eq!(out.timings.health.degraded_cpis, 3);
 }
 
-/// Payload corruption (a NaN flipped into a cube in flight) is caught
-/// by the receive-side screen and quarantined; the CPI is dropped
-/// rather than poisoning the recursive QR state downstream.
+/// Payload corruption (a NaN flipped into a payload in flight) is
+/// caught by the receive-side screen and quarantined on every edge, and
+/// the loop behind it propagates the loss by explicit drop markers: no
+/// deadline fires (the retry counters stay 0). Each row corrupts CPI 3
+/// on its edge's first schedule entry that carries data. A lost data
+/// edge drops CPI 3 alone (X); a lost weight input degrades CPI 4,
+/// which pops the stale stand-in for CPI 3's weights (D). When the
+/// weight task's own input is lost it leaves its history or QR state
+/// untouched, so CPI 5 is `Ok` but beamformed with weights that differ
+/// from a clean run's; everywhere else the unmarked CPIs are
+/// bit-identical to the clean run.
 #[test]
 fn corrupted_payload_is_quarantined() {
+    use CpiOutcome::{DegradedStaleWeights as D, Dropped as X, Ok as O};
     let (scenario, cpis) = scenario_and_cpis(34, 6);
-    let plan =
-        FaultPlan::seeded(11).corrupt_message(DOPPLER0, EASY_BF, tag(Edge::DopplerToEasyBf, 3));
-    let out = runner(&scenario)
-        .with_policy(fast_policy())
-        .with_faults(plan)
-        .run(cpis);
-    assert_eq!(out.timings.outcomes[3], CpiOutcome::Dropped);
-    assert_eq!(
-        out.timings.health.edges[Edge::DopplerToEasyBf as usize].quarantined,
-        1,
-        "screen missed the NaN: {:?}",
-        out.timings.health
-    );
-    assert!(out.detections[3].is_empty());
+    let baseline = runner(&scenario).run(cpis.clone());
+    let (params, assign) = (StapParams::reduced(), NodeAssignment::tiny());
+    let schedule = Schedule::new(&params, &assign, Partitions::new(&params, &assign)).unwrap();
+    let weight_input = [O, O, O, O, D, O];
+    let data = [O, O, O, X, O, O];
+    // Per edge: its outcomes, and whether CPI 5 keeps the clean bits.
+    let table = [
+        (Edge::Input, [O, O, O, X, D, O], false),
+        (Edge::DopplerToEasyWt, weight_input, false),
+        (Edge::DopplerToHardWt, weight_input, false),
+        (Edge::DopplerToEasyBf, data, true),
+        (Edge::DopplerToHardBf, data, true),
+        (Edge::EasyWtToEasyBf, weight_input, true),
+        (Edge::HardWtToHardBf, weight_input, true),
+        (Edge::EasyBfToPc, data, true),
+        (Edge::HardBfToPc, data, true),
+        (Edge::PcToCfar, data, true),
+        (Edge::Output, data, true),
+    ];
+    for (edge, outcomes, clean_tail) in table {
+        let e = (schedule.entries().iter())
+            .find(|e| e.edge == edge && (e.kind == Kind::Detections || e.bytes_per_cpi() > 0))
+            .expect("every edge carries data");
+        let plan = FaultPlan::seeded(11).corrupt_message(e.src, e.dst, tag(edge, 3));
+        let out = runner(&scenario)
+            .with_policy(fast_policy())
+            .with_faults(plan)
+            .run(cpis.clone());
+        let health = &out.timings.health;
+        assert_eq!(out.timings.outcomes, outcomes, "{edge:?}: {health:?}");
+        let quarantined: Vec<u64> = health.edges.iter().map(|h| h.quarantined).collect();
+        let mut want = [0; 11];
+        want[edge as usize] = 1;
+        assert_eq!(quarantined, want, "{edge:?}: the screen missed the NaN");
+        let retries: u64 = health.edges.iter().map(|h| h.retries).sum();
+        assert_eq!(retries, 0, "{edge:?}: a deadline fired");
+        assert!(out.detections[3].is_empty() || outcomes[3] != X, "{edge:?}");
+        for (i, outcome) in outcomes.iter().enumerate() {
+            let same = same_detections(&out.detections[i], &baseline.detections[i]);
+            match (i, outcome) {
+                (0..=2, _) => assert!(same, "{edge:?}: CPI {i} changed"),
+                (5, O) => assert_eq!(same, clean_tail, "{edge:?}: CPI 5"),
+                (_, O) => assert!(same, "{edge:?}: CPI {i} changed"),
+                _ => {}
+            }
+        }
+    }
 }
 
 /// A duplicated message must not corrupt CPI assembly: the second copy
