@@ -13,9 +13,10 @@
 //! * [`schedule`] — every message of a slot (edge, sender, receiver,
 //!   payload kind and shape), derived once from the partitions and read
 //!   by the loops, the pools, the checked receive and the simulator,
-//! * [`resident`] — the engine: one loop per task, each node receiving,
-//!   computing and sending one slot of CPIs at a time, and the driver
-//!   that feeds it (fault tolerance and spans live in those loops),
+//! * [`resident`] — the engine: one stage per task under one slot loop,
+//!   each node receiving, computing and sending one slot of CPIs at a
+//!   time, and the driver that feeds it (fault tolerance and spans live
+//!   in that loop),
 //! * [`runner`] — [`ParallelStap`], the one runner: its configuration
 //!   and pools, the one world builder and per-rank body, a batch over
 //!   a CPI list (detection collection, timing aggregation) and a

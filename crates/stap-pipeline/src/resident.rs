@@ -1,6 +1,7 @@
-//! The pipeline engine: the seven task loops, resident for a session.
+//! The pipeline engine: seven task stages under one slot loop, resident
+//! for a session.
 //!
-//! [`ParallelStap`] builds the world these loops run in, for one fixed
+//! [`ParallelStap`] builds the world they run in, for one fixed
 //! CPI list or for a session that serves many concurrent *streams*. A
 //! served stream cannot afford a world per arrival, and each stream's
 //! CPIs arrive interleaved with every other stream's, so the seven task
@@ -54,7 +55,7 @@
 //!   carries `scpi - beams` and `scpi` of one stream finds that FIFO
 //!   empty and pushes before it consumes.
 //!
-//! That order is how the loops honour the paper's eq. 2, latency = T0 +
+//! That order is how the stages honour the paper's eq. 2, latency = T0 +
 //! max(T3, T4) + T5 + T6: the weights a slot is beamformed with were
 //! computed from earlier slots, so neither weight task is on its path.
 //! Doppler sends the beamformers' blocks before the weight tasks', the
@@ -71,13 +72,17 @@
 //!
 //! # One engine, one runner, any feed
 //!
-//! Each task has exactly one loop function here, and every loop leaves
-//! what is not its own to a `Node`: the receive (`recv_msg`), the
-//! drop markers a lost input sends downstream, the end-of-slot purge,
-//! and the slot's [`TaskTiming`] and span. Whom a loop receives from and
-//! sends to, and the kind and shape of each message, is the world's
-//! [`Schedule`]: a loop reads its entries once and keeps only its own
-//! partition range for compute. Every receive checks the delivered
+//! Every task node runs one slot loop, `run_node`, over its task's
+//! *stage*: a value that keeps only what is the task's own — its
+//! partition range, its cross-slot state and its kernel calls — and is
+//! handed each message as it arrives (`take`), each complete slot
+//! (`run`) and each lost or last one (`discard`). The loop owns the
+//! rest, written once for all seven: the receive (`recv_msg`), the drop
+//! markers a lost input sends on every out-entry, the shutdown cascade,
+//! the slot's [`TaskTiming`] and span, the end-of-slot purge and the
+//! export of the stage's state. Whom a node receives from and sends to,
+//! and the kind and shape of each message, is the world's [`Schedule`]:
+//! a node reads its entries once (`entries`). Every receive checks the delivered
 //! payload against its entry and quarantines one that does not fit, so
 //! a well-formed message of the wrong kind or shape costs its slot, not
 //! the rank. The driver reads its slots
@@ -348,26 +353,23 @@ pub(crate) struct ResCtx<'a> {
     pub(crate) dispatched: AtomicUsize,
 }
 
-/// The task loops, indexed by paper task number.
-type TaskLoop = fn(&ResCtx, &mut Comm<Msg>, usize) -> TaskReport;
-
-/// Runs node `local` of task `task` until its session shuts down.
+/// Runs node `local` of task `task` until its session shuts down: the
+/// task's stage under the one slot loop.
 pub(crate) fn run_task(
     ctx: &ResCtx,
     comm: &mut Comm<Msg>,
     task: usize,
     local: usize,
 ) -> TaskReport {
-    let loops: [TaskLoop; 7] = [
-        resident_doppler,
-        resident_easy_weight,
-        resident_hard_weight,
-        resident_easy_bf,
-        resident_hard_bf,
-        resident_pc,
-        resident_cfar,
-    ];
-    loops[task](ctx, comm, local)
+    match task {
+        DOPPLER => run_node(ctx, comm, |_, outs| Doppler::new(ctx, local, outs)),
+        EASY_WT => run_node(ctx, comm, |ins, outs| Weight::easy(ctx, local, ins, outs)),
+        HARD_WT => run_node(ctx, comm, |_, outs| Weight::hard(ctx, local, outs)),
+        EASY_BF => run_node(ctx, comm, |_, outs| easy_bf(ctx, local, outs)),
+        HARD_BF => run_node(ctx, comm, |_, outs| hard_bf(ctx, local, outs)),
+        PC => run_node(ctx, comm, |ins, outs| Pc::new(ctx, local, ins, outs)),
+        _ => run_node(ctx, comm, |ins, _| Cfar::new(ctx, local, ins)),
+    }
 }
 
 /// Outcome of one receive on a pipeline edge.
@@ -477,7 +479,7 @@ pub(crate) fn purge_late(comm: &mut Comm<Msg>, slot: usize, health: &mut Pipelin
 
 /// Samples the receiver-side mailbox and max-merges the currently
 /// buffered per-edge depths into `health.max_mailbox_depth`. Called once
-/// per slot at the top of each loop: one inbox drain plus a bucket walk,
+/// per slot, at its top: one inbox drain plus a bucket walk,
 /// no allocation.
 fn sample_mailbox(comm: &mut Comm<Msg>, health: &mut PipelineHealth) {
     let mut depth = [0u64; crate::msg::NUM_EDGES];
@@ -504,23 +506,33 @@ enum Input {
     Shutdown,
 }
 
-/// What every task loop shares, one slot at a time: the receive, the
-/// slot's phase clock and span, the end-of-slot purge, and the node's
-/// report.
+/// What every task node and the driver share, one slot at a time: the
+/// communicator, the receive, the slot's phase clock and span, the
+/// end-of-slot purge, and the node's report.
 struct Node<'a> {
     ctx: &'a ResCtx<'a>,
+    comm: &'a mut Comm<Msg>,
+    /// Its [`entries`]: those it receives a slot's data on, and those it
+    /// sends on.
+    ins: &'a [&'a Entry],
+    outs: &'a [&'a Entry],
     report: TaskReport,
-    /// When the current slot began.
+    /// The current slot, and when it began.
+    slot: usize,
     started: Instant,
     /// Seconds of the current slot spent blocked in receives.
     idle: f64,
 }
 
 impl<'a> Node<'a> {
-    fn new(ctx: &'a ResCtx<'a>) -> Self {
+    fn new(ctx: &'a ResCtx<'a>, comm: &'a mut Comm<Msg>, io: &'a [Vec<&'a Entry>; 2]) -> Self {
         Node {
             ctx,
+            comm,
+            ins: &io[0],
+            outs: &io[1],
             report: TaskReport::default(),
+            slot: 0,
             started: Instant::now(),
             idle: 0.0,
         }
@@ -528,9 +540,10 @@ impl<'a> Node<'a> {
 
     /// Top of slot `slot`: mailbox depth sample, fault checkpoint, and
     /// the slot clock.
-    fn begin(&mut self, comm: &mut Comm<Msg>, slot: usize) {
-        sample_mailbox(comm, &mut self.report.health);
-        comm.fault_checkpoint(slot as u64);
+    fn begin(&mut self, slot: usize) {
+        sample_mailbox(self.comm, &mut self.report.health);
+        self.comm.fault_checkpoint(slot as u64);
+        self.slot = slot;
         self.started = Instant::now();
         self.idle = 0.0;
     }
@@ -542,7 +555,6 @@ impl<'a> Node<'a> {
     /// are drained.
     fn recv<'e>(
         &mut self,
-        comm: &mut Comm<Msg>,
         slot: usize,
         sources: impl IntoIterator<Item = &'e Entry>,
         timeout: Duration,
@@ -556,7 +568,7 @@ impl<'a> Node<'a> {
         for (i, entry) in sources.into_iter().enumerate() {
             let t = Instant::now();
             let got = recv_msg(
-                comm,
+                self.comm,
                 (entry, self.ctx.max_group),
                 slot,
                 &self.ctx.dispatched,
@@ -596,9 +608,9 @@ impl<'a> Node<'a> {
         }
     }
 
-    /// End of slot `slot`, after its push phase: records the slot's
+    /// End of the current slot, after its push phase: records the slot's
     /// timing (and span) and, fault-tolerant, purges what came late.
-    fn end(&mut self, comm: &mut Comm<Msg>, slot: usize, comp: f64, send: f64) {
+    fn end(&mut self, comp: f64, send: f64) {
         let t = TaskTiming {
             recv: self.idle,
             comp,
@@ -609,7 +621,7 @@ impl<'a> Node<'a> {
         if let Some(e) = self.ctx.epoch {
             let start = self.started.duration_since(e).as_secs_f64();
             self.report.spans.push(TaskSpan {
-                cpi: slot,
+                cpi: self.slot,
                 start,
                 recv_end: start + t.recv,
                 comp_end: start + t.recv + t.comp,
@@ -620,15 +632,15 @@ impl<'a> Node<'a> {
             self.report.timings.push(t);
         }
         if self.ctx.policy.fault_tolerant {
-            purge_late(comm, slot, &mut self.report.health);
+            purge_late(self.comm, self.slot, &mut self.report.health);
         }
     }
 
     /// The node's exit; its cross-slot state is exported only for a
     /// session that can end an epoch at a boundary ([`Session`](crate::Session)):
     /// exporting copies every matrix out of the task's own layout.
-    fn finish(mut self, comm: &mut Comm<Msg>, state: impl FnOnce() -> ResidentState) -> TaskReport {
-        self.report.health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
+    fn finish(mut self, state: impl FnOnce() -> ResidentState) -> TaskReport {
+        self.report.health.mailbox_over_high_water = self.comm.mailbox_stats().over_high_water;
         if self.ctx.export {
             self.report.state = state();
         }
@@ -640,7 +652,7 @@ impl<'a> Node<'a> {
 /// of every entry of `outs`.
 fn signal<'e>(
     comm: &Comm<Msg>,
-    outs: impl IntoIterator<Item = &'e Entry>,
+    outs: impl IntoIterator<Item = &'e &'e Entry>,
     slot: usize,
     payload: Payload,
 ) {
@@ -719,8 +731,8 @@ impl<T: Copy + Default> RunBlocks<T> {
     /// elements the slot stored into them.
     fn send(
         &mut self,
-        comm: &mut Comm<Msg>,
-        (slot, group): (usize, &Arc<[SubCpi]>),
+        node: &mut Node,
+        group: &Arc<[SubCpi]>,
         (covered, degraded): (usize, bool),
         payload: fn(Cube<T>) -> Payload,
     ) {
@@ -730,92 +742,146 @@ impl<T: Copy + Default> RunBlocks<T> {
             "out-block elements left unwritten"
         );
         for (e, block) in self.outs.iter().zip(self.blocks.drain(..)) {
-            comm.send(
-                e.dst,
-                tag(e.edge, slot),
-                Msg {
-                    degraded,
-                    ..Msg::grouped(slot, group.clone(), payload(block))
-                },
-            );
+            let msg = Msg {
+                degraded,
+                ..Msg::grouped(node.slot, group.clone(), payload(block))
+            };
+            node.comm.send(e.dst, tag(e.edge, node.slot), msg);
         }
     }
 }
 
-/// Resident Doppler (task 0): one grouped slab in, one cache-tiled pass
-/// (taper, FFT, corner turn) over it, four grouped redistribution
-/// blocks out.
-fn resident_doppler(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
-    let p = ctx.params;
-    let my_k = ctx.parts.doppler_k[local].clone();
-    let (k0, klen) = (my_k.start, my_k.len());
-    let jj = 2 * p.j_channels;
-    let proc = DopplerProcessor::new(p);
-    let (easy_bins, hard_bins) = (p.easy_bins(), p.hard_bins());
-    let pool = &ctx.pools.cx;
-    let me = comm.rank();
-    let input: Vec<&Entry> = ctx.schedule.recvs(me, Edge::Input).collect();
-    // Every out-block of a slot, in send order, with its corner-turn
-    // layout. The beamformers are on the latency path (eq. 2), the
-    // weight tasks are not, so the beamformers' blocks go first.
-    let outs: Vec<(&Entry, BinBlock)> = [
-        (Edge::DopplerToEasyBf, &easy_bins),
-        (Edge::DopplerToHardBf, &hard_bins),
-        (Edge::DopplerToEasyWt, &easy_bins),
-        (Edge::DopplerToHardWt, &hard_bins),
-    ]
-    .into_iter()
-    .flat_map(|(edge, bins)| {
-        (ctx.schedule.sends(me, edge)).map(move |e| {
-            (
-                e,
-                BinBlock::new(&bins[e.part.clone()], &e.rows, klen, e.shape[2]),
-            )
-        })
-    })
-    .collect();
-    let out_edges = || outs.iter().map(|&(e, _)| e);
-    let mut blocks: Vec<CCube> = Vec::with_capacity(outs.len());
-    let mut ws = DopplerScratch::new();
-    let mut node = Node::new(ctx);
-    let mut slab = None;
+/// What a task node does with its slots beyond what [`run_node`] does
+/// for every node: its entries, its partition range, its cross-slot
+/// state and its kernel calls.
+trait Stage: Sized {
+    /// Takes the slot's message from the `i`-th source, as it arrives.
+    fn take(&mut self, i: usize, msg: Msg);
+
+    /// Computes and sends the node's slot of `group`, which every source
+    /// delivered (`degraded` when a sender computed its part in a
+    /// degraded mode); returns the seconds spent computing and sending.
+    fn run(&mut self, node: &mut Node, group: Arc<[SubCpi]>, degraded: bool) -> (f64, f64);
+
+    /// Lets go of what the slot received when its `input` is lost or the
+    /// session is over; returns the seconds it computed all the same.
+    fn discard(&mut self, _: &mut Node, _: Input) -> f64 {
+        0.0
+    }
+
+    /// The cross-slot state, keyed by global bins.
+    fn export(self) -> ResidentState {
+        ResidentState::default()
+    }
+}
+
+/// Rank `me`'s entries, in schedule order: those it receives a slot's
+/// data on (a beamformer receives its weights apart from the data), and
+/// those it sends on. Doppler sends the beamformers' blocks first: they
+/// are on the latency path (eq. 2), the weight tasks are not.
+fn entries<'a>(ctx: &ResCtx<'a>, me: usize) -> [Vec<&'a Entry>; 2] {
+    let all = ctx.schedule.entries().iter();
+    let ins = (all.clone()).filter(|e| e.dst == me && e.kind != Kind::Weights);
+    let mut outs: Vec<&Entry> = all.filter(|e| e.src == me).collect();
+    outs.sort_by_key(|e| matches!(e.edge, Edge::DopplerToEasyWt | Edge::DopplerToHardWt));
+    [ins.collect(), outs]
+}
+
+/// The slot loop of every task node: receives each slot on the node's
+/// in-entries and hands a complete one to the stage, which `stage` builds
+/// from its in- and out-entries. A lost input sends `Dropped` on every
+/// out-entry, so the rest of the pipeline drains the slot at marker cost
+/// instead of burning its own deadlines; a shutdown sends `Shutdown` on
+/// every out-entry but the driver's (its feed told it) and ends the loop.
+fn run_node<'a, S: Stage>(
+    ctx: &ResCtx<'a>,
+    comm: &mut Comm<Msg>,
+    stage: impl FnOnce(&[&'a Entry], &[&'a Entry]) -> S,
+) -> TaskReport {
+    let io = entries(ctx, comm.rank());
+    let (mut stage, mut node) = (stage(&io[0], &io[1]), Node::new(ctx, comm, &io));
     for slot in 0.. {
-        node.begin(comm, slot);
-        let got = node.recv(
-            comm,
-            slot,
-            input.iter().copied(),
-            ctx.policy.edge_timeout,
-            |_, m| slab = cube(m.payload),
-        );
-        let (group, slab) = match (got, slab.take()) {
-            (Input::Data(group, _), Some(slab)) => (group, slab),
-            (Input::Shutdown, _) => {
-                signal(comm, out_edges(), slot, Payload::Shutdown);
+        node.begin(slot);
+        let (ins, timeout) = (node.ins.iter().copied(), ctx.policy.edge_timeout);
+        let input = node.recv(slot, ins, timeout, |i, m| stage.take(i, m));
+        let (comp, send) = match input {
+            Input::Data(group, degraded) => stage.run(&mut node, group, degraded),
+            Input::Lost(_) => {
+                signal(node.comm, node.outs, slot, Payload::Dropped);
+                (stage.discard(&mut node, input), 0.0)
+            }
+            Input::Shutdown => {
+                let outs = node.outs.iter().filter(|e| e.edge != Edge::Output);
+                signal(node.comm, outs, slot, Payload::Shutdown);
+                stage.discard(&mut node, input);
                 break;
             }
-            _ => {
-                // Keep the rest of the pipeline draining this slot.
-                signal(comm, out_edges(), slot, Payload::Dropped);
-                node.end(comm, slot, 0.0, 0.0);
-                continue;
-            }
         };
+        node.end(comp, send);
+    }
+    node.finish(|| stage.export())
+}
+
+/// Doppler (task 0): one grouped slab in, one cache-tiled pass (taper,
+/// FFT, corner turn) over it, four grouped redistribution blocks out.
+struct Doppler {
+    proc: DopplerProcessor,
+    /// The node's first range cell.
+    k0: usize,
+    /// Per out-entry, its block's corner-turn layout.
+    layouts: Vec<BinBlock>,
+    blocks: Vec<CCube>,
+    ws: DopplerScratch,
+    slab: Option<CCube>,
+}
+
+impl Doppler {
+    fn new(ctx: &ResCtx, local: usize, outs: &[&Entry]) -> Self {
+        let p = ctx.params;
+        let my_k = ctx.parts.doppler_k[local].clone();
+        let (easy_bins, hard_bins) = (p.easy_bins(), p.hard_bins());
+        let layouts = (outs.iter())
+            .map(|e| {
+                let easy = matches!(e.edge, Edge::DopplerToEasyBf | Edge::DopplerToEasyWt);
+                let bins = &(if easy { &easy_bins } else { &hard_bins })[e.part.clone()];
+                BinBlock::new(bins, &e.rows, my_k.len(), e.shape[2])
+            })
+            .collect();
+        Doppler {
+            proc: DopplerProcessor::new(p),
+            k0: my_k.start,
+            layouts,
+            blocks: Vec::with_capacity(outs.len()),
+            ws: DopplerScratch::new(),
+            slab: None,
+        }
+    }
+}
+
+impl Stage for Doppler {
+    fn take(&mut self, _: usize, m: Msg) {
+        self.slab = cube(m.payload);
+    }
+
+    fn run(&mut self, node: &mut Node, group: Arc<[SubCpi]>, _: bool) -> (f64, f64) {
+        let (p, pool, slot) = (node.ctx.params, &node.ctx.pools.cx, node.slot);
+        let slab = self.slab.take().expect("the receive admits a cube");
         let t = Instant::now();
         // Doppler's "data collection and reorganization" happens inside
         // the tile pass; traced, each out-block is a `Redistribute` span
         // from the start of the pass to its send.
-        let pack_t0 = comm.trace_now();
+        let pack_t0 = node.comm.trace_now();
         let b = group.len();
-        for (_, layout) in &outs {
+        for layout in &self.layouts {
             let poison = Cx::new(f64::NAN, f64::NAN);
-            blocks.push(take_block_for_overwrite(pool, layout.shape(b), poison));
+            (self.blocks).push(take_block_for_overwrite(pool, layout.shape(b), poison));
         }
         // The perf core: each tile is tapered, transformed and scattered
         // into all out-blocks while it is cache-resident.
-        let mut covered = 0usize;
-        proc.process_tiles_with(&slab, k0, b, &mut ws, |row0, tile| {
-            for ((_, layout), block) in outs.iter().zip(&mut blocks) {
+        let (layouts, blocks, mut covered) = (&self.layouts, &mut self.blocks, 0usize);
+        let (k0, jj) = (self.k0, 2 * p.j_channels);
+        (self.proc).process_tiles_with(&slab, k0, b, &mut self.ws, |row0, tile| {
+            for (layout, block) in layouts.iter().zip(blocks.iter_mut()) {
                 covered += layout.scatter(tile, jj, p.n_pulses, row0, block.as_mut_slice());
             }
         });
@@ -827,32 +893,29 @@ fn resident_doppler(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskRep
         pool.recycle(slab);
         let comp = t.elapsed().as_secs_f64();
         let t = Instant::now();
-        for ((e, _), block) in outs.iter().zip(blocks.drain(..)) {
+        for (e, block) in node.outs.iter().zip(blocks.drain(..)) {
             let (bytes, tg) = (8 * block.len() as u64, tag(e.edge, slot));
-            comm.send(
-                e.dst,
-                tg,
-                Msg::grouped(slot, group.clone(), Payload::Cube(block)),
-            );
-            comm.trace_redistribute(e.dst, tg, bytes, pack_t0);
+            let msg = Msg::grouped(slot, group.clone(), Payload::Cube(block));
+            node.comm.send(e.dst, tg, msg);
+            node.comm.trace_redistribute(e.dst, tg, bytes, pack_t0);
         }
-        node.end(comm, slot, comp, t.elapsed().as_secs_f64());
+        (comp, t.elapsed().as_secs_f64())
     }
-    node.finish(comm, ResidentState::default)
 }
 
 /// A beamform node's per-(stream, beam) queues of per-bin weight sets,
 /// each flagged stale or fresh.
 type Fifos<T> = HashMap<(u16, usize), VecDeque<(Vec<T>, bool)>>;
 
+/// The same queues as [`ResidentState`] keeps them: per
+/// `(stream, beam, bin)`, with global bins.
+type Rings<T> = HashMap<(u16, usize, usize), VecDeque<T>>;
+
 /// Rebuilds a node-local `(stream, beam) -> queue of per-bin entries`
 /// map from globally-keyed carried state: picks this node's `bins_idx`
 /// slice and re-zips the per-bin queues back into per-slot-entry rows
 /// (inner `Vec` indexed by local bin), preserving queue order exactly.
-fn import_ring<T: Clone>(
-    carried: &HashMap<(u16, usize, usize), VecDeque<T>>,
-    bins_idx: &Range<usize>,
-) -> Fifos<T> {
+fn import_ring<T: Clone>(carried: &Rings<T>, bins_idx: &Range<usize>) -> Fifos<T> {
     let nbins = bins_idx.len();
     let mut out: Fifos<T> = HashMap::new();
     let keys: std::collections::HashSet<(u16, usize)> = carried
@@ -884,7 +947,7 @@ fn import_ring<T: Clone>(
 /// Inverse of [`import_ring`]: unzips each `(stream, beam)` queue into
 /// per-bin queues rebased to global bin keys (`bin0` = this node's
 /// partition start); the stale flags stay behind.
-fn export_ring<T>(rings: Fifos<T>, bin0: usize) -> HashMap<(u16, usize, usize), VecDeque<T>> {
+fn export_ring<T>(rings: Fifos<T>, bin0: usize) -> Rings<T> {
     let mut out = HashMap::new();
     for ((stream, beam), q) in rings {
         let len = q.len();
@@ -904,73 +967,131 @@ fn export_ring<T>(rings: Fifos<T>, bin0: usize) -> HashMap<(u16, usize, usize), 
     out
 }
 
-/// The slot loop of both weight tasks: one block per Doppler node in,
-/// `member` called for every member CPI of the group with the received
-/// blocks and that CPI's slice of the outgoing messages (one run of
-/// `per_bin` matrices per owned bin, in bin order), one grouped weight
-/// message per overlapping BF node out — `[member CPI][bin][per_bin]`,
-/// the order the wire has always carried. A slot with a lost input
-/// leaves the weight state untouched and sends drop markers instead.
-fn weight_slots(
-    ctx: &ResCtx,
-    comm: &mut Comm<Msg>,
-    node: &mut Node,
-    (in_edge, out_edge): (Edge, Edge),
+/// A weight task's lane-batched solver, keyed (stream, beam): it leaves
+/// lane layout only to be exported when the session drains.
+enum Lanes {
+    /// Easy weight (task 1): the dense solve of the node's bins over
+    /// history rings, exported as [`ResidentState::easy_history`].
+    Easy(EasyWeightLanes<(u16, usize)>),
+    /// Hard weight (task 2): the QR recursion of the node's bins,
+    /// exported as [`ResidentState::hard_r`].
+    Hard(HardWeightLanes<(u16, usize)>),
+}
+
+/// A weight task (1 or 2): one block per Doppler node in, the lanes'
+/// solve for every member CPI of the slot, and one grouped weight message
+/// per overlapping BF node out — `[member CPI][bin][per_bin]`, the order
+/// the wire has always carried. A slot with a lost input leaves the
+/// lanes' state untouched, so the next fresh weights differ from a clean
+/// run's.
+struct Weight {
+    lanes: Lanes,
+    bins: Range<usize>,
+    /// Matrices per bin in a weight message.
     per_bin: usize,
-    mut member: impl FnMut(usize, &SubCpi, &[CCube], &mut dyn Iterator<Item = &mut [CMat]>),
-) {
-    let me = comm.rank();
-    let sources: Vec<&Entry> = ctx.schedule.recvs(me, in_edge).collect();
-    // The BF nodes whose bins overlap this node's: their overlaps are
-    // this node's bins in order, each bin in exactly one of them.
-    let targets: Vec<&Entry> = ctx.schedule.sends(me, out_edge).collect();
-    let mut per_node: Vec<Vec<CMat>> = targets.iter().map(|_| Vec::new()).collect();
-    let mut blocks: Vec<CCube> = Vec::with_capacity(sources.len());
-    for slot in 0.. {
-        node.begin(comm, slot);
-        let input = node.recv(
-            comm,
-            slot,
-            sources.iter().copied(),
-            ctx.policy.edge_timeout,
-            |_, m| blocks.extend(cube(m.payload)),
-        );
-        let group = match input {
-            Input::Data(group, _) => group,
-            Input::Lost(_) => {
-                recycle(&ctx.pools.cx, &mut blocks);
-                signal(comm, targets.iter().copied(), slot, Payload::Dropped);
-                node.end(comm, slot, 0.0, 0.0);
-                continue;
+    /// Per out-entry — a BF node whose bins overlap this node's — the
+    /// slot's message. The overlaps are this node's bins in order, each
+    /// bin in exactly one of them.
+    per_node: Vec<Vec<CMat>>,
+    blocks: Vec<CCube>,
+}
+
+impl Weight {
+    fn easy(ctx: &ResCtx, local: usize, ins: &[&Entry], outs: &[&Entry]) -> Self {
+        let bins = ctx.parts.easy_wt_bins[local].clone();
+        // Each Doppler node's block holds its share of the training cells.
+        let dp_cells: Vec<usize> = ins.iter().map(|e| e.shape[1]).collect();
+        let mut lanes = EasyWeightLanes::new(ctx.params, bins.len(), &dp_cells);
+        for (&(stream, beam, bin), history) in &ctx.carry.easy_history {
+            if bins.contains(&bin) {
+                lanes.import((stream, beam), bin - bins.start, history);
             }
-            Input::Shutdown => {
-                recycle(&ctx.pools.cx, &mut blocks);
-                signal(comm, targets.iter().copied(), slot, Payload::Shutdown);
-                return;
+        }
+        Weight::new(Lanes::Easy(lanes), bins, 1, outs)
+    }
+
+    fn hard(ctx: &ResCtx, local: usize, outs: &[&Entry]) -> Self {
+        let p = ctx.params;
+        let bins = ctx.parts.hard_wt_bins[local].clone();
+        let segs = p.num_segments();
+        // Each Doppler node's block holds its share of every segment's
+        // training cells, segment after segment.
+        let dp_counts: Vec<Vec<usize>> = (ctx.parts.doppler_k.iter())
+            .map(|kr| {
+                let within =
+                    |s| (hard_training_cells(p, s).iter().filter(|c| kr.contains(c))).count();
+                (0..segs).map(within).collect()
+            })
+            .collect();
+        let mut lanes = HardWeightLanes::new(p, &p.hard_bins()[bins.clone()], &dp_counts);
+        for (&(stream, beam, bin, seg), r) in &ctx.carry.hard_r {
+            if bins.contains(&bin) {
+                lanes.import((stream, beam), bin - bins.start, seg, r);
             }
-        };
-        let t = Instant::now();
-        for (w, e) in per_node.iter_mut().zip(&targets) {
+        }
+        Weight::new(Lanes::Hard(lanes), bins, segs, outs)
+    }
+
+    /// The weight ranks run at background priority.
+    fn new(lanes: Lanes, bins: Range<usize>, per_bin: usize, outs: &[&Entry]) -> Self {
+        run_at_background_priority();
+        Weight {
+            lanes,
+            bins,
+            per_bin,
+            per_node: vec![Vec::new(); outs.len()],
+            blocks: Vec::new(),
+        }
+    }
+}
+
+impl Stage for Weight {
+    fn take(&mut self, _: usize, m: Msg) {
+        self.blocks.extend(cube(m.payload));
+    }
+
+    fn run(&mut self, node: &mut Node, group: Arc<[SubCpi]>, _: bool) -> (f64, f64) {
+        let (ctx, t) = (node.ctx, Instant::now());
+        for (w, e) in self.per_node.iter_mut().zip(node.outs) {
             w.resize(group.len() * e.shape[0], CMat::zeros(0, 0));
         }
         for (u, sub) in group.iter().enumerate() {
-            let mut weights = per_node
-                .iter_mut()
-                .zip(&targets)
-                .flat_map(|(w, e)| w[u * e.shape[0]..][..e.shape[0]].chunks_mut(per_bin));
-            member(u, sub, &blocks, &mut weights);
+            let beam = sub.scpi as usize % ctx.steering.len();
+            let (key, steering) = ((sub.stream, beam), &ctx.steering[beam]);
+            let weights = (self.per_node.iter_mut().zip(node.outs))
+                .flat_map(|(w, e)| w[u * e.shape[0]..][..e.shape[0]].chunks_mut(self.per_bin));
+            let plane = member_plane(&self.blocks, u, self.bins.len());
+            match &mut self.lanes {
+                Lanes::Easy(l) => l.process(key, steering, plane, weights.map(|w| &mut w[0])),
+                Lanes::Hard(l) => l.process(key, steering, plane, weights),
+            }
         }
-        recycle(&ctx.pools.cx, &mut blocks);
+        recycle(&ctx.pools.cx, &mut self.blocks);
         let comp = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        for (e, w) in targets.iter().zip(&mut per_node) {
-            comm.send(
-                e.dst,
-                tag(e.edge, slot),
-                Msg::grouped(slot, group.clone(), Payload::Weights(std::mem::take(w))),
-            );
+        let (slot, t) = (node.slot, Instant::now());
+        for (e, w) in node.outs.iter().zip(&mut self.per_node) {
+            let msg = Msg::grouped(slot, group.clone(), Payload::Weights(std::mem::take(w)));
+            node.comm.send(e.dst, tag(e.edge, slot), msg);
         }
-        node.end(comm, slot, comp, t.elapsed().as_secs_f64());
+        (comp, t.elapsed().as_secs_f64())
+    }
+
+    fn discard(&mut self, node: &mut Node, _: Input) -> f64 {
+        recycle(&node.ctx.pools.cx, &mut self.blocks);
+        0.0
+    }
+
+    fn export(self) -> ResidentState {
+        let (bin0, mut state) = (self.bins.start, ResidentState::default());
+        match self.lanes {
+            Lanes::Easy(l) => {
+                (state.easy_history).extend(l.export().map(|((s, b), i, h)| ((s, b, bin0 + i), h)))
+            }
+            Lanes::Hard(l) => {
+                (state.hard_r).extend(l.export().map(|((s, b), i, g, r)| ((s, b, bin0 + i, g), r)))
+            }
+        }
+        state
     }
 }
 
@@ -1009,100 +1130,6 @@ fn member_plane<'a>(
     }
 }
 
-/// Resident easy weight (task 1): the lane-batched dense solve of this
-/// node's bins over per-(stream, beam) history rings; the rings leave
-/// lane layout only to be exported as [`ResidentState::easy_history`]
-/// when the session drains.
-fn resident_easy_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
-    run_at_background_priority();
-    let p = ctx.params;
-    let bins_idx = ctx.parts.easy_wt_bins[local].clone();
-    let nbins = bins_idx.len();
-    let beams = ctx.steering.len();
-    // Each Doppler node's block holds its share of the training cells.
-    let dp_cells: Vec<usize> = (ctx.schedule.recvs(comm.rank(), Edge::DopplerToEasyWt))
-        .map(|e| e.shape[1])
-        .collect();
-    let mut lanes = EasyWeightLanes::new(p, nbins, &dp_cells);
-    for (&(stream, beam, bin), history) in &ctx.carry.easy_history {
-        if bins_idx.contains(&bin) {
-            lanes.import((stream, beam), bin - bins_idx.start, history);
-        }
-    }
-    let mut node = Node::new(ctx);
-    weight_slots(
-        ctx,
-        comm,
-        &mut node,
-        (Edge::DopplerToEasyWt, Edge::EasyWtToEasyBf),
-        1,
-        |u, sub, blocks, weights| {
-            let beam = sub.scpi as usize % beams;
-            lanes.process(
-                (sub.stream, beam),
-                &ctx.steering[beam],
-                member_plane(blocks, u, nbins),
-                weights.map(|w| &mut w[0]),
-            );
-        },
-    );
-    node.finish(comm, || ResidentState {
-        easy_history: (lanes.export())
-            .map(|((s, bm), bi, history)| ((s, bm, bins_idx.start + bi), history))
-            .collect(),
-        ..ResidentState::default()
-    })
-}
-
-/// Resident hard weight (task 2): the lane-batched QR recursion of this
-/// node's bins, keyed (stream, beam); it leaves lane layout only to be
-/// exported as [`ResidentState::hard_r`] when the session drains.
-fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
-    run_at_background_priority();
-    let p = ctx.params;
-    let bins_idx = ctx.parts.hard_wt_bins[local].clone();
-    let nbins = bins_idx.len();
-    let beams = ctx.steering.len();
-    let segs = p.num_segments();
-    // Each Doppler node's block holds its share of every segment's
-    // training cells, segment after segment.
-    let dp_counts: Vec<Vec<usize>> = (ctx.parts.doppler_k.iter())
-        .map(|kr| {
-            let within = |s| (hard_training_cells(p, s).iter().filter(|c| kr.contains(c))).count();
-            (0..segs).map(within).collect()
-        })
-        .collect();
-    let mut lanes = HardWeightLanes::new(p, &p.hard_bins()[bins_idx.clone()], &dp_counts);
-    for (&(stream, beam, bin, seg), r) in &ctx.carry.hard_r {
-        if bins_idx.contains(&bin) {
-            lanes.import((stream, beam), bin - bins_idx.start, seg, r);
-        }
-    }
-    let mut node = Node::new(ctx);
-    weight_slots(
-        ctx,
-        comm,
-        &mut node,
-        (Edge::DopplerToHardWt, Edge::HardWtToHardBf),
-        segs,
-        |u, sub, blocks, weights| {
-            let beam = sub.scpi as usize % beams;
-            lanes.process(
-                (sub.stream, beam),
-                &ctx.steering[beam],
-                member_plane(blocks, u, nbins),
-                weights,
-            );
-        },
-    );
-    node.finish(comm, || ResidentState {
-        hard_r: (lanes.export())
-            .map(|((s, bm), bi, seg, r)| ((s, bm, bins_idx.start + bi, seg), r))
-            .collect(),
-        ..ResidentState::default()
-    })
-}
-
 /// A beamform node's pending weights: per-(stream, beam) FIFOs of weight
 /// sets, one `T` per bin of the node, fed from the weight messages of
 /// the slots the node has beamformed; each set is flagged stale when it
@@ -1121,6 +1148,8 @@ struct WeightFifos<T, Q> {
     /// last resort.
     quiescent: Q,
     queues: Fifos<T>,
+    /// The node's first bin.
+    bin0: usize,
     /// The last set pushed fresh per (stream, beam): what a lost weight
     /// message is replaced with. Kept by fault-tolerant sessions only.
     last_good: HashMap<(u16, usize), Vec<T>>,
@@ -1138,7 +1167,7 @@ impl<T: Clone, Q: Fn(usize) -> Vec<T>> WeightFifos<T, Q> {
         per_bin: usize,
         unpack: fn(&mut std::vec::IntoIter<CMat>, usize) -> T,
         quiescent: Q,
-        carried: &HashMap<(u16, usize, usize), VecDeque<T>>,
+        carried: &Rings<T>,
     ) -> Self {
         WeightFifos {
             sources: ctx.schedule.recvs(rank, edge).cloned().collect(),
@@ -1148,6 +1177,7 @@ impl<T: Clone, Q: Fn(usize) -> Vec<T>> WeightFifos<T, Q> {
             unpack,
             quiescent,
             queues: import_ring(carried, bins_idx),
+            bin0: bins_idx.start,
             last_good: HashMap::new(),
             pushed: 0,
         }
@@ -1159,7 +1189,7 @@ impl<T: Clone, Q: Fn(usize) -> Vec<T>> WeightFifos<T, Q> {
         (self.last_good.get(&key).cloned()).unwrap_or_else(|| (self.quiescent)(key.1))
     }
 
-    /// Push phase: receives slot `slot`'s weight messages
+    /// Push phase: receives the node's slot's weight messages
     /// (`[member][bin][per_bin]` each) and moves each member CPI's
     /// freshly-computed per-bin set to the back of that member's FIFO —
     /// or, when a message is lost, the last good set of that (stream,
@@ -1169,26 +1199,19 @@ impl<T: Clone, Q: Fn(usize) -> Vec<T>> WeightFifos<T, Q> {
     fn push_slot(
         &mut self,
         node: &mut Node,
-        comm: &mut Comm<Msg>,
-        slot: usize,
         group: Option<&Arc<[SubCpi]>>,
     ) -> Option<Arc<[SubCpi]>> {
+        let slot = node.slot;
         if self.pushed > slot {
             return group.cloned();
         }
         self.pushed = slot + 1;
         let mut fresh: Vec<std::vec::IntoIter<CMat>> = Vec::with_capacity(self.sources.len());
-        let input = node.recv(
-            comm,
-            slot,
-            &self.sources,
-            node.ctx.policy.weight_grace,
-            |_, m| {
-                if let Payload::Weights(w) = m.payload {
-                    fresh.push(w.into_iter());
-                }
-            },
-        );
+        let input = node.recv(slot, &self.sources, node.ctx.policy.weight_grace, |_, m| {
+            if let Payload::Weights(w) = m.payload {
+                fresh.push(w.into_iter());
+            }
+        });
         // Weights for a group of another length than the slot's data are
         // as good as lost.
         let (group, lost) = match (input, group) {
@@ -1215,27 +1238,20 @@ impl<T: Clone, Q: Fn(usize) -> Vec<T>> WeightFifos<T, Q> {
         Some(group)
     }
 
-    /// The weights member `sub` of slot `slot` is beamformed with, and
+    /// The weights member `sub` of the node's slot is beamformed with, and
     /// whether they are stale: quiescent on the azimuth's first visit,
     /// else the front of its FIFO. Every earlier slot's weights were
     /// pushed after that slot's send, so they wait in the FIFO and the
     /// slot's own weight messages are off its latency path (eq. 2) —
     /// unless the slot also carries `scpi - beams` of this stream: then
     /// the FIFO is empty and the slot is pushed here, before its GEMM.
-    fn take(
-        &mut self,
-        node: &mut Node,
-        comm: &mut Comm<Msg>,
-        slot: usize,
-        group: &Arc<[SubCpi]>,
-        sub: &SubCpi,
-    ) -> (Vec<T>, bool) {
+    fn take(&mut self, node: &mut Node, group: &Arc<[SubCpi]>, sub: &SubCpi) -> (Vec<T>, bool) {
         let key = (sub.stream, sub.scpi as usize % self.beams);
         if (sub.scpi as usize) < self.beams {
             return ((self.quiescent)(key.1), false);
         }
         if self.queues.get(&key).is_none_or(VecDeque::is_empty) {
-            self.push_slot(node, comm, slot, Some(group));
+            self.push_slot(node, Some(group));
         }
         match self.queues.get_mut(&key).and_then(VecDeque::pop_front) {
             Some(set) => set,
@@ -1246,118 +1262,111 @@ impl<T: Clone, Q: Fn(usize) -> Vec<T>> WeightFifos<T, Q> {
         }
     }
 
-    /// Drains the weight edge's shutdowns (the Doppler shutdowns of
-    /// `slot` were received).
-    fn drain_shutdown(&self, node: &mut Node, comm: &mut Comm<Msg>, slot: usize) {
+    /// Drains the weight edge's shutdowns (the Doppler shutdowns of the
+    /// node's slot were received).
+    fn drain_shutdown(&self, node: &mut Node) {
         let grace = node.ctx.policy.weight_grace;
-        node.recv(comm, slot, &self.sources, grace, |_, _| {
+        node.recv(node.slot, &self.sources, grace, |_, _| {
             panic!("weights after the last slot")
         });
     }
 }
 
-/// The slot loop of both beamform tasks: one block per Doppler node in,
-/// and per slot *consume* (beamform every member with the weights its
-/// FIFO holds; `gemm` computes member `u`'s bins from the blocks into the
-/// PC blocks and says how many elements it stored), *send*, then *push*
-/// the slot's own weights. A slot with lost data still pushes its
-/// weights — the next revisit needs them — and retires what it would
-/// have consumed.
-fn beamform_slots<T: Clone, Q: Fn(usize) -> Vec<T>>(
-    ctx: &ResCtx,
-    comm: &mut Comm<Msg>,
-    node: &mut Node,
-    in_edge: Edge,
-    wts: &mut WeightFifos<T, Q>,
-    outs: &mut RunBlocks<Cx>,
-    mut gemm: impl FnMut(usize, &[T], &[CCube], &mut RunBlocks<Cx>) -> usize,
-) {
-    let pool = &ctx.pools.cx;
-    let sources: Vec<&Entry> = ctx.schedule.recvs(comm.rank(), in_edge).collect();
-    let mut blocks: Vec<CCube> = Vec::with_capacity(sources.len());
-    for slot in 0.. {
-        node.begin(comm, slot);
-        let input = node.recv(
-            comm,
-            slot,
-            sources.iter().copied(),
-            ctx.policy.edge_timeout,
-            |_, m| blocks.extend(cube(m.payload)),
-        );
-        let group = match input {
-            Input::Data(group, _) => group,
-            Input::Lost(group) => {
-                recycle(pool, &mut blocks);
-                signal(comm, &outs.outs, slot, Payload::Dropped);
-                if let Some(group) = wts.push_slot(node, comm, slot, group.as_ref()) {
-                    for sub in group.iter() {
-                        wts.take(node, comm, slot, &group, sub);
-                    }
-                }
-                node.end(comm, slot, 0.0, 0.0);
-                continue;
-            }
-            Input::Shutdown => {
-                recycle(pool, &mut blocks);
-                wts.drain_shutdown(node, comm, slot);
-                signal(comm, &outs.outs, slot, Payload::Shutdown);
-                return;
-            }
-        };
+/// A beamform task (3 or 4): one block per Doppler node in, and per slot
+/// *consume* (beamform every member with the weights its FIFO holds;
+/// `gemm` computes member `u`'s bins from the blocks into the PC blocks
+/// and says how many elements it stored), *send*, then *push* the slot's
+/// own weights. A slot with lost data still pushes its weights — the next
+/// revisit needs them — and retires what it would have consumed.
+struct Beamform<T, Q, G> {
+    wts: WeightFifos<T, Q>,
+    outs: RunBlocks<Cx>,
+    blocks: Vec<CCube>,
+    gemm: G,
+    /// Where the FIFOs go in the exported state.
+    state: fn(Rings<T>) -> ResidentState,
+}
+
+impl<T, Q, G> Stage for Beamform<T, Q, G>
+where
+    T: Clone,
+    Q: Fn(usize) -> Vec<T>,
+    G: FnMut(usize, &[T], &[CCube], &mut RunBlocks<Cx>) -> usize,
+{
+    fn take(&mut self, _: usize, m: Msg) {
+        self.blocks.extend(cube(m.payload));
+    }
+
+    fn run(&mut self, node: &mut Node, group: Arc<[SubCpi]>, _: bool) -> (f64, f64) {
+        let ctx = node.ctx;
+        let pool = &ctx.pools.cx;
         // Consume: beamform each member with the weights computed from its
         // own stream's CPI `scpi - beams` (quiescent before the first
         // revisit), exactly the per-stream serial schedule. A wait for the
         // slot's own weights (the early push) is idle, not compute.
         let (t, idle0) = (Instant::now(), node.idle);
-        outs.take(pool, group.len(), Cx::new(f64::NAN, f64::NAN));
+        (self.outs).take(pool, group.len(), Cx::new(f64::NAN, f64::NAN));
         let (mut covered, mut degraded) = (0usize, false);
         for (u, sub) in group.iter().enumerate() {
-            let (weights, stale) = wts.take(node, comm, slot, &group, sub);
+            let (weights, stale) = self.wts.take(node, &group, sub);
             degraded |= stale;
-            covered += gemm(u, &weights, &blocks, outs);
+            covered += (self.gemm)(u, &weights, &self.blocks, &mut self.outs);
         }
-        recycle(pool, &mut blocks);
+        recycle(pool, &mut self.blocks);
         let comp = t.elapsed().as_secs_f64() - (node.idle - idle0);
         let t = Instant::now();
-        outs.send(comm, (slot, &group), (covered, degraded), Payload::Cube);
+        (self.outs).send(node, &group, (covered, degraded), Payload::Cube);
         let send = t.elapsed().as_secs_f64();
         // Push phase, after the send: the weight task may still be at
         // work on this slot, at most one slot behind the chain, and the
         // wait for it is idle time like any other blocked receive.
-        wts.push_slot(node, comm, slot, Some(&group));
-        node.end(comm, slot, comp, send);
+        self.wts.push_slot(node, Some(&group));
+        (comp, send)
+    }
+
+    fn discard(&mut self, node: &mut Node, input: Input) -> f64 {
+        recycle(&node.ctx.pools.cx, &mut self.blocks);
+        match input {
+            Input::Lost(group) => {
+                if let Some(group) = self.wts.push_slot(node, group.as_ref()) {
+                    for sub in group.iter() {
+                        self.wts.take(node, &group, sub);
+                    }
+                }
+            }
+            _ => self.wts.drain_shutdown(node),
+        }
+        0.0
+    }
+
+    fn export(self) -> ResidentState {
+        (self.state)(export_ring(self.wts.queues, self.wts.bin0))
     }
 }
 
-/// Resident easy beamform (task 3).
-fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
-    let p = ctx.params;
+/// Easy beamform (task 3).
+fn easy_bf<'a>(ctx: &'a ResCtx<'a>, local: usize, outs: &[&Entry]) -> impl Stage + 'a {
+    // Every beamform node sends to every PC node.
+    let (p, me) = (ctx.params, outs[0].src);
     let bins_idx = ctx.parts.easy_bf_bins[local].clone();
     let nbins = bins_idx.len();
-    let me = comm.rank();
-    let mut wts = WeightFifos::new(
-        ctx,
-        (me, &bins_idx),
-        Edge::EasyWtToEasyBf,
-        1,
-        |w, _| w.next().expect("length checked"),
-        |beam| vec![normalize_columns(ctx.steering[beam].clone()); nbins],
-        &ctx.carry.easy_fifo,
-    );
-    let mut outs = RunBlocks::new(ctx.schedule.sends(me, Edge::EasyBfToPc));
     // The GEMM operands, packed once each: the bin's `J x K` data
     // straight from the wire blocks, the weights conjugate-transposed.
     let mut data = PlanarMat::zeros(p.j_channels, p.k_range);
     let mut wpack = PlanarMat::new();
-    let mut node = Node::new(ctx);
-    beamform_slots(
-        ctx,
-        comm,
-        &mut node,
-        Edge::DopplerToEasyBf,
-        &mut wts,
-        &mut outs,
-        |u, weights: &[CMat], blocks, outs| {
+    Beamform {
+        wts: WeightFifos::new(
+            ctx,
+            (me, &bins_idx),
+            Edge::EasyWtToEasyBf,
+            1,
+            |w, _| w.next().expect("length checked"),
+            move |beam| vec![normalize_columns(ctx.steering[beam].clone()); nbins],
+            &ctx.carry.easy_fifo,
+        ),
+        outs: RunBlocks::new(outs.iter().copied()),
+        blocks: Vec::new(),
+        gemm: move |u, weights: &[CMat], blocks: &[CCube], outs: &mut RunBlocks<Cx>| {
             let mut covered = 0;
             for (bi, w) in weights.iter().enumerate() {
                 for (block, kr) in blocks.iter().zip(&ctx.parts.doppler_k) {
@@ -1374,24 +1383,24 @@ fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskRep
             }
             covered
         },
-    );
-    node.finish(comm, || ResidentState {
-        easy_fifo: export_ring(wts.queues, bins_idx.start),
-        ..ResidentState::default()
-    })
+        state: |easy_fifo| ResidentState {
+            easy_fifo,
+            ..ResidentState::default()
+        },
+    }
 }
 
-/// Resident hard beamform (task 4): per-(bin, segment) weight sets.
-fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
-    let p = ctx.params;
+/// Hard beamform (task 4): per-(bin, segment) weight sets.
+fn hard_bf<'a>(ctx: &'a ResCtx<'a>, local: usize, outs: &[&Entry]) -> impl Stage + 'a {
+    // Every beamform node sends to every PC node.
+    let (p, me) = (ctx.params, outs[0].src);
     let bins_idx = ctx.parts.hard_bf_bins[local].clone();
     let nbins = bins_idx.len();
-    let hard_bins = p.hard_bins();
     let jj = 2 * p.j_channels;
     let segs = p.num_segments();
-    let quiescent = |beam: usize| -> Vec<Vec<CMat>> {
-        bins_idx
-            .clone()
+    let (hard_bins, bins) = (p.hard_bins(), bins_idx.clone());
+    let quiescent = move |beam: usize| -> Vec<Vec<CMat>> {
+        bins.clone()
             .map(|bn| {
                 let bin = hard_bins[bn];
                 let phase = Cx::cis(
@@ -1409,33 +1418,26 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskRep
             })
             .collect()
     };
-    // A weight message is `[member][bin][segment]`.
-    let me = comm.rank();
-    let mut wts = WeightFifos::new(
-        ctx,
-        (me, &bins_idx),
-        Edge::HardWtToHardBf,
-        segs,
-        |w, segs| w.take(segs).collect::<Vec<CMat>>(),
-        quiescent,
-        &ctx.carry.hard_fifo,
-    );
-    let mut outs = RunBlocks::new(ctx.schedule.sends(me, Edge::HardBfToPc));
     let seg_ranges: Vec<Range<usize>> = (0..segs).map(|s| p.segment_range(s)).collect();
     let mut data: Vec<PlanarMat> = seg_ranges
         .iter()
         .map(|r| PlanarMat::zeros(jj, r.len()))
         .collect();
     let mut wpack = PlanarMat::new();
-    let mut node = Node::new(ctx);
-    beamform_slots(
-        ctx,
-        comm,
-        &mut node,
-        Edge::DopplerToHardBf,
-        &mut wts,
-        &mut outs,
-        |u, weights: &[Vec<CMat>], blocks, outs| {
+    Beamform {
+        // A weight message is `[member][bin][segment]`.
+        wts: WeightFifos::new(
+            ctx,
+            (me, &bins_idx),
+            Edge::HardWtToHardBf,
+            segs,
+            |w, segs| w.take(segs).collect::<Vec<CMat>>(),
+            quiescent,
+            &ctx.carry.hard_fifo,
+        ),
+        outs: RunBlocks::new(outs.iter().copied()),
+        blocks: Vec::new(),
+        gemm: move |u, weights: &[Vec<CMat>], blocks: &[CCube], outs: &mut RunBlocks<Cx>| {
             let mut covered = 0;
             for (bi, seg_weights) in weights.iter().enumerate() {
                 for seg in 0..segs {
@@ -1462,129 +1464,114 @@ fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskRep
             }
             covered
         },
-    );
-    node.finish(comm, || ResidentState {
-        hard_fifo: export_ring(wts.queues, bins_idx.start),
-        ..ResidentState::default()
-    })
+        state: |hard_fifo| ResidentState {
+            hard_fifo,
+            ..ResidentState::default()
+        },
+    }
 }
 
-/// Resident pulse compression (task 5): each received beamform block is
+/// Pulse compression (task 5): each received beamform block is
 /// compressed in place as it arrives, lane by lane, the power written
 /// straight into the blocks CFAR receives.
-fn resident_pc(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
-    let p = ctx.params;
-    let my_bins = ctx.parts.pc_bins[local].clone();
-    let easy_bins = p.easy_bins();
-    let hard_bins = p.hard_bins();
-    let compressor = PulseCompressor::new(p);
-    let me = comm.rank();
-    // Per feeding BF node: its entry and the natural bins of mine its
-    // block holds.
-    let feeders: Vec<(&Entry, Vec<usize>)> = [
-        (Edge::EasyBfToPc, &easy_bins),
-        (Edge::HardBfToPc, &hard_bins),
-    ]
-    .into_iter()
-    .flat_map(|(edge, bins)| {
-        (ctx.schedule.recvs(me, edge)).map(move |e| (e, bins[e.part.clone()].to_vec()))
-    })
-    .collect();
-    let mut outs = RunBlocks::new(ctx.schedule.sends(me, Edge::PcToCfar));
-    let plane = p.m_beams * p.k_range;
-    let mut fft_ws = FftScratch::new();
-    let mut node = Node::new(ctx);
-    for slot in 0.. {
-        node.begin(comm, slot);
-        let (mut covered, mut comp) = (0usize, 0.0f64);
-        let input = node.recv(
-            comm,
-            slot,
-            feeders.iter().map(|&(e, _)| e),
-            ctx.policy.edge_timeout,
-            |fi, m| {
-                let t = Instant::now();
-                if outs.blocks.is_empty() {
-                    let b = m.group.as_ref().map_or(0, |g| g.len());
-                    outs.take(&ctx.pools.real, b, f64::NAN);
-                }
-                let Some(mut block) = cube(m.payload) else {
-                    return;
-                };
-                let bins = &feeders[fi].1;
-                let bl = bins.len();
-                for (row, lanes) in block.as_mut_slice().chunks_exact_mut(plane).enumerate() {
-                    let power = outs.plane_mut(row / bl, bins[row % bl] - my_bins.start);
-                    compressor.compress_in_place(lanes, power, &mut fft_ws);
-                    covered += plane;
-                }
-                ctx.pools.cx.recycle(block);
-                comp += t.elapsed().as_secs_f64();
-            },
-        );
-        let (group, degraded) = match input {
-            Input::Data(group, degraded) => (group, degraded),
-            Input::Lost(_) => {
-                recycle(&ctx.pools.real, &mut outs.blocks);
-                signal(comm, &outs.outs, slot, Payload::Dropped);
-                node.end(comm, slot, comp, 0.0);
-                continue;
-            }
-            Input::Shutdown => {
-                recycle(&ctx.pools.real, &mut outs.blocks);
-                signal(comm, &outs.outs, slot, Payload::Shutdown);
-                break;
-            }
-        };
-        let t = Instant::now();
-        outs.send(comm, (slot, &group), (covered, degraded), Payload::Real);
-        node.end(comm, slot, comp, t.elapsed().as_secs_f64());
-    }
-    node.finish(comm, ResidentState::default)
+struct Pc {
+    pools: PipelinePools,
+    compressor: PulseCompressor,
+    /// Per feeding BF node, my bins its block holds, as offsets.
+    bins: Vec<Vec<usize>>,
+    outs: RunBlocks<f64>,
+    ws: FftScratch,
+    /// The slot's elements compressed and seconds spent so far.
+    covered: usize,
+    comp: f64,
 }
 
-/// Resident CFAR (task 6): the detector runs over the received power
-/// blocks where they lie, in bin order; per-member detection lists go to
-/// the driver in one grouped `DetectionsGroup` message per slot.
-fn resident_cfar(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
-    let p = ctx.params;
-    let me = comm.rank();
-    // One block per PC node, holding its ascending share of my bins.
-    let feeders: Vec<&Entry> = ctx.schedule.recvs(me, Edge::PcToCfar).collect();
-    let output = (ctx.schedule.sends(me, Edge::Output).next()).expect("CFAR reports to the driver");
-    let mut blocks: Vec<RCube> = Vec::with_capacity(feeders.len());
-    let mut scratch = cfar::CfarScratch::for_task(p, ctx.parts.cfar_bins[local].len());
-    let mut node = Node::new(ctx);
-    for slot in 0.. {
-        node.begin(comm, slot);
-        let input = node.recv(
-            comm,
-            slot,
-            feeders.iter().copied(),
-            ctx.policy.edge_timeout,
-            |_, m| {
-                if let Payload::Real(r) = m.payload {
-                    blocks.push(r);
-                }
-            },
-        );
-        let (group, degraded) = match input {
-            Input::Data(group, degraded) => (group, degraded),
-            Input::Lost(_) => {
-                // Tell the driver, so it classifies the slot as dropped
-                // instead of waiting on detections that will never come.
-                recycle(&ctx.pools.real, &mut blocks);
-                signal(comm, [output], slot, Payload::Dropped);
-                node.end(comm, slot, 0.0, 0.0);
-                continue;
-            }
-            Input::Shutdown => {
-                recycle(&ctx.pools.real, &mut blocks);
-                break;
-            }
-        };
+impl Pc {
+    fn new(ctx: &ResCtx, local: usize, ins: &[&Entry], outs: &[&Entry]) -> Self {
+        let p = ctx.params;
+        let (easy_bins, hard_bins) = (p.easy_bins(), p.hard_bins());
+        let bin0 = ctx.parts.pc_bins[local].start;
+        let bins = (ins.iter())
+            .map(|e| {
+                let easy = e.edge == Edge::EasyBfToPc;
+                let bins = &(if easy { &easy_bins } else { &hard_bins })[e.part.clone()];
+                bins.iter().map(|b| b - bin0).collect()
+            })
+            .collect();
+        Pc {
+            pools: ctx.pools.clone(),
+            compressor: PulseCompressor::new(p),
+            bins,
+            outs: RunBlocks::new(outs.iter().copied()),
+            ws: FftScratch::new(),
+            covered: 0,
+            comp: 0.0,
+        }
+    }
+}
+
+impl Stage for Pc {
+    fn take(&mut self, fi: usize, m: Msg) {
         let t = Instant::now();
-        let b = group.len();
+        if self.outs.blocks.is_empty() {
+            let b = m.group.as_ref().map_or(0, |g| g.len());
+            self.outs.take(&self.pools.real, b, f64::NAN);
+        }
+        let Some(mut block) = cube(m.payload) else {
+            return;
+        };
+        let ([_, m, k], bins) = (block.shape(), &self.bins[fi]);
+        let (plane, bl) = (m * k, bins.len());
+        for (row, lanes) in block.as_mut_slice().chunks_exact_mut(plane).enumerate() {
+            let power = self.outs.plane_mut(row / bl, bins[row % bl]);
+            (self.compressor).compress_in_place(lanes, power, &mut self.ws);
+            self.covered += plane;
+        }
+        self.pools.cx.recycle(block);
+        self.comp += t.elapsed().as_secs_f64();
+    }
+
+    fn run(&mut self, node: &mut Node, group: Arc<[SubCpi]>, degraded: bool) -> (f64, f64) {
+        let t = Instant::now();
+        let covered = std::mem::take(&mut self.covered);
+        (self.outs).send(node, &group, (covered, degraded), Payload::Real);
+        (std::mem::take(&mut self.comp), t.elapsed().as_secs_f64())
+    }
+
+    fn discard(&mut self, _: &mut Node, _: Input) -> f64 {
+        recycle(&self.pools.real, &mut self.outs.blocks);
+        self.covered = 0;
+        std::mem::take(&mut self.comp)
+    }
+}
+
+/// CFAR (task 6): the detector runs over the received power blocks where
+/// they lie, in bin order (one block per PC node, holding its ascending
+/// share of the node's bins); per-member detection lists go to the driver
+/// in one grouped `DetectionsGroup` message per slot.
+struct Cfar {
+    blocks: Vec<RCube>,
+    scratch: cfar::CfarScratch,
+}
+
+impl Cfar {
+    fn new(ctx: &ResCtx, local: usize, ins: &[&Entry]) -> Self {
+        let scratch = cfar::CfarScratch::for_task(ctx.params, ctx.parts.cfar_bins[local].len());
+        let blocks = Vec::with_capacity(ins.len());
+        Cfar { blocks, scratch }
+    }
+}
+
+impl Stage for Cfar {
+    fn take(&mut self, _: usize, m: Msg) {
+        if let Payload::Real(r) = m.payload {
+            self.blocks.push(r);
+        }
+    }
+
+    fn run(&mut self, node: &mut Node, group: Arc<[SubCpi]>, degraded: bool) -> (f64, f64) {
+        let (ctx, t, slot) = (node.ctx, Instant::now(), node.slot);
+        let (p, b) = (ctx.params, group.len());
         // The message to the driver: per member CPI its detections and,
         // when screening, whether its power held non-finite samples —
         // each member's lanes are disjoint rows of the blocks, so a
@@ -1592,38 +1579,40 @@ fn resident_cfar(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport
         let mut per_sub: Vec<Vec<Detection>> = Vec::with_capacity(b);
         let mut mask: Vec<bool> = Vec::with_capacity(if ctx.screen { b } else { 0 });
         for u in 0..b {
-            scratch.begin_cpi();
+            self.scratch.begin_cpi();
             let mut poisoned = false;
-            for (block, e) in blocks.iter().zip(&feeders) {
+            for (block, e) in self.blocks.iter().zip(node.ins) {
                 for (i, bin) in e.part.clone().enumerate() {
                     for m in 0..p.m_beams {
                         let lane = block.lane(u * e.shape[0] + i, m);
                         if ctx.screen && !lane.iter().all(|v| v.is_finite()) {
                             poisoned = true;
                         }
-                        cfar::cfar_lane(p, lane, bin, m, &mut scratch.detections);
+                        cfar::cfar_lane(p, lane, bin, m, &mut self.scratch.detections);
                     }
                 }
             }
             if ctx.screen {
                 mask.push(poisoned);
             }
-            per_sub.push(scratch.take());
+            per_sub.push(self.scratch.take());
         }
-        recycle(&ctx.pools.real, &mut blocks);
+        recycle(&ctx.pools.real, &mut self.blocks);
         let comp = t.elapsed().as_secs_f64();
         let t = Instant::now();
-        comm.send(
-            output.dst,
-            tag(output.edge, slot),
-            Msg {
-                degraded,
-                ..Msg::grouped(slot, group, Payload::DetectionsGroup(per_sub, mask))
-            },
-        );
-        node.end(comm, slot, comp, t.elapsed().as_secs_f64());
+        let (output, detections) = (node.outs[0], Payload::DetectionsGroup(per_sub, mask));
+        let msg = Msg {
+            degraded,
+            ..Msg::grouped(slot, group, detections)
+        };
+        node.comm.send(output.dst, tag(output.edge, slot), msg);
+        (comp, t.elapsed().as_secs_f64())
     }
-    node.finish(comm, ResidentState::default)
+
+    fn discard(&mut self, node: &mut Node, _: Input) -> f64 {
+        recycle(&node.ctx.pools.real, &mut self.blocks);
+        0.0
+    }
 }
 
 /// One CPI for one Doppler node: the admitted cube *is* the input slab,
@@ -1706,16 +1695,15 @@ pub(crate) fn drive(
     feed: &mut impl Feed,
 ) -> PipelineHealth {
     let p = ctx.params;
-    let me = comm.rank();
-    let inputs: Vec<&Entry> = ctx.schedule.sends(me, Edge::Input).collect();
-    let outputs: Vec<&Entry> = ctx.schedule.recvs(me, Edge::Output).collect();
+    let io = entries(ctx, comm.rank());
+    let (outputs, inputs) = (&io[0], &io[1]);
     let mut inflight: VecDeque<(Arc<[SubCpi]>, Vec<Instant>)> = VecDeque::with_capacity(window);
-    let mut node = Node::new(ctx);
+    let mut node = Node::new(ctx, comm, &io);
     let mut next_slot = 0usize;
     let mut collected = 0usize;
     let mut open = true;
     while open || collected < next_slot {
-        comm.fault_checkpoint(next_slot as u64);
+        node.comm.fault_checkpoint(next_slot as u64);
         // Fill the window. Block for the first job only when nothing is
         // in flight; otherwise prefer draining completed slots.
         while open && next_slot - collected < window {
@@ -1752,13 +1740,13 @@ pub(crate) fn drive(
                     [p.k_range, p.j_channels, p.n_pulses],
                     "CPI cube shape"
                 );
-                comm.send(
+                node.comm.send(
                     inputs[0].dst,
                     tag(Edge::Input, next_slot),
                     Msg::grouped(next_slot, group.clone(), Payload::Cube(job.cube)),
                 );
             } else {
-                for e in &inputs {
+                for e in inputs {
                     let kr = &e.part;
                     // Axis 0 is the slowest axis, so each sub-CPI's k-slab
                     // is one contiguous run: assemble the group slab with b
@@ -1769,7 +1757,7 @@ pub(crate) fn drive(
                         buf.extend_from_slice(&job.cube.as_slice()[kr.start * row..kr.end * row]);
                     }
                     let slab = CCube::from_vec(e.block(b), buf);
-                    comm.send(
+                    node.comm.send(
                         e.dst,
                         tag(e.edge, next_slot),
                         Msg::grouped(next_slot, group.clone(), Payload::Cube(slab)),
@@ -1784,13 +1772,12 @@ pub(crate) fn drive(
             ctx.dispatched.fetch_max(next_slot, Ordering::Relaxed);
         }
         if collected < next_slot {
-            sample_mailbox(comm, &mut node.report.health);
+            sample_mailbox(node.comm, &mut node.report.health);
             let (group, submitted) = inflight.pop_front().expect("a slot in flight");
             let b = group.len();
             let mut per_sub: Vec<Vec<Detection>> = (0..b).map(|_| Vec::new()).collect();
             let mut masked = vec![false; b];
             let input = node.recv(
-                comm,
                 collected,
                 outputs.iter().copied(),
                 ctx.policy.edge_timeout,
@@ -1823,14 +1810,14 @@ pub(crate) fn drive(
                 feed.complete(group[u], latency, (!lost).then_some(ds), degraded);
             }
             if ctx.policy.fault_tolerant {
-                purge_late(comm, collected, &mut node.report.health);
+                purge_late(node.comm, collected, &mut node.report.health);
             }
             collected += 1;
         }
     }
     // Every slot drained: cascade the shutdown from the input edge.
-    signal(comm, inputs.iter().copied(), next_slot, Payload::Shutdown);
-    node.finish(comm, ResidentState::default).health
+    signal(node.comm, inputs, next_slot, Payload::Shutdown);
+    node.finish(ResidentState::default).health
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ NUM_STAGES=12
 # their JSON artifacts when the matching *_OUT env var names a path.
 stage_name() {
   case "$1" in
-    1) echo "rustfmt" ;;
+    1) echo "rustfmt + shell syntax" ;;
     2) echo "lint (clippy deny warnings and undocumented unsafe, every target; rustdoc deny warnings)" ;;
     3) echo "release build" ;;
     4) echo "tests (includes the zero-allocation regression)" ;;
@@ -39,7 +39,8 @@ stage_name() {
 run_stage() {
   case "$1" in
     1)
-      cargo fmt --all -- --check
+      cargo fmt --all -- --check || return 1
+      for f in scripts/*.sh; do bash -n "$f" || return 1; done
       ;;
     2)
       # Every `unsafe` block or impl carries a `// SAFETY:` comment, and
