@@ -132,20 +132,31 @@ impl<M> Mailbox<M> {
     }
 }
 
+/// What a local rank's channel carries.
+pub(crate) enum Delivery<M> {
+    /// A data message.
+    Data(Envelope<M>),
+    /// A peer's endpoint dropped: re-check liveness and poison. Never
+    /// reaches the mailbox, the fault plane or the tracer.
+    Wake,
+}
+
 /// The in-process channel fabric: one mpsc channel per rank, shared
 /// liveness/poison state. This is the original (and default)
 /// backend; it moves typed messages with no serialization.
 pub(crate) struct LocalFabric<M> {
-    pub(crate) senders: Arc<Vec<Sender<Envelope<M>>>>,
-    pub(crate) inbox: Receiver<Envelope<M>>,
+    pub(crate) senders: Arc<Vec<Sender<Delivery<M>>>>,
+    pub(crate) inbox: Receiver<Delivery<M>>,
     /// Number of endpoints still alive. Every rank shares one `Arc` to the
-    /// sender table, so a blocked receiver keeps its own channel open;
-    /// disconnect is therefore detected by polling this counter instead
-    /// of relying on channel closure.
+    /// sender table, so a blocked receiver keeps its own channel open and
+    /// channel closure never signals an exit. Instead a dropping endpoint
+    /// decrements this counter and then sends [`Delivery::Wake`] to every
+    /// peer, which re-reads it.
     pub(crate) alive: Arc<AtomicUsize>,
-    /// Set when any rank panicked (see `World::run*`): a poisoned world
-    /// can never complete its communication pattern, so receivers fail
-    /// fast with `Disconnected` instead of waiting on a dead peer.
+    /// Set when any rank panicked (by its endpoint's `Drop`, while the
+    /// rank unwinds, before the wakes go out): a poisoned world can never
+    /// complete its communication pattern, so receivers fail fast with
+    /// `Disconnected` instead of waiting on a dead peer.
     pub(crate) poisoned: Arc<AtomicBool>,
 }
 
@@ -193,11 +204,17 @@ pub(crate) enum Fabric<M> {
 enum Step<M> {
     /// A data envelope arrived.
     Got(Envelope<M>),
-    /// Nothing arrived within the chunk.
+    /// A peer's exit woke the wait: liveness may have changed.
+    Woken,
+    /// Nothing arrived within the wait.
     Idle,
     /// The underlying channel/link can never deliver again.
     Down,
 }
+
+/// The longest a wire receive waits on its link before it re-reads the
+/// supervisor's poison flag, which no frame announces.
+const WIRE_CHUNK: Duration = Duration::from_millis(2);
 
 /// One rank's endpoint into a [`crate::World`].
 ///
@@ -233,7 +250,16 @@ impl<M> Drop for Comm<M> {
         }
         match &self.fabric {
             Fabric::Local(l) => {
+                // Poison before the wakes go out, so a woken peer sees it.
+                if std::thread::panicking() {
+                    l.poisoned.store(true, Ordering::SeqCst);
+                }
                 l.alive.fetch_sub(1, Ordering::SeqCst);
+                for (dst, tx) in l.senders.iter().enumerate() {
+                    if dst != self.rank {
+                        let _ = tx.send(Delivery::Wake);
+                    }
+                }
             }
             Fabric::Wire(w) => {
                 let mut st = w.state.borrow_mut();
@@ -280,12 +306,14 @@ impl<M: Send> Comm<M> {
         }
     }
 
-    /// The poison flag peers/supervisors can set to turn this endpoint's
-    /// blocked receives into `Disconnected`. On the local fabric this is
-    /// the world-shared flag `World::run*` sets on a rank panic; on wire
+    /// The poison flag that turns this endpoint's blocked receives into
+    /// `Disconnected`. On the local fabric this is the world-shared flag a
+    /// rank's endpoint sets when it drops during a panic, just before it
+    /// wakes its peers; a store from elsewhere wakes no one there. On wire
     /// fabrics it is per-endpoint, for a supervisor to fire when the rank
     /// waits on a peer that will never send while the link stays up (the
-    /// link reports `Disconnected` only once every peer has closed).
+    /// link reports `Disconnected` only once every peer has closed); a
+    /// blocked wire receive re-reads it every few milliseconds.
     pub fn poison_handle(&self) -> Arc<AtomicBool> {
         match &self.fabric {
             Fabric::Local(l) => Arc::clone(&l.poisoned),
@@ -382,11 +410,11 @@ impl<M: Send> Comm<M> {
     pub(crate) fn raw_send(&self, dst: usize, tag: Tag, msg: M) {
         match &self.fabric {
             Fabric::Local(l) => {
-                let _ = l.senders[dst].send(Envelope {
+                let _ = l.senders[dst].send(Delivery::Data(Envelope {
                     src: self.rank,
                     tag,
                     msg,
-                });
+                }));
             }
             Fabric::Wire(w) => {
                 let mut st = w.state.borrow_mut();
@@ -433,16 +461,26 @@ impl<M: Send> Comm<M> {
         }
     }
 
-    /// Waits up to `chunk` for one envelope from the fabric, absorbing
-    /// wire control frames along the way.
-    fn poll_step(&self, chunk: Duration) -> Step<M> {
+    /// Waits for one envelope from the fabric, up to `wait` (`None`: for
+    /// as long as it takes), absorbing wire control frames along the way.
+    /// A local wait ends only on a delivery; a wire wait also ends after
+    /// [`WIRE_CHUNK`].
+    fn poll_step(&self, wait: Option<Duration>) -> Step<M> {
         match &self.fabric {
-            Fabric::Local(l) => match l.inbox.recv_timeout(chunk) {
-                Ok(e) => Step::Got(e),
-                Err(RecvTimeoutError::Timeout) => Step::Idle,
-                Err(RecvTimeoutError::Disconnected) => Step::Down,
-            },
+            Fabric::Local(l) => {
+                let got = match wait {
+                    None => l.inbox.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                    Some(d) => l.inbox.recv_timeout(d),
+                };
+                match got {
+                    Ok(Delivery::Data(e)) => Step::Got(e),
+                    Ok(Delivery::Wake) => Step::Woken,
+                    Err(RecvTimeoutError::Timeout) => Step::Idle,
+                    Err(RecvTimeoutError::Disconnected) => Step::Down,
+                }
+            }
             Fabric::Wire(w) => {
+                let chunk = wait.map_or(WIRE_CHUNK, |d| d.min(WIRE_CHUNK));
                 let mut st = w.state.borrow_mut();
                 let st = &mut *st;
                 if let Some(e) = st.loopback.pop_front() {
@@ -508,40 +546,47 @@ impl<M: Send> Comm<M> {
     }
 
     /// Non-blocking pull of one envelope, if immediately available.
+    /// Discards wake items on the way.
     fn try_next(&self) -> Option<Envelope<M>> {
-        match self.poll_step(Duration::ZERO) {
-            Step::Got(e) => Some(e),
-            _ => None,
+        loop {
+            match self.poll_step(Some(Duration::ZERO)) {
+                Step::Got(e) => return Some(e),
+                Step::Woken => {}
+                Step::Idle | Step::Down => return None,
+            }
         }
     }
 
     /// Waits for the next envelope, detecting the "everyone else exited"
     /// condition via the fabric's liveness signal (the shared `alive`
-    /// counter in-process; goodbye frames / link teardown on the wire).
+    /// counter and poison flag in-process; goodbye frames, link teardown
+    /// and the poison flag on the wire).
+    ///
+    /// Liveness is checked before every wait: an exit whose wake item an
+    /// earlier drain discarded is seen there, and one after the check
+    /// sends its wake into the inbox this wait reads. A local wait has no
+    /// timeout; a wire wait re-checks every [`WIRE_CHUNK`].
     fn blocking_next(&mut self) -> Result<Envelope<M>, RecvError> {
         loop {
-            match self.poll_step(Duration::from_millis(2)) {
+            if self.disconnected_now() {
+                // No other endpoint can ever send again; drain any
+                // message that raced with the liveness update.
+                return self.try_next().ok_or(RecvError::Disconnected);
+            }
+            match self.poll_step(None) {
                 Step::Got(e) => return Ok(e),
                 Step::Down => return Err(RecvError::Disconnected),
-                Step::Idle => {
-                    if self.disconnected_now() {
-                        // No other endpoint can ever send again; drain any
-                        // message that raced with the liveness update.
-                        if let Some(e) = self.try_next() {
-                            return Ok(e);
-                        }
-                        return Err(RecvError::Disconnected);
-                    }
-                }
+                Step::Woken | Step::Idle => {}
             }
         }
     }
 
     /// Like [`Comm::recv`] but gives up after `timeout`.
     ///
-    /// Polls in short chunks so it also observes world poisoning and
-    /// peer exit (like [`Comm::recv`] does) instead of burning the whole
-    /// timeout waiting on a peer that can never send.
+    /// Observes world poisoning and peer exit like [`Comm::recv`] does,
+    /// instead of burning the whole timeout waiting on a peer that can
+    /// never send. A local receive sleeps once, until its deadline, and
+    /// sleeps again only after a wake-up that did not match.
     pub fn recv_timeout(
         &mut self,
         src: usize,
@@ -586,8 +631,12 @@ impl<M: Send> Comm<M> {
             if now >= deadline {
                 return Err(RecvError::Timeout);
             }
-            let chunk = (deadline - now).min(Duration::from_millis(2));
-            match self.poll_step(chunk) {
+            // Checked before each wait, as in `blocking_next`.
+            if self.disconnected_now() {
+                self.drain_inbox();
+                return self.pending.take(src, tag).ok_or(RecvError::Disconnected);
+            }
+            match self.poll_step(Some(deadline - now)) {
                 Step::Got(e) => {
                     if e.tag == tag && e.src == src {
                         return Ok(e.msg);
@@ -595,12 +644,7 @@ impl<M: Send> Comm<M> {
                     self.pending.push(e);
                 }
                 Step::Down => return Err(RecvError::Disconnected),
-                Step::Idle => {
-                    if self.disconnected_now() {
-                        self.drain_inbox();
-                        return self.pending.take(src, tag).ok_or(RecvError::Disconnected);
-                    }
-                }
+                Step::Woken | Step::Idle => {}
             }
         }
     }
@@ -803,6 +847,60 @@ mod tests {
             if comm.rank() == 1 {
                 let r = comm.recv_timeout(0, 1, Duration::from_millis(20));
                 assert_eq!(r.unwrap_err(), RecvError::Timeout);
+                comm.send(0, FENCE, ());
+            } else {
+                comm.recv(1, FENCE).unwrap();
+            }
+        });
+    }
+
+    /// This thread's voluntary context switches so far: one per sleep
+    /// that ended, whatever woke it.
+    #[cfg(target_os = "linux")]
+    fn voluntary_switches() -> u64 {
+        let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
+        let line = status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .expect("a voluntary_ctxt_switches line");
+        line.trim().parse().unwrap()
+    }
+
+    /// A wait of about 200 ms sleeps through it: a timer tick of a few
+    /// ms would wake it about 100 times.
+    #[cfg(target_os = "linux")]
+    const MAX_WAKES: u64 = 10;
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn blocked_recv_sleeps_until_its_message() {
+        let world: World<u32> = World::new(2);
+        world.run(|mut comm| {
+            if comm.rank() == 0 {
+                std::thread::sleep(Duration::from_millis(200));
+                comm.send(1, 1, 7);
+                comm.recv(1, FENCE).unwrap();
+            } else {
+                let before = voluntary_switches();
+                assert_eq!(comm.recv(0, 1).unwrap(), 7);
+                let wakes = voluntary_switches() - before;
+                assert!(wakes <= MAX_WAKES, "{wakes} wake-ups in one receive");
+                comm.send(0, FENCE, 0);
+            }
+        });
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn recv_timeout_sleeps_until_its_deadline() {
+        let world: World<()> = World::new(2);
+        world.run(|mut comm| {
+            if comm.rank() == 1 {
+                let before = voluntary_switches();
+                let r = comm.recv_timeout(0, 1, Duration::from_millis(200));
+                let wakes = voluntary_switches() - before;
+                assert_eq!(r.unwrap_err(), RecvError::Timeout);
+                assert!(wakes <= MAX_WAKES, "{wakes} wake-ups in one timed receive");
                 comm.send(0, FENCE, ());
             } else {
                 comm.recv(1, FENCE).unwrap();

@@ -1,6 +1,6 @@
 //! World construction and SPMD launch helpers.
 
-use crate::comm::{Comm, Envelope};
+use crate::comm::{Comm, Delivery};
 use crate::fault::{Corruptor, FaultPlan, FaultState};
 use std::sync::mpsc::channel as unbounded;
 use std::sync::Arc;
@@ -51,7 +51,7 @@ impl<M: Send> World<M> {
         let mut txs = Vec::with_capacity(n);
         let mut rxs = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded::<Envelope<M>>();
+            let (tx, rx) = unbounded::<Delivery<M>>();
             txs.push(tx);
             rxs.push(rx);
         }
@@ -201,7 +201,7 @@ impl<M: Send> World<M> {
                 // scripts/thread_cpu.sh) can be attributed to ranks.
                 let rank_thread = std::thread::Builder::new()
                     .name(format!("stap-r{}", comm.rank()))
-                    .spawn_scoped(s, move || run_poisoning(f, comm))
+                    .spawn_scoped(s, move || run_rank(f, comm))
                     .expect("spawn a rank thread");
                 handles.push(rank_thread);
             }
@@ -228,8 +228,8 @@ impl<M: Send> World<M> {
 }
 
 thread_local! {
-    /// True while this thread is executing a world rank body (set by
-    /// [`run_poisoning`]); the quiet hook only mutes cascades here.
+    /// True on a thread that runs a world rank body (set by
+    /// [`run_rank`]); the quiet hook only mutes cascades here.
     static WORLD_RANK_THREAD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -257,21 +257,14 @@ fn install_cascade_quiet_hook() {
     });
 }
 
-/// Runs `f(comm)`, marking the world poisoned if it panics so blocked
-/// peers fail fast rather than deadlock.
-fn run_poisoning<M: Send, R>(f: impl Fn(Comm<M>) -> R, comm: Comm<M>) -> R {
+/// Runs `f(comm)` as a world rank on its own thread. If it panics,
+/// `comm` drops while the rank unwinds, and its `Drop` poisons the world
+/// and wakes every blocked peer so they fail fast rather than deadlock.
+fn run_rank<M: Send, R>(f: impl Fn(Comm<M>) -> R, comm: Comm<M>) -> R {
     install_cascade_quiet_hook();
+    // The thread runs nothing else, so the mark is never cleared.
     WORLD_RANK_THREAD.with(|flag| flag.set(true));
-    let poison = comm.poison_handle();
-    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(comm)));
-    WORLD_RANK_THREAD.with(|flag| flag.set(false));
-    match out {
-        Ok(r) => r,
-        Err(payload) => {
-            poison.store(true, std::sync::atomic::Ordering::SeqCst);
-            std::panic::resume_unwind(payload);
-        }
-    }
+    f(comm)
 }
 
 /// Convenience: build a world of `n` ranks and run `f` on each.
@@ -351,19 +344,27 @@ mod tests {
 
     #[test]
     fn panicking_rank_poisons_blocked_peers() {
-        // Rank 0 dies; ranks 1 and 2 are blocked waiting for messages
-        // from it. Poisoning must turn those waits into Disconnected
-        // errors promptly instead of deadlocking, and the original
-        // panic must propagate out of the world.
-        let result = std::panic::catch_unwind(|| {
-            run_spmd::<(), ()>(3, |mut comm| {
-                if comm.rank() == 0 {
-                    panic!("injected failure");
+        // Rank 0 dies; ranks 1 and 2 are blocked in receives from it and
+        // rank 3 in a receive with a minute to run. Poisoning must turn
+        // every wait into Disconnected promptly instead of deadlocking or
+        // timing out (so the error kind shows the wake, with no clock
+        // read), and the original panic must come out of the world.
+        use crate::comm::RecvError;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let disconnected = AtomicUsize::new(0);
+        let err = World::<()>::new(4)
+            .try_run(|mut comm| {
+                let got = match comm.rank() {
+                    0 => panic!("injected failure"),
+                    3 => comm.recv_timeout(0, 1, std::time::Duration::from_secs(60)),
+                    _ => comm.recv(0, 1),
+                };
+                if got == Err(RecvError::Disconnected) {
+                    disconnected.fetch_add(1, Ordering::SeqCst);
                 }
-                let err = comm.recv(0, 1).unwrap_err();
-                assert_eq!(err, crate::comm::RecvError::Disconnected);
-            });
-        });
-        assert!(result.is_err(), "panic must propagate");
+            })
+            .unwrap_err();
+        assert_eq!((err.rank, err.message.as_str()), (0, "injected failure"));
+        assert_eq!(disconnected.load(Ordering::SeqCst), 3);
     }
 }

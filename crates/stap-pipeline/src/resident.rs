@@ -68,7 +68,10 @@
 //! stream's CPIs are submitted in `scpi` order starting at 0, with no
 //! gaps. Every cube that travels an edge is drawn from the shared
 //! [`PipelinePools`] (pre-warmed by [`ParallelStap::reserve`] on the
-//! serve path), so the steady state is allocation-free.
+//! serve path), so in the steady state no cube is allocated. The weight
+//! sets are not pooled: `Weight::run` hands each target a fresh
+//! `Vec<CMat>` every slot, and a beamformer's `push_slot` collects a new
+//! `Vec` per member CPI.
 //!
 //! # One engine, one runner, any feed
 //!

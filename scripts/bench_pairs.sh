@@ -13,6 +13,9 @@
 # line says anything but `valid`) are dropped and counted. Prints, per
 # end-to-end metric: both medians, both quartile distances
 # (statistics.quantiles(values, n=4)), and how many pairs the change won.
+# Then, per side over every run that printed a result, dropped or not,
+# the median of `harness.gen_lag_p95_ms`: how late the load generator
+# submitted, the usual reason a paced run is marked disturbed.
 #
 # A gain is claimed only when the change wins at least nine tenths of the
 # pairs and the medians differ by more than the parent's own quartile
@@ -129,4 +132,13 @@ for m in spec["end_to_end"]:
         verdict = "not shown"
     print(f"{name:<18} {ma:>14.4g} {iqr(a):>9.3g} {mb:>14.4g} {iqr(b):>9.3g} "
           f"{mb / ma if ma else float('nan'):>13.3f} {wins:>4}/{len(kept):<2}  {verdict}")
+
+# The per-layer rows are ledger lines: "<name> <value> <unit>".
+lag = "harness.gen_lag_p95_ms"
+for side in runs:
+    values = [float(l.split()[1]) for i in range(1, pairs + 1)
+              for l in open(f"{tmp}/{side}_{i}.log").read().splitlines() if l.startswith(lag + " ")]
+    if values:
+        print(f"{side}: {lag} median {statistics.median(values):.3g} over {len(values)} runs "
+              f"(max {max(values):.3g})")
 PY

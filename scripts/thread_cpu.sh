@@ -10,7 +10,10 @@
 # prints milliseconds of CPU per CPI per thread name (CPIs = the run's
 # own throughput_cpi_s times the sampled seconds) with the thread's nice
 # value beside it: the resident weight ranks run at nice 19, background
-# to the latency path.
+# to the latency path. Beside the CPU go the thread's wake-ups per CPI,
+# diffed the same way from /proc/<pid>/task/*/status: `vol` counts the
+# sleeps it ended (a blocked receive that woke), `invol` the times the
+# scheduler took its core away.
 #
 # Ranks are the workload's node assignment laid out task by task —
 # Doppler, easy weight, hard weight, easy BF, hard BF, pulse compression,
@@ -54,21 +57,24 @@ bench_pid() {
   fi
 }
 
-# utime+stime ticks and nice value per task, as "<ticks> <nice>
-# <tid>:<comm>" lines. The comm field is parenthesised and may hold
-# spaces; counted from after it the ticks are fields 12 and 13 and nice
-# is field 17.
+# utime+stime ticks, nice value and voluntary and involuntary context
+# switches per task, as "<ticks> <nice> <vol> <invol> <tid>:<comm>"
+# lines. The comm field is parenthesised and may hold spaces; counted
+# from after it the ticks are fields 12 and 13 and nice is field 17.
 sample() {
   python3 - "$1" <<'PY'
 import glob, sys
 for stat in glob.glob(f"/proc/{sys.argv[1]}/task/*/stat"):
     try:
         text = open(stat).read()
+        status = open(stat[:-len("stat")] + "status").read()
     except OSError:
         continue  # the task ended
+    switches = dict(l.split(":") for l in status.splitlines() if "ctxt_switches" in l)
     comm = text[text.index("(") + 1:text.rindex(")")]
     rest = text[text.rindex(")") + 2:].split()
-    print(int(rest[11]) + int(rest[12]), rest[16], f"{stat.split('/')[4]}:{comm}")
+    print(int(rest[11]) + int(rest[12]), rest[16], int(switches["voluntary_ctxt_switches"]),
+          int(switches["nonvoluntary_ctxt_switches"]), f"{stat.split('/')[4]}:{comm}")
 PY
 }
 
@@ -107,26 +113,40 @@ if not result:
     sys.exit(open(f"{tmp}/run.log").read() + "\nno result line")
 rate = json.loads(result[-1])["metrics"]["throughput_cpi_s"]["value"]
 def read(name):
-    return {task: (int(ticks), nice) for ticks, nice, task in (l.split(" ", 2) for l in open(f"{tmp}/{name}").read().splitlines())}
+    out = {}
+    for line in open(f"{tmp}/{name}").read().splitlines():
+        ticks, nice, vol, invol, task = line.split(" ", 4)
+        out[task] = (nice, (int(ticks), int(vol), int(invol)))
+    return out
 before, after = read("before"), read("after")
-per_name = collections.Counter()
+# Per thread name: [CPU ticks, voluntary, involuntary] over the sample.
+per_name = collections.defaultdict(lambda: [0, 0, 0])
 nice_of = {}
-for task, (ticks, nice) in after.items():
+for task, (nice, counts) in after.items():
     name = task.split(":", 1)[1]
-    per_name[name] += ticks - before.get(task, (0, nice))[0]
+    start = before.get(task, (nice, (0, 0, 0)))[1]
+    for i in range(3):
+        per_name[name][i] += counts[i] - start[i]
     nice_of[name] = nice
 cpis = rate * seconds
 print(f"{rate:.1f} CPI/s, {seconds:g} s sampled = {cpis:.0f} CPIs")
-total = 0.0
-per_task = collections.Counter()
-for name, ticks in sorted(per_name.items(), key=lambda kv: -kv[1]):
+print(f"{'thread':<16} {'ms/CPI':>8} {'vol/CPI':>8} {'invol/CPI':>9}")
+def row(label, ticks, vol, invol, tail=""):
     ms = ticks * 1000.0 / hz / cpis
-    total += ms
-    if name in task_of:
-        per_task[task_of[name]] += ms
-    if ticks:
-        print(f"{name:<16} {ms:8.2f} ms/CPI  nice {nice_of[name]:>2}  {task_of.get(name, '')}".rstrip())
-print(f"{'all threads':<16} {total:8.2f} ms/CPI")
-for task, ms in sorted(per_task.items(), key=lambda kv: -kv[1]):
-    print(f"  {task:<14} {ms:8.2f} ms/CPI")
+    print(f"{label:<16} {ms:8.2f} {vol / cpis:8.2f} {invol / cpis:9.2f}  {tail}".rstrip())
+total, ranks = [0, 0, 0], [0, 0, 0]
+per_task = collections.defaultdict(lambda: [0, 0, 0])
+for name, counts in sorted(per_name.items(), key=lambda kv: -kv[1][0]):
+    for i in range(3):
+        total[i] += counts[i]
+        if name.startswith("stap-r"):
+            ranks[i] += counts[i]
+        if name in task_of:
+            per_task[task_of[name]][i] += counts[i]
+    if any(counts):
+        row(name, *counts, f"nice {nice_of[name]:>2}  {task_of.get(name, '')}")
+row("rank threads", *ranks)
+row("all threads", *total)
+for task, counts in sorted(per_task.items(), key=lambda kv: -kv[1][0]):
+    row(f"  {task}", *counts)
 PY
