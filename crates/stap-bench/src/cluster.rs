@@ -25,32 +25,30 @@
 //! differs.
 //!
 //! Everything a child needs to reconstruct its identical
-//! [`ClusterConfig`] travels on argv; child results (task reports and
-//! span traces) come back as one sentinel-prefixed JSON line on stdout,
-//! and detections flow to the parent's driver rank over the wire like
-//! any other edge.
+//! [`ClusterConfig`] travels on argv. A child's stdout carries exactly
+//! one report frame in the same binary codec as its messages
+//! ([`stap::pipeline::wire::encode_report`]: its task report and comm
+//! events); the parent reads it to the end and knows from the rank which
+//! task and node it came from. Detections flow to the parent's driver
+//! rank over the wire like any other edge.
 
 use stap::cube::CCube;
-use stap::mp::{abort_rendezvous, spawn_coordinator, Comm, TcpLink, TraceSink, TransportKind};
+use stap::mp::{
+    abort_rendezvous, spawn_coordinator, Comm, RankTrace, TcpLink, TraceSink, TransportKind,
+};
 use stap::pipeline::assignment::Partitions;
 use stap::pipeline::fault::nan_corruptor;
 use stap::pipeline::msg::Msg;
+use stap::pipeline::runner::RankResult;
 use stap::pipeline::tasks::PipelinePools;
-use stap::pipeline::wire::{
-    msg_codec, rank_result_from_json, rank_result_to_json, rank_trace_from_json, rank_trace_to_json,
-};
+use stap::pipeline::wire::{decode_report, encode_report, msg_codec};
 use stap::pipeline::{NodeAssignment, ParallelStap, PipelineOutput, RuntimePolicy};
 use stap::radar::Scenario;
-use stap_util::Json;
 use std::collections::HashMap;
-use std::io::BufRead;
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-
-/// Sentinel prefixing the one JSON result line each child rank prints;
-/// everything else on the child's stdout is ignored.
-pub const RESULT_SENTINEL: &str = "@stapctl-rank-result ";
 
 /// Deterministic fault campaign riding on a cluster run: the canonical
 /// `stapctl faults` plan (one dropped Doppler->easyBF message, one
@@ -82,7 +80,7 @@ pub struct ClusterConfig {
     /// Use the canonical two-azimuth trace scenario
     /// (`transmit_beams = [-20, 20]`) instead of the scenario default.
     pub two_beam: bool,
-    /// Record span traces (children ship theirs back as JSON).
+    /// Record span traces (children ship theirs back in their reports).
     pub tracing: bool,
     /// Optional fault campaign (implies the fault-tolerant policy).
     pub faults: Option<FaultSpec>,
@@ -194,8 +192,8 @@ fn child_args(cfg: &ClusterConfig, rank: usize, endpoint: &str) -> Vec<String> {
 }
 
 /// Entry point for the hidden `stapctl _rank` subcommand: parses the
-/// flags `child_args` built, runs exactly one rank over TCP, and prints
-/// the sentinel-prefixed JSON result line.
+/// flags `child_args` built, runs exactly one task rank over TCP, and
+/// writes its report frame to stdout.
 pub fn child_main(flags: &HashMap<String, String>) -> Result<(), String> {
     let get = |k: &str| -> Result<&String, String> { flags.get(k).ok_or(format!("--{k} missing")) };
     let rank: usize = get("rank")?.parse().map_err(|e| format!("--rank: {e}"))?;
@@ -249,18 +247,17 @@ pub fn child_main(flags: &HashMap<String, String>) -> Result<(), String> {
     // Dropping the comm waves goodbye to every peer and flushes the
     // tracer into the sink — the trace must be harvested after.
     drop(comm);
-    let mut j = Json::obj([
-        ("rank", Json::Num(rank as f64)),
-        ("result", rank_result_to_json(&result)),
-    ]);
-    if runner.tracing {
-        j.push(
-            "traces",
-            Json::arr(sink.take().iter().map(rank_trace_to_json)),
-        );
-    }
-    println!("{RESULT_SENTINEL}{}", j.to_string_compact());
-    Ok(())
+    let RankResult::Task { report, .. } = result else {
+        return Err(format!(
+            "rank {rank} is the driver rank, which runs in the parent"
+        ));
+    };
+    let events: Vec<_> = sink.take().into_iter().flat_map(|t| t.events).collect();
+    let mut frame = Vec::new();
+    encode_report(&report, &events, &mut frame);
+    let mut out = std::io::stdout().lock();
+    (out.write_all(&frame).and_then(|()| out.flush()))
+        .map_err(|e| format!("rank {rank} report: {e}"))
 }
 
 /// Joins the TCP mesh at `endpoint` as `rank` and builds its comm with
@@ -334,12 +331,10 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<PipelineOutput, String> {
                 break;
             }
         };
-        let stdout = child.stdout.take().expect("stdout was piped");
+        let mut stdout = child.stdout.take().expect("stdout was piped");
         readers.push(std::thread::spawn(move || {
-            std::io::BufReader::new(stdout)
-                .lines()
-                .map_while(Result::ok)
-                .collect::<Vec<String>>()
+            let mut report = Vec::new();
+            stdout.read_to_end(&mut report).map(|_| report)
         }));
         children.push(Some(child));
     }
@@ -413,9 +408,9 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<PipelineOutput, String> {
     // Joined for its thread, not its result: the rendezvous either
     // wired every rank or failed one of them, which reported it.
     let _ = coordinator.join();
-    let child_lines: Vec<Vec<String>> = readers
+    let reports: Vec<std::io::Result<Vec<u8>>> = readers
         .into_iter()
-        .map(|r| r.join().unwrap_or_default())
+        .map(|r| r.join().expect("a report reader does not panic"))
         .collect();
     if let Some(why) = failure {
         return Err(why);
@@ -432,30 +427,34 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<PipelineOutput, String> {
         }
     };
 
-    // Harvest child results and traces from the sentinel lines.
     let mut results = Vec::with_capacity(size);
     let mut traces = Vec::new();
-    for (rank, lines) in child_lines.iter().enumerate() {
-        let line = lines
-            .iter()
-            .find_map(|l| l.strip_prefix(RESULT_SENTINEL))
-            .ok_or(format!("rank {rank} exited without a result line"))?;
-        let j = Json::parse(line).map_err(|e| format!("rank {rank} result: {e}"))?;
-        results.push(
-            rank_result_from_json(j.get("result").ok_or("missing result")?)
-                .map_err(|e| format!("rank {rank} result: {e}"))?,
-        );
-        if let Some(Json::Arr(ts)) = j.get("traces") {
-            for t in ts {
-                traces
-                    .push(rank_trace_from_json(t).map_err(|e| format!("rank {rank} trace: {e}"))?);
-            }
+    for (rank, report) in reports.into_iter().enumerate() {
+        let report = report.map_err(|e| format!("rank {rank} report: {e}"))?;
+        let (result, trace) = child_result(&runner.assign, rank, &report)?;
+        results.push(result);
+        if runner.tracing {
+            traces.push(trace);
         }
     }
     results.push(driver_result);
     traces.extend(sink.take());
     traces.sort_by_key(|t| t.rank);
     Ok(runner.assemble(num_cpis, results, traces, &pools))
+}
+
+/// The result and comm trace of task rank `rank` from its report frame;
+/// a report that is empty, cut short or followed by more bytes is an
+/// error naming the rank.
+fn child_result(
+    assign: &NodeAssignment,
+    rank: usize,
+    report: &[u8],
+) -> Result<(RankResult, RankTrace), String> {
+    let (task, node) = (assign.task_of_rank(rank)).expect("the parent spawns task ranks only");
+    let (report, events) = decode_report(report).map_err(|e| format!("rank {rank} report: {e}"))?;
+    let result = RankResult::Task { task, node, report };
+    Ok((result, RankTrace { rank, events }))
 }
 
 /// [`run_cluster`] under relaunch supervision: a run that fails (a
@@ -476,6 +475,31 @@ pub fn run_supervised(
                 relaunches += 1;
             }
             Err(e) => return Err(format!("{e} (after {relaunches} relaunch(es))")),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stap::pipeline::runner::TaskReport;
+
+    #[test]
+    fn a_report_decodes_to_its_ranks_task_and_a_bad_one_names_the_rank() {
+        let assign = NodeAssignment::tiny();
+        let mut frame = Vec::new();
+        encode_report(&TaskReport::default(), &[], &mut frame);
+        let (result, trace) = child_result(&assign, 3, &frame).unwrap();
+        let RankResult::Task { task, node, .. } = result else {
+            panic!("a task rank's report is a task result");
+        };
+        assert_eq!(Some((task, node)), assign.task_of_rank(3));
+        assert_eq!((trace.rank, trace.events.len()), (3, 0));
+        let mut long = frame.clone();
+        long.push(0);
+        for bad in [&[][..], &frame[..frame.len() - 1], &long] {
+            let e = child_result(&assign, 3, bad).unwrap_err();
+            assert!(e.starts_with("rank 3 report: "), "{e}");
         }
     }
 }

@@ -86,17 +86,38 @@ fn data_event_multiset(out: &PipelineOutput) -> Vec<(usize, u8, usize, u64, u64)
     events
 }
 
+/// Which (task, node, CPI) spans a traced run recorded.
+fn span_keys(out: &PipelineOutput) -> Vec<(usize, usize, usize)> {
+    let trace = out.trace.as_ref().expect("tracing enabled");
+    (trace.tasks.iter())
+        .map(|iv| (iv.task, iv.node, iv.span.cpi))
+        .collect()
+}
+
+/// Also checks that every child's report reached the parent: its spans
+/// and its measured compute times.
 #[test]
 fn trace_event_multiset_deterministic_across_transports() {
     let _serial = serial();
     let mut cfg = canonical(TransportKind::InProc);
     cfg.tracing = true;
-    let base = data_event_multiset(&run_cluster(&cfg).expect("inproc run"));
-    assert!(!base.is_empty(), "traced run recorded no data events");
+    let base = run_cluster(&cfg).expect("inproc run");
+    assert!(
+        !data_event_multiset(&base).is_empty(),
+        "traced run recorded no data events"
+    );
     let mut cfg = canonical(TransportKind::Tcp);
     cfg.tracing = true;
-    let events = data_event_multiset(&run_cluster(&cfg).expect("tcp run"));
-    assert_eq!(events, base, "tcp trace event multiset differs from inproc");
+    let out = run_cluster(&cfg).expect("tcp run");
+    assert_eq!(
+        data_event_multiset(&out),
+        data_event_multiset(&base),
+        "tcp trace event multiset differs from inproc"
+    );
+    assert_eq!(span_keys(&out), span_keys(&base), "tcp task spans");
+    for (t, timing) in out.timings.tasks.iter().enumerate() {
+        assert!(timing.comp > 0.0, "task {t} reported no compute time");
+    }
 }
 
 #[test]

@@ -348,11 +348,14 @@ pub(crate) struct ResCtx<'a> {
     /// open-ended session only sums them) and ends at that slot as on a
     /// shutdown, so no receive deadline can carry a node past the end.
     pub(crate) slots: Option<usize>,
-    /// Slots the driver has sent (all, for a list). A receive deadline
-    /// runs only for these: an idle node would otherwise drop a slot
-    /// that does not exist yet, or step past the shutdown and hang. It
-    /// publishes nothing else (the slot's data travels by message), so
-    /// its accesses are relaxed.
+    /// Slots the driver has sent. A receive deadline runs only for
+    /// these: an idle node would otherwise drop a slot that does not
+    /// exist yet, or step past the shutdown and hang, and a list's slot
+    /// the driver holds back behind its window would be dropped by the
+    /// wait for a late slot ahead of it. A rank whose driver runs in
+    /// another process counts all of a list as sent. It publishes nothing
+    /// else (the slot's data travels by message), so its accesses are
+    /// relaxed.
     pub(crate) dispatched: AtomicUsize,
 }
 

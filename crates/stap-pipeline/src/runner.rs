@@ -349,7 +349,10 @@ impl ParallelStap {
         let (carry, slots) = (ResidentState::default(), list.slots());
         let schedule = Schedule::new(&self.params, &self.assign, parts.clone())
             .unwrap_or_else(|e| panic!("{e}"));
-        let ctx = self.ctx(&self.assign, &schedule, pools, &carry, false, epoch, slots);
+        let mut ctx = self.ctx(&self.assign, &schedule, pools, &carry, false, epoch, slots);
+        // The driver of a cluster runs in another process, so no send of
+        // it reaches this counter: every slot of the list counts as sent.
+        ctx.dispatched = AtomicUsize::new(usize::MAX);
         match self.rank(&ctx, comm, || &mut list) {
             RankResult::Driver(d) => RankResult::Driver(DriverResult {
                 health: d.health,
@@ -430,8 +433,8 @@ impl ParallelStap {
             policy: &self.policy,
             epoch,
             slots,
-            // A list's slots all exist from the start.
-            dispatched: AtomicUsize::new(slots.map_or(0, |_| usize::MAX)),
+            // The driver publishes each slot as it sends it.
+            dispatched: AtomicUsize::new(0),
         }
     }
 

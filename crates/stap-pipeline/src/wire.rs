@@ -1,42 +1,40 @@
-//! Process-boundary codecs for the pipeline.
+//! The pipeline's one process-boundary codec, dependency-free.
 //!
-//! Two serialization layers live here, both dependency-free:
+//! Every byte that crosses between rank *processes* is encoded here, in
+//! one binary format: little-endian integers, every `f64` as its bit
+//! pattern, one version byte first. Decoding trusts no byte: every
+//! length is bounded by the frame before anything is allocated for it,
+//! version skew and trailing bytes are refused, and nothing panics.
 //!
-//! * the **binary [`Msg`] codec** ([`encode_msg`] / [`decode_msg`] /
-//!   [`msg_codec`]) that the TCP transport uses to move pipeline
-//!   messages between rank *processes*. Every `f64`
-//!   travels as its little-endian bit pattern, so a cross-process run
-//!   produces detections bit-identical to the in-process channel
-//!   fabric — the property the transport-parity gate asserts. Cube
-//!   bodies cross in one bulk pass each way. Decoding trusts no byte:
-//!   every length is bounded by the frame before anything is allocated
-//!   for it, and a frame that does not parse decodes to
-//!   [`Payload::Malformed`], which the receiving loop quarantines.
-//!   [`PipelinePools`] is the codec's [`WirePool`]: on a wire endpoint
-//!   cube payloads decode into the rank's pool and sent cubes return
-//!   to it, so each frame is one pool get and one put on either side;
-//! * the **JSON result codecs** ([`rank_result_to_json`] /
-//!   [`rank_result_from_json`], plus the [`stap_mp::RankTrace`]
-//!   equivalents) that a child rank process uses to hand its
-//!   [`RankResult`] back to the cluster parent over stdout. JSON
-//!   numbers in `stap-util` print in shortest-roundtrip form, so
-//!   timing floats survive; detections never take this path (they flow
-//!   to the driver rank over the binary codec).
+//! * **Messages** ([`encode_msg`] / [`decode_msg`] / [`msg_codec`]): the
+//!   TCP transport moves pipeline messages with them, so a
+//!   cross-process run produces detections bit-identical to the
+//!   in-process channel fabric — the property the transport-parity gate
+//!   asserts. Cube bodies cross in one bulk pass each way. A frame that
+//!   does not parse decodes to [`Payload::Malformed`], which the
+//!   receiving loop quarantines. [`PipelinePools`] is the codec's
+//!   [`WirePool`]: on a wire endpoint cube payloads decode into the
+//!   rank's pool and sent cubes return to it, so each frame is one pool
+//!   get and one put on either side.
+//! * **Reports** ([`encode_report`] / [`decode_report`]): a cluster
+//!   child's task rank hands its timings, health counters, spans and
+//!   comm events back to the parent over stdout. A report that does not
+//!   parse is an `Err`. Detections never take this path: they flow to
+//!   the driver rank, which runs in the parent, as messages.
 
-use crate::metrics::{CpiOutcome, EdgeHealth, PipelineHealth};
+use crate::metrics::{EdgeHealth, PipelineHealth, TaskTiming};
 use crate::msg::{Msg, Payload, SubCpi};
-use crate::runner::{DriverResult, RankResult, TaskReport};
+use crate::runner::TaskReport;
 use crate::tasks::PipelinePools;
 use crate::trace::TaskSpan;
 use stap_core::Detection;
 use stap_cube::{CCube, RCube, SharedBufferPool};
 use stap_math::{CMat, Cx};
-use stap_mp::{CommEvent, RankTrace, TraceKind, WireCodec, WirePool};
-use stap_util::Json;
+use stap_mp::{CommEvent, TraceKind, WireCodec, WirePool};
 use std::sync::Arc;
 
-/// Bumped when the binary layout changes; a frame of another version
-/// decodes to [`Payload::Malformed`] instead of being misread.
+/// Bumped when the binary layout of a message or a report changes; a
+/// frame of another version is refused instead of being misread.
 const VERSION: u8 = 1;
 
 const KIND_CUBE: u8 = 0;
@@ -243,6 +241,12 @@ fn put_f64(out: &mut Vec<u8>, xs: &[f64]) {
     }
 }
 
+fn put_u64s(out: &mut Vec<u8>, xs: &[u64]) {
+    for x in xs {
+        out.extend_from_slice(&x.to_le_bytes());
+    }
+}
+
 /// The `f64` whose little-endian bit pattern starts `b`, a chunk of at
 /// least eight bytes.
 fn le_f64(b: &[u8]) -> f64 {
@@ -303,6 +307,11 @@ impl<'a> Cursor<'a> {
 
     fn u64(&mut self) -> Decoded<u64> {
         self.bytes().map(u64::from_le_bytes)
+    }
+
+    /// A `u64` index, refused when it does not fit a `usize`.
+    fn index(&mut self) -> Decoded<usize> {
+        usize::try_from(self.u64()?).map_err(|_| "index overflow")
     }
 
     fn f64(&mut self) -> Decoded<f64> {
@@ -393,354 +402,129 @@ pub fn detections_digest(dets: &[Vec<Detection>]) -> u64 {
     h
 }
 
-// ---------------------------------------------------------------------
-// JSON result codecs (child rank process -> cluster parent).
-// ---------------------------------------------------------------------
-
-/// Serializes a rank's result for the cluster parent.
-pub fn rank_result_to_json(r: &RankResult) -> Json {
-    match r {
-        RankResult::Task { task, node, report } => Json::obj([
-            ("kind", Json::Str("task".into())),
-            ("task", Json::Num(*task as f64)),
-            ("node", Json::Num(*node as f64)),
-            ("report", task_report_to_json(report)),
-        ]),
-        RankResult::Driver(d) => Json::obj([
-            ("kind", Json::Str("driver".into())),
-            (
-                "detections",
-                Json::arr(d.detections.iter().map(|ds| detections_to_json(ds))),
-            ),
-            ("inject_t", f64_arr(&d.inject_t)),
-            ("complete_t", f64_arr(&d.complete_t)),
-            (
-                "outcomes",
-                Json::arr(d.outcomes.iter().map(|o| {
-                    Json::Str(
-                        match o {
-                            CpiOutcome::Ok => "ok",
-                            CpiOutcome::DegradedStaleWeights => "degraded",
-                            CpiOutcome::Dropped => "dropped",
-                        }
-                        .into(),
-                    )
-                })),
-            ),
-            ("health", health_to_json(&d.health)),
-        ]),
+/// Serializes what a task rank hands the cluster parent: exactly what
+/// [`crate::ParallelStap::assemble`] reads of its [`TaskReport`] (the
+/// per-slot timings, the health counters and the spans) followed by the
+/// rank's comm `events`. It names no task, node or rank: the parent
+/// knows whose report it reads.
+pub fn encode_report(report: &TaskReport, events: &[CommEvent], out: &mut Vec<u8>) {
+    out.push(VERSION);
+    put_u32(out, report.timings.len());
+    for t in &report.timings {
+        put_f64(out, &[t.recv, t.comp, t.send, t.recv_idle]);
+    }
+    let h = &report.health;
+    for e in &h.edges {
+        put_u64s(
+            out,
+            &[
+                e.retries,
+                e.dropped,
+                e.stale_weights,
+                e.quarantined,
+                e.late_or_dup,
+            ],
+        );
+    }
+    put_u64s(out, &[h.dropped_cpis, h.degraded_cpis]);
+    put_u64s(out, &h.max_mailbox_depth);
+    put_u64s(out, &[h.mailbox_over_high_water]);
+    put_u32(out, report.spans.len());
+    for s in &report.spans {
+        put_u64s(out, &[s.cpi as u64]);
+        put_f64(out, &[s.start, s.recv_end, s.comp_end, s.send_end]);
+    }
+    put_u32(out, events.len());
+    for e in events {
+        // The declaration order of `TraceKind`, which `decode_report` matches.
+        out.push(e.kind as u8);
+        put_u64s(out, &[e.peer as u64, e.tag, e.bytes]);
+        put_f64(out, &[e.start_s, e.end_s]);
     }
 }
 
-/// Inverse of [`rank_result_to_json`].
-pub fn rank_result_from_json(j: &Json) -> Result<RankResult, String> {
-    match str_field(j, "kind")? {
-        "task" => Ok(RankResult::Task {
-            task: usize_field(j, "task")?,
-            node: usize_field(j, "node")?,
-            report: task_report_from_json(j.get("report").ok_or("missing report")?)?,
-        }),
-        "driver" => {
-            let detections = arr_field(j, "detections")?
-                .iter()
-                .map(detections_from_json)
-                .collect::<Result<_, _>>()?;
-            let outcomes = arr_field(j, "outcomes")?
-                .iter()
-                .map(|o| match o {
-                    Json::Str(s) if s == "ok" => Ok(CpiOutcome::Ok),
-                    Json::Str(s) if s == "degraded" => Ok(CpiOutcome::DegradedStaleWeights),
-                    Json::Str(s) if s == "dropped" => Ok(CpiOutcome::Dropped),
-                    other => Err(format!("bad outcome {other:?}")),
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(RankResult::Driver(DriverResult {
-                detections,
-                inject_t: f64_vec(j, "inject_t")?,
-                complete_t: f64_vec(j, "complete_t")?,
-                outcomes,
-                health: health_from_json(j.get("health").ok_or("missing health")?)?,
-            }))
-        }
-        other => Err(format!("unknown rank result kind {other:?}")),
+/// Inverse of [`encode_report`]. A report crosses a pipe from another
+/// process, so bytes that do not parse as one report of this codec
+/// version (truncated, with an inflated count, an unknown event kind or
+/// trailing bytes) are an `Err`, never a panic.
+pub fn decode_report(bytes: &[u8]) -> Result<(TaskReport, Vec<CommEvent>), &'static str> {
+    let mut c = Cursor { b: bytes, pos: 0 };
+    if c.u8()? != VERSION {
+        return Err("codec version skew");
     }
-}
-
-/// Serializes one rank's comm trace (for merged cluster timelines).
-pub fn rank_trace_to_json(t: &RankTrace) -> Json {
-    Json::obj([
-        ("rank", Json::Num(t.rank as f64)),
-        (
-            "events",
-            Json::arr(t.events.iter().map(|e| {
-                Json::obj([
-                    ("kind", Json::Str(e.kind.name().into())),
-                    ("peer", Json::Num(e.peer as f64)),
-                    // Tags may exceed f64's exact integers (the edge
-                    // sits in the top 16 bits); bit-exact via string.
-                    ("tag", Json::Str(e.tag.to_string())),
-                    ("bytes", Json::Num(e.bytes as f64)),
-                    ("start_s", Json::Num(e.start_s)),
-                    ("end_s", Json::Num(e.end_s)),
-                ])
-            })),
-        ),
-    ])
-}
-
-/// Inverse of [`rank_trace_to_json`].
-pub fn rank_trace_from_json(j: &Json) -> Result<RankTrace, String> {
-    let events = arr_field(j, "events")?
-        .iter()
-        .map(|e| {
-            let kind = match str_field(e, "kind")? {
-                "send" => TraceKind::Send,
-                "recv" => TraceKind::Recv,
-                "wait" => TraceKind::Wait,
-                "redistribute" => TraceKind::Redistribute,
-                other => return Err(format!("unknown trace kind {other:?}")),
-            };
-            Ok(CommEvent {
-                kind,
-                peer: usize_field(e, "peer")?,
-                tag: str_field(e, "tag")?
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad tag: {e}"))?,
-                bytes: usize_field(e, "bytes")? as u64,
-                start_s: num_field(e, "start_s")?,
-                end_s: num_field(e, "end_s")?,
+    let n = c.count(32)?;
+    let timings = (0..n)
+        .map(|_| {
+            Ok(TaskTiming {
+                recv: c.f64()?,
+                comp: c.f64()?,
+                send: c.f64()?,
+                recv_idle: c.f64()?,
             })
         })
-        .collect::<Result<_, _>>()?;
-    Ok(RankTrace {
-        rank: usize_field(j, "rank")?,
-        events,
-    })
-}
-
-fn task_report_to_json(r: &TaskReport) -> Json {
-    Json::obj([
-        (
-            "timings",
-            Json::arr(
-                r.timings
-                    .iter()
-                    .map(|t| Json::arr([t.recv, t.comp, t.send, t.recv_idle].map(Json::Num))),
-            ),
-        ),
-        ("health", health_to_json(&r.health)),
-        (
-            "spans",
-            Json::arr(r.spans.iter().map(|s| {
-                Json::obj([
-                    ("cpi", Json::Num(s.cpi as f64)),
-                    ("start", Json::Num(s.start)),
-                    ("recv_end", Json::Num(s.recv_end)),
-                    ("comp_end", Json::Num(s.comp_end)),
-                    ("send_end", Json::Num(s.send_end)),
-                ])
-            })),
-        ),
-    ])
-}
-
-fn task_report_from_json(j: &Json) -> Result<TaskReport, String> {
-    let timings = arr_field(j, "timings")?
-        .iter()
-        .map(|t| {
-            let xs = match t {
-                Json::Arr(xs) if xs.len() == 4 => xs,
-                other => return Err(format!("bad timing {other:?}")),
-            };
-            let f = |i: usize| xs[i].as_f64().ok_or(format!("bad timing field {i}"));
-            Ok(crate::metrics::TaskTiming {
-                recv: f(0)?,
-                comp: f(1)?,
-                send: f(2)?,
-                recv_idle: f(3)?,
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let spans = arr_field(j, "spans")?
-        .iter()
-        .map(|s| {
+        .collect::<Decoded<_>>()?;
+    let mut health = PipelineHealth::default();
+    for e in &mut health.edges {
+        *e = EdgeHealth {
+            retries: c.u64()?,
+            dropped: c.u64()?,
+            stale_weights: c.u64()?,
+            quarantined: c.u64()?,
+            late_or_dup: c.u64()?,
+        };
+    }
+    health.dropped_cpis = c.u64()?;
+    health.degraded_cpis = c.u64()?;
+    for d in &mut health.max_mailbox_depth {
+        *d = c.u64()?;
+    }
+    health.mailbox_over_high_water = c.u64()?;
+    let n = c.count(40)?;
+    let spans = (0..n)
+        .map(|_| {
             Ok(TaskSpan {
-                cpi: usize_field(s, "cpi")?,
-                start: num_field(s, "start")?,
-                recv_end: num_field(s, "recv_end")?,
-                comp_end: num_field(s, "comp_end")?,
-                send_end: num_field(s, "send_end")?,
+                cpi: c.index()?,
+                start: c.f64()?,
+                recv_end: c.f64()?,
+                comp_end: c.f64()?,
+                send_end: c.f64()?,
             })
         })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(TaskReport {
+        .collect::<Decoded<_>>()?;
+    let n = c.count(41)?;
+    let events = (0..n)
+        .map(|_| {
+            Ok(CommEvent {
+                kind: match c.u8()? {
+                    0 => TraceKind::Send,
+                    1 => TraceKind::Recv,
+                    2 => TraceKind::Wait,
+                    3 => TraceKind::Redistribute,
+                    _ => return Err("unknown trace kind"),
+                },
+                peer: c.index()?,
+                tag: c.u64()?,
+                bytes: c.u64()?,
+                start_s: c.f64()?,
+                end_s: c.f64()?,
+            })
+        })
+        .collect::<Decoded<_>>()?;
+    if c.pos != bytes.len() {
+        return Err("trailing bytes");
+    }
+    let report = TaskReport {
         timings,
-        health: health_from_json(j.get("health").ok_or("missing health")?)?,
+        health,
         spans,
         ..TaskReport::default()
-    })
-}
-
-fn health_to_json(h: &PipelineHealth) -> Json {
-    Json::obj([
-        (
-            "edges",
-            Json::arr(h.edges.iter().map(|e| {
-                Json::arr(
-                    [
-                        e.retries,
-                        e.dropped,
-                        e.stale_weights,
-                        e.quarantined,
-                        e.late_or_dup,
-                    ]
-                    .map(|v| Json::Num(v as f64)),
-                )
-            })),
-        ),
-        ("dropped_cpis", Json::Num(h.dropped_cpis as f64)),
-        ("degraded_cpis", Json::Num(h.degraded_cpis as f64)),
-        (
-            "max_mailbox_depth",
-            Json::arr(h.max_mailbox_depth.iter().map(|&v| Json::Num(v as f64))),
-        ),
-        (
-            "mailbox_over_high_water",
-            Json::Num(h.mailbox_over_high_water as f64),
-        ),
-    ])
-}
-
-fn health_from_json(j: &Json) -> Result<PipelineHealth, String> {
-    let mut h = PipelineHealth::default();
-    let edges = arr_field(j, "edges")?;
-    if edges.len() != h.edges.len() {
-        return Err(format!(
-            "expected {} edges, got {}",
-            h.edges.len(),
-            edges.len()
-        ));
-    }
-    for (slot, e) in h.edges.iter_mut().zip(edges) {
-        let xs = match e {
-            Json::Arr(xs) if xs.len() == 5 => xs,
-            other => return Err(format!("bad edge health {other:?}")),
-        };
-        let f = |i: usize| -> Result<u64, String> {
-            xs[i]
-                .as_f64()
-                .map(|v| v as u64)
-                .ok_or(format!("bad edge counter {i}"))
-        };
-        *slot = EdgeHealth {
-            retries: f(0)?,
-            dropped: f(1)?,
-            stale_weights: f(2)?,
-            quarantined: f(3)?,
-            late_or_dup: f(4)?,
-        };
-    }
-    h.dropped_cpis = usize_field(j, "dropped_cpis")? as u64;
-    h.degraded_cpis = usize_field(j, "degraded_cpis")? as u64;
-    let depths = arr_field(j, "max_mailbox_depth")?;
-    for (slot, d) in h.max_mailbox_depth.iter_mut().zip(depths) {
-        *slot = d.as_f64().ok_or("bad mailbox depth")? as u64;
-    }
-    h.mailbox_over_high_water = usize_field(j, "mailbox_over_high_water")? as u64;
-    Ok(h)
-}
-
-fn detections_to_json(ds: &[Detection]) -> Json {
-    // Power/threshold as bit patterns: detection floats must survive
-    // any path bit-exactly for the parity digests.
-    Json::arr(ds.iter().map(|d| {
-        Json::arr([
-            Json::Num(d.bin as f64),
-            Json::Num(d.beam as f64),
-            Json::Num(d.range as f64),
-            Json::Str(d.power.to_bits().to_string()),
-            Json::Str(d.threshold.to_bits().to_string()),
-        ])
-    }))
-}
-
-fn detections_from_json(j: &Json) -> Result<Vec<Detection>, String> {
-    let items = match j {
-        Json::Arr(items) => items,
-        other => return Err(format!("bad detections {other:?}")),
     };
-    items
-        .iter()
-        .map(|d| {
-            let xs = match d {
-                Json::Arr(xs) if xs.len() == 5 => xs,
-                other => return Err(format!("bad detection {other:?}")),
-            };
-            let idx = |i: usize| -> Result<usize, String> {
-                xs[i]
-                    .as_f64()
-                    .map(|v| v as usize)
-                    .ok_or(format!("bad detection index {i}"))
-            };
-            let bits = |i: usize| -> Result<f64, String> {
-                match &xs[i] {
-                    Json::Str(s) => s
-                        .parse::<u64>()
-                        .map(f64::from_bits)
-                        .map_err(|e| format!("bad detection bits: {e}")),
-                    other => Err(format!("bad detection float {other:?}")),
-                }
-            };
-            Ok(Detection {
-                bin: idx(0)?,
-                beam: idx(1)?,
-                range: idx(2)?,
-                power: bits(3)?,
-                threshold: bits(4)?,
-            })
-        })
-        .collect()
-}
-
-fn f64_arr(xs: &[f64]) -> Json {
-    Json::arr(xs.iter().map(|&v| Json::Num(v)))
-}
-
-fn f64_vec(j: &Json, key: &str) -> Result<Vec<f64>, String> {
-    arr_field(j, key)?
-        .iter()
-        .map(|v| v.as_f64().ok_or(format!("bad number in {key}")))
-        .collect()
-}
-
-fn str_field<'a>(j: &'a Json, key: &str) -> Result<&'a str, String> {
-    match j.get(key) {
-        Some(Json::Str(s)) => Ok(s),
-        other => Err(format!("missing/bad string field {key}: {other:?}")),
-    }
-}
-
-fn num_field(j: &Json, key: &str) -> Result<f64, String> {
-    j.get(key)
-        .and_then(Json::as_f64)
-        .ok_or(format!("missing/bad numeric field {key}"))
-}
-
-fn usize_field(j: &Json, key: &str) -> Result<usize, String> {
-    num_field(j, key).map(|v| v as usize)
-}
-
-fn arr_field<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    match j.get(key) {
-        Some(Json::Arr(items)) => Ok(items),
-        other => Err(format!("missing/bad array field {key}: {other:?}")),
-    }
+    Ok((report, events))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::TaskTiming;
 
     fn roundtrip(msg: &Msg) -> Msg {
         let mut buf = Vec::new();
@@ -959,23 +743,81 @@ mod tests {
         buf
     }
 
-    /// What a socket may hand the decoder: every truncation, single bit
-    /// flips and length fields inflated at every offset. Nothing may
-    /// panic; every unmodified frame must come back bit for bit (as its
-    /// re-encoding), through the plain codec and through the pools.
-    #[test]
-    fn no_frame_bytes_panic_the_decoder_and_clean_frames_round_trip() {
-        let pools = PipelinePools::default();
-        let frames: Vec<Vec<u8>> = every_kind().iter().map(frame).collect();
-        for f in &frames {
-            assert_eq!(frame(&decode_msg(f)), *f, "plain codec round trip");
-            let pooled = WirePool::decode(&pools, f);
-            assert_eq!(frame(&pooled), *f, "pooled round trip");
-            pools.retire(pooled);
+    /// A report with awkward values: NaN, negative-zero and subnormal
+    /// timings, a `u64::MAX` tag, counters in every edge, every event kind.
+    fn report_frames() -> Vec<Vec<u8>> {
+        let mut health = PipelineHealth::default();
+        health.edges[3].retries = 2;
+        health.edges[9].dropped = u64::MAX;
+        health.edges[10].late_or_dup = 5;
+        health.degraded_cpis = 3;
+        health.max_mailbox_depth[1] = 12;
+        health.mailbox_over_high_water = 4;
+        let report = TaskReport {
+            timings: vec![
+                TaskTiming {
+                    recv: f64::NAN,
+                    comp: -0.0,
+                    send: 1e-310,
+                    recv_idle: 1.0 / 3.0,
+                },
+                TaskTiming::default(),
+            ],
+            health,
+            spans: vec![TaskSpan {
+                cpi: 5,
+                start: 0.001,
+                recv_end: 0.002,
+                comp_end: f64::INFINITY,
+                send_end: 0.004,
+            }],
+            ..TaskReport::default()
+        };
+        let kinds = [
+            TraceKind::Send,
+            TraceKind::Recv,
+            TraceKind::Wait,
+            TraceKind::Redistribute,
+        ];
+        let events: Vec<CommEvent> = (kinds.iter().enumerate())
+            .map(|(i, &kind)| CommEvent {
+                kind,
+                peer: i,
+                tag: u64::MAX - i as u64,
+                bytes: 1 << (10 * i),
+                start_s: 0.25 * i as f64,
+                end_s: if i == 2 { f64::NAN } else { 0.375 },
+            })
+            .collect();
+        let bare = TaskReport {
+            timings: vec![TaskTiming::default()],
+            ..TaskReport::default()
+        };
+        [
+            (&report, &events[..]),
+            (&report, &events[..0]),
+            (&bare, &events[..1]),
+        ]
+        .map(|(r, e)| {
+            let mut buf = Vec::new();
+            encode_report(r, e, &mut buf);
+            buf
+        })
+        .into()
+    }
+
+    /// What a socket or a pipe may hand a decoder: every truncation,
+    /// single bit flips, length fields inflated at every offset and one
+    /// trailing byte. `decode` re-encodes what it parsed, `None` for bytes
+    /// it refused. Nothing may panic, every cut or lengthened frame is
+    /// refused, and every unmodified frame comes back bit for bit.
+    fn hostile_bytes(what: &str, frames: &[Vec<u8>], decode: impl Fn(&[u8]) -> Option<Vec<u8>>) {
+        for f in frames {
+            assert_eq!(decode(f).as_ref(), Some(f), "{what}: round trip");
             for cut in 0..f.len() {
                 assert!(
-                    matches!(decode_msg(&f[..cut]).payload, Payload::Malformed),
-                    "a frame cut at {cut} of {} decoded",
+                    decode(&f[..cut]).is_none(),
+                    "{what}: a frame cut at {cut} of {} decoded",
                     f.len()
                 );
             }
@@ -983,43 +825,48 @@ mod tests {
                 for big in [u32::MAX, 1 << 31, 1 << 28, 0x0001_0001] {
                     let mut g = f.clone();
                     g[at..at + 4].copy_from_slice(&big.to_le_bytes());
-                    let _ = decode_msg(&g);
-                    let _ = WirePool::decode(&pools, &g);
+                    let _ = decode(&g);
                 }
             }
             let mut g = f.clone();
             g.push(0);
-            assert!(matches!(decode_msg(&g).payload, Payload::Malformed));
+            assert!(decode(&g).is_none(), "{what}: a trailing byte decoded");
         }
-        stap_util::check::check("wire frames under bit flips", 400, |g| {
+        stap_util::check::check(&format!("{what} under bit flips"), 400, |g| {
             let mut f = g.choose(&frames.iter().collect::<Vec<_>>()).clone();
             for _ in 0..g.int(1, 4) {
                 let bit = g.int(0, 8 * f.len());
                 f[bit / 8] ^= 1 << (bit % 8);
             }
-            let _ = decode_msg(&f);
-            let _ = WirePool::decode(&pools, &f);
+            let _ = decode(&f);
         });
     }
 
-    /// Sent cube blocks return to the pool once encoded, and received
-    /// ones decode into pooled buffers: in steady state every frame is a
-    /// hit on each side.
+    /// Message frames through the plain codec and through the pools, which
+    /// must agree, and task reports.
     #[test]
-    fn pooled_frames_recycle_both_ways() {
+    fn no_frame_bytes_panic_the_decoder_and_clean_frames_round_trip() {
         let pools = PipelinePools::default();
-        let f = frame(&every_kind()[0]);
-        for _ in 0..4 {
-            let msg = WirePool::decode(&pools, &f);
+        let frames: Vec<Vec<u8>> = every_kind().iter().map(frame).collect();
+        hostile_bytes("wire frames", &frames, |b| {
+            let msg = decode_msg(b);
+            let pooled = WirePool::decode(&pools, b);
+            let again = frame(&msg);
+            assert_eq!(frame(&pooled), again, "pooled and plain decodes differ");
+            pools.retire(pooled);
+            (!matches!(msg.payload, Payload::Malformed)).then_some(again)
+        });
+        hostile_bytes("task reports", &report_frames(), |b| {
+            let (report, events) = decode_report(b).ok()?;
             let mut again = Vec::new();
-            encode_msg(&msg, &mut again);
-            pools.retire(msg);
-            assert_eq!(again, f);
-        }
-        let s = pools.cx.stats();
-        assert_eq!((s.misses, s.hits, s.returned), (1, 3, 4));
+            encode_report(&report, &events, &mut again);
+            Some(again)
+        });
     }
 
+    /// A worker rank's task report (timings, health counters, spans)
+    /// survives the report frame field for field. The name predates the
+    /// binary frame, which replaced a JSON codec for the same report.
     #[test]
     fn rank_result_json_round_trips() {
         let report = TaskReport {
@@ -1049,73 +896,53 @@ mod tests {
             }],
             ..TaskReport::default()
         };
-        let j = rank_result_to_json(&RankResult::Task {
-            task: 6,
-            node: 1,
-            report,
-        });
-        let text = j.to_string_compact();
-        let back = rank_result_from_json(&Json::parse(&text).unwrap()).unwrap();
-        match back {
-            RankResult::Task { task, node, report } => {
-                assert_eq!((task, node), (6, 1));
-                assert_eq!(report.timings.len(), 2);
-                assert_eq!(report.timings[0].comp, 1.0 / 3.0);
-                assert_eq!(report.health.edges[3].retries, 2);
-                assert_eq!(report.health.edges[9].dropped, 1);
-                assert_eq!(report.health.max_mailbox_depth[1], 12);
-                assert_eq!(report.health.mailbox_over_high_water, 4);
-                assert_eq!(report.spans[0].cpi, 5);
-                assert_eq!(report.spans[0].comp_end, 0.0035);
-            }
-            _ => panic!("wrong kind"),
-        }
+        let mut buf = Vec::new();
+        encode_report(&report, &[], &mut buf);
+        let (back, events) = decode_report(&buf).unwrap();
+        assert!(events.is_empty());
+        assert_eq!(back.timings.len(), 2);
+        assert_eq!(back.timings[0].comp, 1.0 / 3.0);
+        assert_eq!(back.health.edges[3].retries, 2);
+        assert_eq!(back.health.edges[9].dropped, 1);
+        assert_eq!(back.health.max_mailbox_depth[1], 12);
+        assert_eq!(back.health.mailbox_over_high_water, 4);
+        assert_eq!(back.spans[0].cpi, 5);
+        assert_eq!(back.spans[0].comp_end, 0.0035);
     }
 
-    #[test]
-    fn driver_result_json_keeps_detection_bits() {
-        let d = DriverResult {
-            detections: vec![vec![det(1, 2, 3, 0.1 + 0.2, 1.0e-300)], Vec::new()],
-            inject_t: vec![0.0, 0.125],
-            complete_t: vec![0.5, 0.625],
-            outcomes: vec![CpiOutcome::Ok, CpiOutcome::Dropped],
-            health: PipelineHealth::default(),
-        };
-        let text = rank_result_to_json(&RankResult::Driver(d)).to_string_compact();
-        match rank_result_from_json(&Json::parse(&text).unwrap()).unwrap() {
-            RankResult::Driver(back) => {
-                assert_eq!(
-                    back.detections[0][0].power.to_bits(),
-                    (0.1f64 + 0.2).to_bits()
-                );
-                assert_eq!(
-                    back.detections[0][0].threshold.to_bits(),
-                    1.0e-300f64.to_bits()
-                );
-                assert!(back.detections[1].is_empty());
-                assert_eq!(back.outcomes, vec![CpiOutcome::Ok, CpiOutcome::Dropped]);
-                assert_eq!(back.complete_t, vec![0.5, 0.625]);
-            }
-            _ => panic!("wrong kind"),
-        }
-    }
-
+    /// A rank's comm trace, including a tag at `u64::MAX`, survives the
+    /// report frame. The name predates the binary frame, as above.
     #[test]
     fn rank_trace_json_round_trips() {
-        let t = RankTrace {
-            rank: 3,
-            events: vec![CommEvent {
-                kind: TraceKind::Wait,
-                peer: 3,
-                tag: u64::MAX,
-                bytes: 0,
-                start_s: 0.25,
-                end_s: 0.375,
-            }],
-        };
-        let text = rank_trace_to_json(&t).to_string_compact();
-        let back = rank_trace_from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.rank, 3);
-        assert_eq!(back.events, t.events);
+        let events = vec![CommEvent {
+            kind: TraceKind::Wait,
+            peer: 3,
+            tag: u64::MAX,
+            bytes: 0,
+            start_s: 0.25,
+            end_s: 0.375,
+        }];
+        let mut buf = Vec::new();
+        encode_report(&TaskReport::default(), &events, &mut buf);
+        let (_, back) = decode_report(&buf).unwrap();
+        assert_eq!(back, events);
+    }
+
+    /// Sent cube blocks return to the pool once encoded, and received
+    /// ones decode into pooled buffers: in steady state every frame is a
+    /// hit on each side.
+    #[test]
+    fn pooled_frames_recycle_both_ways() {
+        let pools = PipelinePools::default();
+        let f = frame(&every_kind()[0]);
+        for _ in 0..4 {
+            let msg = WirePool::decode(&pools, &f);
+            let mut again = Vec::new();
+            encode_msg(&msg, &mut again);
+            pools.retire(msg);
+            assert_eq!(again, f);
+        }
+        let s = pools.cx.stats();
+        assert_eq!((s.misses, s.hits, s.returned), (1, 3, 4));
     }
 }

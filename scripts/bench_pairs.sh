@@ -4,15 +4,19 @@
 #
 #   scripts/bench_pairs.sh <workload> [pairs=10] [parent-ref=HEAD~1]
 #
-# Builds the parent (`git archive` of <parent-ref> unpacked under a temp
-# dir) and the change (this tree, as it is on disk) with separate
-# CARGO_TARGET_DIRs, then runs <pairs> pairs of the unmodified
-# BENCHMARK.json command, each tree from its own root. The two sides of a
-# pair share a fresh --seed, and the side that runs first alternates.
+# Builds the parent (`git archive` of <parent-ref>, unpacked once per
+# commit into the git-ignored .bench_build/parent-<sha> and kept there
+# with its build for later calls) and the change (this tree, as it is on
+# disk, into its own benchmark/target), then runs <pairs> pairs of the
+# unmodified BENCHMARK.json command, each tree from its own root. The
+# two sides of a pair share a fresh --seed, and the side that runs first
+# alternates.
 # Runs the disturbed-run guard marked (the `window CPI/s [...] -> ...`
 # line says anything but `valid`) are dropped and counted. Prints, per
 # end-to-end metric: both medians, both quartile distances
-# (statistics.quantiles(values, n=4)), and how many pairs the change won.
+# (statistics.quantiles(values, n=4)), and how many pairs the change won;
+# "unresolved" marks a metric whose parent quartile distance is wider than
+# its BENCHMARK.json bound, so that run-to-run spread alone can cross it.
 # Then, per side over every run that printed a result, dropped or not,
 # the median of `harness.gen_lag_p95_ms`: how late the load generator
 # submitted, the usual reason a paced run is marked disturbed.
@@ -31,9 +35,16 @@ change_root="$PWD"
 tmp="$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")"
 trap 'rm -rf "$tmp"' EXIT
 
-mkdir "$tmp/parent"
-git archive "$parent_ref" | tar -x -C "$tmp/parent"
-echo "parent $(git rev-parse --short "$parent_ref") in $tmp/parent, change = working tree of $change_root"
+parent_root="$change_root/.bench_build/parent-$(git rev-parse "$parent_ref^{commit}")"
+if [ ! -d "$parent_root" ]; then
+  # Unpacked beside its final name and renamed, so an interrupted
+  # unpack is never mistaken for a complete tree.
+  mkdir -p .bench_build
+  unpack="$(mktemp -d .bench_build/unpack.XXXXXX)"
+  git archive "$parent_ref" | tar -x -C "$unpack"
+  mv "$unpack" "$parent_root"
+fi
+echo "parent $(git rev-parse --short "$parent_ref") in $parent_root, change = working tree of $change_root"
 
 # The BENCHMARK.json command, word by word (no workload arguments yet).
 mapfile -t bench_cmd < <(python3 - <<'PY'
@@ -44,12 +55,12 @@ PY
 )
 
 # in_tree <parent|change> <command...>: runs the command from that
-# tree's root with that tree's own target directory.
+# tree's root, which builds into its own benchmark/target.
 in_tree() {
   local side="$1" root="$change_root"
   shift
-  [ "$side" = parent ] && root="$tmp/parent"
-  (cd "$root" && CARGO_TARGET_DIR="$tmp/target_$side" "$@")
+  [ "$side" = parent ] && root="$parent_root"
+  (cd "$root" && env -u CARGO_TARGET_DIR "$@")
 }
 
 for side in parent change; do
@@ -130,6 +141,8 @@ for m in spec["end_to_end"]:
         verdict = f"REGRESSION beyond the {m['bound']:.0%} bound"
     else:
         verdict = "not shown"
+    if ma and iqr(a) / ma > m["bound"]:
+        verdict += f", unresolved (parent IQR {iqr(a) / ma:.0%} of its median)"
     print(f"{name:<18} {ma:>14.4g} {iqr(a):>9.3g} {mb:>14.4g} {iqr(b):>9.3g} "
           f"{mb / ma if ma else float('nan'):>13.3f} {wins:>4}/{len(kept):<2}  {verdict}")
 
