@@ -62,11 +62,11 @@ fn main() {
         println!("{}", forgetting_sweep());
     }
     if run("gantt") {
-        use stap::pipeline::NodeAssignment;
-        use stap::sim::{render_gantt, simulate_traced, SimConfig};
+        use stap::pipeline::{render_gantt, NodeAssignment};
+        use stap::sim::{simulate_traced, SimConfig};
         let mut cfg = SimConfig::paper(NodeAssignment::case3());
         cfg.num_cpis = 8;
-        let traced = simulate_traced(&cfg);
-        println!("{}", render_gantt(&traced, 8, 110));
+        let (_, trace) = simulate_traced(&cfg);
+        println!("{}", render_gantt(&trace, 8, 110));
     }
 }

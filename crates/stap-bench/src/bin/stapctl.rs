@@ -56,9 +56,11 @@
 //!
 //! `trace` runs the canonical two-azimuth reduced scenario with the
 //! span recorder enabled, writes a Chrome trace-event JSON (loadable in
-//! Perfetto or `chrome://tracing`), prints the per-task/per-edge text
-//! breakdown, and reconciles the measured run against the `stap-sim`
-//! model of the same configuration.
+//! Perfetto or `chrome://tracing`) and, beside it (`X.json` gives
+//! `X.model.json`), the `stap-sim` model's timeline of the same
+//! configuration in the same format; it prints the measured Gantt chart
+//! and per-task/per-edge text breakdown, and reconciles the measured run
+//! against the model.
 
 use stap::core::cfar::cluster;
 use stap::core::StapParams;
@@ -784,8 +786,8 @@ fn cmd_chaos(flags: HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_trace(flags: HashMap<String, String>) -> Result<(), String> {
-    use stap::pipeline::trace::{chrome_trace_json, render_breakdown, TraceStats};
-    use stap::sim::{reconcile, render_reconciliation};
+    use stap::pipeline::trace::{chrome_trace_json, render_breakdown, render_gantt, TraceStats};
+    use stap::sim::{reconcile, render_reconciliation, simulate_traced};
     use stap_util::Json;
 
     let cpis: usize = flags
@@ -870,6 +872,13 @@ fn cmd_trace(flags: HashMap<String, String>) -> Result<(), String> {
     cfg.cooldown = if cpis > 6 { 2 } else { 1 };
     let rec = reconcile(&out.timings, &stats.bytes_per_cpi(), &cfg);
 
+    // Artifact 3: the model's timeline of that configuration, beside the
+    // measured one.
+    let model_path = format!("{}.model.json", out_path.trim_end_matches(".json"));
+    let (_, model) = simulate_traced(&cfg);
+    std::fs::write(&model_path, chrome_trace_json(&model).to_string_pretty())
+        .map_err(|e| format!("write {model_path}: {e}"))?;
+
     if flags.contains_key("json") {
         let j = Json::obj([
             ("trace_file", Json::Str(out_path.to_string())),
@@ -887,6 +896,8 @@ fn cmd_trace(flags: HashMap<String, String>) -> Result<(), String> {
         println!("{}", j.to_string_pretty());
     } else {
         println!();
+        print!("{}", render_gantt(trace, cpis, 110));
+        println!();
         print!("{}", render_breakdown(trace, &out.timings));
         println!();
         print!("{}", render_reconciliation(&rec));
@@ -894,6 +905,7 @@ fn cmd_trace(flags: HashMap<String, String>) -> Result<(), String> {
         println!("detections digest {digest:016x} (bit-exact across transports)");
     }
     println!("wrote {out_path} ({events} events; load in Perfetto or chrome://tracing)");
+    println!("wrote {model_path} (the model's timeline of the same run)");
     Ok(())
 }
 

@@ -46,8 +46,10 @@ use stap::pipeline::{NodeAssignment, ParallelStap, PipelineOutput, RuntimePolicy
 use stap::radar::Scenario;
 use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 /// Deterministic fault campaign riding on a cluster run: the canonical
@@ -313,7 +315,10 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<PipelineOutput, String> {
     };
 
     // Children first (they block in rendezvous until everyone,
-    // including the parent's driver rank, arrives).
+    // including the parent's driver rank, arrives). Each child's reader
+    // and the driver report on one channel, so the supervisor below
+    // sleeps until something happens.
+    let (events, happened) = mpsc::channel();
     let mut children: Vec<Option<Child>> = Vec::with_capacity(driver_rank);
     let mut readers = Vec::with_capacity(driver_rank);
     let mut failure: Option<String> = None;
@@ -332,9 +337,13 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<PipelineOutput, String> {
             }
         };
         let mut stdout = child.stdout.take().expect("stdout was piped");
+        let events = events.clone();
         readers.push(std::thread::spawn(move || {
             let mut report = Vec::new();
-            stdout.read_to_end(&mut report).map(|_| report)
+            let report = stdout.read_to_end(&mut report).map(|_| report);
+            // After a failure the supervisor stops listening and the
+            // report is dropped unread.
+            let _ = events.send(Event::Report(rank, report));
         }));
         children.push(Some(child));
     }
@@ -354,48 +363,54 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<PipelineOutput, String> {
     // The driver rank joins the wire and runs on a scoped thread (it
     // borrows the runner), so the scope's own thread is already
     // reaping children while the driver waits in the rendezvous.
-    let driver_result = std::thread::scope(|s| {
-        let driver = s.spawn(|| {
-            let (mut comm, epoch) = join_world(&runner, &endpoint, driver_rank, &sink)?;
-            let r = runner.run_rank(&mut comm, &cpis, &parts, &pools, epoch);
-            drop(comm);
-            Ok::<_, String>(r)
+    let mut reports: Vec<Vec<u8>> = vec![Vec::new(); driver_rank];
+    let mut driver_result = None;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let run = || {
+                let (mut comm, epoch) = join_world(&runner, &endpoint, driver_rank, &sink)?;
+                let r = runner.run_rank(&mut comm, &cpis, &parts, &pools, epoch);
+                drop(comm);
+                Ok::<_, String>(r)
+            };
+            // A panic is the driver's result too: the supervisor hears of it.
+            let _ = events.send(Event::Driver(Box::new(panic::catch_unwind(
+                AssertUnwindSafe(run),
+            ))));
         });
 
-        // Supervision loop: reap children, fail fast on a dead rank,
-        // and bound the whole run with a slack-scaled watchdog (a hung
-        // wire must not hang CI).
+        // Supervision: sleep until a child's stdout closes (reap it, fail
+        // fast on a dead rank) or the driver ends, and bound the whole
+        // run with a slack-scaled watchdog (a hung wire must not hang CI).
         let deadline = Instant::now() + Duration::from_secs(stap_util::slacked_secs(120));
-        loop {
-            let mut all_done = true;
-            for (rank, slot) in children.iter_mut().enumerate() {
-                let Some(child) = slot.as_mut() else { continue };
-                match child.try_wait() {
-                    Ok(Some(status)) if status.success() => {
-                        *slot = None;
-                    }
-                    Ok(Some(status)) => {
-                        failure = Some(format!("rank {rank} process exited with {status}"));
-                        break;
-                    }
-                    Ok(None) => all_done = false,
-                    Err(e) => {
-                        failure = Some(format!("waiting on rank {rank}: {e}"));
-                        break;
+        let mut running = children.len();
+        while failure.is_none() && (running > 0 || driver_result.is_none()) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            failure = match happened.recv_timeout(left) {
+                Ok(Event::Driver(result)) => {
+                    driver_result = Some(*result);
+                    None
+                }
+                Ok(Event::Report(rank, report)) => {
+                    running -= 1;
+                    let mut child = children[rank].take().expect("one report per child");
+                    match (child.wait(), report) {
+                        (Ok(status), Ok(report)) if status.success() => {
+                            reports[rank] = report;
+                            None
+                        }
+                        (Ok(status), Err(e)) if status.success() => {
+                            Some(format!("rank {rank} report: {e}"))
+                        }
+                        (Ok(status), _) => {
+                            Some(format!("rank {rank} process exited with {status}"))
+                        }
+                        (Err(e), _) => Some(format!("waiting on rank {rank}: {e}")),
                     }
                 }
-            }
-            if failure.is_some() {
-                break;
-            }
-            if all_done && driver.is_finished() {
-                break;
-            }
-            if Instant::now() > deadline {
-                failure = Some("cluster watchdog expired".to_string());
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
+                Err(RecvTimeoutError::Timeout) => Some("cluster watchdog expired".to_string()),
+                Err(RecvTimeoutError::Disconnected) => unreachable!("this thread holds a sender"),
+            };
         }
         if failure.is_some() {
             // Take the rest of the world down with the failed rank: the
@@ -403,19 +418,17 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<PipelineOutput, String> {
             // if it is still in one, fails with the coordinator's.
             kill_all(&mut children);
         }
-        driver.join()
     });
     // Joined for its thread, not its result: the rendezvous either
     // wired every rank or failed one of them, which reported it.
     let _ = coordinator.join();
-    let reports: Vec<std::io::Result<Vec<u8>>> = readers
-        .into_iter()
-        .map(|r| r.join().expect("a report reader does not panic"))
-        .collect();
+    for r in readers {
+        r.join().expect("a report reader does not panic");
+    }
     if let Some(why) = failure {
         return Err(why);
     }
-    let driver_result = match driver_result {
+    let driver_result = match driver_result.expect("the supervisor waits for the driver") {
         Ok(r) => r?,
         Err(p) => {
             let msg = p
@@ -430,7 +443,6 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<PipelineOutput, String> {
     let mut results = Vec::with_capacity(size);
     let mut traces = Vec::new();
     for (rank, report) in reports.into_iter().enumerate() {
-        let report = report.map_err(|e| format!("rank {rank} report: {e}"))?;
         let (result, trace) = child_result(&runner.assign, rank, &report)?;
         results.push(result);
         if runner.tracing {
@@ -441,6 +453,14 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<PipelineOutput, String> {
     traces.extend(sink.take());
     traces.sort_by_key(|t| t.rank);
     Ok(runner.assemble(num_cpis, results, traces, &pools))
+}
+
+/// What the cluster supervisor waits for.
+enum Event {
+    /// A child's stdout closed: its rank and the report read from it.
+    Report(usize, std::io::Result<Vec<u8>>),
+    /// The driver rank's thread ended, with its result or its panic.
+    Driver(Box<std::thread::Result<Result<RankResult, String>>>),
 }
 
 /// The result and comm trace of task rank `rank` from its report frame;

@@ -90,7 +90,7 @@ fn data_event_multiset(out: &PipelineOutput) -> Vec<(usize, u8, usize, u64, u64)
 fn span_keys(out: &PipelineOutput) -> Vec<(usize, usize, usize)> {
     let trace = out.trace.as_ref().expect("tracing enabled");
     (trace.tasks.iter())
-        .map(|iv| (iv.task, iv.node, iv.span.cpi))
+        .map(|s| (s.task, s.node, s.cpi))
         .collect()
 }
 

@@ -91,6 +91,6 @@ pub use runner::{ParallelStap, PipelineError, PipelineOutput};
 pub type ResidentStap = ParallelStap;
 pub use session::{Recovered, Session, SessionSummary, SupervisorConfig};
 pub use trace::{
-    chrome_trace_json, render_breakdown, CpiMark, EdgeStat, PipelineTrace, TaskInterval, TaskSpan,
+    chrome_trace_json, render_breakdown, render_gantt, CpiMark, EdgeStat, PipelineTrace, TaskSpan,
     TraceStats,
 };

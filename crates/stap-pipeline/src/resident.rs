@@ -82,7 +82,7 @@
 //! (`run`) and each lost or last one (`discard`). The loop owns the
 //! rest, written once for all seven: the receive (`recv_msg`), the drop
 //! markers a lost input sends on every out-entry, the shutdown cascade,
-//! the slot's [`TaskTiming`] and span, the end-of-slot purge and the
+//! the slot's [`TaskSpan`], the end-of-slot purge and the
 //! export of the stage's state. Whom a node receives from and sends to,
 //! and the kind and shape of each message, is the world's [`Schedule`]:
 //! a node reads its entries once (`entries`). Every receive checks the delivered
@@ -101,12 +101,13 @@
 //! * traced, the session's trace epoch: one [`TaskSpan`] per slot per
 //!   node and Doppler's redistribution spans;
 //! * a feed that knows its length ([`Feed::slots`]: a CPI list) has
-//!   every node keep each slot's timing and stop at the last slot; an
-//!   open-ended one only sums them into [`ResidentSummary::busy`].
+//!   every node keep each slot's span, traced or not, and stop at the
+//!   last slot; an untraced open-ended one only sums each slot's busy
+//!   time into [`ResidentSummary::busy`].
 
 use crate::assignment::{overlap, NodeAssignment, Partitions, *};
 use crate::fault::{payload_is_finite, RuntimePolicy};
-use crate::metrics::{PipelineHealth, TaskTiming};
+use crate::metrics::PipelineHealth;
 use crate::msg::{cpi_of_tag, edge_of_tag, tag, Edge, Msg, Payload, SubCpi};
 use crate::runner::{ParallelStap, TaskReport};
 use crate::schedule::{Entry, Kind, Schedule};
@@ -202,10 +203,10 @@ pub struct ResidentSummary {
     /// Wall-clock seconds the session's worlds ran.
     pub elapsed: f64,
     /// Per-task busy seconds, summed over that task's nodes from the
-    /// same per-slot [`TaskTiming`] records a batch reports
-    /// (`total_without_idle`): wall-clock time spent computing and
-    /// sending slots, excluding every blocked receive (a beamformer's
-    /// wait for weights included). On a
+    /// same per-slot phase times a batch's spans record
+    /// ([`crate::TaskTiming::total_without_idle`]): wall-clock time
+    /// spent computing and sending slots, excluding every blocked
+    /// receive (a beamformer's wait for weights included). On a
     /// host with fewer cores than rank threads that includes time spent
     /// runnable but waiting for a core, so it overstates tasks that
     /// share their core (`scripts/thread_cpu.sh` reads the CPU each rank
@@ -341,12 +342,13 @@ pub(crate) struct ResCtx<'a> {
     pub(crate) export: bool,
     /// How every receive behaves (see [`recv_msg`]).
     pub(crate) policy: &'a RuntimePolicy,
-    /// Trace epoch: each node records a [`TaskSpan`] per slot when set.
-    pub(crate) epoch: Option<Instant>,
+    /// What each node's per-slot [`TaskSpan`] counts from — the trace
+    /// epoch, traced, or the session's start — when it keeps them: over
+    /// a CPI list and on a traced session.
+    pub(crate) span_origin: Option<Instant>,
     /// The session's length in slots when it is known up front (the CPI
-    /// list): each node then keeps every slot's [`TaskTiming`] (an
-    /// open-ended session only sums them) and ends at that slot as on a
-    /// shutdown, so no receive deadline can carry a node past the end.
+    /// list): each node then ends at that slot as on a shutdown, so no
+    /// receive deadline can carry a node past the end.
     pub(crate) slots: Option<usize>,
     /// Slots the driver has sent. A receive deadline runs only for
     /// these: an idle node would otherwise drop a slot that does not
@@ -614,28 +616,24 @@ impl<'a> Node<'a> {
         }
     }
 
-    /// End of the current slot, after its push phase: records the slot's
-    /// timing (and span) and, fault-tolerant, purges what came late.
+    /// End of the current slot, after its push phase: sums its busy
+    /// time, keeps its span and, fault-tolerant, purges what came late.
     fn end(&mut self, comp: f64, send: f64) {
-        let t = TaskTiming {
-            recv: self.idle,
-            comp,
-            send,
-            recv_idle: self.idle,
-        };
-        self.report.busy += t.total_without_idle();
-        if let Some(e) = self.ctx.epoch {
-            let start = self.started.duration_since(e).as_secs_f64();
+        self.report.busy += comp + send;
+        if let Some(origin) = self.ctx.span_origin {
+            let (task, node) = (self.ctx.assign.task_of_rank(self.comm.rank()))
+                .expect("only a task node ends slots");
+            let start = self.started.duration_since(origin).as_secs_f64();
+            let recv_end = start + self.idle;
             self.report.spans.push(TaskSpan {
+                task,
+                node,
                 cpi: self.slot,
                 start,
-                recv_end: start + t.recv,
-                comp_end: start + t.recv + t.comp,
-                send_end: start + t.recv + t.comp + t.send,
+                recv_end,
+                comp_end: recv_end + comp,
+                send_end: recv_end + comp + send,
             });
-        }
-        if self.ctx.slots.is_some() {
-            self.report.timings.push(t);
         }
         if self.ctx.policy.fault_tolerant {
             purge_late(self.comm, self.slot, &mut self.report.health);

@@ -16,6 +16,7 @@ use crate::resident::{
 use crate::schedule::Schedule;
 use crate::session::Session;
 use crate::tasks::PipelinePools;
+use crate::trace::{CpiMark, PipelineTrace, TaskSpan};
 use stap_core::{Detection, StapParams};
 use stap_cube::{CCube, SharedBufferPool};
 use stap_math::{CMat, Cx};
@@ -70,19 +71,18 @@ pub struct PipelineOutput {
     /// Unified measured timeline (task spans + comm events + CPI
     /// marks). `None` unless the run was built with
     /// [`ParallelStap::with_tracing`].
-    pub trace: Option<crate::trace::PipelineTrace>,
+    pub trace: Option<PipelineTrace>,
 }
 
 /// What a task node's loop hands back.
 #[derive(Clone, Debug, Default)]
 pub struct TaskReport {
-    /// Per-slot phase timings (kept for a CPI list only).
-    pub timings: Vec<TaskTiming>,
     /// This node's health counters (all zero without faults).
     pub health: PipelineHealth,
-    /// Per-slot spans (empty unless the run was traced; `Vec::new` does
-    /// not allocate, so the untraced path stays allocation-free).
-    pub spans: Vec<crate::trace::TaskSpan>,
+    /// One span per slot, kept over a CPI list and on a traced session
+    /// (an untraced open-ended session keeps none: `Vec::new` does not
+    /// allocate, so its path stays allocation-free).
+    pub spans: Vec<TaskSpan>,
     /// Every slot's [`TaskTiming::total_without_idle`], summed.
     pub busy: f64,
     /// The node's exported cross-slot state (empty unless exported).
@@ -156,7 +156,7 @@ pub struct ParallelStap {
     pub screen: bool,
     /// Record task spans and comm events against one trace epoch per
     /// session. Off by default: the untraced path performs no clock reads
-    /// or allocations beyond the existing per-slot timing.
+    /// or allocations beyond the per-slot span a CPI list keeps.
     pub tracing: bool,
     pools: PipelinePools,
 }
@@ -184,7 +184,7 @@ impl ParallelStap {
     }
 
     /// Enables span tracing: a batch's output carries a
-    /// [`crate::trace::PipelineTrace`], a session's summary the spans and
+    /// [`PipelineTrace`], a session's summary the spans and
     /// comm events themselves.
     pub fn with_tracing(mut self) -> Self {
         self.tracing = true;
@@ -345,11 +345,12 @@ impl ParallelStap {
         // Over a wire fabric, frames decode into `pools` and sent blocks
         // return to them, as between the local fabric's threads.
         comm.install_wire_pool(Box::new(pools.clone()));
-        let mut list = CpiList::new(cpis, &pools.cx, epoch.unwrap_or_else(Instant::now));
+        let origin = epoch.unwrap_or_else(Instant::now);
+        let mut list = CpiList::new(cpis, &pools.cx, origin);
         let (carry, slots) = (ResidentState::default(), list.slots());
         let schedule = Schedule::new(&self.params, &self.assign, parts.clone())
             .unwrap_or_else(|e| panic!("{e}"));
-        let mut ctx = self.ctx(&self.assign, &schedule, pools, &carry, false, epoch, slots);
+        let mut ctx = self.ctx(&self.assign, &schedule, pools, &carry, false, origin, slots);
         // The driver of a cluster runs in another process, so no send of
         // it reaches this counter: every slot of the list counts as sent.
         ctx.dispatched = AtomicUsize::new(usize::MAX);
@@ -364,16 +365,16 @@ impl ParallelStap {
 
     /// The one world builder: `assign` with `faults`, the stateful tasks
     /// starting from `carry`, the driver reading `feed`, under this
-    /// runner's settings and, traced, the session's `epoch`. Returns every
-    /// rank's result (with its state when `export` is set) and comm
-    /// events.
+    /// runner's settings, every span counted from the session's start
+    /// `t0` (traced, its trace epoch). Returns every rank's result (with its
+    /// state when `export` is set) and comm events.
     pub(crate) fn launch<F: Feed + Send>(
         &self,
         assign: NodeAssignment,
         faults: Option<&FaultPlan>,
         carry: &ResidentState,
         export: bool,
-        epoch: Option<Instant>,
+        t0: Instant,
         feed: &mut F,
     ) -> Result<(Vec<RankResult>, Vec<RankTrace>), PipelineError> {
         let parts = Partitions::new(&self.params, &assign);
@@ -389,11 +390,11 @@ impl ParallelStap {
                 .with_corruptor(nan_corruptor());
         }
         let sink = stap_mp::TraceSink::new();
-        if let Some(e) = epoch {
-            world = world.with_tracing(e, &sink, crate::msg::wire_bytes);
+        if self.tracing {
+            world = world.with_tracing(t0, &sink, crate::msg::wire_bytes);
         }
         let slots = feed.slots();
-        let ctx = self.ctx(&assign, &schedule, &self.pools, carry, export, epoch, slots);
+        let ctx = self.ctx(&assign, &schedule, &self.pools, carry, export, t0, slots);
         // The SPMD closure is shared by reference across ranks, so the
         // driver rank takes the feed out of a mutex (it runs exactly once).
         let feed = Mutex::new(Some(feed));
@@ -416,7 +417,7 @@ impl ParallelStap {
         pools: &'a PipelinePools,
         carry: &'a ResidentState,
         export: bool,
-        epoch: Option<Instant>,
+        origin: Instant,
         slots: Option<usize>,
     ) -> ResCtx<'a> {
         ResCtx {
@@ -431,7 +432,7 @@ impl ParallelStap {
             carry,
             export,
             policy: &self.policy,
-            epoch,
+            span_origin: (self.tracing || slots.is_some()).then_some(origin),
             slots,
             // The driver publishes each slot as it sends it.
             dispatched: AtomicUsize::new(0),
@@ -476,29 +477,17 @@ impl ParallelStap {
         let mut counts = [0usize; 7];
         let mut detections = Vec::new();
         let mut timings = PipelineTimings::default();
-        let mut trace_tasks: Vec<crate::trace::TaskInterval> = Vec::new();
-        let mut trace_cpis: Vec<crate::trace::CpiMark> = Vec::new();
+        let mut spans: Vec<TaskSpan> = Vec::new();
+        let mut trace_cpis: Vec<CpiMark> = Vec::new();
         for r in results {
             match r {
-                RankResult::Task {
-                    task: t,
-                    node: local,
-                    report,
-                } => {
-                    for cpi in measured.clone() {
-                        if let Some(tt) = report.timings.get(cpi) {
-                            tasks[t].add(tt);
-                            counts[t] += 1;
-                        }
+                RankResult::Task { report, .. } => {
+                    for s in report.spans.iter().filter(|s| measured.contains(&s.cpi)) {
+                        tasks[s.task].add(&s.timing());
+                        counts[s.task] += 1;
                     }
                     timings.health.merge(&report.health);
-                    trace_tasks.extend(report.spans.iter().map(|&span| {
-                        crate::trace::TaskInterval {
-                            task: t,
-                            node: local,
-                            span,
-                        }
-                    }));
+                    spans.extend(report.spans);
                 }
                 RankResult::Driver(DriverResult {
                     detections: d,
@@ -524,7 +513,7 @@ impl ParallelStap {
                     timings.measured_throughput = if mean_int > 0.0 { 1.0 / mean_int } else { 0.0 };
                     if self.tracing {
                         trace_cpis = (0..num_cpis)
-                            .map(|cpi| crate::trace::CpiMark {
+                            .map(|cpi| CpiMark {
                                 cpi,
                                 inject_s: inject[cpi],
                                 complete_s: complete[cpi],
@@ -549,11 +538,11 @@ impl ParallelStap {
         timings.pool_cx = pools.cx.stats();
         timings.pool_real = pools.real.stats();
         let trace = self.tracing.then(|| {
-            trace_tasks.sort_by_key(|iv| (iv.task, iv.node, iv.span.cpi));
-            crate::trace::PipelineTrace {
+            spans.sort_by_key(|s| (s.task, s.node, s.cpi));
+            PipelineTrace {
                 assign: self.assign,
                 num_cpis,
-                tasks: trace_tasks,
+                tasks: spans,
                 comm: comm_traces,
                 cpis: trace_cpis,
             }
@@ -652,6 +641,52 @@ mod tests {
         }
         assert!(out.timings.measured_throughput > 0.0);
         assert!(out.timings.measured_latency > 0.0);
+    }
+
+    /// Untraced, a run over a CPI list keeps exactly one span per (task,
+    /// node, CPI), and its per-task timings are those spans folded over
+    /// the measured window.
+    #[test]
+    fn untraced_list_keeps_one_span_per_slot_and_folds_them() {
+        let scenario = Scenario::reduced(5);
+        let cpis: Vec<CCube> = scenario.stream(7).map(|(_, _, c)| c).collect();
+        let assign = NodeAssignment([2, 1, 2, 1, 1, 2, 1]);
+        let par = ParallelStap::for_scenario(StapParams::reduced(), assign, &scenario);
+        let (parts, pools) = (
+            Partitions::new(&par.params, &assign),
+            PipelinePools::default(),
+        );
+        let ranks = World::new(assign.world_size())
+            .try_run_collect(|mut comm| par.run_rank(&mut comm, &cpis, &parts, &pools, None))
+            .unwrap();
+        let spans: Vec<TaskSpan> = (ranks.iter())
+            .flat_map(|r| match r {
+                RankResult::Task { report, .. } => report.spans.clone(),
+                RankResult::Driver(_) => Vec::new(),
+            })
+            .collect();
+        let mut keys: Vec<_> = spans.iter().map(|s| (s.task, s.node, s.cpi)).collect();
+        keys.sort_unstable();
+        let want: Vec<_> = (0..7)
+            .flat_map(|t| (0..assign.0[t]).flat_map(move |n| (0..7).map(move |c| (t, n, c))))
+            .collect();
+        assert_eq!(keys, want);
+
+        let out = par.assemble(cpis.len(), ranks, Vec::new(), &pools);
+        assert!(out.trace.is_none(), "untraced runs carry no trace");
+        let measured = par.warmup..cpis.len() - par.cooldown;
+        for t in 0..7 {
+            let (mut sum, mut n) = (TaskTiming::default(), 0);
+            for s in spans
+                .iter()
+                .filter(|s| s.task == t && measured.contains(&s.cpi))
+            {
+                sum.add(&s.timing());
+                n += 1;
+            }
+            assert_eq!(n, assign.0[t] * measured.len());
+            assert_eq!(out.timings.tasks[t], sum.scale(1.0 / n as f64), "task {t}");
+        }
     }
 }
 

@@ -325,7 +325,9 @@ impl Session {
         let retained = supervise.as_ref().map_or(0, |s| {
             (s.checkpoint_every.max(1) as usize + runner.window) * runner.max_group
         });
-        let trace_epoch = runner.tracing.then(Instant::now);
+        // Every span counts from the session's start (traced, its epoch).
+        let origin = Instant::now();
+        let trace_epoch = runner.tracing.then_some(origin);
         let mut out = SessionSummary {
             resident: ResidentSummary::default(),
             assign: runner.assign,
@@ -351,7 +353,7 @@ impl Session {
             feed.completed = 0;
             feed.replayed = 0;
             let t0 = Instant::now();
-            match runner.launch(out.assign, faults, &carry, exports, trace_epoch, &mut feed) {
+            match runner.launch(out.assign, faults, &carry, exports, origin, &mut feed) {
                 Ok((mut ranks, comm)) => {
                     let m = &mut out.resident;
                     m.cpis += feed.completed;

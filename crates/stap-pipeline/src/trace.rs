@@ -1,18 +1,24 @@
-//! Measured pipeline timelines: task spans, comm spans, exporters.
+//! Pipeline timelines: the one per-slot span record, comm spans,
+//! exporters.
 //!
-//! When [`crate::ParallelStap::with_tracing`] is enabled, every task
-//! node records one [`TaskSpan`] per slot (receive/compute/send
-//! boundaries, mirroring the simulator's `stap_sim::trace::Interval`)
-//! and every rank's communicator records send/recv/wait/redistribute
-//! events with `(peer, tag, bytes)` attribution, all against the
-//! session's one trace epoch — on a batch and on a served session
-//! alike. A served session returns the spans and events on its
+//! A [`TaskSpan`] is one task node's receive/compute/send span for one
+//! slot, and it is the only per-slot phase record on either side of the
+//! paper's measured-vs-modelled comparison. Every task node of a run
+//! over a CPI list, and of any traced session, pushes one per slot; the
+//! batch aggregates ([`PipelineTimings::tasks`]) are folded from them.
+//! The simulator (`stap_sim::simulate_traced`) pushes the same record
+//! for the model. A traced run also records every rank's send / recv /
+//! wait / redistribute events with `(peer, tag, bytes)` attribution, all
+//! against the session's one trace epoch — on a batch and on a served
+//! session alike. A served session returns the spans and events on its
 //! [`crate::SessionSummary`]; a batch's [`PipelineTrace`] merges both,
 //! with the driver's CPI marks, into one timeline, which this module
-//! exports three ways:
+//! exports four ways:
 //!
 //! * [`chrome_trace_json`] — Chrome trace-event JSON, loadable in
 //!   `chrome://tracing` or Perfetto (`ui.perfetto.dev`),
+//! * [`render_gantt`] — the paper's Figure 3 as an ASCII Gantt chart,
+//!   measured or modelled,
 //! * [`render_breakdown`] — a flamegraph-style per-task text view plus
 //!   paper-style tables (per-task compute, per-edge communication, CPI
 //!   throughput and end-to-end latency — the Tables 2–8 shape),
@@ -26,13 +32,16 @@ use stap_mp::{RankTrace, TraceKind};
 use stap_util::Json;
 use std::fmt::Write as _;
 
-/// One task node's receive/compute/send span for one CPI, in seconds
-/// since the trace epoch. Field layout mirrors
-/// `stap_sim::trace::Interval` so measured and modeled timelines
-/// compare one-to-one.
+/// One task node's receive/compute/send span for one slot, in seconds:
+/// since the trace epoch on a traced run, since the session's start on
+/// an untraced one, and simulated seconds from the model.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TaskSpan {
-    /// CPI index.
+    /// Task index (paper numbering, 0..7).
+    pub task: usize,
+    /// Node within the task.
+    pub node: usize,
+    /// CPI (slot) index.
     pub cpi: usize,
     /// Span start (receive begin).
     pub start: f64,
@@ -44,15 +53,18 @@ pub struct TaskSpan {
     pub send_end: f64,
 }
 
-/// A [`TaskSpan`] placed on the task grid.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TaskInterval {
-    /// Task index (paper numbering, 0..7).
-    pub task: usize,
-    /// Node within the task.
-    pub node: usize,
-    /// The span itself.
-    pub span: TaskSpan,
+impl TaskSpan {
+    /// The span's phase lengths as a runtime node measures them: its
+    /// receive phase is all blocked waiting, so `recv_idle` is `recv`.
+    pub fn timing(&self) -> TaskTiming {
+        let recv = self.recv_end - self.start;
+        TaskTiming {
+            recv,
+            comp: self.comp_end - self.recv_end,
+            send: self.send_end - self.comp_end,
+            recv_idle: recv,
+        }
+    }
 }
 
 /// Driver-side CPI lifetime marker.
@@ -66,7 +78,7 @@ pub struct CpiMark {
     pub complete_s: f64,
 }
 
-/// The unified measured timeline of one traced pipeline run.
+/// The timeline of one traced pipeline run, measured or modelled.
 #[derive(Clone, Debug)]
 pub struct PipelineTrace {
     /// Node assignment of the run (maps ranks to (task, node)).
@@ -74,8 +86,9 @@ pub struct PipelineTrace {
     /// Number of CPIs processed.
     pub num_cpis: usize,
     /// Every task node's per-CPI spans.
-    pub tasks: Vec<TaskInterval>,
-    /// Every rank's communication events (from the `stap-mp` recorder).
+    pub tasks: Vec<TaskSpan>,
+    /// Every rank's communication events (from the `stap-mp` recorder;
+    /// empty for the model).
     pub comm: Vec<RankTrace>,
     /// Driver-side CPI inject/complete markers.
     pub cpis: Vec<CpiMark>,
@@ -177,8 +190,7 @@ pub fn chrome_trace_json(trace: &PipelineTrace) -> Json {
         ("args", Json::obj([("name", Json::Str("driver".into()))])),
     ]));
     // Task phase spans.
-    for iv in &trace.tasks {
-        let s = iv.span;
+    for s in &trace.tasks {
         for (name, t0, t1) in [
             ("recv", s.start, s.recv_end),
             ("compute", s.recv_end, s.comp_end),
@@ -190,8 +202,8 @@ pub fn chrome_trace_json(trace: &PipelineTrace) -> Json {
             events.push(complete_event(
                 name,
                 "task",
-                iv.task,
-                iv.node as f64,
+                s.task,
+                s.node as f64,
                 t0,
                 t1,
                 [("cpi", Json::Num(s.cpi as f64))],
@@ -262,6 +274,54 @@ fn complete_event<const N: usize>(
         ("dur", Json::Num((t1 - t0).max(0.0) * US)),
         ("args", Json::obj(args)),
     ])
+}
+
+/// Renders an ASCII Gantt chart of the first `max_cpis` CPIs of a
+/// measured or modelled timeline — the picture behind the paper's
+/// Figure 3: one row per task (node 0 shown — all nodes of a task run
+/// in near lockstep), with `r`/`s` marking receive and send time and
+/// digits marking which CPI is being computed, so the pipeline's
+/// staggered execution, idle waits and bottleneck pacing show at a
+/// glance.
+pub fn render_gantt(trace: &PipelineTrace, max_cpis: usize, columns: usize) -> String {
+    let spans: Vec<&TaskSpan> = (trace.tasks.iter())
+        .filter(|s| s.node == 0 && s.cpi < max_cpis)
+        .collect();
+    let t_end = (spans.iter())
+        .map(|s| s.send_end)
+        .fold(0.0f64, f64::max)
+        .max(1e-9);
+    let scale = columns as f64 / t_end;
+    let mut out = String::new();
+    writeln!(
+        out,
+        "timeline of node 0 of each task, first {max_cpis} CPIs ({t_end:.3} s across {columns} cols)"
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "legend: digit = CPI index during compute, 'r' = receive/wait, 's' = send/pack"
+    )
+    .unwrap();
+    for (task, task_name) in TASK_NAMES.iter().enumerate() {
+        let mut row = vec![' '; columns];
+        for s in spans.iter().filter(|s| s.task == task) {
+            let col = |t: f64| ((t * scale) as usize).min(columns - 1);
+            let digit = char::from_digit((s.cpi % 10) as u32, 10).unwrap();
+            for (mark, t0, t1) in [
+                ('r', s.start, s.recv_end),
+                (digit, s.recv_end, s.comp_end),
+                ('s', s.comp_end, s.send_end),
+            ] {
+                for c in row.iter_mut().take(col(t1)).skip(col(t0)) {
+                    *c = mark;
+                }
+            }
+        }
+        let line: String = row.into_iter().collect();
+        writeln!(out, "{task_name:<15}|{line}|").unwrap();
+    }
+    out
 }
 
 /// Flamegraph-style per-task breakdown plus paper-style tables.
@@ -380,20 +440,17 @@ mod tests {
     use stap_mp::CommEvent;
 
     fn tiny_trace() -> PipelineTrace {
-        let span = TaskSpan {
-            cpi: 0,
-            start: 0.0,
-            recv_end: 0.001,
-            comp_end: 0.003,
-            send_end: 0.004,
-        };
         PipelineTrace {
             assign: NodeAssignment::tiny(),
             num_cpis: 1,
-            tasks: vec![TaskInterval {
+            tasks: vec![TaskSpan {
                 task: 0,
                 node: 0,
-                span,
+                cpi: 0,
+                start: 0.0,
+                recv_end: 0.001,
+                comp_end: 0.003,
+                send_end: 0.004,
             }],
             comm: vec![RankTrace {
                 rank: 0,
@@ -412,6 +469,36 @@ mod tests {
                 complete_s: 0.005,
             }],
         }
+    }
+
+    /// Every task's node 0 staggered one phase behind its predecessor,
+    /// each CPI one millisecond-long step behind the last.
+    #[test]
+    fn gantt_renders_all_tasks() {
+        let step = |cpi: usize, task: usize| 1e-3 * (cpi + task) as f64;
+        let tasks = (0..4)
+            .flat_map(|cpi| (0..7).map(move |task| (cpi, task)))
+            .map(|(cpi, task)| TaskSpan {
+                task,
+                node: 0,
+                cpi,
+                start: step(cpi, task),
+                recv_end: step(cpi, task) + 2e-4,
+                comp_end: step(cpi, task) + 8e-4,
+                send_end: step(cpi, task) + 1e-3,
+            })
+            .collect();
+        let trace = PipelineTrace {
+            tasks,
+            ..tiny_trace()
+        };
+        let g = render_gantt(&trace, 4, 100);
+        for name in TASK_NAMES {
+            assert!(g.contains(&format!("{name:<15}|")), "missing row {name}");
+        }
+        assert!(g.contains('0') && g.contains('3'));
+        assert!(g.contains('r') && g.contains('s'));
+        assert!(g.contains("(0.010 s across 100 cols)"), "{g}");
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //!   rank's pool and sent cubes return to it, so each frame is one pool
 //!   get and one put on either side.
 //! * **Reports** ([`encode_report`] / [`decode_report`]): a cluster
-//!   child's task rank hands its timings, health counters, spans and
-//!   comm events back to the parent over stdout. A report that does not
+//!   child's task rank hands its health counters, spans and comm events
+//!   back to the parent over stdout. A report that does not
 //!   parse is an `Err`. Detections never take this path: they flow to
 //!   the driver rank, which runs in the parent, as messages.
 
-use crate::metrics::{EdgeHealth, PipelineHealth, TaskTiming};
+use crate::metrics::{EdgeHealth, PipelineHealth};
 use crate::msg::{Msg, Payload, SubCpi};
 use crate::runner::TaskReport;
 use crate::tasks::PipelinePools;
@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 /// Bumped when the binary layout of a message or a report changes; a
 /// frame of another version is refused instead of being misread.
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 
 const KIND_CUBE: u8 = 0;
 const KIND_REAL: u8 = 1;
@@ -404,15 +404,11 @@ pub fn detections_digest(dets: &[Vec<Detection>]) -> u64 {
 
 /// Serializes what a task rank hands the cluster parent: exactly what
 /// [`crate::ParallelStap::assemble`] reads of its [`TaskReport`] (the
-/// per-slot timings, the health counters and the spans) followed by the
-/// rank's comm `events`. It names no task, node or rank: the parent
-/// knows whose report it reads.
+/// health counters and the per-slot spans) followed by the rank's comm
+/// `events`. Only the spans name their task and node: the parent knows
+/// whose report it reads.
 pub fn encode_report(report: &TaskReport, events: &[CommEvent], out: &mut Vec<u8>) {
     out.push(VERSION);
-    put_u32(out, report.timings.len());
-    for t in &report.timings {
-        put_f64(out, &[t.recv, t.comp, t.send, t.recv_idle]);
-    }
     let h = &report.health;
     for e in &h.edges {
         put_u64s(
@@ -431,7 +427,7 @@ pub fn encode_report(report: &TaskReport, events: &[CommEvent], out: &mut Vec<u8
     put_u64s(out, &[h.mailbox_over_high_water]);
     put_u32(out, report.spans.len());
     for s in &report.spans {
-        put_u64s(out, &[s.cpi as u64]);
+        put_u64s(out, &[s.task as u64, s.node as u64, s.cpi as u64]);
         put_f64(out, &[s.start, s.recv_end, s.comp_end, s.send_end]);
     }
     put_u32(out, events.len());
@@ -452,17 +448,6 @@ pub fn decode_report(bytes: &[u8]) -> Result<(TaskReport, Vec<CommEvent>), &'sta
     if c.u8()? != VERSION {
         return Err("codec version skew");
     }
-    let n = c.count(32)?;
-    let timings = (0..n)
-        .map(|_| {
-            Ok(TaskTiming {
-                recv: c.f64()?,
-                comp: c.f64()?,
-                send: c.f64()?,
-                recv_idle: c.f64()?,
-            })
-        })
-        .collect::<Decoded<_>>()?;
     let mut health = PipelineHealth::default();
     for e in &mut health.edges {
         *e = EdgeHealth {
@@ -479,10 +464,12 @@ pub fn decode_report(bytes: &[u8]) -> Result<(TaskReport, Vec<CommEvent>), &'sta
         *d = c.u64()?;
     }
     health.mailbox_over_high_water = c.u64()?;
-    let n = c.count(40)?;
+    let n = c.count(56)?;
     let spans = (0..n)
         .map(|_| {
             Ok(TaskSpan {
+                task: c.index()?,
+                node: c.index()?,
                 cpi: c.index()?,
                 start: c.f64()?,
                 recv_end: c.f64()?,
@@ -514,7 +501,6 @@ pub fn decode_report(bytes: &[u8]) -> Result<(TaskReport, Vec<CommEvent>), &'sta
         return Err("trailing bytes");
     }
     let report = TaskReport {
-        timings,
         health,
         spans,
         ..TaskReport::default()
@@ -743,8 +729,9 @@ mod tests {
         buf
     }
 
-    /// A report with awkward values: NaN, negative-zero and subnormal
-    /// timings, a `u64::MAX` tag, counters in every edge, every event kind.
+    /// A report with awkward values: NaN, negative-zero, subnormal and
+    /// infinite span times, a `u64::MAX` tag, counters in every edge,
+    /// every event kind.
     fn report_frames() -> Vec<Vec<u8>> {
         let mut health = PipelineHealth::default();
         health.edges[3].retries = 2;
@@ -754,23 +741,27 @@ mod tests {
         health.max_mailbox_depth[1] = 12;
         health.mailbox_over_high_water = 4;
         let report = TaskReport {
-            timings: vec![
-                TaskTiming {
-                    recv: f64::NAN,
-                    comp: -0.0,
-                    send: 1e-310,
-                    recv_idle: 1.0 / 3.0,
-                },
-                TaskTiming::default(),
-            ],
             health,
-            spans: vec![TaskSpan {
-                cpi: 5,
-                start: 0.001,
-                recv_end: 0.002,
-                comp_end: f64::INFINITY,
-                send_end: 0.004,
-            }],
+            spans: vec![
+                TaskSpan {
+                    task: 6,
+                    node: 2,
+                    cpi: 5,
+                    start: 0.001,
+                    recv_end: 0.002,
+                    comp_end: f64::INFINITY,
+                    send_end: 0.004,
+                },
+                TaskSpan {
+                    task: 0,
+                    node: 0,
+                    cpi: 6,
+                    start: f64::NAN,
+                    recv_end: -0.0,
+                    comp_end: 1e-310,
+                    send_end: 1.0 / 3.0,
+                },
+            ],
             ..TaskReport::default()
         };
         let kinds = [
@@ -790,7 +781,15 @@ mod tests {
             })
             .collect();
         let bare = TaskReport {
-            timings: vec![TaskTiming::default()],
+            spans: vec![TaskSpan {
+                task: 1,
+                node: 0,
+                cpi: 0,
+                start: 0.0,
+                recv_end: 0.0,
+                comp_end: 0.0,
+                send_end: 0.0,
+            }],
             ..TaskReport::default()
         };
         [
@@ -864,21 +863,12 @@ mod tests {
         });
     }
 
-    /// A worker rank's task report (timings, health counters, spans)
-    /// survives the report frame field for field. The name predates the
-    /// binary frame, which replaced a JSON codec for the same report.
+    /// A worker rank's task report (health counters, spans) survives the
+    /// report frame field for field. The name predates the binary frame,
+    /// which replaced a JSON codec for the same report.
     #[test]
     fn rank_result_json_round_trips() {
         let report = TaskReport {
-            timings: vec![
-                TaskTiming {
-                    recv: 0.125,
-                    comp: 1.0 / 3.0,
-                    send: 2.5e-4,
-                    recv_idle: 0.0625,
-                },
-                TaskTiming::default(),
-            ],
             health: {
                 let mut h = PipelineHealth::default();
                 h.edges[3].retries = 2;
@@ -887,27 +877,37 @@ mod tests {
                 h.mailbox_over_high_water = 4;
                 h
             },
-            spans: vec![TaskSpan {
-                cpi: 5,
-                start: 0.001,
-                recv_end: 0.002,
-                comp_end: 0.0035,
-                send_end: 0.004,
-            }],
+            spans: vec![
+                TaskSpan {
+                    task: 4,
+                    node: 1,
+                    cpi: 5,
+                    start: 0.001,
+                    recv_end: 0.002,
+                    comp_end: 0.0035,
+                    send_end: 0.004,
+                },
+                TaskSpan {
+                    task: 4,
+                    node: 1,
+                    cpi: 6,
+                    start: 0.004,
+                    recv_end: 0.125,
+                    comp_end: 0.125 + 1.0 / 3.0,
+                    send_end: 0.5,
+                },
+            ],
             ..TaskReport::default()
         };
         let mut buf = Vec::new();
         encode_report(&report, &[], &mut buf);
         let (back, events) = decode_report(&buf).unwrap();
         assert!(events.is_empty());
-        assert_eq!(back.timings.len(), 2);
-        assert_eq!(back.timings[0].comp, 1.0 / 3.0);
+        assert_eq!(back.spans, report.spans);
         assert_eq!(back.health.edges[3].retries, 2);
         assert_eq!(back.health.edges[9].dropped, 1);
         assert_eq!(back.health.max_mailbox_depth[1], 12);
         assert_eq!(back.health.mailbox_over_high_water, 4);
-        assert_eq!(back.spans[0].cpi, 5);
-        assert_eq!(back.spans[0].comp_end, 0.0035);
     }
 
     /// A rank's comm trace, including a tag at `u64::MAX`, survives the

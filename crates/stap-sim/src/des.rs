@@ -10,6 +10,7 @@ use stap_pipeline::metrics::{
 };
 use stap_pipeline::msg::{Edge, NUM_EDGES};
 use stap_pipeline::schedule::{Entry, Schedule};
+use stap_pipeline::trace::{CpiMark, PipelineTrace, TaskSpan};
 use std::collections::{HashMap, HashSet};
 
 /// Deterministic fault events for the simulator, mirroring the runtime
@@ -221,18 +222,24 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
     simulate_inner(cfg, None)
 }
 
-/// Runs the simulation capturing the full per-(task, node, CPI) phase
-/// timeline (see [`crate::trace`]).
-pub fn simulate_traced(cfg: &SimConfig) -> crate::trace::Traced {
-    let mut intervals = Vec::new();
-    let result = simulate_inner(cfg, Some(&mut intervals));
-    crate::trace::Traced { result, intervals }
+/// Runs the simulation capturing the modelled timeline: one
+/// [`TaskSpan`] per (task, node, CPI), the record a measured run's
+/// nodes push, and per CPI a mark from its first Doppler receive to its
+/// last CFAR send. Its comm events are empty: the model keeps no
+/// per-message timeline.
+pub fn simulate_traced(cfg: &SimConfig) -> (SimResult, PipelineTrace) {
+    let mut trace = PipelineTrace {
+        assign: cfg.assign,
+        num_cpis: cfg.num_cpis,
+        tasks: Vec::new(),
+        comm: Vec::new(),
+        cpis: Vec::new(),
+    };
+    let result = simulate_inner(cfg, Some(&mut trace));
+    (result, trace)
 }
 
-fn simulate_inner(
-    cfg: &SimConfig,
-    mut trace_out: Option<&mut Vec<crate::trace::Interval>>,
-) -> SimResult {
+fn simulate_inner(cfg: &SimConfig, mut trace: Option<&mut PipelineTrace>) -> SimResult {
     let mach = &cfg.machine;
     let n = cfg.num_cpis;
 
@@ -424,8 +431,8 @@ fn simulate_inner(
                 let send = send_cursor - comp_end;
                 node_free[t][rep][node] = send_cursor;
                 task_done[t][cpi] = task_done[t][cpi].max(send_cursor);
-                if let Some(tr) = trace_out.as_deref_mut() {
-                    tr.push(crate::trace::Interval {
+                if let Some(tr) = trace.as_deref_mut() {
+                    tr.tasks.push(TaskSpan {
                         task: t,
                         node,
                         cpi,
@@ -460,6 +467,15 @@ fn simulate_inner(
 
     // Measured rates from the CFAR task's completion times.
     let completions = &task_done[6];
+    if let Some(tr) = trace {
+        tr.cpis = (0..n)
+            .map(|cpi| CpiMark {
+                cpi,
+                inject_s: doppler_start[cpi],
+                complete_s: completions[cpi],
+            })
+            .collect();
+    }
     let intervals: Vec<f64> = (lo.max(1)..hi)
         .map(|i| completions[i] - completions[i - 1])
         .collect();

@@ -71,28 +71,23 @@ fn traced_intervals_are_causally_ordered() {
         let counts: [usize; 7] = g.array(|g| g.int(1, 8));
         let mut cfg = SimConfig::paper(NodeAssignment(counts));
         cfg.num_cpis = 6;
-        let traced = simulate_traced(&cfg);
-        for iv in &traced.intervals {
-            assert!(iv.start.is_finite() && iv.start >= 0.0);
-            assert!(iv.start <= iv.recv_end);
-            assert!(iv.recv_end <= iv.comp_end);
-            assert!(iv.comp_end <= iv.send_end);
+        let (_, trace) = simulate_traced(&cfg);
+        for s in &trace.tasks {
+            assert!(s.start.is_finite() && s.start >= 0.0);
+            assert!(s.start <= s.recv_end);
+            assert!(s.recv_end <= s.comp_end);
+            assert!(s.comp_end <= s.send_end);
         }
-        // CFAR CPI i completes after Doppler CPI i computes.
+        // CFAR CPI i completes after Doppler CPI i computes, and its
+        // mark spans exactly that CPI's spans.
         for cpi in 0..6 {
-            let dop = traced
-                .intervals
-                .iter()
-                .filter(|iv| iv.task == 0 && iv.cpi == cpi)
-                .map(|iv| iv.comp_end)
-                .fold(f64::MAX, f64::min);
-            let cfar = traced
-                .intervals
-                .iter()
-                .filter(|iv| iv.task == 6 && iv.cpi == cpi)
-                .map(|iv| iv.send_end)
-                .fold(0.0f64, f64::max);
+            let of = |task| (trace.tasks.iter()).filter(move |s| s.task == task && s.cpi == cpi);
+            let dop = of(0).map(|s| s.comp_end).fold(f64::MAX, f64::min);
+            let cfar = of(6).map(|s| s.send_end).fold(0.0f64, f64::max);
             assert!(cfar > dop, "cpi {cpi}: cfar {cfar} before doppler {dop}");
+            let mark = trace.cpis[cpi];
+            assert_eq!((mark.cpi, mark.complete_s), (cpi, cfar));
+            assert!(mark.inject_s <= dop);
         }
     });
 }

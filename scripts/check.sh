@@ -98,15 +98,21 @@ PY
       ;;
     7)
       # Traced run of the canonical 2-azimuth reduced config: must emit a
-      # parseable Chrome trace artifact and the reconciliation table —
-      # over the wire when STAP_TRANSPORT says so. Kept when
-      # TRACE_SMOKE_OUT is set.
-      local trace_out
+      # parseable Chrome trace artifact, the model's timeline beside it
+      # (X.json -> X.model.json), the measured Gantt chart (one row per
+      # task) and the reconciliation table — over the wire when
+      # STAP_TRANSPORT says so. Kept when TRACE_SMOKE_OUT is set.
+      local trace_out model_out text rows
       trace_out="${TRACE_SMOKE_OUT:-$(mktemp "${TMPDIR:-/tmp}"/TRACE_pipeline_smoke.XXXXXX.json)}"
-      [ -n "${TRACE_SMOKE_OUT:-}" ] || trap 'rm -f "$trace_out"' RETURN
-      cargo run --release -q -p stap-bench --bin stapctl -- trace --cpis 6 \
-        --transport "${STAP_TRANSPORT:-inproc}" --out "$trace_out" \
-        && grep -q '"traceEvents"' "$trace_out"
+      model_out="${trace_out%.json}.model.json"
+      [ -n "${TRACE_SMOKE_OUT:-}" ] || trap 'rm -f "$trace_out" "$model_out"' RETURN
+      text="$(cargo run --release -q -p stap-bench --bin stapctl -- trace --cpis 6 \
+        --transport "${STAP_TRANSPORT:-inproc}" --out "$trace_out")" || return 1
+      printf '%s\n' "$text"
+      rows="$(printf '%s\n' "$text" \
+        | grep -cE '^(Doppler filter|easy weight|hard weight|easy BF|hard BF|pulse compr|CFAR) *\|' || true)"
+      [ "$rows" -eq 7 ] || { echo "expected 7 Gantt task rows, got $rows" >&2; return 1; }
+      grep -q '"traceEvents"' "$trace_out" && grep -q '"traceEvents"' "$model_out"
       ;;
     8)
       # The runtime SIMD dispatch must leave the scalar path fully

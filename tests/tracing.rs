@@ -4,7 +4,7 @@
 //! pinned Chrome trace-event schema, and the CI workflow's structural
 //! validity (the workflow is data, so it is tested like data).
 
-use stap::pipeline::trace::{chrome_trace_json, CpiMark, PipelineTrace, TaskInterval, TaskSpan};
+use stap::pipeline::trace::{chrome_trace_json, CpiMark, PipelineTrace, TaskSpan};
 use stap::pipeline::{NodeAssignment, ParallelStap};
 use stap::radar::Scenario;
 use stap_util::Json;
@@ -31,14 +31,13 @@ fn task_spans_nest_and_cover_every_cpi() {
 
     // Phase boundaries are ordered within every span (recv ⊂ compute ⊂
     // send partition the span: nesting in the flamegraph sense).
-    for iv in &trace.tasks {
-        let s = iv.span;
+    for s in &trace.tasks {
         assert!(
             0.0 <= s.start
                 && s.start <= s.recv_end
                 && s.recv_end <= s.comp_end
                 && s.comp_end <= s.send_end,
-            "unordered span {iv:?}"
+            "unordered span {s:?}"
         );
     }
     // Every task node recorded exactly one span per CPI.
@@ -48,8 +47,8 @@ fn task_spans_nest_and_cover_every_cpi() {
             let mut got: Vec<usize> = trace
                 .tasks
                 .iter()
-                .filter(|iv| iv.task == t && iv.node == node)
-                .map(|iv| iv.span.cpi)
+                .filter(|s| s.task == t && s.node == node)
+                .map(|s| s.cpi)
                 .collect();
             got.sort_unstable();
             assert_eq!(
@@ -177,16 +176,14 @@ fn synthetic_trace() -> PipelineTrace {
     PipelineTrace {
         assign: NodeAssignment::tiny(),
         num_cpis: 1,
-        tasks: vec![TaskInterval {
+        tasks: vec![TaskSpan {
             task: 0,
             node: 0,
-            span: TaskSpan {
-                cpi: 0,
-                start: 0.25,
-                recv_end: 0.5,
-                comp_end: 0.75,
-                send_end: 1.0,
-            },
+            cpi: 0,
+            start: 0.25,
+            recv_end: 0.5,
+            comp_end: 0.75,
+            send_end: 1.0,
         }],
         comm: vec![RankTrace {
             rank: 0,
