@@ -651,15 +651,22 @@ fn cmd_serve_session(flags: HashMap<String, String>, loadgen_defaults: bool) -> 
             "admission: {} rejected, {} purged, {} backpressure retries, {} abandoned",
             s.rejected, s.purged, report.backpressure_retries, report.abandoned_cpis
         );
-        for (stream, rc) in &report.rejects {
+        for h in s.stream_health.iter().filter(|h| h.rejects.total() > 0) {
+            let rc = &h.rejects;
             println!(
-                "  stream {stream:>2} rejects: queue_full {} non_finite {} quarantined {} \
+                "  stream {:>2} rejects: queue_full {} non_finite {} quarantined {} \
                  bad_shape {} unknown {} closed {}",
-                rc.queue_full, rc.non_finite, rc.quarantined, rc.bad_shape, rc.unknown, rc.closed
+                h.stream,
+                rc.queue_full,
+                rc.non_finite,
+                rc.quarantined,
+                rc.bad_shape,
+                rc.unknown,
+                rc.closed
             );
         }
         println!(
-            "pools: cx {}/{} hits/misses, real {}/{}\nmailbox depth max {} (over high water {})",
+            "pools: cx {}/{} hits/misses, real {}/{}\nmailbox depth max {} (window {window})",
             s.resident.pool_cx.hits,
             s.resident.pool_cx.misses,
             s.resident.pool_real.hits,
@@ -671,7 +678,6 @@ fn cmd_serve_session(flags: HashMap<String, String>, loadgen_defaults: bool) -> 
                 .copied()
                 .max()
                 .unwrap_or(0),
-            s.resident.health.mailbox_over_high_water
         );
     }
     if let Some(out) = flags.get("out") {

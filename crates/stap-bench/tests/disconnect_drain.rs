@@ -11,8 +11,8 @@
 //!
 //! The counting allocator additionally bounds the disconnect path's
 //! heap traffic: a full churn round (8 admissions, a dispatch, a purge,
-//! 8 completions) is allowed only ledger-sized allocations (hash-map
-//! entries for the fresh stream id, the purge return vector) — far
+//! 8 completions) is allowed only ledger-sized allocations (the row
+//! for the fresh stream id, the purge return vector) — far
 //! below one cube's payload, so no data-plane buffer is ever allocated
 //! or copied outside the pool.
 //!

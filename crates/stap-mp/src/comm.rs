@@ -38,41 +38,12 @@ pub(crate) struct Envelope<M> {
 /// removed eagerly to keep the map from growing without bound.
 pub(crate) struct Mailbox<M> {
     buckets: HashMap<(usize, Tag), VecDeque<M>>,
-    /// Messages currently buffered across every bucket.
-    depth: usize,
-    /// High-water mark of `depth` over the mailbox lifetime.
-    max_depth: usize,
-    /// Configurable soft bound; 0 disables the check. Crossing it only
-    /// counts (hard shedding on a blocking-receive runtime would
-    /// deadlock the pipeline) — the count is the backpressure signal
-    /// admission control acts on.
-    high_water: usize,
-    /// Pushes observed while `depth` already sat at or above
-    /// `high_water`.
-    over_high_water: u64,
-}
-
-/// Buffered-depth accounting of one rank's unexpected-message queue.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MailboxStats {
-    /// Messages buffered right now.
-    pub depth: usize,
-    /// Largest depth ever observed.
-    pub max_depth: usize,
-    /// Configured soft high-water mark (0 = unbounded).
-    pub high_water: usize,
-    /// Pushes that landed while at or above the high-water mark.
-    pub over_high_water: u64,
 }
 
 impl<M> Default for Mailbox<M> {
     fn default() -> Self {
         Mailbox {
             buckets: HashMap::new(),
-            depth: 0,
-            max_depth: 0,
-            high_water: 0,
-            over_high_water: 0,
         }
     }
 }
@@ -80,11 +51,6 @@ impl<M> Default for Mailbox<M> {
 impl<M> Mailbox<M> {
     /// Buffers an envelope at the back of its `(src, tag)` bucket.
     fn push(&mut self, e: Envelope<M>) {
-        if self.high_water > 0 && self.depth >= self.high_water {
-            self.over_high_water += 1;
-        }
-        self.depth += 1;
-        self.max_depth = self.max_depth.max(self.depth);
         self.buckets
             .entry((e.src, e.tag))
             .or_default()
@@ -99,7 +65,6 @@ impl<M> Mailbox<M> {
         if q.is_empty() {
             self.buckets.remove(&(src, tag));
         }
-        self.depth -= 1;
         Some(msg)
     }
 
@@ -117,18 +82,7 @@ impl<M> Mailbox<M> {
                 false
             }
         });
-        self.depth -= dropped;
         dropped
-    }
-
-    /// Current depth accounting.
-    fn stats(&self) -> MailboxStats {
-        MailboxStats {
-            depth: self.depth,
-            max_depth: self.max_depth,
-            high_water: self.high_water,
-            over_high_water: self.over_high_water,
-        }
     }
 }
 
@@ -682,24 +636,6 @@ impl<M: Send> Comm<M> {
         self.pending.purge(keep)
     }
 
-    /// Depth accounting of this rank's unexpected-message queue. Drains
-    /// the delivery channel first so "buffered" means every message that
-    /// has arrived but not been consumed, not just those a receive
-    /// already parked.
-    pub fn mailbox_stats(&mut self) -> MailboxStats {
-        self.drain_inbox();
-        self.pending.stats()
-    }
-
-    /// Sets the mailbox's soft high-water mark (0 disables). Crossing it
-    /// increments [`MailboxStats::over_high_water`] instead of shedding:
-    /// on a blocking-receive runtime, dropping buffered messages would
-    /// deadlock the consumers expecting them, so the bound is a
-    /// backpressure *signal* for the layer that admits work.
-    pub fn set_mailbox_high_water(&mut self, high_water: usize) {
-        self.pending.high_water = high_water;
-    }
-
     /// Visits every buffered `(src, tag)` bucket with its current depth
     /// (draining the delivery channel first). Lets the application
     /// attribute queue depth to its own tag structure — e.g. per
@@ -753,7 +689,7 @@ impl<M: Send> Comm<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::World;
+    use crate::world::run_spmd;
 
     /// A spare tag for FIFO fences: once a receiver has matched a fence
     /// from a sender, everything that sender sent before it is already
@@ -762,8 +698,7 @@ mod tests {
 
     #[test]
     fn ping_pong() {
-        let world: World<u32> = World::new(2);
-        world.run(|mut comm| {
+        run_spmd::<u32, ()>(2, |mut comm| {
             if comm.rank() == 0 {
                 comm.send(1, 7, 42);
                 assert_eq!(comm.recv(1, 8).unwrap(), 43);
@@ -779,8 +714,7 @@ mod tests {
         // One sender interleaves two tags; the receiver drains them in
         // the opposite tag order. Within a (src, tag) bucket, messages
         // must come out in arrival (FIFO) order.
-        let world: World<u32> = World::new(2);
-        world.run(|mut comm| {
+        run_spmd::<u32, ()>(2, |mut comm| {
             if comm.rank() == 0 {
                 for &(tag, v) in &[(2u64, 20u32), (1, 10), (2, 21), (1, 11), (2, 22)] {
                     comm.send(1, tag, v);
@@ -799,8 +733,7 @@ mod tests {
 
     #[test]
     fn out_of_order_tags_are_buffered() {
-        let world: World<&'static str> = World::new(2);
-        world.run(|mut comm| {
+        run_spmd::<&'static str, ()>(2, |mut comm| {
             if comm.rank() == 0 {
                 comm.send(1, 1, "first");
                 comm.send(1, 2, "second");
@@ -814,8 +747,7 @@ mod tests {
 
     #[test]
     fn source_matching_separates_senders() {
-        let world: World<usize> = World::new(3);
-        world.run(|mut comm| match comm.rank() {
+        run_spmd::<usize, ()>(3, |mut comm| match comm.rank() {
             0 => comm.send(2, 5, 100),
             1 => comm.send(2, 5, 200),
             _ => {
@@ -828,8 +760,7 @@ mod tests {
 
     #[test]
     fn disconnected_world_errors_cleanly() {
-        let world: World<()> = World::new(2);
-        world.run(|mut comm| {
+        run_spmd::<(), ()>(2, |mut comm| {
             if comm.rank() == 0 {
                 // Exit immediately; rank 1's recv must not hang forever.
             } else {
@@ -842,8 +773,7 @@ mod tests {
     fn timeout_fires_when_no_message() {
         // Rank 0 stays alive until rank 1 reports back, so the wait can
         // only end in a timeout.
-        let world: World<()> = World::new(2);
-        world.run(|mut comm| {
+        run_spmd::<(), ()>(2, |mut comm| {
             if comm.rank() == 1 {
                 let r = comm.recv_timeout(0, 1, Duration::from_millis(20));
                 assert_eq!(r.unwrap_err(), RecvError::Timeout);
@@ -874,8 +804,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn blocked_recv_sleeps_until_its_message() {
-        let world: World<u32> = World::new(2);
-        world.run(|mut comm| {
+        run_spmd::<u32, ()>(2, |mut comm| {
             if comm.rank() == 0 {
                 std::thread::sleep(Duration::from_millis(200));
                 comm.send(1, 1, 7);
@@ -893,8 +822,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn recv_timeout_sleeps_until_its_deadline() {
-        let world: World<()> = World::new(2);
-        world.run(|mut comm| {
+        run_spmd::<(), ()>(2, |mut comm| {
             if comm.rank() == 1 {
                 let before = voluntary_switches();
                 let r = comm.recv_timeout(0, 1, Duration::from_millis(200));
@@ -910,17 +838,22 @@ mod tests {
 
     #[test]
     fn self_send_works() {
-        let world: World<u64> = World::new(1);
-        world.run(|mut comm| {
+        run_spmd::<u64, ()>(1, |mut comm| {
             comm.send(0, 11, 77);
             assert_eq!(comm.recv(0, 11).unwrap(), 77);
         });
     }
 
+    /// Messages buffered in `comm`'s mailbox right now.
+    fn buffered<M: Send>(comm: &mut Comm<M>) -> usize {
+        let mut n = 0;
+        comm.pending_counts(|_, _, k| n += k);
+        n
+    }
+
     #[test]
     fn mailbox_depth_tracks_buffered_messages() {
-        let world: World<u32> = World::new(2);
-        world.run(|mut comm| {
+        run_spmd::<u32, ()>(2, |mut comm| {
             if comm.rank() == 0 {
                 for t in 0..5u64 {
                     comm.send(1, t, t as u32);
@@ -928,10 +861,6 @@ mod tests {
                 comm.send(1, FENCE, 0);
             } else {
                 comm.recv(0, FENCE).unwrap(); // all five are buffered now
-                let s = comm.mailbox_stats();
-                assert_eq!(s.depth, 5);
-                assert_eq!(s.max_depth, 5);
-                assert_eq!(s.over_high_water, 0, "no high-water configured");
                 let mut seen = 0;
                 comm.pending_counts(|src, _t, n| {
                     assert_eq!(src, 0);
@@ -941,33 +870,11 @@ mod tests {
                 for t in 0..5u64 {
                     let _ = comm.recv(0, t).unwrap();
                 }
-                let s = comm.mailbox_stats();
-                assert_eq!(s.depth, 0, "consumed messages leave the mailbox");
-                assert_eq!(s.max_depth, 5, "high-water mark persists");
-            }
-        });
-    }
-
-    #[test]
-    fn high_water_crossings_are_counted_not_shed() {
-        let world: World<u32> = World::new(2);
-        world.run(|mut comm| {
-            if comm.rank() == 0 {
-                for t in 0..6u64 {
-                    comm.send(1, t, t as u32);
-                }
-                comm.send(1, FENCE, 0);
-            } else {
-                comm.set_mailbox_high_water(2);
-                comm.recv(0, FENCE).unwrap();
-                let s = comm.mailbox_stats();
-                assert_eq!(s.depth, 6, "soft bound must not drop messages");
-                assert_eq!(s.high_water, 2);
-                assert_eq!(s.over_high_water, 4, "pushes at/above the mark");
-                // Every message is still receivable.
-                for t in 0..6u64 {
-                    assert_eq!(comm.recv(0, t).unwrap(), t as u32);
-                }
+                assert_eq!(
+                    buffered(&mut comm),
+                    0,
+                    "consumed messages leave the mailbox"
+                );
             }
         });
     }
@@ -981,8 +888,7 @@ mod tests {
         // buffered, and the last round ends with an empty mailbox.
         const P: usize = 8;
         const ROUNDS: u64 = 20;
-        let world: World<Vec<u64>> = World::new(P);
-        world.run(|mut comm| {
+        run_spmd::<Vec<u64>, ()>(P, |mut comm| {
             let me = comm.rank();
             let mut rng = stap_util::rng::Rng::seed_from_u64(0x5eed ^ me as u64);
             for round in 0..ROUNDS {
@@ -1000,16 +906,11 @@ mod tests {
                     let m = comm.recv(src, round).unwrap();
                     assert_eq!(m, vec![src as u64, round, me as u64]);
                 }
-                let mut early = 0;
-                comm.pending_counts(|_, tag, n| {
+                comm.pending_counts(|_, tag, _| {
                     assert_eq!(tag, round + 1, "rank {me} round {round}");
-                    early += n;
                 });
-                // Depth accounting agrees with the buckets just counted
-                // (read without draining again: a fresh arrival would race).
-                assert_eq!(comm.pending.stats().depth, early);
             }
-            assert_eq!(comm.mailbox_stats().depth, 0, "rank {me}");
+            assert_eq!(buffered(&mut comm), 0, "rank {me}");
         });
     }
 }

@@ -393,20 +393,22 @@ mod tests {
         use crate::world::World;
         let world: World<u32> =
             World::new(2).with_faults(FaultPlan::seeded(7).drop_message(0, 1, 5));
-        world.run(|mut comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 5, 10); // dropped
-                comm.send(1, 5, 11); // delivered (rule burned out)
-            } else {
-                assert_eq!(comm.recv(0, 5).unwrap(), 11);
-                // Nothing else ever arrives (Timeout while the sender is
-                // still winding down, Disconnected once it exits).
-                let err = comm
-                    .recv_timeout(0, 5, std::time::Duration::from_millis(20))
-                    .unwrap_err();
-                assert!(matches!(err, RecvError::Timeout | RecvError::Disconnected));
-            }
-        });
+        world
+            .try_run_collect(|mut comm| {
+                if comm.rank() == 0 {
+                    comm.send(1, 5, 10); // dropped
+                    comm.send(1, 5, 11); // delivered (rule burned out)
+                } else {
+                    assert_eq!(comm.recv(0, 5).unwrap(), 11);
+                    // Nothing else ever arrives (Timeout while the sender is
+                    // still winding down, Disconnected once it exits).
+                    let err = comm
+                        .recv_timeout(0, 5, std::time::Duration::from_millis(20))
+                        .unwrap_err();
+                    assert!(matches!(err, RecvError::Timeout | RecvError::Disconnected));
+                }
+            })
+            .unwrap();
     }
 
     #[test]
@@ -414,14 +416,16 @@ mod tests {
         use crate::world::World;
         let world: World<u32> =
             World::new(2).with_faults(FaultPlan::seeded(0).duplicate_message(0, 1, 3));
-        world.run(|mut comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 3, 42);
-            } else {
-                assert_eq!(comm.recv(0, 3).unwrap(), 42);
-                assert_eq!(comm.recv(0, 3).unwrap(), 42, "duplicate copy");
-            }
-        });
+        world
+            .try_run_collect(|mut comm| {
+                if comm.rank() == 0 {
+                    comm.send(1, 3, 42);
+                } else {
+                    assert_eq!(comm.recv(0, 3).unwrap(), 42);
+                    assert_eq!(comm.recv(0, 3).unwrap(), 42, "duplicate copy");
+                }
+            })
+            .unwrap();
     }
 
     #[test]
@@ -431,29 +435,31 @@ mod tests {
             World::new(2).with_faults(FaultPlan::seeded(0).delay_message(0, 1, 8, 2));
         const FENCE: u64 = 10;
         const CHECKED: u64 = 11;
-        world.run(|mut comm| {
-            if comm.rank() == 0 {
-                comm.fault_checkpoint(0);
-                comm.send(1, 8, 5); // held until epoch >= 2
-                comm.send(1, 9, 1); // control message, untouched
-                comm.fault_checkpoint(1);
-                comm.send(1, FENCE, 0);
-                comm.recv(1, CHECKED).unwrap(); // receiver checked tag 8
-                comm.fault_checkpoint(2); // releases the held message
-            } else {
-                assert_eq!(comm.recv(0, 9).unwrap(), 1);
-                // Per-sender FIFO: past the fence, anything rank 0 sent
-                // before it is buffered, so tag 8 is really still held.
-                comm.recv(0, FENCE).unwrap();
-                assert_eq!(
-                    comm.recv_timeout(0, 8, std::time::Duration::ZERO),
-                    Err(crate::comm::RecvError::Timeout),
-                    "held until epoch 2"
-                );
-                comm.send(0, CHECKED, 0);
-                assert_eq!(comm.recv(0, 8).unwrap(), 5, "released at epoch 2");
-            }
-        });
+        world
+            .try_run_collect(|mut comm| {
+                if comm.rank() == 0 {
+                    comm.fault_checkpoint(0);
+                    comm.send(1, 8, 5); // held until epoch >= 2
+                    comm.send(1, 9, 1); // control message, untouched
+                    comm.fault_checkpoint(1);
+                    comm.send(1, FENCE, 0);
+                    comm.recv(1, CHECKED).unwrap(); // receiver checked tag 8
+                    comm.fault_checkpoint(2); // releases the held message
+                } else {
+                    assert_eq!(comm.recv(0, 9).unwrap(), 1);
+                    // Per-sender FIFO: past the fence, anything rank 0 sent
+                    // before it is buffered, so tag 8 is really still held.
+                    comm.recv(0, FENCE).unwrap();
+                    assert_eq!(
+                        comm.recv_timeout(0, 8, std::time::Duration::ZERO),
+                        Err(crate::comm::RecvError::Timeout),
+                        "held until epoch 2"
+                    );
+                    comm.send(0, CHECKED, 0);
+                    assert_eq!(comm.recv(0, 8).unwrap(), 5, "released at epoch 2");
+                }
+            })
+            .unwrap();
     }
 
     #[test]
@@ -463,15 +469,17 @@ mod tests {
         let world: World<u64> = World::new(2)
             .with_faults(FaultPlan::seeded(11).corrupt_message(0, 1, 1))
             .with_corruptor(corr);
-        world.run(|mut comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 1, 100); // corrupted
-                comm.send(1, 2, 200); // clean
-            } else {
-                assert_ne!(comm.recv(0, 1).unwrap(), 100);
-                assert_eq!(comm.recv(0, 2).unwrap(), 200);
-            }
-        });
+        world
+            .try_run_collect(|mut comm| {
+                if comm.rank() == 0 {
+                    comm.send(1, 1, 100); // corrupted
+                    comm.send(1, 2, 200); // clean
+                } else {
+                    assert_ne!(comm.recv(0, 1).unwrap(), 100);
+                    assert_eq!(comm.recv(0, 2).unwrap(), 200);
+                }
+            })
+            .unwrap();
     }
 
     #[test]
@@ -479,7 +487,7 @@ mod tests {
         use crate::world::World;
         let world: World<()> = World::new(3).with_faults(FaultPlan::seeded(0).panic_rank(1, 4));
         let err = world
-            .try_run(|mut comm| {
+            .try_run_collect(|mut comm| {
                 for epoch in 0..6u64 {
                     comm.fault_checkpoint(epoch);
                 }

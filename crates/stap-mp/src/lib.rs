@@ -30,7 +30,7 @@ pub mod trace;
 pub mod transport;
 pub mod world;
 
-pub use comm::{Comm, MailboxStats, RecvError, Tag};
+pub use comm::{Comm, RecvError, Tag};
 pub use fault::{Corruptor, FaultAction, FaultPlan, FaultRule, TagPattern};
 pub use tcp::{abort_rendezvous, spawn_coordinator, TcpLink};
 pub use trace::{CommEvent, RankTrace, SpanRecorder, TraceKind, TraceSink};

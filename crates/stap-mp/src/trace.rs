@@ -256,19 +256,21 @@ mod tests {
         // and the wait ends in `Timeout`, not `Disconnected`.
         const NEVER: u64 = 8;
         const DONE: u64 = 9;
-        world.run(|mut comm| {
-            let peer = 1 - comm.rank();
-            if comm.rank() == 0 {
-                comm.send(1, 7, vec![0u8; 16]);
-            } else {
-                let m = comm.recv(0, 7).unwrap();
-                assert_eq!(m.len(), 16);
-            }
-            let r = comm.recv_timeout(peer, NEVER, std::time::Duration::from_millis(1));
-            assert_eq!(r.unwrap_err(), crate::comm::RecvError::Timeout);
-            comm.send(peer, DONE, vec![]);
-            comm.recv(peer, DONE).unwrap();
-        });
+        world
+            .try_run_collect(|mut comm| {
+                let peer = 1 - comm.rank();
+                if comm.rank() == 0 {
+                    comm.send(1, 7, vec![0u8; 16]);
+                } else {
+                    let m = comm.recv(0, 7).unwrap();
+                    assert_eq!(m.len(), 16);
+                }
+                let r = comm.recv_timeout(peer, NEVER, std::time::Duration::from_millis(1));
+                assert_eq!(r.unwrap_err(), crate::comm::RecvError::Timeout);
+                comm.send(peer, DONE, vec![]);
+                comm.recv(peer, DONE).unwrap();
+            })
+            .unwrap();
         let traces = sink.take();
         assert_eq!(traces.len(), 2, "both ranks flushed");
         assert!(traces[0]
@@ -292,9 +294,7 @@ mod tests {
 
     #[test]
     fn untraced_world_leaves_sink_empty() {
-        use crate::world::World;
-        let world: World<u32> = World::new(2);
-        world.run(|mut comm| {
+        crate::world::run_spmd::<u32, ()>(2, |mut comm| {
             if comm.rank() == 0 {
                 comm.send(1, 1, 9);
             } else {

@@ -5,9 +5,9 @@ use crate::fault::{Corruptor, FaultPlan, FaultState};
 use std::sync::mpsc::channel as unbounded;
 use std::sync::Arc;
 
-/// Structured failure report from [`World::try_run`] /
-/// [`World::try_run_collect`]: the first rank (by index) that panicked,
-/// with its panic payload rendered to a string when possible.
+/// Structured failure report from [`World::try_run_collect`]: the first
+/// rank (by index) that panicked, with its panic payload rendered to a
+/// string when possible.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorldError {
     /// Index of the first panicking rank.
@@ -39,7 +39,8 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// A set of `n` rank endpoints sharing a message space.
 ///
 /// Construct with [`World::new`], then launch one scoped thread per rank
-/// with [`World::run`] or one of its variants.
+/// with [`World::try_run_collect`] (or build and run one in a call with
+/// [`run_spmd`]).
 pub struct World<M> {
     comms: Vec<Comm<M>>,
 }
@@ -106,17 +107,6 @@ impl<M: Send> World<M> {
         self
     }
 
-    /// Sets the soft mailbox high-water mark on every rank endpoint
-    /// (see [`Comm::set_mailbox_high_water`]): buffered-message pushes
-    /// at or above `high_water` are counted, never shed. 0 (the
-    /// default) disables the check.
-    pub fn with_mailbox_high_water(mut self, high_water: usize) -> Self {
-        for comm in &mut self.comms {
-            comm.set_mailbox_high_water(high_water);
-        }
-        self
-    }
-
     /// Installs a span recorder on every rank endpoint (see
     /// [`crate::trace`]). Events are timestamped relative to `epoch`,
     /// payload sizes are attributed through `bytes_of`, and each rank
@@ -139,44 +129,13 @@ impl<M: Send> World<M> {
         self.comms.len()
     }
 
-    /// Runs `f` once per rank on scoped threads and joins them all,
-    /// propagating the first panic. This is the SPMD `mpirun`
-    /// equivalent. A panicking rank *poisons* the world: peers blocked
-    /// in receives observe `Disconnected` instead of hanging on a
-    /// communication pattern that can no longer complete.
-    pub fn run<F>(self, f: F)
-    where
-        F: Fn(Comm<M>) + Sync,
-    {
-        if let Err(e) = self.try_run(f) {
-            panic!("{e}");
-        }
-    }
-
-    /// Like [`World::run`] but reports the first panicking rank as a
-    /// structured [`WorldError`] instead of re-panicking.
-    pub fn try_run<F>(self, f: F) -> Result<(), WorldError>
-    where
-        F: Fn(Comm<M>) + Sync,
-    {
-        self.try_run_collect(f).map(|_| ())
-    }
-
-    /// Like [`World::run`] but collects each rank's return value, indexed
-    /// by rank. Panics (with the original rank's message) when any rank
-    /// panicked; use [`World::try_run_collect`] to handle that case.
-    pub fn run_collect<F, R>(self, f: F) -> Vec<R>
-    where
-        F: Fn(Comm<M>) -> R + Sync,
-        R: Send,
-    {
-        self.try_run_collect(f).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs `f` on every rank and collects results indexed by rank. When
-    /// one or more ranks panic, returns a [`WorldError`] naming the
-    /// lowest-indexed *root-cause* panic — every rank is still joined
-    /// first, so no threads leak.
+    /// Runs `f` once per rank on scoped threads (the SPMD `mpirun`
+    /// equivalent) and collects results indexed by rank. A panicking rank
+    /// *poisons* the world: peers blocked in receives observe
+    /// `Disconnected` instead of hanging on a communication pattern that
+    /// can no longer complete. When one or more ranks panic, returns a
+    /// [`WorldError`] naming the lowest-indexed *root-cause* panic — every
+    /// rank is still joined first, so no threads leak.
     ///
     /// Root-cause attribution: a panic on one rank poisons the world,
     /// turning every peer's blocked receive into a `Disconnected` error
@@ -267,9 +226,13 @@ fn run_rank<M: Send, R>(f: impl Fn(Comm<M>) -> R, comm: Comm<M>) -> R {
     f(comm)
 }
 
-/// Convenience: build a world of `n` ranks and run `f` on each.
+/// Builds a world of `n` ranks, runs `f` on each and collects the
+/// results by rank. Panics (with the root-cause rank's message) when any
+/// rank panicked; use [`World::try_run_collect`] to handle that case.
 pub fn run_spmd<M: Send, R: Send>(n: usize, f: impl Fn(Comm<M>) -> R + Sync) -> Vec<R> {
-    World::new(n).run_collect(f)
+    World::new(n)
+        .try_run_collect(f)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -353,7 +316,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let disconnected = AtomicUsize::new(0);
         let err = World::<()>::new(4)
-            .try_run(|mut comm| {
+            .try_run_collect(|mut comm| {
                 let got = match comm.rank() {
                     0 => panic!("injected failure"),
                     3 => comm.recv_timeout(0, 1, std::time::Duration::from_secs(60)),

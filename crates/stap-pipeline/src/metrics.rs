@@ -100,9 +100,6 @@ pub struct PipelineHealth {
     /// per CPI/slot at each receiver). Depth telemetry, not a fault
     /// signal: excluded from [`PipelineHealth::any`].
     pub max_mailbox_depth: [u64; crate::msg::NUM_EDGES],
-    /// Mailbox pushes that landed at or above the configured soft
-    /// high-water mark, summed across ranks (0 when no mark is set).
-    pub mailbox_over_high_water: u64,
 }
 
 impl PipelineHealth {
@@ -121,7 +118,6 @@ impl PipelineHealth {
         {
             *a = (*a).max(*b);
         }
-        self.mailbox_over_high_water += other.mailbox_over_high_water;
     }
 
     /// True when any *fault* counter anywhere is non-zero. Mailbox depth

@@ -644,7 +644,6 @@ impl<'a> Node<'a> {
     /// session that can end an epoch at a boundary ([`Session`](crate::Session)):
     /// exporting copies every matrix out of the task's own layout.
     fn finish(mut self, state: impl FnOnce() -> ResidentState) -> TaskReport {
-        self.report.health.mailbox_over_high_water = self.comm.mailbox_stats().over_high_water;
         if self.ctx.export {
             self.report.state = state();
         }
@@ -2117,7 +2116,7 @@ mod tests {
 #[cfg(test)]
 mod seq_tests {
     use super::*;
-    use stap_mp::World;
+    use stap_mp::run_spmd;
 
     /// A list's slots: every one counts as sent.
     static ALL_SENT: AtomicUsize = AtomicUsize::new(usize::MAX);
@@ -2169,10 +2168,9 @@ mod seq_tests {
     /// real message.
     #[test]
     fn out_of_order_seq_is_discarded_then_real_message_received() {
-        let world: World<Msg> = World::new(2);
         let policy = RuntimePolicy::fault_tolerant();
         let input = entry(&schedule(NodeAssignment::tiny()), Edge::Input);
-        let counts = world.run_collect(move |mut comm| {
+        let counts = run_spmd::<Msg, _>(2, move |mut comm| {
             if comm.rank() == 0 {
                 // A stale slot-4 message mislabeled onto slot 5's tag,
                 // then the genuine slot-5 message.
@@ -2201,10 +2199,9 @@ mod seq_tests {
     /// end-of-slot purge; messages for future slots survive it.
     #[test]
     fn purge_discards_current_and_earlier_cpis_only() {
-        let world: World<Msg> = World::new(2);
         let policy = RuntimePolicy::fault_tolerant();
         let input = entry(&schedule(NodeAssignment::tiny()), Edge::Input);
-        let results = world.run_collect(move |mut comm| {
+        let results = run_spmd::<Msg, _>(2, move |mut comm| {
             if comm.rank() == 0 {
                 comm.send(1, tag(Edge::Input, 0), slab(&input, 0)); // duplicate of a consumed slot
                 comm.send(1, tag(Edge::Input, 1), slab(&input, 1)); // late for the current slot
@@ -2239,8 +2236,7 @@ mod seq_tests {
     /// the purge instead of indexing past the per-edge counters.
     #[test]
     fn purge_discards_a_tag_of_no_edge() {
-        let world: World<Msg> = World::new(2);
-        let depths = world.run_collect(|mut comm| {
+        let depths = run_spmd::<Msg, _>(2, |mut comm| {
             if comm.rank() == 0 {
                 // Edge byte 0xFF, slot 0.
                 comm.send(1, 0xFF << 48, Msg::new(0, Payload::Dropped));
@@ -2255,7 +2251,7 @@ mod seq_tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
             purge_late(&mut comm, 0, &mut PipelineHealth::default());
-            comm.mailbox_stats().depth
+            buffered(&mut comm)
         });
         assert_eq!(depths[1], 0);
     }
@@ -2306,8 +2302,7 @@ mod seq_tests {
             })
             .collect();
         let policies = [RuntimePolicy::default(), RuntimePolicy::fault_tolerant()];
-        let world: World<Msg> = World::new(2);
-        let healths = world.run_collect(|mut comm| {
+        let healths = run_spmd::<Msg, _>(2, |mut comm| {
             let mut health = PipelineHealth::default();
             let mut slot = 0;
             for policy in &policies {

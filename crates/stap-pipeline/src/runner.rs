@@ -140,9 +140,6 @@ pub struct ParallelStap {
     pub cooldown: usize,
     /// Maximum CPIs coalesced into one slot.
     pub max_group: usize,
-    /// Soft mailbox high-water mark installed in every rank's comm
-    /// (0 = disabled); crossings are counted in the health counters.
-    pub mailbox_high_water: usize,
     /// Fault-tolerance policy for the task loops. Defaults to off
     /// (zero-overhead blocking receives, bit-identical to the non-FT
     /// pipeline).
@@ -174,7 +171,6 @@ impl ParallelStap {
             warmup: 3,
             cooldown: 2,
             max_group: 4,
-            mailbox_high_water: 0,
             policy: RuntimePolicy::default(),
             faults: None,
             screen: false,
@@ -230,12 +226,6 @@ impl ParallelStap {
     /// Sets the per-slot coalescing bound.
     pub fn with_max_group(mut self, max_group: usize) -> Self {
         self.max_group = max_group.max(1);
-        self
-    }
-
-    /// Installs a soft mailbox high-water mark on every rank.
-    pub fn with_mailbox_high_water(mut self, high_water: usize) -> Self {
-        self.mailbox_high_water = high_water;
         self
     }
 
@@ -381,9 +371,6 @@ impl ParallelStap {
         let schedule =
             Schedule::new(&self.params, &assign, parts).map_err(PipelineError::InvalidInput)?;
         let mut world: World<Msg> = World::new(assign.world_size());
-        if self.mailbox_high_water > 0 {
-            world = world.with_mailbox_high_water(self.mailbox_high_water);
-        }
         if let Some(plan) = faults.filter(|plan| !plan.is_empty()) {
             world = world
                 .with_faults(plan.clone())

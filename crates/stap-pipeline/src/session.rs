@@ -286,7 +286,7 @@ impl<F: Feed> Feed for SessionFeed<'_, F> {
 impl Session {
     /// Runs `runner` in epochs over `feed` until it ends and the last
     /// epoch drains. Every epoch launches from `runner` (window, group
-    /// bound, policy, mailbox mark, screen, tracing, pools); only the
+    /// bound, policy, screen, tracing, pools); only the
     /// assignment, the carried state and the fault plan change between
     /// launches. Returns the merged summary, or a world's error when
     /// recovery is off or out of budget.

@@ -355,6 +355,7 @@ pub fn render_breakdown(trace: &PipelineTrace, timings: &PipelineTimings) -> Str
         .fold(0.0f64, f64::max)
         .max(1e-12);
     const COLS: usize = 44;
+    let names = TASK_NAMES.iter().map(|n| n.len()).max().unwrap_or(0);
     for (t, name) in TASK_NAMES.iter().enumerate() {
         let tt = &timings.tasks[t];
         let cols = |x: f64| ((x / widest) * COLS as f64).round() as usize;
@@ -364,7 +365,7 @@ pub fn render_breakdown(trace: &PipelineTrace, timings: &PipelineTimings) -> Str
             .collect();
         writeln!(
             out,
-            "  {name:<9} |{bar:<COLS$}| {:9.3} ms",
+            "  {name:<names$} |{bar:<COLS$}| {:9.3} ms",
             tt.total() * 1e3
         )
         .unwrap();
@@ -374,7 +375,7 @@ pub fn render_breakdown(trace: &PipelineTrace, timings: &PipelineTimings) -> Str
     writeln!(out, "\nper-task phase times, mean per CPI per node (ms)").unwrap();
     writeln!(
         out,
-        "  {:<9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "  {:<names$} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "task", "recv", "comp", "send", "idle", "total"
     )
     .unwrap();
@@ -382,8 +383,7 @@ pub fn render_breakdown(trace: &PipelineTrace, timings: &PipelineTimings) -> Str
         let tt = &timings.tasks[t];
         writeln!(
             out,
-            "  {:<9} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
-            name,
+            "  {name:<names$} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
             tt.recv * 1e3,
             tt.comp * 1e3,
             tt.send * 1e3,
@@ -553,5 +553,39 @@ mod tests {
         assert!(text.contains("doppler->easy_wt"));
         assert!(text.contains("throughput"));
         assert!(text.contains("latency"));
+    }
+
+    /// Every task row of the bar chart opens its bar at one column, and
+    /// every task row of the phase table starts its figures at one
+    /// column, however long the task's name.
+    #[test]
+    fn breakdown_aligns_every_task_row() {
+        let mut timings = PipelineTimings::default();
+        for (t, tt) in timings.tasks.iter_mut().enumerate() {
+            *tt = TaskTiming {
+                recv: 1e-3 * (t + 1) as f64,
+                comp: 2e-3,
+                send: 1e-3,
+                recv_idle: 5e-4,
+            };
+        }
+        let text = render_breakdown(&tiny_trace(), &timings);
+        // The task rows under a section's title (and, for the table, its
+        // header), each with the column `at` finds in it.
+        let columns = |title: &str, skip: usize, at: fn(&str) -> Option<usize>| {
+            let start = text.find(title).expect(title);
+            let rows = text[start..].lines().skip(1 + skip).take(TASK_NAMES.len());
+            rows.map(at).collect::<Vec<_>>()
+        };
+        let bars = columns("per-task time per CPI", 0, |l| l.find('|'));
+        assert!(bars.iter().all(|c| c.is_some() && *c == bars[0]), "{text}");
+        // Every recv figure is `x.000` ms, so they start where the column does.
+        let figures = columns("per-task phase times", 1, |l| {
+            l.find(|c: char| c.is_ascii_digit())
+        });
+        assert!(
+            figures.iter().all(|c| c.is_some() && *c == figures[0]),
+            "{text}"
+        );
     }
 }

@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 /// Bumped when the binary layout of a message or a report changes; a
 /// frame of another version is refused instead of being misread.
-const VERSION: u8 = 2;
+const VERSION: u8 = 3;
 
 const KIND_CUBE: u8 = 0;
 const KIND_REAL: u8 = 1;
@@ -424,7 +424,6 @@ pub fn encode_report(report: &TaskReport, events: &[CommEvent], out: &mut Vec<u8
     }
     put_u64s(out, &[h.dropped_cpis, h.degraded_cpis]);
     put_u64s(out, &h.max_mailbox_depth);
-    put_u64s(out, &[h.mailbox_over_high_water]);
     put_u32(out, report.spans.len());
     for s in &report.spans {
         put_u64s(out, &[s.task as u64, s.node as u64, s.cpi as u64]);
@@ -463,7 +462,6 @@ pub fn decode_report(bytes: &[u8]) -> Result<(TaskReport, Vec<CommEvent>), &'sta
     for d in &mut health.max_mailbox_depth {
         *d = c.u64()?;
     }
-    health.mailbox_over_high_water = c.u64()?;
     let n = c.count(56)?;
     let spans = (0..n)
         .map(|_| {
@@ -739,7 +737,6 @@ mod tests {
         health.edges[10].late_or_dup = 5;
         health.degraded_cpis = 3;
         health.max_mailbox_depth[1] = 12;
-        health.mailbox_over_high_water = 4;
         let report = TaskReport {
             health,
             spans: vec![
@@ -874,7 +871,6 @@ mod tests {
                 h.edges[3].retries = 2;
                 h.edges[9].dropped = 1;
                 h.max_mailbox_depth[1] = 12;
-                h.mailbox_over_high_water = 4;
                 h
             },
             spans: vec![
@@ -907,7 +903,6 @@ mod tests {
         assert_eq!(back.health.edges[3].retries, 2);
         assert_eq!(back.health.edges[9].dropped, 1);
         assert_eq!(back.health.max_mailbox_depth[1], 12);
-        assert_eq!(back.health.mailbox_over_high_water, 4);
     }
 
     /// A rank's comm trace, including a tag at `u64::MAX`, survives the

@@ -23,8 +23,8 @@
 
 use crate::health::{LastOutcome, StreamHealth};
 use stap_cube::CCube;
-use stap_pipeline::CpiJob;
-use std::collections::{HashMap, HashSet, VecDeque};
+use stap_pipeline::{CpiDone, CpiJob};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Why a submission was refused.
@@ -60,20 +60,6 @@ pub enum Reject {
     },
     /// The server is shutting down.
     Closed,
-}
-
-impl Reject {
-    /// Stable snake-case reason label (loadgen tallies and JSON).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Reject::QueueFull { .. } => "queue_full",
-            Reject::UnknownStream(_) => "unknown_stream",
-            Reject::BadShape { .. } => "bad_shape",
-            Reject::NonFinite(_) => "non_finite",
-            Reject::Quarantined { .. } => "quarantined",
-            Reject::Closed => "closed",
-        }
-    }
 }
 
 impl std::fmt::Display for Reject {
@@ -112,7 +98,21 @@ pub struct AdmissionConfig {
     pub probation_ms: u64,
 }
 
-struct StreamState {
+/// Where a stream stands with admission.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Standing {
+    /// Seen only through a rejected submission; never registered.
+    Unregistered,
+    /// Registered and connected: may submit.
+    Active,
+    /// Disconnected; the id is never re-admitted (see module docs).
+    Retired,
+}
+
+/// One stream's row in the ledger: its admission state, its health and
+/// its completion record. Rows survive disconnect.
+pub struct StreamRow {
+    standing: Standing,
     next_scpi: u32,
     /// Admitted and not yet completed (spans the ready queue and the
     /// pipeline itself).
@@ -121,6 +121,86 @@ struct StreamState {
     quarantined_until: Option<Instant>,
     /// Current backoff window (ms); doubles per re-offense.
     backoff_ms: u64,
+    /// Outcome and reject counters, failure streak, quarantine record.
+    pub(crate) health: StreamHealth,
+    /// Completions, warm-up included, whatever the stream's standing.
+    pub(crate) completed: u64,
+    /// Steady-state latency samples in seconds (warm-up excluded).
+    pub(crate) latencies: Vec<f64>,
+    /// Detections reported across every completion.
+    pub(crate) detections: u64,
+}
+
+impl StreamRow {
+    fn new(stream: u16) -> Self {
+        StreamRow {
+            standing: Standing::Unregistered,
+            next_scpi: 0,
+            in_flight: 0,
+            quarantined_until: None,
+            backoff_ms: 0,
+            health: StreamHealth {
+                stream,
+                ..StreamHealth::default()
+            },
+            completed: 0,
+            latencies: Vec::new(),
+            detections: 0,
+        }
+    }
+
+    fn reject(&mut self, r: Reject) -> Reject {
+        self.health.rejects.bump(&r);
+        self.health.last = if matches!(r, Reject::Quarantined { .. }) {
+            LastOutcome::Quarantined
+        } else {
+            LastOutcome::Rejected
+        };
+        r
+    }
+
+    /// Adds a completed CPI's result to the row: its detections and,
+    /// past the stream's first `warmup` CPIs, its latency sample.
+    pub fn record(&mut self, done: &CpiDone, warmup: u32) {
+        self.detections += done.detections.len() as u64;
+        if done.scpi >= warmup {
+            self.latencies.push(done.latency);
+        }
+    }
+
+    /// Fires the quarantine gate when the streak crosses the threshold.
+    fn maybe_quarantine(&mut self, cfg: &AdmissionConfig, now: Instant) {
+        let threshold = cfg.quarantine_streak;
+        if threshold == 0 || self.health.streak < threshold || self.quarantined_until.is_some() {
+            return;
+        }
+        let window = if self.backoff_ms == 0 {
+            cfg.probation_ms.max(1)
+        } else {
+            (self.backoff_ms * 2).min(MAX_BACKOFF_MS)
+        };
+        self.backoff_ms = window;
+        self.quarantined_until = Some(now + Duration::from_millis(window));
+        self.health.quarantines += 1;
+        self.health.last = LastOutcome::Quarantined;
+    }
+
+    /// Quarantine gate: `Some(reject)` while the window is closed,
+    /// clearing the gate (probation) once it has elapsed.
+    fn quarantine_gate(&mut self, now: Instant) -> Option<Reject> {
+        let until = self.quarantined_until?;
+        if now < until {
+            let retry_ms = until.duration_since(now).as_millis() as u64;
+            return Some(Reject::Quarantined {
+                stream: self.health.stream,
+                retry_ms,
+            });
+        }
+        // Probation: the gate opens but the backoff window is retained,
+        // so a re-offense doubles it. A clean completion resets it.
+        self.quarantined_until = None;
+        None
+    }
 }
 
 /// Backoff growth cap: one offense can never lock a tenant out for
@@ -132,18 +212,13 @@ const MAX_BACKOFF_MS: u64 = 30_000;
 /// without a full server.
 pub struct Ingest {
     cfg: AdmissionConfig,
-    streams: HashMap<u16, StreamState>,
-    /// Disconnected ids; never re-admitted (see module docs).
-    retired: HashSet<u16>,
-    /// Per-stream health rows, surviving disconnect.
-    health: HashMap<u16, StreamHealth>,
+    /// One row per stream ever seen, by id.
+    rows: BTreeMap<u16, StreamRow>,
     /// Admitted CPIs the pipeline's driver has not taken yet, in
     /// arrival order across streams.
     pub ready: VecDeque<CpiJob>,
     /// False once shutdown begins: all submissions bounce `Closed`.
     pub open: bool,
-    /// Total rejected submissions (all streams, all reasons).
-    pub rejected: u64,
     /// Undispatched CPIs purged by disconnects.
     pub purged: u64,
 }
@@ -153,98 +228,55 @@ impl Ingest {
     pub fn new(cfg: AdmissionConfig) -> Self {
         Ingest {
             cfg,
-            streams: HashMap::new(),
-            retired: HashSet::new(),
-            health: HashMap::new(),
+            rows: BTreeMap::new(),
             ready: VecDeque::new(),
             open: true,
-            rejected: 0,
             purged: 0,
         }
+    }
+
+    fn row(&mut self, stream: u16) -> &mut StreamRow {
+        self.rows
+            .entry(stream)
+            .or_insert_with(|| StreamRow::new(stream))
+    }
+
+    /// Every stream's row, sorted by id.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &StreamRow> {
+        self.rows.values()
     }
 
     /// Registers a stream id. Idempotent for an already-active stream;
     /// a no-op for a retired id (its submissions keep bouncing
     /// [`Reject::UnknownStream`]).
     pub fn register(&mut self, stream: u16) {
-        if self.retired.contains(&stream) {
-            return;
+        let row = self.row(stream);
+        if row.standing == Standing::Unregistered {
+            row.standing = Standing::Active;
         }
-        self.streams.entry(stream).or_insert(StreamState {
-            next_scpi: 0,
-            in_flight: 0,
-            quarantined_until: None,
-            backoff_ms: 0,
-        });
-        self.health.entry(stream).or_insert_with(|| StreamHealth {
-            stream,
-            ..StreamHealth::default()
-        });
     }
 
     /// True when `stream` was disconnected (its id is retired).
     pub fn is_retired(&self, stream: u16) -> bool {
-        self.retired.contains(&stream)
-    }
-
-    fn health_row(&mut self, stream: u16) -> &mut StreamHealth {
-        self.health.entry(stream).or_insert_with(|| StreamHealth {
-            stream,
-            ..StreamHealth::default()
-        })
+        self.rows
+            .get(&stream)
+            .is_some_and(|r| r.standing == Standing::Retired)
     }
 
     fn reject(&mut self, stream: u16, r: Reject) -> Reject {
-        self.rejected += 1;
-        let h = self.health_row(stream);
-        h.rejects.bump(&r);
-        h.last = if matches!(r, Reject::Quarantined { .. }) {
-            LastOutcome::Quarantined
-        } else {
-            LastOutcome::Rejected
-        };
-        r
+        self.row(stream).reject(r)
     }
 
-    /// Fires the quarantine gate when the streak crosses the threshold.
-    fn maybe_quarantine(&mut self, stream: u16, now: Instant) {
-        let threshold = self.cfg.quarantine_streak;
-        let probation = self.cfg.probation_ms;
-        let streak = self.health_row(stream).streak;
-        if threshold == 0 || streak < threshold {
-            return;
+    /// The row of `stream` when it may submit now: registered, connected
+    /// and out of quarantine.
+    fn admitting(&mut self, stream: u16, now: Instant) -> Result<&mut StreamRow, Reject> {
+        let row = (self.rows.get_mut(&stream))
+            .filter(|r| r.standing == Standing::Active)
+            .ok_or(Reject::UnknownStream(stream))?;
+        match row.quarantine_gate(now) {
+            Some(r) => Err(r),
+            None => Ok(row),
         }
-        let Some(st) = self.streams.get_mut(&stream) else {
-            return;
-        };
-        if st.quarantined_until.is_some() {
-            return;
-        }
-        let window = if st.backoff_ms == 0 {
-            probation.max(1)
-        } else {
-            (st.backoff_ms * 2).min(MAX_BACKOFF_MS)
-        };
-        st.backoff_ms = window;
-        st.quarantined_until = Some(now + Duration::from_millis(window));
-        let h = self.health_row(stream);
-        h.quarantines += 1;
-        h.last = LastOutcome::Quarantined;
-    }
-
-    /// Quarantine gate for `stream`: `Some(reject)` while the window is
-    /// closed, clearing the gate (probation) once it has elapsed.
-    fn quarantine_gate(&mut self, stream: u16, now: Instant) -> Option<Reject> {
-        let st = self.streams.get_mut(&stream)?;
-        let until = st.quarantined_until?;
-        if now < until {
-            let retry_ms = until.duration_since(now).as_millis() as u64;
-            return Some(Reject::Quarantined { stream, retry_ms });
-        }
-        // Probation: the gate opens but the backoff window is retained,
-        // so a re-offense doubles it. A clean completion resets it.
-        st.quarantined_until = None;
-        None
     }
 
     /// Admits one CPI, assigning its per-stream sequence number. On
@@ -267,23 +299,17 @@ impl Ingest {
             };
             return Err((self.reject(stream, r), cube));
         }
-        if !self.streams.contains_key(&stream) {
-            return Err((self.reject(stream, Reject::UnknownStream(stream)), cube));
+        let depth = self.cfg.queue_depth;
+        let row = match self.admitting(stream, now) {
+            Ok(row) => row,
+            Err(r) => return Err((self.reject(stream, r), cube)),
+        };
+        if row.in_flight >= depth {
+            return Err((row.reject(Reject::QueueFull { stream, depth }), cube));
         }
-        if let Some(r) = self.quarantine_gate(stream, now) {
-            return Err((self.reject(stream, r), cube));
-        }
-        let st = self.streams.get_mut(&stream).expect("checked above");
-        if st.in_flight >= self.cfg.queue_depth {
-            let r = Reject::QueueFull {
-                stream,
-                depth: self.cfg.queue_depth,
-            };
-            return Err((self.reject(stream, r), cube));
-        }
-        let scpi = st.next_scpi;
-        st.next_scpi += 1;
-        st.in_flight += 1;
+        let scpi = row.next_scpi;
+        row.next_scpi += 1;
+        row.in_flight += 1;
         self.ready.push_back(CpiJob {
             stream,
             scpi,
@@ -301,15 +327,14 @@ impl Ingest {
         if !self.open {
             return self.reject(stream, Reject::Closed);
         }
-        if !self.streams.contains_key(&stream) {
-            return self.reject(stream, Reject::UnknownStream(stream));
-        }
-        if let Some(r) = self.quarantine_gate(stream, now) {
-            return self.reject(stream, r);
-        }
-        let r = self.reject(stream, Reject::NonFinite(stream));
-        self.health_row(stream).streak += 1;
-        self.maybe_quarantine(stream, now);
+        let cfg = self.cfg;
+        let row = match self.admitting(stream, now) {
+            Ok(row) => row,
+            Err(r) => return self.reject(stream, r),
+        };
+        let r = row.reject(Reject::NonFinite(stream));
+        row.health.streak += 1;
+        row.maybe_quarantine(&cfg, now);
         r
     }
 
@@ -322,10 +347,9 @@ impl Ingest {
     /// parking forever on a condvar nobody signals for them.
     pub fn ready_for(&self, stream: u16) -> bool {
         self.open
-            && self
-                .streams
-                .get(&stream)
-                .is_some_and(|st| st.in_flight < self.cfg.queue_depth)
+            && self.rows.get(&stream).is_some_and(|r| {
+                r.standing == Standing::Active && r.in_flight < self.cfg.queue_depth
+            })
     }
 
     /// Removes a stream, retires its id and purges its undispatched
@@ -333,8 +357,6 @@ impl Ingest {
     /// drain as `Dropped` in the stream's health). Returns cubes purged
     /// so the caller can recycle them into the pool outside the lock.
     pub fn disconnect(&mut self, stream: u16) -> Vec<CCube> {
-        self.streams.remove(&stream);
-        self.retired.insert(stream);
         let mut dropped = Vec::new();
         self.ready.retain_mut(|p| {
             if p.stream == stream {
@@ -345,12 +367,11 @@ impl Ingest {
             }
         });
         self.purged += dropped.len() as u64;
-        if !dropped.is_empty() || self.health.contains_key(&stream) {
-            let h = self.health_row(stream);
-            h.dropped += dropped.len() as u64;
-            if !dropped.is_empty() {
-                h.last = LastOutcome::Dropped;
-            }
+        let row = self.row(stream);
+        row.standing = Standing::Retired;
+        row.health.dropped += dropped.len() as u64;
+        if !dropped.is_empty() {
+            row.health.last = LastOutcome::Dropped;
         }
         dropped
     }
@@ -366,39 +387,39 @@ impl Ingest {
         }
     }
 
-    /// Marks one CPI complete: frees a unit of that stream's depth and
-    /// folds the outcome into its health. A completion for a
-    /// disconnected stream is a *drain* — the result has no consumer —
-    /// and counts as `Dropped`.
-    pub fn complete(&mut self, stream: u16, degraded: bool, now: Instant) {
-        if let Some(st) = self.streams.get_mut(&stream) {
-            st.in_flight = st.in_flight.saturating_sub(1);
-            if degraded {
-                let h = self.health_row(stream);
-                h.degraded += 1;
-                h.streak += 1;
-                h.last = LastOutcome::Degraded;
-                self.maybe_quarantine(stream, now);
-            } else {
-                if let Some(st) = self.streams.get_mut(&stream) {
-                    st.backoff_ms = 0;
-                }
-                let h = self.health_row(stream);
-                h.ok += 1;
-                h.streak = 0;
-                h.last = LastOutcome::Ok;
-            }
-        } else {
-            let h = self.health_row(stream);
-            h.dropped += 1;
-            h.last = LastOutcome::Dropped;
+    /// Marks one CPI complete in its stream's row and returns the row,
+    /// for the caller to [`record`](StreamRow::record) the result in.
+    /// An active stream gets a unit of depth back and the outcome in its
+    /// health; a completion for a disconnected stream is a *drain* — the
+    /// result has no consumer — and counts as `Dropped`.
+    pub fn complete(&mut self, stream: u16, degraded: bool, now: Instant) -> &mut StreamRow {
+        let cfg = self.cfg;
+        let row = self.row(stream);
+        row.completed += 1;
+        if row.standing != Standing::Active {
+            row.health.dropped += 1;
+            row.health.last = LastOutcome::Dropped;
+            return row;
         }
+        row.in_flight = row.in_flight.saturating_sub(1);
+        if degraded {
+            row.health.degraded += 1;
+            row.health.streak += 1;
+            row.health.last = LastOutcome::Degraded;
+            row.maybe_quarantine(&cfg, now);
+        } else {
+            row.backoff_ms = 0;
+            row.health.ok += 1;
+            row.health.streak = 0;
+            row.health.last = LastOutcome::Ok;
+        }
+        row
     }
 
     /// Records a CPI lost across a supervisor recovery (its stream left
     /// while the slot was pending replay).
     pub fn note_lost(&mut self, stream: u16) {
-        let h = self.health_row(stream);
+        let h = &mut self.row(stream).health;
         h.dropped += 1;
         h.last = LastOutcome::Dropped;
     }
@@ -406,26 +427,23 @@ impl Ingest {
     /// Snapshot of every stream's health, sorted by id, with the live
     /// quarantine flag folded in.
     pub fn stream_health(&self, now: Instant) -> Vec<StreamHealth> {
-        let mut rows: Vec<StreamHealth> = self
-            .health
-            .values()
-            .map(|h| {
-                let mut row = h.clone();
-                row.quarantined_now = self
-                    .streams
-                    .get(&h.stream)
-                    .and_then(|st| st.quarantined_until)
-                    .is_some_and(|until| now < until);
-                row
+        self.rows()
+            .map(|r| StreamHealth {
+                quarantined_now: r.standing == Standing::Active
+                    && r.quarantined_until.is_some_and(|until| now < until),
+                ..r.health.clone()
             })
-            .collect();
-        rows.sort_by_key(|h| h.stream);
-        rows
+            .collect()
+    }
+
+    /// Submissions refused, across every stream and reason.
+    pub fn rejected(&self) -> u64 {
+        self.rows().map(|r| r.health.rejects.total()).sum()
     }
 
     /// Total quarantine firings across every stream.
     pub fn quarantines(&self) -> u64 {
-        self.health.values().map(|h| h.quarantines as u64).sum()
+        self.rows().map(|r| r.health.quarantines as u64).sum()
     }
 }
 
@@ -464,7 +482,7 @@ mod tests {
                 depth: 2
             }
         );
-        assert_eq!(ing.rejected, 1);
+        assert_eq!(ing.rejected(), 1);
         ing.complete(7, false, t);
         assert_eq!(ing.submit(7, cube(), t).unwrap(), 2);
         let rows = ing.stream_health(t);
@@ -491,7 +509,7 @@ mod tests {
         );
         ing.open = false;
         assert_eq!(ing.submit(1, cube(), t).unwrap_err().0, Reject::Closed);
-        assert_eq!(ing.rejected, 3);
+        assert_eq!(ing.rejected(), 3);
     }
 
     #[test]
@@ -621,5 +639,45 @@ mod tests {
         let h = &ing.stream_health(t)[0];
         assert_eq!(h.dropped, 1);
         assert_eq!(h.last, LastOutcome::Dropped);
+    }
+
+    /// One row holds what the summary reads of a stream: every
+    /// completion (a drained one after disconnect included), the
+    /// detections, the latency samples past warm-up and the health, and
+    /// the reject total is the rows' sum.
+    #[test]
+    fn a_completion_fills_its_streams_one_row() {
+        let mut ing = ingest(8);
+        ing.register(4);
+        let t = Instant::now();
+        for _ in 0..3 {
+            ing.submit(4, cube(), t).unwrap();
+        }
+        assert!(ing.submit(5, cube(), t).is_err());
+        let mut g = Vec::new();
+        ing.next_group_into(3, &mut g);
+        for (scpi, job) in g.iter().enumerate() {
+            let done = CpiDone {
+                stream: job.stream,
+                scpi: job.scpi,
+                detections: Vec::new(),
+                latency: 0.5 + scpi as f64,
+                degraded: false,
+            };
+            ing.complete(done.stream, false, t).record(&done, 1);
+            if scpi == 1 {
+                ing.disconnect(4);
+            }
+        }
+        let row = ing.rows().find(|r| r.health.stream == 4).unwrap();
+        assert_eq!(row.completed, 3, "a drained completion still counts");
+        assert_eq!(row.latencies, [1.5, 2.5], "the warm-up CPI has no sample");
+        assert_eq!((row.health.ok, row.health.dropped), (2, 1));
+        assert_eq!(ing.rejected(), 1);
+        assert_eq!(
+            ing.stream_health(t).len(),
+            2,
+            "the unknown stream has a row"
+        );
     }
 }

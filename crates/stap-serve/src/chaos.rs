@@ -222,7 +222,6 @@ fn campaign(cfg: ChaosConfig) -> ChaosReport {
             quarantine_streak: 2,
             probation_ms: 40,
             rebalance: true,
-            ..ServerConfig::default()
         },
         Some(tap_tx),
     ));

@@ -8,14 +8,12 @@
 //! queues rather than unbounded buffering.
 
 use crate::admission::Reject;
-use crate::health::RejectCounts;
 use crate::server::{ServeSummary, StapServer};
 use stap_cube::CCube;
 use stap_pipeline::runner::PipelineError;
 use stap_radar::Scenario;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Load shape.
@@ -51,12 +49,6 @@ pub struct LoadgenReport {
     /// Backpressure events: times a producer blocked in
     /// [`StapServer::wait_ready`] for admission headroom.
     pub backpressure_retries: u64,
-    /// Producer-side reject tallies by reason, per stream (sorted by
-    /// stream id). Empty on a clean run — the happy-path smoke asserts
-    /// exactly that.
-    pub rejects: Vec<(u16, RejectCounts)>,
-    /// Total rejects across every stream and reason.
-    pub rejected_total: u64,
     /// CPIs a producer gave up on after a terminal reject (bad shape,
     /// retired id) or exhausted retries.
     pub abandoned_cpis: u64,
@@ -81,7 +73,6 @@ pub fn run_loadgen(
     let server = Arc::new(mk_server());
     let retries = Arc::new(AtomicU64::new(0));
     let abandoned = Arc::new(AtomicU64::new(0));
-    let rejects = Arc::new(Mutex::new(HashMap::<u16, RejectCounts>::new()));
     let mut producers = Vec::new();
     for (s, cubes) in loads.into_iter().enumerate() {
         let stream = s as u16;
@@ -89,15 +80,13 @@ pub fn run_loadgen(
         let srv = server.clone();
         let rt = retries.clone();
         let ab = abandoned.clone();
-        let rj = rejects.clone();
         producers.push(std::thread::spawn(move || {
-            let mut local = RejectCounts::default();
             'cpis: for c in &cubes {
                 // Bounded retry per CPI: transient rejects (queue
                 // pressure, a closing quarantine window) are retried,
                 // terminal ones abandon just this CPI — a reject must
-                // never kill the producer, that is the failure mode the
-                // tally exists to observe.
+                // never kill the producer: the ledger's per-stream
+                // reject counts are there to observe it.
                 let mut attempts = 0u32;
                 loop {
                     // Wait before filling: a bounced submit wastes a
@@ -111,7 +100,6 @@ pub fn run_loadgen(
                     match srv.submit(stream, cube) {
                         Ok(_) => continue 'cpis,
                         Err(r) => {
-                            local.bump(&r);
                             attempts += 1;
                             match r {
                                 Reject::Closed => break 'cpis,
@@ -130,9 +118,6 @@ pub fn run_loadgen(
                     }
                 }
             }
-            if local.total() > 0 {
-                *rj.lock().unwrap().entry(stream).or_default() = local;
-            }
         }));
     }
     for p in producers {
@@ -140,19 +125,9 @@ pub fn run_loadgen(
     }
     let server = Arc::into_inner(server).expect("producers released the server");
     let summary = server.shutdown()?;
-    let mut rejects: Vec<(u16, RejectCounts)> = Arc::into_inner(rejects)
-        .unwrap()
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .collect();
-    rejects.sort_by_key(|(s, _)| *s);
-    let rejected_total = rejects.iter().map(|(_, c)| c.total()).sum();
     Ok(LoadgenReport {
         summary,
         backpressure_retries: retries.load(Ordering::Relaxed),
-        rejects,
-        rejected_total,
         abandoned_cpis: abandoned.load(Ordering::Relaxed),
     })
 }

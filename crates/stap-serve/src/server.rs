@@ -18,8 +18,9 @@
 //!   stream's queue depth and further submissions bounce with
 //!   [`Reject::QueueFull`] — backpressure propagates to producers
 //!   instead of growing queues without bound;
-//! * **complete** records per-stream latency samples, releases the
-//!   CPI's admission credit, wakes parked producers and forwards the
+//! * **complete** finds the CPI's stream row in the ledger once and
+//!   records the completion there (admission credit, health, latency
+//!   sample, detections), then wakes parked producers and forwards the
 //!   result to the tap.
 //!
 //! Submission is allocation-free in steady state: producers draw cubes
@@ -38,7 +39,6 @@ use stap_pipeline::{
     CpiDone, CpiJob, Feed, ParallelStap, Rebalance, RebalancePolicy, Recovered, ResidentSummary,
     Session, SessionSummary, SupervisorConfig,
 };
-use std::collections::HashMap;
 use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -53,8 +53,6 @@ pub struct ServerConfig {
     pub max_group: usize,
     /// Per-stream admission bound (see [`AdmissionConfig`]).
     pub queue_depth: usize,
-    /// Soft mailbox high-water mark inside the pipeline (0 = off).
-    pub mailbox_high_water: usize,
     /// Expected concurrent streams; sizes the pool pre-warm
     /// ([`ParallelStap::reserve`]). More streams than the hint still
     /// work — the pool grows on (counted) misses.
@@ -91,7 +89,6 @@ impl Default for ServerConfig {
             window: 4,
             max_group: 4,
             queue_depth: 8,
-            mailbox_high_water: 64,
             streams_hint: 4,
             rebalance: false,
             warmup_cpis: 2,
@@ -217,10 +214,6 @@ impl ServeSummary {
                         Json::Num(self.resident.health.degraded_cpis as f64),
                     ),
                     (
-                        "mailbox_over_high_water",
-                        Json::Num(self.resident.health.mailbox_over_high_water as f64),
-                    ),
-                    (
                         "max_mailbox_depth",
                         Json::Num(
                             self.resident
@@ -278,16 +271,6 @@ impl ServeSummary {
     }
 }
 
-/// Per-stream completion counts, kept by the engine's feed.
-#[derive(Default)]
-struct Collected {
-    /// Steady-state latency samples (warm-up completions excluded).
-    latencies: HashMap<u16, Vec<f64>>,
-    /// All completions per stream, warm-up included.
-    completed: HashMap<u16, u64>,
-    detections: HashMap<u16, u64>,
-}
-
 struct Shared {
     ing: Mutex<Ingest>,
     /// Wakes the driver parked in [`Admission::next`]: a CPI was
@@ -305,7 +288,6 @@ struct Admission {
     /// Per-stream completions excluded from the latency samples.
     warmup: u32,
     tap: Option<mpsc::Sender<CpiDone>>,
-    collected: Collected,
 }
 
 impl Feed for Admission {
@@ -335,13 +317,9 @@ impl Feed for Admission {
         degraded: bool,
     ) {
         let d = CpiDone::new(sub, latency, detections, degraded);
-        let out = &mut self.collected;
-        *out.completed.entry(d.stream).or_default() += 1;
-        if d.scpi >= self.warmup {
-            out.latencies.entry(d.stream).or_default().push(d.latency);
-        }
-        *out.detections.entry(d.stream).or_default() += d.detections.len() as u64;
-        (self.shared.ing.lock().unwrap()).complete(d.stream, d.degraded, Instant::now());
+        (self.shared.ing.lock().unwrap())
+            .complete(d.stream, d.degraded, Instant::now())
+            .record(&d, self.warmup);
         self.shared.room.notify_all();
         if let Some(t) = &self.tap {
             let _ = t.send(d);
@@ -366,12 +344,12 @@ pub struct StapServer {
     shape: [usize; 3],
     screen: bool,
     t0: Instant,
-    engine: JoinHandle<Result<(SessionSummary, Collected), PipelineError>>,
+    engine: JoinHandle<Result<SessionSummary, PipelineError>>,
     control: Option<mpsc::Sender<Rebalance>>,
 }
 
 impl StapServer {
-    /// Sets `runner`'s window, group bound, mailbox mark and screen from
+    /// Sets `runner`'s window, group bound and screen from
     /// `cfg`, pre-warms its pools for `cfg.streams_hint` streams and
     /// starts the engine thread. The runner's policy, fault plan and
     /// tracing carry over to the session as they are.
@@ -390,7 +368,6 @@ impl StapServer {
         let resident = runner
             .with_window(cfg.window)
             .with_max_group(cfg.max_group)
-            .with_mailbox_high_water(cfg.mailbox_high_water)
             .with_screen(cfg.screen);
         resident.reserve(cfg.streams_hint, cfg.queue_depth);
         let p = &resident.params;
@@ -411,7 +388,6 @@ impl StapServer {
             max_group: resident.max_group,
             warmup: cfg.warmup_cpis,
             tap,
-            collected: Collected::default(),
         };
         let (control, rebalance) = if cfg.rebalance {
             let (tx, rx) = mpsc::channel();
@@ -426,10 +402,7 @@ impl StapServer {
         };
         let engine = std::thread::Builder::new()
             .name("stap-serve".into())
-            .spawn(move || {
-                let summary = session.run(&resident, &mut feed)?;
-                Ok((summary, feed.collected))
-            })
+            .spawn(move || session.run(&resident, &mut feed))
             .expect("spawn the stap-serve engine thread");
 
         StapServer {
@@ -547,7 +520,6 @@ impl StapServer {
         self.shared.ing.lock().unwrap().open = false;
         self.shared.work.notify_all();
         self.shared.room.notify_all();
-        let (out, collected) = self.engine.join().expect("engine panicked")?;
         let SessionSummary {
             resident,
             rebalances,
@@ -555,37 +527,26 @@ impl StapServer {
             checkpoints,
             lost_cpis,
             ..
-        } = out;
+        } = self.engine.join().expect("engine panicked")?;
         let elapsed = self.t0.elapsed().as_secs_f64();
 
-        let (rejected, purged, stream_health, quarantines) = {
-            let ing = self.shared.ing.lock().unwrap();
-            (
-                ing.rejected,
-                ing.purged,
-                ing.stream_health(Instant::now()),
-                ing.quarantines(),
-            )
-        };
-        let mut streams: Vec<StreamStats> = Vec::new();
+        let ing = self.shared.ing.lock().unwrap();
         let mut all: Vec<f64> = Vec::new();
         let mut warmup_cpis: u64 = 0;
-        for (&stream, &completed) in &collected.completed {
-            let mut sample = collected
-                .latencies
-                .get(&stream)
-                .cloned()
-                .unwrap_or_default();
-            warmup_cpis += completed - sample.len() as u64;
-            all.extend_from_slice(&sample);
-            streams.push(StreamStats {
-                stream,
-                cpis: completed,
-                detections: collected.detections.get(&stream).copied().unwrap_or(0),
-                latency: LatencyProfile::from_seconds(&mut sample),
-            });
-        }
-        streams.sort_by_key(|s| s.stream);
+        let streams: Vec<StreamStats> = (ing.rows())
+            .filter(|r| r.completed > 0)
+            .map(|r| {
+                let mut sample = r.latencies.clone();
+                warmup_cpis += r.completed - sample.len() as u64;
+                all.extend_from_slice(&sample);
+                StreamStats {
+                    stream: r.health.stream,
+                    cpis: r.completed,
+                    detections: r.detections,
+                    latency: LatencyProfile::from_seconds(&mut sample),
+                }
+            })
+            .collect();
         let aggregate = LatencyProfile::from_seconds(&mut all);
         Ok(ServeSummary {
             streams,
@@ -597,13 +558,13 @@ impl StapServer {
             } else {
                 0.0
             },
-            rejected,
-            purged,
+            rejected: ing.rejected(),
+            purged: ing.purged,
             aggregate,
             warmup_cpis,
             rebalances: rebalances.len() as u64,
-            stream_health,
-            quarantines,
+            stream_health: ing.stream_health(Instant::now()),
+            quarantines: ing.quarantines(),
             recoveries: recoveries.len() as u64,
             recovery_log: recoveries,
             lost_cpis,

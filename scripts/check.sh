@@ -28,7 +28,7 @@ stage_name() {
     6) echo "benchmark smoke (benchmark/ builds; one quick run in-process and one over TCP are correct; plumbing only, not timing)" ;;
     7) echo "trace smoke (Chrome trace + measured-vs-modeled reconciliation)" ;;
     8) echo "scalar fallback (STAP_SIMD=off: the non-AVX2 path stays green)" ;;
-    9) echo "serve smoke (small loadgen: SLO fields present, zero pool misses)" ;;
+    9) echo "serve smoke (small loadgen: SLO fields present, zero pool misses, mailboxes within the window)" ;;
     10) echo "assign smoke (lattice explore: frontier sanity + paper case dominated)" ;;
     11) echo "chaos smoke (seeded campaign: recovery, rank shift, quarantine, lost-CPI bound)" ;;
     12) echo "transport parity (bit-identical detections on inproc and tcp + byte reconciliation)" ;;
@@ -122,14 +122,17 @@ PY
       ;;
     9)
       # Multi-stream ingestion smoke: a small loadgen session through the
-      # resident server must report the SLO latency fields and a steady
-      # state that never missed the pre-warmed pools. The JSON artifact
-      # is kept (CI uploads it) unless SERVE_SMOKE_OUT is unset.
+      # resident server must report the SLO latency fields, a steady
+      # state that never missed the pre-warmed pools, and mailboxes the
+      # window bounds: window 4 on the tiny assignment, where at most two
+      # nodes feed one receiver on an edge, buffers at most 2 x (4 + 1)
+      # messages per edge. The JSON artifact is kept (CI uploads it)
+      # unless SERVE_SMOKE_OUT is unset.
       local serve_out
       serve_out="${SERVE_SMOKE_OUT:-$(mktemp "${TMPDIR:-/tmp}"/SERVE_smoke.XXXXXX.json)}"
       [ -n "${SERVE_SMOKE_OUT:-}" ] || trap 'rm -f "$serve_out"' RETURN
       cargo run --release -q -p stap-bench --bin stapctl -- \
-        serve --streams 4 --cpis 6 --group 4 --json >"$serve_out" \
+        serve --streams 4 --cpis 6 --group 4 --window 4 --json >"$serve_out" \
         && python3 - "$serve_out" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -140,12 +143,14 @@ assert doc["cpis"] == 24, f"expected 24 CPIs, got {doc['cpis']}"
 pool = doc["pool"]
 assert pool["cx_misses"] == 0 and pool["real_misses"] == 0, f"pool missed: {pool}"
 assert not doc["health"]["faults"], f"faults: {doc['health']}"
+depth = doc["health"]["max_mailbox_depth"]
+assert depth <= 2 * (4 + 1), f"mailbox depth {depth} over 2 x (window 4 + 1)"
 assert doc["rejected"] == 0, f"happy path rejected submissions: {doc['rejected']}"
 assert doc["quarantines"] == 0, "happy path quarantined a stream"
 for h in doc["stream_health"]:
     assert h["ok"] == 6 and h["rejects"]["total"] == 0, f"unhealthy stream: {h}"
-print("serve smoke ok: p50 %.2fms p99 %.2fms, %d pool hits, zero misses, zero rejects"
-      % (lat["p50_ms"], lat["p99_ms"], pool["cx_hits"] + pool["real_hits"]))
+print("serve smoke ok: p50 %.2fms p99 %.2fms, %d pool hits, zero misses, zero rejects, "
+      "mailbox depth %d" % (lat["p50_ms"], lat["p99_ms"], pool["cx_hits"] + pool["real_hits"], depth))
 PY
       ;;
     10)

@@ -4,7 +4,7 @@
 
 use stap::cube::{AxisPartition, CCube, RedistPlan};
 use stap::math::Cx;
-use stap::mp::World;
+use stap::mp::run_spmd;
 
 /// Executes a redistribution plan on real rank threads: source ranks
 /// pack and send, destination ranks receive and assemble. Source rank i
@@ -14,8 +14,7 @@ use stap::mp::World;
 fn run_over_mp(plan: &RedistPlan, global: &CCube) -> Vec<CCube> {
     let src_n = plan.src_part.nodes();
     let dst_n = plan.dst_part.nodes();
-    let world: World<CCube> = World::new(src_n + dst_n);
-    let outputs = world.run_collect(|mut comm| {
+    let outputs = run_spmd::<CCube, _>(src_n + dst_n, |mut comm| {
         let rank = comm.rank();
         if rank < src_n {
             // Sender: own slab of the global cube, pack per receiver.
